@@ -68,17 +68,6 @@ class PositivityError(ArithmeticError):
     """A shifted potential left the Kahler cone (non-positive Hessian)."""
 
 
-def _as_fn(psi):
-    """Normalize None | WeightExpr | callable to None or callable."""
-    if psi is None:
-        return None
-    if hasattr(psi, "evaluate"):
-        return psi.evaluate
-    if callable(psi):
-        return psi
-    raise TypeError(f"cannot interpret weight {psi!r}")
-
-
 def _combine(*terms):
     """Weighted sum of optional weight functions -> callable or None.
 
@@ -140,13 +129,12 @@ def mc_partition_ratio(configurations, psi) -> tuple[float, float]:
 
     Takes exact unweighted samples; returns (mean, standard error).
     """
-    fn = _as_fn(psi)
     vals = []
     for conf in configurations:
-        if fn is None:
+        if psi is None:
             vals.append(1.0)
         else:
-            vals.append(math.exp(-float(np.sum(fn(conf.points)))))
+            vals.append(math.exp(-float(np.sum(psi(conf.points)))))
     vals = np.asarray(vals)
     if vals.size == 0:
         raise ValueError("no configurations")
@@ -163,8 +151,8 @@ class GramPath:
 
     def __init__(self, space: ModelSpace, psi, base_psi=None, grid=None):
         self.space = space
-        self.psi = _as_fn(psi)
-        self.base_psi = _as_fn(base_psi)
+        self.psi = psi
+        self.base_psi = base_psi
         self.grid = grid if grid is not None else build_grid(space)
         self._logdets: dict[float, float] = {}
 
@@ -184,7 +172,7 @@ class GramPath:
         """K'(t) = -int psi(x) B_t(x, x) dmu(x)."""
         if self.psi is None:
             return 0.0
-        ev = reweighted_evaluator(self.space, self.grid, psi=self.weight_at(t), t=1.0)
+        ev = reweighted_evaluator(self.space, self.grid, psi=self.weight_at(t))
         rows = ev.section_rows(self.grid.nodes)
         bdiag = np.einsum("mi,mi->m", rows, rows.conj()).real
         c = self.grid.weights * self.grid.density
@@ -307,7 +295,7 @@ def mabuchi(
     x, w = np.polynomial.legendre.leggauss(s_nodes)
     s_pts = 0.5 * (x + 1.0)
     s_wts = 0.5 * w
-    u_vals = float(scale) * np.asarray(direction.evaluate(grid.nodes), dtype=float)
+    u_vals = float(scale) * np.asarray(direction(grid.nodes), dtype=float)
     total = 0.0
     for s, ws in zip(s_pts, s_wts):
         try:
@@ -339,11 +327,8 @@ def lambda_k(
     if grid is None:
         grid = build_grid(space)
     k = float(space.power)
-    f_fn = _as_fn(f)
-    psi_fn = _as_fn(psi)
-    pp_fn = _as_fn(psi_prime)
-    shifted = _combine((1.0, psi_fn), (k, pp_fn), (-k, f_fn))
-    base = _combine((1.0, psi_fn), (k, pp_fn))
+    shifted = _combine((1.0, psi), (k, psi_prime), (-k, f))
+    base = _combine((1.0, psi), (k, psi_prime))
     g1 = gram(space, grid, psi=shifted).logdet
     g2 = gram(space, grid, psi=base).logdet
     return (g1 - g2) / (k * space.rank)

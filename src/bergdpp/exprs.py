@@ -304,7 +304,11 @@ def _rename_var(node: Node, old: str, new: str) -> Node:
 
 
 class WeightExpr:
-    """A parsed weight expression, evaluated over batches of chart points."""
+    """A parsed weight expression, evaluated over batches of chart points.
+
+    Calling the expression evaluates it, so it can stand wherever a weight
+    callable points -> (M,) values is expected.
+    """
 
     def __init__(self, source: str, ast: Node):
         self.source = source
@@ -398,6 +402,8 @@ class WeightExpr:
 
         return ev(self.ast)
 
+    __call__ = evaluate
+
     def value_at(self, z) -> float:
         pt = np.atleast_1d(np.asarray(z, dtype=complex))
         return float(self.evaluate(pt[None, :])[0])
@@ -412,16 +418,6 @@ class WeightExpr:
             ast = _diff(self.ast, var)
             self._deriv_cache[var] = WeightExpr(f"d({self.source})/d{var}", ast)
         return self._deriv_cache[var]
-
-    def validate_on_nodes(self, points: np.ndarray) -> None:
-        vals = self.evaluate(points)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            i = int(np.argmax(bad))
-            pt = np.asarray(points, dtype=complex).reshape(len(vals), -1)[i]
-            raise ValueError(
-                f"{self.source!r} is non-finite at grid node {i} (z = {pt.tolist()})"
-            )
 
 
 def parse_weight(source: str) -> WeightExpr:

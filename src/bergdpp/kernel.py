@@ -9,8 +9,8 @@ has trace N, and its m-point determinants det[B(x_a, x_b)] are the joint
 intensities of the projection determinantal process.
 
 An evaluator can carry a fixed extra weight psi: the sections are then
-re-orthonormalized through the Hermitian inverse square root of the Gram
-matrix under psi, and e^{-psi/2} is folded into the values.  For constant
+re-orthonormalized through the inverse square root of their Gram matrix
+under psi, and e^{-psi/2} is folded into the values.  For constant
 psi this leaves every kernel determinant unchanged, which is the numerical
 shadow of invariance under globally holomorphic weight changes.
 
@@ -32,12 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import GramDegenerateError, QuadratureGrid, weighted_gram_matrix
+from .quadrature import QuadratureGrid, _inverse_sqrt, weighted_gram_matrix
 from .spaces import ModelSpace, NormalFrame, _as_points, limit_frame
 
 __all__ = [
     "KernelEvaluator",
-    "LimitKernel",
     "evaluator",
     "reweighted_evaluator",
     "kernel_eval",
@@ -58,9 +57,8 @@ class KernelEvaluator:
     """Evaluates B(x, y), optionally under a fixed extra weight psi."""
 
     space: ModelSpace
-    transform: np.ndarray | None = None  # inverse square root of the psi-Gram
-    psi: object | None = None            # WeightExpr or callable, folded as e^{-psi/2}
-    t: float = 1.0                        # multiplier on psi
+    transform: np.ndarray | None = None  # orthonormalizing map of the psi-Gram
+    psi: object | None = None            # callable points -> (M,), folded as e^{-psi/2}
 
     @property
     def rank(self) -> int:
@@ -71,12 +69,9 @@ class KernelEvaluator:
         Z = _as_points(points, self.space.dim)
         V = self.space.section_matrix(Z)
         if self.transform is not None:
-            V = V @ self.transform.T.conj()
+            V = V @ self.transform
         if self.psi is not None:
-            psi_vals = (
-                self.psi.evaluate(Z) if hasattr(self.psi, "evaluate") else self.psi(Z)
-            )
-            V = V * np.exp(-0.5 * self.t * np.asarray(psi_vals))[:, None]
+            V = V * np.exp(-0.5 * np.asarray(self.psi(Z)))[:, None]
         return V
 
 
@@ -89,25 +84,12 @@ def reweighted_evaluator(
 ) -> KernelEvaluator:
     """Evaluator for the kernel of the psi-weighted inner product.
 
-    The sections are re-orthonormalized by the Hermitian inverse square root
-    of their Gram under t * psi; eigenvalues below 1e-12 of the top one are
-    rejected as gram-degenerate.
+    The sections are re-orthonormalized over the grid under t * psi;
+    eigenvalues below 1e-12 of the top one are rejected as gram-degenerate.
     """
-    if psi is None:
-        scaled = None
-    else:
-        def scaled(Z):
-            vals = psi.evaluate(Z) if hasattr(psi, "evaluate") else psi(Z)
-            return t * np.asarray(vals)
-
-    A = weighted_gram_matrix(space, grid, psi=scaled)
-    eigs, U = np.linalg.eigh(A)
-    if eigs[0] <= 0.0 or eigs[0] <= 1e-12 * eigs[-1]:
-        raise GramDegenerateError(
-            f"gram-degenerate under reweighting: eigenvalues in [{eigs[0]:.3e}, {eigs[-1]:.3e}]"
-        )
-    inv_sqrt = (U * (1.0 / np.sqrt(eigs))[None, :]) @ U.conj().T
-    return KernelEvaluator(space=space, transform=inv_sqrt, psi=psi, t=t)
+    scaled = None if psi is None else lambda Z: t * np.asarray(psi(Z))
+    T = _inverse_sqrt(weighted_gram_matrix(space, grid, psi=scaled))
+    return KernelEvaluator(space=space, transform=T, psi=scaled)
 
 
 def kernel_eval(ev: KernelEvaluator, x, y) -> complex:
@@ -148,23 +130,6 @@ def kernel_det(ev: KernelEvaluator, points) -> float:
 
 # ---------------------------------------------------------------------------
 # limit kernel
-
-
-@dataclass(frozen=True)
-class LimitKernel:
-    """Gaussian limit kernel with per-coordinate curvatures lambda."""
-
-    lam: tuple[float, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.lam)
-
-    def prefactor(self) -> float:
-        out = 1.0
-        for l in self.lam:
-            out *= l / np.pi
-        return out
 
 
 def limit_kernel(frame_or_lam, u, v) -> complex:

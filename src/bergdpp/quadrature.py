@@ -19,7 +19,7 @@ products of two sections, and from |B|^2, exact.
 
 Grams.  gram() assembles A_ij = int v_i conj(v_j) e^{-psi} dmu, Hermitianizes
 as (A + A^H)/2 with the asymmetry recorded, and reports the log-determinant
-from a pivoted factorization.  Non-positive-definite results raise
+as the sum of log-eigenvalues.  Non-positive-definite results raise
 GramDegenerateError (the usual cause being a grid with fewer nodes than the
 rank needs).
 """
@@ -231,14 +231,29 @@ class GramMatrix:
 def _psi_values(psi, nodes: np.ndarray) -> np.ndarray:
     if psi is None:
         return np.zeros(nodes.shape[0])
-    vals = psi.evaluate(nodes) if hasattr(psi, "evaluate") else psi(nodes)
-    vals = np.asarray(vals, dtype=float)
+    vals = np.asarray(psi(nodes), dtype=float)
     if vals.shape != (nodes.shape[0],):
         raise ValueError(f"extra weight must return shape ({nodes.shape[0]},)")
     if not np.all(np.isfinite(vals)):
         i = int(np.argmax(~np.isfinite(vals)))
         raise ValueError(f"extra weight non-finite at node {i}, z = {nodes[i].tolist()}")
     return vals
+
+
+def _assemble(
+    space: ModelSpace, grid: QuadratureGrid, psi=None, mask: np.ndarray | None = None
+) -> np.ndarray:
+    """Raw (not Hermitianized) A_ij = sum_m c_m v_i(z_m) conj(v_j(z_m)).
+
+    c = w * rho * e^{-psi} * mask is the quadrature factor at the grid nodes.
+    """
+    V = space.section_matrix(grid.nodes)
+    c = grid.weights * grid.density * np.exp(-_psi_values(psi, grid.nodes))
+    if mask is not None:
+        c = c * mask
+    if not np.all(np.isfinite(c)):
+        raise ValueError("quadrature factor overflowed; extra weight too negative")
+    return (c[:, None] * V).T @ V.conj()
 
 
 def weighted_gram_matrix(
@@ -249,23 +264,32 @@ def weighted_gram_matrix(
     No positivity check: with a mask (region indicator) the result is only
     positive semi-definite.
     """
-    V = space.section_matrix(grid.nodes)
-    c = grid.weights * grid.density * np.exp(-_psi_values(psi, grid.nodes))
-    if mask is not None:
-        c = c * mask
-    if not np.all(np.isfinite(c)):
-        raise ValueError("quadrature factor overflowed; extra weight too negative")
-    A = (c[:, None] * V).T @ V.conj()
+    A = _assemble(space, grid, psi, mask)
     return 0.5 * (A + A.conj().T)
 
 
+def _inverse_sqrt(A: np.ndarray) -> np.ndarray:
+    """T = conj(A)^{-1/2} for a Gram A from weighted_gram_matrix.
+
+    Since A = V^T diag(c) conj(V), the rows of V @ T are orthonormal in the
+    c-weighted inner product: T^H (V^H diag(c) V) T = I.  Eigenvalues below
+    1e-12 of the top one raise GramDegenerateError.
+    """
+    eigs, U = np.linalg.eigh(A.conj())
+    if eigs[0] <= 0.0 or eigs[0] <= 1e-12 * eigs[-1]:
+        raise GramDegenerateError(
+            f"gram-degenerate: eigenvalues in [{eigs[0]:.3e}, {eigs[-1]:.3e}]; refine the grid"
+        )
+    return (U * (1.0 / np.sqrt(eigs))[None, :]) @ U.conj().T
+
+
 def gram(space: ModelSpace, grid: QuadratureGrid, psi=None) -> GramMatrix:
-    """Gram matrix of the section family under an optional extra weight psi."""
-    V = space.section_matrix(grid.nodes)
-    c = grid.weights * grid.density * np.exp(-_psi_values(psi, grid.nodes))
-    if not np.all(np.isfinite(c)):
-        raise ValueError("quadrature factor overflowed; extra weight too negative")
-    A_raw = (c[:, None] * V).T @ V.conj()
+    """Gram matrix of the section family under an optional extra weight psi.
+
+    The log-determinant is the sum of log-eigenvalues from the degeneracy
+    check, so the matrix is factorized once.
+    """
+    A_raw = _assemble(space, grid, psi)
     asym_abs = float(np.max(np.abs(A_raw - A_raw.conj().T), initial=0.0))
     scale = float(np.max(np.abs(A_raw), initial=0.0))
     A = 0.5 * (A_raw + A_raw.conj().T)
@@ -275,15 +299,12 @@ def gram(space: ModelSpace, grid: QuadratureGrid, psi=None) -> GramMatrix:
             f"gram-degenerate: eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}] "
             f"with {grid.size} nodes for rank {space.rank}; refine the grid"
         )
-    sign, logdet = np.linalg.slogdet(A)
-    if sign.real <= 0.0:
-        raise GramDegenerateError("gram-degenerate: non-positive determinant")
     psi_descr = None
     if psi is not None:
         psi_descr = getattr(psi, "source", None) or repr(psi)
     return GramMatrix(
         matrix=A,
-        logdet=float(logdet),
+        logdet=float(np.sum(np.log(eigs))),
         psi=psi_descr,
         asymmetry_abs=asym_abs,
         asymmetry_rel=asym_abs / scale if scale > 0 else 0.0,

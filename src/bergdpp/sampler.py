@@ -32,11 +32,14 @@ parallelizable.
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quadrature import _inverse_sqrt, build_grid, weighted_gram_matrix
 from .spaces import ModelSpace, _as_points
 
 __all__ = [
@@ -105,10 +108,7 @@ def configuration_from_json(entry: dict, dim: int, seed=None) -> Configuration:
 
 
 def _weight_values(fn, Z: np.ndarray) -> np.ndarray:
-    if fn is None:
-        return np.zeros(Z.shape[0])
-    vals = fn.evaluate(Z) if hasattr(fn, "evaluate") else fn(Z)
-    return np.asarray(vals, dtype=float)
+    return np.zeros(Z.shape[0]) if fn is None else np.asarray(fn(Z), dtype=float)
 
 
 def log_density(
@@ -221,12 +221,25 @@ def sample_dpp(
 
 
 def sample_dpp_many(
-    space: ModelSpace, reps: int, seed: int, stream_base: tuple[int, ...] = ()
+    space: ModelSpace,
+    reps: int,
+    seed: int,
+    stream_base: tuple[int, ...] = (),
+    workers: int = 1,
 ) -> list[Configuration]:
-    """reps independent exact draws on disjoint Philox streams."""
-    return [
-        sample_dpp(space, seed=seed, stream=stream_base + (r,)) for r in range(reps)
-    ]
+    """reps independent exact draws on disjoint Philox streams.
+
+    Draw r uses the stream stream_base + (r,), so the result does not depend
+    on workers.  workers > 1 spreads the draws over a process pool; its
+    processes are spawned, so each first pays a fresh import of bergdpp.
+    """
+    streams = [stream_base + (r,) for r in range(reps)]
+    if workers <= 1:
+        return [sample_dpp(space, seed=seed, stream=st) for st in streams]
+    context = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
+        futures = [pool.submit(sample_dpp, space, seed=seed, stream=st) for st in streams]
+        return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------------------
@@ -413,17 +426,7 @@ def discrete_projection_from_space(
     values orthonormalized over the grid; the ground set has
     radial * angular points per factor.
     """
-    from .quadrature import build_grid
-
     grid = build_grid(space, radial=radial, angular=angular)
-    V = space.section_matrix(grid.nodes)
-    c = grid.weights * grid.density
-    Phi = np.sqrt(c)[:, None] * V
-    A = Phi.conj().T @ Phi
-    eigs, U = np.linalg.eigh(0.5 * (A + A.conj().T))
-    if eigs.min() <= 1e-12 * eigs.max():
-        raise ValueError("ground grid too coarse to resolve the rank")
-    inv_sqrt = (U * (1.0 / np.sqrt(eigs))[None, :]) @ U.conj().T
-    Q = Phi @ inv_sqrt
-    K = Q @ Q.conj().T
-    return grid.nodes, K
+    T = _inverse_sqrt(weighted_gram_matrix(space, grid))
+    Q = np.sqrt(grid.weights * grid.density)[:, None] * (space.section_matrix(grid.nodes) @ T)
+    return grid.nodes, Q @ Q.conj().T

@@ -75,10 +75,6 @@ class ModelSpace:
 
     # -- factor data ------------------------------------------------------
 
-    @property
-    def factor_ranks(self) -> tuple[int, ...]:
-        return tuple(d + 1 for d in self.factor_degrees)
-
     def factor_log_norms(self, i: int) -> np.ndarray:
         """log of the basis normalization constants c_j for factor i."""
         j = np.arange(self.factor_degrees[i] + 1, dtype=float)

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import betainc, gammainc
 
 from .quadrature import QuadratureGrid, build_grid, weighted_gram_matrix
-from .sampler import Configuration, sample_dpp
+from .sampler import Configuration, sample_dpp_many
 from .spaces import ModelSpace
 
 __all__ = [
@@ -200,8 +200,8 @@ class CountStats:
     predicted_variance: float
     observed_mean: float
     observed_variance: float
-    mean_z: float
-    variance_z: float
+    mean_z: float | None
+    variance_z: float | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -226,10 +226,11 @@ def count_moments(space: ModelSpace, region: Region, grid: QuadratureGrid | None
     return mean, max(var, 0.0)
 
 
-def _ratio_z(obs: float, pred: float, se: float) -> float:
+def _ratio_z(obs: float, pred: float, se: float) -> float | None:
+    """(obs - pred) / se; None when se is 0 and obs != pred (no finite z)."""
     if se > 0.0:
         return (obs - pred) / se
-    return 0.0 if obs == pred else math.inf if obs > pred else -math.inf
+    return 0.0 if obs == pred else None
 
 
 def region_count_stats(
@@ -268,10 +269,10 @@ class PairStats:
     region_a: str
     region_b: str
     reps: int
-    predicted: float       # double quadrature of rho_2 over A x B
+    predicted: float       # E[#A * #B] (or E[#A(#A - 1)] on the diagonal)
     observed_mean: float   # mean of #A * #B (or #A(#A - 1) on the diagonal)
     observed_se: float
-    z: float
+    z: float | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -318,12 +319,18 @@ def pair_count_stats(
     regions,
     grid: QuadratureGrid | None = None,
 ) -> list[PairStats]:
-    """Pair-count checks over all unordered region pairs, diagonal included."""
+    """Pair-count checks over all unordered region pairs, diagonal included.
+
+    E[#A(#A - 1)] is the integral of rho_2 over A x A.  For A != B,
+    E[#A * #B] also counts each point of the overlap once, so the prediction
+    adds int_{A cap B} rho_1 = tr of the Gram restricted to A cap B.
+    """
     regions = list(regions)
     emp = EmpiricalMeasure(tuple(configurations))
     if grid is None:
         grid = region_grid(space, *regions)
     counts = np.stack([emp.counts(reg).astype(float) for reg in regions])
+    masks = [reg.mask(grid.nodes) for reg in regions]
     out = []
     for a in range(len(regions)):
         for b in range(a, len(regions)):
@@ -332,6 +339,9 @@ def pair_count_stats(
                 stat = counts[a] * (counts[a] - 1.0)
             else:
                 stat = counts[a] * counts[b]
+                both = masks[a] & masks[b]
+                if both.any():
+                    pred += float(np.trace(weighted_gram_matrix(space, grid, mask=both)).real)
             obs = float(stat.mean())
             se = float(stat.std(ddof=1) / math.sqrt(emp.reps)) if emp.reps > 1 else 0.0
             out.append(
@@ -568,23 +578,18 @@ def measure_convergence(
     region: Region,
     reps: int,
     seed: int,
-    sample_fn=None,
+    workers: int = 1,
 ) -> ConvergenceReport:
     """Empirical-measure convergence report over a family of spaces.
 
-    spaces_by_k: sequence of (k, ModelSpace); sample_fn(space, reps, seed,
-    k_index) may be supplied to override the default sequential exact sampler
-    (the CLI uses this for worker pools; streams are keyed by (k_index, rep)
-    either way, so results do not depend on scheduling).
+    spaces_by_k: sequence of (k, ModelSpace).  The draws at the k_index-th
+    space use the streams (k_index, rep) of sample_dpp_many, so the report
+    does not depend on workers.
     """
-    if sample_fn is None:
-        def sample_fn(space, n, s, k_index):
-            return [sample_dpp(space, seed=s, stream=(k_index, r)) for r in range(n)]
-
     rows = []
     warnings: list[str] = []
     for idx, (k, space) in enumerate(spaces_by_k):
-        configs = sample_fn(space, reps, seed, idx)
+        configs = sample_dpp_many(space, reps, seed, (idx,), workers)
         rows.append(convergence_row(space, k, configs, region))
     for prev, cur in zip(rows, rows[1:]):
         if cur.replicate_variance > prev.replicate_variance:

@@ -121,6 +121,12 @@ def test_check_partition_prints_factorial(tmp_path, capsys):
     assert "relative error" in out
 
 
+def test_check_partition_beyond_float_factorial(capsys):
+    # rank 201: Z and N! overflow a float, the relative error must not
+    assert run(["check", "partition", "--space", "fs", "--k", "200"]) == 0
+    assert "relative error" in capsys.readouterr().out
+
+
 def test_check_gram_csv(tmp_path):
     csv_path = tmp_path / "g.csv"
     assert run(["check", "gram", "--space", "fs", "--k", "3",
@@ -160,6 +166,19 @@ def test_stats_counts_from_samples_file(tmp_path):
     assert len(doc["pairs"]) == 3  # unordered pairs with the diagonal
     disk_row = doc["counts"][0]
     assert disk_row["predicted_mean"] == pytest.approx(2.5, abs=1e-9)
+
+
+def test_stats_counts_writes_strict_json(tmp_path):
+    # one rep has no sample variance: the variance z-score is null, not -Infinity
+    out = tmp_path / "c.json"
+    assert run(["stats", "counts", "--space", "fs", "--k", "5", "--reps", "1",
+                "--seed", "1", "--region", "disk:1", "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    assert doc["counts"][0]["variance_z"] is None
 
 
 def test_stats_intensity_csv(tmp_path):

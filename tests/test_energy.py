@@ -98,6 +98,14 @@ def test_cgf_initial_slope_closed_form():
     assert path.bergman_derivative(0.0) == pytest.approx(-(k + 1) / 2.0, abs=1e-10)
 
 
+def test_bergman_derivative_is_rotation_invariant():
+    # a quarter turn takes re_1 to im_1; both weights give the same K'(t)
+    space = make_fubini_study(5)
+    want = GramPath(space, parse_weight("re_1/(1+r2)")).bergman_derivative(0.5)
+    got = GramPath(space, parse_weight("im_1/(1+r2)")).bergman_derivative(0.5)
+    assert got == pytest.approx(want, abs=1e-10)
+
+
 def test_cgf_is_convex():
     path = GramPath(make_fubini_study(4), S_EXPR)
     ts = np.linspace(-0.5, 1.5, 5)

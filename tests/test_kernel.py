@@ -180,6 +180,19 @@ def test_reweighted_trace_counts_rank():
     assert abs(val - space.rank) < 1e-9
 
 
+@pytest.mark.parametrize("source", ["im_1/(1+r2)", "(re_1+im_1)/(1+r2)"])
+def test_reweighted_rows_orthonormal_under_complex_gram(source):
+    # an im_ weight makes the Gram complex, so the orthonormalizing map must
+    # be conj(A)^{-1/2}; A^{-1/2} leaves max |G - I| near 0.4 here
+    from bergdpp.exprs import parse_weight
+
+    space = make_fubini_study(4)
+    grid = build_grid(space)
+    rows = reweighted_evaluator(space, grid, psi=parse_weight(source)).section_rows(grid.nodes)
+    G = rows.conj().T @ ((grid.weights * grid.density)[:, None] * rows)
+    assert np.max(np.abs(G - np.eye(space.rank))) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # scaling limit
 

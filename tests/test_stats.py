@@ -189,6 +189,16 @@ def test_pair_count_stats_observed_means_manual():
     assert by_key[("disk:1", "annulus:2:10")].observed_mean == pytest.approx((2 + 2) / 2)
 
 
+def test_pair_count_stats_overlapping_regions():
+    # #full = N on every draw, so E[#A * #full] = N E[#A] = 6 * 3 exactly
+    space = make_fubini_study(5)
+    confs = sample_dpp_many(space, reps=400, seed=29)
+    rows = pair_count_stats(space, confs, [Region.disk(1.0), Region.full()])
+    cross = {(r.region_a, r.region_b): r for r in rows}[("disk:1", "full")]
+    assert cross.predicted == pytest.approx(18.0, abs=1e-9)
+    assert abs(cross.z) < 4.0
+
+
 # ---------------------------------------------------------------------------
 # binned intensity
 
