@@ -5,7 +5,7 @@ embeds a "schema" tag, the tool version, and the fully resolved configuration,
 and contains no timestamps, so a fixed seed with a single worker reproduces
 output files byte for byte.  Exit codes: 0 success, 2 validation error
 (bad flags, bad expressions, bad config), 3 numerical failure (degenerate
-Gram, sampler stall, loss of positivity).
+Gram, under-resolved grid, sampler stall, loss of positivity).
 
 The seed for stochastic subcommands comes from --seed or, failing that, the
 BERGDPP_SEED environment variable.  --workers is handed to
@@ -42,7 +42,8 @@ from .sampler import (
     sample_dpp_many,
     sample_weighted,
 )
-from .spaces import ModelSpace, make_fubini_study, make_ginibre, make_product, space_to_config
+from .spaces import ModelSpace, make_fubini_study, make_ginibre, make_product
+from .spaces import space_from_config, space_to_config
 from .stats import (
     circular_law_distance,
     estimate_intensity,
@@ -50,6 +51,7 @@ from .stats import (
     pair_count_stats,
     parse_region,
     region_count_stats,
+    region_grid,
 )
 
 SCHEMA_TAG = "bergdpp"
@@ -102,7 +104,7 @@ def _space_from_args(args, k: int | None = None) -> ModelSpace:
             raise CliError("--k is required for --space product")
         mults = _parse_int_list(args.mults, "--mults")
         return make_product(tuple(mults), int(kk))
-    raise CliError(f"unknown space kind {kind!r}")
+    raise CliError("--space is required unless --samples gives the space")
 
 
 def _resolve_seed(args) -> int:
@@ -155,18 +157,27 @@ def _csv_text(schema: str, config: dict, header: list[str], rows: list[list]) ->
     return buf.getvalue()
 
 
-def _load_samples(path: str) -> tuple[dict, list[Configuration]]:
+def _load_samples(path: str) -> tuple[ModelSpace, list[Configuration]]:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if "configurations" not in data or "space" not in data:
         raise CliError(f"{path} is not a samples file (missing configurations/space)")
-    space_cfg = data["space"]
-    dim = len(space_cfg.get("multiplicities", [1])) if space_cfg.get("kind") == "product" else 1
+    space = space_from_config(data["space"])
     confs = [
-        configuration_from_json(entry, dim, seed=data.get("seed"))
+        configuration_from_json(entry, space.dim, seed=data.get("seed"))
         for entry in data["configurations"]
     ]
-    return data, confs
+    return space, confs
+
+
+def _check_space_flags(args, space: ModelSpace) -> None:
+    """Space flags given beside --samples must agree with the file's space."""
+    cfg = space_to_config(space)
+    mults = None if args.mults is None else _parse_int_list(args.mults, "--mults")
+    given = {"kind": args.space, "k": args.k, "N": args.n, "multiplicities": mults}
+    wrong = [f"{key}={v}" for key, v in given.items() if v is not None and cfg.get(key) != v]
+    if wrong:
+        raise CliError(f"space flags {', '.join(wrong)} contradict --samples {args.samples}: {cfg}")
 
 
 def _points_from_file(path: str, dim: int) -> np.ndarray:
@@ -249,10 +260,8 @@ def _cmd_sample(args) -> int:
 
 def _stats_inputs(args) -> tuple[ModelSpace, list[Configuration], dict]:
     if args.samples is not None:
-        data, confs = _load_samples(args.samples)
-        from .spaces import space_from_config
-
-        space = space_from_config(data["space"])
+        space, confs = _load_samples(args.samples)
+        _check_space_flags(args, space)
         src = {"samples": args.samples}
     else:
         space = _space_from_args(args)
@@ -291,11 +300,12 @@ def _cmd_stats(args) -> int:
         if not regions:
             raise CliError("at least one --region is required")
         config = {"command": "stats counts", "regions": args.region, **src}
+        grid = region_grid(space, *regions)
         counts = [
-            region_count_stats(space, confs, reg).to_json_dict() for reg in regions
+            region_count_stats(space, confs, reg, grid).to_json_dict() for reg in regions
         ]
         pairs = (
-            [p.to_json_dict() for p in pair_count_stats(space, confs, regions)]
+            [p.to_json_dict() for p in pair_count_stats(space, confs, regions, grid)]
             if len(regions) > 1
             else []
         )
@@ -417,6 +427,9 @@ def _cmd_check(args) -> int:
         angular=args.angular,
         truncation=args.truncation,
     )
+    if grid.under_resolved:
+        # exit 3 like the degenerate Gram that the coarsest such grids give
+        raise ArithmeticError(f"under-resolved grid: {grid.under_resolved}")
 
     if args.check_command == "partition":
         psi = _maybe_weight(args.weight_expr)
@@ -456,8 +469,8 @@ def _cmd_check(args) -> int:
 # parser
 
 
-def _add_space_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--space", required=True, choices=["fs", "ginibre", "product"])
+def _add_space_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--space", required=required, choices=["fs", "ginibre", "product"])
     p.add_argument("--k", type=int, default=None, help="power for fs/product spaces")
     p.add_argument("--n", "--N", dest="n", type=int, default=None, help="ginibre rank")
     p.add_argument("--mults", default=None, help="product multiplicities, e.g. 1,2")
@@ -495,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats_sub = p.add_subparsers(dest="stats_command", required=True)
     for name in ("intensity", "counts", "circular"):
         q = stats_sub.add_parser(name)
-        _add_space_flags(q)
+        _add_space_flags(q, required=False)  # a --samples file names its space
         q.add_argument("--samples", default=None, help="samples JSON from `bergdpp sample`")
         q.add_argument("--reps", type=int, default=200)
         q.add_argument("--seed", type=int, default=None)

@@ -79,17 +79,14 @@ def evaluator(space: ModelSpace) -> KernelEvaluator:
     return KernelEvaluator(space=space)
 
 
-def reweighted_evaluator(
-    space: ModelSpace, grid: QuadratureGrid, psi, t: float = 1.0
-) -> KernelEvaluator:
+def reweighted_evaluator(space: ModelSpace, grid: QuadratureGrid, psi) -> KernelEvaluator:
     """Evaluator for the kernel of the psi-weighted inner product.
 
-    The sections are re-orthonormalized over the grid under t * psi;
+    The sections are re-orthonormalized over the grid under psi;
     eigenvalues below 1e-12 of the top one are rejected as gram-degenerate.
     """
-    scaled = None if psi is None else lambda Z: t * np.asarray(psi(Z))
-    T = _inverse_sqrt(weighted_gram_matrix(space, grid, psi=scaled))
-    return KernelEvaluator(space=space, transform=T, psi=scaled)
+    T = _inverse_sqrt(weighted_gram_matrix(space, grid, psi=psi))
+    return KernelEvaluator(space=space, transform=T, psi=psi)
 
 
 def kernel_eval(ev: KernelEvaluator, x, y) -> complex:
@@ -132,11 +129,9 @@ def kernel_det(ev: KernelEvaluator, points) -> float:
 # limit kernel
 
 
-def limit_kernel(frame_or_lam, u, v) -> complex:
+def limit_kernel(lam, u, v) -> complex:
     """B_inf(u, v) against Lebesgue measure in the frame coordinates."""
-    lam = np.asarray(
-        frame_or_lam.lam if hasattr(frame_or_lam, "lam") else frame_or_lam, dtype=float
-    )
+    lam = np.asarray(lam, dtype=float)
     uu = np.atleast_1d(np.asarray(u, dtype=complex))
     vv = np.atleast_1d(np.asarray(v, dtype=complex))
     pref = float(np.prod(lam / np.pi))
@@ -144,19 +139,14 @@ def limit_kernel(frame_or_lam, u, v) -> complex:
     return pref * complex(np.exp(expo))
 
 
-def limit_correlation(frame_or_lam, points) -> float:
+def limit_correlation(lam, points) -> float:
     """det [B_inf(u_a, u_b)] over a list of frame points."""
-    lam = np.asarray(
-        frame_or_lam.lam if hasattr(frame_or_lam, "lam") else frame_or_lam, dtype=float
-    )
+    lam = np.asarray(lam, dtype=float)
     U = np.asarray(points, dtype=complex)
     if U.ndim == 1:
         U = U[:, None]
-    m = U.shape[0]
-    K = np.empty((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            K[a, b] = limit_kernel(lam, U[a], U[b])
+    half = 0.5 * (np.abs(U) ** 2 @ lam)
+    K = np.prod(lam / np.pi) * np.exp((U * lam) @ U.conj().T - half[:, None] - half[None, :])
     return float(np.linalg.det(K).real)
 
 
@@ -206,6 +196,8 @@ def scaling_errors(space_factory, ks, points=None) -> list[dict]:
     consecutive two-point groups formed from the test set.  Rows carry the
     ratio to the previous power for trend checks.
     """
+    if min(ks) < 1:
+        raise ValueError(f"scaling powers must be at least 1, got {list(ks)}")
     rows: list[dict] = []
     prev_err = None
     for k in ks:

@@ -3,7 +3,7 @@
 Radial structure.  Every factor is integrated in the squared radius t = r^2.
 Fubini-Study factors map t to s = t/(1+t) in [0, 1]; under this substitution
 the Gram integrands t^j (1+t)^{-K-2} dt become polynomials s^j (1-s)^{K-j} ds,
-so Gauss-Legendre nodes integrate them exactly once 2*n_r - 1 >= 2K.  Ginibre
+so Gauss-Legendre nodes integrate them exactly once 2*n_r - 1 >= K.  Ginibre
 factors use Gauss-Legendre directly on t in [0, R^2] with R = sqrt(2N) + 6;
 the Gaussian tail beyond R is below 1e-12 of any Gram entry at that rank.
 
@@ -13,9 +13,12 @@ constant per panel and region masses keep spectral accuracy instead of the
 O(n^{-2}) loss from cutting a Gauss panel in half.
 
 Angular structure.  Uniform angles with weight 2 pi / n_theta integrate
-e^{i j theta} exactly for 0 < |j| < n_theta; the default n_theta = 2 d + 1
-(d the factor's top degree) makes every angular integral arising from
-products of two sections, and from |B|^2, exact.
+e^{i j theta} exactly for 0 < |j| < n_theta, so Gram entries, whose angular
+frequencies reach the factor's top degree d, need n_theta >= d + 1.  The
+default n_theta = 2 d + 1 also makes the integrals of |B|^2 exact.
+
+Resolution.  grid.under_resolved names the first of these two bounds a grid
+breaks (None if none); build_grid accepts such grids, the check commands don't.
 
 Grams.  gram() assembles A_ij = int v_i conj(v_j) e^{-psi} dmu, Hermitianizes
 as (A + A^H)/2 with the asymmetry recorded, and reports the log-determinant
@@ -62,7 +65,7 @@ class QuadratureGrid:
     angular: tuple[int, ...]   # angular nodes per factor
     breaks: tuple[tuple[float, ...], ...]  # radial panel breakpoints (radii)
     truncation: float | None   # outer radius for non-compact factors
-    under_resolved: bool       # true when nodes per factor < 4 * factor rank
+    under_resolved: str | None  # the exactness bound the grid breaks, if any
 
     @property
     def size(self) -> int:
@@ -102,6 +105,16 @@ def _factor_grid(
     # dm = (1/2) dt dtheta in polar squared-radius coordinates
     w = 0.5 * wt[:, None] * (2.0 * math.pi / n_angular) * np.ones(n_angular)[None, :]
     return z.ravel(), w.ravel()
+
+
+def _unresolved_bound(space: ModelSpace, radials, angulars) -> str | None:
+    """The first exactness bound of the unweighted Gram that a grid breaks."""
+    for i, d in enumerate(space.factor_degrees):
+        if angulars[i] < d + 1:
+            return f"factor {i + 1} of degree {d} needs angular >= degree + 1, got {angulars[i]}"
+        if space.kind != "ginibre" and 2 * radials[i] - 1 < d:
+            return f"factor {i + 1} of degree {d} needs 2*radial - 1 >= degree, got {radials[i]}"
+    return None
 
 
 def build_grid(
@@ -149,6 +162,11 @@ def build_grid(
             # meshed factors multiply; d//2 + 8 still integrates the degree-d
             # Gram integrands exactly
             n_rad = max(32, d // 2 + 8)
+        if n_rad < 1 or n_ang < 1:
+            raise ValueError(
+                f"a grid needs at least one radial and one angular node per factor, "
+                f"got radial={n_rad}, angular={n_ang}"
+            )
         z, w = _factor_grid(space.kind, trunc, n_rad, n_ang, per_factor_breaks[i])
         radials.append(n_rad)
         angulars.append(n_ang)
@@ -167,10 +185,6 @@ def build_grid(
             weights = weights * wm.ravel()
 
     density = space.base_density(nodes)
-    under = any(
-        (radials[i] * (len(per_factor_breaks[i]) + 1)) * angulars[i] < 4 * (space.factor_degrees[i] + 1)
-        for i in range(n)
-    )
     return QuadratureGrid(
         nodes=nodes,
         weights=weights,
@@ -179,7 +193,7 @@ def build_grid(
         angular=tuple(angulars),
         breaks=per_factor_breaks,
         truncation=trunc if space.kind == "ginibre" else None,
-        under_resolved=under,
+        under_resolved=_unresolved_bound(space, radials, angulars),
     )
 
 

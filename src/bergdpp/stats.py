@@ -1,18 +1,20 @@
 """Statistics on sampled configurations, checked against kernel predictions.
 
 Every prediction here comes from quadrature of the kernel, never from another
-Monte Carlo run.  For a radial region U the count moments of the projection
-process are
+Monte Carlo run.  With G_U the Gram matrix masked to a radial region U
+(G_U[i, j] = integral over U of conj(v_i) v_j dmu), the count and pair
+moments of the projection process are traces:
 
-    E[#U]   = tr A_U,
-    Var[#U] = tr A_U - |A_U|_F^2,
+    E[#U]          = tr G_U,
+    Var[#U]        = tr G_U - |G_U|_F^2,
+    E[#A (#A - 1)] = (tr G_A)^2 - |G_A|_F^2,
+    E[#A #B]       = tr G_A tr G_B - Re tr(G_A G_B) + tr G_{A cap B},
 
-where A_U is the restriction of the Gram matrix to U (A_U[i, j] =
-integral over U of conj(v_i) v_j dmu), since tr A_U = int_U B(x, x) dmu and
-|A_U|_F^2 = double integral of |B(x, y)|^2 over U x U.  Pair predictions are
-computed the long way, as the double quadrature of the two-point correlation
-det [[B(x,x), B(x,y)], [B(y,x), B(y,y)]], so that sampled pair counts are
-tested against the determinant itself and not against an algebraic shortcut.
+since tr G_U = int_U B(x, x) dmu and Re tr(G_A G_B) = int_A int_B |B(x, y)|^2.
+All Grams of one report share one grid with panel edges on every region
+boundary.  The test suite checks these traces against Kostlan's theorem
+(count moments from per-index Beta and Gamma laws, computed with scipy
+alone), which shares no code with the Grams.
 
 Radial laws used for Kolmogorov-Smirnov checks:
 
@@ -134,22 +136,16 @@ def parse_region(text: str, dim: int = 1) -> Region:
     raise ValueError(f"bad region {text!r}; expected full, disk:R or annulus:A:B")
 
 
-def region_grid(
-    space: ModelSpace,
-    *regions: Region,
-    radial: int | None = None,
-    angular: int | None = None,
-) -> QuadratureGrid:
+def region_grid(space: ModelSpace, *regions: Region) -> QuadratureGrid:
     """Quadrature grid with panel edges on every region boundary."""
     per_factor: list[list[float]] = [[] for _ in range(space.dim)]
     for reg in regions:
         for i, edges in enumerate(reg.break_radii()):
             per_factor[i].extend(edges)
     breaks = [sorted(set(e)) for e in per_factor]
-    if radial is None:
-        degree = max(space.factor_degrees)
-        radial = max(24, degree // 2 + 6) if space.kind != "ginibre" else 80
-    return build_grid(space, radial=radial, angular=angular, breaks=breaks)
+    degree = max(space.factor_degrees)
+    radial = max(24, degree // 2 + 6) if space.kind != "ginibre" else 80
+    return build_grid(space, radial=radial, breaks=breaks)
 
 
 # ---------------------------------------------------------------------------
@@ -286,33 +282,6 @@ class PairStats:
         }
 
 
-def pair_correlation_integral(
-    space: ModelSpace,
-    region_a: Region,
-    region_b: Region,
-    grid: QuadratureGrid | None = None,
-) -> float:
-    """Double quadrature of rho_2(x, y) = B(x,x)B(y,y) - |B(x,y)|^2 over A x B."""
-    if grid is None:
-        grid = region_grid(space, region_a, region_b)
-    c = grid.weights * grid.density
-    ma = region_a.mask(grid.nodes)
-    mb = region_b.mask(grid.nodes)
-    Va = space.section_matrix(grid.nodes[ma])
-    Vb = space.section_matrix(grid.nodes[mb])
-    ca, cb = c[ma], c[mb]
-    da = np.einsum("ai,ai->a", Va, Va.conj()).real
-    db = np.einsum("bi,bi->b", Vb, Vb.conj()).real
-    diag_term = float((ca * da).sum() * (cb * db).sum())
-    # explicit |B(x,y)|^2 double sum, blocked to bound the cross-kernel size
-    cross_term = 0.0
-    step = max(1, int(4_000_000 // max(Vb.shape[0], 1)))
-    for a0 in range(0, Va.shape[0], step):
-        K = Va[a0 : a0 + step] @ Vb.conj().T
-        cross_term += float(ca[a0 : a0 + step] @ (np.abs(K) ** 2 @ cb))
-    return diag_term - cross_term
-
-
 def pair_count_stats(
     space: ModelSpace,
     configurations,
@@ -321,9 +290,10 @@ def pair_count_stats(
 ) -> list[PairStats]:
     """Pair-count checks over all unordered region pairs, diagonal included.
 
-    E[#A(#A - 1)] is the integral of rho_2 over A x A.  For A != B,
-    E[#A * #B] also counts each point of the overlap once, so the prediction
-    adds int_{A cap B} rho_1 = tr of the Gram restricted to A cap B.
+    Each region gets one masked Gram G_A on a shared grid.  The prediction
+    for A != B is tr G_A tr G_B - Re tr(G_A G_B) + tr G_{A cap B}, the last
+    term counting each point of the overlap once; on the diagonal it is
+    E[#A(#A - 1)] = (tr G_A)^2 - |G_A|_F^2.
     """
     regions = list(regions)
     emp = EmpiricalMeasure(tuple(configurations))
@@ -331,10 +301,13 @@ def pair_count_stats(
         grid = region_grid(space, *regions)
     counts = np.stack([emp.counts(reg).astype(float) for reg in regions])
     masks = [reg.mask(grid.nodes) for reg in regions]
+    grams = [weighted_gram_matrix(space, grid, mask=m) for m in masks]
+    traces = [float(np.trace(G).real) for G in grams]
     out = []
     for a in range(len(regions)):
         for b in range(a, len(regions)):
-            pred = pair_correlation_integral(space, regions[a], regions[b], grid)
+            # Re tr(G_a G_b) = sum_ij G_a[i, j] conj(G_b[i, j]) for Hermitian G_b
+            pred = traces[a] * traces[b] - float(np.vdot(grams[b], grams[a]).real)
             if a == b:
                 stat = counts[a] * (counts[a] - 1.0)
             else:
@@ -381,6 +354,8 @@ def estimate_intensity(
     """Square-bin intensity estimate on a dim-1 chart with kernel predictions."""
     if space.dim != 1:
         raise ValueError("binned intensity is implemented for one-factor charts")
+    if bins < 1 or (extent is not None and not 0.0 < extent < math.inf):
+        raise ValueError(f"need bins >= 1 and finite extent > 0, got bins={bins}, extent={extent}")
     emp = EmpiricalMeasure(tuple(configurations))
     if extent is None:
         extent = space.truncation_radius or 4.0

@@ -134,7 +134,9 @@ def test_criterion_03_integration_lemma(capsys):
 
 
 def test_criterion_04_pair_correlations_and_discrete_oracle(capsys):
-    # empirical pair counts vs the double quadrature of rho_2, 1e4 draws each
+    # sampled pair counts vs masked-Gram traces, 1e4 draws each; on these
+    # disjoint regions E[#A #B] = tr G_A tr G_B - Re tr(G_A G_B), the integral
+    # of rho_2 over A x B (stats.py states the full trace identities)
     fs = make_fubini_study(5)
     fs_regions = [Region.disk(0.7), Region.annulus(0.7, 1.4), Region.annulus(1.4, 3.0)]
     fs_stats = pair_count_stats(fs, sample_dpp_many(fs, 10_000, seed=0), fs_regions)

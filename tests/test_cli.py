@@ -147,6 +147,35 @@ def test_check_gram_weighted_does_not_require_identity(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv,code,bound",
+    [
+        # Z = 153668.54 against 176079.81 on a resolved grid
+        (["partition", "--space", "fs", "--k", "10", "--radial", "3", "--angular", "21",
+          "--weight-expr", "r2/(1+r2)"], 3, "2*radial - 1 >= degree, got 3"),
+        (["partition", "--space", "fs", "--k", "10", "--radial", "5", "--angular", "11"],
+         3, "2*radial - 1 >= degree, got 5"),
+        (["gram", "--space", "product", "--mults", "1,2", "--k", "2", "--angular", "4"],
+         3, "degree 4 needs angular >= degree + 1, got 4"),
+        (["trace", "--space", "ginibre", "--n", "6", "--angular", "5"],
+         3, "degree 5 needs angular >= degree + 1, got 5"),
+        # no grid at all is a bad flag, not a numerical failure
+        (["trace", "--space", "fs", "--k", "3", "--angular", "0"], 2, "at least one"),
+    ],
+    ids=["weighted-radial", "radial-edge", "product-angular", "ginibre-angular", "zero"],
+)
+def test_check_rejects_under_resolved_grid(argv, code, bound, capsys):
+    assert run(["check", *argv]) == code
+    assert bound in capsys.readouterr().err
+
+
+def test_check_accepts_grid_at_the_exactness_bound(capsys):
+    # 2 * 6 - 1 = 11 >= 10 radial and 11 >= 10 + 1 angular nodes integrate exactly
+    assert run(["check", "partition", "--space", "fs", "--k", "10",
+                "--radial", "6", "--angular", "11"]) == 0
+    assert "Z = 39916800" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # stats
 
@@ -166,6 +195,40 @@ def test_stats_counts_from_samples_file(tmp_path):
     assert len(doc["pairs"]) == 3  # unordered pairs with the diagonal
     disk_row = doc["counts"][0]
     assert disk_row["predicted_mean"] == pytest.approx(2.5, abs=1e-9)
+
+
+def test_stats_counts_takes_space_from_samples_file(tmp_path, capsys):
+    samples = tmp_path / "s.json"
+    assert run(["sample", "--space", "fs", "--k", "4", "--reps", "20", "--seed", "11",
+                "--out", str(samples)]) == 0
+    base = ["stats", "counts", "--samples", str(samples), "--region", "disk:1"]
+    out = tmp_path / "c.json"
+    assert run(base + ["--out", str(out)]) == 0
+    assert read_json(out)["counts"][0]["predicted_mean"] == pytest.approx(2.5, abs=1e-9)
+    assert run(base + ["--space", "fs"]) == 0
+    capsys.readouterr()
+    for flags in (["--space", "product", "--mults", "1,2", "--k", "2"],
+                  ["--space", "fs", "--k", "5"],
+                  ["--n", "5"]):
+        assert run(base + flags) == 2
+        assert "contradict --samples" in capsys.readouterr().err
+
+
+def test_stats_requires_space_without_samples(capsys):
+    assert run(["stats", "counts", "--reps", "2", "--seed", "1", "--region", "disk:1"]) == 2
+    assert "--space" in capsys.readouterr().err
+
+
+def test_stats_counts_product_two_regions(tmp_path):
+    out = tmp_path / "c.json"
+    assert run(["stats", "counts", "--space", "product", "--mults", "1,2", "--k", "2",
+                "--reps", "20", "--seed", "1", "--region", "disk:1",
+                "--region", "annulus:1:2", "--out", str(out)]) == 0
+    doc = read_json(out)
+    zs = [row[key] for row in doc["counts"] for key in ("mean_z", "variance_z")]
+    zs += [row["z"] for row in doc["pairs"]]
+    assert len(zs) == 7
+    assert all(z is not None and math.isfinite(z) for z in zs)
 
 
 def test_stats_counts_writes_strict_json(tmp_path):
@@ -189,6 +252,15 @@ def test_stats_intensity_csv(tmp_path):
     assert lines[0].startswith("# schema=bergdpp.intensity/1")
     assert lines[1].split(",")[:3] == ["bin_center_re", "bin_center_im", "rate"]
     assert len(lines) == 2 + 64
+
+
+@pytest.mark.parametrize(
+    "flags", [["--bins", "0"], ["--extent", "0"], ["--extent", "-2"]], ids=["bins0", "extent0", "extent-2"]
+)
+def test_stats_intensity_rejects_bad_binning(flags, capsys):
+    assert run(["stats", "intensity", "--space", "fs", "--k", "3", "--reps", "2",
+                "--seed", "13", *flags]) == 2
+    assert flags[0].lstrip("-") in capsys.readouterr().err
 
 
 def test_stats_circular(tmp_path):
@@ -222,6 +294,11 @@ def test_scaling_report(tmp_path):
 
 def test_scaling_rejects_ginibre():
     assert run(["scaling", "--space", "ginibre", "--n", "5", "--ks", "4,8"]) == 2
+
+
+def test_scaling_rejects_power_zero(capsys):
+    assert run(["scaling", "--space", "fs", "--ks", "0,5"]) == 2
+    assert "at least 1" in capsys.readouterr().err
 
 
 def test_scaling_with_points_file(tmp_path):

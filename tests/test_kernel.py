@@ -156,12 +156,11 @@ def test_repulsion_vanishes_at_coincidence():
 
 
 def test_reweighted_evaluator_at_t_zero_is_plain():
-    from bergdpp.exprs import parse_weight
-
+    # the weight t * psi at t = 0
     space = make_fubini_study(4)
     grid = build_grid(space)
     ev0 = evaluator(space)
-    evw = reweighted_evaluator(space, grid, psi=parse_weight("r2/(1+r2)"), t=0.0)
+    evw = reweighted_evaluator(space, grid, psi=lambda Z: np.zeros(len(Z)))
     pts = np.array([0.3 + 0.1j, 1.2 - 0.4j])
     assert np.max(np.abs(evw.section_rows(pts) @ evw.section_rows(pts).conj().T
                          - ev0.section_rows(pts) @ ev0.section_rows(pts).conj().T)) < 1e-10
@@ -172,7 +171,7 @@ def test_reweighted_trace_counts_rank():
 
     space = make_fubini_study(4)
     grid = build_grid(space)
-    evw = reweighted_evaluator(space, grid, psi=parse_weight("r2/(1+r2)"), t=1.0)
+    evw = reweighted_evaluator(space, grid, psi=parse_weight("r2/(1+r2)"))
     rows = evw.section_rows(grid.nodes)
     # rows carry e^{-psi/2}, so their squared norm is the intensity against dmu
     diag = np.einsum("mi,mi->m", rows, rows.conj()).real

@@ -1,9 +1,13 @@
 """Counting statistics, radius laws, and convergence reports.
 
-The central dual route: count variance from the trace identity
-Var = tr A - ||A||_F^2 must agree with the moment identity
-Var = E[n(n-1)] + E - E^2 where E[n(n-1)] comes from the independent
-double quadrature of rho_2(x, y) = B(x,x)B(y,y) - |B(x,y)|^2.
+Count and pair predictions are traces of masked Gram matrices.  They are
+checked against Kostlan's theorem (Kostlan 1992; Hough-Krishnapur-Peres-Virag,
+Zeros of Gaussian Analytic Functions and Determinantal Point Processes,
+Thm 4.7.1): the squared moduli of the points are independent across basis
+indices, Beta(j+1, K-j+1) in s = r^2/(1+r^2) on a Fubini-Study factor of
+degree K and Gamma(j+1) in r^2 for Ginibre, so the per-index probabilities
+of a centred radial region come from scipy alone and share no code with the
+Grams.
 """
 
 import math
@@ -22,11 +26,11 @@ from bergdpp.stats import (
     estimate_intensity,
     ks_distance,
     measure_convergence,
-    pair_correlation_integral,
     pair_count_stats,
     parse_region,
     radial_cdf,
     region_count_stats,
+    region_grid,
 )
 
 
@@ -99,35 +103,68 @@ def test_empirical_requires_configurations():
 
 
 # ---------------------------------------------------------------------------
-# count moments: trace route vs kernel route
+# count moments: masked-Gram traces vs Kostlan's theorem
 
 
-@pytest.mark.parametrize(
-    "space,region",
-    [
-        (make_fubini_study(5), Region.disk(1.0)),
-        (make_ginibre(4), Region.disk(1.5)),
-    ],
-    ids=["fs", "gin"],
-)
-def test_variance_trace_vs_pair_quadrature(space, region):
-    mean, var_trace = count_moments(space, region)
-    pair = pair_correlation_integral(space, region, region)
-    var_kernel = pair + mean - mean * mean
-    assert abs(var_trace - var_kernel) < 1e-8
+def kostlan_probabilities(space, bounds):
+    """P(j-th squared modulus falls in the region) per basis index.
+
+    bounds: per-factor (r_lo, r_hi); an empty interval gives 0.  On product
+    spaces the factors are independent, so the per-index probabilities are
+    the outer product over factors in the flattened (C-order) basis.
+    """
+    p = np.ones(1)
+    for d, (lo, hi) in zip(space.factor_degrees, bounds):
+        j = np.arange(d + 1.0)
+        if space.kind == "ginibre":
+            def cdf(r):
+                return special.gammainc(j + 1.0, r * r)
+        else:
+            def cdf(r):
+                s = 1.0 if math.isinf(r) else r * r / (1.0 + r * r)
+                return special.betainc(j + 1.0, d - j + 1.0, s)
+        p = np.outer(p, cdf(max(lo, hi)) - cdf(lo)).ravel()
+    return p
 
 
-def test_variance_trace_vs_pair_quadrature_product():
-    # explicit coarse grid: the quadratic double sum is O(M^2) in nodes
-    from bergdpp.stats import region_grid
+# disjoint pairs, overlapping pairs and the full chart; the last product
+# region bounds only the first factor
+KOSTLAN_CASES = {
+    "fs5": (make_fubini_study(5), ["disk:0.8", "annulus:0.8:2", "disk:1.5", "full"]),
+    "gin5": (make_ginibre(5), ["disk:1", "annulus:1:1.8", "disk:1.5", "full"]),
+    "gin50": (make_ginibre(50), ["disk:5", "annulus:5:7", "disk:6", "full"]),
+    "prod12k2": (make_product((1, 2), 2), ["disk:1", "annulus:1:2", "full", ((0.0, 1.0), (0.0, math.inf))]),
+}
 
-    space = make_product((1, 1), 2)
-    region = Region(bounds=((0.0, 1.0), (0.0, math.inf)))
-    grid = region_grid(space, region, radial=8, angular=5)
-    mean, var_trace = count_moments(space, region, grid)
-    pair = pair_correlation_integral(space, region, region, grid)
-    var_kernel = pair + mean - mean * mean
-    assert abs(var_trace - var_kernel) < 1e-8
+
+@pytest.mark.parametrize("case", sorted(KOSTLAN_CASES))
+def test_count_and_pair_predictions_match_kostlan(case):
+    space, specs = KOSTLAN_CASES[case]
+    regions = [parse_region(r, space.dim) if isinstance(r, str) else Region(r) for r in specs]
+    grid = region_grid(space, *regions)
+    probs = [kostlan_probabilities(space, reg.bounds) for reg in regions]
+    for reg, p in zip(regions, probs):
+        mean, var = count_moments(space, reg, grid)
+        assert mean == pytest.approx(p.sum(), rel=1e-10, abs=1e-10)
+        assert var == pytest.approx((p * (1.0 - p)).sum(), rel=1e-10, abs=1e-10)
+
+    conf = make_conf(np.zeros((space.rank, space.dim)))
+    rows = pair_count_stats(space, [conf], regions, grid)
+    assert len(rows) == len(regions) * (len(regions) + 1) // 2
+    pairs = [(a, b) for a in range(len(regions)) for b in range(a, len(regions))]
+    for (a, b), row in zip(pairs, rows):
+        pa, pb = probs[a], probs[b]
+        if a == b:
+            want = pa.sum() ** 2 - (pa * pa).sum()  # E[#A(#A - 1)]
+        else:
+            both = [
+                (max(lo_a, lo_b), min(hi_a, hi_b))
+                for (lo_a, hi_a), (lo_b, hi_b) in zip(regions[a].bounds, regions[b].bounds)
+            ]
+            both_p = kostlan_probabilities(space, both)
+            want = pa.sum() * pb.sum() - (pa * pb).sum() + both_p.sum()  # E[#A #B]
+        assert (row.region_a, row.region_b) == (regions[a].label, regions[b].label)
+        assert row.predicted == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 def test_fs_disk_mean_closed_form():
@@ -146,22 +183,6 @@ def test_full_region_count_is_deterministic():
     mean, var = count_moments(space, Region.full())
     assert abs(mean - 5.0) < 1e-9
     assert var < 1e-8
-
-
-def test_disjoint_pair_integral_matches_trace_identity():
-    # E[n_A n_B] = E[n_A] E[n_B] - tr(A_A A_B) for disjoint regions
-    from bergdpp.quadrature import weighted_gram_matrix
-    from bergdpp.stats import region_grid
-
-    space = make_fubini_study(5)
-    A = Region.disk(0.8)
-    B = Region.annulus(0.8, 2.0)
-    grid = region_grid(space, A, B)
-    GA = weighted_gram_matrix(space, grid, mask=A.mask(grid.nodes))
-    GB = weighted_gram_matrix(space, grid, mask=B.mask(grid.nodes))
-    want = float(np.trace(GA).real * np.trace(GB).real - np.trace(GA @ GB).real)
-    got = pair_correlation_integral(space, A, B, grid)
-    assert abs(got - want) < 1e-9
 
 
 def test_region_count_stats_on_samples():
