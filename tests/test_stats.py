@@ -167,6 +167,68 @@ def test_count_and_pair_predictions_match_kostlan(case):
         assert row.predicted == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
+# ---------------------------------------------------------------------------
+# count moments: trace route vs kernel route
+
+
+def pair_quadrature(space, region_a, region_b, grid):
+    """Double quadrature of rho_2(x, y) = B(x,x)B(y,y) - |B(x,y)|^2 over A x B.
+
+    The explicit node-pair sum, O(M^2) in nodes: a reference for the Gram
+    traces only, on small grids.
+    """
+    c = grid.weights * grid.density
+    ma = region_a.mask(grid.nodes)
+    mb = region_b.mask(grid.nodes)
+    Va = space.section_matrix(grid.nodes[ma])
+    Vb = space.section_matrix(grid.nodes[mb])
+    ca, cb = c[ma], c[mb]
+    da = np.einsum("ai,ai->a", Va, Va.conj()).real
+    db = np.einsum("bi,bi->b", Vb, Vb.conj()).real
+    cross = np.abs(Va @ Vb.conj().T) ** 2
+    return float((ca * da).sum() * (cb * db).sum() - ca @ cross @ cb)
+
+
+@pytest.mark.parametrize(
+    "space,region",
+    [
+        (make_fubini_study(5), Region.disk(1.0)),
+        (make_ginibre(4), Region.disk(1.5)),
+    ],
+    ids=["fs", "gin"],
+)
+def test_variance_trace_vs_pair_quadrature(space, region):
+    grid = region_grid(space, region)
+    mean, var_trace = count_moments(space, region, grid)
+    var_kernel = pair_quadrature(space, region, region, grid) + mean - mean * mean
+    assert abs(var_trace - var_kernel) < 1e-8
+
+
+def test_variance_trace_vs_pair_quadrature_product():
+    # explicit coarse grid: the node-pair double sum is O(M^2) in nodes
+    from bergdpp.quadrature import build_grid
+
+    space = make_product((1, 1), 2)
+    region = Region(bounds=((0.0, 1.0), (0.0, math.inf)))
+    grid = build_grid(space, radial=8, angular=5, breaks=tuple(map(tuple, region.break_radii())))
+    mean, var_trace = count_moments(space, region, grid)
+    var_kernel = pair_quadrature(space, region, region, grid) + mean - mean * mean
+    assert abs(var_trace - var_kernel) < 1e-8
+
+
+def test_disjoint_pair_integral_matches_trace_identity():
+    # E[n_A n_B] = E[n_A] E[n_B] - tr(A_A A_B) for disjoint regions
+    space = make_fubini_study(5)
+    A = Region.disk(0.8)
+    B = Region.annulus(0.8, 2.0)
+    grid = region_grid(space, A, B)
+    conf = make_conf(np.zeros((space.rank, space.dim)))
+    rows = pair_count_stats(space, [conf], [A, B], grid)
+    (row,) = [r for r in rows if (r.region_a, r.region_b) == (A.label, B.label)]
+    want = pair_quadrature(space, A, B, grid)
+    assert abs(row.predicted - want) < 1e-9
+
+
 def test_fs_disk_mean_closed_form():
     # E[#disk(r)] = (k+1) r^2/(1+r^2) on the Fubini-Study chart
     k = 7
