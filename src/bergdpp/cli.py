@@ -33,7 +33,13 @@ from .energy import (
 )
 from .exprs import ParseError, WeightExpr, parse_weight
 from .kernel import default_test_points, scaling_errors
-from .quadrature import GramDegenerateError, build_grid, gram, gram_to_csv
+from .quadrature import (
+    GramDegenerateError,
+    build_grid,
+    gram,
+    gram_to_csv,
+    weighted_gram_matrix,
+)
 from .sampler import (
     Configuration,
     McmcConfig,
@@ -51,6 +57,7 @@ from .stats import (
     pair_count_stats,
     parse_region,
     region_count_stats,
+    region_gram,
     region_grid,
 )
 
@@ -162,7 +169,10 @@ def _load_samples(path: str) -> tuple[ModelSpace, list[Configuration]]:
         data = json.load(fh)
     if "configurations" not in data or "space" not in data:
         raise CliError(f"{path} is not a samples file (missing configurations/space)")
-    space = space_from_config(data["space"])
+    try:
+        space = space_from_config(data["space"])
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CliError(f"{path} has a malformed space block: {exc}") from None
     confs = [
         configuration_from_json(entry, space.dim, seed=data.get("seed"))
         for entry in data["configurations"]
@@ -301,11 +311,13 @@ def _cmd_stats(args) -> int:
             raise CliError("at least one --region is required")
         config = {"command": "stats counts", "regions": args.region, **src}
         grid = region_grid(space, *regions)
+        grams = [region_gram(space, grid, reg) for reg in regions]
         counts = [
-            region_count_stats(space, confs, reg, grid).to_json_dict() for reg in regions
+            region_count_stats(space, confs, reg, grid, G).to_json_dict()
+            for reg, G in zip(regions, grams)
         ]
         pairs = (
-            [p.to_json_dict() for p in pair_count_stats(space, confs, regions, grid)]
+            [p.to_json_dict() for p in pair_count_stats(space, confs, regions, grid, grams)]
             if len(regions) > 1
             else []
         )
@@ -420,6 +432,11 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.check_command == "trace" and args.weight_expr is not None:
+        raise CliError(
+            "check trace has no weighted variant: int B(x,x) dmu = N is an identity "
+            "of the unweighted kernel; use check partition or check gram with --weight-expr"
+        )
     space = _space_from_args(args)
     grid = build_grid(
         space,
@@ -455,9 +472,8 @@ def _cmd_check(args) -> int:
         return 0
 
     if args.check_command == "trace":
-        V = space.section_matrix(grid.nodes)
-        bdiag = np.einsum("mi,mi->m", V, V.conj()).real
-        tr = float(np.sum(grid.weights * grid.density * bdiag))
+        # int B(x,x) dmu = sum_i int |v_i|^2 dmu, the trace of the Gram
+        tr = float(np.trace(weighted_gram_matrix(space, grid)).real)
         err = abs(tr - space.rank)
         print(f"trace = {tr:.12g} (rank {space.rank}, error {err:.3e})")
         return 0 if err < 1e-8 else 3

@@ -43,8 +43,13 @@ import numpy as np
 from scipy.special import gammaln
 
 from .exprs import WeightExpr, complex_hessian
-from .kernel import reweighted_evaluator
-from .quadrature import QuadratureGrid, build_grid, gram
+from .quadrature import (
+    QuadratureGrid,
+    _inverse_sqrt,
+    build_grid,
+    gram,
+    weighted_gram_matrix,
+)
 from .spaces import ModelSpace
 
 __all__ = [
@@ -169,14 +174,20 @@ class GramPath:
         return self.logdet(t) - self.logdet(0.0)
 
     def bergman_derivative(self, t: float) -> float:
-        """K'(t) = -int psi(x) B_t(x, x) dmu(x)."""
+        """K'(t) = -int psi(x) B_t(x, x) dmu(x) = -sum_ab (conj G_t)^{-1}_ab G~_ab.
+
+        B_t(x, x) = |v(x) T|^2 e^{-psi_t(x)} with T = conj(G_t)^{-1/2}, so the
+        integral is a trace against G~, the Gram whose quadrature factor also
+        carries psi.
+        """
         if self.psi is None:
             return 0.0
-        ev = reweighted_evaluator(self.space, self.grid, psi=self.weight_at(t))
-        rows = ev.section_rows(self.grid.nodes)
-        bdiag = np.einsum("mi,mi->m", rows, rows.conj()).real
-        c = self.grid.weights * self.grid.density
-        return -float(np.sum(c * self.psi(self.grid.nodes) * bdiag))
+        weight = self.weight_at(t)
+        T = _inverse_sqrt(weighted_gram_matrix(self.space, self.grid, psi=weight))
+        G_psi = weighted_gram_matrix(
+            self.space, self.grid, psi=weight, mask=self.psi(self.grid.nodes)
+        )
+        return -float(np.sum((T @ T) * G_psi).real)
 
     def fd_derivative(self, t: float, h: float | None = None) -> float:
         if h is None:

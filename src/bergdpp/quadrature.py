@@ -20,11 +20,24 @@ default n_theta = 2 d + 1 also makes the integrals of |B|^2 exact.
 Resolution.  grid.under_resolved names the first of these two bounds a grid
 breaks (None if none); build_grid accepts such grids, the check commands don't.
 
-Grams.  gram() assembles A_ij = int v_i conj(v_j) e^{-psi} dmu, Hermitianizes
-as (A + A^H)/2 with the asymmetry recorded, and reports the log-determinant
-as the sum of log-eigenvalues.  Non-positive-definite results raise
-GramDegenerateError (the usual cause being a grid with fewer nodes than the
-rank needs).
+Grams.  The Gram A_ab = sum_m c_m v_a(z_m) conj(v_b(z_m)) is the quadrature
+sum with factor c = w rho e^{-psi} mask at the nodes.  Every grid is a tensor
+product of polar factor grids, and a section there is
+v_a(r, theta) = R_a(r) e^{i a theta} (one such factor per chart coordinate on
+products), so the sum regroups exactly as
+
+    A_ab = sum_r R_a(r) R_b(r) c^_r[a - b],
+
+where c^_r[delta] = sum_q c(r, theta_q) e^{i delta theta_q} is the DFT of c
+over the angles (a multi-axis DFT on products, one axis per factor).  The
+radial tables R_a come from the n_r radii alone; the angular DFT folds in any
+weight, mask, panel split or aliasing (angular < 2 * degree + 1) of the grid.
+_assemble builds A band by band (fixed a - b), one factor at a time, in
+O(n_r N^2) time and memory: no section matrix on the M = n_r n_theta nodes.
+gram() Hermitianizes as (A + A^H)/2 with the asymmetry recorded and reports
+the log-determinant as the sum of log-eigenvalues.  Non-positive-definite
+results raise GramDegenerateError (the usual cause being a grid with fewer
+nodes than the rank needs).
 """
 
 from __future__ import annotations
@@ -56,11 +69,17 @@ class GramDegenerateError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Flat list of chart nodes with Lebesgue weights and base density."""
+    """Flat list of chart nodes with Lebesgue weights and base density.
+
+    The nodes are the tensor product of one polar grid per factor, factor 0
+    slowest; within a factor they run radius-major over radii x angular
+    uniform angles, so a node array reshapes to (n_r0, n_theta0, n_r1, ...).
+    """
 
     nodes: np.ndarray          # (M, n) complex
     weights: np.ndarray        # (M,) chart-Lebesgue weights
     density: np.ndarray        # base_density at the nodes
+    radii: tuple[np.ndarray, ...]  # radial nodes r (not r^2), per factor
     radial: tuple[int, ...]    # Gauss nodes per radial panel, per factor
     angular: tuple[int, ...]   # angular nodes per factor
     breaks: tuple[tuple[float, ...], ...]  # radial panel breakpoints (radii)
@@ -88,8 +107,11 @@ def _panel_gauss(edges: np.ndarray, n_per_panel: int) -> tuple[np.ndarray, np.nd
 
 def _factor_grid(
     kind: str, trunc: float | None, n_radial: int, n_angular: int, breaks: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """2-d polar rule for one factor: nodes (m,) complex, Lebesgue weights (m,)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """2-d polar rule for one factor: radii (n_r,), nodes (m,) complex, Lebesgue weights (m,).
+
+    Nodes run radius-major: node r * n_angular + q sits at radii[r] e^{2 pi i q / n_angular}.
+    """
     radii = sorted(r for r in breaks if r > 0.0 and math.isfinite(r))
     if kind == "ginibre":
         edges = np.array([0.0] + [r**2 for r in radii if r < trunc] + [trunc**2])
@@ -101,10 +123,11 @@ def _factor_grid(
         t = s / (1.0 - s)
         wt = ws / (1.0 - s) ** 2
     theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
-    z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
+    r = np.sqrt(t)
+    z = r[:, None] * np.exp(1j * theta)[None, :]
     # dm = (1/2) dt dtheta in polar squared-radius coordinates
     w = 0.5 * wt[:, None] * (2.0 * math.pi / n_angular) * np.ones(n_angular)[None, :]
-    return z.ravel(), w.ravel()
+    return r, z.ravel(), w.ravel()
 
 
 def _unresolved_bound(space: ModelSpace, radials, angulars) -> str | None:
@@ -148,7 +171,7 @@ def build_grid(
         raise ValueError("truncation only applies to non-compact (ginibre) charts")
     trunc = float(truncation) if truncation is not None else space.truncation_radius
 
-    radials, angulars, zs, ws = [], [], [], []
+    radii, radials, angulars, zs, ws = [], [], [], [], []
     for i in range(n):
         d = space.factor_degrees[i]
         n_ang = angular if angular is not None else max(8, 2 * d + 1)
@@ -167,7 +190,8 @@ def build_grid(
                 f"a grid needs at least one radial and one angular node per factor, "
                 f"got radial={n_rad}, angular={n_ang}"
             )
-        z, w = _factor_grid(space.kind, trunc, n_rad, n_ang, per_factor_breaks[i])
+        r, z, w = _factor_grid(space.kind, trunc, n_rad, n_ang, per_factor_breaks[i])
+        radii.append(r)
         radials.append(n_rad)
         angulars.append(n_ang)
         zs.append(z)
@@ -189,6 +213,7 @@ def build_grid(
         nodes=nodes,
         weights=weights,
         density=density,
+        radii=tuple(radii),
         radial=tuple(radials),
         angular=tuple(angulars),
         breaks=per_factor_breaks,
@@ -254,20 +279,59 @@ def _psi_values(psi, nodes: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _bands(R: np.ndarray, chat: np.ndarray) -> np.ndarray:
+    """out[a, b, ...] = sum_r R[r, a] R[r, b] chat[r, (a - b) mod n_theta, ...].
+
+    R is one factor's real radial table (n_r, N); chat carries that factor's
+    (radius, frequency) axes first and any axes of other factors after them.
+    The bands a - b = +delta and -delta share the radial products
+    R[r, j + delta] R[r, j], so each pair of bands is one real
+    (N - delta, n_r) x (n_r, 4T) product against the real and imaginary parts
+    of chat at frequencies delta and -delta side by side, written to two
+    strided diagonals of the flattened (N * N, T) output.
+    """
+    n_r, N = R.shape
+    n_theta = chat.shape[1]
+    rest = chat.shape[2:]
+    by_freq = np.ascontiguousarray(np.moveaxis(chat, 1, 0)).reshape(n_theta, n_r, -1).view(float)
+    width = by_freq.shape[-1]  # 2T
+    deltas = np.arange(N)
+    both = np.concatenate([by_freq[deltas % n_theta], by_freq[-deltas % n_theta]], axis=-1)
+    Rt = np.ascontiguousarray(R.T)
+    out = np.empty((N * N, width // 2), dtype=complex)
+    for delta in range(N):
+        band = (Rt[delta:] * Rt[: N - delta]) @ both[delta]  # row j: a = j + delta, b = j
+        out[delta * N :: N + 1] = band[:, :width].view(complex)
+        if delta > 0:  # the transposed pair (a, b) = (j, j + delta)
+            out[delta :: N + 1][: N - delta] = band[:, width:].view(complex)
+    return out.reshape(N, N, *rest)
+
+
 def _assemble(
     space: ModelSpace, grid: QuadratureGrid, psi=None, mask: np.ndarray | None = None
 ) -> np.ndarray:
-    """Raw (not Hermitianized) A_ij = sum_m c_m v_i(z_m) conj(v_j(z_m)).
+    """Raw (not Hermitianized) A_ab = sum_m c_m v_a(z_m) conj(v_b(z_m)).
 
-    c = w * rho * e^{-psi} * mask is the quadrature factor at the grid nodes.
+    c = w * rho * e^{-psi} * mask is the quadrature factor at the grid nodes;
+    mask is a region indicator or any other real factor per node.  The sum is
+    taken in its polar form (module docstring): the DFT of c over every
+    factor's angles, then the radial sums band by band, factor by factor.
     """
-    V = space.section_matrix(grid.nodes)
     c = grid.weights * grid.density * np.exp(-_psi_values(psi, grid.nodes))
     if mask is not None:
         c = c * mask
     if not np.all(np.isfinite(c)):
         raise ValueError("quadrature factor overflowed; extra weight too negative")
-    return (c[:, None] * V).T @ V.conj()
+    n = len(grid.radii)
+    # axes (r_0, q_0, r_1, q_1, ...); sum_q c e^{+i delta theta_q} is the unscaled inverse DFT
+    chat = c.reshape([m for r, n_ang in zip(grid.radii, grid.angular) for m in (r.size, n_ang)])
+    chat = np.fft.ifftn(chat, axes=tuple(range(1, 2 * n, 2)), norm="forward")
+    for i, r in enumerate(grid.radii):
+        # R_a(r) = v_a(r), real on the positive axis
+        chat = np.moveaxis(_bands(space._factor_values(i, r).real, chat), (0, 1), (-2, -1))
+    # axes (a_0, b_0, a_1, b_1, ...) -> (a_0, a_1, ..., b_0, b_1, ...), C order as section_matrix
+    chat = chat.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
+    return chat.reshape(space.rank, space.rank)
 
 
 def weighted_gram_matrix(
@@ -275,8 +339,9 @@ def weighted_gram_matrix(
 ) -> np.ndarray:
     """Raw Hermitianized Gram A_ij = int_U v_i conj(v_j) e^{-psi} dmu.
 
-    No positivity check: with a mask (region indicator) the result is only
-    positive semi-definite.
+    mask is a real factor per node: a region indicator, or any function
+    values to fold into the integrand.  No positivity check: with a mask the
+    result is only positive semi-definite (or indefinite).
     """
     A = _assemble(space, grid, psi, mask)
     return 0.5 * (A + A.conj().T)

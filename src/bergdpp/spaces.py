@@ -300,12 +300,18 @@ def space_to_config(space: ModelSpace) -> dict:
 
 
 def space_from_config(config: dict) -> ModelSpace:
+    """Inverse of space_to_config; a missing key or unknown kind raises ValueError."""
     kind = config.get("kind")
     if kind == "ginibre":
-        rank = config.get("N", config.get("n"))
-        return make_ginibre(rank)
+        config = {"N": config.get("n"), **config}  # "n" is accepted for "N"
+    needs = {"ginibre": ("N",), "fs": ("k",), "product": ("multiplicities", "k")}
+    if kind not in needs:
+        raise ValueError(f"unknown space kind {kind!r}")
+    missing = [key for key in needs[kind] if config.get(key) is None]
+    if missing:
+        raise ValueError(f"space of kind {kind!r} lacks {', '.join(missing)}: {config}")
+    if kind == "ginibre":
+        return make_ginibre(config["N"])
     if kind == "fs":
         return make_fubini_study(config["k"])
-    if kind == "product":
-        return make_product(config["multiplicities"], config["k"])
-    raise ValueError(f"unknown space kind {kind!r}")
+    return make_product(config["multiplicities"], config["k"])

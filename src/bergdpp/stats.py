@@ -148,6 +148,11 @@ def region_grid(space: ModelSpace, *regions: Region) -> QuadratureGrid:
     return build_grid(space, radial=radial, breaks=breaks)
 
 
+def region_gram(space: ModelSpace, grid: QuadratureGrid, region: Region) -> np.ndarray:
+    """G_U: the Gram masked to the region, on the grid."""
+    return weighted_gram_matrix(space, grid, mask=region.mask(grid.nodes))
+
+
 # ---------------------------------------------------------------------------
 # empirical measures
 
@@ -212,13 +217,22 @@ class CountStats:
         }
 
 
-def count_moments(space: ModelSpace, region: Region, grid: QuadratureGrid | None = None):
-    """Predicted (mean, variance) of the point count in a region."""
-    if grid is None:
-        grid = region_grid(space, region)
-    A = weighted_gram_matrix(space, grid, mask=region.mask(grid.nodes))
-    mean = float(np.trace(A).real)
-    var = mean - float(np.sum(np.abs(A) ** 2))
+def count_moments(
+    space: ModelSpace,
+    region: Region,
+    grid: QuadratureGrid | None = None,
+    gram: np.ndarray | None = None,
+):
+    """Predicted (mean, variance) of the point count in a region.
+
+    gram: the region's masked Gram on grid (region_gram), if already assembled.
+    """
+    if gram is None:
+        if grid is None:
+            grid = region_grid(space, region)
+        gram = region_gram(space, grid, region)
+    mean = float(np.trace(gram).real)
+    var = mean - float(np.sum(np.abs(gram) ** 2))
     return mean, max(var, 0.0)
 
 
@@ -234,9 +248,10 @@ def region_count_stats(
     configurations,
     region: Region,
     grid: QuadratureGrid | None = None,
+    gram: np.ndarray | None = None,
 ) -> CountStats:
     emp = EmpiricalMeasure(tuple(configurations))
-    pred_mean, pred_var = count_moments(space, region, grid)
+    pred_mean, pred_var = count_moments(space, region, grid, gram)
     counts = emp.counts(region).astype(float)
     reps = emp.reps
     obs_mean = float(counts.mean())
@@ -287,10 +302,12 @@ def pair_count_stats(
     configurations,
     regions,
     grid: QuadratureGrid | None = None,
+    grams: list[np.ndarray] | None = None,
 ) -> list[PairStats]:
     """Pair-count checks over all unordered region pairs, diagonal included.
 
-    Each region gets one masked Gram G_A on a shared grid.  The prediction
+    Each region gets one masked Gram G_A on a shared grid (grams, if given,
+    holds them already assembled on grid, in region order).  The prediction
     for A != B is tr G_A tr G_B - Re tr(G_A G_B) + tr G_{A cap B}, the last
     term counting each point of the overlap once; on the diagonal it is
     E[#A(#A - 1)] = (tr G_A)^2 - |G_A|_F^2.
@@ -301,7 +318,8 @@ def pair_count_stats(
         grid = region_grid(space, *regions)
     counts = np.stack([emp.counts(reg).astype(float) for reg in regions])
     masks = [reg.mask(grid.nodes) for reg in regions]
-    grams = [weighted_gram_matrix(space, grid, mask=m) for m in masks]
+    if grams is None:
+        grams = [weighted_gram_matrix(space, grid, mask=m) for m in masks]
     traces = [float(np.trace(G).real) for G in grams]
     out = []
     for a in range(len(regions)):

@@ -140,6 +140,18 @@ def test_check_trace(capsys):
     assert "4" in capsys.readouterr().out
 
 
+def test_check_trace_rejects_weight(capsys):
+    # the trace identity int B(x,x) dmu = N has no weighted variant
+    assert run(["check", "trace", "--space", "fs", "--k", "3", "--weight-expr", "r2"]) == 2
+    assert "no weighted variant" in capsys.readouterr().err
+
+
+def test_check_gram_product_rank_231(capsys):
+    # 882k grid nodes x rank 231: an M x N section matrix would not fit in memory
+    assert run(["check", "gram", "--space", "product", "--mults", "1,2", "--k", "10"]) == 0
+    assert "max |G - I|" in capsys.readouterr().out
+
+
 def test_check_gram_weighted_does_not_require_identity(capsys):
     # a weighted Gram is not the identity; the check reports instead of failing
     code = run(["check", "gram", "--space", "fs", "--k", "3",
@@ -212,6 +224,36 @@ def test_stats_counts_takes_space_from_samples_file(tmp_path, capsys):
                   ["--n", "5"]):
         assert run(base + flags) == 2
         assert "contradict --samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "space",
+    [{"kind": "fs"}, {"kind": "product", "k": 2, "multiplicities": 3}, "fs", {"kind": "torus"}],
+    ids=["missing-key", "bad-value", "not-an-object", "unknown-kind"],
+)
+def test_stats_rejects_malformed_space_block(tmp_path, space, capsys):
+    samples = tmp_path / "s.json"
+    samples.write_text(json.dumps({"space": space, "configurations": []}))
+    assert run(["stats", "counts", "--samples", str(samples), "--region", "disk:1"]) == 2
+    assert "space" in capsys.readouterr().err
+
+
+def test_stats_counts_assembles_each_region_gram_once(tmp_path, monkeypatch):
+    import bergdpp.quadrature as quadrature
+
+    calls = []
+    assemble = quadrature._assemble
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_assemble", counted)
+    # two disjoint regions: their two masked Grams carry every count and pair trace
+    assert run(["stats", "counts", "--space", "fs", "--k", "5", "--reps", "3", "--seed", "1",
+                "--region", "disk:1", "--region", "annulus:1:2",
+                "--out", str(tmp_path / "c.json")]) == 0
+    assert len(calls) == 2
 
 
 def test_stats_requires_space_without_samples(capsys):

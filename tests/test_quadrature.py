@@ -2,7 +2,9 @@
 
 The radial substitution s = t/(1+t) makes Fubini-Study Gram integrands
 polynomial in s, so the default grids reproduce them to machine precision;
-weighted entries are compared against adaptive quadrature instead.
+weighted entries are compared against adaptive quadrature instead.  The
+polar-factorised assembly is checked against the plain node sum
+(dense_gram), which evaluates every section at every node.
 """
 
 import csv
@@ -23,6 +25,7 @@ from bergdpp.quadrature import (
 )
 from bergdpp.quadrature import integrate as grid_integrate
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
+from bergdpp.stats import Region, region_grid
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +88,67 @@ def test_gram_is_identity(space):
     assert err < 1e-10
     assert abs(g.logdet) < 1e-9
     assert g.rank == space.rank
+
+
+# ---------------------------------------------------------------------------
+# factorised assembly vs the dense node sum
+
+
+def dense_gram(space, grid, psi=None, mask=None):
+    """Hermitianized sum_m c_m v_i(z_m) conj(v_j(z_m)) over all M grid nodes.
+
+    The M x N section matrix route, O(M N^2) time and O(M N) memory: a
+    reference for the factorised assembly, on small grids only.
+    """
+    V = space.section_matrix(grid.nodes)
+    c = grid.weights * grid.density
+    if psi is not None:
+        c = c * np.exp(-psi(grid.nodes))
+    if mask is not None:
+        c = c * mask
+    A = (c[:, None] * V).T @ V.conj()
+    return 0.5 * (A + A.conj().T)
+
+
+_SPACES = {
+    "fs": (make_fubini_study(6), "r2/(1+r2)", "re_1/(1+r2)", "im_1/(1+r2)"),
+    "gin": (make_ginibre(7), "r2/(1+r2)", "re_1/(1+r2)", "im_1/(1+r2)"),
+    "prod": (make_product((1, 2), 2), "r2_1*r2_2/(1+r2_1)", "re_1/(1+r2_1)", "im_1/(1+r2_2)"),
+}
+
+
+def _assert_matches_dense(space, grid, psi=None, mask=None):
+    want = dense_gram(space, grid, psi, mask)
+    got = weighted_gram_matrix(space, grid, psi, mask)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("weight", [None, 1, 2, 3], ids=["plain", "radial", "re", "im"])
+@pytest.mark.parametrize("family", sorted(_SPACES))
+def test_factorised_gram_matches_dense(family, weight):
+    space, *weights = _SPACES[family]
+    psi = None if weight is None else parse_weight(weights[weight - 1])
+    _assert_matches_dense(space, build_grid(space), psi)
+
+
+@pytest.mark.parametrize("family", sorted(_SPACES))
+def test_factorised_masked_gram_on_panels_matches_dense(family):
+    space, _, re_weight, _ = _SPACES[family]
+    disk, annulus = Region.disk(0.8, space.dim), Region.annulus(0.5, 1.7, space.dim)
+    grid = region_grid(space, disk, annulus)  # panels split at 0.5, 0.8 and 1.7
+    assert len(grid.radii[0]) == 4 * grid.radial[0]
+    for region in (disk, annulus):
+        _assert_matches_dense(space, grid, parse_weight(re_weight), region.mask(grid.nodes))
+
+
+@pytest.mark.parametrize("family", sorted(_SPACES))
+def test_factorised_gram_aliases_like_dense(family):
+    # angular < 2 * degree + 1: frequencies a - b alias onto each other
+    space, _, _, im_weight = _SPACES[family]
+    grid = build_grid(space, radial=6, angular=4)
+    assert all(n < 2 * d + 1 for n, d in zip(grid.angular, space.factor_degrees))
+    _assert_matches_dense(space, grid)
+    _assert_matches_dense(space, grid, parse_weight(im_weight))
 
 
 # ---------------------------------------------------------------------------
