@@ -1,148 +1,9 @@
 """Finite-rank reproducing kernels on model complex charts and their point
 processes: exact projection-DPP sampling, weighted MCMC sampling, scaling
-limits, and determinant-based energy functionals."""
+limits, and determinant-based energy functionals.
+
+Names are imported from the submodules (spaces, quadrature, kernel, sampler,
+stats, energy, exprs, cli); the package root binds only __version__.
+"""
 
 __version__ = "0.1.0"
-
-from .exprs import ParseError, WeightExpr, parse_weight
-from .spaces import (
-    ModelSpace,
-    NormalFrame,
-    limit_frame,
-    make_fubini_study,
-    make_ginibre,
-    make_product,
-    normalized_section_values,
-    space_from_config,
-    space_to_config,
-)
-from .quadrature import (
-    GramDegenerateError,
-    QuadratureGrid,
-    build_grid,
-    gram,
-    integrate,
-    integrate_lebesgue,
-    weighted_gram_matrix,
-)
-from .kernel import (
-    KernelEvaluator,
-    default_test_points,
-    evaluator,
-    kernel_det,
-    kernel_eval,
-    kernel_matrix,
-    limit_correlation,
-    limit_kernel,
-    rescaled_correlation,
-    reweighted_evaluator,
-    scaling_errors,
-)
-from .sampler import (
-    Configuration,
-    DiscreteProjectionDpp,
-    McmcConfig,
-    McmcRun,
-    RejectionStallError,
-    log_density,
-    rng_stream,
-    sample_dpp,
-    sample_dpp_many,
-    sample_weighted,
-)
-from .stats import (
-    CircularLawReport,
-    ConvergenceReport,
-    CountStats,
-    EmpiricalMeasure,
-    Region,
-    circular_law_distance,
-    estimate_intensity,
-    ks_distance,
-    measure_convergence,
-    pair_count_stats,
-    parse_region,
-    radial_cdf,
-    region_count_stats,
-)
-from .energy import (
-    EnergyReport,
-    GramPath,
-    PositivityError,
-    equilibrium_mass,
-    lambda_k,
-    lambda_limit,
-    lambda_report,
-    mabuchi,
-    mc_partition_ratio,
-    monge_ampere_density,
-    partition_function,
-)
-
-__all__ = [
-    "__version__",
-    "ParseError",
-    "WeightExpr",
-    "parse_weight",
-    "ModelSpace",
-    "NormalFrame",
-    "limit_frame",
-    "make_fubini_study",
-    "make_ginibre",
-    "make_product",
-    "normalized_section_values",
-    "space_from_config",
-    "space_to_config",
-    "GramDegenerateError",
-    "QuadratureGrid",
-    "build_grid",
-    "gram",
-    "integrate",
-    "integrate_lebesgue",
-    "weighted_gram_matrix",
-    "KernelEvaluator",
-    "default_test_points",
-    "evaluator",
-    "kernel_det",
-    "kernel_eval",
-    "kernel_matrix",
-    "limit_correlation",
-    "limit_kernel",
-    "rescaled_correlation",
-    "reweighted_evaluator",
-    "scaling_errors",
-    "Configuration",
-    "DiscreteProjectionDpp",
-    "McmcConfig",
-    "McmcRun",
-    "RejectionStallError",
-    "log_density",
-    "rng_stream",
-    "sample_dpp",
-    "sample_dpp_many",
-    "sample_weighted",
-    "CircularLawReport",
-    "ConvergenceReport",
-    "CountStats",
-    "EmpiricalMeasure",
-    "Region",
-    "circular_law_distance",
-    "estimate_intensity",
-    "ks_distance",
-    "measure_convergence",
-    "pair_count_stats",
-    "parse_region",
-    "radial_cdf",
-    "region_count_stats",
-    "EnergyReport",
-    "GramPath",
-    "PositivityError",
-    "equilibrium_mass",
-    "lambda_k",
-    "lambda_limit",
-    "lambda_report",
-    "mabuchi",
-    "mc_partition_ratio",
-    "monge_ampere_density",
-    "partition_function",
-]

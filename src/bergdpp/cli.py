@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .energy import (
     partition_function,
 )
 from .exprs import ParseError, WeightExpr, parse_weight
-from .kernel import default_test_points, scaling_errors
+from .kernel import scaling_errors
 from .quadrature import (
     GramDegenerateError,
     build_grid,
@@ -45,6 +46,7 @@ from .sampler import (
     McmcConfig,
     RejectionStallError,
     configuration_from_json,
+    points_from_json,
     sample_dpp_many,
     sample_weighted,
 )
@@ -133,9 +135,12 @@ def _maybe_weight(text: str | None) -> WeightExpr | None:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
@@ -164,19 +169,39 @@ def _csv_text(schema: str, config: dict, header: list[str], rows: list[list]) ->
     return buf.getvalue()
 
 
+def _read_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise CliError(f"{path} is not valid JSON: {exc}") from None
+
+
 def _load_samples(path: str) -> tuple[ModelSpace, list[Configuration]]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if "configurations" not in data or "space" not in data:
+    data = _read_json(path)
+    entries = data.get("configurations") if isinstance(data, dict) else None
+    if not isinstance(entries, list) or "space" not in data:
         raise CliError(f"{path} is not a samples file (missing configurations/space)")
     try:
         space = space_from_config(data["space"])
     except (AttributeError, TypeError, ValueError) as exc:
         raise CliError(f"{path} has a malformed space block: {exc}") from None
-    confs = [
-        configuration_from_json(entry, space.dim, seed=data.get("seed"))
-        for entry in data["configurations"]
-    ]
+    confs = []
+    for i, entry in enumerate(entries):
+        try:
+            conf = configuration_from_json(entry, space.dim, seed=data.get("seed"))
+        except KeyError as exc:
+            raise CliError(f"{path}: configuration {i} lacks the key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"{path}: configuration {i}: {exc}") from None
+        if conf.points.shape[0] != space.rank:
+            raise CliError(
+                f"{path}: configuration {i} has {conf.points.shape[0]} points, "
+                f"but the space has rank {space.rank}"
+            )
+        confs.append(conf)
     return space, confs
 
 
@@ -191,18 +216,14 @@ def _check_space_flags(args, space: ModelSpace) -> None:
 
 
 def _points_from_file(path: str, dim: int) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    rows = data["points"] if isinstance(data, dict) else data
-    pts = np.zeros((len(rows), dim), dtype=complex)
-    for i, row in enumerate(rows):
-        if len(row) != 2 * dim:
-            raise CliError(
-                f"point row {i} has {len(row)} numbers, expected {2 * dim} (re/im per factor)"
-            )
-        for j in range(dim):
-            pts[i, j] = float(row[2 * j]) + 1j * float(row[2 * j + 1])
-    return pts
+    data = _read_json(path)
+    rows = data.get("points") if isinstance(data, dict) else data
+    if rows is None:
+        raise CliError(f"{path} has no \"points\" list")
+    try:
+        return points_from_json(rows, dim)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +334,11 @@ def _cmd_stats(args) -> int:
         grid = region_grid(space, *regions)
         grams = [region_gram(space, grid, reg) for reg in regions]
         counts = [
-            region_count_stats(space, confs, reg, grid, G).to_json_dict()
+            asdict(region_count_stats(space, confs, reg, grid, G))
             for reg, G in zip(regions, grams)
         ]
         pairs = (
-            [p.to_json_dict() for p in pair_count_stats(space, confs, regions, grid, grams)]
+            [asdict(p) for p in pair_count_stats(space, confs, regions, grid, grams)]
             if len(regions) > 1
             else []
         )
@@ -328,7 +349,7 @@ def _cmd_stats(args) -> int:
     if args.stats_command == "circular":
         report = circular_law_distance(space, confs)
         config = {"command": "stats circular", **src}
-        _emit_json(_report("circular", config, report.to_json_dict()), args.out)
+        _emit_json(_report("circular", config, asdict(report)), args.out)
         return 0
 
     raise CliError(f"unknown stats subcommand {args.stats_command!r}")
@@ -376,7 +397,7 @@ def _cmd_converge(args) -> int:
         "reps": args.reps,
         "seed": seed,
     }
-    _emit_json(_report("converge", config, report.to_json_dict()), args.out)
+    _emit_json(_report("converge", config, asdict(report)), args.out)
     return 0
 
 
@@ -425,7 +446,7 @@ def _cmd_energy(args) -> int:
             "psi_k_expr": args.psi_k_expr,
             "s_nodes": args.s_nodes,
         }
-        _emit_json(_report("energy-lambda", config, report.to_json_dict()), args.out)
+        _emit_json(_report("energy-lambda", config, asdict(report)), args.out)
         return 0
 
     raise CliError(f"unknown energy subcommand {args.energy_command!r}")
@@ -451,11 +472,17 @@ def _cmd_check(args) -> int:
     if args.check_command == "partition":
         psi = _maybe_weight(args.weight_expr)
         pv = partition_function(space, psi=psi, grid=grid)
-        print(f"Z = {pv.value:.10g}")
+        # beyond rank 170 Z and N! overflow a float, so their logs are printed
+        overflow = math.isinf(pv.value)
+        print(f"log Z = {pv.log_value:.10g}" if overflow else f"Z = {pv.value:.10g}")
         if psi is None:
-            # Z / N! - 1 from the logs: Z and N! overflow a float beyond rank 170
-            rel = abs(math.expm1(pv.log_value - math.lgamma(space.rank + 1)))
-            print(f"N! = {math.factorial(space.rank)} (relative error {rel:.3e})")
+            log_factorial = math.lgamma(space.rank + 1)
+            rel = abs(math.expm1(pv.log_value - log_factorial))
+            exact = (
+                f"log N! = {log_factorial:.10g}" if overflow
+                else f"N! = {math.factorial(space.rank)}"
+            )
+            print(f"{exact} (relative error {rel:.3e})")
             if rel > 1e-8:
                 return 3
         return 0
@@ -465,7 +492,10 @@ def _cmd_check(args) -> int:
         err = float(np.max(np.abs(g.matrix - np.eye(space.rank))))
         print(f"max |G - I| = {err:.3e}")
         if args.gram_csv is not None:
-            gram_to_csv(g, args.gram_csv)
+            try:
+                gram_to_csv(g, args.gram_csv)
+            except OSError as exc:
+                raise CliError(f"cannot write {args.gram_csv}: {exc.strerror}") from None
             print(f"gram written to {args.gram_csv}")
         if args.weight_expr is None and err > 1e-8:
             return 3

@@ -103,14 +103,6 @@ class PartitionValue:
     log_value: float    # log Z = log N! + log det G
     value: float        # inf if it overflows
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "logdet_gram": self.logdet_gram,
-            "log_value": self.log_value,
-            "value": self.value,
-        }
-
 
 def partition_function(
     space: ModelSpace, psi=None, grid: QuadratureGrid | None = None
@@ -154,11 +146,11 @@ def mc_partition_ratio(configurations, psi) -> tuple[float, float]:
 class GramPath:
     """log det G(base + t psi) along a direction psi, with cached values."""
 
-    def __init__(self, space: ModelSpace, psi, base_psi=None, grid=None):
+    def __init__(self, space: ModelSpace, psi, base_psi=None):
         self.space = space
         self.psi = psi
         self.base_psi = base_psi
-        self.grid = grid if grid is not None else build_grid(space)
+        self.grid = build_grid(space)
         self._logdets: dict[float, float] = {}
 
     def weight_at(self, t: float):
@@ -238,16 +230,7 @@ def monge_ampere_density(space: ModelSpace, points, shifts=()) -> np.ndarray:
     return (math.factorial(n) / math.pi**n) * det
 
 
-def _region_mask(region, points):
-    return None if region is None else region.mask(points)
-
-
-def equilibrium_mass(
-    space: ModelSpace,
-    region=None,
-    shifts=(),
-    grid: QuadratureGrid | None = None,
-) -> float:
+def equilibrium_mass(space: ModelSpace, region=None, shifts=()) -> float:
     """Normalized Monge-Ampere mass of a radial region.
 
     region: any object with .mask(points) and .break_radii() (or None for the
@@ -268,14 +251,11 @@ def equilibrium_mass(
         N = float(space.rank)
         return (min(hi * hi, N) - min(lo * lo, N)) / N
 
-    if grid is None:
-        breaks = region.break_radii() if region is not None else None
-        grid = build_grid(space, breaks=breaks)
+    grid = build_grid(space, breaks=region.break_radii() if region is not None else None)
     ma = monge_ampere_density(space, grid.nodes, shifts)
     wma = grid.weights * ma
     total = float(wma.sum())
-    mask = _region_mask(region, grid.nodes)
-    num = total if mask is None else float(wma[mask].sum())
+    num = total if region is None else float(wma[region.mask(grid.nodes)].sum())
     return num / total
 
 
@@ -285,7 +265,6 @@ def mabuchi(
     direction: WeightExpr | None = None,
     scale: float = 1.0,
     s_nodes: int = 16,
-    grid: QuadratureGrid | None = None,
 ) -> float:
     """L(phi + psi', scale * u) = int_0^1 int scale*u dmu_eq^(phi+psi'+s*scale*u) ds.
 
@@ -301,8 +280,7 @@ def mabuchi(
         return 0.0
     if s_nodes < 16:
         raise ValueError("s_nodes must be at least 16")
-    if grid is None:
-        grid = build_grid(space)
+    grid = build_grid(space)
     x, w = np.polynomial.legendre.leggauss(s_nodes)
     s_pts = 0.5 * (x + 1.0)
     s_wts = 0.5 * w
@@ -327,16 +305,9 @@ def mabuchi(
 # rescaled cumulant functional
 
 
-def lambda_k(
-    space: ModelSpace,
-    f,
-    psi=None,
-    psi_prime=None,
-    grid: QuadratureGrid | None = None,
-) -> float:
+def lambda_k(space: ModelSpace, f, psi=None, psi_prime=None) -> float:
     """[log det G(psi + k(psi' - f)) - log det G(psi + k psi')] / (k N)."""
-    if grid is None:
-        grid = build_grid(space)
+    grid = build_grid(space)
     k = float(space.power)
     shifted = _combine((1.0, psi), (k, psi_prime), (-k, f))
     base = _combine((1.0, psi), (k, psi_prime))
@@ -345,17 +316,9 @@ def lambda_k(
     return (g1 - g2) / (k * space.rank)
 
 
-def lambda_limit(
-    space: ModelSpace,
-    f: WeightExpr,
-    psi_prime=None,
-    s_nodes: int = 24,
-    grid: QuadratureGrid | None = None,
-) -> float:
+def lambda_limit(space: ModelSpace, f: WeightExpr, psi_prime=None, s_nodes: int = 24) -> float:
     """Large-k limit of lambda_k: -L(phi + psi', -f)."""
-    return -mabuchi(
-        space, psi_prime=psi_prime, direction=f, scale=-1.0, s_nodes=s_nodes, grid=grid
-    )
+    return -mabuchi(space, psi_prime=psi_prime, direction=f, scale=-1.0, s_nodes=s_nodes)
 
 
 @dataclass(frozen=True)
@@ -365,27 +328,12 @@ class LambdaRow:
     lambda_value: float
     gap: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "rank": self.rank,
-            "lambda_value": self.lambda_value,
-            "gap": self.gap,
-        }
-
 
 @dataclass(frozen=True)
 class EnergyReport:
     rows: tuple[LambdaRow, ...]
     target: float
     s_nodes: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": [r.to_json_dict() for r in self.rows],
-            "target": self.target,
-            "s_nodes": self.s_nodes,
-        }
 
 
 def lambda_report(

@@ -166,10 +166,10 @@ def rescaled_correlation(space: ModelSpace, frame: NormalFrame, points) -> float
         scale = 1.0
     else:
         k = space.power
-        chart_pts = frame.center_array[None, :] + U / np.sqrt(k)
+        chart_pts = np.asarray(frame.center, dtype=complex)[None, :] + U / np.sqrt(k)
         scale = float(k) ** (-space.dim * m)
     det = kernel_det(evaluator(space), chart_pts)
-    kappas = frame.kappa(chart_pts)
+    kappas = space.base_density(chart_pts)
     return float(det * scale * np.prod(kappas))
 
 

@@ -82,8 +82,6 @@ class QuadratureGrid:
     radii: tuple[np.ndarray, ...]  # radial nodes r (not r^2), per factor
     radial: tuple[int, ...]    # Gauss nodes per radial panel, per factor
     angular: tuple[int, ...]   # angular nodes per factor
-    breaks: tuple[tuple[float, ...], ...]  # radial panel breakpoints (radii)
-    truncation: float | None   # outer radius for non-compact factors
     under_resolved: str | None  # the exactness bound the grid breaks, if any
 
     @property
@@ -145,7 +143,7 @@ def build_grid(
     radial: int | None = None,
     angular: int | None = None,
     truncation: float | None = None,
-    breaks: tuple[tuple[float, ...], ...] | tuple[float, ...] | None = None,
+    breaks: tuple[tuple[float, ...], ...] | None = None,
 ) -> QuadratureGrid:
     """Tensor-product grid adapted to the space.
 
@@ -153,19 +151,14 @@ def build_grid(
                 rank exactly with headroom).
     angular:    angles per factor (default 2 * degree + 1, the exactness bound).
     truncation: outer radius override for non-compact factors.
-    breaks:     radii at which radial panels split, either one tuple shared by
-                all factors or a per-factor tuple of tuples.  Regions whose
-                boundaries appear here are integrated to spectral accuracy.
+    breaks:     per factor, the radii at which radial panels split.  Regions
+                whose boundaries appear here are integrated to spectral accuracy.
     """
     n = space.dim
     if breaks is None:
-        per_factor_breaks: tuple[tuple[float, ...], ...] = tuple(() for _ in range(n))
-    elif len(breaks) > 0 and isinstance(breaks[0], (tuple, list)):
-        if len(breaks) != n:
-            raise ValueError(f"need breaks for {n} factors, got {len(breaks)}")
-        per_factor_breaks = tuple(tuple(float(r) for r in b) for b in breaks)
-    else:
-        per_factor_breaks = tuple(tuple(float(r) for r in breaks) for _ in range(n))
+        breaks = [()] * n
+    elif len(breaks) != n:
+        raise ValueError(f"need breaks for {n} factors, got {len(breaks)}")
 
     if truncation is not None and space.kind != "ginibre":
         raise ValueError("truncation only applies to non-compact (ginibre) charts")
@@ -190,7 +183,7 @@ def build_grid(
                 f"a grid needs at least one radial and one angular node per factor, "
                 f"got radial={n_rad}, angular={n_ang}"
             )
-        r, z, w = _factor_grid(space.kind, trunc, n_rad, n_ang, per_factor_breaks[i])
+        r, z, w = _factor_grid(space.kind, trunc, n_rad, n_ang, breaks[i])
         radii.append(r)
         radials.append(n_rad)
         angulars.append(n_ang)
@@ -216,8 +209,6 @@ def build_grid(
         radii=tuple(radii),
         radial=tuple(radials),
         angular=tuple(angulars),
-        breaks=per_factor_breaks,
-        truncation=trunc if space.kind == "ginibre" else None,
         under_resolved=_unresolved_bound(space, radials, angulars),
     )
 
@@ -258,13 +249,8 @@ class GramMatrix:
 
     matrix: np.ndarray       # (N, N) complex Hermitian
     logdet: float
-    psi: str | None          # textual description of the extra weight
     asymmetry_abs: float     # max |A - A^H| before Hermitianization
     asymmetry_rel: float
-
-    @property
-    def rank(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _psi_values(psi, nodes: np.ndarray) -> np.ndarray:
@@ -378,22 +364,17 @@ def gram(space: ModelSpace, grid: QuadratureGrid, psi=None) -> GramMatrix:
             f"gram-degenerate: eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}] "
             f"with {grid.size} nodes for rank {space.rank}; refine the grid"
         )
-    psi_descr = None
-    if psi is not None:
-        psi_descr = getattr(psi, "source", None) or repr(psi)
     return GramMatrix(
         matrix=A,
         logdet=float(np.sum(np.log(eigs))),
-        psi=psi_descr,
         asymmetry_abs=asym_abs,
         asymmetry_rel=asym_abs / scale if scale > 0 else 0.0,
     )
 
 
-def gram_to_csv(gram_matrix: GramMatrix | np.ndarray, path: str) -> None:
+def gram_to_csv(gram_matrix: GramMatrix, path: str) -> None:
     """Write a Gram matrix as CSV, row-major, each cell a quoted "re,im" pair."""
-    A = gram_matrix.matrix if isinstance(gram_matrix, GramMatrix) else np.asarray(gram_matrix)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_ALL)
-        for row in A:
+        for row in gram_matrix.matrix:
             writer.writerow([f"{float(val.real)!r},{float(val.imag)!r}" for val in row])

@@ -35,7 +35,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
     "McmcRun",
     "rng_stream",
     "log_density",
+    "points_from_json",
     "configuration_from_json",
     "sample_dpp",
     "sample_dpp_many",
@@ -93,13 +94,25 @@ class Configuration:
         }
 
 
+def points_from_json(rows, dim: int) -> np.ndarray:
+    """(M, dim) complex points from JSON rows of 2 * dim numbers, [re, im] per factor."""
+    pts = np.zeros((len(rows), dim), dtype=complex)
+    for i, row in enumerate(rows):
+        if len(row) != 2 * dim:
+            raise ValueError(
+                f"point row {i} has {len(row)} numbers, expected {2 * dim} (re/im per factor)"
+            )
+        for j in range(dim):
+            pts[i, j] = float(row[2 * j]) + 1j * float(row[2 * j + 1])
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("point coordinates must be finite numbers")
+    return pts
+
+
 def configuration_from_json(entry: dict, dim: int, seed=None) -> Configuration:
-    pts = np.array(
-        [[row[2 * i] + 1j * row[2 * i + 1] for i in range(dim)] for row in entry["points"]],
-        dtype=complex,
-    ).reshape(-1, dim)
+    """Inverse of Configuration.to_json_dict."""
     return Configuration(
-        points=pts,
+        points=points_from_json(entry["points"], dim),
         log_density=float(entry["log_density"]),
         seed=seed,
         origin=entry.get("origin", "exact"),
@@ -111,13 +124,7 @@ def _weight_values(fn, Z: np.ndarray) -> np.ndarray:
     return np.zeros(Z.shape[0]) if fn is None else np.asarray(fn(Z), dtype=float)
 
 
-def log_density(
-    space: ModelSpace,
-    points,
-    psi=None,
-    psi_prime=None,
-    k_scale: float | None = None,
-) -> float:
+def log_density(space: ModelSpace, points, psi=None, psi_prime=None) -> float:
     """Unnormalized Gibbs log-density of a configuration against mu^N.
 
     log |det M|^2 with M_ij = v_i(x_j), minus sum_j (psi + k psi')(x_j).
@@ -130,8 +137,7 @@ def log_density(
     sign, logabs = np.linalg.slogdet(V)
     if sign == 0 or not np.isfinite(logabs):
         return float("-inf")
-    k = float(space.power if k_scale is None else k_scale)
-    pen = _weight_values(psi, Z) + k * _weight_values(psi_prime, Z)
+    pen = _weight_values(psi, Z) + float(space.power) * _weight_values(psi_prime, Z)
     return float(2.0 * logabs - pen.sum())
 
 
@@ -272,7 +278,7 @@ class McmcRun:
 
     configurations: list[Configuration]
     acceptance_rate: float
-    warnings: list[str] = field(default_factory=list)
+    warnings: list[str]
 
 
 def sample_weighted(
@@ -280,10 +286,7 @@ def sample_weighted(
     config: McmcConfig,
     psi=None,
     psi_prime=None,
-    k_scale: float | None = None,
     seed: int | None = None,
-    rng: np.random.Generator | None = None,
-    stream: tuple[int, ...] = (),
 ) -> McmcRun:
     """Metropolis-Hastings chain for the psi/psi'-weighted process.
 
@@ -292,12 +295,11 @@ def sample_weighted(
     the unweighted process.  Collected configurations carry the mu^N Gibbs
     log-density and their step index.
     """
-    if rng is None:
-        if seed is None:
-            raise ValueError("sample_weighted needs a seed or an explicit generator")
-        rng = rng_stream(seed, *stream)
+    if seed is None:
+        raise ValueError("sample_weighted needs a seed")
+    rng = rng_stream(seed)
     N, n = space.rank, space.dim
-    k = float(space.power if k_scale is None else k_scale)
+    k = float(space.power)
 
     start = sample_dpp(space, rng=rng, seed=seed)
     X = start.points.copy()

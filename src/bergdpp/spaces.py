@@ -245,46 +245,31 @@ def normalized_section_values(space: ModelSpace, z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormalFrame:
-    """Limit data at a chart point: Hessian eigenvalues and density kappa."""
+    """Limit data at a chart point: the per-k Hessian eigenvalues."""
 
-    space: ModelSpace
     center: tuple[complex, ...]
     lam: tuple[float, ...]
 
-    def kappa(self, points) -> np.ndarray:
-        """Chart density d mu / dm near the center."""
-        return self.space.base_density(points)
-
-    @property
-    def center_array(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=complex)
-
 
 def limit_frame(space: ModelSpace, center) -> NormalFrame:
-    """Normal frame at a chart point: per-k Hessian eigenvalues and kappa.
+    """Normal frame at a chart point: the per-k Hessian eigenvalues.
 
-    For the built-in spaces the Hessian is diagonal in the chart coordinates,
-    so the eigenvalues stay aligned with the coordinates (the limit kernel
-    needs that alignment; it holds everywhere on products and trivially on
-    one-dimensional charts).
+    For the built-in spaces the Hessian is diagonal in the chart coordinates
+    (weight_hessian_per_k fills only the diagonal), so its diagonal holds the
+    eigenvalues, each aligned with its coordinate as the limit kernel needs.
     """
     c = np.atleast_1d(np.asarray(center, dtype=complex))
     if c.shape != (space.dim,):
         raise ValueError(f"center must have {space.dim} complex coordinates")
     if not (np.all(np.isfinite(c.real)) and np.all(np.isfinite(c.imag))):
         raise ValueError(f"center must be finite, got {center!r}")
-    H = space.weight_hessian_per_k(c[None, :])[0]
-    off = H - np.diag(np.diag(H))
-    if np.max(np.abs(off), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(H))):
-        lam = np.linalg.eigvalsh(H)
-    else:
-        lam = np.diag(H).real
+    lam = np.diag(space.weight_hessian_per_k(c[None, :])[0]).real
     if np.min(lam) <= 0.0:
         raise ValueError(f"weight is not smooth_positive at {center!r}: eigenvalues {lam}")
     kappa0 = float(space.base_density(c[None, :])[0])
     if not kappa0 > 0.0:
         raise ValueError(f"base density vanishes at {center!r}")
-    return NormalFrame(space=space, center=tuple(c.tolist()), lam=tuple(float(x) for x in lam))
+    return NormalFrame(center=tuple(c.tolist()), lam=tuple(float(x) for x in lam))
 
 
 # ---------------------------------------------------------------------------

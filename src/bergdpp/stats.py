@@ -28,7 +28,7 @@ Radial laws used for Kolmogorov-Smirnov checks:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc, gammainc
@@ -204,18 +204,6 @@ class CountStats:
     mean_z: float | None
     variance_z: float | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "region": self.region,
-            "reps": self.reps,
-            "predicted_mean": self.predicted_mean,
-            "predicted_variance": self.predicted_variance,
-            "observed_mean": self.observed_mean,
-            "observed_variance": self.observed_variance,
-            "mean_z": self.mean_z,
-            "variance_z": self.variance_z,
-        }
-
 
 def count_moments(
     space: ModelSpace,
@@ -285,17 +273,6 @@ class PairStats:
     observed_se: float
     z: float | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "region_a": self.region_a,
-            "region_b": self.region_b,
-            "reps": self.reps,
-            "predicted": self.predicted,
-            "observed_mean": self.observed_mean,
-            "observed_se": self.observed_se,
-            "z": self.z,
-        }
-
 
 def pair_count_stats(
     space: ModelSpace,
@@ -360,7 +337,6 @@ class IntensityCell:
     rate: float        # mean count per replicate per unit area
     stderr: float
     prediction: float  # B(x, x) * base density at the cell center
-    expected_count: float
 
 
 def estimate_intensity(
@@ -411,7 +387,6 @@ def estimate_intensity(
                     rate=float(mean_counts[i, j] / area),
                     stderr=float(se_counts[i, j] / area),
                     prediction=float(pred[j]),
-                    expected_count=float(pred[j] * area),
                 )
             )
     return cells
@@ -467,14 +442,6 @@ class CircularLawReport:
     pooled_points: int
     distance: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "reps": self.reps,
-            "pooled_points": self.pooled_points,
-            "distance": self.distance,
-        }
-
 
 def circular_law_distance(space: ModelSpace, configurations) -> CircularLawReport:
     """KS distance of radii / sqrt(N) to the unit-disk radial CDF min(r^2, 1)."""
@@ -506,18 +473,6 @@ class ConvergenceRow:
     equilibrium_mass: float
     gap: float                # |mc_mass - equilibrium_mass|
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "rank": self.rank,
-            "mc_mass": self.mc_mass,
-            "mc_se": self.mc_se,
-            "replicate_variance": self.replicate_variance,
-            "quadrature_mass": self.quadrature_mass,
-            "equilibrium_mass": self.equilibrium_mass,
-            "gap": self.gap,
-        }
-
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -525,16 +480,7 @@ class ConvergenceReport:
     reps: int
     seed: int | None
     rows: tuple[ConvergenceRow, ...]
-    warnings: tuple[str, ...] = field(default=())
-
-    def to_json_dict(self) -> dict:
-        return {
-            "region": self.region,
-            "reps": self.reps,
-            "seed": self.seed,
-            "rows": [r.to_json_dict() for r in self.rows],
-            "warnings": list(self.warnings),
-        }
+    warnings: tuple[str, ...]
 
 
 def convergence_row(
@@ -542,14 +488,11 @@ def convergence_row(
     k: int,
     configurations,
     region: Region,
-    grid: QuadratureGrid | None = None,
 ) -> ConvergenceRow:
     from .energy import equilibrium_mass
 
     emp = EmpiricalMeasure(tuple(configurations))
-    if grid is None:
-        grid = region_grid(space, region)
-    pred_mean, _ = count_moments(space, region, grid)
+    pred_mean, _ = count_moments(space, region)
     masses = emp.masses(region)
     mc = float(masses.mean())
     se = float(masses.std(ddof=1) / math.sqrt(emp.reps)) if emp.reps > 1 else 0.0

@@ -127,6 +127,15 @@ def test_check_partition_beyond_float_factorial(capsys):
     assert "relative error" in capsys.readouterr().out
 
 
+def test_check_partition_prints_logs_when_z_overflows(capsys):
+    # rank 201: Z and N! exceed a float, so their logs stand in for N!'s 377 digits
+    assert run(["check", "partition", "--space", "ginibre", "--n", "201"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("log Z = ")
+    assert "log N! = " in out and "relative error" in out
+    assert max(len(line) for line in out.splitlines()) < 100
+
+
 def test_check_gram_csv(tmp_path):
     csv_path = tmp_path / "g.csv"
     assert run(["check", "gram", "--space", "fs", "--k", "3",
@@ -236,6 +245,51 @@ def test_stats_rejects_malformed_space_block(tmp_path, space, capsys):
     samples.write_text(json.dumps({"space": space, "configurations": []}))
     assert run(["stats", "counts", "--samples", str(samples), "--region", "disk:1"]) == 2
     assert "space" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda c: c["points"][0].pop(), lambda c: c["points"].pop(), lambda c: c.pop("log_density")],
+    ids=["short-row", "fewer-points-than-rank", "no-log-density"],
+)
+def test_stats_rejects_malformed_configuration(tmp_path, edit, capsys):
+    samples = tmp_path / "s.json"
+    assert run(["sample", "--space", "fs", "--k", "2", "--reps", "2", "--seed", "1",
+                "--out", str(samples)]) == 0
+    doc = read_json(samples)
+    edit(doc["configurations"][1])
+    samples.write_text(json.dumps(doc))
+    assert run(["stats", "counts", "--samples", str(samples), "--region", "disk:1"]) == 2
+    assert f"{samples}: configuration 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["stats", "counts", "--region", "disk:1", "--samples"],
+     ["scaling", "--space", "fs", "--ks", "4", "--points"]],
+    ids=["samples", "points"],
+)
+def test_missing_input_file_is_exit_2(tmp_path, argv, capsys):
+    missing = tmp_path / "absent.json"
+    assert run(argv + [str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc", [{"pts": [[0.1, 0.0]]}, {"points": [[0.1, "nan"]]}], ids=["no-points-key", "non-finite"]
+)
+def test_malformed_points_file_is_exit_2(tmp_path, doc, capsys):
+    # a NaN test point used to give sup_error 0.0 and exit 0
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps(doc))
+    assert run(["scaling", "--space", "fs", "--ks", "4", "--points", str(pts)]) == 2
+    assert str(pts) in capsys.readouterr().err
+
+
+def test_out_in_missing_directory_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "absent" / "s.json"
+    assert run(["sample", "--space", "fs", "--k", "2", "--seed", "1", "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
 
 
 def test_stats_counts_assembles_each_region_gram_once(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ int f dmu_eq(s) = 0.1 + s/150, so the limit functional is 0.1 + 1/300.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -270,5 +271,5 @@ def test_lambda_report_converges():
     gaps = [row.gap for row in report.rows]
     assert gaps[1] < gaps[0]
     assert report.target == pytest.approx(0.1 + 1.0 / 300.0, abs=1e-9)
-    d = report.to_json_dict()
+    d = asdict(report)
     assert len(d["rows"]) == 2

@@ -87,7 +87,7 @@ def test_gram_is_identity(space):
     err = np.max(np.abs(g.matrix - np.eye(space.rank)))
     assert err < 1e-10
     assert abs(g.logdet) < 1e-9
-    assert g.rank == space.rank
+    assert g.matrix.shape == (space.rank, space.rank)
 
 
 # ---------------------------------------------------------------------------

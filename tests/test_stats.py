@@ -11,6 +11,7 @@ Grams.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -255,7 +256,7 @@ def test_region_count_stats_on_samples():
     assert abs(cs.mean_z) < 4.0
     assert abs(cs.variance_z) < 4.0
     assert cs.predicted_mean == pytest.approx(3.0, abs=1e-9)
-    d = cs.to_json_dict()
+    d = asdict(cs)
     assert d["region"] == "disk:1"
 
 
@@ -373,5 +374,5 @@ def test_measure_convergence_quadrature_mass_exact():
         assert abs(row.equilibrium_mass - 0.5) < 1e-10
         assert row.mc_se > 0.0
         assert abs(row.mc_mass - 0.5) < 6.0 * row.mc_se
-    d = report.to_json_dict()
+    d = asdict(report)
     assert len(d["rows"]) == 2
