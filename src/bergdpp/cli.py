@@ -188,6 +188,8 @@ def _load_samples(path: str) -> tuple[ModelSpace, list[Configuration]]:
         space = space_from_config(data["space"])
     except (AttributeError, TypeError, ValueError) as exc:
         raise CliError(f"{path} has a malformed space block: {exc}") from None
+    if not entries:
+        raise CliError(f"{path} holds no configurations")
     confs = []
     for i, entry in enumerate(entries):
         try:

@@ -16,8 +16,26 @@ sampleable for every built-in space:
     uniform angle.
 
 Since g_i <= B pointwise, acceptance g_i(x) / B(x, x) needs no estimated
-envelope, and the expected acceptance rate at step i is (N - i) / N.  A stall
-guard still errors out after a proposal budget is exhausted.
+envelope, and the expected acceptance rate at step i is (N - i) / N.  So a
+draw tests N * H_N proposals on average (H_N the N-th harmonic number).  A
+stall guard still errors out after a proposal budget is exhausted.
+
+Proposals are pooled.  A block of max(MIN_BLOCK, ceil(2N / (N - i)))
+proposals, each with its acceptance uniform, is drawn and its section rows
+evaluated once.  Its proposals are tested in order, and the first one that
+passes becomes x_{i+1}.  The untested tail of the block carries over to the
+next point (Lavancier, Moller and Rubak, JRSS-B 2015, give this rejection
+form).  That is exact: the tail's points and uniforms are independent of
+every accept/reject decision made so far, so they are as good as fresh
+draws.  Their rows P = V conj(W) are updated by the same Householder
+reflection as W, at O(c m) cost for c rows and m live columns, so no
+section is evaluated twice.  A new block is drawn only when the pool is
+empty, and each proposal is tested at most once.  conj(W) lives in one
+preallocated Fortran-order buffer: each reflection sends v's component to
+the last live column, so dropping that column is a view, and the rank-1
+update is subtracted in place through a second preallocated buffer.  (BLAS
+zgeru would do it in one pass, but importing scipy.linalg costs every
+process about 60 ms and 6 MB.)
 
 Weighted sampler.  Configurations under an extra weight are generated by
 Metropolis-Hastings with single-site Gaussian moves in chart coordinates.
@@ -144,20 +162,31 @@ def log_density(space: ModelSpace, points, psi=None, psi_prime=None) -> float:
 # ---------------------------------------------------------------------------
 # exact projection sampler
 
+# Proposals drawn per block: at least MIN_BLOCK, and twice the expected
+# N / (N - i) tests of point i, so that one block usually covers a point.
+MIN_BLOCK = 32
 
-def _propose_intensity(space: ModelSpace, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw `size` points from the one-point intensity B(x, x) dmu / N."""
+
+def _propose_intensity(
+    space: ModelSpace, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """`size` points from the one-point intensity B(x, x) dmu / N, and their acceptance uniforms.
+
+    All uniforms of the block come from one generator call, proposal by
+    proposal: per factor a radial CDF value (Ginibre: a mixture index) and an
+    angle, then the acceptance uniform.  Ginibre adds one gamma call per
+    factor.  Without Ginibre factors the k-th proposal is therefore the same
+    whatever the block sizes, and so is a whole draw.
+    """
+    u = rng.random((size, 2 * space.dim + 1))
     cols = []
     for i in range(space.dim):
         if space.kind == "ginibre":
-            j = rng.integers(0, space.rank, size=size)
-            t = rng.gamma(shape=j + 1.0)
+            t = rng.standard_gamma(np.floor(u[:, 2 * i] * space.rank) + 1.0)
         else:
-            u = rng.random(size)
-            t = u / (1.0 - u)
-        theta = rng.random(size) * (2.0 * math.pi)
-        cols.append(np.sqrt(t) * np.exp(1j * theta))
-    return np.stack(cols, axis=1)
+            t = u[:, 2 * i] / (1.0 - u[:, 2 * i])
+        cols.append(np.sqrt(t) * np.exp((2j * math.pi) * u[:, 2 * i + 1]))
+    return np.stack(cols, axis=1), u[:, -1]
 
 
 def sample_dpp(
@@ -173,50 +202,60 @@ def sample_dpp(
     matrix W with orthonormal columns, so the residual intensity is
     g_i(x) = |W^H v(x)|^2 and each acceptance shrinks W by one Householder
     reflection.  det[B(x_a, x_b)] telescopes as prod_i g_i(x_i), which gives
-    the emitted log_density directly.
+    the emitted log_density directly.  Proposals are tested in pooled blocks
+    (see the module docstring); max_proposals bounds the proposals tested
+    for one point.
     """
     if rng is None:
         if seed is None:
             raise ValueError("sample_dpp needs a seed or an explicit generator")
         rng = rng_stream(seed, *stream)
     N = space.rank
-    W = np.eye(N, dtype=complex)                 # orthocomplement basis, (N, N - i)
+    # conj(W) in place: live columns [:m], the last one is dropped per point;
+    # T holds the rank-1 update, so that no (N, m) array is allocated per point
+    Wc = np.eye(N, dtype=complex, order="F")
+    T = np.empty((N, N), dtype=complex, order="F")
     pts = np.zeros((N, space.dim), dtype=complex)
     log_det = 0.0
+    U = np.zeros(0)                              # untested pool: Z, U, b = |v|^2, P = V conj(W)
 
     for i in range(N):
-        proposals = 0
-        csize = 16
+        m = N - i
+        tested = 0
         while True:
-            if proposals >= max_proposals:
-                raise RejectionStallError(
-                    f"no acceptance after {proposals} proposals at point {i + 1}/{N}; "
-                    "the residual intensity envelope looks wrong for this space"
-                )
-            Zc = _propose_intensity(space, rng, csize)
-            U = rng.random(csize)
-            Vc = space.section_matrix(Zc)            # (c, N)
-            b = np.einsum("ci,ci->c", Vc, Vc.conj()).real
-            P = Vc @ W.conj()                        # (c, N - i): W^H v per row
-            g = np.einsum("cj,cj->c", P, P.conj()).real
+            if U.size == 0:
+                if tested >= max_proposals:
+                    raise RejectionStallError(
+                        f"no acceptance after {tested} proposals at point {i + 1}/{N}; "
+                        "the residual intensity envelope looks wrong for this space"
+                    )
+                Z, U = _propose_intensity(space, rng, max(MIN_BLOCK, -(-2 * N // m)))
+                V = space.section_matrix(Z)
+                b = np.einsum("ci,ci->c", V.view(float), V.view(float))
+                P = V @ Wc[:, :m]
+                del V                                # free it before the next block
+            g = np.einsum("cj,cj->c", P.view(float), P.view(float))
             np.clip(g, 0.0, b, out=g)
             ok = (U * b <= g) & (g > 0.0)
-            proposals += csize
-            hit = int(np.argmax(ok)) if ok.any() else -1
-            if hit >= 0:
-                pts[i] = Zc[hit]
-                log_det += math.log(g[hit])
-                # Householder on coefficients: rotate W so its first column
-                # carries v's component, then drop that column.
-                u = P[hit]                           # = W^H v(x)
-                h = u / np.linalg.norm(u)
-                phase = h[0] / abs(h[0]) if abs(h[0]) > 0.0 else 1.0
-                v = h.copy()
-                v[0] += phase
-                v /= np.linalg.norm(v)
-                W = (W - 2.0 * np.outer(W @ v, v.conj()))[:, 1:]
+            hit = int(np.argmax(ok))
+            if ok[hit]:
                 break
-            csize = min(csize * 2, 1024)
+            tested += U.size
+            U = U[:0]
+        pts[i] = Z[hit]
+        log_det += math.log(g[hit])
+        # Householder on coefficients: rotate W so its last live column
+        # carries v's component, then drop that column.
+        r = P[hit] / math.sqrt(np.vdot(P[hit], P[hit]).real)   # unit W^H v(x)
+        last = abs(r[-1])
+        r[-1] += r[-1] / last if last > 0.0 else 1.0
+        r /= math.sqrt(2.0 + 2.0 * last)         # |h + phase e_m|^2 = 2 + 2|h_m|
+        x = Wc[:, :m] @ r.conj()
+        x *= 2.0
+        Wc[:, :m] -= np.multiply.outer(x, r, out=T[:, :m])
+        # the untested tail carries over, reflected by the same Householder
+        Z, U, b, P = Z[hit + 1 :], U[hit + 1 :], b[hit + 1 :], P[hit + 1 :]
+        P = (P - 2.0 * np.outer(P @ r.conj(), r))[:, :-1]
 
     return Configuration(
         points=pts,

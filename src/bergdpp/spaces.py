@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -75,15 +76,25 @@ class ModelSpace:
 
     # -- factor data ------------------------------------------------------
 
+    @cached_property
+    def _log_norms(self) -> tuple[np.ndarray, ...]:
+        out = []
+        for i, d in enumerate(self.factor_degrees):
+            j = np.arange(d + 1, dtype=float)
+            if self.kind == "ginibre":
+                c = -0.5 * gammaln(j + 1.0)
+            else:
+                K = self.multiplicities[i] * self.power
+                c = 0.5 * (
+                    math.log(K + 1.0) + gammaln(K + 1.0) - gammaln(j + 1.0) - gammaln(K - j + 1.0)
+                )
+            c.flags.writeable = False
+            out.append(c)
+        return tuple(out)
+
     def factor_log_norms(self, i: int) -> np.ndarray:
-        """log of the basis normalization constants c_j for factor i."""
-        j = np.arange(self.factor_degrees[i] + 1, dtype=float)
-        if self.kind == "ginibre":
-            return -0.5 * gammaln(j + 1.0)
-        K = self.multiplicities[i] * self.power
-        return 0.5 * (
-            math.log(K + 1.0) + gammaln(K + 1.0) - gammaln(j + 1.0) - gammaln(K - j + 1.0)
-        )
+        """log of the basis normalization constants c_j for factor i (computed once per space)."""
+        return self._log_norms[i]
 
     def _factor_values(self, i: int, z: np.ndarray) -> np.ndarray:
         """Half-weighted values v_j(z) for factor i; z is (M,) complex."""
@@ -92,19 +103,20 @@ class ModelSpace:
         r = np.abs(z)
         theta = np.angle(z)
         with np.errstate(divide="ignore", invalid="ignore"):
-            logr = np.log(r)
-            jlogr = j[None, :] * logr[:, None]
-        jlogr[:, 0] = 0.0  # j = 0 term, avoids 0 * (-inf)
+            logmag = np.multiply.outer(np.log(r), j)
+        logmag[:, 0] = 0.0  # j = 0 term, avoids 0 * (-inf)
         if self.kind == "ginibre":
-            logmag = jlogr - 0.5 * gammaln(j + 1.0)[None, :] - 0.5 * (r**2)[:, None]
+            weight = r**2
         else:
-            K = self.multiplicities[i] * self.power
-            logmag = (
-                jlogr
-                + self.factor_log_norms(i)[None, :]
-                - 0.5 * K * np.log1p(r**2)[:, None]
-            )
-        return np.exp(logmag) * np.exp(1j * j[None, :] * theta[:, None])
+            weight = self.multiplicities[i] * self.power * np.log1p(r**2)
+        # in place: one (M, d+1) float and one complex array at a time
+        logmag += self.factor_log_norms(i)[None, :]
+        logmag -= 0.5 * weight[:, None]
+        V = np.zeros(logmag.shape, dtype=complex)
+        np.multiply.outer(theta, j, out=V.imag)
+        np.exp(V, out=V)
+        V *= np.exp(logmag, out=logmag)
+        return V
 
     # -- sections ----------------------------------------------------------
 

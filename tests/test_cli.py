@@ -247,6 +247,13 @@ def test_stats_rejects_malformed_space_block(tmp_path, space, capsys):
     assert "space" in capsys.readouterr().err
 
 
+def test_stats_rejects_samples_file_without_configurations(tmp_path, capsys):
+    samples = tmp_path / "s.json"
+    samples.write_text(json.dumps({"space": {"kind": "fs", "k": 2}, "configurations": []}))
+    assert run(["stats", "counts", "--samples", str(samples), "--region", "disk:1"]) == 2
+    assert f"{samples} holds no configurations" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "edit",
     [lambda c: c["points"][0].pop(), lambda c: c["points"].pop(), lambda c: c.pop("log_density")],

@@ -66,20 +66,73 @@ def test_sample_many_uses_disjoint_streams():
     assert len(keys) == 4
 
 
+def test_draws_do_not_depend_on_workers():
+    # the pooled loop carries proposals across points; each draw must still
+    # depend on its own stream only
+    space = make_ginibre(40)
+    serial = sample_dpp_many(space, reps=7, seed=13)
+    pooled = sample_dpp_many(space, reps=7, seed=13, workers=2)
+    single = [sample_dpp(space, seed=13, stream=(r,)) for r in range(7)]
+    for a, b, c in zip(serial, pooled, single):
+        assert a.points.tobytes() == b.points.tobytes() == c.points.tobytes()
+        assert a.log_density == b.log_density == c.log_density
+
+
+@pytest.mark.parametrize(
+    "space", [make_fubini_study(9), make_product((1, 2), 2)], ids=["fs9", "prod"]
+)
+def test_block_size_changes_cost_not_draws(space, monkeypatch):
+    # without Ginibre factors the proposal sequence does not depend on the
+    # block sizes, so rows carried over and reflected must make the same
+    # decisions as rows evaluated afresh in other blocks
+    import bergdpp.sampler as sampler
+
+    pooled = [sample_dpp(space, seed=7, stream=(r,)) for r in range(5)]
+    monkeypatch.setattr(sampler, "MIN_BLOCK", 3)
+    small = [sample_dpp(space, seed=7, stream=(r,)) for r in range(5)]
+    for a, b in zip(pooled, small):
+        assert a.points.tobytes() == b.points.tobytes()
+        assert a.log_density == pytest.approx(b.log_density, rel=1e-12)
+
+
+def test_section_rows_per_draw_near_n_harmonic(monkeypatch):
+    # a draw tests N * H_N proposals on average; each is evaluated once, and
+    # only the untested tail of the last block is thrown away
+    from bergdpp.spaces import ModelSpace
+
+    rows = []
+    section_matrix = ModelSpace.section_matrix
+
+    def counted(self, points):
+        V = section_matrix(self, points)
+        rows.append(V.shape[0])
+        return V
+
+    monkeypatch.setattr(ModelSpace, "section_matrix", counted)
+    space, draws = make_ginibre(100), 20
+    for r in range(draws):
+        sample_dpp(space, seed=23, stream=(r,))
+    n_h = space.rank * sum(1.0 / j for j in range(1, space.rank + 1))
+    assert sum(rows) / draws <= 1.5 * n_h
+
+
 # ---------------------------------------------------------------------------
 # log-density dual route
 
 
 @pytest.mark.parametrize(
     "space",
-    [make_fubini_study(4), make_ginibre(5), make_product((1, 2), 2)],
-    ids=["fs4", "gin5", "prod"],
+    [make_fubini_study(4), make_ginibre(5), make_product((1, 2), 2), make_ginibre(200),
+     make_fubini_study(100)],
+    ids=["fs4", "gin5", "prod", "gin200", "fs100"],
 )
 def test_sampler_log_density_matches_gibbs_op(space):
-    # telescoped residual-intensity product vs slogdet of the section matrix
+    # telescoped residual-intensity product vs slogdet of the section matrix;
+    # the large ranks run hundreds of in-place reflections of W and of the
+    # carried proposal rows
     conf = sample_dpp(space, seed=21)
     direct = log_density(space, conf.points)
-    assert abs(conf.log_density - direct) < 1e-10 * max(1.0, abs(direct))
+    assert abs(conf.log_density - direct) < 1e-12 * max(1.0, abs(direct))
 
 
 def test_log_density_rank_two_manual():
@@ -144,6 +197,47 @@ def test_ginibre_radial_law():
     radii = np.abs(np.concatenate([c.points[:, 0] for c in confs]))
     d = ks_distance(radii, radial_cdf(space))
     assert d < 0.04
+
+
+# ---------------------------------------------------------------------------
+# random-matrix oracles: eigenvalue sets that share no code with the sections
+
+
+def _ginibre_eigenvalues(rng, n):
+    # iid complex Gaussian entries with E|g|^2 = 1 (Ginibre 1965)
+    g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+    return np.linalg.eigvals(g)
+
+
+def _spherical_eigenvalues(rng, n):
+    # eigenvalues of A^{-1} B for iid complex Gaussian A, B (their scale
+    # cancels): the Fubini-Study process of rank n (Krishnapur 2009)
+    a, b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
+    return np.linalg.eigvals(np.linalg.solve(a, b))
+
+
+def _nearest_neighbour(z):
+    d = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(d, np.inf)
+    return d.min(axis=1)
+
+
+@pytest.mark.parametrize(
+    "space, eigenvalues",
+    [(make_ginibre(20), _ginibre_eigenvalues), (make_fubini_study(9), _spherical_eigenvalues)],
+    ids=["ginibre20", "fs9"],
+)
+def test_exact_draws_match_random_matrix_eigenvalues(space, eigenvalues):
+    from scipy.stats import ks_2samp
+
+    draws = 300
+    hkpv = [c.points[:, 0] for c in sample_dpp_many(space, reps=draws, seed=61)]
+    rng = np.random.default_rng(62)
+    rmt = [eigenvalues(rng, space.rank) for _ in range(draws)]
+    for stat in (np.abs, _nearest_neighbour):
+        pooled_hkpv = np.concatenate([stat(z) for z in hkpv])
+        pooled_rmt = np.concatenate([stat(z) for z in rmt])
+        assert ks_2samp(pooled_hkpv, pooled_rmt).pvalue > 1e-3, stat.__name__
 
 
 # ---------------------------------------------------------------------------
