@@ -190,6 +190,12 @@ def _load_samples(path: str) -> tuple[ModelSpace, list[Configuration]]:
         raise CliError(f"{path} has a malformed space block: {exc}") from None
     if not entries:
         raise CliError(f"{path} holds no configurations")
+    config = data.get("config") if isinstance(data.get("config"), dict) else {}
+    keys = ("weight_expr", "weight_k_expr")
+    weights = [f"{key}={config[key]!r}" for key in keys if config.get(key) is not None]
+    if weights:  # every prediction of stats is one of the unweighted process
+        raise CliError(f"{path} holds draws of a weighted process ({', '.join(weights)}); "
+                       "stats predicts only the unweighted process")
     confs = []
     for i, entry in enumerate(entries):
         try:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .exprs import WeightExpr, complex_hessian
+from .exprs import WeightExpr, complex_hessian, weight_values
 from .quadrature import (
     QuadratureGrid,
     _inverse_sqrt,
@@ -83,11 +83,7 @@ def _combine(*terms):
         return None
 
     def total(points):
-        acc = None
-        for c, f in live:
-            v = c * np.asarray(f(points), dtype=float)
-            acc = v if acc is None else acc + v
-        return acc
+        return sum(c * weight_values(f, points) for c, f in live)
 
     return total
 
@@ -126,13 +122,9 @@ def mc_partition_ratio(configurations, psi) -> tuple[float, float]:
 
     Takes exact unweighted samples; returns (mean, standard error).
     """
-    vals = []
-    for conf in configurations:
-        if psi is None:
-            vals.append(1.0)
-        else:
-            vals.append(math.exp(-float(np.sum(psi(conf.points)))))
-    vals = np.asarray(vals)
+    vals = np.array(
+        [math.exp(-float(np.sum(weight_values(psi, conf.points)))) for conf in configurations]
+    )
     if vals.size == 0:
         raise ValueError("no configurations")
     se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
@@ -177,7 +169,7 @@ class GramPath:
         weight = self.weight_at(t)
         T = _inverse_sqrt(weighted_gram_matrix(self.space, self.grid, psi=weight))
         G_psi = weighted_gram_matrix(
-            self.space, self.grid, psi=weight, mask=self.psi(self.grid.nodes)
+            self.space, self.grid, psi=weight, mask=weight_values(self.psi, self.grid.nodes)
         )
         return -float(np.sum((T @ T) * G_psi).real)
 
@@ -284,7 +276,7 @@ def mabuchi(
     x, w = np.polynomial.legendre.leggauss(s_nodes)
     s_pts = 0.5 * (x + 1.0)
     s_wts = 0.5 * w
-    u_vals = float(scale) * np.asarray(direction(grid.nodes), dtype=float)
+    u_vals = float(scale) * weight_values(direction, grid.nodes)
     total = 0.0
     for s, ws in zip(s_pts, s_wts):
         try:

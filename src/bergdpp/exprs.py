@@ -14,13 +14,19 @@ Identifiers refer to chart coordinates of a point z = (z_1, ..., z_n):
     re_<i>   Re z_i
     im_<i>   Im z_i
 
-Expressions evaluate to real arrays over batches of chart points.  Purely
-radial expressions (only r2 / r2_<i>) additionally support symbolic
-differentiation with respect to the r2 variables, which yields the complex
-Hessian H_ij = delta_ij u_i + conj(z_i) z_j u_ij used by the curvature-side
-routines.  Expressions containing re_/im_ are value-only: asking for their
-Hessian raises, since |z_i|^2 couples re_i and im_i and a term-by-term
-derivative would be wrong.
+Expressions evaluate to real arrays over batches of chart points.  Every
+weight, parsed or any other callable, becomes numbers through one checked
+helper, weight_values: None is zero, and a result that is not (M,) finite
+floats raises ValueError naming the weight and the first bad point.
+
+Purely radial expressions (only r2 / r2_<i>) also have the complex Hessian
+H_ij = delta_ij u_i + conj(z_i) z_j u_ij used by the curvature-side
+routines, with u_i, u_ij the derivatives in t_i = |z_i|^2.  It comes from
+one forward-mode walk of the syntax tree: each node carries (u, u_i, u_ij)
+and each operator applies the chain rule (Griewank and Walther, Evaluating
+Derivatives, 2008).  Expressions containing re_/im_ are value-only: asking
+for their Hessian raises, since |z_i|^2 couples re_i and im_i and a
+term-by-term derivative would be wrong.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ __all__ = [
     "ParseError",
     "WeightExpr",
     "parse_weight",
+    "weight_values",
     "complex_hessian",
 ]
 
@@ -192,111 +199,16 @@ class _Parser:
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", pos, self.source)
 
 
-# ---------------------------------------------------------------------------
-# smart constructors with constant folding, used by the differentiator
-
-
-def _add(a: Node, b: Node) -> Node:
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value + b.value)
-    if isinstance(a, Num) and a.value == 0.0:
-        return b
-    if isinstance(b, Num) and b.value == 0.0:
-        return a
-    return BinOp("+", a, b)
-
-
-def _sub(a: Node, b: Node) -> Node:
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value - b.value)
-    if isinstance(b, Num) and b.value == 0.0:
-        return a
-    return BinOp("-", a, b)
-
-
-def _mul(a: Node, b: Node) -> Node:
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value * b.value)
-    if isinstance(a, Num):
-        if a.value == 0.0:
-            return Num(0.0)
-        if a.value == 1.0:
-            return b
-    if isinstance(b, Num):
-        if b.value == 0.0:
-            return Num(0.0)
-        if b.value == 1.0:
-            return a
-    return BinOp("*", a, b)
-
-
-def _div(a: Node, b: Node) -> Node:
-    if isinstance(a, Num) and a.value == 0.0:
-        return Num(0.0)
-    if isinstance(b, Num) and b.value == 1.0:
-        return a
-    return BinOp("/", a, b)
-
-
-def _pow(a: Node, n: int) -> Node:
-    if n == 0:
-        return Num(1.0)
-    if n == 1:
-        return a
-    if isinstance(a, Num):
-        return Num(a.value**n)
-    return Pow(a, n)
-
-
-def _diff(node: Node, var: str) -> Node:
-    if isinstance(node, Num):
-        return Num(0.0)
+def _variables(node: Node) -> frozenset[str]:
     if isinstance(node, Var):
-        return Num(1.0) if node.name == var else Num(0.0)
+        return frozenset([node.name])
     if isinstance(node, BinOp):
-        da, db = _diff(node.left, var), _diff(node.right, var)
-        if node.op == "+":
-            return _add(da, db)
-        if node.op == "-":
-            return _sub(da, db)
-        if node.op == "*":
-            return _add(_mul(da, node.right), _mul(node.left, db))
-        # quotient rule
-        num = _sub(_mul(da, node.right), _mul(node.left, db))
-        return _div(num, _pow(node.right, 2))
+        return _variables(node.left) | _variables(node.right)
     if isinstance(node, Pow):
-        inner = _diff(node.base, var)
-        return _mul(_mul(Num(float(node.exponent)), _pow(node.base, node.exponent - 1)), inner)
+        return _variables(node.base)
     if isinstance(node, Call):
-        inner = _diff(node.arg, var)
-        if node.func == "log":
-            return _div(inner, node.arg)
-        return _mul(Call("exp", node.arg), inner)
-    raise TypeError(f"unknown node {node!r}")
-
-
-def _collect_vars(node: Node, out: set[str]) -> None:
-    if isinstance(node, Var):
-        out.add(node.name)
-    elif isinstance(node, BinOp):
-        _collect_vars(node.left, out)
-        _collect_vars(node.right, out)
-    elif isinstance(node, Pow):
-        _collect_vars(node.base, out)
-    elif isinstance(node, Call):
-        _collect_vars(node.arg, out)
-
-
-def _rename_var(node: Node, old: str, new: str) -> Node:
-    if isinstance(node, Var):
-        return Var(new) if node.name == old else node
-    if isinstance(node, BinOp):
-        return BinOp(node.op, _rename_var(node.left, old, new), _rename_var(node.right, old, new))
-    if isinstance(node, Pow):
-        return Pow(_rename_var(node.base, old, new), node.exponent)
-    if isinstance(node, Call):
-        return Call(node.func, _rename_var(node.arg, old, new))
-    return node
+        return _variables(node.arg)
+    return frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -313,45 +225,24 @@ class WeightExpr:
     def __init__(self, source: str, ast: Node):
         self.source = source
         self.ast = ast
-        self.variables = frozenset(self._vars())
-        self._deriv_cache: dict[str, "WeightExpr"] = {}
-
-    def _vars(self) -> set[str]:
-        out: set[str] = set()
-        _collect_vars(self.ast, out)
-        return out
+        self.variables = _variables(ast)
+        self._top_factor = max((int(v.split("_")[1]) for v in self.variables if "_" in v), default=1)
 
     def __repr__(self) -> str:
         return f"WeightExpr({self.source!r})"
 
-    def __getstate__(self):
-        return {"source": self.source, "ast": self.ast}
-
-    def __setstate__(self, state):
-        self.__init__(state["source"], state["ast"])
-
     @property
     def is_radial(self) -> bool:
         return all(v == "r2" or v.startswith("r2_") for v in self.variables)
-
-    def max_factor_index(self) -> int:
-        top = 0
-        for v in self.variables:
-            if "_" in v:
-                top = max(top, int(v.split("_")[1]))
-            elif v == "r2":
-                top = max(top, 1)
-        return top
 
     def validate_for_dim(self, dim: int) -> None:
         if dim > 1 and "r2" in self.variables:
             raise ValueError(
                 f"{self.source!r}: bare 'r2' is ambiguous on a {dim}-factor chart, use r2_<i>"
             )
-        top = self.max_factor_index()
-        if top > dim:
+        if self._top_factor > dim:
             raise ValueError(
-                f"{self.source!r}: factor index {top} exceeds chart dimension {dim}"
+                f"{self.source!r}: factor index {self._top_factor} exceeds chart dimension {dim}"
             )
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
@@ -408,17 +299,6 @@ class WeightExpr:
         pt = np.atleast_1d(np.asarray(z, dtype=complex))
         return float(self.evaluate(pt[None, :])[0])
 
-    def derivative(self, var: str) -> "WeightExpr":
-        """Symbolic d/d(var) for radial variables r2 / r2_<i>."""
-        if not self.is_radial:
-            raise ValueError(
-                f"{self.source!r} uses re_/im_ variables and has no analytic radial derivative"
-            )
-        if var not in self._deriv_cache:
-            ast = _diff(self.ast, var)
-            self._deriv_cache[var] = WeightExpr(f"d({self.source})/d{var}", ast)
-        return self._deriv_cache[var]
-
 
 def parse_weight(source: str) -> WeightExpr:
     """Parse a weight expression; raises ParseError with the offending column."""
@@ -427,12 +307,88 @@ def parse_weight(source: str) -> WeightExpr:
     return WeightExpr(source, _Parser(source).parse())
 
 
+def weight_values(weight, points) -> np.ndarray:
+    """Values of a weight callable at M chart points, checked: (M,) finite floats.
+
+    None is the zero weight.  A result of another shape, or with a value
+    that is not finite, raises ValueError naming the weight and the first
+    bad point.
+    """
+    Z = np.asarray(points)
+    if weight is None:
+        return np.zeros(Z.shape[0])
+    vals = np.asarray(weight(Z), dtype=float)
+    if vals.shape != (Z.shape[0],):
+        raise ValueError(f"weight {weight!r} must return shape ({Z.shape[0]},), got {vals.shape}")
+    if not np.isfinite(vals).all():
+        i = int(np.argmin(np.isfinite(vals)))
+        raise ValueError(
+            f"weight {weight!r} is {vals[i]} at point {i}, z = {np.atleast_1d(Z[i]).tolist()}"
+        )
+    return vals
+
+
+# ---------------------------------------------------------------------------
+# complex Hessian by forward-mode evaluation
+
+
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[i, j] = x_i y_j for (n, M) arrays, point axis last."""
+    return x[:, None] * y[None, :]
+
+
+def _jet(node: Node, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, du/dt_i, d^2u/dt_i dt_j) of a radial node at t = (|z_i|^2), shape (n, M).
+
+    The point axis is last: shapes (M,), (n, M), (n, n, M), where
+    derivatives that are the same at every point (those of numbers and
+    variables) keep a point axis of length 1.  Products and quotients apply
+    their rule to the first derivative again; log, exp and integer powers
+    go through the chain rule for f(a).
+    """
+    n, M = t.shape
+    g, h = np.zeros((n, 1)), np.zeros((n, n, 1))
+    if isinstance(node, Num):
+        return np.full(M, node.value), g, h
+    if isinstance(node, Var):
+        i = int(node.name.partition("_")[2] or 1) - 1
+        g[i] = 1.0
+        return t[i], g, h
+    if isinstance(node, BinOp):
+        a, ga, ha = _jet(node.left, t)
+        b, gb, hb = _jet(node.right, t)
+        if node.op == "+":
+            return a + b, ga + gb, ha + hb
+        if node.op == "-":
+            return a - b, ga - gb, ha - hb
+        if node.op == "*":
+            return a * b, ga * b + a * gb, (ha * b + _outer(ga, gb)) + (_outer(gb, ga) + a * hb)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            num, den = ga * b - a * gb, b**2  # (a/b)' = num / den
+            dnum = (ha * b + _outer(ga, gb)) - (_outer(gb, ga) + a * hb)
+            return a / b, num / den, (dnum * den - _outer(num, 2 * b * gb)) / den**2
+    a, ga, ha = _jet(node.base if isinstance(node, Pow) else node.arg, t)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if isinstance(node, Pow):
+            p = node.exponent
+            u = a**p
+            f1 = p * a ** (p - 1) if p >= 1 else np.zeros_like(a)
+            f2 = p * (p - 1) * a ** (p - 2) if p >= 2 else np.zeros_like(a)
+        elif node.func == "log":
+            u, f1, f2 = np.log(a), 1.0 / a, -1.0 / a**2
+        else:
+            u = f1 = f2 = np.exp(a)
+        return u, f1 * ga, _outer(ga, f2 * ga) + f1 * ha
+
+
 def complex_hessian(expr: WeightExpr, points: np.ndarray) -> np.ndarray:
     """Complex Hessian d^2 u / dz_i dzbar_j of a radial expression.
 
     For u given in the radial variables t_i = |z_i|^2 the chain rule gives
-    H_ij = delta_ij * du/dt_i + conj(z_i) z_j * d^2u/dt_i dt_j.
-    Returns an (M, n, n) Hermitian array.
+    H_ij = delta_ij * du/dt_i + conj(z_i) z_j * d^2u/dt_i dt_j; both
+    derivatives come from one forward-mode walk of the expression (_jet).
+    Returns an (M, n, n) Hermitian array; a non-finite entry raises
+    ValueError naming the expression and the first bad point.
     """
     if not expr.is_radial:
         raise ValueError(
@@ -441,17 +397,13 @@ def complex_hessian(expr: WeightExpr, points: np.ndarray) -> np.ndarray:
     Z = np.asarray(points, dtype=complex)
     if Z.ndim == 1:
         Z = Z[:, None]
-    M, n = Z.shape
-    expr.validate_for_dim(n)
-    if n == 1 and "r2" in expr.variables:
-        # canonicalize the bare alias so mixed 'r2'/'r2_1' differentiates correctly
-        expr = WeightExpr(expr.source, _rename_var(expr.ast, "r2", "r2_1"))
-    names = [f"r2_{i + 1}" for i in range(n)]
-    H = np.zeros((M, n, n), dtype=complex)
-    firsts = [expr.derivative(names[i]) for i in range(n)]
-    for i in range(n):
-        H[:, i, i] += firsts[i].evaluate(Z)
-        for j in range(n):
-            second = firsts[i].derivative(names[j]).evaluate(Z)
-            H[:, i, j] += np.conj(Z[:, i]) * Z[:, j] * second
+    expr.validate_for_dim(Z.shape[1])
+    _, g, h = _jet(expr.ast, np.abs(Z.T) ** 2)
+    H = (Z.conj()[:, :, None] * Z[:, None, :]) * h.transpose(2, 0, 1)
+    i = np.arange(Z.shape[1])
+    H[:, i, i] += g.T
+    bad = ~np.isfinite(H).all(axis=(1, 2))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise ValueError(f"weight {expr!r} has a non-finite Hessian at point {j}, z = {Z[j].tolist()}")
     return H

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exprs import weight_values
 from .quadrature import QuadratureGrid, _inverse_sqrt, weighted_gram_matrix
 from .spaces import ModelSpace, NormalFrame, _as_points, limit_frame
 
@@ -71,7 +72,7 @@ class KernelEvaluator:
         if self.transform is not None:
             V = V @ self.transform
         if self.psi is not None:
-            V = V * np.exp(-0.5 * np.asarray(self.psi(Z)))[:, None]
+            V = V * np.exp(-0.5 * weight_values(self.psi, Z))[:, None]
         return V
 
 

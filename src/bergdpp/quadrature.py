@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exprs import weight_values
 from .spaces import ModelSpace
 
 __all__ = [
@@ -253,18 +254,6 @@ class GramMatrix:
     asymmetry_rel: float
 
 
-def _psi_values(psi, nodes: np.ndarray) -> np.ndarray:
-    if psi is None:
-        return np.zeros(nodes.shape[0])
-    vals = np.asarray(psi(nodes), dtype=float)
-    if vals.shape != (nodes.shape[0],):
-        raise ValueError(f"extra weight must return shape ({nodes.shape[0]},)")
-    if not np.all(np.isfinite(vals)):
-        i = int(np.argmax(~np.isfinite(vals)))
-        raise ValueError(f"extra weight non-finite at node {i}, z = {nodes[i].tolist()}")
-    return vals
-
-
 def _bands(R: np.ndarray, chat: np.ndarray) -> np.ndarray:
     """out[a, b, ...] = sum_r R[r, a] R[r, b] chat[r, (a - b) mod n_theta, ...].
 
@@ -303,7 +292,7 @@ def _assemble(
     taken in its polar form (module docstring): the DFT of c over every
     factor's angles, then the radial sums band by band, factor by factor.
     """
-    c = grid.weights * grid.density * np.exp(-_psi_values(psi, grid.nodes))
+    c = grid.weights * grid.density * np.exp(-weight_values(psi, grid.nodes))
     if mask is not None:
         c = c * mask
     if not np.all(np.isfinite(c)):

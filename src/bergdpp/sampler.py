@@ -57,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exprs import weight_values
 from .quadrature import _inverse_sqrt, build_grid, weighted_gram_matrix
 from .spaces import ModelSpace, _as_points
 
@@ -138,10 +139,6 @@ def configuration_from_json(entry: dict, dim: int, seed=None) -> Configuration:
     )
 
 
-def _weight_values(fn, Z: np.ndarray) -> np.ndarray:
-    return np.zeros(Z.shape[0]) if fn is None else np.asarray(fn(Z), dtype=float)
-
-
 def log_density(space: ModelSpace, points, psi=None, psi_prime=None) -> float:
     """Unnormalized Gibbs log-density of a configuration against mu^N.
 
@@ -155,7 +152,7 @@ def log_density(space: ModelSpace, points, psi=None, psi_prime=None) -> float:
     sign, logabs = np.linalg.slogdet(V)
     if sign == 0 or not np.isfinite(logabs):
         return float("-inf")
-    pen = _weight_values(psi, Z) + float(space.power) * _weight_values(psi_prime, Z)
+    pen = weight_values(psi, Z) + float(space.power) * weight_values(psi_prime, Z)
     return float(2.0 * logabs - pen.sum())
 
 
@@ -347,8 +344,8 @@ def sample_weighted(
     def site_pen(Z_row: np.ndarray) -> float:
         row = Z_row[None, :]
         return float(
-            _weight_values(psi, row)[0]
-            + k * _weight_values(psi_prime, row)[0]
+            weight_values(psi, row)[0]
+            + k * weight_values(psi_prime, row)[0]
             - np.log(space.base_density(row)[0])
         )
 

@@ -135,24 +135,6 @@ class ModelSpace:
 
     # -- weight and measure -------------------------------------------------
 
-    def weight_value(self, points) -> np.ndarray:
-        """Full weight Phi(z) (already including the power k)."""
-        Z = _as_points(points, self.dim)
-        if self.kind == "ginibre":
-            return np.abs(Z[:, 0]) ** 2
-        t = np.abs(Z) ** 2
-        m = np.asarray(self.multiplicities, dtype=float)
-        return self.power * (np.log1p(t) * m[None, :]).sum(axis=1)
-
-    def weight_per_k(self, points) -> np.ndarray:
-        """Per-k potential phi(z): Phi = k phi for fs/product, phi = |z|^2 for ginibre."""
-        Z = _as_points(points, self.dim)
-        if self.kind == "ginibre":
-            return np.abs(Z[:, 0]) ** 2
-        t = np.abs(Z) ** 2
-        m = np.asarray(self.multiplicities, dtype=float)
-        return (np.log1p(t) * m[None, :]).sum(axis=1)
-
     def weight_hessian_per_k(self, points) -> np.ndarray:
         """Complex Hessian of the per-k potential, shape (M, n, n)."""
         Z = _as_points(points, self.dim)

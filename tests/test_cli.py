@@ -254,6 +254,39 @@ def test_stats_rejects_samples_file_without_configurations(tmp_path, capsys):
     assert f"{samples} holds no configurations" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["counts", "intensity", "circular"])
+def test_stats_rejects_samples_of_a_weighted_chain(tmp_path, command, capsys):
+    # the predictions are those of the unweighted process: on fs k=4 under
+    # 4*r2 they read a disk:0.5 mean of 1.00 against an observed 2.2
+    weighted = tmp_path / "w.json"
+    assert run(["sample", "--space", "fs", "--k", "4", "--weight-expr", "4*r2",
+                "--mcmc-steps", "200", "--thin", "25", "--seed", "1",
+                "--out", str(weighted)]) == 0
+    capsys.readouterr()
+    extra = ["--region", "disk:0.5"] if command == "counts" else []
+    assert run(["stats", command, "--samples", str(weighted), *extra]) == 2
+    err = capsys.readouterr().err
+    assert str(weighted) in err and "weight_expr='4*r2'" in err
+
+
+def test_stats_loads_samples_of_an_unweighted_chain(tmp_path):
+    plain = tmp_path / "p.json"
+    assert run(["sample", "--space", "fs", "--k", "3", "--mcmc-steps", "200", "--thin", "25",
+                "--seed", "1", "--out", str(plain)]) == 0
+    out = tmp_path / "c.json"
+    assert run(["stats", "counts", "--samples", str(plain), "--region", "disk:1",
+                "--out", str(out)]) == 0
+    assert read_json(out)["counts"][0]["region"] == "disk:1"
+
+
+def test_mcmc_rejects_a_weight_that_is_nan_where_the_chain_walks(capsys):
+    # log(r2 - 1) is NaN inside the unit disk; this used to end in a JSON error
+    assert run(["sample", "--space", "fs", "--k", "3", "--weight-expr", "log(r2-1)",
+                "--mcmc-steps", "50", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "log(r2-1)" in err and "is nan at point 0, z = [" in err
+
+
 @pytest.mark.parametrize(
     "edit",
     [lambda c: c["points"][0].pop(), lambda c: c["points"].pop(), lambda c: c.pop("log_density")],

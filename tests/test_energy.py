@@ -249,6 +249,12 @@ def test_mabuchi_guards():
         mabuchi(make_fubini_study(3), direction=parse_weight("3*log(1+r2)"), scale=-1.0)
 
 
+def test_mabuchi_rejects_a_non_finite_direction():
+    # log(r2 - 1) is NaN on the grid nodes inside the unit disk
+    with pytest.raises(ValueError, match=r"log\(r2 - 1\).* at point \d+, z = "):
+        mabuchi(make_fubini_study(3), direction=parse_weight("0.1*log(r2 - 1)"))
+
+
 # ---------------------------------------------------------------------------
 # rescaled cumulant functional
 

@@ -1,7 +1,8 @@
-"""Weight-expression DSL: parsing, evaluation, differentiation, Hessians.
+"""Weight-expression DSL: parsing, evaluation, validated values, Hessians.
 
-Reference values are computed by hand or by finite differences so the
-symbolic machinery is checked against an independent route.
+Reference values are computed by hand or by finite differences of
+evaluate, so the forward-mode Hessian is checked against an independent
+route.
 """
 
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergdpp.exprs import ParseError, WeightExpr, complex_hessian, parse_weight
+from bergdpp.exprs import ParseError, WeightExpr, complex_hessian, parse_weight, weight_values
 
 
 def pts(*zs):
@@ -85,6 +86,35 @@ def test_polynomial_matches_numpy(a, b, c):
 
 
 # ---------------------------------------------------------------------------
+# validated values
+
+
+def test_weight_values_of_none_are_zeros():
+    assert np.array_equal(weight_values(None, pts(1j, 2.0)), np.zeros(2))
+
+
+def test_weight_values_pass_finite_values_through():
+    e = parse_weight("r2/(1+r2)")
+    Z = pts(0.3 + 0.4j, 2.0)
+    assert np.array_equal(weight_values(e, Z), e.evaluate(Z))
+    assert np.array_equal(weight_values(lambda Z: np.full(len(Z), 2.5), Z), [2.5, 2.5])
+
+
+def test_weight_values_name_the_weight_and_first_bad_point():
+    # log(r2 - 1): finite outside the unit circle, NaN inside, -inf on it
+    e = parse_weight("log(r2 - 1)")
+    with pytest.raises(ValueError, match=r"'log\(r2 - 1\)'\) is nan at point 1, z = \[0.5j\]"):
+        weight_values(e, pts(2.0, 0.5j, 1.0))
+    with pytest.raises(ValueError, match=r"is -inf at point 0, z = \[\(1\+0j\)\]"):
+        weight_values(e, pts(1.0, 0.5j))
+
+
+def test_weight_values_reject_a_wrong_shape():
+    with pytest.raises(ValueError, match=r"shape \(2,\), got \(2, 1\)"):
+        weight_values(lambda Z: np.zeros((len(Z), 1)), pts(1j, 2.0))
+
+
+# ---------------------------------------------------------------------------
 # parse and validation errors
 
 
@@ -128,34 +158,6 @@ def test_cartesian_expression_has_no_hessian():
 
 
 # ---------------------------------------------------------------------------
-# differentiation
-
-
-def test_derivative_matches_finite_difference():
-    e = parse_weight("r2/(1+r2)")
-    d = e.derivative("r2")
-    # symbolic: 1/(1+t)^2; finite difference of evaluate over t
-    for t in [0.0, 0.5, 3.0]:
-        z = math.sqrt(t) + 0j
-        h = 1e-6
-        zp = math.sqrt(t + h) + 0j
-        zm = math.sqrt(max(t - h, 0.0)) + 0j
-        fd = (e.evaluate(pts(zp))[0] - e.evaluate(pts(zm))[0]) / (t + h - max(t - h, 0.0))
-        assert abs(d.evaluate(pts(z))[0] - fd) < 1e-6
-        assert abs(d.evaluate(pts(z))[0] - 1.0 / (1.0 + t) ** 2) < 1e-12
-
-
-def test_derivative_of_log():
-    d = parse_weight("log(1+r2)").derivative("r2")
-    assert abs(d.evaluate(pts(1.0 + 1.0j))[0] - 1.0 / 3.0) < 1e-14
-
-
-def test_second_derivative():
-    d2 = parse_weight("r2^3").derivative("r2").derivative("r2")
-    assert abs(d2.evaluate(pts(2.0 + 0j))[0] - 24.0) < 1e-12
-
-
-# ---------------------------------------------------------------------------
 # complex Hessian
 
 
@@ -177,6 +179,77 @@ def test_hessian_off_diagonal_two_factors():
     assert abs(H[0, 1, 0] - np.conj(H[0, 0, 1])) < 1e-13
     # diagonal: H_11 = du/dt1 + t1 d2u/dt1^2 = t2 + 0
     assert abs(H[0, 0, 0] - abs(z2) ** 2) < 1e-13
+
+
+def test_hessian_of_cube_closed_form():
+    # u = t^3: H = u' + t u'' = 3t^2 + 6t^2 = 9t^2, which is 36 at t = 2
+    e = parse_weight("r2^3")
+    z = math.sqrt(2.0) + 0j
+    assert abs(complex_hessian(e, pts(z))[0, 0, 0] - 36.0) < 1e-13
+
+
+def test_hessian_of_quotient_closed_form():
+    # u = t/(1+t): H = d/dt (t u') = d/dt (t/(1+t)^2) = (1-t)/(1+t)^3
+    e = parse_weight("r2/(1+r2)")
+    for t in [0.0, 0.5, 3.0]:
+        H = complex_hessian(e, pts(math.sqrt(t) + 0j))[0, 0, 0]
+        assert abs(H - (1.0 - t) / (1.0 + t) ** 3) < 1e-14
+
+
+def wirtinger_hessian_fd(expr, z, h=1e-4):
+    """d^2u/dz_i dzbar_j at one point from central differences of evaluate.
+
+    With z = x + iy, d/dz = (d/dx - i d/dy)/2 and d/dzbar = (d/dx + i d/dy)/2,
+    so H = (u_xx + u_yy + i (u_xy - u_yx)) / 4 on each factor pair.  Shares
+    no code with the forward-mode walk of complex_hessian.
+    """
+    n = z.size
+    # real directions in the order x_1, y_1, x_2, y_2, ...
+    steps = np.concatenate([np.eye(n), 1j * np.eye(n)])[[k for i in range(n) for k in (i, n + i)]]
+    D = np.empty((2 * n, 2 * n))
+    for a in range(2 * n):
+        for b in range(2 * n):
+            corners = [z + h * (sa * steps[a] + sb * steps[b]) for sa in (1, -1) for sb in (1, -1)]
+            f = expr.evaluate(np.array(corners))
+            D[a, b] = (f[0] - f[1] - f[2] + f[3]) / (4.0 * h * h)
+    xx, yy, xy = D[0::2, 0::2], D[1::2, 1::2], D[0::2, 1::2]
+    return 0.25 * (xx + yy + 1j * (xy - xy.T))
+
+
+# every operator (+ - * / ^ log exp) on one and two factors, r2 mixed with
+# r2_1, and the exponents 0 and 1, whose higher derivatives vanish
+HESSIAN_CASES = [
+    ("r2/(1+r2)", 1),
+    ("log(1 + r2^2) - r2_1/(2 + r2)", 1),
+    ("exp(0.5*r2) * (1 + r2_1)^3", 1),
+    ("r2_1 * r2_2 / (1 + r2_1 + r2_2)^2", 2),
+    ("log(1 + r2_1*r2_2) + exp(0 - r2_1) - r2_2^3/7", 2),
+    ("exp(r2_1/(1 + r2_2)) * (2 - r2_2)", 2),
+    ("(1 + r2_1)^0 * r2_2^1 + r2_1^2", 2),
+]
+
+coords = st.floats(-1.5, 1.5, allow_nan=False)
+
+
+@pytest.mark.parametrize("source,dim", HESSIAN_CASES, ids=[
+    "quotient", "log-pow-mixed-r2", "exp-product-pow",
+    "two-factor-quotient", "two-factor-log-exp", "two-factor-exp-quotient", "two-factor-pow-0-1",
+])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_hessian_matches_wirtinger_finite_difference(source, dim, data):
+    e = parse_weight(source)
+    z = np.array([complex(data.draw(coords), data.draw(coords)) for _ in range(dim)])
+    H = complex_hessian(e, z[None, :])[0]
+    want = wirtinger_hessian_fd(e, z)
+    assert np.max(np.abs(H - want)) <= 1e-6 * max(1.0, np.max(np.abs(H)))
+
+
+def test_hessian_rejects_a_weight_that_is_not_finite():
+    # log(r2 - 1) is NaN inside the unit disk, and 0.1 * NaN carries it into
+    # the derivatives of the product
+    with pytest.raises(ValueError, match=r"log\(r2-1\).* non-finite Hessian at point 1"):
+        complex_hessian(parse_weight("0.1*log(r2-1)"), pts(2.0, 0.5j))
 
 
 def test_hessian_is_hermitian():

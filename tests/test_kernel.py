@@ -192,6 +192,17 @@ def test_reweighted_rows_orthonormal_under_complex_gram(source):
     assert np.max(np.abs(G - np.eye(space.rank))) < 1e-12
 
 
+def test_reweighted_rows_reject_a_non_finite_weight():
+    # log(r2) is finite on the grid, whose radii are all positive, and -inf at 0
+    from bergdpp.exprs import parse_weight
+
+    space = make_fubini_study(4)
+    ev = reweighted_evaluator(space, build_grid(space), psi=parse_weight("0.1*log(r2)"))
+    assert np.all(np.isfinite(ev.section_rows(np.array([0.5 + 0.5j]))))
+    with pytest.raises(ValueError, match=r"log\(r2\).* at point 1, z = \[0j\]"):
+        ev.section_rows(np.array([0.5 + 0.5j, 0.0]))
+
+
 # ---------------------------------------------------------------------------
 # scaling limit
 

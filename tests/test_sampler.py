@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from bergdpp.exprs import parse_weight
 from bergdpp.sampler import (
     Configuration,
     DiscreteProjectionDpp,
@@ -150,6 +151,16 @@ def test_log_density_permutation_invariant():
     base = log_density(space, conf.points)
     perm = conf.points[[2, 0, 3, 1]]
     assert log_density(space, perm) == pytest.approx(base, rel=1e-12)
+
+
+def test_log_density_rejects_a_non_finite_weight():
+    # log(r2 - 1) is NaN inside the unit disk, where both points lie
+    space = make_fubini_study(1)
+    pts = np.array([[0.3 + 0.4j], [-0.8 + 0.2j]])
+    with pytest.raises(ValueError, match=r"log\(r2-1\).* at point 0, z = "):
+        log_density(space, pts, psi=parse_weight("log(r2-1)"))
+    with pytest.raises(ValueError, match=r"log\(r2-1\)"):
+        log_density(space, pts, psi_prime=parse_weight("log(r2-1)"))
 
 
 def test_log_density_minus_inf_at_coincidence():

@@ -116,17 +116,6 @@ def test_product_sections_factorize():
 # weights and measures
 
 
-def test_weight_values():
-    z = np.array([1.0 + 1.0j])
-    assert make_ginibre(3).weight_value(z)[0] == pytest.approx(2.0)
-    fs = make_fubini_study(5)
-    assert fs.weight_value(z)[0] == pytest.approx(5.0 * math.log(3.0))
-    assert fs.weight_per_k(z)[0] == pytest.approx(math.log(3.0))
-    prod = make_product((1, 2), 3)
-    Z = np.array([[1.0 + 0j, 1.0j]])
-    assert prod.weight_value(Z)[0] == pytest.approx(3.0 * (math.log(2.0) + 2.0 * math.log(2.0)))
-
-
 def test_weight_hessian_per_k():
     Z = np.array([[1.0 + 1.0j, 0.5 + 0j]])
     H = make_product((1, 2), 3).weight_hessian_per_k(Z)

@@ -168,6 +168,50 @@ def test_count_and_pair_predictions_match_kostlan(case):
         assert row.predicted == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
+def poisson_binomial_pmf(p):
+    """Law of a sum of independent Bernoulli(p_j), on 0..len(p)."""
+    pmf = np.ones(1)
+    for pj in p:
+        pmf = np.convolve(pmf, [1.0 - pj, pj])
+    return pmf
+
+
+def pooled_chi_square(observed, expected, floor=5.0):
+    """Chi-square statistic and degrees of freedom over adjacent bins pooled
+    until each expects at least `floor`; a light upper tail joins the last bin."""
+    obs, exp = [], []
+    o = e = 0.0
+    for oi, ei in zip(observed, expected):
+        o, e = o + oi, e + ei
+        if e >= floor:
+            obs.append(o)
+            exp.append(e)
+            o = e = 0.0
+    obs[-1] += o
+    exp[-1] += e
+    obs, exp = np.array(obs), np.array(exp)
+    return float(((obs - exp) ** 2 / exp).sum()), len(obs) - 1
+
+
+@pytest.mark.parametrize(
+    "space,radii", [(make_fubini_study(9), [1.0]), (make_ginibre(20), [3.0, 4.0])],
+    ids=["fs9", "gin20"],
+)
+def test_disk_count_law_is_poisson_binomial(space, radii):
+    # Kostlan: the count in a centred disk is a sum of independent
+    # Bernoulli(p_j), so its whole law is known, not only its moments.
+    # Ginibre radius 4 is near the edge sqrt(20), where the top basis
+    # index decides the law.
+    draws = 1000
+    confs = sample_dpp_many(space, reps=draws, seed=73)
+    for radius in radii:
+        counts = [int(np.sum(np.abs(c.points[:, 0]) < radius)) for c in confs]
+        pmf = poisson_binomial_pmf(kostlan_probabilities(space, [(0.0, radius)]))
+        stat, dof = pooled_chi_square(np.bincount(counts, minlength=pmf.size), draws * pmf)
+        assert dof >= 4
+        assert sps.chi2.sf(stat, dof) > 1e-3, radius
+
+
 # ---------------------------------------------------------------------------
 # count moments: trace route vs kernel route
 
