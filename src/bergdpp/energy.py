@@ -204,12 +204,20 @@ def monge_ampere_density(space: ModelSpace, points, shifts=()) -> np.ndarray:
     Z = np.asarray(points, dtype=complex)
     if Z.ndim == 1:
         Z = Z[:, None]
+    return _density_from_hessian(space.dim, _shifted_hessian(space, Z, shifts))
+
+
+def _shifted_hessian(space: ModelSpace, Z: np.ndarray, shifts) -> np.ndarray:
     H = space.weight_hessian_per_k(Z).copy()
     for scale, expr in shifts:
         if expr is None or scale == 0.0:
             continue
         H += float(scale) * complex_hessian(expr, Z)
-    n = space.dim
+    return H
+
+
+def _density_from_hessian(n: int, H: np.ndarray) -> np.ndarray:
+    """(n!/pi^n) det H per point, or PositivityError if some H is not positive."""
     eigs = np.linalg.eigvalsh(H)
     worst = float(eigs.min())
     if worst <= 0.0:
@@ -277,14 +285,14 @@ def mabuchi(
     s_pts = 0.5 * (x + 1.0)
     s_wts = 0.5 * w
     u_vals = float(scale) * weight_values(direction, grid.nodes)
+    # The Hessians do not depend on s: the path's Hessian at s is
+    # H0 + (scale s) H_dir, the same sum monge_ampere_density forms.
+    H0 = _shifted_hessian(space, grid.nodes, ((1.0, psi_prime),))
+    H_dir = complex_hessian(direction, grid.nodes)
     total = 0.0
     for s, ws in zip(s_pts, s_wts):
         try:
-            ma = monge_ampere_density(
-                space,
-                grid.nodes,
-                shifts=((1.0, psi_prime), (float(scale) * float(s), direction)),
-            )
+            ma = _density_from_hessian(space.dim, H0 + (float(scale) * float(s)) * H_dir)
         except PositivityError as exc:
             raise PositivityError(f"{exc} (path parameter s={s:.4f})") from None
         wma = grid.weights * ma

@@ -41,7 +41,9 @@ Weighted sampler.  Configurations under an extra weight are generated by
 Metropolis-Hastings with single-site Gaussian moves in chart coordinates.
 The chain targets the chart-Lebesgue density, so acceptance ratios include
 the base-density factor at the moved site along with the determinant and
-weight terms.  Coincident points get log-density -inf and are never accepted.
+weight terms.  The determinant term is a Sherman-Morrison ratio against a
+carried inverse of the section matrix, refactorised once per sweep.
+Coincident points get log-density -inf and are never accepted.
 
 All randomness derives from one integer seed through counter-based Philox
 streams; replicas use disjoint spawn keys, so runs are reproducible and
@@ -328,8 +330,19 @@ def sample_weighted(
 
     Single-site Gaussian proposals in chart coordinates (standard deviation
     proposal_scale per real component), initialized from one exact draw of
-    the unweighted process.  Collected configurations carry the mu^N Gibbs
-    log-density and their step index.
+    the unweighted process.  Step `step` moves site j = step % N, so a sweep
+    visits every site once.
+
+    The chain carries Vinv = V^{-1} next to the section matrix V.  Replacing
+    row j by v' multiplies det V by r = v' . Vinv[:, j] (Sherman-Morrison), so
+    scoring a proposal costs O(N) and a rejection touches nothing.  An
+    accepted move replaces row j of V and applies the rank-1 update
+    Vinv -= Vinv[:, j] (v' Vinv - e_j) / r in O(N^2).  Vinv is refactorised
+    from V at the start of every sweep, so rounding accumulates over at most
+    N steps.  A zero ratio (coincident points) gives log-ratio -inf and is
+    rejected without drawing a uniform.  slogdet runs only at collected
+    configurations, which carry the mu^N Gibbs log-density of the current V
+    and their step index.
     """
     if seed is None:
         raise ValueError("sample_weighted needs a seed")
@@ -353,7 +366,6 @@ def sample_weighted(
         sign, la = np.linalg.slogdet(Vm)
         return float(2.0 * la) if sign != 0 and np.isfinite(la) else float("-inf")
 
-    cur_logdet2 = slog(V)
     cur_pen = np.array([site_pen(X[j]) for j in range(N)])
     accepted = 0
     out: list[Configuration] = []
@@ -361,25 +373,27 @@ def sample_weighted(
 
     for step in range(config.steps):
         j = step % N
+        if j == 0:
+            Vinv = np.linalg.inv(V)
         zj = X[j] + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        old_row = V[j].copy()
-        V[j] = space.section_matrix(zj[None, :])[0]
-        new_logdet2 = slog(V)
+        v = space.section_matrix(zj[None, :])[0]
+        r = v @ Vinv[:, j]
         new_pen_j = site_pen(zj)
-        delta = (new_logdet2 - cur_logdet2) - (new_pen_j - cur_pen[j])
+        delta = (2.0 * math.log(abs(r)) if r != 0 else -np.inf) - (new_pen_j - cur_pen[j])
         if delta >= 0.0 or (delta > -np.inf and math.log(max(rng.random(), 1e-300)) < delta):
+            w = v @ Vinv
+            w[j] -= 1.0
+            Vinv -= np.outer(Vinv[:, j] / r, w)
+            V[j] = v
             X[j] = zj
-            cur_logdet2 = new_logdet2
             cur_pen[j] = new_pen_j
             accepted += 1
-        else:
-            V[j] = old_row
         if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
             mu_pen = cur_pen.sum() + float(np.log(space.base_density(X)).sum())
             out.append(
                 Configuration(
                     points=X.copy(),
-                    log_density=cur_logdet2 - mu_pen,
+                    log_density=slog(V) - mu_pen,
                     seed=seed,
                     origin="mcmc",
                     mcmc_step=step,

@@ -249,6 +249,39 @@ def test_mabuchi_guards():
         mabuchi(make_fubini_study(3), direction=parse_weight("3*log(1+r2)"), scale=-1.0)
 
 
+def test_mabuchi_computes_each_hessian_once(monkeypatch):
+    # the Hessians of psi' and of the direction do not depend on s, and the
+    # hoisted sum must equal the per-s monge_ampere_density route exactly
+    import bergdpp.energy as energy
+
+    space = make_product((1, 2), 2)
+    psi_prime = parse_weight("0.1*log(1+r2_1*r2_2)")
+    direction = parse_weight("0.2/(1+r2_1) + 0.1*r2_2/(1+r2_2)")
+    calls = []
+    real = energy.complex_hessian
+
+    def counting(expr, Z):
+        calls.append(expr)
+        return real(expr, Z)
+
+    monkeypatch.setattr(energy, "complex_hessian", counting)
+    got = mabuchi(space, psi_prime=psi_prime, direction=direction, scale=-1.0)
+    assert len(calls) <= 2
+    assert mabuchi(space, direction=direction) != 0.0
+    assert len(calls) <= 3
+
+    grid = build_grid(space)
+    x, w = np.polynomial.legendre.leggauss(16)
+    u = -1.0 * direction(grid.nodes)
+    want = 0.0
+    for s, ws in zip(0.5 * (x + 1.0), 0.5 * w):
+        wma = grid.weights * monge_ampere_density(
+            space, grid.nodes, shifts=((1.0, psi_prime), (-1.0 * float(s), direction))
+        )
+        want += float(ws) * float(np.sum(wma * u)) / float(wma.sum())
+    assert got == want
+
+
 def test_mabuchi_rejects_a_non_finite_direction():
     # log(r2 - 1) is NaN on the grid nodes inside the unit disk
     with pytest.raises(ValueError, match=r"log\(r2 - 1\).* at point \d+, z = "):

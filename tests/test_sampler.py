@@ -296,16 +296,97 @@ def test_mcmc_weight_shifts_the_law():
     assert r_pulled < r_flat
 
 
-def test_mcmc_stores_gibbs_log_density():
-    from bergdpp.exprs import parse_weight
+@pytest.mark.parametrize(
+    "space, psi_text, steps",
+    [
+        (make_fubini_study(3), "r2/(1+r2)", 200),
+        (make_fubini_study(60), "r2/(1+r2)", 2000),
+        (make_product((1, 2), 2), "r2_1*r2_2/(1+r2_1)", 200),
+    ],
+    ids=["fs3", "fs60", "prod"],
+)
+def test_mcmc_stores_gibbs_log_density(space, psi_text, steps):
+    # long chains apply many rank-1 inverse updates between refactorisations;
+    # every collected log-density must still be the exact Gibbs value
+    psi = parse_weight(psi_text)
+    run = sample_weighted(space, McmcConfig(steps=steps, burn_in=50, thin=50), psi=psi, seed=37)
+    assert run.configurations
+    for conf in run.configurations:
+        want = log_density(space, conf.points, psi=psi)
+        assert conf.log_density == pytest.approx(want, rel=1e-10)
+        assert conf.origin == "mcmc"
 
-    space = make_fubini_study(3)
-    psi = parse_weight("r2/(1+r2)")
-    run = sample_weighted(space, McmcConfig(steps=200, burn_in=50, thin=50), psi=psi, seed=37)
-    conf = run.configurations[-1]
-    want = log_density(space, conf.points, psi=psi)
-    assert conf.log_density == pytest.approx(want, rel=1e-10)
-    assert conf.origin == "mcmc"
+
+def test_mcmc_factorises_once_per_sweep(monkeypatch):
+    # O(N^3) work only at sweep starts (inv) and collected configurations
+    # (slogdet); every other step costs one determinant ratio
+    calls = {"inv": 0, "slogdet": 0}
+    for name in calls:
+        real = getattr(np.linalg, name)
+
+        def counting(M, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(M)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    space = make_fubini_study(9)
+    run = sample_weighted(
+        space, McmcConfig(steps=95, burn_in=10, thin=20), psi=parse_weight("r2/(1+r2)"), seed=3
+    )
+    assert len(run.configurations) == 5
+    assert calls == {"inv": 10, "slogdet": 5}
+
+
+def _reference_chain(space, config, psi, seed):
+    """The same Metropolis chain with a full slogdet of the section matrix per step."""
+    rng = rng_stream(seed)
+    X = sample_dpp(space, rng=rng, seed=seed).points.copy()
+    V = space.section_matrix(X)
+    N, n = space.rank, space.dim
+
+    def logdet2(M):
+        sign, la = np.linalg.slogdet(M)
+        return 2.0 * la if sign != 0 else -np.inf
+
+    def pen(z):
+        row = z[None, :]
+        return float(psi(row)[0] - np.log(space.base_density(row)[0]))
+
+    cur, cur_pen, out = logdet2(V), np.array([pen(x) for x in X]), []
+    for step in range(config.steps):
+        j = step % N
+        z = X[j] + config.proposal_scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        trial = V.copy()
+        trial[j] = space.section_matrix(z[None, :])[0]
+        new, new_pen = logdet2(trial), pen(z)
+        delta = (new - cur) - (new_pen - cur_pen[j])
+        if delta >= 0.0 or (delta > -np.inf and math.log(max(rng.random(), 1e-300)) < delta):
+            X[j], V, cur, cur_pen[j] = z, trial, new, new_pen
+        if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
+            mu_pen = cur_pen.sum() + float(np.log(space.base_density(X)).sum())
+            out.append((X.copy(), cur - mu_pen))
+    return out
+
+
+@pytest.mark.parametrize(
+    "space, psi_text",
+    [(make_fubini_study(30), "re_1/(1+r2)"), (make_product((1, 2), 2), "r2_1*r2_2/(1+r2_1)")],
+    ids=["fs30", "prod"],
+)
+def test_mcmc_matches_a_full_determinant_reference_chain(space, psi_text):
+    # an independent oracle for the determinant-ratio updates: over four
+    # sweeps and more, each opening with a refactorisation, the chain must
+    # make the same moves
+    psi = parse_weight(psi_text)
+    N = space.rank
+    config = McmcConfig(steps=4 * N + 7, burn_in=N, thin=7)
+    run = sample_weighted(space, config, psi=psi, seed=41)
+    want = _reference_chain(space, config, psi, seed=41)
+    assert 0.1 < run.acceptance_rate < 0.9
+    assert len(run.configurations) == len(want) >= 4
+    for conf, (points, logd) in zip(run.configurations, want):
+        assert np.array_equal(conf.points, points)
+        assert conf.log_density == logd
 
 
 # ---------------------------------------------------------------------------
