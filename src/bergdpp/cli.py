@@ -26,21 +26,10 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .energy import (
-    GramPath,
-    PositivityError,
-    lambda_report,
-    partition_function,
-)
-from .exprs import ParseError, WeightExpr, parse_weight
+from .energy import GramPath, lambda_report, partition_function
+from .exprs import WeightExpr, parse_weight, weight_sum
 from .kernel import scaling_errors
-from .quadrature import (
-    GramDegenerateError,
-    build_grid,
-    gram,
-    gram_to_csv,
-    weighted_gram_matrix,
-)
+from .quadrature import build_grid, gram, gram_to_csv, weighted_gram_matrix
 from .sampler import (
     Configuration,
     McmcConfig,
@@ -128,8 +117,13 @@ def _resolve_seed(args) -> int:
     raise CliError("a seed is required: pass --seed or set BERGDPP_SEED")
 
 
-def _maybe_weight(text: str | None) -> WeightExpr | None:
-    return None if text is None else parse_weight(text)
+def _maybe_weight(text: str | None, dim: int) -> WeightExpr | None:
+    """The weight flag's expression, parsed and checked against the chart dimension."""
+    if text is None:
+        return None
+    expr = parse_weight(text)
+    expr.validate_for_dim(dim)
+    return expr
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -199,7 +193,7 @@ def _load_samples(path: str) -> tuple[ModelSpace, list[Configuration]]:
     confs = []
     for i, entry in enumerate(entries):
         try:
-            conf = configuration_from_json(entry, space.dim, seed=data.get("seed"))
+            conf = configuration_from_json(entry, space.dim)
         except KeyError as exc:
             raise CliError(f"{path}: configuration {i} lacks the key {exc}") from None
         except (TypeError, ValueError) as exc:
@@ -253,11 +247,11 @@ def _cmd_sample(args) -> int:
             thin=args.thin,
             proposal_scale=args.proposal_scale,
         )
-        psi = _maybe_weight(args.weight_expr)
-        psi_prime = _maybe_weight(args.weight_k_expr)
-        for expr in (psi, psi_prime):
-            if expr is not None:
-                expr.validate_for_dim(space.dim)
+        # the Gibbs potential psi + k psi' of the weighted process
+        weight = weight_sum(
+            (1.0, _maybe_weight(args.weight_expr, space.dim)),
+            (float(space.power), _maybe_weight(args.weight_k_expr, space.dim)),
+        )
         config.update(
             {
                 "mcmc_steps": mcmc.steps,
@@ -268,7 +262,7 @@ def _cmd_sample(args) -> int:
                 "weight_k_expr": args.weight_k_expr,
             }
         )
-        run = sample_weighted(space, mcmc, psi=psi, psi_prime=psi_prime, seed=seed)
+        run = sample_weighted(space, mcmc, weight=weight, seed=seed)
         body = {
             "space": space_to_config(space),
             "seed": seed,
@@ -354,13 +348,11 @@ def _cmd_stats(args) -> int:
         _emit_json(_report("counts", config, body), args.out)
         return 0
 
-    if args.stats_command == "circular":
-        report = circular_law_distance(space, confs)
-        config = {"command": "stats circular", **src}
-        _emit_json(_report("circular", config, asdict(report)), args.out)
-        return 0
-
-    raise CliError(f"unknown stats subcommand {args.stats_command!r}")
+    # circular
+    report = circular_law_distance(space, confs)
+    config = {"command": "stats circular", **src}
+    _emit_json(_report("circular", config, asdict(report)), args.out)
+    return 0
 
 
 def _cmd_scaling(args) -> int:
@@ -412,8 +404,7 @@ def _cmd_converge(args) -> int:
 def _cmd_energy(args) -> int:
     if args.energy_command == "cgf":
         space = _space_from_args(args)
-        psi = parse_weight(args.weight_expr)
-        psi.validate_for_dim(space.dim)
+        psi = _maybe_weight(args.weight_expr, space.dim)
         ts = _parse_float_list(args.t, "--t")
         path = GramPath(space, psi)
         rows = []
@@ -430,34 +421,31 @@ def _cmd_energy(args) -> int:
         _emit_json(_report("energy-cgf", config, {"rows": rows}), args.out)
         return 0
 
-    if args.energy_command == "lambda-k":
-        if args.space == "ginibre":
-            raise CliError("lambda-k reports cover the fs and product families")
-        ks = _parse_int_list(args.ks, "--ks")
-        f = parse_weight(args.f_expr)
-        psi = _maybe_weight(args.psi_expr)
-        psi_prime = _maybe_weight(args.psi_k_expr)
-        spaces_by_k = [(k, _space_from_args(args, k=k)) for k in ks]
-        for expr in (f, psi, psi_prime):
-            if expr is not None:
-                expr.validate_for_dim(spaces_by_k[0][1].dim)
-        report = lambda_report(
-            spaces_by_k, f, psi=psi, psi_prime=psi_prime, s_nodes=args.s_nodes
-        )
-        config = {
-            "command": "energy lambda-k",
-            "space": args.space,
-            "mults": args.mults,
-            "ks": ks,
-            "f_expr": args.f_expr,
-            "psi_expr": args.psi_expr,
-            "psi_k_expr": args.psi_k_expr,
-            "s_nodes": args.s_nodes,
-        }
-        _emit_json(_report("energy-lambda", config, asdict(report)), args.out)
-        return 0
-
-    raise CliError(f"unknown energy subcommand {args.energy_command!r}")
+    # lambda-k
+    if args.space == "ginibre":
+        raise CliError("lambda-k reports cover the fs and product families")
+    ks = _parse_int_list(args.ks, "--ks")
+    spaces_by_k = [(k, _space_from_args(args, k=k)) for k in ks]
+    dim = spaces_by_k[0][1].dim
+    report = lambda_report(
+        spaces_by_k,
+        _maybe_weight(args.f_expr, dim),
+        psi=_maybe_weight(args.psi_expr, dim),
+        psi_prime=_maybe_weight(args.psi_k_expr, dim),
+        s_nodes=args.s_nodes,
+    )
+    config = {
+        "command": "energy lambda-k",
+        "space": args.space,
+        "mults": args.mults,
+        "ks": ks,
+        "f_expr": args.f_expr,
+        "psi_expr": args.psi_expr,
+        "psi_k_expr": args.psi_k_expr,
+        "s_nodes": args.s_nodes,
+    }
+    _emit_json(_report("energy-lambda", config, asdict(report)), args.out)
+    return 0
 
 
 def _cmd_check(args) -> int:
@@ -467,6 +455,7 @@ def _cmd_check(args) -> int:
             "of the unweighted kernel; use check partition or check gram with --weight-expr"
         )
     space = _space_from_args(args)
+    psi = _maybe_weight(args.weight_expr, space.dim)
     grid = build_grid(
         space,
         radial=args.radial,
@@ -478,7 +467,6 @@ def _cmd_check(args) -> int:
         raise ArithmeticError(f"under-resolved grid: {grid.under_resolved}")
 
     if args.check_command == "partition":
-        psi = _maybe_weight(args.weight_expr)
         pv = partition_function(space, psi=psi, grid=grid)
         # beyond rank 170 Z and N! overflow a float, so their logs are printed
         overflow = math.isinf(pv.value)
@@ -496,7 +484,7 @@ def _cmd_check(args) -> int:
         return 0
 
     if args.check_command == "gram":
-        g = gram(space, grid, psi=_maybe_weight(args.weight_expr))
+        g = gram(space, grid, psi=psi)
         err = float(np.max(np.abs(g.matrix - np.eye(space.rank))))
         print(f"max |G - I| = {err:.3e}")
         if args.gram_csv is not None:
@@ -505,18 +493,15 @@ def _cmd_check(args) -> int:
             except OSError as exc:
                 raise CliError(f"cannot write {args.gram_csv}: {exc.strerror}") from None
             print(f"gram written to {args.gram_csv}")
-        if args.weight_expr is None and err > 1e-8:
+        if psi is None and err > 1e-8:
             return 3
         return 0
 
-    if args.check_command == "trace":
-        # int B(x,x) dmu = sum_i int |v_i|^2 dmu, the trace of the Gram
-        tr = float(np.trace(weighted_gram_matrix(space, grid)).real)
-        err = abs(tr - space.rank)
-        print(f"trace = {tr:.12g} (rank {space.rank}, error {err:.3e})")
-        return 0 if err < 1e-8 else 3
-
-    raise CliError(f"unknown check subcommand {args.check_command!r}")
+    # trace: int B(x,x) dmu = sum_i int |v_i|^2 dmu, the trace of the Gram
+    tr = float(np.trace(weighted_gram_matrix(space, grid)).real)
+    err = abs(tr - space.rank)
+    print(f"trace = {tr:.12g} (rank {space.rank}, error {err:.3e})")
+    return 0 if err < 1e-8 else 3
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +617,10 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (CliError, ParseError, ValueError) as exc:
+    except ValueError as exc:  # CliError and ParseError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GramDegenerateError, PositivityError, RejectionStallError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except ArithmeticError as exc:
+    except (ArithmeticError, RejectionStallError) as exc:  # GramDegenerateError, PositivityError
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -2,9 +2,9 @@
 
 The partition function of the N-point process with extra weight psi is
 N! det G(psi), where G is the Gram matrix of the orthonormal basis under the
-psi-weighted inner product.  Its log-ratio along a direction,
+psi-weighted inner product.  Its log-ratio along the direction psi,
 
-    K(t) = log det G(base + t psi) - log det G(base),
+    K(t) = log det G(t psi) - log det G(0),
 
 is the cumulant-generating function of the linear statistic sum psi(X_i),
 with derivative K'(t) = -int psi(x) B_t(x, x) dmu(x) against the kernel of
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .exprs import WeightExpr, complex_hessian, weight_values
+from .exprs import WeightExpr, complex_hessian, weight_sum, weight_values
 from .quadrature import (
     QuadratureGrid,
     _inverse_sqrt,
@@ -71,21 +71,6 @@ __all__ = [
 
 class PositivityError(ArithmeticError):
     """A shifted potential left the Kahler cone (non-positive Hessian)."""
-
-
-def _combine(*terms):
-    """Weighted sum of optional weight functions -> callable or None.
-
-    terms: (coefficient, fn_or_none) pairs.
-    """
-    live = [(c, f) for c, f in terms if f is not None and c != 0.0]
-    if not live:
-        return None
-
-    def total(points):
-        return sum(c * weight_values(f, points) for c, f in live)
-
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +121,16 @@ def mc_partition_ratio(configurations, psi) -> tuple[float, float]:
 
 
 class GramPath:
-    """log det G(base + t psi) along a direction psi, with cached values."""
+    """log det G(t psi) along a direction psi, with cached values."""
 
-    def __init__(self, space: ModelSpace, psi, base_psi=None):
+    def __init__(self, space: ModelSpace, psi):
         self.space = space
         self.psi = psi
-        self.base_psi = base_psi
         self.grid = build_grid(space)
         self._logdets: dict[float, float] = {}
 
     def weight_at(self, t: float):
-        return _combine((1.0, self.base_psi), (float(t), self.psi))
+        return weight_sum((float(t), self.psi))
 
     def logdet(self, t: float) -> float:
         t = float(t)
@@ -173,13 +157,12 @@ class GramPath:
         )
         return -float(np.sum((T @ T) * G_psi).real)
 
-    def fd_derivative(self, t: float, h: float | None = None) -> float:
-        if h is None:
-            h = 1e-4 * (1.0 + abs(t))
+    def fd_derivative(self, t: float) -> float:
+        h = 1e-4 * (1.0 + abs(t))
         return (self.cgf(t + h) - self.cgf(t - h)) / (2.0 * h)
 
-    def derivative_check(self, t: float, h: float | None = None) -> dict:
-        fd = self.fd_derivative(t, h)
+    def derivative_check(self, t: float) -> dict:
+        fd = self.fd_derivative(t)
         bg = self.bergman_derivative(t)
         scale = max(abs(fd), abs(bg), 1e-300)
         return {
@@ -309,8 +292,8 @@ def lambda_k(space: ModelSpace, f, psi=None, psi_prime=None) -> float:
     """[log det G(psi + k(psi' - f)) - log det G(psi + k psi')] / (k N)."""
     grid = build_grid(space)
     k = float(space.power)
-    shifted = _combine((1.0, psi), (k, psi_prime), (-k, f))
-    base = _combine((1.0, psi), (k, psi_prime))
+    shifted = weight_sum((1.0, psi), (k, psi_prime), (-k, f))
+    base = weight_sum((1.0, psi), (k, psi_prime))
     g1 = gram(space, grid, psi=shifted).logdet
     g2 = gram(space, grid, psi=base).logdet
     return (g1 - g2) / (k * space.rank)

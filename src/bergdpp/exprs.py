@@ -17,7 +17,9 @@ Identifiers refer to chart coordinates of a point z = (z_1, ..., z_n):
 Expressions evaluate to real arrays over batches of chart points.  Every
 weight, parsed or any other callable, becomes numbers through one checked
 helper, weight_values: None is zero, and a result that is not (M,) finite
-floats raises ValueError naming the weight and the first bad point.
+floats raises ValueError naming the weight and the first bad point.  Weights
+add in one place, weight_sum: a Gibbs potential such as psi + k psi' or
+psi + t f is formed there once and handed on as a single weight.
 
 Purely radial expressions (only r2 / r2_<i>) also have the complex Hessian
 H_ij = delta_ij u_i + conj(z_i) z_j u_ij used by the curvature-side
@@ -42,6 +44,7 @@ __all__ = [
     "WeightExpr",
     "parse_weight",
     "weight_values",
+    "weight_sum",
     "complex_hessian",
 ]
 
@@ -326,6 +329,36 @@ def weight_values(weight, points) -> np.ndarray:
             f"weight {weight!r} is {vals[i]} at point {i}, z = {np.atleast_1d(Z[i]).tolist()}"
         )
     return vals
+
+
+class _WeightSum:
+    """sum_i c_i f_i over live (c_i, f_i) terms, each through weight_values."""
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def __call__(self, points) -> np.ndarray:
+        return sum(c * weight_values(f, points) for c, f in self.terms)
+
+    def __repr__(self) -> str:
+        return " + ".join(f"{c:g}*{f!r}" for c, f in self.terms)
+
+
+def weight_sum(*terms):
+    """The weight sum_i c_i f_i of (coefficient, weight) pairs, or None.
+
+    A term whose weight is None or whose coefficient is 0 is not live.  No
+    live term gives None, the zero weight; a single live term with
+    coefficient 1 gives that weight itself.  Otherwise the sum evaluates
+    each term through weight_values, so a term that is not finite raises
+    naming that term, and a sum that is not finite names every term.
+    """
+    live = [(c, f) for c, f in terms if f is not None and c != 0.0]
+    if not live:
+        return None
+    if len(live) == 1 and live[0][0] == 1.0:
+        return live[0][1]
+    return _WeightSum(live)
 
 
 # ---------------------------------------------------------------------------

@@ -174,19 +174,14 @@ def rescaled_correlation(space: ModelSpace, frame: NormalFrame, points) -> float
     return float(det * scale * np.prod(kappas))
 
 
-def default_test_points(dim: int, count: int = 25) -> np.ndarray:
-    """Deterministic frame-coordinate test points, shape (count, dim)."""
+def default_test_points(dim: int) -> np.ndarray:
+    """Deterministic frame-coordinate test points, shape (25, dim)."""
     grid = np.linspace(-1.2, 1.2, 5)
     base = np.array([a + 1j * b for a in grid for b in grid])  # 25 points
-    reps = int(np.ceil(count / base.size))
-    first = np.tile(base, reps)[:count]
-    if dim == 1:
-        return first[:, None]
-    cols = [first]
+    cols = [base]
     for i in range(1, dim):
-        perm = np.tile(base, reps)[:count]
-        rotated = 0.7 * perm[(np.arange(count) * 7 + 3 * i) % count] * np.exp(1j * np.pi / (4 + i))
-        cols.append(rotated)
+        idx = (np.arange(base.size) * 7 + 3 * i) % base.size
+        cols.append(0.7 * base[idx] * np.exp(1j * np.pi / (4 + i)))
     return np.stack(cols, axis=1)
 
 

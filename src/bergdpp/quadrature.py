@@ -163,6 +163,8 @@ def build_grid(
 
     if truncation is not None and space.kind != "ginibre":
         raise ValueError("truncation only applies to non-compact (ginibre) charts")
+    if truncation is not None and not 0.0 < truncation < math.inf:
+        raise ValueError(f"truncation must be a positive finite radius, got {truncation}")
     trunc = float(truncation) if truncation is not None else space.truncation_radius
 
     radii, radials, angulars, zs, ws = [], [], [], [], []

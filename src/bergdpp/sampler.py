@@ -18,7 +18,7 @@ sampleable for every built-in space:
 Since g_i <= B pointwise, acceptance g_i(x) / B(x, x) needs no estimated
 envelope, and the expected acceptance rate at step i is (N - i) / N.  So a
 draw tests N * H_N proposals on average (H_N the N-th harmonic number).  A
-stall guard still errors out after a proposal budget is exhausted.
+stall guard still errors out after MAX_PROPOSALS proposals for one point.
 
 Proposals are pooled.  A block of max(MIN_BLOCK, ceil(2N / (N - i)))
 proposals, each with its acceptance uniform, is drawn and its section rows
@@ -37,13 +37,17 @@ update is subtracted in place through a second preallocated buffer.  (BLAS
 zgeru would do it in one pass, but importing scipy.linalg costs every
 process about 60 ms and 6 MB.)
 
-Weighted sampler.  Configurations under an extra weight are generated by
-Metropolis-Hastings with single-site Gaussian moves in chart coordinates.
-The chain targets the chart-Lebesgue density, so acceptance ratios include
-the base-density factor at the moved site along with the determinant and
-weight terms.  The determinant term is a Sherman-Morrison ratio against a
-carried inverse of the section matrix, refactorised once per sweep.
-Coincident points get log-density -inf and are never accepted.
+Weighted sampler.  The weighted process has density proportional to
+|det M|^2 prod_j e^{-w(x_j)} against mu^N, for one Gibbs potential w.  The
+caller forms w, for instance psi + k psi' through exprs.weight_sum, so the
+sampler evaluates one weight per site and knows nothing of k.  Its
+configurations are generated by Metropolis-Hastings with single-site
+Gaussian moves in chart coordinates.  The chain targets the chart-Lebesgue
+density, so acceptance ratios include the base-density factor at the moved
+site along with the determinant and weight terms.  The determinant term is
+a Sherman-Morrison ratio against a carried inverse of the section matrix,
+refactorised once per sweep.  Coincident points get log-density -inf and
+are never accepted.
 
 All randomness derives from one integer seed through counter-based Philox
 streams; replicas use disjoint spawn keys, so runs are reproducible and
@@ -95,8 +99,7 @@ class Configuration:
     """One sampled N-point configuration on the chart."""
 
     points: np.ndarray          # (N, dim) complex
-    log_density: float          # log |det M|^2 - sum_j (psi + k psi')(x_j), wrt mu^N
-    seed: int | None
+    log_density: float          # log |det M|^2 - sum_j w(x_j), wrt mu^N, w the Gibbs potential
     origin: str                 # "exact" | "mcmc"
     mcmc_step: int | None = None
 
@@ -130,22 +133,21 @@ def points_from_json(rows, dim: int) -> np.ndarray:
     return pts
 
 
-def configuration_from_json(entry: dict, dim: int, seed=None) -> Configuration:
+def configuration_from_json(entry: dict, dim: int) -> Configuration:
     """Inverse of Configuration.to_json_dict."""
     return Configuration(
         points=points_from_json(entry["points"], dim),
         log_density=float(entry["log_density"]),
-        seed=seed,
         origin=entry.get("origin", "exact"),
         mcmc_step=entry.get("mcmc_step"),
     )
 
 
-def log_density(space: ModelSpace, points, psi=None, psi_prime=None) -> float:
+def log_density(space: ModelSpace, points, weight=None) -> float:
     """Unnormalized Gibbs log-density of a configuration against mu^N.
 
-    log |det M|^2 with M_ij = v_i(x_j), minus sum_j (psi + k psi')(x_j).
-    Returns -inf for coincident points (singular M).
+    log |det M|^2 with M_ij = v_i(x_j), minus sum_j w(x_j) for the Gibbs
+    potential w = weight.  Returns -inf for coincident points (singular M).
     """
     Z = _as_points(points, space.dim)
     if Z.shape[0] != space.rank:
@@ -154,8 +156,7 @@ def log_density(space: ModelSpace, points, psi=None, psi_prime=None) -> float:
     sign, logabs = np.linalg.slogdet(V)
     if sign == 0 or not np.isfinite(logabs):
         return float("-inf")
-    pen = weight_values(psi, Z) + float(space.power) * weight_values(psi_prime, Z)
-    return float(2.0 * logabs - pen.sum())
+    return float(2.0 * logabs - weight_values(weight, Z).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +165,8 @@ def log_density(space: ModelSpace, points, psi=None, psi_prime=None) -> float:
 # Proposals drawn per block: at least MIN_BLOCK, and twice the expected
 # N / (N - i) tests of point i, so that one block usually covers a point.
 MIN_BLOCK = 32
+# The stall guard: proposals tested for one point before RejectionStallError.
+MAX_PROPOSALS = 1_000_000
 
 
 def _propose_intensity(
@@ -193,7 +196,6 @@ def sample_dpp(
     seed: int | None = None,
     rng: np.random.Generator | None = None,
     stream: tuple[int, ...] = (),
-    max_proposals: int = 1_000_000,
 ) -> Configuration:
     """One exact draw of the rank-N projection process.
 
@@ -202,7 +204,7 @@ def sample_dpp(
     g_i(x) = |W^H v(x)|^2 and each acceptance shrinks W by one Householder
     reflection.  det[B(x_a, x_b)] telescopes as prod_i g_i(x_i), which gives
     the emitted log_density directly.  Proposals are tested in pooled blocks
-    (see the module docstring); max_proposals bounds the proposals tested
+    (see the module docstring); MAX_PROPOSALS bounds the proposals tested
     for one point.
     """
     if rng is None:
@@ -223,7 +225,7 @@ def sample_dpp(
         tested = 0
         while True:
             if U.size == 0:
-                if tested >= max_proposals:
+                if tested >= MAX_PROPOSALS:
                     raise RejectionStallError(
                         f"no acceptance after {tested} proposals at point {i + 1}/{N}; "
                         "the residual intensity envelope looks wrong for this space"
@@ -259,7 +261,6 @@ def sample_dpp(
     return Configuration(
         points=pts,
         log_density=log_det,
-        seed=seed,
         origin="exact",
     )
 
@@ -306,8 +307,10 @@ class McmcConfig:
             raise ValueError("burn_in must lie in [0, steps)")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
-        if not (self.proposal_scale > 0):
-            raise ValueError("proposal_scale must be positive")
+        if not (0 < self.proposal_scale < math.inf):
+            raise ValueError(
+                f"proposal_scale must be positive and finite, got {self.proposal_scale}"
+            )
 
 
 @dataclass
@@ -322,11 +325,10 @@ class McmcRun:
 def sample_weighted(
     space: ModelSpace,
     config: McmcConfig,
-    psi=None,
-    psi_prime=None,
+    weight=None,
     seed: int | None = None,
 ) -> McmcRun:
-    """Metropolis-Hastings chain for the psi/psi'-weighted process.
+    """Metropolis-Hastings chain for the process with Gibbs potential weight.
 
     Single-site Gaussian proposals in chart coordinates (standard deviation
     proposal_scale per real component), initialized from one exact draw of
@@ -348,19 +350,14 @@ def sample_weighted(
         raise ValueError("sample_weighted needs a seed")
     rng = rng_stream(seed)
     N, n = space.rank, space.dim
-    k = float(space.power)
 
-    start = sample_dpp(space, rng=rng, seed=seed)
+    start = sample_dpp(space, rng=rng)
     X = start.points.copy()
     V = space.section_matrix(X)
 
     def site_pen(Z_row: np.ndarray) -> float:
         row = Z_row[None, :]
-        return float(
-            weight_values(psi, row)[0]
-            + k * weight_values(psi_prime, row)[0]
-            - np.log(space.base_density(row)[0])
-        )
+        return float(weight_values(weight, row)[0] - np.log(space.base_density(row)[0]))
 
     def slog(Vm: np.ndarray) -> float:
         sign, la = np.linalg.slogdet(Vm)
@@ -394,7 +391,6 @@ def sample_weighted(
                 Configuration(
                     points=X.copy(),
                     log_density=slog(V) - mu_pen,
-                    seed=seed,
                     origin="mcmc",
                     mcmc_step=step,
                 )
@@ -413,31 +409,34 @@ def sample_weighted(
 # ---------------------------------------------------------------------------
 # discrete oracle
 
+# Tolerance on the Hermitian asymmetry and on the 0/1 spectrum of a kernel.
+PROJECTION_ATOL = 1e-8
+
 
 class DiscreteProjectionDpp:
     """Projection determinantal process on a finite ground set.
 
-    The kernel must be Hermitian with eigenvalues in {0, 1} up to 1e-8.
+    The kernel must be Hermitian with eigenvalues in {0, 1} up to PROJECTION_ATOL.
     Subset inclusion probabilities are det K_S, and sampling follows the
     same sequential conditional scheme as the continuous sampler.
     """
 
-    def __init__(self, K: np.ndarray, atol: float = 1e-8):
+    def __init__(self, K: np.ndarray):
         K = np.asarray(K, dtype=complex)
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValueError("kernel must be a square matrix")
         herm = float(np.max(np.abs(K - K.conj().T), initial=0.0))
-        if herm > atol:
+        if herm > PROJECTION_ATOL:
             raise ValueError(f"kernel is not Hermitian (max asymmetry {herm:.2e})")
         K = 0.5 * (K + K.conj().T)
         eigs, vecs = np.linalg.eigh(K)
-        if eigs.min() < -atol or eigs.max() > 1.0 + atol:
+        if eigs.min() < -PROJECTION_ATOL or eigs.max() > 1.0 + PROJECTION_ATOL:
             raise ValueError(
-                f"spectrum outside [-{atol:.0e}, 1+{atol:.0e}]: "
+                f"spectrum outside [-{PROJECTION_ATOL:.0e}, 1+{PROJECTION_ATOL:.0e}]: "
                 f"[{eigs.min():.3e}, {eigs.max():.3e}]"
             )
         dist = np.minimum(np.abs(eigs), np.abs(eigs - 1.0))
-        if dist.max() > atol:
+        if dist.max() > PROJECTION_ATOL:
             raise ValueError(
                 f"kernel is not a projection: eigenvalue {eigs[int(np.argmax(dist))]:.6f}"
             )

@@ -11,6 +11,10 @@ import numpy as np
 import pytest
 
 from bergdpp.cli import run
+from bergdpp.energy import lambda_report
+from bergdpp.exprs import parse_weight, weight_sum
+from bergdpp.sampler import log_density
+from bergdpp.spaces import make_fubini_study, make_product
 
 
 def read_json(path):
@@ -79,6 +83,31 @@ def test_sample_mcmc_branch(tmp_path):
     assert doc["config"]["mcmc_steps"] == 300
     assert 0.0 < doc["acceptance_rate"] <= 1.0
     assert all(c["origin"] == "mcmc" for c in doc["configurations"])
+
+
+def test_k_scaled_weight_enters_with_one_factor_of_k(tmp_path):
+    # at k = 4, psi' = 0.5 r2/(1+r2) is the same Gibbs potential as psi = 4 psi'
+    chain = ["sample", "--space", "fs", "--k", "4", "--mcmc-steps", "300", "--burn-in", "50",
+             "--thin", "25", "--seed", "5"]
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(chain + ["--weight-k-expr", "0.5*r2/(1+r2)", "--out", str(a)]) == 0
+    assert run(chain + ["--weight-expr", "4*(0.5*r2/(1+r2))", "--out", str(b)]) == 0
+    doc_a, doc_b = read_json(a), read_json(b)
+    assert doc_a["configurations"] == doc_b["configurations"]
+    assert doc_a["acceptance_rate"] == doc_b["acceptance_rate"]
+
+
+def test_product_chain_takes_both_weights(tmp_path):
+    out = tmp_path / "p.json"
+    psi, psi_k = "r2_1/(1+r2_1)", "0.1*log(1+r2_1*r2_2)"
+    assert run(["sample", "--space", "product", "--mults", "1,2", "--k", "2", "--seed", "3",
+                "--weight-expr", psi, "--weight-k-expr", psi_k, "--mcmc-steps", "120",
+                "--burn-in", "20", "--thin", "50", "--out", str(out)]) == 0
+    space = make_product((1, 2), 2)
+    weight = weight_sum((1.0, parse_weight(psi)), (2.0, parse_weight(psi_k)))
+    for conf in read_json(out)["configurations"]:
+        pts = np.array([[row[0] + 1j * row[1], row[2] + 1j * row[3]] for row in conf["points"]])
+        assert conf["log_density"] == pytest.approx(log_density(space, pts, weight), rel=1e-10)
 
 
 def test_sample_bad_weight_expression(capsys):
@@ -285,6 +314,30 @@ def test_mcmc_rejects_a_weight_that_is_nan_where_the_chain_walks(capsys):
                 "--mcmc-steps", "50", "--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert "log(r2-1)" in err and "is nan at point 0, z = [" in err
+
+
+def test_sampler_stall_is_a_numerical_failure(monkeypatch, capsys):
+    import bergdpp.sampler as sampler
+
+    monkeypatch.setattr(sampler, "MAX_PROPOSALS", 0)
+    assert run(["sample", "--space", "fs", "--k", "3", "--seed", "1"]) == 3
+    assert "numerical failure: no acceptance after 0 proposals" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        *[(["check", "trace", "--space", "ginibre", "--n", "5", "--truncation", value],
+           "truncation") for value in ("-3", "0", "inf", "nan")],
+        *[(["sample", "--space", "fs", "--k", "2", "--seed", "1", "--mcmc-steps", "50",
+            "--proposal-scale", value], "proposal_scale") for value in ("inf", "nan")],
+    ],
+    ids=["truncation-negative", "truncation-zero", "truncation-inf", "truncation-nan",
+         "proposal-scale-inf", "proposal-scale-nan"],
+)
+def test_out_of_range_numeric_flag_is_exit_2(argv, flag, capsys):
+    assert run(argv) == 2
+    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -495,6 +548,22 @@ def test_energy_lambda_report(tmp_path):
     assert doc["target"] == pytest.approx(0.1 + 1.0 / 300.0, abs=1e-8)
     gaps = [row["gap"] for row in doc["rows"]]
     assert gaps[1] < gaps[0]
+
+
+def test_energy_lambda_k_scaled_weight_matches_the_library(tmp_path):
+    out = tmp_path / "lam.json"
+    assert run(["energy", "lambda-k", "--space", "fs", "--ks", "3,5", "--f-expr", "0.2/(1+r2)",
+                "--psi-k-expr", "0.1*log(1+r2)", "--out", str(out)]) == 0
+    want = lambda_report(
+        [(k, make_fubini_study(k)) for k in (3, 5)],
+        parse_weight("0.2/(1+r2)"),
+        psi_prime=parse_weight("0.1*log(1+r2)"),
+    )
+    doc = read_json(out)
+    assert doc["rows"] == [
+        {"k": r.k, "rank": r.rank, "lambda_value": r.lambda_value, "gap": r.gap} for r in want.rows
+    ]
+    assert doc["target"] == want.target
 
 
 def test_energy_positivity_failure_is_exit_3(capsys):

@@ -116,14 +116,6 @@ def test_cgf_is_convex():
     assert np.all(second > 0.0)
 
 
-def test_gram_path_with_base_weight():
-    base = parse_weight("0.3*r2/(1+r2)")
-    path = GramPath(make_fubini_study(4), S_EXPR, base_psi=base)
-    # base weight shifts the anchor but cgf still vanishes at 0
-    assert path.cgf(0.0) == 0.0
-    assert path.logdet(0.0) != 0.0
-
-
 # ---------------------------------------------------------------------------
 # Monge-Ampere density
 

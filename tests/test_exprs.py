@@ -13,7 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergdpp.exprs import ParseError, WeightExpr, complex_hessian, parse_weight, weight_values
+from bergdpp.exprs import (
+    ParseError,
+    WeightExpr,
+    complex_hessian,
+    parse_weight,
+    weight_sum,
+    weight_values,
+)
 
 
 def pts(*zs):
@@ -112,6 +119,45 @@ def test_weight_values_name_the_weight_and_first_bad_point():
 def test_weight_values_reject_a_wrong_shape():
     with pytest.raises(ValueError, match=r"shape \(2,\), got \(2, 1\)"):
         weight_values(lambda Z: np.zeros((len(Z), 1)), pts(1j, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# weight sums
+
+
+def test_weight_sum_without_a_live_term_is_none():
+    e = parse_weight("r2")
+    assert weight_sum() is None
+    assert weight_sum((1.0, None), (3.0, None)) is None
+    assert weight_sum((0.0, e), (2.0, None)) is None
+
+
+def test_weight_sum_of_one_unit_term_is_that_weight():
+    e = parse_weight("r2/(1+r2)")
+    assert weight_sum((1.0, e)) is e
+    assert weight_sum((1.0, e), (0.0, parse_weight("r2")), (5.0, None)) is e
+
+
+def test_weight_sum_values_are_the_weighted_sum():
+    f, g = parse_weight("r2/(1+r2)"), parse_weight("re_1")
+    Z = pts(0.3 + 0.4j, 2.0, -1.5j)
+    total = weight_sum((1.0, f), (4.0, g), (-0.5, f))
+    want = f.evaluate(Z) + 4.0 * g.evaluate(Z) - 0.5 * f.evaluate(Z)
+    assert np.allclose(weight_values(total, Z), want, rtol=1e-15, atol=0)
+    # a single term with another coefficient is scaled, not passed through
+    assert np.array_equal(weight_values(weight_sum((2.0, f)), Z), 2.0 * f.evaluate(Z))
+
+
+def test_weight_sum_names_the_term_that_is_not_finite():
+    good, bad = parse_weight("r2"), parse_weight("log(r2 - 1)")
+    total = weight_sum((1.0, good), (3.0, bad))
+    with pytest.raises(ValueError, match=r"'log\(r2 - 1\)'\) is nan at point 1"):
+        weight_values(total, pts(2.0, 0.5j))
+    # finite terms, but a coefficient that is not: the error names the sum
+    overflow = weight_sum((1.0, good), (math.inf, good))
+    named = r"weight 1\*WeightExpr\('r2'\) \+ inf\*WeightExpr\('r2'\) is inf at point 0"
+    with pytest.raises(ValueError, match=named):
+        weight_values(overflow, pts(2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from bergdpp.exprs import parse_weight
+from bergdpp.exprs import parse_weight, weight_sum
 from bergdpp.sampler import (
     Configuration,
     DiscreteProjectionDpp,
     McmcConfig,
+    RejectionStallError,
     configuration_from_json,
     discrete_projection_from_space,
     log_density,
@@ -117,6 +118,14 @@ def test_section_rows_per_draw_near_n_harmonic(monkeypatch):
     assert sum(rows) / draws <= 1.5 * n_h
 
 
+def test_stall_guard_stops_a_draw_out_of_proposals(monkeypatch):
+    import bergdpp.sampler as sampler
+
+    monkeypatch.setattr(sampler, "MAX_PROPOSALS", 0)
+    with pytest.raises(RejectionStallError, match="no acceptance after 0 proposals at point 1/4"):
+        sample_dpp(make_fubini_study(3), seed=1)
+
+
 # ---------------------------------------------------------------------------
 # log-density dual route
 
@@ -158,9 +167,10 @@ def test_log_density_rejects_a_non_finite_weight():
     space = make_fubini_study(1)
     pts = np.array([[0.3 + 0.4j], [-0.8 + 0.2j]])
     with pytest.raises(ValueError, match=r"log\(r2-1\).* at point 0, z = "):
-        log_density(space, pts, psi=parse_weight("log(r2-1)"))
+        log_density(space, pts, weight=parse_weight("log(r2-1)"))
     with pytest.raises(ValueError, match=r"log\(r2-1\)"):
-        log_density(space, pts, psi_prime=parse_weight("log(r2-1)"))
+        total = weight_sum((1.0, parse_weight("r2")), (space.power, parse_weight("log(r2-1)")))
+        log_density(space, pts, weight=total)
 
 
 def test_log_density_minus_inf_at_coincidence():
@@ -176,12 +186,9 @@ def test_log_density_weight_terms():
     conf = sample_dpp(space, seed=13)
     psi = parse_weight("r2/(1+r2)")
     base = log_density(space, conf.points)
-    weighted = log_density(space, conf.points, psi=psi)
+    weighted = log_density(space, conf.points, weight=psi)
     pen = float(np.sum(psi.evaluate(conf.points)))
     assert weighted == pytest.approx(base - pen, rel=1e-12)
-    # psi' enters with one factor of k
-    kweighted = log_density(space, conf.points, psi_prime=psi)
-    assert kweighted == pytest.approx(base - space.power * pen, rel=1e-12)
 
 
 def test_log_density_wrong_size_raises():
@@ -262,6 +269,9 @@ def test_mcmc_config_validation():
         McmcConfig(steps=100, thin=0)
     with pytest.raises(ValueError):
         McmcConfig(steps=100, proposal_scale=-1.0)
+    for scale in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            McmcConfig(steps=100, proposal_scale=scale)
 
 
 def test_mcmc_requires_seed():
@@ -290,7 +300,7 @@ def test_mcmc_weight_shifts_the_law():
     space = make_fubini_study(4)
     cfg = McmcConfig(steps=3000, burn_in=500, thin=20, proposal_scale=0.5)
     flat = sample_weighted(space, cfg, seed=31)
-    pulled = sample_weighted(space, cfg, psi=parse_weight("4*r2"), seed=31)
+    pulled = sample_weighted(space, cfg, weight=parse_weight("4*r2"), seed=31)
     r_flat = np.mean(np.abs(np.concatenate([c.points[:, 0] for c in flat.configurations])))
     r_pulled = np.mean(np.abs(np.concatenate([c.points[:, 0] for c in pulled.configurations])))
     assert r_pulled < r_flat
@@ -309,10 +319,10 @@ def test_mcmc_stores_gibbs_log_density(space, psi_text, steps):
     # long chains apply many rank-1 inverse updates between refactorisations;
     # every collected log-density must still be the exact Gibbs value
     psi = parse_weight(psi_text)
-    run = sample_weighted(space, McmcConfig(steps=steps, burn_in=50, thin=50), psi=psi, seed=37)
+    run = sample_weighted(space, McmcConfig(steps=steps, burn_in=50, thin=50), weight=psi, seed=37)
     assert run.configurations
     for conf in run.configurations:
-        want = log_density(space, conf.points, psi=psi)
+        want = log_density(space, conf.points, weight=psi)
         assert conf.log_density == pytest.approx(want, rel=1e-10)
         assert conf.origin == "mcmc"
 
@@ -331,7 +341,7 @@ def test_mcmc_factorises_once_per_sweep(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting)
     space = make_fubini_study(9)
     run = sample_weighted(
-        space, McmcConfig(steps=95, burn_in=10, thin=20), psi=parse_weight("r2/(1+r2)"), seed=3
+        space, McmcConfig(steps=95, burn_in=10, thin=20), weight=parse_weight("r2/(1+r2)"), seed=3
     )
     assert len(run.configurations) == 5
     assert calls == {"inv": 10, "slogdet": 5}
@@ -380,7 +390,7 @@ def test_mcmc_matches_a_full_determinant_reference_chain(space, psi_text):
     psi = parse_weight(psi_text)
     N = space.rank
     config = McmcConfig(steps=4 * N + 7, burn_in=N, thin=7)
-    run = sample_weighted(space, config, psi=psi, seed=41)
+    run = sample_weighted(space, config, weight=psi, seed=41)
     want = _reference_chain(space, config, psi, seed=41)
     assert 0.1 < run.acceptance_rate < 0.9
     assert len(run.configurations) == len(want) >= 4
@@ -450,7 +460,7 @@ def test_discrete_sample_matches_det_marginals():
 def test_configuration_json_round_trip():
     space = make_product((1, 2), 2)
     conf = sample_dpp(space, seed=51)
-    back = configuration_from_json(conf.to_json_dict(), dim=space.dim, seed=conf.seed)
+    back = configuration_from_json(conf.to_json_dict(), dim=space.dim)
     assert np.allclose(back.points, conf.points, rtol=0, atol=0)
     assert back.log_density == conf.log_density
     assert back.origin == conf.origin

@@ -39,7 +39,7 @@ def make_conf(points):
     pts = np.asarray(points, dtype=complex)
     if pts.ndim == 1:
         pts = pts[:, None]
-    return Configuration(points=pts, log_density=0.0, seed=None, origin="exact")
+    return Configuration(points=pts, log_density=0.0, origin="exact")
 
 
 # ---------------------------------------------------------------------------
