@@ -117,6 +117,12 @@ def _resolve_seed(args) -> int:
     raise CliError("a seed is required: pass --seed or set BERGDPP_SEED")
 
 
+def _reps(args) -> int:
+    if args.reps < 1:
+        raise CliError("--reps must be at least 1")
+    return args.reps
+
+
 def _maybe_weight(text: str | None, dim: int) -> WeightExpr | None:
     """The weight flag's expression, parsed and checked against the chart dimension."""
     if text is None:
@@ -240,13 +246,11 @@ def _cmd_sample(args) -> int:
         "space": space_to_config(space),
         "seed": seed,
     }
+    # the chain flags that were given; McmcConfig holds the defaults of the rest
+    flags = {key: vars(args)[key] for key in ("burn_in", "thin", "proposal_scale")}
+    chain = {key: value for key, value in flags.items() if value is not None}
     if args.mcmc_steps is not None:
-        mcmc = McmcConfig(
-            steps=args.mcmc_steps,
-            burn_in=args.burn_in,
-            thin=args.thin,
-            proposal_scale=args.proposal_scale,
-        )
+        mcmc = McmcConfig(steps=args.mcmc_steps, **chain)
         # the Gibbs potential psi + k psi' of the weighted process
         weight = weight_sum(
             (1.0, _maybe_weight(args.weight_expr, space.dim)),
@@ -278,9 +282,10 @@ def _cmd_sample(args) -> int:
             "weighted processes are sampled by MCMC; add --mcmc-steps "
             "(the exact sampler covers only the unweighted projection process)"
         )
-    if args.reps < 1:
-        raise CliError("--reps must be at least 1")
-    config["reps"] = args.reps
+    if chain:
+        given = ", ".join("--" + key.replace("_", "-") for key in chain)
+        raise CliError(f"chain flags {given} need --mcmc-steps (the exact sampler runs no chain)")
+    config["reps"] = _reps(args)
     confs = sample_dpp_many(space, args.reps, seed, workers=args.workers)
     body = {
         "space": space_to_config(space),
@@ -299,9 +304,7 @@ def _stats_inputs(args) -> tuple[ModelSpace, list[Configuration], dict]:
     else:
         space = _space_from_args(args)
         seed = _resolve_seed(args)
-        if args.reps < 1:
-            raise CliError("--reps must be at least 1")
-        confs = sample_dpp_many(space, args.reps, seed, workers=args.workers)
+        confs = sample_dpp_many(space, _reps(args), seed, workers=args.workers)
         src = {"space": space_to_config(space), "seed": seed, "reps": args.reps}
     return space, confs, src
 
@@ -387,7 +390,7 @@ def _cmd_converge(args) -> int:
     seed = _resolve_seed(args)
     spaces_by_k = [(k, _space_from_args(args, k=k)) for k in ks]
     region = parse_region(args.region, spaces_by_k[0][1].dim)
-    report = measure_convergence(spaces_by_k, region, args.reps, seed, workers=args.workers)
+    report = measure_convergence(spaces_by_k, region, _reps(args), seed, workers=args.workers)
     config = {
         "command": "converge",
         "space": args.space,
@@ -538,9 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight-expr", default=None, help="extra weight psi")
     p.add_argument("--weight-k-expr", default=None, help="k-scaled weight psi'")
     p.add_argument("--mcmc-steps", type=int, default=None)
-    p.add_argument("--burn-in", type=int, default=0)
-    p.add_argument("--thin", type=int, default=1)
-    p.add_argument("--proposal-scale", type=float, default=0.5)
+    p.add_argument("--burn-in", type=int, default=None)
+    p.add_argument("--thin", type=int, default=None)
+    p.add_argument("--proposal-scale", type=float, default=None)
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("stats", help="statistics of sampled configurations")

@@ -51,6 +51,7 @@ from .quadrature import (
     weighted_gram_matrix,
 )
 from .spaces import ModelSpace
+from .stats import _stacked
 
 __all__ = [
     "PositivityError",
@@ -107,11 +108,10 @@ def mc_partition_ratio(configurations, psi) -> tuple[float, float]:
 
     Takes exact unweighted samples; returns (mean, standard error).
     """
-    vals = np.array(
-        [math.exp(-float(np.sum(weight_values(psi, conf.points)))) for conf in configurations]
-    )
-    if vals.size == 0:
-        raise ValueError("no configurations")
+    P = _stacked(configurations)
+    reps, n, dim = P.shape
+    sums = weight_values(psi, P.reshape(-1, dim)).reshape(reps, n).sum(axis=1)
+    vals = np.array([math.exp(-float(s)) for s in sums])
     se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
     return float(vals.mean()), se
 

@@ -104,14 +104,10 @@ class Configuration:
     mcmc_step: int | None = None
 
     def to_json_dict(self) -> dict:
-        pts = []
-        for row in self.points:
-            out: list[float] = []
-            for c in row:
-                out.extend((float(c.real), float(c.imag)))
-            pts.append(out)
+        # the (N, 2 * dim) float view holds [re, im] per factor
+        pts = np.ascontiguousarray(self.points, dtype=complex).view(float)
         return {
-            "points": pts,
+            "points": pts.tolist(),
             "log_density": self.log_density,
             "origin": self.origin,
             "mcmc_step": self.mcmc_step,
@@ -120,14 +116,12 @@ class Configuration:
 
 def points_from_json(rows, dim: int) -> np.ndarray:
     """(M, dim) complex points from JSON rows of 2 * dim numbers, [re, im] per factor."""
-    pts = np.zeros((len(rows), dim), dtype=complex)
     for i, row in enumerate(rows):
         if len(row) != 2 * dim:
             raise ValueError(
                 f"point row {i} has {len(row)} numbers, expected {2 * dim} (re/im per factor)"
             )
-        for j in range(dim):
-            pts[i, j] = float(row[2 * j]) + 1j * float(row[2 * j + 1])
+    pts = np.array(rows, dtype=float).reshape(len(rows), 2 * dim).view(complex)
     if not np.all(np.isfinite(pts)):
         raise ValueError("point coordinates must be finite numbers")
     return pts

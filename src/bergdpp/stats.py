@@ -1,5 +1,10 @@
 """Statistics on sampled configurations, checked against kernel predictions.
 
+A draw set enters as one (reps, N, dim) complex array of points, stacked
+once, and every statistic is a reduction over it: a region count is one
+Region.mask call over all reps * N points, summed per replicate, and the
+pooled radii are the moduli of one factor, raveled.
+
 Every prediction here comes from quadrature of the kernel, never from another
 Monte Carlo run.  With G_U the Gram matrix masked to a radial region U
 (G_U[i, j] = integral over U of conj(v_i) v_j dmu), the count and pair
@@ -34,13 +39,12 @@ import numpy as np
 from scipy.special import betainc, gammainc
 
 from .quadrature import QuadratureGrid, build_grid, weighted_gram_matrix
-from .sampler import Configuration, sample_dpp_many
+from .sampler import sample_dpp_many
 from .spaces import ModelSpace
 
 __all__ = [
     "Region",
     "parse_region",
-    "EmpiricalMeasure",
     "CountStats",
     "PairStats",
     "IntensityCell",
@@ -154,39 +158,21 @@ def region_gram(space: ModelSpace, grid: QuadratureGrid, region: Region) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# empirical measures
+# draw sets
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Point configurations viewed as probability measures (1/N per point)."""
+def _stacked(configurations) -> np.ndarray:
+    """The draw set as one (reps, N, dim) complex array of points."""
+    points = [conf.points for conf in configurations]
+    if not points:
+        raise ValueError("need at least one configuration")
+    return np.stack(points)
 
-    configurations: tuple[Configuration, ...]
 
-    def __post_init__(self):
-        if len(self.configurations) == 0:
-            raise ValueError("need at least one configuration")
-
-    @property
-    def reps(self) -> int:
-        return len(self.configurations)
-
-    @property
-    def rank(self) -> int:
-        return self.configurations[0].points.shape[0]
-
-    def counts(self, region: Region) -> np.ndarray:
-        return np.array(
-            [int(region.mask(c.points).sum()) for c in self.configurations]
-        )
-
-    def masses(self, region: Region) -> np.ndarray:
-        return self.counts(region) / float(self.rank)
-
-    def pooled_radii(self, factor: int = 0) -> np.ndarray:
-        return np.concatenate(
-            [np.abs(c.points[:, factor]) for c in self.configurations]
-        )
+def _counts(P: np.ndarray, region: Region) -> np.ndarray:
+    """Per-replicate point counts of a region, as floats."""
+    reps, n, dim = P.shape
+    return region.mask(P.reshape(-1, dim)).reshape(reps, n).sum(axis=1).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +224,9 @@ def region_count_stats(
     grid: QuadratureGrid | None = None,
     gram: np.ndarray | None = None,
 ) -> CountStats:
-    emp = EmpiricalMeasure(tuple(configurations))
+    counts = _counts(_stacked(configurations), region)
     pred_mean, pred_var = count_moments(space, region, grid, gram)
-    counts = emp.counts(region).astype(float)
-    reps = emp.reps
+    reps = counts.size
     obs_mean = float(counts.mean())
     obs_var = float(counts.var(ddof=1)) if reps > 1 else 0.0
     mean_z = _ratio_z(obs_mean, pred_mean, math.sqrt(pred_var / reps) if pred_var > 0 else 0.0)
@@ -290,10 +275,11 @@ def pair_count_stats(
     E[#A(#A - 1)] = (tr G_A)^2 - |G_A|_F^2.
     """
     regions = list(regions)
-    emp = EmpiricalMeasure(tuple(configurations))
+    P = _stacked(configurations)
+    reps = P.shape[0]
     if grid is None:
         grid = region_grid(space, *regions)
-    counts = np.stack([emp.counts(reg).astype(float) for reg in regions])
+    counts = [_counts(P, reg) for reg in regions]
     masks = [reg.mask(grid.nodes) for reg in regions]
     if grams is None:
         grams = [weighted_gram_matrix(space, grid, mask=m) for m in masks]
@@ -311,12 +297,12 @@ def pair_count_stats(
                 if both.any():
                     pred += float(np.trace(weighted_gram_matrix(space, grid, mask=both)).real)
             obs = float(stat.mean())
-            se = float(stat.std(ddof=1) / math.sqrt(emp.reps)) if emp.reps > 1 else 0.0
+            se = float(stat.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
             out.append(
                 PairStats(
                     region_a=regions[a].label,
                     region_b=regions[b].label,
-                    reps=emp.reps,
+                    reps=reps,
                     predicted=pred,
                     observed_mean=obs,
                     observed_se=se,
@@ -350,23 +336,20 @@ def estimate_intensity(
         raise ValueError("binned intensity is implemented for one-factor charts")
     if bins < 1 or (extent is not None and not 0.0 < extent < math.inf):
         raise ValueError(f"need bins >= 1 and finite extent > 0, got bins={bins}, extent={extent}")
-    emp = EmpiricalMeasure(tuple(configurations))
+    z = _stacked(configurations)[:, :, 0]
     if extent is None:
-        extent = space.truncation_radius or 4.0
-        if space.kind == "ginibre":
-            extent = math.sqrt(space.rank) * 1.25 + 1.0
+        extent = math.sqrt(space.rank) * 1.25 + 1.0 if space.kind == "ginibre" else 4.0
     edges = np.linspace(-extent, extent, bins + 1)
     width = edges[1] - edges[0]
     area = width * width
-    reps = emp.reps
+    reps = z.shape[0]
 
+    ix = np.searchsorted(edges, z.real, side="right") - 1
+    iy = np.searchsorted(edges, z.imag, side="right") - 1
+    rep = np.broadcast_to(np.arange(reps)[:, None], z.shape)
+    keep = (ix >= 0) & (ix < bins) & (iy >= 0) & (iy < bins)
     per_rep = np.zeros((reps, bins, bins))
-    for r, conf in enumerate(emp.configurations):
-        z = conf.points[:, 0]
-        ix = np.searchsorted(edges, z.real, side="right") - 1
-        iy = np.searchsorted(edges, z.imag, side="right") - 1
-        keep = (ix >= 0) & (ix < bins) & (iy >= 0) & (iy < bins)
-        np.add.at(per_rep[r], (ix[keep], iy[keep]), 1.0)
+    np.add.at(per_rep, (rep[keep], ix[keep], iy[keep]), 1.0)
 
     mean_counts = per_rep.mean(axis=0)
     se_counts = (
@@ -447,12 +430,12 @@ def circular_law_distance(space: ModelSpace, configurations) -> CircularLawRepor
     """KS distance of radii / sqrt(N) to the unit-disk radial CDF min(r^2, 1)."""
     if space.kind != "ginibre":
         raise ValueError("the circular-law check applies to the Ginibre space")
-    emp = EmpiricalMeasure(tuple(configurations))
-    radii = emp.pooled_radii(0) / math.sqrt(space.rank)
+    P = _stacked(configurations)
+    radii = np.abs(P[:, :, 0]).ravel() / math.sqrt(space.rank)
     dist = ks_distance(radii, lambda r: np.minimum(np.asarray(r) ** 2, 1.0))
     return CircularLawReport(
         rank=space.rank,
-        reps=emp.reps,
+        reps=P.shape[0],
         pooled_points=radii.size,
         distance=dist,
     )
@@ -491,18 +474,19 @@ def convergence_row(
 ) -> ConvergenceRow:
     from .energy import equilibrium_mass
 
-    emp = EmpiricalMeasure(tuple(configurations))
+    P = _stacked(configurations)
+    reps, n, _ = P.shape
     pred_mean, _ = count_moments(space, region)
-    masses = emp.masses(region)
+    masses = _counts(P, region) / n
     mc = float(masses.mean())
-    se = float(masses.std(ddof=1) / math.sqrt(emp.reps)) if emp.reps > 1 else 0.0
+    se = float(masses.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     eq = equilibrium_mass(space, region=region)
     return ConvergenceRow(
         k=k,
         rank=space.rank,
         mc_mass=mc,
         mc_se=se,
-        replicate_variance=float(masses.var(ddof=1)) if emp.reps > 1 else 0.0,
+        replicate_variance=float(masses.var(ddof=1)) if reps > 1 else 0.0,
         quadrature_mass=pred_mean / space.rank,
         equilibrium_mass=eq,
         gap=abs(mc - eq),

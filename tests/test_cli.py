@@ -123,6 +123,41 @@ def test_sample_weight_without_mcmc_rejected(capsys):
     assert "--mcmc-steps" in capsys.readouterr().err
 
 
+CHAIN_FLAGS = [("--burn-in", "5"), ("--thin", "0"), ("--proposal-scale", "inf"),
+               ("--burn-in", "0"), ("--thin", "1"), ("--proposal-scale", "0.5")]
+
+
+@pytest.mark.parametrize("flag,value", CHAIN_FLAGS, ids=[f"{f[2:]}={v}" for f, v in CHAIN_FLAGS])
+def test_chain_flag_without_mcmc_steps_rejected(flag, value, capsys):
+    # a chain flag, even at McmcConfig's default, means a chain was wanted
+    assert run(["sample", "--space", "fs", "--k", "2", "--seed", "1", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"chain flags {flag} need --mcmc-steps" in err
+
+
+def test_chain_defaults_come_from_mcmc_config(tmp_path):
+    out = tmp_path / "m.json"
+    assert run(["sample", "--space", "fs", "--k", "2", "--seed", "1", "--mcmc-steps", "20",
+                "--out", str(out)]) == 0
+    config = read_json(out)["config"]
+    assert (config["burn_in"], config["thin"], config["proposal_scale"]) == (0, 1, 0.5)
+
+
+@pytest.mark.parametrize("reps", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--space", "fs", "--k", "2"],
+        ["stats", "counts", "--space", "fs", "--k", "2", "--region", "disk:1"],
+        ["converge", "--space", "fs", "--ks", "2"],
+    ],
+    ids=["sample", "stats", "converge"],
+)
+def test_reps_below_one_names_the_flag(argv, reps, capsys):
+    assert run([*argv, "--reps", reps, "--seed", "1"]) == 2
+    assert "error: --reps must be at least 1" in capsys.readouterr().err
+
+
 def test_product_space_flags(tmp_path):
     out = tmp_path / "p.json"
     code = run(["sample", "--space", "product", "--mults", "1,2", "--k", "2",

@@ -460,6 +460,10 @@ def test_discrete_sample_matches_det_marginals():
 def test_configuration_json_round_trip():
     space = make_product((1, 2), 2)
     conf = sample_dpp(space, seed=51)
+    rows = conf.to_json_dict()["points"]
+    # [re, im] per factor, as plain floats
+    assert rows == [[float(x) for z in row for x in (z.real, z.imag)] for row in conf.points]
+    assert all(type(x) is float for row in rows for x in row)
     back = configuration_from_json(conf.to_json_dict(), dim=space.dim)
     assert np.allclose(back.points, conf.points, rtol=0, atol=0)
     assert back.log_density == conf.log_density

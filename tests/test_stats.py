@@ -20,9 +20,9 @@ from scipy import special, stats as sps
 from bergdpp.sampler import Configuration, sample_dpp_many
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
 from bergdpp.stats import (
-    EmpiricalMeasure,
     Region,
     circular_law_distance,
+    convergence_row,
     count_moments,
     estimate_intensity,
     ks_distance,
@@ -89,18 +89,32 @@ def test_parse_region_errors():
 
 
 def test_empirical_counts_and_masses():
+    # disk:1 counts (1, 2) per draw, so masses (1/2, 1) of the rank-2 space
     confs = [make_conf([0.1 + 0j, 2.0 + 0j]), make_conf([0.2j, 0.3 + 0j])]
-    emp = EmpiricalMeasure(tuple(confs))
+    space = make_fubini_study(1)
     disk = Region.disk(1.0)
-    assert list(emp.counts(disk)) == [1, 2]
-    assert np.allclose(emp.masses(disk), [0.5, 1.0])
-    assert emp.reps == 2
-    assert emp.rank == 2
+    cs = region_count_stats(space, confs, disk)
+    assert cs.reps == 2
+    assert cs.observed_mean == 1.5
+    assert cs.observed_variance == 0.5
+    row = convergence_row(space, 1, confs, disk)
+    assert row.rank == 2
+    assert row.mc_mass == 0.75
+    assert row.replicate_variance == 0.125
 
 
 def test_empirical_requires_configurations():
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(())
+    space = make_fubini_study(2)
+    disk = Region.disk(1.0)
+    for call in (
+        lambda: region_count_stats(space, [], disk),
+        lambda: pair_count_stats(space, [], [disk]),
+        lambda: estimate_intensity(space, []),
+        lambda: convergence_row(space, 2, [], disk),
+        lambda: circular_law_distance(make_ginibre(3), []),
+    ):
+        with pytest.raises(ValueError, match="need at least one configuration"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +318,64 @@ def test_region_count_stats_on_samples():
     assert d["region"] == "disk:1"
 
 
-def test_pair_count_stats_observed_means_manual():
-    confs = [make_conf([0.1 + 0j, 0.2 + 0j, 3.0 + 0j]), make_conf([0.3 + 0j, 3.5 + 0j, 4.0 + 0j])]
-    space = make_fubini_study(2)
-    disk = Region.disk(1.0)
-    far = Region.annulus(2.0, 10.0)
-    rows = pair_count_stats(space, confs, [disk, far])
+def loop_counts(confs, region):
+    """Per-draw region counts from a plain loop of |z_i| comparisons."""
+    counts = []
+    for conf in confs:
+        n = 0
+        for row in conf.points:
+            n += all(lo <= abs(z) <= hi for z, (lo, hi) in zip(row, region.bounds))
+        counts.append(n)
+    return counts
+
+
+# fs k=2, three points per draw, none on a region boundary
+FS_DRAWS = [[0.1, 0.2, 3.0], [0.3, 3.5, 4.0]]
+
+
+def axis_points(rng, n):
+    """n two-factor points on the axes, so every modulus is an exact radius."""
+    radii = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0])
+    turns = np.array([1.0, -1.0, 1j, -1j])
+    shape = (n, 2)
+    return (radii[rng.integers(radii.size, size=shape)] * turns[rng.integers(4, size=shape)]).tolist()
+
+
+# product (1,2) k=2, 15 points per draw.  The first three rows of the first
+# two draws sit on the hi of disk:1 and the lo or hi of annulus:0.5:2 on each
+# factor.
+ON_RADII = [[1.0, 0.5j], [-0.5, 1.0], [1j, 2.0], [2.0, -1j], [0.5j, -0.5], [-1.0, 2j]]
+_rng = np.random.default_rng(31)
+PRODUCT_DRAWS = [
+    ON_RADII[:3] + axis_points(_rng, 12),
+    ON_RADII[3:] + axis_points(_rng, 12),
+    axis_points(_rng, 15),
+]
+
+
+@pytest.mark.parametrize(
+    "space,draws,texts",
+    [
+        (make_fubini_study(2), FS_DRAWS, ["disk:1", "annulus:2:10", "full"]),
+        (make_product((1, 2), 2), PRODUCT_DRAWS, ["disk:1", "annulus:0.5:2", "full"]),
+    ],
+    ids=["fs", "prod12k2"],
+)
+def test_pair_count_stats_observed_means_manual(space, draws, texts):
+    confs = [make_conf(d) for d in draws]
+    regions = [parse_region(t, space.dim) for t in texts]
+    counts = [np.array(loop_counts(confs, reg), dtype=float) for reg in regions]
+    rows = pair_count_stats(space, confs, regions)
     by_key = {(r.region_a, r.region_b): r for r in rows}
-    # diagonal entries use n(n-1); counts are (2,1) in disk, (1,2) outside
-    assert by_key[("disk:1", "disk:1")].observed_mean == pytest.approx((2 + 0) / 2)
-    assert by_key[("annulus:2:10", "annulus:2:10")].observed_mean == pytest.approx((0 + 2) / 2)
-    assert by_key[("disk:1", "annulus:2:10")].observed_mean == pytest.approx((2 + 2) / 2)
+    assert len(rows) == 6
+    for a in range(3):
+        for b in range(a, 3):
+            want = counts[a] * (counts[a] - 1.0) if a == b else counts[a] * counts[b]
+            row = by_key[(regions[a].label, regions[b].label)]
+            assert row.reps == len(confs)
+            assert row.observed_mean == want.mean()
+    # every point of a draw is in the full region
+    assert list(counts[2]) == [len(d) for d in draws]
 
 
 def test_pair_count_stats_overlapping_regions():
@@ -347,6 +408,29 @@ def test_estimate_intensity_prediction_column():
     area = (4.0 / 12.0) ** 2
     total = sum(c.rate * area for c in cells)
     assert 2.0 < total <= 5.0 + 1e-9  # most of the N = 5 points land inside the window
+
+
+def test_estimate_intensity_rates_match_per_replicate_histograms():
+    space = make_fubini_study(4)
+    confs = sample_dpp_many(space, reps=30, seed=17)
+    bins, extent = 6, 1.5
+    edges = np.linspace(-extent, extent, bins + 1)
+    z = np.array([c.points[:, 0] for c in confs])
+    # no point on a bin edge, and some outside the window
+    for part in (z.real, z.imag):
+        assert np.min(np.abs(part[..., None] - edges)) > 1e-6
+    assert np.any(np.maximum(np.abs(z.real), np.abs(z.imag)) > extent)
+    hist = np.array([np.histogram2d(w.real, w.imag, bins=[edges, edges])[0] for w in z])
+    area = (edges[1] - edges[0]) ** 2
+    cells = estimate_intensity(space, confs, bins=bins, extent=extent)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    assert [(c.center_re, c.center_im) for c in cells] == [(x, y) for x in centers for y in centers]
+    rate = np.array([c.rate for c in cells]).reshape(bins, bins)
+    stderr = np.array([c.stderr for c in cells]).reshape(bins, bins)
+    np.testing.assert_allclose(rate, hist.mean(axis=0) / area, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(
+        stderr, hist.std(axis=0, ddof=1) / math.sqrt(len(confs)) / area, rtol=1e-12, atol=0.0
+    )
 
 
 def test_estimate_intensity_rejects_product_charts():
