@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -612,10 +613,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process; parse_args leaves it unchanged (an append action
+# copies its default list before extending it)
+_parser = functools.cache(build_parser)
+
+
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

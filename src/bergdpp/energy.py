@@ -47,17 +47,16 @@ from .quadrature import (
     QuadratureGrid,
     _inverse_sqrt,
     build_grid,
+    gauss_legendre,
     gram,
     weighted_gram_matrix,
 )
 from .spaces import ModelSpace
-from .stats import _stacked
 
 __all__ = [
     "PositivityError",
     "PartitionValue",
     "partition_function",
-    "mc_partition_ratio",
     "GramPath",
     "monge_ampere_density",
     "equilibrium_mass",
@@ -101,19 +100,6 @@ def partition_function(
     return PartitionValue(
         rank=space.rank, logdet_gram=g.logdet, log_value=log_z, value=value
     )
-
-
-def mc_partition_ratio(configurations, psi) -> tuple[float, float]:
-    """Monte Carlo estimate of det G(psi) = E[exp(-sum psi(X_i))].
-
-    Takes exact unweighted samples; returns (mean, standard error).
-    """
-    P = _stacked(configurations)
-    reps, n, dim = P.shape
-    sums = weight_values(psi, P.reshape(-1, dim)).reshape(reps, n).sum(axis=1)
-    vals = np.array([math.exp(-float(s)) for s in sums])
-    se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return float(vals.mean()), se
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +250,7 @@ def mabuchi(
     if s_nodes < 16:
         raise ValueError("s_nodes must be at least 16")
     grid = build_grid(space)
-    x, w = np.polynomial.legendre.leggauss(s_nodes)
+    x, w = gauss_legendre(s_nodes)
     s_pts = 0.5 * (x + 1.0)
     s_wts = 0.5 * w
     u_vals = float(scale) * weight_values(direction, grid.nodes)

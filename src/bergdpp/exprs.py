@@ -271,36 +271,42 @@ class WeightExpr:
                         env[name] = col.imag.copy()
             return env[name]
 
-        def ev(node: Node) -> np.ndarray:
-            if isinstance(node, Num):
-                return np.full(Z.shape[0], node.value)
-            if isinstance(node, Var):
-                return lookup(node.name)
-            if isinstance(node, BinOp):
-                a, b = ev(node.left), ev(node.right)
-                if node.op == "+":
-                    return a + b
-                if node.op == "-":
-                    return a - b
-                if node.op == "*":
-                    return a * b
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    return a / b
-            if isinstance(node, Pow):
-                return ev(node.base) ** node.exponent
-            if isinstance(node, Call):
-                a = ev(node.arg)
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    return np.log(a) if node.func == "log" else np.exp(a)
-            raise TypeError(f"unknown node {node!r}")
-
-        return ev(self.ast)
+        return _values(self.ast, lookup, Z.shape[0])
 
     __call__ = evaluate
 
     def value_at(self, z) -> float:
         pt = np.atleast_1d(np.asarray(z, dtype=complex))
         return float(self.evaluate(pt[None, :])[0])
+
+
+def _values(node: Node, lookup, m: int) -> np.ndarray:
+    """Values of a node at m points; lookup(name) gives a variable's (m,) values.
+
+    Module level: a nested function that calls itself is a reference cycle,
+    which keeps the points alive until a gc pass.
+    """
+    if isinstance(node, Num):
+        return np.full(m, node.value)
+    if isinstance(node, Var):
+        return lookup(node.name)
+    if isinstance(node, BinOp):
+        a, b = _values(node.left, lookup, m), _values(node.right, lookup, m)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return a / b
+    if isinstance(node, Pow):
+        return _values(node.base, lookup, m) ** node.exponent
+    if isinstance(node, Call):
+        a = _values(node.arg, lookup, m)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.log(a) if node.func == "log" else np.exp(a)
+    raise TypeError(f"unknown node {node!r}")
 
 
 def parse_weight(source: str) -> WeightExpr:

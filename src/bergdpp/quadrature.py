@@ -4,8 +4,14 @@ Radial structure.  Every factor is integrated in the squared radius t = r^2.
 Fubini-Study factors map t to s = t/(1+t) in [0, 1]; under this substitution
 the Gram integrands t^j (1+t)^{-K-2} dt become polynomials s^j (1-s)^{K-j} ds,
 so Gauss-Legendre nodes integrate them exactly once 2*n_r - 1 >= K.  Ginibre
-factors use Gauss-Legendre directly on t in [0, R^2] with R = sqrt(2N) + 6;
-the Gaussian tail beyond R is below 1e-12 of any Gram entry at that rank.
+factors use Gauss-Legendre directly on t in [0, t_max], where
+t_max = gammainccinv(N, TAIL) solves Q(N, t_max) = TAIL for the regularized
+upper incomplete gamma Q.  The tail is bounded, not estimated: beyond t the
+diagonal entry a carries mass Q(a + 1, t), so by Cauchy-Schwarz an unweighted
+Gram entry loses at most sqrt(Q(a + 1, t) Q(b + 1, t)) <= Q(N, t) = TAIL, as
+Q(a + 1, t) grows with a <= N - 1.  An extra weight psi scales that bound by
+at most e^{-inf psi}.  An explicit truncation radius R only shortens the
+grid, to t in [0, min(R^2, t_max)].
 
 Panels.  The radial rule accepts breakpoints (region radii).  Each panel gets
 its own Gauss-Legendre nodes, so indicator functions of disks and annuli are
@@ -43,18 +49,22 @@ nodes than the rank needs).
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammainccinv
 
 from .exprs import weight_values
 from .spaces import ModelSpace
 
 __all__ = [
+    "TAIL",
     "GramDegenerateError",
     "QuadratureGrid",
     "GramMatrix",
+    "gauss_legendre",
     "build_grid",
     "integrate",
     "integrate_lebesgue",
@@ -62,6 +72,10 @@ __all__ = [
     "weighted_gram_matrix",
     "gram_to_csv",
 ]
+
+
+# Q(N, t_max) at the outer edge of a Ginibre grid: the Gram tail bound
+TAIL = 1e-16
 
 
 class GramDegenerateError(ArithmeticError):
@@ -93,9 +107,18 @@ class QuadratureGrid:
         return float(np.sum(self.weights * self.density))
 
 
+@functools.cache
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n (read-only)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _panel_gauss(edges: np.ndarray, n_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on each [edges[i], edges[i+1]] panel."""
-    x, w = np.polynomial.legendre.leggauss(n_per_panel)
+    x, w = gauss_legendre(n_per_panel)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         half = 0.5 * (b - a)
@@ -105,15 +128,16 @@ def _panel_gauss(edges: np.ndarray, n_per_panel: int) -> tuple[np.ndarray, np.nd
 
 
 def _factor_grid(
-    kind: str, trunc: float | None, n_radial: int, n_angular: int, breaks: tuple[float, ...]
+    kind: str, t_max: float | None, n_radial: int, n_angular: int, breaks: tuple[float, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """2-d polar rule for one factor: radii (n_r,), nodes (m,) complex, Lebesgue weights (m,).
 
     Nodes run radius-major: node r * n_angular + q sits at radii[r] e^{2 pi i q / n_angular}.
+    Ginibre panels end at t = t_max; breaks beyond it are dropped.
     """
     radii = sorted(r for r in breaks if r > 0.0 and math.isfinite(r))
     if kind == "ginibre":
-        edges = np.array([0.0] + [r**2 for r in radii if r < trunc] + [trunc**2])
+        edges = np.array([0.0] + [r**2 for r in radii if r**2 < t_max] + [t_max])
         t, wt = _panel_gauss(edges, n_radial)
     else:
         # s = t / (1 + t); Gram integrands are polynomials in s
@@ -151,7 +175,8 @@ def build_grid(
     radial:     Gauss-Legendre nodes per radial panel (default resolves the
                 rank exactly with headroom).
     angular:    angles per factor (default 2 * degree + 1, the exactness bound).
-    truncation: outer radius override for non-compact factors.
+    truncation: outer radius for non-compact factors; it can only shorten the
+                grid, whose edge t_max is set by the tail bound TAIL.
     breaks:     per factor, the radii at which radial panels split.  Regions
                 whose boundaries appear here are integrated to spectral accuracy.
     """
@@ -165,7 +190,11 @@ def build_grid(
         raise ValueError("truncation only applies to non-compact (ginibre) charts")
     if truncation is not None and not 0.0 < truncation < math.inf:
         raise ValueError(f"truncation must be a positive finite radius, got {truncation}")
-    trunc = float(truncation) if truncation is not None else space.truncation_radius
+    t_max = None
+    if space.kind == "ginibre":
+        t_max = float(gammainccinv(space.rank, TAIL))
+        if truncation is not None:
+            t_max = min(t_max, float(truncation) ** 2)
 
     radii, radials, angulars, zs, ws = [], [], [], [], []
     for i in range(n):
@@ -173,8 +202,6 @@ def build_grid(
         n_ang = angular if angular is not None else max(8, 2 * d + 1)
         if radial is not None:
             n_rad = radial
-        elif space.kind == "ginibre":
-            n_rad = max(128, int(math.ceil(trunc**2)))
         elif n == 1:
             n_rad = max(96, d + 33)
         else:
@@ -186,7 +213,7 @@ def build_grid(
                 f"a grid needs at least one radial and one angular node per factor, "
                 f"got radial={n_rad}, angular={n_ang}"
             )
-        r, z, w = _factor_grid(space.kind, trunc, n_rad, n_ang, breaks[i])
+        r, z, w = _factor_grid(space.kind, t_max, n_rad, n_ang, breaks[i])
         radii.append(r)
         radials.append(n_rad)
         angulars.append(n_ang)

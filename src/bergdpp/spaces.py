@@ -14,8 +14,7 @@ Built-in spaces:
                   The reference measure dm/pi with the Gaussian folded into
                   the sections makes these monomials exactly orthonormal
                   (the plain standard Gaussian would give ||z^j/sqrt(j!)||^2
-                  = 2^j instead).  Non-compact: quadrature truncates at
-                  R = sqrt(2 N) + 6, where the Gaussian tail is negligible.
+                  = 2^j instead).
 
   FubiniStudy(k)  chart C, Phi = k log(1+|z|^2), rho = (1/pi)(1+|z|^2)^{-2},
                   basis c_j z^j with c_j = sqrt((k+1) C(k,j)), rank k+1.
@@ -155,13 +154,6 @@ class ModelSpace:
             return np.full(Z.shape[0], 1.0 / math.pi)
         t = np.abs(Z) ** 2
         return np.prod(1.0 / (math.pi * (1.0 + t) ** 2), axis=1)
-
-    @property
-    def truncation_radius(self) -> float | None:
-        """Default radial truncation for non-compact charts."""
-        if self.kind == "ginibre":
-            return math.sqrt(2.0 * self.rank) + 6.0
-        return None
 
 
 # ---------------------------------------------------------------------------

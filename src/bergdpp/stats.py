@@ -38,6 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, gammainc
 
+from .energy import equilibrium_mass
+from .exprs import weight_values
 from .quadrature import QuadratureGrid, build_grid, weighted_gram_matrix
 from .sampler import sample_dpp_many
 from .spaces import ModelSpace
@@ -48,6 +50,7 @@ __all__ = [
     "CountStats",
     "PairStats",
     "IntensityCell",
+    "mc_partition_ratio",
     "region_count_stats",
     "pair_count_stats",
     "estimate_intensity",
@@ -141,14 +144,18 @@ def parse_region(text: str, dim: int = 1) -> Region:
 
 
 def region_grid(space: ModelSpace, *regions: Region) -> QuadratureGrid:
-    """Quadrature grid with panel edges on every region boundary."""
+    """Quadrature grid with panel edges on every region boundary.
+
+    max(24, d // 2 + 6) nodes per panel are exact for the polynomial region
+    integrands of Fubini-Study factors; Ginibre takes build_grid's default.
+    """
     per_factor: list[list[float]] = [[] for _ in range(space.dim)]
     for reg in regions:
         for i, edges in enumerate(reg.break_radii()):
             per_factor[i].extend(edges)
     breaks = [sorted(set(e)) for e in per_factor]
     degree = max(space.factor_degrees)
-    radial = max(24, degree // 2 + 6) if space.kind != "ginibre" else 80
+    radial = max(24, degree // 2 + 6) if space.kind != "ginibre" else None
     return build_grid(space, radial=radial, breaks=breaks)
 
 
@@ -173,6 +180,19 @@ def _counts(P: np.ndarray, region: Region) -> np.ndarray:
     """Per-replicate point counts of a region, as floats."""
     reps, n, dim = P.shape
     return region.mask(P.reshape(-1, dim)).reshape(reps, n).sum(axis=1).astype(float)
+
+
+def mc_partition_ratio(configurations, psi) -> tuple[float, float]:
+    """Monte Carlo estimate of det G(psi) = E[exp(-sum psi(X_i))].
+
+    Takes exact unweighted samples; returns (mean, standard error).
+    """
+    P = _stacked(configurations)
+    reps, n, dim = P.shape
+    sums = weight_values(psi, P.reshape(-1, dim)).reshape(reps, n).sum(axis=1)
+    vals = np.array([math.exp(-float(s)) for s in sums])
+    se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+    return float(vals.mean()), se
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +492,6 @@ def convergence_row(
     configurations,
     region: Region,
 ) -> ConvergenceRow:
-    from .energy import equilibrium_mass
-
     P = _stacked(configurations)
     reps, n, _ = P.shape
     pred_mean, _ = count_moments(space, region)

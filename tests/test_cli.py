@@ -6,10 +6,14 @@ Exit convention: 0 success, 2 usage or input errors, 3 numerical failures
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bergdpp
 from bergdpp.cli import run
 from bergdpp.energy import lambda_report
 from bergdpp.exprs import parse_weight, weight_sum
@@ -198,6 +202,18 @@ def test_check_partition_prints_logs_when_z_overflows(capsys):
     assert out.startswith("log Z = ")
     assert "log N! = " in out and "relative error" in out
     assert max(len(line) for line in out.splitlines()) < 100
+
+
+def test_check_partition_truncation_beyond_tail_edge_changes_nothing(capsys):
+    # radius 30 lies past the grid's tail edge at N = 50 (t_max ~ 132), so
+    # the truncation leaves the grid, and the weighted Z, as they are
+    base = ["check", "partition", "--space", "ginibre", "--n", "50",
+            "--weight-expr", "r2/(1+r2)"]
+    assert run(base) == 0
+    plain = capsys.readouterr().out
+    assert run(base + ["--truncation", "30"]) == 0
+    assert capsys.readouterr().out == plain
+    assert plain.startswith("Z = 3.156487809e+44")
 
 
 def test_check_gram_csv(tmp_path):
@@ -436,6 +452,24 @@ def test_stats_counts_assembles_each_region_gram_once(tmp_path, monkeypatch):
                 "--region", "disk:1", "--region", "annulus:1:2",
                 "--out", str(tmp_path / "c.json")]) == 0
     assert len(calls) == 2
+
+
+def test_stats_counts_in_a_row_match_separate_processes(tmp_path):
+    # run() reuses one parser: a --region list of one call must not leak
+    # into the next through the shared append default
+    base = ["stats", "counts", "--space", "fs", "--k", "3", "--reps", "5", "--seed", "4"]
+    argvs = [
+        base + ["--region", "disk:1", "--region", "annulus:1:2"],
+        base + ["--region", "disk:0.5"],
+    ]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bergdpp.__file__))}
+    for i, argv in enumerate(argvs):
+        assert run(argv + ["--out", str(tmp_path / f"in{i}.json")]) == 0
+    for i, argv in enumerate(argvs):
+        out = tmp_path / f"sep{i}.json"
+        subprocess.run([sys.executable, "-m", "bergdpp.cli", *argv, "--out", str(out)],
+                       env=env, check=True)
+        assert (tmp_path / f"in{i}.json").read_bytes() == out.read_bytes()
 
 
 def test_stats_requires_space_without_samples(capsys):

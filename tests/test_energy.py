@@ -21,7 +21,6 @@ from bergdpp.energy import (
     lambda_limit,
     lambda_report,
     mabuchi,
-    mc_partition_ratio,
     monge_ampere_density,
     partition_function,
 )
@@ -29,7 +28,7 @@ from bergdpp.exprs import parse_weight
 from bergdpp.quadrature import build_grid, gram
 from bergdpp.sampler import sample_dpp_many
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
-from bergdpp.stats import Region
+from bergdpp.stats import Region, mc_partition_ratio
 
 F_EXPR = parse_weight("0.2/(1+r2)")
 S_EXPR = parse_weight("r2/(1+r2)")

@@ -5,6 +5,7 @@ evaluate, so the forward-mode Hessian is checked against an independent
 route.
 """
 
+import gc
 import math
 import pickle
 
@@ -94,6 +95,19 @@ def test_polynomial_matches_numpy(a, b, c):
 
 # ---------------------------------------------------------------------------
 # validated values
+
+
+def test_evaluate_leaves_no_reference_cycle():
+    # a cycle would keep the points and their columns alive until a gc pass
+    expr = parse_weight("log(1+r2_1)/(1+re_2*im_2) + r2_2^2")
+    Z = np.ones((50, 2), dtype=complex)
+    gc.collect()
+    gc.disable()
+    try:
+        expr.evaluate(Z)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_weight_values_of_none_are_zeros():

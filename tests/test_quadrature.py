@@ -16,8 +16,10 @@ from scipy import integrate, special
 
 from bergdpp.exprs import parse_weight
 from bergdpp.quadrature import (
+    TAIL,
     GramDegenerateError,
     build_grid,
+    gauss_legendre,
     gram,
     gram_to_csv,
     integrate_lebesgue,
@@ -43,15 +45,46 @@ def test_product_grid_mass_is_one():
 
 
 def test_ginibre_grid_mass_is_truncation_area():
-    # dmu = dm/pi, so the truncated chart has mass R^2
-    space = make_ginibre(4)
-    grid = build_grid(space)
-    assert abs(grid.mass() - space.truncation_radius**2) < 1e-9
+    # dmu = dm/pi, so the grid on t = r^2 in [0, t_max] has mass t_max,
+    # where Q(N, t_max) = TAIL bounds the Gram tail
+    grid = build_grid(make_ginibre(4))
+    assert abs(grid.mass() - special.gammainccinv(4, TAIL)) < 1e-9
+    assert special.gammaincc(4, grid.mass()) == pytest.approx(TAIL, rel=1e-6)
 
 
 def test_custom_truncation():
     grid = build_grid(make_ginibre(3), truncation=2.0)
     assert abs(grid.mass() - 4.0) < 1e-10
+
+
+@pytest.mark.parametrize("breaks", [None, ((1.0, 30.0),)], ids=["plain", "panels"])
+def test_truncation_beyond_tail_edge_is_the_default_grid(breaks):
+    # a truncation only shortens the grid: past t_max it changes nothing,
+    # and a panel edge past t_max is dropped
+    space = make_ginibre(50)
+    default = build_grid(space, breaks=breaks)
+    assert default.mass() < 30.0**2
+    cut = build_grid(space, truncation=30.0, breaks=breaks)
+    assert np.array_equal(cut.nodes, default.nodes)
+    assert np.array_equal(cut.weights, default.weights)
+    assert cut.radial == default.radial
+
+
+def test_ginibre_takes_the_one_factor_node_count():
+    # max(96, d + 33) Legendre nodes on [0, t_max], as for a Fubini-Study factor
+    for n, want in [(5, 96), (150, 182)]:
+        assert build_grid(make_ginibre(n)).radial == (want,)
+        assert build_grid(make_fubini_study(n - 1)).radial == (want,)
+
+
+def test_gauss_legendre_is_memoised_and_read_only():
+    x, w = gauss_legendre(24)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(24)
+    assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    assert gauss_legendre(24) is gauss_legendre(24)
 
 
 # ---------------------------------------------------------------------------

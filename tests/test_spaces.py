@@ -137,12 +137,6 @@ def test_fs_base_density_integrates_to_one():
     assert abs(val - 1.0) < 1e-10
 
 
-def test_truncation_radius():
-    assert make_fubini_study(3).truncation_radius is None
-    g = make_ginibre(8)
-    assert g.truncation_radius == pytest.approx(math.sqrt(16.0) + 6.0)
-
-
 # ---------------------------------------------------------------------------
 # density of states
 

@@ -148,6 +148,8 @@ KOSTLAN_CASES = {
     "fs5": (make_fubini_study(5), ["disk:0.8", "annulus:0.8:2", "disk:1.5", "full"]),
     "gin5": (make_ginibre(5), ["disk:1", "annulus:1:1.8", "disk:1.5", "full"]),
     "gin50": (make_ginibre(50), ["disk:5", "annulus:5:7", "disk:6", "full"]),
+    # disk:30 lies beyond the grid's tail edge t_max, so its edge is dropped
+    "gin300": (make_ginibre(300), ["disk:1", "full", "disk:30"]),
     "prod12k2": (make_product((1, 2), 2), ["disk:1", "annulus:1:2", "full", ((0.0, 1.0), (0.0, math.inf))]),
 }
 
@@ -159,9 +161,10 @@ def test_count_and_pair_predictions_match_kostlan(case):
     grid = region_grid(space, *regions)
     probs = [kostlan_probabilities(space, reg.bounds) for reg in regions]
     for reg, p in zip(regions, probs):
+        # absolute: a count's mean is off by the same amount at any rank
         mean, var = count_moments(space, reg, grid)
-        assert mean == pytest.approx(p.sum(), rel=1e-10, abs=1e-10)
-        assert var == pytest.approx((p * (1.0 - p)).sum(), rel=1e-10, abs=1e-10)
+        assert mean == pytest.approx(p.sum(), abs=1e-10)
+        assert var == pytest.approx((p * (1.0 - p)).sum(), abs=1e-10)
 
     conf = make_conf(np.zeros((space.rank, space.dim)))
     rows = pair_count_stats(space, [conf], regions, grid)
@@ -208,22 +211,27 @@ def pooled_chi_square(observed, expected, floor=5.0):
 
 
 @pytest.mark.parametrize(
-    "space,radii", [(make_fubini_study(9), [1.0]), (make_ginibre(20), [3.0, 4.0])],
+    "space,intervals",
+    [
+        (make_fubini_study(9), [(0.0, 1.0), (0.5, 2.0)]),
+        (make_ginibre(20), [(0.0, 3.0), (0.0, 4.0), (2.0, 4.0)]),
+    ],
     ids=["fs9", "gin20"],
 )
-def test_disk_count_law_is_poisson_binomial(space, radii):
-    # Kostlan: the count in a centred disk is a sum of independent
-    # Bernoulli(p_j), so its whole law is known, not only its moments.
-    # Ginibre radius 4 is near the edge sqrt(20), where the top basis
-    # index decides the law.
+def test_disk_count_law_is_poisson_binomial(space, intervals):
+    # Kostlan: the moduli are independent, one per basis index, so the count
+    # in a centred disk or annulus lo <= |z| < hi is a sum of independent
+    # Bernoulli(p_j): its whole law is known, not only its moments.  Ginibre
+    # radius 4 is near the edge sqrt(20), where the top basis index decides
+    # the law.  Every interval is checked on the same draws.
     draws = 1000
     confs = sample_dpp_many(space, reps=draws, seed=73)
-    for radius in radii:
-        counts = [int(np.sum(np.abs(c.points[:, 0]) < radius)) for c in confs]
-        pmf = poisson_binomial_pmf(kostlan_probabilities(space, [(0.0, radius)]))
+    for lo, hi in intervals:
+        counts = [int(np.sum(Region.annulus(lo, hi).mask(c.points))) for c in confs]
+        pmf = poisson_binomial_pmf(kostlan_probabilities(space, [(lo, hi)]))
         stat, dof = pooled_chi_square(np.bincount(counts, minlength=pmf.size), draws * pmf)
         assert dof >= 4
-        assert sps.chi2.sf(stat, dof) > 1e-3, radius
+        assert sps.chi2.sf(stat, dof) > 1e-3, (lo, hi)
 
 
 # ---------------------------------------------------------------------------
