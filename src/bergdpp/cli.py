@@ -465,6 +465,7 @@ def _cmd_check(args) -> int:
         radial=args.radial,
         angular=args.angular,
         truncation=args.truncation,
+        psi=psi,
     )
     if grid.under_resolved:
         # exit 3 like the degenerate Gram that the coarsest such grids give

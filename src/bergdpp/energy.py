@@ -90,7 +90,7 @@ def partition_function(
 ) -> PartitionValue:
     """Z = N! det G(psi), with the log form computed without overflow."""
     if grid is None:
-        grid = build_grid(space)
+        grid = build_grid(space, psi=psi)
     g = gram(space, grid, psi=psi)
     log_z = float(gammaln(space.rank + 1.0)) + g.logdet
     try:
@@ -112,16 +112,23 @@ class GramPath:
     def __init__(self, space: ModelSpace, psi):
         self.space = space
         self.psi = psi
-        self.grid = build_grid(space)
+        self._grids: dict[float, QuadratureGrid] = {}
         self._logdets: dict[float, float] = {}
 
     def weight_at(self, t: float):
         return weight_sum((float(t), self.psi))
 
+    def grid_at(self, t: float) -> QuadratureGrid:
+        """The grid for the weight t psi: a Ginibre edge moves with the weight."""
+        t = float(t) if self.space.kind == "ginibre" else 0.0
+        if t not in self._grids:
+            self._grids[t] = build_grid(self.space, psi=self.weight_at(t))
+        return self._grids[t]
+
     def logdet(self, t: float) -> float:
         t = float(t)
         if t not in self._logdets:
-            self._logdets[t] = gram(self.space, self.grid, psi=self.weight_at(t)).logdet
+            self._logdets[t] = gram(self.space, self.grid_at(t), psi=self.weight_at(t)).logdet
         return self._logdets[t]
 
     def cgf(self, t: float) -> float:
@@ -137,9 +144,10 @@ class GramPath:
         if self.psi is None:
             return 0.0
         weight = self.weight_at(t)
-        T = _inverse_sqrt(weighted_gram_matrix(self.space, self.grid, psi=weight))
+        grid = self.grid_at(t)
+        T = _inverse_sqrt(weighted_gram_matrix(self.space, grid, psi=weight))
         G_psi = weighted_gram_matrix(
-            self.space, self.grid, psi=weight, mask=weight_values(self.psi, self.grid.nodes)
+            self.space, grid, psi=weight, mask=weight_values(self.psi, grid.nodes)
         )
         return -float(np.sum((T @ T) * G_psi).real)
 

@@ -4,19 +4,32 @@ Radial structure.  Every factor is integrated in the squared radius t = r^2.
 Fubini-Study factors map t to s = t/(1+t) in [0, 1]; under this substitution
 the Gram integrands t^j (1+t)^{-K-2} dt become polynomials s^j (1-s)^{K-j} ds,
 so Gauss-Legendre nodes integrate them exactly once 2*n_r - 1 >= K.  Ginibre
-factors use Gauss-Legendre directly on t in [0, t_max], where
+factors use Gauss-Legendre directly on t in [0, t_max].  Unweighted,
 t_max = gammainccinv(N, TAIL) solves Q(N, t_max) = TAIL for the regularized
 upper incomplete gamma Q.  The tail is bounded, not estimated: beyond t the
 diagonal entry a carries mass Q(a + 1, t), so by Cauchy-Schwarz an unweighted
 Gram entry loses at most sqrt(Q(a + 1, t) Q(b + 1, t)) <= Q(N, t) = TAIL, as
-Q(a + 1, t) grows with a <= N - 1.  An extra weight psi scales that bound by
-at most e^{-inf psi}.  An explicit truncation radius R only shortens the
-grid, to t in [0, min(R^2, t_max)].
+Q(a + 1, t) grows with a <= N - 1.  An extra weight psi scales the bound by
+e^{-psi} beyond t, which a weight unbounded below makes large: psi =
+(1 - r^2)/2 leaves a top-index tail Q(N, t/2), 85% at N = 150.  So where
+e^{-psi} exceeds 1 on the edge circle, a grid built for psi moves its edge
+out until at most a share TAIL of the weighted top-index profile
+t^(N-1) e^{-t} g(t) lies beyond it, g(t) being the largest e^{-psi} on the
+circle |z|^2 = t.
+The profile is integrated numerically; for a radial psi it is the top
+diagonal entry's integrand, whose relative tail bounds every entry's as
+above.  A weight growing like e^{r^2} or faster makes the Gram diverge and
+is refused.  A grid built without psi bounds a weighted tail only by
+e^{-inf psi}.  An explicit truncation radius R only shortens the grid, to t
+in [0, min(R^2, t_max)].
 
 Panels.  The radial rule accepts breakpoints (region radii).  Each panel gets
 its own Gauss-Legendre nodes, so indicator functions of disks and annuli are
 constant per panel and region masses keep spectral accuracy instead of the
-O(n^{-2}) loss from cutting a Gauss panel in half.
+O(n^{-2}) loss from cutting a Gauss panel in half.  A Fubini-Study panel gets
+n_r nodes, exact for the polynomial integrands in s.  Ginibre panels share
+the n_r nodes of [0, t_max] by their width in t, with at least MIN_PANEL
+nodes each, so the node spacing stays that of the unsplit grid.
 
 Angular structure.  Uniform angles with weight 2 pi / n_theta integrate
 e^{i j theta} exactly for 0 < |j| < n_theta, so Gram entries, whose angular
@@ -54,13 +67,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainccinv
+from scipy.special import gammainccinv, xlogy
 
 from .exprs import weight_values
 from .spaces import ModelSpace
 
 __all__ = [
     "TAIL",
+    "MIN_PANEL",
     "GramDegenerateError",
     "QuadratureGrid",
     "GramMatrix",
@@ -76,6 +90,13 @@ __all__ = [
 
 # Q(N, t_max) at the outer edge of a Ginibre grid: the Gram tail bound
 TAIL = 1e-16
+# fewest Legendre nodes on a Ginibre panel, however narrow
+MIN_PANEL = 16
+# weighted Ginibre edge search: doublings of the edge before a weight is
+# refused, and the Legendre panels that integrate the weighted profile
+EDGE_DOUBLINGS = 40
+EDGE_PANELS = 128
+EDGE_NODES = 16
 
 
 class GramDegenerateError(ArithmeticError):
@@ -95,7 +116,7 @@ class QuadratureGrid:
     weights: np.ndarray        # (M,) chart-Lebesgue weights
     density: np.ndarray        # base_density at the nodes
     radii: tuple[np.ndarray, ...]  # radial nodes r (not r^2), per factor
-    radial: tuple[int, ...]    # Gauss nodes per radial panel, per factor
+    radial: tuple[int, ...]    # Gauss nodes per radial panel (Ginibre: per [0, t_max]), per factor
     angular: tuple[int, ...]   # angular nodes per factor
     under_resolved: str | None  # the exactness bound the grid breaks, if any
 
@@ -116,15 +137,64 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_gauss(edges: np.ndarray, n_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on each [edges[i], edges[i+1]] panel."""
-    x, w = gauss_legendre(n_per_panel)
+def _panel_gauss(edges: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights, counts[i] of them on each [edges[i], edges[i+1]] panel."""
     nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
+    for a, b, n in zip(edges[:-1], edges[1:], counts):
+        x, w = gauss_legendre(n)
         half = 0.5 * (b - a)
         nodes.append(0.5 * (a + b) + half * x)
         weights.append(half * w)
     return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _ginibre_edge(rank: int, psi, n_angular: int) -> float:
+    """The Ginibre grid edge t_max for the weight psi (module docstring).
+
+    Unweighted, Q(rank, t_max) = TAIL.  Under psi, t_max is the first of
+    EDGE_PANELS equal panel edges on [0, S] beyond which at most a share TAIL
+    of the top-index profile f(t) = t^(rank-1) e^{-t} g(t) lies, where g(t)
+    is the largest e^{-psi} over n_angular points of the circle |z|^2 = t and
+    f has fallen off by S; never below the unweighted edge, which stands
+    where g <= 1 on it.
+    """
+    t0 = float(gammainccinv(rank, TAIL))
+    if psi is None:
+        return t0
+    circle = np.exp(2j * math.pi * np.arange(n_angular) / n_angular)
+
+    def log_g(t) -> np.ndarray:  # in logs, so e^{-psi} cannot overflow
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        z = (np.sqrt(t)[:, None] * circle[None, :]).reshape(-1, 1)
+        return np.max(-weight_values(psi, z).reshape(t.size, n_angular), axis=1)
+
+    def log_f(t) -> np.ndarray:  # up to the constant log (rank - 1)!
+        return xlogy(rank - 1, t) - t + log_g(t)
+
+    if log_g(t0)[0] <= 0.0:
+        return t0
+    # S: where t f(t) has fallen e^-60 below the largest value seen
+    top, S = float(log_f(t0)[0]), t0
+    for _ in range(EDGE_DOUBLINGS):
+        S *= 2.0
+        at_S = float(log_f(S)[0])
+        if at_S + math.log(S) < top - 60.0:
+            break
+        top = max(top, at_S)
+    else:
+        raise ValueError(
+            f"weight {psi!r}: e^(-psi) grows so fast that the Gram tail does not "
+            f"fall off; the Gram may diverge"
+        )
+    # tails[i]: the profile's integral over [edges[i], S], summed from the right
+    edges = np.linspace(0.0, S, EDGE_PANELS + 1)
+    x, w = _panel_gauss(edges, [EDGE_NODES] * EDGE_PANELS)
+    logs = log_f(x)
+    shift = float(logs.max())
+    panels = (w * np.exp(logs - shift)).reshape(EDGE_PANELS, EDGE_NODES).sum(axis=1)
+    tails = np.append(np.cumsum(panels[::-1])[::-1], 0.0)
+    k = int(np.argmax(tails <= TAIL * tails[0]))  # the first edge with share <= TAIL
+    return max(t0, float(edges[k]))
 
 
 def _factor_grid(
@@ -138,11 +208,16 @@ def _factor_grid(
     radii = sorted(r for r in breaks if r > 0.0 and math.isfinite(r))
     if kind == "ginibre":
         edges = np.array([0.0] + [r**2 for r in radii if r**2 < t_max] + [t_max])
-        t, wt = _panel_gauss(edges, n_radial)
+        if edges.size == 2:
+            counts = [n_radial]
+        else:
+            # n_radial nodes on [0, t_max], shared by panel width
+            counts = [max(MIN_PANEL, math.ceil(n_radial * w / t_max)) for w in np.diff(edges)]
+        t, wt = _panel_gauss(edges, counts)
     else:
         # s = t / (1 + t); Gram integrands are polynomials in s
         s_edges = np.array([0.0] + [r**2 / (1.0 + r**2) for r in radii] + [1.0])
-        s, ws = _panel_gauss(s_edges, n_radial)
+        s, ws = _panel_gauss(s_edges, [n_radial] * (s_edges.size - 1))
         t = s / (1.0 - s)
         wt = ws / (1.0 - s) ** 2
     theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
@@ -169,16 +244,20 @@ def build_grid(
     angular: int | None = None,
     truncation: float | None = None,
     breaks: tuple[tuple[float, ...], ...] | None = None,
+    psi=None,
 ) -> QuadratureGrid:
     """Tensor-product grid adapted to the space.
 
     radial:     Gauss-Legendre nodes per radial panel (default resolves the
-                rank exactly with headroom).
+                rank exactly with headroom); Ginibre panels share them.
     angular:    angles per factor (default 2 * degree + 1, the exactness bound).
     truncation: outer radius for non-compact factors; it can only shorten the
                 grid, whose edge t_max is set by the tail bound TAIL.
     breaks:     per factor, the radii at which radial panels split.  Regions
                 whose boundaries appear here are integrated to spectral accuracy.
+    psi:        the extra weight the grid's Grams will carry; a Ginibre edge
+                moves out where e^{-psi} grows (module docstring).  Compact
+                charts ignore it.
     """
     n = space.dim
     if breaks is None:
@@ -190,11 +269,6 @@ def build_grid(
         raise ValueError("truncation only applies to non-compact (ginibre) charts")
     if truncation is not None and not 0.0 < truncation < math.inf:
         raise ValueError(f"truncation must be a positive finite radius, got {truncation}")
-    t_max = None
-    if space.kind == "ginibre":
-        t_max = float(gammainccinv(space.rank, TAIL))
-        if truncation is not None:
-            t_max = min(t_max, float(truncation) ** 2)
 
     radii, radials, angulars, zs, ws = [], [], [], [], []
     for i in range(n):
@@ -213,6 +287,11 @@ def build_grid(
                 f"a grid needs at least one radial and one angular node per factor, "
                 f"got radial={n_rad}, angular={n_ang}"
             )
+        t_max = None
+        if space.kind == "ginibre":  # one factor
+            t_max = _ginibre_edge(space.rank, psi, n_ang)
+            if truncation is not None:
+                t_max = min(t_max, float(truncation) ** 2)
         r, z, w = _factor_grid(space.kind, t_max, n_rad, n_ang, breaks[i])
         radii.append(r)
         radials.append(n_rad)
@@ -368,6 +447,9 @@ def _inverse_sqrt(A: np.ndarray) -> np.ndarray:
 
 def gram(space: ModelSpace, grid: QuadratureGrid, psi=None) -> GramMatrix:
     """Gram matrix of the section family under an optional extra weight psi.
+
+    On Ginibre the grid bounds the tail under psi when built for it,
+    build_grid(space, psi=psi).
 
     The log-determinant is the sum of log-eigenvalues from the degeneracy
     check, so the matrix is factorized once.

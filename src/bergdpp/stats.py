@@ -147,7 +147,8 @@ def region_grid(space: ModelSpace, *regions: Region) -> QuadratureGrid:
     """Quadrature grid with panel edges on every region boundary.
 
     max(24, d // 2 + 6) nodes per panel are exact for the polynomial region
-    integrands of Fubini-Study factors; Ginibre takes build_grid's default.
+    integrands of Fubini-Study factors; Ginibre panels share build_grid's
+    default count by width.
     """
     per_factor: list[list[float]] = [[] for _ in range(space.dim)]
     for reg in regions:

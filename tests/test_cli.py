@@ -216,6 +216,22 @@ def test_check_partition_truncation_beyond_tail_edge_changes_nothing(capsys):
     assert plain.startswith("Z = 3.156487809e+44")
 
 
+def test_check_partition_ginibre_weight_growing_at_the_edge(capsys):
+    # e^{-psi} = e^{(r^2 - 1)/2}: Z = N! prod_a 2^(a+1) e^{-1/2}, and the
+    # grid reaches past the unweighted edge to hold the weighted tail
+    argv = ["check", "partition", "--space", "ginibre", "--n", "20",
+            "--weight-expr", "(1 - r2)/2"]
+    assert run(argv) == 0
+    want = math.exp(math.lgamma(21) + 210 * math.log(2.0) - 10.0)
+    assert capsys.readouterr().out == f"Z = {want:.10g}\n"
+
+
+def test_check_partition_ginibre_diverging_weight_exits_2(capsys):
+    argv = ["check", "partition", "--space", "ginibre", "--n", "5", "--weight-expr", "0 - r2"]
+    assert run(argv) == 2
+    assert "may diverge" in capsys.readouterr().err
+
+
 def test_check_gram_csv(tmp_path):
     csv_path = tmp_path / "g.csv"
     assert run(["check", "gram", "--space", "fs", "--k", "3",

@@ -106,6 +106,14 @@ def test_bergman_derivative_is_rotation_invariant():
     assert got == pytest.approx(want, abs=1e-10)
 
 
+def test_ginibre_cgf_grid_follows_the_weight():
+    # at t = -1/2, e^{-t r^2} = e^{r^2/2}: G_aa = 2^(a+1), so the CGF is
+    # sum_a (a + 1) log 2, which needs a grid twice as long as at t = 0
+    path = GramPath(make_ginibre(20), parse_weight("r2"))
+    assert path.cgf(-0.5) == pytest.approx(210 * math.log(2.0), rel=1e-12)
+    assert path.grid_at(-0.5).mass() > 1.9 * path.grid_at(0.0).mass()
+
+
 def test_cgf_is_convex():
     path = GramPath(make_fubini_study(4), S_EXPR)
     ts = np.linspace(-0.5, 1.5, 5)

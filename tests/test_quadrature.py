@@ -16,6 +16,7 @@ from scipy import integrate, special
 
 from bergdpp.exprs import parse_weight
 from bergdpp.quadrature import (
+    MIN_PANEL,
     TAIL,
     GramDegenerateError,
     build_grid,
@@ -75,6 +76,52 @@ def test_ginibre_takes_the_one_factor_node_count():
     for n, want in [(5, 96), (150, 182)]:
         assert build_grid(make_ginibre(n)).radial == (want,)
         assert build_grid(make_fubini_study(n - 1)).radial == (want,)
+
+
+def test_weighted_ginibre_gram_matches_closed_form():
+    # e^{-psi} = e^{(r^2 - 1)/2} grows, so the weighted top-index tail beyond
+    # the unweighted edge would be Q(N, t_max / 2), 85% at N = 150.  The
+    # grid built for psi reaches about twice as far; exactly,
+    # G_ab = delta_ab e^{-1/2} int t^a e^{-t/2} dt / a! = delta_ab 2^(a+1) e^{-1/2}.
+    psi = parse_weight("(1 - r2)/2")
+    for n in (50, 150):
+        space = make_ginibre(n)
+        grid = build_grid(space, psi=psi)
+        # the weighted top-index share beyond the edge t_max is Q(N, t_max / 2)
+        t_max = grid.mass()
+        assert special.gammaincc(n, t_max / 2.0) <= TAIL
+        assert t_max < 2.1 * special.gammainccinv(n, TAIL)
+        want = math.exp(-0.5) * 2.0 ** (np.arange(n) + 1.0)
+        scaled = weighted_gram_matrix(space, grid, psi) / np.sqrt(np.outer(want, want))
+        assert np.max(np.abs(scaled - np.eye(n))) < 1e-11
+
+
+def test_weight_at_most_one_on_the_edge_keeps_the_unweighted_grid():
+    space = make_ginibre(50)
+    plain = build_grid(space)
+    for expr in ("r2/(1+r2)", "re_1/(1+r2)", "0"):
+        weighted = build_grid(space, psi=parse_weight(expr))
+        assert np.array_equal(weighted.nodes, plain.nodes)
+        assert np.array_equal(weighted.weights, plain.weights)
+
+
+def test_weight_growing_like_the_gaussian_is_refused():
+    # e^{-psi} = e^{r^2} cancels the Gaussian: the Gram diverges
+    with pytest.raises(ValueError, match="may diverge"):
+        build_grid(make_ginibre(5), psi=parse_weight("0 - r2"))
+
+
+def test_ginibre_panels_share_the_radial_nodes():
+    # panels split [0, t_max] and share its nodes by width, MIN_PANEL at least
+    space = make_ginibre(300)
+    t_max = special.gammainccinv(300, TAIL)
+    edges = np.array([0.0, 1.0, 100.0, 300.0, t_max])
+    grid = build_grid(space, breaks=((1.0, 10.0, math.sqrt(300.0), 40.0),))
+    radial = grid.radial[0]
+    assert radial == 332
+    want = [max(MIN_PANEL, math.ceil(radial * w / t_max)) for w in np.diff(edges)]
+    assert grid.radii[0].size == sum(want) < 2 * radial
+    assert grid.mass() == pytest.approx(t_max, rel=1e-12)
 
 
 def test_gauss_legendre_is_memoised_and_read_only():
@@ -169,7 +216,13 @@ def test_factorised_masked_gram_on_panels_matches_dense(family):
     space, _, re_weight, _ = _SPACES[family]
     disk, annulus = Region.disk(0.8, space.dim), Region.annulus(0.5, 1.7, space.dim)
     grid = region_grid(space, disk, annulus)  # panels split at 0.5, 0.8 and 1.7
-    assert len(grid.radii[0]) == 4 * grid.radial[0]
+    if space.kind == "ginibre":  # the panels share the nodes of [0, t_max]
+        t_max = special.gammainccinv(space.rank, TAIL)
+        widths = np.diff([0.0, 0.25, 0.64, 2.89, t_max])
+        counts = [max(MIN_PANEL, math.ceil(grid.radial[0] * w / t_max)) for w in widths]
+        assert len(grid.radii[0]) == sum(counts)
+    else:
+        assert len(grid.radii[0]) == 4 * grid.radial[0]
     for region in (disk, annulus):
         _assert_matches_dense(space, grid, parse_weight(re_weight), region.mask(grid.nodes))
 
