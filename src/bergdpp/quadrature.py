@@ -53,10 +53,11 @@ radial tables R_a come from the n_r radii alone; the angular DFT folds in any
 weight, mask, panel split or aliasing (angular < 2 * degree + 1) of the grid.
 _assemble builds A band by band (fixed a - b), one factor at a time, in
 O(n_r N^2) time and memory: no section matrix on the M = n_r n_theta nodes.
-gram() Hermitianizes as (A + A^H)/2 with the asymmetry recorded and reports
-the log-determinant as the sum of log-eigenvalues.  Non-positive-definite
-results raise GramDegenerateError (the usual cause being a grid with fewer
-nodes than the rank needs).
+gram() Hermitianizes as (A + A^H)/2 with the asymmetry recorded, and judges
+and factors the scaled Gram D^{-1/2} A D^{-1/2}, D = diag(A), so that neither
+the degeneracy test nor the log-determinant depends on the scale of the
+basis.  Non-positive-definite results raise GramDegenerateError (the usual
+cause being a grid with fewer nodes than the rank needs).
 """
 
 from __future__ import annotations
@@ -451,22 +452,27 @@ def gram(space: ModelSpace, grid: QuadratureGrid, psi=None) -> GramMatrix:
     On Ginibre the grid bounds the tail under psi when built for it,
     build_grid(space, psi=psi).
 
-    The log-determinant is the sum of log-eigenvalues from the degeneracy
-    check, so the matrix is factorized once.
+    The degeneracy test and the log-determinant use the scaled Gram
+    S = D^{-1/2} A D^{-1/2} with D = diag(A): log det A = log det S + sum log D,
+    and S, unlike A, does not change when a basis section is rescaled.  Its
+    eigenvalues come from the degeneracy check, so S is factorized once.
     """
     A_raw = _assemble(space, grid, psi)
     asym_abs = float(np.max(np.abs(A_raw - A_raw.conj().T), initial=0.0))
     scale = float(np.max(np.abs(A_raw), initial=0.0))
     A = 0.5 * (A_raw + A_raw.conj().T)
-    eigs = np.linalg.eigvalsh(A)
+    d = A.diagonal().real
+    s = 1.0 / np.sqrt(np.where(d > 0.0, d, np.inf))   # d_a <= 0 zeroes row a of S
+    eigs = np.linalg.eigvalsh(A * s[:, None] * s[None, :])
     if eigs[0] <= 0.0 or eigs[0] <= 1e-12 * eigs[-1]:
         raise GramDegenerateError(
-            f"gram-degenerate: eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}] "
+            f"gram-degenerate: scaled-Gram eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}], "
+            f"diagonal range [{d.min():.3e}, {d.max():.3e}], "
             f"with {grid.size} nodes for rank {space.rank}; refine the grid"
         )
     return GramMatrix(
         matrix=A,
-        logdet=float(np.sum(np.log(eigs))),
+        logdet=float(np.sum(np.log(eigs)) + np.sum(np.log(d))),
         asymmetry_abs=asym_abs,
         asymmetry_rel=asym_abs / scale if scale > 0 else 0.0,
     )

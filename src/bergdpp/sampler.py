@@ -32,10 +32,14 @@ reflection as W, at O(c m) cost for c rows and m live columns, so no
 section is evaluated twice.  A new block is drawn only when the pool is
 empty, and each proposal is tested at most once.  conj(W) lives in one
 preallocated Fortran-order buffer: each reflection sends v's component to
-the last live column, so dropping that column is a view, and the rank-1
-update is subtracted in place through a second preallocated buffer.  (BLAS
-zgeru would do it in one pass, but importing scipy.linalg costs every
-process about 60 ms and 6 MB.)
+the last live column, so dropping that column is a view.  conj(W) itself is
+read only when a new block forms P, so its reflections H_j = I - 2 y_j y_j^H
+(unit y_j, zero past the live columns) are recorded as the columns of Y and
+applied together at the next block boundary, in compact-WY form (Schreiber
+and Van Loan, SIAM J. Sci. Stat. Comput. 1989): H_1 ... H_k = I - Y T Y^H
+with T^{-1} = I / 2 + strict_upper(Y^H Y).  That is two matrix products and
+one k x k solve per block instead of a rank-1 update per point, with numpy
+alone (importing scipy.linalg costs every process about 60 ms and 6 MB).
 
 Weighted sampler.  The weighted process has density proportional to
 |det M|^2 prod_j e^{-w(x_j)} against mu^N, for one Gibbs potential w.  The
@@ -185,6 +189,24 @@ def _propose_intensity(
     return np.stack(cols, axis=1), u[:, -1]
 
 
+def _apply_reflections(Wc: np.ndarray, Y: np.ndarray, m: int) -> None:
+    """Apply the pending reflections H_j = I - 2 y_j y_j^H to conj(W), in order.
+
+    Y holds the unit y_j as columns; y_j is zero below its live-column count
+    at the time, so the dropped columns of Wc need no update and only
+    Wc[:, :m] is written.  In compact-WY form (Schreiber and Van Loan 1989)
+    H_1 ... H_k = I - Y T Y^H with T upper triangular and
+    T^{-1} = I / 2 + strict_upper(Y^H Y), so the batch costs two N x m0 x k
+    matrix products (m0 = rows of Y, the live columns when the batch began)
+    and one k x k solve.
+    """
+    k = Y.shape[1]
+    Tinv = np.triu(Y.conj().T @ Y, 1)
+    Tinv.flat[:: k + 1] = 0.5
+    X = np.linalg.solve(Tinv.T, (Wc[:, : Y.shape[0]] @ Y).T).T   # conj(W) Y T
+    Wc[:, :m] -= X @ Y[:m].conj().T
+
+
 def sample_dpp(
     space: ModelSpace,
     seed: int | None = None,
@@ -206,10 +228,13 @@ def sample_dpp(
             raise ValueError("sample_dpp needs a seed or an explicit generator")
         rng = rng_stream(seed, *stream)
     N = space.rank
-    # conj(W) in place: live columns [:m], the last one is dropped per point;
-    # T holds the rank-1 update, so that no (N, m) array is allocated per point
+    # conj(W) in place: live columns [:m], the last one is dropped per point.
+    # Column j < k of Y holds the j-th reflection since the last block, when
+    # m + k columns were live; the next block applies them all first.  Up to
+    # min(m + k, block size) points are accepted between blocks.
     Wc = np.eye(N, dtype=complex, order="F")
-    T = np.empty((N, N), dtype=complex, order="F")
+    Y = np.empty((N, min(N, max(MIN_BLOCK, math.isqrt(2 * N) + 1))), dtype=complex, order="F")
+    k = 0                                        # reflections pending
     pts = np.zeros((N, space.dim), dtype=complex)
     log_det = 0.0
     U = np.zeros(0)                              # untested pool: Z, U, b = |v|^2, P = V conj(W)
@@ -224,13 +249,16 @@ def sample_dpp(
                         f"no acceptance after {tested} proposals at point {i + 1}/{N}; "
                         "the residual intensity envelope looks wrong for this space"
                     )
+                if k:
+                    _apply_reflections(Wc, Y[: m + k, :k], m)
+                    k = 0
                 Z, U = _propose_intensity(space, rng, max(MIN_BLOCK, -(-2 * N // m)))
                 V = space.section_matrix(Z)
                 b = np.einsum("ci,ci->c", V.view(float), V.view(float))
                 P = V @ Wc[:, :m]
                 del V                                # free it before the next block
             g = np.einsum("cj,cj->c", P.view(float), P.view(float))
-            np.clip(g, 0.0, b, out=g)
+            np.minimum(g, b, out=g)                  # g >= 0 already: a sum of squares
             ok = (U * b <= g) & (g > 0.0)
             hit = int(np.argmax(ok))
             if ok[hit]:
@@ -245,12 +273,12 @@ def sample_dpp(
         last = abs(r[-1])
         r[-1] += r[-1] / last if last > 0.0 else 1.0
         r /= math.sqrt(2.0 + 2.0 * last)         # |h + phase e_m|^2 = 2 + 2|h_m|
-        x = Wc[:, :m] @ r.conj()
-        x *= 2.0
-        Wc[:, :m] -= np.multiply.outer(x, r, out=T[:, :m])
-        # the untested tail carries over, reflected by the same Householder
+        rc = np.conjugate(r, out=Y[:m, k])       # conj(W) <- conj(W) (I - 2 rc rc^H), deferred
+        Y[m : m + k, k] = 0.0
+        k += 1
+        # the untested tail carries over, reflected by the same Householder now
         Z, U, b, P = Z[hit + 1 :], U[hit + 1 :], b[hit + 1 :], P[hit + 1 :]
-        P = (P - 2.0 * np.outer(P @ r.conj(), r))[:, :-1]
+        P = (P - (2.0 * (P @ rc))[:, None] * r)[:, :-1]
 
     return Configuration(
         points=pts,

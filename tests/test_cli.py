@@ -226,6 +226,23 @@ def test_check_partition_ginibre_weight_growing_at_the_edge(capsys):
     assert capsys.readouterr().out == f"Z = {want:.10g}\n"
 
 
+@pytest.mark.parametrize("n", [40, 50])
+def test_check_partition_ginibre_closed_form_across_a_wide_diagonal(n, capsys):
+    # the Gram diagonal 2^(a+1) e^{-1/2} spans a factor 2^(N-1): judged and
+    # factored after scaling by its diagonal, N = 50 is not degenerate and
+    # Z = N! 2^(N(N+1)/2) e^{-N/2} holds to the printed digits
+    argv = ["check", "partition", "--space", "ginibre", "--n", str(n),
+            "--weight-expr", "(1 - r2)/2"]
+    assert run(argv) == 0
+    log_z = math.lgamma(n + 1) + n * (n + 1) / 2 * math.log(2.0) - n / 2
+    label, value = capsys.readouterr().out.strip().split(" = ")
+    if label == "Z":
+        assert float(value) == pytest.approx(math.exp(log_z), rel=1e-9)
+    else:
+        assert (n, label) == (50, "log Z")   # Z overflows a float
+        assert float(value) == pytest.approx(log_z, abs=1e-6)
+
+
 def test_check_partition_ginibre_diverging_weight_exits_2(capsys):
     argv = ["check", "partition", "--space", "ginibre", "--n", "5", "--weight-expr", "0 - r2"]
     assert run(argv) == 2

@@ -293,6 +293,17 @@ def test_gram_logdet_matches_slogdet():
     assert g.logdet == pytest.approx(ld, abs=1e-12)
 
 
+def test_gram_logdet_does_not_depend_on_the_basis_scale():
+    # under (1 - r2)/2 the exact Gram is diag(2^(a+1) e^{-1/2}): its eigenvalue
+    # ratio 2^(N-1) passes 1e12 from N = 41, but the scaled Gram is near I
+    psi = parse_weight("(1 - r2)/2")
+    n = 50
+    space = make_ginibre(n)
+    g = gram(space, build_grid(space, psi=psi), psi=psi)
+    want = float(np.sum((np.arange(n) + 1.0) * math.log(2.0) - 0.5))
+    assert g.logdet == pytest.approx(want, rel=1e-12)
+
+
 def test_degenerate_gram_raises():
     # two radial nodes cannot resolve a rank-4 section family
     space = make_fubini_study(3)

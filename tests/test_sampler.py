@@ -97,6 +97,69 @@ def test_block_size_changes_cost_not_draws(space, monkeypatch):
         assert a.log_density == pytest.approx(b.log_density, rel=1e-12)
 
 
+def _rank1_reference(space, seed, stream, min_block):
+    """The pooled HKPV loop with every reflection applied to conj(W) at once.
+
+    A rank-1 update of conj(W) per accepted point, as the sampler did before
+    its reflections were deferred to block boundaries; same stream use.
+    """
+    from bergdpp.sampler import _propose_intensity
+
+    rng, N = rng_stream(seed, *stream), space.rank
+    Wc, pts, log_det, U = np.eye(N, dtype=complex, order="F"), np.zeros((N, space.dim), complex), 0.0, np.zeros(0)
+    for i in range(N):
+        m = N - i
+        while True:
+            if U.size == 0:
+                Z, U = _propose_intensity(space, rng, max(min_block, -(-2 * N // m)))
+                V = space.section_matrix(Z)
+                b, P = np.einsum("ci,ci->c", V.view(float), V.view(float)), V @ Wc[:, :m]
+            g = np.clip(np.einsum("cj,cj->c", P.view(float), P.view(float)), 0.0, b)
+            ok = (U * b <= g) & (g > 0.0)
+            hit = int(np.argmax(ok))
+            if ok[hit]:
+                break
+            U = U[:0]
+        pts[i], log_det = Z[hit], log_det + math.log(g[hit])
+        r = P[hit] / math.sqrt(np.vdot(P[hit], P[hit]).real)
+        last = abs(r[-1])
+        r[-1] += r[-1] / last if last > 0.0 else 1.0
+        r /= math.sqrt(2.0 + 2.0 * last)
+        Wc[:, :m] -= 2.0 * np.outer(Wc[:, :m] @ r.conj(), r)
+        Z, U, b, P = Z[hit + 1 :], U[hit + 1 :], b[hit + 1 :], P[hit + 1 :]
+        P = (P - 2.0 * np.outer(P @ r.conj(), r))[:, :-1]
+    return pts, log_det
+
+
+@pytest.mark.parametrize("min_block", [None, 3], ids=["default-block", "block3"])
+@pytest.mark.parametrize(
+    "space",
+    [make_ginibre(300), make_fubini_study(50), make_product((1, 2), 3)],
+    ids=["gin300", "fs50", "prod3"],
+)
+def test_deferred_reflections_match_rank1_updates(space, min_block, monkeypatch):
+    # the block-boundary compact-WY product must reproduce the per-point
+    # rank-1 reflections: the same points, log-density to rounding; at
+    # MIN_BLOCK = 3 nearly every point ends a block and flushes
+    import bergdpp.sampler as sampler
+
+    if min_block is not None:
+        monkeypatch.setattr(sampler, "MIN_BLOCK", min_block)
+    conf = sample_dpp(space, seed=5)
+    pts, log_det = _rank1_reference(space, 5, (), sampler.MIN_BLOCK)
+    assert conf.points.tobytes() == pts.tobytes()
+    assert conf.log_density == pytest.approx(log_det, rel=1e-12)
+
+
+def test_deferred_reflections_match_rank1_updates_at_ginibre_500():
+    import bergdpp.sampler as sampler
+
+    conf = sample_dpp(make_ginibre(500), seed=3)
+    pts, log_det = _rank1_reference(make_ginibre(500), 3, (), sampler.MIN_BLOCK)
+    assert conf.points.tobytes() == pts.tobytes()
+    assert conf.log_density == pytest.approx(log_det, rel=1e-12)
+
+
 def test_section_rows_per_draw_near_n_harmonic(monkeypatch):
     # a draw tests N * H_N proposals on average; each is evaluated once, and
     # only the untested tail of the last block is thrown away

@@ -5,9 +5,10 @@ checked against Kostlan's theorem (Kostlan 1992; Hough-Krishnapur-Peres-Virag,
 Zeros of Gaussian Analytic Functions and Determinantal Point Processes,
 Thm 4.7.1): the squared moduli of the points are independent across basis
 indices, Beta(j+1, K-j+1) in s = r^2/(1+r^2) on a Fubini-Study factor of
-degree K and Gamma(j+1) in r^2 for Ginibre, so the per-index probabilities
-of a centred radial region come from scipy alone and share no code with the
-Grams.
+degree K and Gamma(j+1) in r^2 for Ginibre, and independent across factors
+on a product (proof at test_disk_count_law_is_poisson_binomial), so the
+per-index probabilities of a centred radial region come from scipy alone and
+share no code with the Grams.
 """
 
 import math
@@ -211,30 +212,45 @@ def pooled_chi_square(observed, expected, floor=5.0):
 
 
 @pytest.mark.parametrize(
-    "space,intervals",
+    "space,regions",
     [
-        (make_fubini_study(9), [(0.0, 1.0), (0.5, 2.0)]),
-        (make_ginibre(20), [(0.0, 3.0), (0.0, 4.0), (2.0, 4.0)]),
+        (make_fubini_study(9), [((0.0, 1.0),), ((0.5, 2.0),)]),
+        (make_ginibre(20), [((0.0, 3.0),), ((0.0, 4.0),), ((2.0, 4.0),)]),
+        (make_product((1, 2), 2), [((0.5, 2.0), (0.0, 1.2)), ((0.0, 1.5), (0.6, math.inf))]),
     ],
-    ids=["fs9", "gin20"],
+    ids=["fs9", "gin20", "prod12k2"],
 )
-def test_disk_count_law_is_poisson_binomial(space, intervals):
+def test_disk_count_law_is_poisson_binomial(space, regions):
     # Kostlan: the moduli are independent, one per basis index, so the count
-    # in a centred disk or annulus lo <= |z| < hi is a sum of independent
-    # Bernoulli(p_j): its whole law is known, not only its moments.  Ginibre
-    # radius 4 is near the edge sqrt(20), where the top basis index decides
-    # the law.  Every interval is checked on the same draws.
+    # in a region lo_i <= |z_i| < hi_i (a disk, an annulus, or a product of
+    # them) is a sum of independent Bernoulli(p_j): its whole law is known,
+    # not only its moments.  Ginibre radius 4 is near the edge sqrt(20),
+    # where the top basis index decides the law.  Every region is checked on
+    # the same draws.
+    #
+    # On a product the basis is indexed by distinct multi-indices a.  With
+    # z_i = r_i e^{i theta_i}, v_a(z) = c_a prod_i z_i^{a_i} / (1 + r_i^2)^{d_i / 2},
+    # and the density (1/N!) |det[v_a(x_j)]|^2 expands as
+    #   (1/N!) sum_{s, t} sgn(s) sgn(t) prod_j v_{s(j)}(x_j) conj(v_{t(j)}(x_j)),
+    # where v_a conj(v_b) carries the phase e^{i <a - b, theta>}.  An event
+    # that depends only on the moduli is invariant under the torus, so
+    # integrate every point's angles out: the phase of point j integrates to
+    # zero unless s(j) = t(j), and as the multi-indices are distinct only the
+    # terms s = t survive.  What remains, (1/N!) sum_s prod_j |v_{s(j)}(x_j)|^2,
+    # is the law of N independent points, one per multi-index a, with density
+    # |v_a|^2.  That density factorises over the factors, so the a-th point's
+    # u_i = r_i^2 / (1 + r_i^2) are independent Beta(a_i + 1, d_i - a_i + 1),
+    # and p_a is a product of regularised-Beta CDF differences.
     draws = 1000
-    confs = sample_dpp_many(space, reps=draws, seed=73)
-    for lo, hi in intervals:
-        counts = [
-            int(np.sum((np.abs(c.points[:, 0]) >= lo) & (np.abs(c.points[:, 0]) < hi)))
-            for c in confs
-        ]
-        pmf = poisson_binomial_pmf(kostlan_probabilities(space, [(lo, hi)]))
-        stat, dof = pooled_chi_square(np.bincount(counts, minlength=pmf.size), draws * pmf)
+    moduli = np.abs(np.stack([c.points for c in sample_dpp_many(space, reps=draws, seed=73)]))
+    for bounds in regions:
+        inside = np.ones(moduli.shape[:2], dtype=bool)
+        for f, (lo, hi) in enumerate(bounds):
+            inside &= (moduli[:, :, f] >= lo) & (moduli[:, :, f] < hi)
+        pmf = poisson_binomial_pmf(kostlan_probabilities(space, bounds))
+        stat, dof = pooled_chi_square(np.bincount(inside.sum(axis=1), minlength=pmf.size), draws * pmf)
         assert dof >= 4
-        assert sps.chi2.sf(stat, dof) > 1e-3, (lo, hi)
+        assert sps.chi2.sf(stat, dof) > 1e-3, bounds
 
 
 # ---------------------------------------------------------------------------
