@@ -44,8 +44,8 @@ from scipy.special import gammaln
 
 from .exprs import WeightExpr, complex_hessian, weight_sum, weight_values
 from .quadrature import (
+    GramMatrix,
     QuadratureGrid,
-    _inverse_sqrt,
     build_grid,
     gauss_legendre,
     gram,
@@ -107,13 +107,13 @@ def partition_function(
 
 
 class GramPath:
-    """log det G(t psi) along a direction psi, with cached values."""
+    """log det G(t psi) along a direction psi, with the Grams cached per t."""
 
     def __init__(self, space: ModelSpace, psi):
         self.space = space
         self.psi = psi
         self._grids: dict[float, QuadratureGrid] = {}
-        self._logdets: dict[float, float] = {}
+        self._grams: dict[float, GramMatrix] = {}
 
     def weight_at(self, t: float):
         return weight_sum((float(t), self.psi))
@@ -125,11 +125,15 @@ class GramPath:
             self._grids[t] = build_grid(self.space, psi=self.weight_at(t))
         return self._grids[t]
 
-    def logdet(self, t: float) -> float:
+    def gram_at(self, t: float) -> GramMatrix:
+        """G_t, assembled once: logdet and bergman_derivative share it."""
         t = float(t)
-        if t not in self._logdets:
-            self._logdets[t] = gram(self.space, self.grid_at(t), psi=self.weight_at(t)).logdet
-        return self._logdets[t]
+        if t not in self._grams:
+            self._grams[t] = gram(self.space, self.grid_at(t), psi=self.weight_at(t))
+        return self._grams[t]
+
+    def logdet(self, t: float) -> float:
+        return self.gram_at(t).logdet
 
     def cgf(self, t: float) -> float:
         return self.logdet(t) - self.logdet(0.0)
@@ -137,19 +141,19 @@ class GramPath:
     def bergman_derivative(self, t: float) -> float:
         """K'(t) = -int psi(x) B_t(x, x) dmu(x) = -sum_ab (conj G_t)^{-1}_ab G~_ab.
 
-        B_t(x, x) = |v(x) T|^2 e^{-psi_t(x)} with T = conj(G_t)^{-1/2}, so the
+        B_t(x, x) = |v(x) T|^2 e^{-psi_t(x)} with T the orthonormalising map
+        of G_t (GramMatrix.transform), and T T^H = conj(G_t)^{-1}, so the
         integral is a trace against G~, the Gram whose quadrature factor also
         carries psi.
         """
         if self.psi is None:
             return 0.0
-        weight = self.weight_at(t)
         grid = self.grid_at(t)
-        T = _inverse_sqrt(weighted_gram_matrix(self.space, grid, psi=weight))
+        T = self.gram_at(t).transform
         G_psi = weighted_gram_matrix(
-            self.space, grid, psi=weight, mask=weight_values(self.psi, grid.nodes)
+            self.space, grid, psi=self.weight_at(t), mask=weight_values(self.psi, grid.nodes)
         )
-        return -float(np.sum((T @ T) * G_psi).real)
+        return -float(np.sum((T @ T.conj().T) * G_psi).real)
 
     def fd_derivative(self, t: float) -> float:
         h = 1e-4 * (1.0 + abs(t))

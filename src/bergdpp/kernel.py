@@ -9,8 +9,8 @@ has trace N, and its m-point determinants det[B(x_a, x_b)] are the joint
 intensities of the projection determinantal process.
 
 An evaluator can carry a fixed extra weight psi: the sections are then
-re-orthonormalized through the inverse square root of their Gram matrix
-under psi, and e^{-psi/2} is folded into the values.  For constant
+re-orthonormalized by the map that quadrature.gram factors from their Gram
+matrix under psi, and e^{-psi/2} is folded into the values.  For constant
 psi this leaves every kernel determinant unchanged, which is the numerical
 shadow of invariance under globally holomorphic weight changes.
 
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprs import weight_values
-from .quadrature import QuadratureGrid, _inverse_sqrt, weighted_gram_matrix
+from .quadrature import QuadratureGrid, gram
 from .spaces import ModelSpace, NormalFrame, _as_points, limit_frame
 
 __all__ = [
@@ -83,11 +83,11 @@ def evaluator(space: ModelSpace) -> KernelEvaluator:
 def reweighted_evaluator(space: ModelSpace, grid: QuadratureGrid, psi) -> KernelEvaluator:
     """Evaluator for the kernel of the psi-weighted inner product.
 
-    The sections are re-orthonormalized over the grid under psi;
-    eigenvalues below 1e-12 of the top one are rejected as gram-degenerate.
+    The sections are re-orthonormalized over the grid under psi by
+    gram(...).transform; a Gram that gram() judges degenerate raises
+    GramDegenerateError.
     """
-    T = _inverse_sqrt(weighted_gram_matrix(space, grid, psi=psi))
-    return KernelEvaluator(space=space, transform=T, psi=psi)
+    return KernelEvaluator(space=space, transform=gram(space, grid, psi=psi).transform, psi=psi)
 
 
 def kernel_eval(ev: KernelEvaluator, x, y) -> complex:

@@ -53,11 +53,15 @@ radial tables R_a come from the n_r radii alone; the angular DFT folds in any
 weight, mask, panel split or aliasing (angular < 2 * degree + 1) of the grid.
 _assemble builds A band by band (fixed a - b), one factor at a time, in
 O(n_r N^2) time and memory: no section matrix on the M = n_r n_theta nodes.
-gram() Hermitianizes as (A + A^H)/2 with the asymmetry recorded, and judges
-and factors the scaled Gram D^{-1/2} A D^{-1/2}, D = diag(A), so that neither
-the degeneracy test nor the log-determinant depends on the scale of the
-basis.  Non-positive-definite results raise GramDegenerateError (the usual
-cause being a grid with fewer nodes than the rank needs).
+gram() Hermitianizes as (A + A^H)/2 with the asymmetry recorded, and is the
+one place where a Gram is judged and factored.  It works on the scaled Gram
+S = D^{-1/2} A D^{-1/2}, D = diag(A), which does not change when a basis
+section is rescaled (and diagonal scaling nearly minimises the condition
+number of a Hermitian positive-definite matrix: van der Sluis, Numer. Math.
+1969).  S gives the log-determinant, the degeneracy verdict (an eigenvalue
+of S at most 1e-12 of its largest raises GramDegenerateError, the usual
+cause being a grid with fewer nodes than the rank needs) and the
+orthonormalising map GramMatrix.transform that the kernel and CGF paths use.
 """
 
 from __future__ import annotations
@@ -362,6 +366,18 @@ class GramMatrix:
     asymmetry_abs: float     # max |A - A^H| before Hermitianization
     asymmetry_rel: float
 
+    @functools.cached_property
+    def transform(self) -> np.ndarray:
+        """The orthonormalising map T = D^{-1/2} conj(S)^{-1/2}, computed on first use.
+
+        S = D^{-1/2} A D^{-1/2} is the scaled Gram that gram() judged.  Since
+        A = V^T diag(c) conj(V), the rows of V @ T are orthonormal in the
+        c-weighted inner product: T^H conj(A) T = I, and T T^H = conj(A)^{-1}.
+        """
+        s = 1.0 / np.sqrt(self.matrix.diagonal().real)
+        eigs, U = np.linalg.eigh(self.matrix.conj() * s[:, None] * s[None, :])
+        return (U * s[:, None] / np.sqrt(eigs)[None, :]) @ U.conj().T
+
 
 def _bands(R: np.ndarray, chat: np.ndarray) -> np.ndarray:
     """out[a, b, ...] = sum_r R[r, a] R[r, b] chat[r, (a - b) mod n_theta, ...].
@@ -431,21 +447,6 @@ def weighted_gram_matrix(
     return 0.5 * (A + A.conj().T)
 
 
-def _inverse_sqrt(A: np.ndarray) -> np.ndarray:
-    """T = conj(A)^{-1/2} for a Gram A from weighted_gram_matrix.
-
-    Since A = V^T diag(c) conj(V), the rows of V @ T are orthonormal in the
-    c-weighted inner product: T^H (V^H diag(c) V) T = I.  Eigenvalues below
-    1e-12 of the top one raise GramDegenerateError.
-    """
-    eigs, U = np.linalg.eigh(A.conj())
-    if eigs[0] <= 0.0 or eigs[0] <= 1e-12 * eigs[-1]:
-        raise GramDegenerateError(
-            f"gram-degenerate: eigenvalues in [{eigs[0]:.3e}, {eigs[-1]:.3e}]; refine the grid"
-        )
-    return (U * (1.0 / np.sqrt(eigs))[None, :]) @ U.conj().T
-
-
 def gram(space: ModelSpace, grid: QuadratureGrid, psi=None) -> GramMatrix:
     """Gram matrix of the section family under an optional extra weight psi.
 
@@ -455,7 +456,8 @@ def gram(space: ModelSpace, grid: QuadratureGrid, psi=None) -> GramMatrix:
     The degeneracy test and the log-determinant use the scaled Gram
     S = D^{-1/2} A D^{-1/2} with D = diag(A): log det A = log det S + sum log D,
     and S, unlike A, does not change when a basis section is rescaled.  Its
-    eigenvalues come from the degeneracy check, so S is factorized once.
+    eigenvalues come from the degeneracy check, so S is factorized once for
+    both; the eigenvectors behind GramMatrix.transform are left for first use.
     """
     A_raw = _assemble(space, grid, psi)
     asym_abs = float(np.max(np.abs(A_raw - A_raw.conj().T), initial=0.0))

@@ -22,12 +22,7 @@ from bergdpp.kernel import (
     scaling_errors,
 )
 from bergdpp.quadrature import build_grid, weighted_gram_matrix
-from bergdpp.sampler import (
-    DiscreteProjectionDpp,
-    discrete_projection_from_space,
-    rng_stream,
-    sample_dpp_many,
-)
+from bergdpp.sampler import rng_stream, sample_dpp_many
 from bergdpp.spaces import limit_frame, make_fubini_study, make_ginibre, make_product
 from bergdpp.stats import (
     Region,
@@ -36,6 +31,7 @@ from bergdpp.stats import (
     pair_count_stats,
 )
 from bergdpp.cli import run
+from discrete_oracle import DiscreteProjectionDpp, discrete_projection_from_space
 
 
 def _report(capsys, num: int, ok: bool, detail: str) -> None:

@@ -243,6 +243,21 @@ def test_check_partition_ginibre_closed_form_across_a_wide_diagonal(n, capsys):
         assert float(value) == pytest.approx(log_z, abs=1e-6)
 
 
+@pytest.mark.parametrize("n", [40, 50])
+def test_energy_cgf_ginibre_closed_form_across_a_wide_diagonal(n, tmp_path):
+    # the same Grams as above: log det G(t psi) = const - t N/2 - sum_a (a + 1) log(1 - t/2),
+    # so K'(t) = N(N + 1) / (4 (1 - t/2)) - N/2; the orthonormalising map must
+    # come from the scaled Gram too, or N = 50 is gram-degenerate
+    out = tmp_path / "cgf.json"
+    assert run(["energy", "cgf", "--space", "ginibre", "--n", str(n),
+                "--weight-expr", "(1 - r2)/2", "--t", "0,1", "--out", str(out)]) == 0
+    rows = read_json(out)["rows"]
+    assert [row["t"] for row in rows] == [0.0, 1.0]
+    for row in rows:
+        want = n * (n + 1) / (4.0 * (1.0 - row["t"] / 2.0)) - n / 2.0
+        assert row["bergman_integral"] == pytest.approx(want, rel=1e-12)
+
+
 def test_check_partition_ginibre_diverging_weight_exits_2(capsys):
     argv = ["check", "partition", "--space", "ginibre", "--n", "5", "--weight-expr", "0 - r2"]
     assert run(argv) == 2
@@ -469,7 +484,9 @@ def test_out_in_missing_directory_is_exit_2(tmp_path, capsys):
     assert str(out) in capsys.readouterr().err
 
 
-def test_stats_counts_assembles_each_region_gram_once(tmp_path, monkeypatch):
+@pytest.fixture
+def assemble_calls(monkeypatch):
+    """A list that grows by one entry per quadrature._assemble call."""
     import bergdpp.quadrature as quadrature
 
     calls = []
@@ -480,11 +497,23 @@ def test_stats_counts_assembles_each_region_gram_once(tmp_path, monkeypatch):
         return assemble(*args, **kwargs)
 
     monkeypatch.setattr(quadrature, "_assemble", counted)
+    return calls
+
+
+def test_stats_counts_assembles_each_region_gram_once(tmp_path, assemble_calls):
     # two disjoint regions: their two masked Grams carry every count and pair trace
     assert run(["stats", "counts", "--space", "fs", "--k", "5", "--reps", "3", "--seed", "1",
                 "--region", "disk:1", "--region", "annulus:1:2",
                 "--out", str(tmp_path / "c.json")]) == 0
-    assert len(calls) == 2
+    assert len(assemble_calls) == 2
+
+
+def test_energy_cgf_assembles_each_gram_once(tmp_path, assemble_calls):
+    # G at t = 0, 0.5, 1 and at t +- h for the finite differences (9), plus one
+    # psi-masked Gram per t for the Bergman integral (3); the derivative reuses G_t
+    assert run(["energy", "cgf", "--space", "fs", "--k", "5", "--weight-expr", "re_1/(1+r2)",
+                "--t", "0,0.5,1", "--out", str(tmp_path / "cgf.json")]) == 0
+    assert len(assemble_calls) == 12
 
 
 def test_stats_counts_in_a_row_match_separate_processes(tmp_path):

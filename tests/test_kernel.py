@@ -179,15 +179,24 @@ def test_reweighted_trace_counts_rank():
     assert abs(val - space.rank) < 1e-9
 
 
-@pytest.mark.parametrize("source", ["im_1/(1+r2)", "(re_1+im_1)/(1+r2)"])
-def test_reweighted_rows_orthonormal_under_complex_gram(source):
+@pytest.mark.parametrize(
+    "space, source",
+    [
+        pytest.param(make_fubini_study(4), "im_1/(1+r2)", id="im_1/(1+r2)"),
+        pytest.param(make_fubini_study(4), "(re_1+im_1)/(1+r2)", id="(re_1+im_1)/(1+r2)"),
+        pytest.param(make_ginibre(50), "(1 - r2)/2", id="gin50-(1 - r2)/2"),
+    ],
+)
+def test_reweighted_rows_orthonormal_under_complex_gram(space, source):
     # an im_ weight makes the Gram complex, so the orthonormalizing map must
-    # be conj(A)^{-1/2}; A^{-1/2} leaves max |G - I| near 0.4 here
+    # turn conj(A) into I; conj dropped leaves max |G - I| near 0.4 here.  On
+    # Ginibre N = 50 the Gram diagonal 2^(a+1) e^{-1/2} spans a factor 2^49,
+    # which the map must absorb by its diagonal scaling
     from bergdpp.exprs import parse_weight
 
-    space = make_fubini_study(4)
-    grid = build_grid(space)
-    rows = reweighted_evaluator(space, grid, psi=parse_weight(source)).section_rows(grid.nodes)
+    psi = parse_weight(source)
+    grid = build_grid(space, psi=psi)
+    rows = reweighted_evaluator(space, grid, psi=psi).section_rows(grid.nodes)
     G = rows.conj().T @ ((grid.weights * grid.density)[:, None] * rows)
     assert np.max(np.abs(G - np.eye(space.rank))) < 1e-12
 

@@ -14,11 +14,9 @@ import pytest
 from bergdpp.exprs import parse_weight, weight_sum
 from bergdpp.sampler import (
     Configuration,
-    DiscreteProjectionDpp,
     McmcConfig,
     RejectionStallError,
     configuration_from_json,
-    discrete_projection_from_space,
     log_density,
     rng_stream,
     sample_dpp,
@@ -27,6 +25,7 @@ from bergdpp.sampler import (
 )
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
 from bergdpp.stats import ks_distance, radial_cdf
+from discrete_oracle import DiscreteProjectionDpp, discrete_projection_from_space
 
 
 # ---------------------------------------------------------------------------
