@@ -112,11 +112,16 @@ class GramPath:
     def __init__(self, space: ModelSpace, psi):
         self.space = space
         self.psi = psi
+        self._weights: dict[float, object] = {}
         self._grids: dict[float, QuadratureGrid] = {}
         self._grams: dict[float, GramMatrix] = {}
 
     def weight_at(self, t: float):
-        return weight_sum((float(t), self.psi))
+        """t psi, built once per t: the grid and the Grams at t share it (QuadratureGrid.psi)."""
+        t = float(t)
+        if t not in self._weights:
+            self._weights[t] = weight_sum((t, self.psi))
+        return self._weights[t]
 
     def grid_at(self, t: float) -> QuadratureGrid:
         """The grid for the weight t psi: a Ginibre edge moves with the weight."""
@@ -155,14 +160,25 @@ class GramPath:
         )
         return -float(np.sum((T @ T.conj().T) * G_psi).real)
 
+    @staticmethod
+    def fd_step(t: float) -> float:
+        return 1e-4 * (1.0 + abs(t))
+
     def fd_derivative(self, t: float) -> float:
-        h = 1e-4 * (1.0 + abs(t))
+        h = self.fd_step(t)
         return (self.cgf(t + h) - self.cgf(t - h)) / (2.0 * h)
 
     def derivative_check(self, t: float) -> dict:
+        """Both derivative routes and their gap relative to the larger, or to N eps / h^3.
+
+        log det carries an error of about N eps, so the central difference
+        carries N eps / h, the share h^2 (its truncation level) of that
+        floor; a zero derivative would otherwise divide noise by noise.
+        """
         fd = self.fd_derivative(t)
         bg = self.bergman_derivative(t)
-        scale = max(abs(fd), abs(bg), 1e-300)
+        h = self.fd_step(t)
+        scale = max(abs(fd), abs(bg), self.space.rank * np.finfo(float).eps / h**3)
         return {
             "t": float(t),
             "finite_difference": fd,

@@ -20,16 +20,22 @@ The profile is integrated numerically; for a radial psi it is the top
 diagonal entry's integrand, whose relative tail bounds every entry's as
 above.  A weight growing like e^{r^2} or faster makes the Gram diverge and
 is refused.  A grid built without psi bounds a weighted tail only by
-e^{-inf psi}.  An explicit truncation radius R only shortens the grid, to t
-in [0, min(R^2, t_max)].
+e^{-inf psi}, so gram and weighted_gram_matrix refuse a weight other than
+the one the grid was built for (QuadratureGrid.psi) whose own edge lies
+beyond the grid's: one with e^{-psi} > 1 on the edge circle and a weighted
+tail that needs more room.  An explicit truncation radius R only shortens
+the grid, to t in [0, min(R^2, t_max)].
 
-Panels.  The radial rule accepts breakpoints (region radii).  Each panel gets
-its own Gauss-Legendre nodes, so indicator functions of disks and annuli are
-constant per panel and region masses keep spectral accuracy instead of the
-O(n^{-2}) loss from cutting a Gauss panel in half.  A Fubini-Study panel gets
-n_r nodes, exact for the polynomial integrands in s.  Ginibre panels share
-the n_r nodes of [0, t_max] by their width in t, with at least MIN_PANEL
-nodes each, so the node spacing stays that of the unsplit grid.
+Panels.  A factor of degree d gets n_r = max(F, d // 2 + 8) Gauss-Legendre
+nodes: F = 32 on compact factors, whose integrands in s it integrates
+exactly with 15 degrees to spare for weights, and F = 96 on Ginibre, where
+t_max / N is large at small N.  Breakpoints (region radii) split the radial
+rule into panels with their own nodes, so indicator functions of disks and
+annuli are constant per panel and region masses keep spectral accuracy
+instead of the O(n^{-2}) loss from cutting a Gauss panel in half.  A
+Fubini-Study panel gets all n_r nodes; Ginibre panels share the n_r nodes of
+[0, t_max] by their width in t, with at least MIN_PANEL nodes each, so the
+node spacing stays that of the unsplit grid.
 
 Angular structure.  Uniform angles with weight 2 pi / n_theta integrate
 e^{i j theta} exactly for 0 < |j| < n_theta, so Gram entries, whose angular
@@ -124,6 +130,7 @@ class QuadratureGrid:
     radial: tuple[int, ...]    # Gauss nodes per radial panel (Ginibre: per [0, t_max]), per factor
     angular: tuple[int, ...]   # angular nodes per factor
     under_resolved: str | None  # the exactness bound the grid breaks, if any
+    psi: object                # the weight the grid was built for (None: unweighted)
 
     @property
     def size(self) -> int:
@@ -253,8 +260,8 @@ def build_grid(
 ) -> QuadratureGrid:
     """Tensor-product grid adapted to the space.
 
-    radial:     Gauss-Legendre nodes per radial panel (default resolves the
-                rank exactly with headroom); Ginibre panels share them.
+    radial:     nodes per radial panel, default max(F, degree // 2 + 8) with
+                F = 96 on Ginibre and 32 on compact factors; Ginibre panels share them.
     angular:    angles per factor (default 2 * degree + 1, the exactness bound).
     truncation: outer radius for non-compact factors; it can only shorten the
                 grid, whose edge t_max is set by the tail bound TAIL.
@@ -262,7 +269,7 @@ def build_grid(
                 whose boundaries appear here are integrated to spectral accuracy.
     psi:        the extra weight the grid's Grams will carry; a Ginibre edge
                 moves out where e^{-psi} grows (module docstring).  Compact
-                charts ignore it.
+                charts place no edge for it; every grid records it as .psi.
     """
     n = space.dim
     if breaks is None:
@@ -281,12 +288,8 @@ def build_grid(
         n_ang = angular if angular is not None else max(8, 2 * d + 1)
         if radial is not None:
             n_rad = radial
-        elif n == 1:
-            n_rad = max(96, d + 33)
         else:
-            # meshed factors multiply; d//2 + 8 still integrates the degree-d
-            # Gram integrands exactly
-            n_rad = max(32, d // 2 + 8)
+            n_rad = max(96 if space.kind == "ginibre" else 32, d // 2 + 8)
         if n_rad < 1 or n_ang < 1:
             raise ValueError(
                 f"a grid needs at least one radial and one angular node per factor, "
@@ -324,6 +327,7 @@ def build_grid(
         radial=tuple(radials),
         angular=tuple(angulars),
         under_resolved=_unresolved_bound(space, radials, angulars),
+        psi=psi,
     )
 
 
@@ -417,6 +421,16 @@ def _assemble(
     taken in its polar form (module docstring): the DFT of c over every
     factor's angles, then the radial sums band by band, factor by factor.
     """
+    if space.kind == "ginibre" and psi is not grid.psi:
+        # the edge bounds the tail of another weight only if it reaches that weight's edge
+        need = _ginibre_edge(space.rank, psi, grid.angular[0])
+        have = _ginibre_edge(space.rank, grid.psi, grid.angular[0])
+        if need > have:
+            raise ValueError(
+                f"weight {psi!r} needs a Ginibre grid edge at t = {need:.6g}, beyond the edge "
+                f"t = {have:.6g} of a grid built for psi={grid.psi!r}; build the grid with "
+                f"build_grid(space, psi=psi)"
+            )
     c = grid.weights * grid.density * np.exp(-weight_values(psi, grid.nodes))
     if mask is not None:
         c = c * mask

@@ -144,20 +144,17 @@ def parse_region(text: str, dim: int = 1) -> Region:
 
 
 def region_grid(space: ModelSpace, *regions: Region) -> QuadratureGrid:
-    """Quadrature grid with panel edges on every region boundary.
+    """build_grid's default grid with panel edges on every region boundary.
 
-    max(24, d // 2 + 6) nodes per panel are exact for the polynomial region
-    integrands of Fubini-Study factors; Ginibre panels share build_grid's
-    default count by width.
+    Its max(32, d // 2 + 8) nodes per panel are exact for the polynomial
+    region integrands of Fubini-Study factors; Ginibre panels share
+    max(96, d // 2 + 8) nodes by width.
     """
     per_factor: list[list[float]] = [[] for _ in range(space.dim)]
     for reg in regions:
         for i, edges in enumerate(reg.break_radii()):
             per_factor[i].extend(edges)
-    breaks = [sorted(set(e)) for e in per_factor]
-    degree = max(space.factor_degrees)
-    radial = max(24, degree // 2 + 6) if space.kind != "ginibre" else None
-    return build_grid(space, radial=radial, breaks=breaks)
+    return build_grid(space, breaks=[sorted(set(e)) for e in per_factor])
 
 
 def region_gram(space: ModelSpace, grid: QuadratureGrid, region: Region) -> np.ndarray:

@@ -25,7 +25,7 @@ from bergdpp.energy import (
     partition_function,
 )
 from bergdpp.exprs import parse_weight
-from bergdpp.quadrature import build_grid, gram
+from bergdpp.quadrature import build_grid, gram, weighted_gram_matrix
 from bergdpp.sampler import sample_dpp_many
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
 from bergdpp.stats import Region, mc_partition_ratio
@@ -60,6 +60,27 @@ def test_partition_ratio_is_weighted_gram_det():
     assert pvw.value / pv0.value == pytest.approx(det, rel=1e-10)
 
 
+def test_ginibre_grid_refuses_a_weight_it_was_not_built_for():
+    # e^{-psi} = e^{(r^2 - 1)/2} exceeds 1 on the unweighted edge, and the
+    # weighted tail beyond it is not bounded: Z would read 1.8171e+77
+    # against the exact N! det diag(2^(a+1) e^{-1/2}) = 1.8175e+77
+    n, psi = 20, parse_weight("(1 - r2)/2")
+    space = make_ginibre(n)
+    plain = build_grid(space)
+    with pytest.raises(ValueError, match=r"\(1 - r2\)/2"):
+        partition_function(space, psi, grid=plain)
+    for assemble in (gram, weighted_gram_matrix):
+        with pytest.raises(ValueError, match=r"\(1 - r2\)/2"):
+            assemble(space, plain, psi)
+    exact = math.lgamma(n + 1) + sum((a + 1) * math.log(2.0) - 0.5 for a in range(n))
+    for grid in (None, build_grid(space, psi=psi)):
+        assert partition_function(space, psi, grid=grid).log_value == pytest.approx(exact, rel=1e-13)
+    # weights whose own edge is the plain one are accepted on the plain grid,
+    # re_1/(1+r2) although its e^{-psi} exceeds 1 on part of that edge
+    for expr in ("r2/(1+r2)", "re_1/(1+r2)"):
+        gram(space, plain, parse_weight(expr))
+
+
 def test_mc_partition_ratio_matches_quadrature():
     # Monte Carlo E[e^{-sum psi}] vs det of the weighted Gram, fixed seed
     space = make_fubini_study(3)
@@ -89,6 +110,20 @@ def test_cgf_derivative_routes_agree():
     for t in (0.0, 0.5):
         chk = path.derivative_check(t)
         assert chk["rel_gap"] < 1e-6
+
+
+def test_derivative_check_of_a_zero_derivative_reads_agreement():
+    # re_1 is odd under z -> -z, so K'(0) = 0 and both routes read rounding
+    # noise; the gap is taken relative to the floor N eps / h^3 there
+    path = GramPath(make_fubini_study(5), parse_weight("re_1/(1+r2)"))
+    zero = path.derivative_check(0.0)
+    assert abs(zero["finite_difference"]) < 1e-10
+    assert abs(zero["bergman_integral"]) < 1e-14
+    assert zero["rel_gap"] <= 1e-3
+    # above the floor the gap is relative to the larger route
+    chk = path.derivative_check(0.5)
+    fd, bg = chk["finite_difference"], chk["bergman_integral"]
+    assert chk["rel_gap"] == abs(fd - bg) / max(abs(fd), abs(bg)) < 1e-6
 
 
 def test_cgf_initial_slope_closed_form():

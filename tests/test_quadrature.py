@@ -71,11 +71,20 @@ def test_truncation_beyond_tail_edge_is_the_default_grid(breaks):
     assert cut.radial == default.radial
 
 
-def test_ginibre_takes_the_one_factor_node_count():
-    # max(96, d + 33) Legendre nodes on [0, t_max], as for a Fubini-Study factor
-    for n, want in [(5, 96), (150, 182)]:
-        assert build_grid(make_ginibre(n)).radial == (want,)
-        assert build_grid(make_fubini_study(n - 1)).radial == (want,)
+def test_default_radial_count_is_one_rule():
+    # max(F, d // 2 + 8) Legendre nodes per factor of degree d, F = 96 on
+    # Ginibre and 32 on compact factors, on each side of each floor; region
+    # grids take the same count
+    cases = [
+        (make_fubini_study(49), (32,)),
+        (make_fubini_study(50), (33,)),
+        (make_ginibre(178), (96,)),
+        (make_ginibre(179), (97,)),
+        (make_product((1, 2), 4), (32, 32)),
+    ]
+    for space, want in cases:
+        assert build_grid(space).radial == want
+        assert region_grid(space, Region.disk(0.5, space.dim)).radial == want
 
 
 def test_weighted_ginibre_gram_matches_closed_form():
@@ -118,7 +127,7 @@ def test_ginibre_panels_share_the_radial_nodes():
     edges = np.array([0.0, 1.0, 100.0, 300.0, t_max])
     grid = build_grid(space, breaks=((1.0, 10.0, math.sqrt(300.0), 40.0),))
     radial = grid.radial[0]
-    assert radial == 332
+    assert radial == 299 // 2 + 8
     want = [max(MIN_PANEL, math.ceil(radial * w / t_max)) for w in np.diff(edges)]
     assert grid.radii[0].size == sum(want) < 2 * radial
     assert grid.mass() == pytest.approx(t_max, rel=1e-12)
@@ -157,15 +166,20 @@ def test_integrate_lebesgue_disk_area():
 # unweighted Gram matrices are identities
 
 
-@pytest.mark.parametrize(
-    "space",
-    [make_fubini_study(3), make_fubini_study(10), make_ginibre(5), make_product((1, 2), 3)],
-    ids=["fs3", "fs10", "gin5", "prod12k3"],
-)
-def test_gram_is_identity(space):
+_IDENTITY_SPACES = {
+    **{f"fs{k}": make_fubini_study(k) for k in (0, 3, 10, 49, 50, 400)},
+    **{f"gin{n}": make_ginibre(n) for n in (1, 5, 178, 179, 500)},
+    **{f"prod12k{k}": make_product((1, 2), k) for k in (3, 4)},
+}
+
+
+# the default node count on each side of each floor, and at the largest sizes
+@pytest.mark.parametrize("case", sorted(_IDENTITY_SPACES))
+def test_gram_is_identity(case):
+    space = _IDENTITY_SPACES[case]
     g = gram(space, build_grid(space))
     err = np.max(np.abs(g.matrix - np.eye(space.rank)))
-    assert err < 1e-10
+    assert err <= 1e-11
     assert abs(g.logdet) < 1e-9
     assert g.matrix.shape == (space.rank, space.rank)
 

@@ -151,6 +151,7 @@ KOSTLAN_CASES = {
     "gin50": (make_ginibre(50), ["disk:5", "annulus:5:7", "disk:6", "full"]),
     # disk:30 lies beyond the grid's tail edge t_max, so its edge is dropped
     "gin300": (make_ginibre(300), ["disk:1", "full", "disk:30"]),
+    "gin500": (make_ginibre(500), ["disk:12", "annulus:10:22", "full"]),
     "prod12k2": (make_product((1, 2), 2), ["disk:1", "annulus:1:2", "full", ((0.0, 1.0), (0.0, math.inf))]),
 }
 
