@@ -251,6 +251,8 @@ def _cmd_sample(args) -> int:
     flags = {key: vars(args)[key] for key in ("burn_in", "thin", "proposal_scale")}
     chain = {key: value for key, value in flags.items() if value is not None}
     if args.mcmc_steps is not None:
+        if args.reps is not None:
+            raise CliError("--reps needs the exact sampler (--mcmc-steps runs one chain)")
         mcmc = McmcConfig(steps=args.mcmc_steps, **chain)
         # the Gibbs potential psi + k psi' of the weighted process
         weight = weight_sum(
@@ -286,8 +288,8 @@ def _cmd_sample(args) -> int:
     if chain:
         given = ", ".join("--" + key.replace("_", "-") for key in chain)
         raise CliError(f"chain flags {given} need --mcmc-steps (the exact sampler runs no chain)")
-    config["reps"] = _reps(args)
-    confs = sample_dpp_many(space, args.reps, seed, workers=args.workers)
+    config["reps"] = reps = 1 if args.reps is None else _reps(args)
+    confs = sample_dpp_many(space, reps, seed, workers=args.workers)
     body = {
         "space": space_to_config(space),
         "seed": seed,
@@ -536,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="draw exact DPP or weighted MCMC samples")
     _add_space_flags(p)
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--reps", type=int, default=None, help="exact draws (default 1)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None)

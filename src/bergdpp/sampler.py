@@ -51,7 +51,11 @@ density, so acceptance ratios include the base-density factor at the moved
 site along with the determinant and weight terms.  The determinant term is
 a Sherman-Morrison ratio against a carried inverse of the section matrix,
 refactorised once per sweep.  Coincident points get log-density -inf and
-are never accepted.
+are never accepted.  A sweep moves each site once, so its proposals
+depend only on the sweep start: they are drawn, and their sections and
+weights evaluated, in one batch per sweep.  That is exact, since the
+proposals are functions of the sweep start and the uniforms are
+independent of every accept/reject decision.
 
 All randomness derives from one integer seed through counter-based Philox
 streams; replicas use disjoint spawn keys, so runs are reproducible and
@@ -354,6 +358,12 @@ def sample_weighted(
     the unweighted process.  Step `step` moves site j = step % N, so a sweep
     visits every site once.
 
+    A sweep of c = min(N, steps - s0) steps reads the stream twice: its
+    moves as standard_normal((c, 2, n)), [re, im] per site, then random(c),
+    one uniform per step, used or not.  Its proposals depend only on the
+    sweep start, so their section rows and their penalty w - log(base
+    density) take one call each; every proposal is checked for finiteness.
+
     The chain carries Vinv = V^{-1} next to the section matrix V.  Replacing
     row j by v' multiplies det V by r = v' . Vinv[:, j] (Sherman-Morrison), so
     scoring a proposal costs O(N) and a rejection touches nothing.  An
@@ -361,9 +371,8 @@ def sample_weighted(
     Vinv -= Vinv[:, j] (v' Vinv - e_j) / r in O(N^2).  Vinv is refactorised
     from V at the start of every sweep, so rounding accumulates over at most
     N steps.  A zero ratio (coincident points) gives log-ratio -inf and is
-    rejected without drawing a uniform.  slogdet runs only at collected
-    configurations, which carry the mu^N Gibbs log-density of the current V
-    and their step index.
+    rejected.  slogdet runs only at collected configurations, which carry
+    the mu^N Gibbs log-density of the current V and their step index.
     """
     if seed is None:
         raise ValueError("sample_weighted needs a seed")
@@ -374,46 +383,49 @@ def sample_weighted(
     X = start.points.copy()
     V = space.section_matrix(X)
 
-    def site_pen(Z_row: np.ndarray) -> float:
-        row = Z_row[None, :]
-        return float(weight_values(weight, row)[0] - np.log(space.base_density(row)[0]))
+    def penalty(Z: np.ndarray) -> np.ndarray:
+        return weight_values(weight, Z) - np.log(space.base_density(Z))
 
     def slog(Vm: np.ndarray) -> float:
         sign, la = np.linalg.slogdet(Vm)
         return float(2.0 * la) if sign != 0 and np.isfinite(la) else float("-inf")
 
-    cur_pen = np.array([site_pen(X[j]) for j in range(N)])
+    cur_pen = penalty(X)
     accepted = 0
     out: list[Configuration] = []
     sigma = config.proposal_scale
 
-    for step in range(config.steps):
-        j = step % N
-        if j == 0:
-            Vinv = np.linalg.inv(V)
-        zj = X[j] + sigma * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        v = space.section_matrix(zj[None, :])[0]
-        r = v @ Vinv[:, j]
-        new_pen_j = site_pen(zj)
-        delta = (2.0 * math.log(abs(r)) if r != 0 else -np.inf) - (new_pen_j - cur_pen[j])
-        if delta >= 0.0 or (delta > -np.inf and math.log(max(rng.random(), 1e-300)) < delta):
-            w = v @ Vinv
-            w[j] -= 1.0
-            Vinv -= np.outer(Vinv[:, j] / r, w)
-            V[j] = v
-            X[j] = zj
-            cur_pen[j] = new_pen_j
-            accepted += 1
-        if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
-            mu_pen = cur_pen.sum() + float(np.log(space.base_density(X)).sum())
-            out.append(
-                Configuration(
-                    points=X.copy(),
-                    log_density=slog(V) - mu_pen,
-                    origin="mcmc",
-                    mcmc_step=step,
+    for s0 in range(0, config.steps, N):
+        # the sweep's c proposals depend only on the sweep-start sites
+        c = min(N, config.steps - s0)
+        Vinv = np.linalg.inv(V)
+        xi = rng.standard_normal((c, 2, n))
+        log_u = np.log(np.maximum(rng.random(c), 1e-300))
+        Z = X[:c] + sigma * (xi[:, 0] + 1j * xi[:, 1])
+        S = space.section_matrix(Z)
+        pen = penalty(Z)
+        for j in range(c):
+            r = S[j] @ Vinv[:, j]
+            delta = (2.0 * math.log(abs(r)) if r != 0 else -np.inf) - (pen[j] - cur_pen[j])
+            if delta >= 0.0 or log_u[j] < delta:
+                w = S[j] @ Vinv
+                w[j] -= 1.0
+                Vinv -= np.outer(Vinv[:, j] / r, w)
+                V[j] = S[j]
+                X[j] = Z[j]
+                cur_pen[j] = pen[j]
+                accepted += 1
+            step = s0 + j
+            if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
+                mu_pen = cur_pen.sum() + float(np.log(space.base_density(X)).sum())
+                out.append(
+                    Configuration(
+                        points=X.copy(),
+                        log_density=slog(V) - mu_pen,
+                        origin="mcmc",
+                        mcmc_step=step,
+                    )
                 )
-            )
 
     rate = accepted / config.steps
     warnings = []

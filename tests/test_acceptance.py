@@ -306,7 +306,7 @@ def test_criterion_10_reproducibility(tmp_path, capsys):
         "exact",
     )
     mcmc_same, _ = run_twice(
-        ["sample", "--space", "fs", "--k", "3", "--reps", "3", "--seed", "11",
+        ["sample", "--space", "fs", "--k", "3", "--seed", "11",
          "--weight-expr", "r2/(1+r2)", "--mcmc-steps", "200", "--workers", "1"],
         "mcmc",
     )

@@ -139,6 +139,14 @@ def test_chain_flag_without_mcmc_steps_rejected(flag, value, capsys):
     assert f"chain flags {flag} need --mcmc-steps" in err
 
 
+@pytest.mark.parametrize("reps", ["5", "1"])
+def test_reps_with_mcmc_steps_rejected(reps, capsys):
+    # a chain run is one chain, so any --reps is refused, even 1
+    assert run(["sample", "--space", "fs", "--k", "3", "--mcmc-steps", "40", "--reps", reps,
+                "--workers", "3", "--seed", "1"]) == 2
+    assert "--reps needs the exact sampler" in capsys.readouterr().err
+
+
 def test_chain_defaults_come_from_mcmc_config(tmp_path):
     out = tmp_path / "m.json"
     assert run(["sample", "--space", "fs", "--k", "2", "--seed", "1", "--mcmc-steps", "20",

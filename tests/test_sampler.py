@@ -409,8 +409,63 @@ def test_mcmc_factorises_once_per_sweep(monkeypatch):
     assert calls == {"inv": 10, "slogdet": 5}
 
 
+@pytest.mark.parametrize("k", [2, 9, 30], ids=["N3", "N10", "N31"])
+def test_mcmc_evaluates_each_sweep_in_one_batch(monkeypatch, k):
+    # the start configuration, then one section_matrix and one weight call
+    # per sweep, whatever N is; inv once per sweep, slogdet once per
+    # collected configuration
+    import bergdpp.sampler as sampler
+    from bergdpp.spaces import ModelSpace
+
+    calls = {"section_matrix": 0, "weight": 0, "inv": 0, "slogdet": 0}
+    for name in ("inv", "slogdet"):
+        real = getattr(np.linalg, name)
+
+        def counting(M, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(M)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    real_sections = ModelSpace.section_matrix
+
+    def counting_sections(self, points):
+        calls["section_matrix"] += 1
+        return real_sections(self, points)
+
+    def exact_start(*args, **kwargs):
+        # the exact draw's own section evaluations are not the chain's
+        before = calls["section_matrix"]
+        conf = real_sample_dpp(*args, **kwargs)
+        calls["section_matrix"] = before
+        return conf
+
+    real_sample_dpp = sampler.sample_dpp
+    monkeypatch.setattr(ModelSpace, "section_matrix", counting_sections)
+    monkeypatch.setattr(sampler, "sample_dpp", exact_start)
+    psi = parse_weight("r2/(1+r2)")
+
+    def weight(points):
+        calls["weight"] += 1
+        return psi(points)
+
+    space = make_fubini_study(k)
+    run = sample_weighted(space, McmcConfig(steps=95, burn_in=10, thin=20), weight=weight, seed=3)
+    sweeps = -(-95 // space.rank)
+    assert calls == {
+        "section_matrix": 1 + sweeps,
+        "weight": 1 + sweeps,
+        "inv": sweeps,
+        "slogdet": len(run.configurations),
+    }
+
+
 def _reference_chain(space, config, psi, seed):
-    """The same Metropolis chain with a full slogdet of the section matrix per step."""
+    """The same Metropolis chain with a full slogdet of the section matrix per step.
+
+    It reads the random stream as the sampler does, one (c, 2, n) normal block
+    and one block of c uniforms per sweep of c steps, but evaluates every
+    proposal on its own.
+    """
     rng = rng_stream(seed)
     X = sample_dpp(space, rng=rng, seed=seed).points.copy()
     V = space.section_matrix(X)
@@ -427,12 +482,15 @@ def _reference_chain(space, config, psi, seed):
     cur, cur_pen, out = logdet2(V), np.array([pen(x) for x in X]), []
     for step in range(config.steps):
         j = step % N
-        z = X[j] + config.proposal_scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        if j == 0:
+            c = min(N, config.steps - step)
+            xi, u = rng.standard_normal((c, 2, n)), rng.random(c)
+        z = X[j] + config.proposal_scale * (xi[j, 0] + 1j * xi[j, 1])
         trial = V.copy()
         trial[j] = space.section_matrix(z[None, :])[0]
         new, new_pen = logdet2(trial), pen(z)
         delta = (new - cur) - (new_pen - cur_pen[j])
-        if delta >= 0.0 or (delta > -np.inf and math.log(max(rng.random(), 1e-300)) < delta):
+        if delta >= 0.0 or math.log(max(u[j], 1e-300)) < delta:
             X[j], V, cur, cur_pen[j] = z, trial, new, new_pen
         if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
             mu_pen = cur_pen.sum() + float(np.log(space.base_density(X)).sum())
@@ -441,21 +499,31 @@ def _reference_chain(space, config, psi, seed):
 
 
 @pytest.mark.parametrize(
-    "space, psi_text",
-    [(make_fubini_study(30), "re_1/(1+r2)"), (make_product((1, 2), 2), "r2_1*r2_2/(1+r2_1)")],
-    ids=["fs30", "prod"],
+    "space, psi_text, psi_k_text, steps, burn_in, thin",
+    [
+        (make_fubini_study(30), "re_1/(1+r2)", None, 4 * 31 + 7, 31, 7),
+        (make_product((1, 2), 2), "r2_1*r2_2/(1+r2_1)", None, 4 * 18 + 7, 18, 7),
+        (make_fubini_study(30), "re_1/(1+r2)", None, 10, 0, 1),
+        (make_fubini_study(5), "r2/(1+r2)", "re_1/(1+r2)", 4 * 6 + 5, 6, 3),
+    ],
+    ids=["fs30", "prod", "fs30-short", "fs5-two-term"],
 )
-def test_mcmc_matches_a_full_determinant_reference_chain(space, psi_text):
+def test_mcmc_matches_a_full_determinant_reference_chain(
+    space, psi_text, psi_k_text, steps, burn_in, thin
+):
     # an independent oracle for the determinant-ratio updates: over four
     # sweeps and more, each opening with a refactorisation, the chain must
-    # make the same moves
-    psi = parse_weight(psi_text)
-    N = space.rank
-    config = McmcConfig(steps=4 * N + 7, burn_in=N, thin=7)
+    # make the same moves; a chain shorter than one sweep reads a short block,
+    # and the Gibbs potential psi + k psi' is one weight to the sampler
+    psi = weight_sum(
+        (1.0, parse_weight(psi_text)),
+        (float(space.power), psi_k_text and parse_weight(psi_k_text)),
+    )
+    config = McmcConfig(steps=steps, burn_in=burn_in, thin=thin)
     run = sample_weighted(space, config, weight=psi, seed=41)
     want = _reference_chain(space, config, psi, seed=41)
     assert 0.1 < run.acceptance_rate < 0.9
-    assert len(run.configurations) == len(want) >= 4
+    assert len(run.configurations) == len(want) >= min(4, steps)
     for conf, (points, logd) in zip(run.configurations, want):
         assert np.array_equal(conf.points, points)
         assert conf.log_density == logd
