@@ -35,7 +35,6 @@ from .sampler import (
     Configuration,
     McmcConfig,
     RejectionStallError,
-    configuration_from_json,
     points_from_json,
     sample_dpp_many,
     sample_weighted,
@@ -197,20 +196,40 @@ def _load_samples(path: str) -> tuple[ModelSpace, list[Configuration]]:
     if weights:  # every prediction of stats is one of the unweighted process
         raise CliError(f"{path} holds draws of a weighted process ({', '.join(weights)}); "
                        "stats predicts only the unweighted process")
-    confs = []
+    # keys and point counts per configuration, then all points as one array
+    log_densities = []
     for i, entry in enumerate(entries):
         try:
-            conf = configuration_from_json(entry, space.dim)
+            n_points = len(entry["points"])
+            log_densities.append(float(entry["log_density"]))
         except KeyError as exc:
             raise CliError(f"{path}: configuration {i} lacks the key {exc}") from None
         except (TypeError, ValueError) as exc:
             raise CliError(f"{path}: configuration {i}: {exc}") from None
-        if conf.points.shape[0] != space.rank:
+        if n_points != space.rank:
             raise CliError(
-                f"{path}: configuration {i} has {conf.points.shape[0]} points, "
+                f"{path}: configuration {i} has {n_points} points, "
                 f"but the space has rank {space.rank}"
             )
-        confs.append(conf)
+    try:
+        points = points_from_json([row for entry in entries for row in entry["points"]], space.dim)
+    except (TypeError, ValueError):
+        for i, entry in enumerate(entries):  # name the configuration at fault
+            try:
+                points_from_json(entry["points"], space.dim)
+            except (TypeError, ValueError) as exc:
+                raise CliError(f"{path}: configuration {i}: {exc}") from None
+        raise
+    points = points.reshape(len(entries), space.rank, space.dim)
+    confs = [
+        Configuration(
+            points=P,
+            log_density=log_density,
+            origin=entry.get("origin", "exact"),
+            mcmc_step=entry.get("mcmc_step"),
+        )
+        for P, log_density, entry in zip(points, log_densities, entries)
+    ]
     return space, confs
 
 

@@ -20,6 +20,8 @@ helper, weight_values: None is zero, and a result that is not (M,) finite
 floats raises ValueError naming the weight and the first bad point.  Weights
 add in one place, weight_sum: a Gibbs potential such as psi + k psi' or
 psi + t f is formed there once and handed on as a single weight.
+is_radial_weight tells from a weight's form alone whether it depends on the
+moduli only; quadrature takes its diagonal Gram route on that answer.
 
 Purely radial expressions (only r2 / r2_<i>) also have the complex Hessian
 H_ij = delta_ij u_i + conj(z_i) z_j u_ij used by the curvature-side
@@ -45,6 +47,7 @@ __all__ = [
     "parse_weight",
     "weight_values",
     "weight_sum",
+    "is_radial_weight",
     "complex_hessian",
 ]
 
@@ -365,6 +368,21 @@ def weight_sum(*terms):
     if len(live) == 1 and live[0][0] == 1.0:
         return live[0][1]
     return _WeightSum(live)
+
+
+def is_radial_weight(weight) -> bool:
+    """Whether the weight is known, from its form, to depend on the moduli |z_i| alone.
+
+    None, a WeightExpr in r2 / r2_<i> only, and a weight_sum of such terms
+    are; any other callable is not, whatever its values.
+    """
+    if weight is None:
+        return True
+    if isinstance(weight, WeightExpr):
+        return weight.is_radial
+    if isinstance(weight, _WeightSum):
+        return all(is_radial_weight(f) for _, f in weight.terms)
+    return False
 
 
 # ---------------------------------------------------------------------------

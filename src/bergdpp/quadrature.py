@@ -55,19 +55,41 @@ products), so the sum regroups exactly as
 
 where c^_r[delta] = sum_q c(r, theta_q) e^{i delta theta_q} is the DFT of c
 over the angles (a multi-axis DFT on products, one axis per factor).  The
-radial tables R_a come from the n_r radii alone; the angular DFT folds in any
-weight, mask, panel split or aliasing (angular < 2 * degree + 1) of the grid.
-_assemble builds A band by band (fixed a - b), one factor at a time, in
-O(n_r N^2) time and memory: no section matrix on the M = n_r n_theta nodes.
-gram() Hermitianizes as (A + A^H)/2 with the asymmetry recorded, and is the
-one place where a Gram is judged and factored.  It works on the scaled Gram
-S = D^{-1/2} A D^{-1/2}, D = diag(A), which does not change when a basis
-section is rescaled (and diagonal scaling nearly minimises the condition
-number of a Hermitian positive-definite matrix: van der Sluis, Numer. Math.
-1969).  S gives the log-determinant, the degeneracy verdict (an eigenvalue
-of S at most 1e-12 of its largest raises GramDegenerateError, the usual
-cause being a grid with fewer nodes than the rank needs) and the
-orthonormalising map GramMatrix.transform that the kernel and CGF paths use.
+radial tables R_a come from the n_r radii alone.
+
+Diagonal Grams.  If c does not depend on the angles, c^_r[delta] is c(r)
+times the sum of e^{i delta theta_q} over the n_theta uniform angles, which
+is 0 unless n_theta divides delta.  Gram frequencies reach |delta| <= d, the
+factor's degree, so when every factor has n_theta >= d + 1 every band but
+delta = 0 vanishes exactly: the monomials are orthogonal (the structure
+behind Kostlan's theorem) and A_aa = sum_r R_a(r)^2 n_theta c(r).  c is
+free of the angles when the weight is None, a radial WeightExpr (only r2 /
+r2_<i>) or a weight_sum of radial terms, and the mask is None or a Region,
+whose indicator is radial per factor.  _diagonal decides this from those
+inputs and the grid's angular counts, never from the size of off-diagonal
+entries.  On this route _assemble evaluates c once per point of the radial
+tensor grid, at theta = 0, with each factor's angular weights summed to
+2 pi, and contracts R_a^2 into it one factor at a time: O(n_r N) work per
+factor, and the grid's node arrays are never built.  Any other weight
+(re_ / im_ terms, any other callable), a mask given as node values or an
+aliasing grid (angular < 2 * degree + 1 folds bands onto each other, and
+angular <= degree onto band 0) takes the dense route: the DFT of c at the
+nodes, then A band by band (fixed a - b), one factor at a time, in
+O(n_r N^2) time and memory, with no section matrix on the M = n_r n_theta
+nodes.
+
+gram() is the one place where a Gram is judged and factored.  On the dense
+route it Hermitianizes as (A + A^H)/2 with the asymmetry recorded, and works
+on the scaled Gram S = D^{-1/2} A D^{-1/2}, D = diag(A), which does not
+change when a basis section is rescaled (and diagonal scaling nearly
+minimises the condition number of a Hermitian positive-definite matrix: van
+der Sluis, Numer. Math. 1969).  S gives the log-determinant, the degeneracy
+verdict (an eigenvalue of S at most 1e-12 of its largest raises
+GramDegenerateError, the usual cause being a grid with fewer nodes than the
+rank needs) and the orthonormalising map GramMatrix.transform that the
+kernel and CGF paths use.  On the diagonal route S = I exactly: log det A =
+sum log D, the Gram is degenerate when some D_aa <= 0, and the map is
+D^{-1/2}.  GramMatrix.route records which route built a Gram.
 """
 
 from __future__ import annotations
@@ -80,13 +102,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainccinv, xlogy
 
-from .exprs import weight_values
+from .exprs import is_radial_weight, weight_values
 from .spaces import ModelSpace
 
 __all__ = [
     "TAIL",
     "MIN_PANEL",
     "GramDegenerateError",
+    "Region",
     "QuadratureGrid",
     "GramMatrix",
     "gauss_legendre",
@@ -115,18 +138,93 @@ class GramDegenerateError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class QuadratureGrid:
-    """Flat list of chart nodes with Lebesgue weights and base density.
+class Region:
+    """Product of radial annuli, one closed (r_lo, r_hi) interval per factor.
 
-    The nodes are the tensor product of one polar grid per factor, factor 0
-    slowest; within a factor they run radius-major over radii x angular
-    uniform angles, so a node array reshapes to (n_r0, n_theta0, n_r1, ...).
+    Its indicator depends on the moduli alone, so a Gram masked by a Region
+    keeps the torus invariance that makes it diagonal (module docstring).
     """
 
-    nodes: np.ndarray          # (M, n) complex
-    weights: np.ndarray        # (M,) chart-Lebesgue weights
-    density: np.ndarray        # base_density at the nodes
+    bounds: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):
+        for lo, hi in self.bounds:
+            if not (0.0 <= lo < hi):
+                raise ValueError(f"bad radial interval [{lo}, {hi}]")
+
+    @staticmethod
+    def disk(radius: float, dim: int = 1) -> "Region":
+        return Region(((0.0, float(radius)),) * dim)
+
+    @staticmethod
+    def annulus(inner: float, outer: float, dim: int = 1) -> "Region":
+        return Region(((float(inner), float(outer)),) * dim)
+
+    @staticmethod
+    def full(dim: int = 1) -> "Region":
+        return Region(((0.0, math.inf),) * dim)
+
+    @property
+    def dim(self) -> int:
+        return len(self.bounds)
+
+    @property
+    def label(self) -> str:
+        parts = []
+        for lo, hi in self.bounds:
+            if lo == 0.0 and math.isinf(hi):
+                parts.append("full")
+            elif lo == 0.0:
+                parts.append(f"disk:{hi:g}")
+            else:
+                parts.append(f"annulus:{lo:g}:{hi:g}")
+        return "x".join(parts)
+
+    def mask(self, points: np.ndarray) -> np.ndarray:
+        Z = np.asarray(points, dtype=complex)
+        if Z.ndim == 1:
+            Z = Z[:, None]
+        if Z.shape[1] != self.dim:
+            raise ValueError(f"points have {Z.shape[1]} factors, region has {self.dim}")
+        r = np.abs(Z)
+        ok = np.ones(Z.shape[0], dtype=bool)
+        for i, (lo, hi) in enumerate(self.bounds):
+            ok &= (r[:, i] >= lo) & (r[:, i] <= hi)
+        return ok
+
+    def overlap(self, other: "Region") -> "Region | None":
+        """The region of points in both, or None if it has no interior."""
+        bounds = tuple(
+            (max(lo_a, lo_b), min(hi_a, hi_b))
+            for (lo_a, hi_a), (lo_b, hi_b) in zip(self.bounds, other.bounds)
+        )
+        return Region(bounds) if all(lo < hi for lo, hi in bounds) else None
+
+    def break_radii(self) -> list[list[float]]:
+        """Per-factor finite positive radii, for panel-aligned grids."""
+        out = []
+        for lo, hi in self.bounds:
+            edges = [r for r in (lo, hi) if 0.0 < r < math.inf]
+            out.append(sorted(set(edges)))
+        return out
+
+
+@dataclass(frozen=True)
+class QuadratureGrid:
+    """Tensor product of one polar rule per factor: Gauss radii, uniform angles.
+
+    The grid holds each factor's radial rule (radii, radial weights) and
+    angular count.  The flat node arrays nodes, weights and density are
+    built on first use (a dense Gram, integrate, the Monge-Ampere
+    quantities); a diagonal Gram needs only the radial rules.  The nodes
+    run factor 0 slowest, and within a factor radius-major over radii x
+    angular uniform angles, so a node array reshapes to
+    (n_r0, n_theta0, n_r1, ...).
+    """
+
+    space: ModelSpace
     radii: tuple[np.ndarray, ...]  # radial nodes r (not r^2), per factor
+    radial_weights: tuple[np.ndarray, ...]  # (1/2) dt Gauss weights per factor: dm = (1/2) dt dtheta
     radial: tuple[int, ...]    # Gauss nodes per radial panel (Ginibre: per [0, t_max]), per factor
     angular: tuple[int, ...]   # angular nodes per factor
     under_resolved: str | None  # the exactness bound the grid breaks, if any
@@ -134,7 +232,30 @@ class QuadratureGrid:
 
     @property
     def size(self) -> int:
-        return self.nodes.shape[0]
+        return math.prod(r.size * n for r, n in zip(self.radii, self.angular))
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        """(M, n) complex chart nodes."""
+        zs = [
+            (r[:, None] * np.exp(1j * (2.0 * math.pi * np.arange(n) / n))[None, :]).ravel()
+            for r, n in zip(self.radii, self.angular)
+        ]
+        return np.stack([m.ravel() for m in np.meshgrid(*zs, indexing="ij")], axis=1)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """(M,) chart-Lebesgue weights."""
+        ws = [np.repeat(w * (2.0 * math.pi / n), n) for w, n in zip(self.radial_weights, self.angular)]
+        weights = np.ones(self.size)
+        for wm in np.meshgrid(*ws, indexing="ij"):
+            weights = weights * wm.ravel()
+        return weights
+
+    @functools.cached_property
+    def density(self) -> np.ndarray:
+        """base_density at the nodes."""
+        return self.space.base_density(self.nodes)
 
     def mass(self) -> float:
         return float(np.sum(self.weights * self.density))
@@ -209,13 +330,13 @@ def _ginibre_edge(rank: int, psi, n_angular: int) -> float:
     return max(t0, float(edges[k]))
 
 
-def _factor_grid(
-    kind: str, t_max: float | None, n_radial: int, n_angular: int, breaks: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """2-d polar rule for one factor: radii (n_r,), nodes (m,) complex, Lebesgue weights (m,).
+def _factor_rule(
+    kind: str, t_max: float | None, n_radial: int, breaks: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Radial rule for one factor: radii r (n_r,) and (1/2) dt weights (n_r,).
 
-    Nodes run radius-major: node r * n_angular + q sits at radii[r] e^{2 pi i q / n_angular}.
-    Ginibre panels end at t = t_max; breaks beyond it are dropped.
+    dm = (1/2) dt dtheta in polar squared-radius coordinates.  Ginibre panels
+    end at t = t_max; breaks beyond it are dropped.
     """
     radii = sorted(r for r in breaks if r > 0.0 and math.isfinite(r))
     if kind == "ginibre":
@@ -232,12 +353,7 @@ def _factor_grid(
         s, ws = _panel_gauss(s_edges, [n_radial] * (s_edges.size - 1))
         t = s / (1.0 - s)
         wt = ws / (1.0 - s) ** 2
-    theta = 2.0 * math.pi * np.arange(n_angular) / n_angular
-    r = np.sqrt(t)
-    z = r[:, None] * np.exp(1j * theta)[None, :]
-    # dm = (1/2) dt dtheta in polar squared-radius coordinates
-    w = 0.5 * wt[:, None] * (2.0 * math.pi / n_angular) * np.ones(n_angular)[None, :]
-    return r, z.ravel(), w.ravel()
+    return np.sqrt(t), 0.5 * wt
 
 
 def _unresolved_bound(space: ModelSpace, radials, angulars) -> str | None:
@@ -258,7 +374,7 @@ def build_grid(
     breaks: tuple[tuple[float, ...], ...] | None = None,
     psi=None,
 ) -> QuadratureGrid:
-    """Tensor-product grid adapted to the space.
+    """Tensor-product grid adapted to the space: one radial rule per factor.
 
     radial:     nodes per radial panel, default max(F, degree // 2 + 8) with
                 F = 96 on Ginibre and 32 on compact factors; Ginibre panels share them.
@@ -270,6 +386,9 @@ def build_grid(
     psi:        the extra weight the grid's Grams will carry; a Ginibre edge
                 moves out where e^{-psi} grows (module docstring).  Compact
                 charts place no edge for it; every grid records it as .psi.
+
+    Only the radial rules are computed here; the M-node arrays are built on
+    first use (QuadratureGrid).
     """
     n = space.dim
     if breaks is None:
@@ -282,7 +401,7 @@ def build_grid(
     if truncation is not None and not 0.0 < truncation < math.inf:
         raise ValueError(f"truncation must be a positive finite radius, got {truncation}")
 
-    radii, radials, angulars, zs, ws = [], [], [], [], []
+    radii, radial_weights, radials, angulars = [], [], [], []
     for i in range(n):
         d = space.factor_degrees[i]
         n_ang = angular if angular is not None else max(8, 2 * d + 1)
@@ -300,30 +419,16 @@ def build_grid(
             t_max = _ginibre_edge(space.rank, psi, n_ang)
             if truncation is not None:
                 t_max = min(t_max, float(truncation) ** 2)
-        r, z, w = _factor_grid(space.kind, t_max, n_rad, n_ang, breaks[i])
+        r, w = _factor_rule(space.kind, t_max, n_rad, breaks[i])
         radii.append(r)
+        radial_weights.append(w)
         radials.append(n_rad)
         angulars.append(n_ang)
-        zs.append(z)
-        ws.append(w)
 
-    if n == 1:
-        nodes = zs[0][:, None]
-        weights = ws[0]
-    else:
-        mesh = np.meshgrid(*zs, indexing="ij")
-        wmesh = np.meshgrid(*ws, indexing="ij")
-        nodes = np.stack([m.ravel() for m in mesh], axis=1)
-        weights = np.ones(nodes.shape[0])
-        for wm in wmesh:
-            weights = weights * wm.ravel()
-
-    density = space.base_density(nodes)
     return QuadratureGrid(
-        nodes=nodes,
-        weights=weights,
-        density=density,
+        space=space,
         radii=tuple(radii),
+        radial_weights=tuple(radial_weights),
         radial=tuple(radials),
         angular=tuple(angulars),
         under_resolved=_unresolved_bound(space, radials, angulars),
@@ -369,16 +474,20 @@ class GramMatrix:
     logdet: float
     asymmetry_abs: float     # max |A - A^H| before Hermitianization
     asymmetry_rel: float
+    route: str               # "diagonal" or "dense": how gram() assembled and judged it
 
     @functools.cached_property
     def transform(self) -> np.ndarray:
         """The orthonormalising map T = D^{-1/2} conj(S)^{-1/2}, computed on first use.
 
-        S = D^{-1/2} A D^{-1/2} is the scaled Gram that gram() judged.  Since
-        A = V^T diag(c) conj(V), the rows of V @ T are orthonormal in the
-        c-weighted inner product: T^H conj(A) T = I, and T T^H = conj(A)^{-1}.
+        S = D^{-1/2} A D^{-1/2} is the scaled Gram that gram() judged, I on
+        the diagonal route.  Since A = V^T diag(c) conj(V), the rows of V @ T
+        are orthonormal in the c-weighted inner product: T^H conj(A) T = I,
+        and T T^H = conj(A)^{-1}.
         """
         s = 1.0 / np.sqrt(self.matrix.diagonal().real)
+        if self.route == "diagonal":
+            return np.diag(s.astype(complex))
         eigs, U = np.linalg.eigh(self.matrix.conj() * s[:, None] * s[None, :])
         return (U * s[:, None] / np.sqrt(eigs)[None, :]) @ U.conj().T
 
@@ -411,15 +520,30 @@ def _bands(R: np.ndarray, chat: np.ndarray) -> np.ndarray:
     return out.reshape(N, N, *rest)
 
 
-def _assemble(
-    space: ModelSpace, grid: QuadratureGrid, psi=None, mask: np.ndarray | None = None
-) -> np.ndarray:
+def _diagonal(space: ModelSpace, grid: QuadratureGrid, psi, mask) -> bool:
+    """Whether the Gram is diagonal by torus invariance, judged from the inputs alone.
+
+    The quadrature factor c must not depend on the angles (a radial weight, a
+    Region mask or none) and every factor needs angular >= degree + 1, so
+    that no band 0 < |a - b| <= degree aliases onto band 0 (module docstring).
+    """
+    return (
+        is_radial_weight(psi)
+        and (mask is None or isinstance(mask, Region))
+        and all(n >= d + 1 for n, d in zip(grid.angular, space.factor_degrees))
+    )
+
+
+def _assemble(space: ModelSpace, grid: QuadratureGrid, psi=None, mask=None) -> np.ndarray:
     """Raw (not Hermitianized) A_ab = sum_m c_m v_a(z_m) conj(v_b(z_m)).
 
-    c = w * rho * e^{-psi} * mask is the quadrature factor at the grid nodes;
-    mask is a region indicator or any other real factor per node.  The sum is
-    taken in its polar form (module docstring): the DFT of c over every
-    factor's angles, then the radial sums band by band, factor by factor.
+    c = w * rho * e^{-psi} * mask is the quadrature factor; mask is a Region
+    or a real factor per node (any function values to fold in).  On the
+    diagonal route (_diagonal) c is taken on the radial tensor grid at
+    theta = 0 and only the diagonal of A is returned, as an (N,) real array;
+    otherwise c is taken at the nodes and the (N, N) sum is formed in its
+    polar form: the DFT of c over every factor's angles, then the radial
+    sums band by band, factor by factor (module docstring).
     """
     if space.kind == "ginibre" and psi is not grid.psi:
         # the edge bounds the tail of another weight only if it reaches that weight's edge
@@ -431,11 +555,28 @@ def _assemble(
                 f"t = {have:.6g} of a grid built for psi={grid.psi!r}; build the grid with "
                 f"build_grid(space, psi=psi)"
             )
-    c = grid.weights * grid.density * np.exp(-weight_values(psi, grid.nodes))
+    diagonal = _diagonal(space, grid, psi, mask)
+    if diagonal:
+        # the angles' weights sum to 2 pi at every radius
+        points = np.stack(
+            [m.ravel() for m in np.meshgrid(*grid.radii, indexing="ij")], axis=1
+        ).astype(complex)
+        w = functools.reduce(np.multiply.outer, [2.0 * math.pi * rw for rw in grid.radial_weights])
+        c = w.ravel() * space.base_density(points)
+    else:
+        points = grid.nodes
+        c = grid.weights * grid.density
+    c = c * np.exp(-weight_values(psi, points))
     if mask is not None:
-        c = c * mask
+        c = c * (mask.mask(points) if isinstance(mask, Region) else mask)
     if not np.all(np.isfinite(c)):
         raise ValueError("quadrature factor overflowed; extra weight too negative")
+    if diagonal:
+        # band 0 alone: A_aa = sum_r R_a(r)^2 c(r), contracted factor by factor
+        d = c.reshape([r.size for r in grid.radii])
+        for i, r in enumerate(grid.radii):
+            d = np.tensordot(d, space._factor_values(i, r).real ** 2, axes=(0, 0))
+        return d.ravel()  # axes (a_0, a_1, ...) in C order, as section_matrix
     n = len(grid.radii)
     # axes (r_0, q_0, r_1, q_1, ...); sum_q c e^{+i delta theta_q} is the unscaled inverse DFT
     chat = c.reshape([m for r, n_ang in zip(grid.radii, grid.angular) for m in (r.size, n_ang)])
@@ -448,16 +589,16 @@ def _assemble(
     return chat.reshape(space.rank, space.rank)
 
 
-def weighted_gram_matrix(
-    space: ModelSpace, grid: QuadratureGrid, psi=None, mask: np.ndarray | None = None
-) -> np.ndarray:
+def weighted_gram_matrix(space: ModelSpace, grid: QuadratureGrid, psi=None, mask=None) -> np.ndarray:
     """Raw Hermitianized Gram A_ij = int_U v_i conj(v_j) e^{-psi} dmu.
 
-    mask is a real factor per node: a region indicator, or any function
-    values to fold into the integrand.  No positivity check: with a mask the
-    result is only positive semi-definite (or indefinite).
+    mask is a Region (U), or a real factor per node: a region indicator, or
+    any function values to fold into the integrand.  No positivity check:
+    with a mask the result is only positive semi-definite (or indefinite).
     """
     A = _assemble(space, grid, psi, mask)
+    if A.ndim == 1:
+        return np.diag(A.astype(complex))
     return 0.5 * (A + A.conj().T)
 
 
@@ -469,11 +610,26 @@ def gram(space: ModelSpace, grid: QuadratureGrid, psi=None) -> GramMatrix:
 
     The degeneracy test and the log-determinant use the scaled Gram
     S = D^{-1/2} A D^{-1/2} with D = diag(A): log det A = log det S + sum log D,
-    and S, unlike A, does not change when a basis section is rescaled.  Its
-    eigenvalues come from the degeneracy check, so S is factorized once for
-    both; the eigenvectors behind GramMatrix.transform are left for first use.
+    and S, unlike A, does not change when a basis section is rescaled.  On
+    the dense route its eigenvalues come from the degeneracy check, so S is
+    factorized once for both; the eigenvectors behind GramMatrix.transform
+    are left for first use.  On the diagonal route S = I.
     """
     A_raw = _assemble(space, grid, psi)
+    if A_raw.ndim == 1:
+        d = A_raw
+        if not np.all(d > 0.0):
+            raise GramDegenerateError(
+                f"gram-degenerate: diagonal Gram with diagonal range [{d.min():.3e}, "
+                f"{d.max():.3e}], with {grid.size} nodes for rank {space.rank}; refine the grid"
+            )
+        return GramMatrix(
+            matrix=np.diag(d.astype(complex)),
+            logdet=float(np.sum(np.log(d))),
+            asymmetry_abs=0.0,
+            asymmetry_rel=0.0,
+            route="diagonal",
+        )
     asym_abs = float(np.max(np.abs(A_raw - A_raw.conj().T), initial=0.0))
     scale = float(np.max(np.abs(A_raw), initial=0.0))
     A = 0.5 * (A_raw + A_raw.conj().T)
@@ -491,6 +647,7 @@ def gram(space: ModelSpace, grid: QuadratureGrid, psi=None) -> GramMatrix:
         logdet=float(np.sum(np.log(eigs)) + np.sum(np.log(d))),
         asymmetry_abs=asym_abs,
         asymmetry_rel=asym_abs / scale if scale > 0 else 0.0,
+        route="dense",
     )
 
 

@@ -17,9 +17,11 @@ moments of the projection process are traces:
 
 since tr G_U = int_U B(x, x) dmu and Re tr(G_A G_B) = int_A int_B |B(x, y)|^2.
 All Grams of one report share one grid with panel edges on every region
-boundary.  The test suite checks these traces against Kostlan's theorem
-(count moments from per-index Beta and Gamma laws, computed with scipy
-alone), which shares no code with the Grams.
+boundary.  A Region (quadrature.Region) is radial per factor, and so is
+the overlap A cap B of two, so every G_U is diagonal and is assembled from
+the grid's radial rules alone.  The test suite checks these traces against
+Kostlan's theorem (count moments from per-index Beta and Gamma laws,
+computed with scipy alone), which shares no code with the Grams.
 
 Radial laws used for Kolmogorov-Smirnov checks:
 
@@ -40,7 +42,7 @@ from scipy.special import betainc, gammainc
 
 from .energy import equilibrium_mass
 from .exprs import weight_values
-from .quadrature import QuadratureGrid, build_grid, weighted_gram_matrix
+from .quadrature import QuadratureGrid, Region, build_grid, weighted_gram_matrix
 from .sampler import sample_dpp_many
 from .spaces import ModelSpace
 
@@ -66,66 +68,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # regions
-
-
-@dataclass(frozen=True)
-class Region:
-    """Product of radial annuli, one (r_lo, r_hi) interval per factor."""
-
-    bounds: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        for lo, hi in self.bounds:
-            if not (0.0 <= lo < hi):
-                raise ValueError(f"bad radial interval [{lo}, {hi}]")
-
-    @staticmethod
-    def disk(radius: float, dim: int = 1) -> "Region":
-        return Region(((0.0, float(radius)),) * dim)
-
-    @staticmethod
-    def annulus(inner: float, outer: float, dim: int = 1) -> "Region":
-        return Region(((float(inner), float(outer)),) * dim)
-
-    @staticmethod
-    def full(dim: int = 1) -> "Region":
-        return Region(((0.0, math.inf),) * dim)
-
-    @property
-    def dim(self) -> int:
-        return len(self.bounds)
-
-    @property
-    def label(self) -> str:
-        parts = []
-        for lo, hi in self.bounds:
-            if lo == 0.0 and math.isinf(hi):
-                parts.append("full")
-            elif lo == 0.0:
-                parts.append(f"disk:{hi:g}")
-            else:
-                parts.append(f"annulus:{lo:g}:{hi:g}")
-        return "x".join(parts)
-
-    def mask(self, points: np.ndarray) -> np.ndarray:
-        Z = np.asarray(points, dtype=complex)
-        if Z.ndim == 1:
-            Z = Z[:, None]
-        if Z.shape[1] != self.dim:
-            raise ValueError(f"points have {Z.shape[1]} factors, region has {self.dim}")
-        r = np.abs(Z)
-        ok = np.ones(Z.shape[0], dtype=bool)
-        for i, (lo, hi) in enumerate(self.bounds):
-            ok &= (r[:, i] >= lo) & (r[:, i] <= hi)
-        return ok
-
-    def break_radii(self) -> list[list[float]]:
-        """Per-factor finite positive radii, for panel-aligned grids."""
-        out = []
-        for lo, hi in self.bounds:
-            edges = [r for r in (lo, hi) if 0.0 < r < math.inf]
-            out.append(sorted(set(edges)))
-        return out
 
 
 def parse_region(text: str, dim: int = 1) -> Region:
@@ -158,8 +100,8 @@ def region_grid(space: ModelSpace, *regions: Region) -> QuadratureGrid:
 
 
 def region_gram(space: ModelSpace, grid: QuadratureGrid, region: Region) -> np.ndarray:
-    """G_U: the Gram masked to the region, on the grid."""
-    return weighted_gram_matrix(space, grid, mask=region.mask(grid.nodes))
+    """G_U: the Gram masked to the region, on the grid (diagonal, as U is radial)."""
+    return weighted_gram_matrix(space, grid, mask=region)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +240,8 @@ def pair_count_stats(
     if grid is None:
         grid = region_grid(space, *regions)
     counts = [_counts(P, reg) for reg in regions]
-    masks = [reg.mask(grid.nodes) for reg in regions]
     if grams is None:
-        grams = [weighted_gram_matrix(space, grid, mask=m) for m in masks]
+        grams = [region_gram(space, grid, reg) for reg in regions]
     traces = [float(np.trace(G).real) for G in grams]
     out = []
     for a in range(len(regions)):
@@ -311,9 +252,9 @@ def pair_count_stats(
                 stat = counts[a] * (counts[a] - 1.0)
             else:
                 stat = counts[a] * counts[b]
-                both = masks[a] & masks[b]
-                if both.any():
-                    pred += float(np.trace(weighted_gram_matrix(space, grid, mask=both)).real)
+                both = regions[a].overlap(regions[b])
+                if both is not None:
+                    pred += float(np.trace(region_gram(space, grid, both)).real)
             obs = float(stat.mean())
             se = float(stat.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
             out.append(

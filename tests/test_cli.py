@@ -524,6 +524,26 @@ def test_energy_cgf_assembles_each_gram_once(tmp_path, assemble_calls):
     assert len(assemble_calls) == 12
 
 
+def test_stats_counts_builds_no_grid_nodes(tmp_path, monkeypatch):
+    # region Grams, count moments and the overlap term of pair counts all
+    # take the diagonal route, which needs the grid's radial rules alone
+    import bergdpp.stats as stats
+
+    grids = []
+    build_grid = stats.build_grid
+
+    def recorded(*args, **kwargs):
+        grids.append(build_grid(*args, **kwargs))
+        return grids[-1]
+
+    monkeypatch.setattr(stats, "build_grid", recorded)
+    assert run(["stats", "counts", "--space", "fs", "--k", "5", "--reps", "3", "--seed", "1",
+                "--region", "disk:1", "--region", "annulus:0.5:2",
+                "--out", str(tmp_path / "c.json")]) == 0
+    assert len(grids) == 1
+    assert not {"nodes", "weights", "density"} & set(vars(grids[0]))
+
+
 def test_stats_counts_in_a_row_match_separate_processes(tmp_path):
     # run() reuses one parser: a --region list of one call must not leak
     # into the next through the shared append default

@@ -3,22 +3,25 @@
 The radial substitution s = t/(1+t) makes Fubini-Study Gram integrands
 polynomial in s, so the default grids reproduce them to machine precision;
 weighted entries are compared against adaptive quadrature instead.  The
-polar-factorised assembly is checked against the plain node sum
-(dense_gram), which evaluates every section at every node.
+polar-factorised assembly, on both its dense and its diagonal route, is
+checked against the plain node sum (dense_gram), which evaluates every
+section at every node.
 """
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from bergdpp.exprs import parse_weight
+from bergdpp.exprs import parse_weight, weight_sum
 from bergdpp.quadrature import (
     MIN_PANEL,
     TAIL,
     GramDegenerateError,
+    _diagonal,
     build_grid,
     gauss_legendre,
     gram,
@@ -249,6 +252,95 @@ def test_factorised_gram_aliases_like_dense(family):
     assert all(n < 2 * d + 1 for n, d in zip(grid.angular, space.factor_degrees))
     _assert_matches_dense(space, grid)
     _assert_matches_dense(space, grid, parse_weight(im_weight))
+
+
+# ---------------------------------------------------------------------------
+# the diagonal route: torus-invariant Grams, decided from the inputs
+
+
+def _radial_weights(family):
+    """None, the family's radial weight, and a weight_sum of two radial terms."""
+    space, radial, *_ = _SPACES[family]
+    second = "r2/(2+r2)" if space.dim == 1 else "r2_2/(1+r2_2)"
+    sum_ = weight_sum((0.5, parse_weight(radial)), (0.25, parse_weight(second)))
+    return [None, parse_weight(radial), sum_]
+
+
+def _panel_grid(space, *regions):
+    """region_grid's panels; product factors take 8 nodes per panel, as the
+    M x N dense reference on the default product panels would take 0.3 GB."""
+    if space.dim == 1:
+        return region_grid(space, *regions)
+    breaks = [sorted({r for reg in regions for r in reg.break_radii()[i]}) for i in range(space.dim)]
+    return build_grid(space, radial=8, breaks=breaks)
+
+
+@pytest.mark.parametrize("family", sorted(_SPACES))
+def test_diagonal_route_matches_dense(family):
+    # radial weights, sums of them, and disk, annulus and overlap masks keep
+    # c free of the angles: the assembly returns band 0 alone, with every
+    # off-diagonal entry exactly 0, and the dense node sum agrees
+    space = _SPACES[family][0]
+    disk, annulus = Region.disk(0.8, space.dim), Region.annulus(0.5, 1.7, space.dim)
+    overlap = disk.overlap(annulus)
+    assert overlap == Region.annulus(0.5, 0.8, space.dim)
+    grid = _panel_grid(space, disk, annulus)
+    for psi in _radial_weights(family):
+        for region in (None, disk, annulus, overlap):
+            assert _diagonal(space, grid, psi, region)
+            mask = None if region is None else region.mask(grid.nodes)
+            want = dense_gram(space, grid, psi, mask)
+            got = weighted_gram_matrix(space, grid, psi, region)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            assert np.array_equal(got, np.diag(got.diagonal()))
+        g = gram(space, grid, psi)
+        assert g.route == "diagonal"
+        assert np.array_equal(g.matrix, weighted_gram_matrix(space, grid, psi))
+        assert g.logdet == pytest.approx(np.linalg.slogdet(dense_gram(space, grid, psi))[1], abs=1e-12)
+        assert np.array_equal(g.transform, np.diag(1.0 / np.sqrt(g.matrix.diagonal())))
+
+
+@pytest.mark.parametrize("family", sorted(_SPACES))
+def test_dense_route_is_kept_unless_the_inputs_are_torus_invariant(family):
+    # decided from the weight's form, the mask's type and the angular counts,
+    # never from the size of the off-diagonal entries: a 1e-9 angular term,
+    # an opaque callable, a mask given as node values, or angular = degree
+    # (band a - b = degree aliases onto band 0) each keep the dense route
+    space, radial, re_weight, _ = _SPACES[family]
+    grid = build_grid(space)
+    assert gram(space, grid).route == "diagonal"
+    tiny = weight_sum((1e-9, parse_weight(re_weight)), (1.0, parse_weight(radial)))
+    callable_ = parse_weight(radial).evaluate  # the same values, not a WeightExpr
+    for psi in (tiny, callable_):
+        assert not _diagonal(space, grid, psi, None)
+        assert gram(space, grid, psi).route == "dense"
+    values = Region.disk(0.8, space.dim).mask(grid.nodes)
+    assert not _diagonal(space, grid, None, values)
+    _assert_matches_dense(space, grid, None, values)
+    aliasing = build_grid(space, angular=max(space.factor_degrees))
+    assert not _diagonal(space, aliasing, None, None)
+    g = gram(space, aliasing)
+    assert g.route == "dense"
+    assert np.max(np.abs(g.matrix - dense_gram(space, aliasing))) <= 1e-12
+
+
+def test_diagonal_gram_builds_no_node_arrays():
+    # the radial rules alone carry a diagonal Gram: the M-node arrays are
+    # never built, and build_grid + gram stay small (the node arrays of this
+    # grid and their DFT took 21 MB)
+    space = make_product((1, 2), 4)
+    tracemalloc.start()
+    try:
+        grid = build_grid(space)
+        g = gram(space, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.route == "diagonal"
+    assert peak < 1_000_000
+    assert grid.size == 32 * 9 * 32 * 17
+    assert not {"nodes", "weights", "density"} & set(vars(grid))
+    assert grid.nodes.shape == (grid.size, 2)  # built on first use
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy import special, stats as sps
 
+from bergdpp.quadrature import weighted_gram_matrix
 from bergdpp.sampler import Configuration, sample_dpp_many
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
 from bergdpp.stats import (
@@ -64,6 +65,16 @@ def test_region_product_factors():
     reg = Region(bounds=((0.0, 1.0), (0.5, math.inf)))
     pts = np.array([[0.5 + 0j, 1.0 + 0j], [0.5 + 0j, 0.1 + 0j]])
     assert list(reg.mask(pts)) == [True, False]
+
+
+def test_region_overlap():
+    # closed intervals per factor; touching intervals share no interior
+    assert Region.disk(1.0).overlap(Region.annulus(0.5, 2.0)) == Region.annulus(0.5, 1.0)
+    assert Region.disk(1.0).overlap(Region.full()) == Region.disk(1.0)
+    assert Region.disk(1.0).overlap(Region.annulus(1.0, 2.0)) is None
+    a = Region(((0.0, 1.0), (0.5, math.inf)))
+    assert a.overlap(Region(((0.5, 2.0), (0.0, 0.7)))) == Region(((0.5, 1.0), (0.5, 0.7)))
+    assert a.overlap(Region(((0.5, 2.0), (0.0, 0.4)))) is None
 
 
 def test_parse_region_round_trip():
@@ -314,6 +325,26 @@ def test_disjoint_pair_integral_matches_trace_identity():
     (row,) = [r for r in rows if (r.region_a, r.region_b) == (A.label, B.label)]
     want = pair_quadrature(space, A, B, grid)
     assert abs(row.predicted - want) < 1e-9
+
+
+@pytest.mark.parametrize("case", ["fs5", "gin5", "prod12k2"])
+def test_pair_predictions_match_node_mask_grams(case):
+    # the region Grams take the diagonal route and the overlap A cap B is a
+    # Region; the same traces from dense Grams masked by node values, with
+    # the overlap mask formed node by node, agree
+    space, specs = KOSTLAN_CASES[case]
+    regions = [parse_region(r, space.dim) if isinstance(r, str) else Region(r) for r in specs]
+    grid = region_grid(space, *regions)
+    masks = [reg.mask(grid.nodes) for reg in regions]
+    grams = [weighted_gram_matrix(space, grid, mask=m) for m in masks]
+    rows = pair_count_stats(space, [make_conf(np.zeros((space.rank, space.dim)))], regions, grid)
+    pairs = [(a, b) for a in range(len(regions)) for b in range(a, len(regions))]
+    for (a, b), row in zip(pairs, rows):
+        ta, tb = np.trace(grams[a]).real, np.trace(grams[b]).real
+        want = ta * tb - np.vdot(grams[b], grams[a]).real
+        if a != b:
+            want += np.trace(weighted_gram_matrix(space, grid, mask=masks[a] & masks[b])).real
+        assert row.predicted == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_fs_disk_mean_closed_form():
