@@ -481,13 +481,7 @@ def _cmd_check(args) -> int:
         )
     space = _space_from_args(args)
     psi = _maybe_weight(args.weight_expr, space.dim)
-    grid = build_grid(
-        space,
-        radial=args.radial,
-        angular=args.angular,
-        truncation=args.truncation,
-        psi=psi,
-    )
+    grid = build_grid(space, radial=args.radial, angular=args.angular, psi=psi)
     if grid.under_resolved:
         # exit 3 like the degenerate Gram that the coarsest such grids give
         raise ArithmeticError(f"under-resolved grid: {grid.under_resolved}")
@@ -544,7 +538,6 @@ def _add_space_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--radial", type=int, default=None, help="radial nodes per panel")
     p.add_argument("--angular", type=int, default=None, help="angular nodes per factor")
-    p.add_argument("--truncation", type=float, default=None, help="outer radius (ginibre)")
 
 
 def build_parser() -> argparse.ArgumentParser:

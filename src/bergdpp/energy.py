@@ -46,6 +46,7 @@ from .exprs import WeightExpr, complex_hessian, weight_sum, weight_values
 from .quadrature import (
     GramMatrix,
     QuadratureGrid,
+    Region,
     build_grid,
     gauss_legendre,
     gram,
@@ -148,15 +149,14 @@ class GramPath:
 
         B_t(x, x) = |v(x) T|^2 e^{-psi_t(x)} with T the orthonormalising map
         of G_t (GramMatrix.transform), and T T^H = conj(G_t)^{-1}, so the
-        integral is a trace against G~, the Gram whose quadrature factor also
-        carries psi.
+        integral is a trace against G~, the Gram masked by the form psi: a
+        radial psi keeps it, like G_t, on the diagonal route.
         """
         if self.psi is None:
             return 0.0
-        grid = self.grid_at(t)
         T = self.gram_at(t).transform
         G_psi = weighted_gram_matrix(
-            self.space, grid, psi=self.weight_at(t), mask=weight_values(self.psi, grid.nodes)
+            self.space, self.grid_at(t), psi=self.weight_at(t), mask=self.psi
         )
         return -float(np.sum((T @ T.conj().T) * G_psi).real)
 
@@ -227,14 +227,12 @@ def _density_from_hessian(n: int, H: np.ndarray) -> np.ndarray:
     return (math.factorial(n) / math.pi**n) * det
 
 
-def equilibrium_mass(space: ModelSpace, region=None, shifts=()) -> float:
-    """Normalized Monge-Ampere mass of a radial region.
+def equilibrium_mass(space: ModelSpace, region: Region | None = None, shifts=()) -> float:
+    """Normalized Monge-Ampere mass of a Region (None: the whole chart).
 
-    region: any object with .mask(points) and .break_radii() (or None for the
-    whole chart).  For the Ginibre space the equilibrium measure is the
-    uniform law on the disk of radius sqrt(N) (the smooth global potential
-    story does not apply without the psh envelope), so only unshifted masses
-    are available there.
+    For the Ginibre space the equilibrium measure is the uniform law on the
+    disk of radius sqrt(N) (the smooth global potential story does not apply
+    without the psh envelope), so only unshifted masses are available there.
     """
     if space.kind == "ginibre":
         if shifts:

@@ -23,8 +23,7 @@ is refused.  A grid built without psi bounds a weighted tail only by
 e^{-inf psi}, so gram and weighted_gram_matrix refuse a weight other than
 the one the grid was built for (QuadratureGrid.psi) whose own edge lies
 beyond the grid's: one with e^{-psi} > 1 on the edge circle and a weighted
-tail that needs more room.  An explicit truncation radius R only shortens
-the grid, to t in [0, min(R^2, t_max)].
+tail that needs more room.  A Ginibre grid always ends at that edge.
 
 Panels.  A factor of degree d gets n_r = max(F, d // 2 + 8) Gauss-Legendre
 nodes: F = 32 on compact factors, whose integrands in s it integrates
@@ -46,8 +45,9 @@ Resolution.  grid.under_resolved names the first of these two bounds a grid
 breaks (None if none); build_grid accepts such grids, the check commands don't.
 
 Grams.  The Gram A_ab = sum_m c_m v_a(z_m) conj(v_b(z_m)) is the quadrature
-sum with factor c = w rho e^{-psi} mask at the nodes.  Every grid is a tensor
-product of polar factor grids, and a section there is
+sum with factor c = w rho e^{-psi} m at the nodes, m being the mask's
+values: a Region's indicator or a weight form's values (weight_values).
+Every grid is a tensor product of polar factor grids, and a section there is
 v_a(r, theta) = R_a(r) e^{i a theta} (one such factor per chart coordinate on
 products), so the sum regroups exactly as
 
@@ -64,19 +64,19 @@ factor's degree, so when every factor has n_theta >= d + 1 every band but
 delta = 0 vanishes exactly: the monomials are orthogonal (the structure
 behind Kostlan's theorem) and A_aa = sum_r R_a(r)^2 n_theta c(r).  c is
 free of the angles when the weight is None, a radial WeightExpr (only r2 /
-r2_<i>) or a weight_sum of radial terms, and the mask is None or a Region,
-whose indicator is radial per factor.  _diagonal decides this from those
-inputs and the grid's angular counts, never from the size of off-diagonal
-entries.  On this route _assemble evaluates c once per point of the radial
-tensor grid, at theta = 0, with each factor's angular weights summed to
-2 pi, and contracts R_a^2 into it one factor at a time: O(n_r N) work per
-factor, and the grid's node arrays are never built.  Any other weight
-(re_ / im_ terms, any other callable), a mask given as node values or an
-aliasing grid (angular < 2 * degree + 1 folds bands onto each other, and
-angular <= degree onto band 0) takes the dense route: the DFT of c at the
-nodes, then A band by band (fixed a - b), one factor at a time, in
-O(n_r N^2) time and memory, with no section matrix on the M = n_r n_theta
-nodes.
+r2_<i>) or a weight_sum of radial terms, and the mask is None, a Region,
+whose indicator is radial per factor, or such a radial weight form.
+_diagonal decides this from those inputs and the grid's angular counts,
+never from the size of off-diagonal entries.  On this route _assemble
+evaluates c once per point of the radial tensor grid, at theta = 0, with
+each factor's angular weights summed to 2 pi, and contracts R_a^2 into it
+one factor at a time: O(n_r N) work per factor, and the grid's node arrays
+are never built.  Any other weight or mask form (re_ / im_ terms, any other
+callable) or an aliasing grid (angular < 2 * degree + 1 folds bands onto
+each other, and angular <= degree onto band 0) takes the dense route: the
+DFT of c at the nodes, then A band by band (fixed a - b), one factor at a
+time, in O(n_r N^2) time and memory, with no section matrix on the
+M = n_r n_theta nodes.
 
 gram() is the one place where a Gram is judged and factored.  On the dense
 route it Hermitianizes as (A + A^H)/2 with the asymmetry recorded, and works
@@ -114,8 +114,6 @@ __all__ = [
     "GramMatrix",
     "gauss_legendre",
     "build_grid",
-    "integrate",
-    "integrate_lebesgue",
     "gram",
     "weighted_gram_matrix",
     "gram_to_csv",
@@ -215,11 +213,10 @@ class QuadratureGrid:
 
     The grid holds each factor's radial rule (radii, radial weights) and
     angular count.  The flat node arrays nodes, weights and density are
-    built on first use (a dense Gram, integrate, the Monge-Ampere
-    quantities); a diagonal Gram needs only the radial rules.  The nodes
-    run factor 0 slowest, and within a factor radius-major over radii x
-    angular uniform angles, so a node array reshapes to
-    (n_r0, n_theta0, n_r1, ...).
+    built on first use (a dense Gram, the Monge-Ampere quantities); a
+    diagonal Gram needs only the radial rules.  The nodes run factor 0
+    slowest, and within a factor radius-major over radii x angular uniform
+    angles, so a node array reshapes to (n_r0, n_theta0, n_r1, ...).
     """
 
     space: ModelSpace
@@ -370,7 +367,6 @@ def build_grid(
     space: ModelSpace,
     radial: int | None = None,
     angular: int | None = None,
-    truncation: float | None = None,
     breaks: tuple[tuple[float, ...], ...] | None = None,
     psi=None,
 ) -> QuadratureGrid:
@@ -379,11 +375,10 @@ def build_grid(
     radial:     nodes per radial panel, default max(F, degree // 2 + 8) with
                 F = 96 on Ginibre and 32 on compact factors; Ginibre panels share them.
     angular:    angles per factor (default 2 * degree + 1, the exactness bound).
-    truncation: outer radius for non-compact factors; it can only shorten the
-                grid, whose edge t_max is set by the tail bound TAIL.
     breaks:     per factor, the radii at which radial panels split.  Regions
                 whose boundaries appear here are integrated to spectral accuracy.
-    psi:        the extra weight the grid's Grams will carry; a Ginibre edge
+    psi:        the extra weight the grid's Grams will carry.  A Ginibre grid
+                ends at the edge t_max that the tail bound TAIL sets, which
                 moves out where e^{-psi} grows (module docstring).  Compact
                 charts place no edge for it; every grid records it as .psi.
 
@@ -395,11 +390,6 @@ def build_grid(
         breaks = [()] * n
     elif len(breaks) != n:
         raise ValueError(f"need breaks for {n} factors, got {len(breaks)}")
-
-    if truncation is not None and space.kind != "ginibre":
-        raise ValueError("truncation only applies to non-compact (ginibre) charts")
-    if truncation is not None and not 0.0 < truncation < math.inf:
-        raise ValueError(f"truncation must be a positive finite radius, got {truncation}")
 
     radii, radial_weights, radials, angulars = [], [], [], []
     for i in range(n):
@@ -417,8 +407,6 @@ def build_grid(
         t_max = None
         if space.kind == "ginibre":  # one factor
             t_max = _ginibre_edge(space.rank, psi, n_ang)
-            if truncation is not None:
-                t_max = min(t_max, float(truncation) ** 2)
         r, w = _factor_rule(space.kind, t_max, n_rad, breaks[i])
         radii.append(r)
         radial_weights.append(w)
@@ -434,36 +422,6 @@ def build_grid(
         under_resolved=_unresolved_bound(space, radials, angulars),
         psi=psi,
     )
-
-
-def _values_on(grid: QuadratureGrid, f) -> np.ndarray:
-    vals = f(grid.nodes) if callable(f) else np.asarray(f)
-    vals = np.asarray(vals)
-    if vals.shape != (grid.size,):
-        raise ValueError(f"integrand must return shape ({grid.size},), got {vals.shape}")
-    bad = ~np.isfinite(vals) if not np.iscomplexobj(vals) else ~(
-        np.isfinite(vals.real) & np.isfinite(vals.imag)
-    )
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"integrand is non-finite at node {i}, z = {grid.nodes[i].tolist()}"
-        )
-    return vals
-
-
-def integrate(grid: QuadratureGrid, f):
-    """Integral against the base measure: sum_i w_i rho(z_i) f(z_i)."""
-    vals = _values_on(grid, f)
-    out = np.sum(grid.weights * grid.density * vals)
-    return out if np.iscomplexobj(vals) else float(out)
-
-
-def integrate_lebesgue(grid: QuadratureGrid, f):
-    """Integral against chart Lebesgue measure (no base density factor)."""
-    vals = _values_on(grid, f)
-    out = np.sum(grid.weights * vals)
-    return out if np.iscomplexobj(vals) else float(out)
 
 
 @dataclass(frozen=True)
@@ -523,13 +481,14 @@ def _bands(R: np.ndarray, chat: np.ndarray) -> np.ndarray:
 def _diagonal(space: ModelSpace, grid: QuadratureGrid, psi, mask) -> bool:
     """Whether the Gram is diagonal by torus invariance, judged from the inputs alone.
 
-    The quadrature factor c must not depend on the angles (a radial weight, a
-    Region mask or none) and every factor needs angular >= degree + 1, so
-    that no band 0 < |a - b| <= degree aliases onto band 0 (module docstring).
+    The quadrature factor c must not depend on the angles (a radial weight,
+    and a Region, a radial weight form or no mask) and every factor needs
+    angular >= degree + 1, so that no band 0 < |a - b| <= degree aliases
+    onto band 0 (module docstring).
     """
     return (
         is_radial_weight(psi)
-        and (mask is None or isinstance(mask, Region))
+        and (isinstance(mask, Region) or is_radial_weight(mask))
         and all(n >= d + 1 for n, d in zip(grid.angular, space.factor_degrees))
     )
 
@@ -537,12 +496,12 @@ def _diagonal(space: ModelSpace, grid: QuadratureGrid, psi, mask) -> bool:
 def _assemble(space: ModelSpace, grid: QuadratureGrid, psi=None, mask=None) -> np.ndarray:
     """Raw (not Hermitianized) A_ab = sum_m c_m v_a(z_m) conj(v_b(z_m)).
 
-    c = w * rho * e^{-psi} * mask is the quadrature factor; mask is a Region
-    or a real factor per node (any function values to fold in).  On the
-    diagonal route (_diagonal) c is taken on the radial tensor grid at
-    theta = 0 and only the diagonal of A is returned, as an (N,) real array;
-    otherwise c is taken at the nodes and the (N, N) sum is formed in its
-    polar form: the DFT of c over every factor's angles, then the radial
+    c = w * rho * e^{-psi} * m is the quadrature factor, m the values of the
+    mask: a Region's indicator, or a weight form's values taken through
+    weight_values.  On the diagonal route (_diagonal) c is taken on the
+    radial tensor grid at theta = 0 and only the diagonal of A is returned,
+    as an (N,) real array; otherwise c is taken at the nodes and the (N, N)
+    sum is formed in its polar form: the DFT of c over every factor's angles, then the radial
     sums band by band, factor by factor (module docstring).
     """
     if space.kind == "ginibre" and psi is not grid.psi:
@@ -568,7 +527,7 @@ def _assemble(space: ModelSpace, grid: QuadratureGrid, psi=None, mask=None) -> n
         c = grid.weights * grid.density
     c = c * np.exp(-weight_values(psi, points))
     if mask is not None:
-        c = c * (mask.mask(points) if isinstance(mask, Region) else mask)
+        c = c * (mask.mask(points) if isinstance(mask, Region) else weight_values(mask, points))
     if not np.all(np.isfinite(c)):
         raise ValueError("quadrature factor overflowed; extra weight too negative")
     if diagonal:
@@ -592,8 +551,9 @@ def _assemble(space: ModelSpace, grid: QuadratureGrid, psi=None, mask=None) -> n
 def weighted_gram_matrix(space: ModelSpace, grid: QuadratureGrid, psi=None, mask=None) -> np.ndarray:
     """Raw Hermitianized Gram A_ij = int_U v_i conj(v_j) e^{-psi} dmu.
 
-    mask is a Region (U), or a real factor per node: a region indicator, or
-    any function values to fold into the integrand.  No positivity check:
+    mask is a Region (U), or a weight form m whose values at the route's
+    points fold into the integrand, int v_i conj(v_j) m e^{-psi} dmu: a radial
+    form keeps the diagonal route (module docstring).  No positivity check:
     with a mask the result is only positive semi-definite (or indefinite).
     """
     A = _assemble(space, grid, psi, mask)

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammainc
+from scipy.special import gammainc
 
 from .energy import equilibrium_mass
 from .exprs import weight_values
@@ -338,11 +338,13 @@ def estimate_intensity(
 # radial laws
 
 
-def radial_cdf(space: ModelSpace, factor: int = 0):
-    """CDF of one pooled point radius |z_factor| under the projection process.
+def radial_cdf(space: ModelSpace):
+    """CDF of one pooled point radius |z_i| under the projection process.
 
-    Mixture over basis states: Beta laws in s = r^2/(1+r^2) for Fubini-Study
-    factors (uniform in s after summation), Gamma laws in r^2 for Ginibre.
+    Mixture over basis states: Gamma laws in r^2 for Ginibre, and on a
+    Fubini-Study factor of degree K Beta(j + 1, K - j + 1) laws in
+    s = r^2/(1+r^2), whose mean over j is E[Bin(K + 1, s)]/(K + 1) = s:
+    uniform in s, the same law on every factor of a product.
     """
     if space.kind == "ginibre":
         N = space.rank
@@ -354,13 +356,9 @@ def radial_cdf(space: ModelSpace, factor: int = 0):
 
         return cdf
 
-    K = space.factor_degrees[factor]
-
     def cdf(r):
         r = np.asarray(r, dtype=float)
-        s = (r * r) / (1.0 + r * r)
-        j = np.arange(K + 1)
-        return betainc(j[None, :] + 1.0, K - j[None, :] + 1.0, s[..., None]).mean(axis=-1)
+        return (r * r) / (1.0 + r * r)
 
     return cdf
 

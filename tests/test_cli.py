@@ -213,15 +213,19 @@ def test_check_partition_prints_logs_when_z_overflows(capsys):
 
 
 def test_check_partition_truncation_beyond_tail_edge_changes_nothing(capsys):
-    # radius 30 lies past the grid's tail edge at N = 50 (t_max ~ 132), so
-    # the truncation leaves the grid, and the weighted Z, as they are
-    base = ["check", "partition", "--space", "ginibre", "--n", "50",
-            "--weight-expr", "r2/(1+r2)"]
-    assert run(base) == 0
-    plain = capsys.readouterr().out
-    assert run(base + ["--truncation", "30"]) == 0
-    assert capsys.readouterr().out == plain
-    assert plain.startswith("Z = 3.156487809e+44")
+    # the grid ends at its tail edge at N = 50 (t_max ~ 132), where the
+    # weighted Z is resolved
+    assert run(["check", "partition", "--space", "ginibre", "--n", "50",
+                "--weight-expr", "r2/(1+r2)"]) == 0
+    assert capsys.readouterr().out.startswith("Z = 3.156487809e+44")
+
+
+def test_check_grid_cannot_be_cut_short(capsys):
+    # a Ginibre grid always ends at its tail edge; an outer radius inside it
+    # gave Z = 4.78e29 for the 3.156e44 above, with exit 0
+    assert run(["check", "partition", "--space", "ginibre", "--n", "50",
+                "--weight-expr", "r2/(1+r2)", "--truncation", "6"]) == 2
+    assert "unrecognized arguments: --truncation 6" in capsys.readouterr().err
 
 
 def test_check_partition_ginibre_weight_growing_at_the_edge(capsys):
@@ -434,13 +438,10 @@ def test_sampler_stall_is_a_numerical_failure(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv,flag",
     [
-        *[(["check", "trace", "--space", "ginibre", "--n", "5", "--truncation", value],
-           "truncation") for value in ("-3", "0", "inf", "nan")],
         *[(["sample", "--space", "fs", "--k", "2", "--seed", "1", "--mcmc-steps", "50",
             "--proposal-scale", value], "proposal_scale") for value in ("inf", "nan")],
     ],
-    ids=["truncation-negative", "truncation-zero", "truncation-inf", "truncation-nan",
-         "proposal-scale-inf", "proposal-scale-nan"],
+    ids=["proposal-scale-inf", "proposal-scale-nan"],
 )
 def test_out_of_range_numeric_flag_is_exit_2(argv, flag, capsys):
     assert run(argv) == 2

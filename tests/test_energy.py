@@ -149,6 +149,48 @@ def test_ginibre_cgf_grid_follows_the_weight():
     assert path.grid_at(-0.5).mass() > 1.9 * path.grid_at(0.0).mass()
 
 
+def _node_sum_derivative(path, t):
+    """-tr(G_t^{-1} G~) from M x N section matrices on the path's grid at t."""
+    grid = path.grid_at(t)
+    V = path.space.section_matrix(grid.nodes)
+    psi = path.psi(grid.nodes)
+    c = grid.weights * grid.density * np.exp(-t * psi)
+    G = (c[:, None] * V).T @ V.conj()
+    G_psi = ((c * psi)[:, None] * V).T @ V.conj()
+    return -float(np.trace(np.linalg.solve(G, G_psi)).real)
+
+
+@pytest.mark.parametrize(
+    "space,expr",
+    [(make_fubini_study(10), "r2/(1+r2)"), (make_ginibre(20), "r2/(1+r2)"),
+     (make_product((1, 2), 2), "r2_1*r2_2/(1+r2_1)")],
+    ids=["fs10", "gin20", "prod12k2"],
+)
+def test_radial_cgf_path_is_diagonal_end_to_end(space, expr, monkeypatch):
+    # a radial psi keeps every Gram of the path diagonal, G~ (masked by psi)
+    # included: _assemble returns band 0 alone, as an (N,) array
+    import bergdpp.quadrature as quadrature
+
+    shapes = []
+    assemble = quadrature._assemble
+
+    def recorded(*args, **kwargs):
+        A = assemble(*args, **kwargs)
+        shapes.append(A.shape)
+        return A
+
+    monkeypatch.setattr(quadrature, "_assemble", recorded)
+    path = GramPath(space, parse_weight(expr))
+    for t in (0.0, 0.5):
+        path.derivative_check(t)
+        assert path.gram_at(t).route == "diagonal"
+        got = path.bergman_derivative(t)
+        assert got == pytest.approx(_node_sum_derivative(path, t), rel=1e-12)
+    assert shapes and all(shape == (space.rank,) for shape in shapes)
+    if space.kind == "fs":
+        assert path.bergman_derivative(0.0) == pytest.approx(-5.5, abs=1e-13)
+
+
 def test_cgf_is_convex():
     path = GramPath(make_fubini_study(4), S_EXPR)
     ts = np.linspace(-0.5, 1.5, 5)

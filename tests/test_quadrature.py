@@ -26,10 +26,8 @@ from bergdpp.quadrature import (
     gauss_legendre,
     gram,
     gram_to_csv,
-    integrate_lebesgue,
     weighted_gram_matrix,
 )
-from bergdpp.quadrature import integrate as grid_integrate
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
 from bergdpp.stats import Region, region_grid
 
@@ -56,22 +54,16 @@ def test_ginibre_grid_mass_is_truncation_area():
     assert special.gammaincc(4, grid.mass()) == pytest.approx(TAIL, rel=1e-6)
 
 
-def test_custom_truncation():
-    grid = build_grid(make_ginibre(3), truncation=2.0)
-    assert abs(grid.mass() - 4.0) < 1e-10
-
-
-@pytest.mark.parametrize("breaks", [None, ((1.0, 30.0),)], ids=["plain", "panels"])
+@pytest.mark.parametrize("breaks", [(), (1.0,)], ids=["alone", "panels"])
 def test_truncation_beyond_tail_edge_is_the_default_grid(breaks):
-    # a truncation only shortens the grid: past t_max it changes nothing,
-    # and a panel edge past t_max is dropped
+    # the grid ends at its tail edge t_max: a panel edge past it is dropped
     space = make_ginibre(50)
-    default = build_grid(space, breaks=breaks)
+    default = build_grid(space, breaks=(breaks,))
     assert default.mass() < 30.0**2
-    cut = build_grid(space, truncation=30.0, breaks=breaks)
-    assert np.array_equal(cut.nodes, default.nodes)
-    assert np.array_equal(cut.weights, default.weights)
-    assert cut.radial == default.radial
+    past = build_grid(space, breaks=(breaks + (30.0,),))
+    assert np.array_equal(past.radii[0], default.radii[0])
+    assert np.array_equal(past.radial_weights[0], default.radial_weights[0])
+    assert past.radial == default.radial
 
 
 def test_default_radial_count_is_one_rule():
@@ -147,22 +139,16 @@ def test_gauss_legendre_is_memoised_and_read_only():
 
 
 # ---------------------------------------------------------------------------
-# integration helpers
+# grid sums
 
 
 def test_integrate_uniform_in_s():
     # pushforward of mu under s = r^2/(1+r^2) is uniform on (0, 1)
     space = make_fubini_study(4)
     grid = build_grid(space)
-    val = grid_integrate(grid, lambda Z: (np.abs(Z[:, 0]) ** 2 / (1.0 + np.abs(Z[:, 0]) ** 2)) ** 3)
+    s = np.abs(grid.nodes[:, 0]) ** 2 / (1.0 + np.abs(grid.nodes[:, 0]) ** 2)
+    val = np.sum(grid.weights * grid.density * s**3)
     assert abs(val - 0.25) < 1e-12
-
-
-def test_integrate_lebesgue_disk_area():
-    space = make_ginibre(2)
-    grid = build_grid(space, truncation=1.5)
-    val = integrate_lebesgue(grid, lambda Z: np.ones(Z.shape[0]))
-    assert abs(val - math.pi * 2.25) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +181,8 @@ def dense_gram(space, grid, psi=None, mask=None):
     """Hermitianized sum_m c_m v_i(z_m) conj(v_j(z_m)) over all M grid nodes.
 
     The M x N section matrix route, O(M N^2) time and O(M N) memory: a
-    reference for the factorised assembly, on small grids only.
+    reference for the factorised assembly, on small grids only.  mask is
+    given as values at the nodes.
     """
     V = space.section_matrix(grid.nodes)
     c = grid.weights * grid.density
@@ -214,8 +201,15 @@ _SPACES = {
 }
 
 
+def _node_values(grid, mask):
+    """A Region's indicator or a weight form's values at the grid's nodes."""
+    if mask is None:
+        return None
+    return mask.mask(grid.nodes) if isinstance(mask, Region) else mask(grid.nodes)
+
+
 def _assert_matches_dense(space, grid, psi=None, mask=None):
-    want = dense_gram(space, grid, psi, mask)
+    want = dense_gram(space, grid, psi, _node_values(grid, mask))
     got = weighted_gram_matrix(space, grid, psi, mask)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -241,7 +235,7 @@ def test_factorised_masked_gram_on_panels_matches_dense(family):
     else:
         assert len(grid.radii[0]) == 4 * grid.radial[0]
     for region in (disk, annulus):
-        _assert_matches_dense(space, grid, parse_weight(re_weight), region.mask(grid.nodes))
+        _assert_matches_dense(space, grid, parse_weight(re_weight), region)
 
 
 @pytest.mark.parametrize("family", sorted(_SPACES))
@@ -277,20 +271,20 @@ def _panel_grid(space, *regions):
 
 @pytest.mark.parametrize("family", sorted(_SPACES))
 def test_diagonal_route_matches_dense(family):
-    # radial weights, sums of them, and disk, annulus and overlap masks keep
-    # c free of the angles: the assembly returns band 0 alone, with every
-    # off-diagonal entry exactly 0, and the dense node sum agrees
-    space = _SPACES[family][0]
+    # radial weights, sums of them, disk, annulus and overlap masks and a
+    # radial weight form as mask keep c free of the angles: the assembly
+    # returns band 0 alone, with every off-diagonal entry exactly 0, and
+    # the dense node sum agrees
+    space, radial, *_ = _SPACES[family]
     disk, annulus = Region.disk(0.8, space.dim), Region.annulus(0.5, 1.7, space.dim)
     overlap = disk.overlap(annulus)
     assert overlap == Region.annulus(0.5, 0.8, space.dim)
     grid = _panel_grid(space, disk, annulus)
     for psi in _radial_weights(family):
-        for region in (None, disk, annulus, overlap):
-            assert _diagonal(space, grid, psi, region)
-            mask = None if region is None else region.mask(grid.nodes)
-            want = dense_gram(space, grid, psi, mask)
-            got = weighted_gram_matrix(space, grid, psi, region)
+        for mask in (None, disk, annulus, overlap, parse_weight(radial)):
+            assert _diagonal(space, grid, psi, mask)
+            want = dense_gram(space, grid, psi, _node_values(grid, mask))
+            got = weighted_gram_matrix(space, grid, psi, mask)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
             assert np.array_equal(got, np.diag(got.diagonal()))
         g = gram(space, grid, psi)
@@ -302,10 +296,10 @@ def test_diagonal_route_matches_dense(family):
 
 @pytest.mark.parametrize("family", sorted(_SPACES))
 def test_dense_route_is_kept_unless_the_inputs_are_torus_invariant(family):
-    # decided from the weight's form, the mask's type and the angular counts,
+    # decided from the weight's and the mask's forms and the angular counts,
     # never from the size of the off-diagonal entries: a 1e-9 angular term,
-    # an opaque callable, a mask given as node values, or angular = degree
-    # (band a - b = degree aliases onto band 0) each keep the dense route
+    # an opaque callable, an angular weight form as mask, or angular =
+    # degree (band a - b = degree aliases onto band 0) each keep the dense route
     space, radial, re_weight, _ = _SPACES[family]
     grid = build_grid(space)
     assert gram(space, grid).route == "diagonal"
@@ -314,9 +308,9 @@ def test_dense_route_is_kept_unless_the_inputs_are_torus_invariant(family):
     for psi in (tiny, callable_):
         assert not _diagonal(space, grid, psi, None)
         assert gram(space, grid, psi).route == "dense"
-    values = Region.disk(0.8, space.dim).mask(grid.nodes)
-    assert not _diagonal(space, grid, None, values)
-    _assert_matches_dense(space, grid, None, values)
+    angular_mask = parse_weight(re_weight)
+    assert not _diagonal(space, grid, None, angular_mask)
+    _assert_matches_dense(space, grid, None, angular_mask)
     aliasing = build_grid(space, angular=max(space.factor_degrees))
     assert not _diagonal(space, aliasing, None, None)
     g = gram(space, aliasing)

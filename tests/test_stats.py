@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 from scipy import special, stats as sps
 
-from bergdpp.quadrature import weighted_gram_matrix
 from bergdpp.sampler import Configuration, sample_dpp_many
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
 from bergdpp.stats import (
@@ -327,23 +326,38 @@ def test_disjoint_pair_integral_matches_trace_identity():
     assert abs(row.predicted - want) < 1e-9
 
 
+def node_mask_gram(space, grid, mask, block=1 << 15):
+    """V^T diag(w rho m) conj(V), Hermitianized, from section_matrix on the grid's nodes.
+
+    m is the mask's values at the nodes.  The node sum shares no code with
+    the factorised assembly; it runs block by block, as the (M, N) section
+    matrix of the product grid would take 160 MB.
+    """
+    c = grid.weights * grid.density * mask
+    A = np.zeros((space.rank, space.rank), dtype=complex)
+    for i in range(0, grid.size, block):
+        V = space.section_matrix(grid.nodes[i : i + block])
+        A += (c[i : i + block, None] * V).T @ V.conj()
+    return 0.5 * (A + A.conj().T)
+
+
 @pytest.mark.parametrize("case", ["fs5", "gin5", "prod12k2"])
 def test_pair_predictions_match_node_mask_grams(case):
     # the region Grams take the diagonal route and the overlap A cap B is a
-    # Region; the same traces from dense Grams masked by node values, with
+    # Region; the same traces from node sums masked by node values, with
     # the overlap mask formed node by node, agree
     space, specs = KOSTLAN_CASES[case]
     regions = [parse_region(r, space.dim) if isinstance(r, str) else Region(r) for r in specs]
     grid = region_grid(space, *regions)
     masks = [reg.mask(grid.nodes) for reg in regions]
-    grams = [weighted_gram_matrix(space, grid, mask=m) for m in masks]
+    grams = [node_mask_gram(space, grid, m) for m in masks]
     rows = pair_count_stats(space, [make_conf(np.zeros((space.rank, space.dim)))], regions, grid)
     pairs = [(a, b) for a in range(len(regions)) for b in range(a, len(regions))]
     for (a, b), row in zip(pairs, rows):
         ta, tb = np.trace(grams[a]).real, np.trace(grams[b]).real
         want = ta * tb - np.vdot(grams[b], grams[a]).real
         if a != b:
-            want += np.trace(weighted_gram_matrix(space, grid, mask=masks[a] & masks[b])).real
+            want += np.trace(node_mask_gram(space, grid, masks[a] & masks[b])).real
         assert row.predicted == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -502,12 +516,14 @@ def test_estimate_intensity_rejects_product_charts():
 
 
 def test_fs_radial_cdf_is_uniform_in_s():
-    # the Beta mixture over basis states collapses to Uniform(0,1) in s
-    space = make_fubini_study(9)
-    cdf = radial_cdf(space)
-    for r in [0.3, 1.0, 2.5]:
-        s = r * r / (1.0 + r * r)
-        assert abs(float(cdf(np.array([r]))[0]) - s) < 1e-12
+    # Kostlan: basis state j has s = r^2/(1+r^2) ~ Beta(j+1, K-j+1), and the
+    # mixture over j is E[Bin(K+1, s)]/(K+1) = s, Uniform(0,1) in s
+    r = np.array([0.0, 0.3, 1.0, 2.5, 40.0])
+    s = r * r / (1.0 + r * r)
+    for k in (0, 1, 5, 50):
+        j = np.arange(k + 1)
+        beta_mixture = special.betainc(j[None, :] + 1.0, k - j[None, :] + 1.0, s[:, None]).mean(axis=1)
+        assert np.max(np.abs(radial_cdf(make_fubini_study(k))(r) - beta_mixture)) < 1e-14
 
 
 def test_ginibre_radial_cdf_matches_gamma_sum():
