@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .exprs import WeightExpr, complex_hessian, weight_sum, weight_values
 from .quadrature import (
@@ -93,7 +92,7 @@ def partition_function(
     if grid is None:
         grid = build_grid(space, psi=psi)
     g = gram(space, grid, psi=psi)
-    log_z = float(gammaln(space.rank + 1.0)) + g.logdet
+    log_z = math.lgamma(space.rank + 1.0) + g.logdet
     try:
         value = math.exp(log_z)
     except OverflowError:

@@ -5,8 +5,13 @@ Fubini-Study factors map t to s = t/(1+t) in [0, 1]; under this substitution
 the Gram integrands t^j (1+t)^{-K-2} dt become polynomials s^j (1-s)^{K-j} ds,
 so Gauss-Legendre nodes integrate them exactly once 2*n_r - 1 >= K.  Ginibre
 factors use Gauss-Legendre directly on t in [0, t_max].  Unweighted,
-t_max = gammainccinv(N, TAIL) solves Q(N, t_max) = TAIL for the regularized
-upper incomplete gamma Q.  The tail is bounded, not estimated: beyond t the
+t_max solves Q(N, t_max) = TAIL for the regularized upper incomplete gamma
+function, which at integer N is the Poisson sum
+
+    Q(N, t) = e^{-t} sum_{k<N} t^k / k! = P(Poisson(t) <= N - 1)
+
+(DLMF 8.4.10).  _tail_edge sums its terms in logs (poisson_log_pmf) and
+solves for t_max once per N.  The tail is bounded, not estimated: beyond t the
 diagonal entry a carries mass Q(a + 1, t), so by Cauchy-Schwarz an unweighted
 Gram entry loses at most sqrt(Q(a + 1, t) Q(b + 1, t)) <= Q(N, t) = TAIL, as
 Q(a + 1, t) grows with a <= N - 1.  An extra weight psi scales the bound by
@@ -100,7 +105,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainccinv, xlogy
 
 from .exprs import is_radial_weight, weight_values
 from .spaces import ModelSpace
@@ -113,6 +117,7 @@ __all__ = [
     "QuadratureGrid",
     "GramMatrix",
     "gauss_legendre",
+    "poisson_log_pmf",
     "build_grid",
     "gram",
     "weighted_gram_matrix",
@@ -129,6 +134,8 @@ MIN_PANEL = 16
 EDGE_DOUBLINGS = 40
 EDGE_PANELS = 128
 EDGE_NODES = 16
+
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class GramDegenerateError(ArithmeticError):
@@ -267,6 +274,79 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _stirling_error(k: np.ndarray) -> np.ndarray:
+    """log k! - (k + 1/2) log k + k - log sqrt(2 pi) for k = 1, 2, ... (a float array).
+
+    Stirling's series to its k^-9 term from k = 15 on, where the first term
+    it leaves out is below 3e-16; math.lgamma below 15.
+    """
+    inv2 = 1.0 / (k * k)
+    out = (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680 - inv2 / 1188)))) / k
+    small = k < 15
+    out[small] = [
+        math.lgamma(x + 1.0) - ((x + 0.5) * math.log(x) - x + _HALF_LOG_2PI) for x in k[small]
+    ]
+    return out
+
+
+def poisson_log_pmf(n: int, t) -> np.ndarray:
+    """log P(Poisson(t) = k) for k = 0, ..., n - 1, of shape t.shape + (n,); t >= 0.
+
+    Loader's saddle-point form (Loader, "Fast and accurate computation of
+    binomial probabilities", 2000): for k >= 1,
+
+        log P = -bd0(k, t) - log sqrt(2 pi k) - _stirling_error(k),
+
+    with the deviance bd0 = k log(k / t) + t - k taken through
+    log1p((k - t) / t) near k = t.  No terms of size k log t and log k!
+    cancel, so a term keeps its relative accuracy at large k and t.
+    log P(Poisson(t) = 0) = -t; at t = 0 every k >= 1 gives -inf.
+    """
+    t = np.asarray(t, dtype=float)[..., None]
+    k = np.arange(1.0, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (k - t) / t
+        bd0 = k * np.where(x > -0.5, np.log1p(x), np.log(k / t)) + (t - k)
+    out = np.empty(t.shape[:-1] + (n,))
+    out[..., 0] = -t[..., 0]
+    out[..., 1:] = -(_stirling_error(k) + _HALF_LOG_2PI + 0.5 * np.log(k)) - bd0
+    return out
+
+
+@functools.cache
+def _tail_edge(rank: int) -> float:
+    """The unweighted Ginibre edge: the t with Q(rank, t) = TAIL, computed once per rank.
+
+    log Q(N, t) = log sum_{k<N} P(Poisson(t) = k) falls in t with slope
+    -P(Poisson(t) = N - 1) / Q, and it is concave (Q is the survival
+    function of the log-concave Gamma(N) law).  So Newton steps taken from
+    the right of the root fall onto it monotonically.  A step that leaves
+    the bracket [lo, hi] of the root is replaced by bisection.
+    """
+    target = math.log(TAIL)
+
+    def log_q(t: float) -> tuple[float, float]:  # log Q(rank, t), log P(Poisson(t) = rank - 1)
+        logs = poisson_log_pmf(rank, t)
+        top = float(logs.max())
+        return top + math.log(float(np.exp(logs - top).sum())), float(logs[-1])
+
+    lo, hi = 0.0, float(rank)
+    while log_q(hi)[0] > target:
+        lo, hi = hi, 2.0 * hi
+    t, step = hi, math.inf
+    while abs(step) > 1e-15 * t:
+        value, last = log_q(t)
+        if value > target:
+            lo = t
+        else:
+            hi = t
+        new = t + (value - target) * math.exp(value - last)
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi)
+        step, t = new - t, new
+    return t
+
+
 def _panel_gauss(edges: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights, counts[i] of them on each [edges[i], edges[i+1]] panel."""
     nodes, weights = [], []
@@ -281,14 +361,15 @@ def _panel_gauss(edges: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
 def _ginibre_edge(rank: int, psi, n_angular: int) -> float:
     """The Ginibre grid edge t_max for the weight psi (module docstring).
 
-    Unweighted, Q(rank, t_max) = TAIL.  Under psi, t_max is the first of
-    EDGE_PANELS equal panel edges on [0, S] beyond which at most a share TAIL
-    of the top-index profile f(t) = t^(rank-1) e^{-t} g(t) lies, where g(t)
-    is the largest e^{-psi} over n_angular points of the circle |z|^2 = t and
-    f has fallen off by S; never below the unweighted edge, which stands
-    where g <= 1 on it.
+    Unweighted, t_max = _tail_edge(rank) solves Q(rank, t_max) = TAIL for the
+    Poisson sum Q(N, t) = e^{-t} sum_{k<N} t^k / k! = P(Poisson(t) <= N - 1).
+    Under psi, t_max is the first of EDGE_PANELS equal panel edges on [0, S]
+    beyond which at most a share TAIL of the top-index profile
+    f(t) = t^(rank-1) e^{-t} g(t) lies, where g(t) is the largest e^{-psi}
+    over n_angular points of the circle |z|^2 = t and f has fallen off by S;
+    never below the unweighted edge, which stands where g <= 1 on it.
     """
-    t0 = float(gammainccinv(rank, TAIL))
+    t0 = _tail_edge(rank)
     if psi is None:
         return t0
     circle = np.exp(2j * math.pi * np.arange(n_angular) / n_angular)
@@ -299,7 +380,10 @@ def _ginibre_edge(rank: int, psi, n_angular: int) -> float:
         return np.max(-weight_values(psi, z).reshape(t.size, n_angular), axis=1)
 
     def log_f(t) -> np.ndarray:  # up to the constant log (rank - 1)!
-        return xlogy(rank - 1, t) - t + log_g(t)
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        with np.errstate(divide="ignore"):  # (rank - 1) log t, with 0 log 0 = 0
+            log_t = np.log(t, out=np.zeros_like(t), where=rank > 1)
+        return (rank - 1) * log_t - t + log_g(t)
 
     if log_g(t0)[0] <= 0.0:
         return t0

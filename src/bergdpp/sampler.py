@@ -64,9 +64,7 @@ parallelizable.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,6 +302,10 @@ def sample_dpp_many(
     streams = [stream_base + (r,) for r in range(reps)]
     if workers <= 1:
         return [sample_dpp(space, seed=seed, stream=st) for st in streams]
+    # imported here alone: at start-up they would cost every process about 7 ms
+    import concurrent.futures
+    import multiprocessing
+
     context = multiprocessing.get_context("spawn")
     with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
         futures = [pool.submit(sample_dpp, space, seed=seed, stream=st) for st in streams]

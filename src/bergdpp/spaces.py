@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "ModelSpace",
@@ -47,6 +46,14 @@ __all__ = [
     "space_to_config",
     "space_from_config",
 ]
+
+
+@cache
+def _log_factorials(n: int) -> np.ndarray:
+    """log j! for j = 0, ..., n, computed once per n (read-only)."""
+    out = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+    out.flags.writeable = False
+    return out
 
 
 def _as_points(z, dim: int) -> np.ndarray:
@@ -78,15 +85,12 @@ class ModelSpace:
     @cached_property
     def _log_norms(self) -> tuple[np.ndarray, ...]:
         out = []
-        for i, d in enumerate(self.factor_degrees):
-            j = np.arange(d + 1, dtype=float)
+        for d in self.factor_degrees:
+            log_fact = _log_factorials(d)  # log j!, j = 0..d
             if self.kind == "ginibre":
-                c = -0.5 * gammaln(j + 1.0)
-            else:
-                K = self.multiplicities[i] * self.power
-                c = 0.5 * (
-                    math.log(K + 1.0) + gammaln(K + 1.0) - gammaln(j + 1.0) - gammaln(K - j + 1.0)
-                )
+                c = -0.5 * log_fact
+            else:  # a Fubini-Study factor at power K = m_i k has degree d = K
+                c = 0.5 * (math.log(d + 1.0) + log_fact[d] - log_fact - log_fact[::-1])
             c.flags.writeable = False
             out.append(c)
         return tuple(out)

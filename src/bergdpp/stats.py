@@ -28,7 +28,8 @@ Radial laws used for Kolmogorov-Smirnov checks:
   * per-factor radius of the Fubini-Study family: mixture over basis states
     of Beta(j+1, K-j+1) laws in s = r^2 / (1 + r^2), which collapses to the
     uniform law in s;
-  * Ginibre radius: mixture over j < N of Gamma(j+1) laws in r^2;
+  * Ginibre radius: mixture over j < N of Gamma(j+1) laws in t = r^2,
+    which is E[min(Poisson(t), N)] / N;
   * Ginibre radii rescaled by 1/sqrt(N): CDF min(r^2, 1) in the rank limit.
 """
 
@@ -38,11 +39,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .energy import equilibrium_mass
 from .exprs import weight_values
-from .quadrature import QuadratureGrid, Region, build_grid, weighted_gram_matrix
+from .quadrature import QuadratureGrid, Region, build_grid, poisson_log_pmf, weighted_gram_matrix
 from .sampler import sample_dpp_many
 from .spaces import ModelSpace
 
@@ -341,18 +341,25 @@ def estimate_intensity(
 def radial_cdf(space: ModelSpace):
     """CDF of one pooled point radius |z_i| under the projection process.
 
-    Mixture over basis states: Gamma laws in r^2 for Ginibre, and on a
-    Fubini-Study factor of degree K Beta(j + 1, K - j + 1) laws in
+    A mixture over basis states.  On Ginibre the state j has a Gamma(j + 1)
+    law in t = r^2, and P(Gamma(j + 1) <= t) = P(Poisson(t) >= j + 1), so
+    the mean over j < N is
+
+        E[min(Poisson(t), N)] / N = 1 - sum_{k<N} (N - k)/N P(Poisson(t) = k),
+
+    from the Poisson terms of the Ginibre grid edge (poisson_log_pmf): 0 at
+    t = 0, and 1 once every term has underflowed at t >> N.  On a
+    Fubini-Study factor of degree K the laws are Beta(j + 1, K - j + 1) in
     s = r^2/(1+r^2), whose mean over j is E[Bin(K + 1, s)]/(K + 1) = s:
     uniform in s, the same law on every factor of a product.
     """
     if space.kind == "ginibre":
         N = space.rank
+        share = (N - np.arange(N)) / N
 
         def cdf(r):
             r = np.asarray(r, dtype=float)
-            j = np.arange(N)
-            return gammainc(j[None, :] + 1.0, (r * r)[..., None]).mean(axis=-1)
+            return 1.0 - np.exp(poisson_log_pmf(N, r * r)) @ share
 
         return cdf
 

@@ -563,6 +563,27 @@ def test_stats_counts_in_a_row_match_separate_processes(tmp_path):
         assert (tmp_path / f"in{i}.json").read_bytes() == out.read_bytes()
 
 
+def test_library_imports_and_runs_without_scipy():
+    # numpy is the library's one dependency; scipy serves the tests alone
+    script = """
+import sys
+from bergdpp import cli
+argvs = [
+    ["check", "trace", "--space", "ginibre", "--n", "5"],
+    ["check", "partition", "--space", "ginibre", "--n", "5", "--weight-expr", "(1 - r2)/2"],
+    ["stats", "circular", "--space", "ginibre", "--n", "10", "--reps", "2", "--seed", "1"],
+    ["sample", "--space", "fs", "--k", "2", "--seed", "1"],
+]
+codes = [cli.run(argv) for argv in argvs]
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+sys.exit(f"exit codes {codes}, scipy modules {loaded}" if codes != [0] * 4 or loaded else 0)
+"""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(bergdpp.__file__))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_stats_requires_space_without_samples(capsys):
     assert run(["stats", "counts", "--reps", "2", "--seed", "1", "--region", "disk:1"]) == 2
     assert "--space" in capsys.readouterr().err

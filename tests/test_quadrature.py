@@ -22,6 +22,7 @@ from bergdpp.quadrature import (
     TAIL,
     GramDegenerateError,
     _diagonal,
+    _tail_edge,
     build_grid,
     gauss_legendre,
     gram,
@@ -52,6 +53,14 @@ def test_ginibre_grid_mass_is_truncation_area():
     grid = build_grid(make_ginibre(4))
     assert abs(grid.mass() - special.gammainccinv(4, TAIL)) < 1e-9
     assert special.gammaincc(4, grid.mass()) == pytest.approx(TAIL, rel=1e-6)
+
+
+def test_tail_edge_matches_gammainccinv():
+    # the library solves Q(N, t) = TAIL through the Poisson sum; scipy inverts Q itself
+    n = np.arange(1, 3001)
+    got = np.array([_tail_edge(int(m)) for m in n])
+    want = special.gammainccinv(n, TAIL)
+    assert np.max(np.abs(got - want) / want) < 1e-14
 
 
 @pytest.mark.parametrize("breaks", [(), (1.0,)], ids=["alone", "panels"])

@@ -66,12 +66,24 @@ def test_fs_log_norms_are_binomial():
     space = make_fubini_study(3)
     want = np.log(np.sqrt(4.0 * special.comb(3, np.arange(4))))
     assert np.allclose(space.factor_log_norms(0), want, atol=1e-14)
+    # c_j = (log(K+1) + log K! - log j! - log (K-j)!)/2 cancels terms of size
+    # log K! on both sides, so the bound scales with log K!, not with |c_j|
+    for k in range(401):
+        j = np.arange(k + 1.0)
+        want = 0.5 * (math.log(k + 1.0) + special.gammaln(k + 1.0) - special.gammaln(j + 1.0)
+                      - special.gammaln(k - j + 1.0))
+        got = make_fubini_study(k).factor_log_norms(0)
+        assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, special.gammaln(k + 1.0))
 
 
 def test_ginibre_log_norms_are_factorial():
     space = make_ginibre(4)
     want = -0.5 * np.log([1.0, 1.0, 2.0, 6.0])
     assert np.allclose(space.factor_log_norms(0), want, atol=1e-14)
+    # the norms of N = 1000 hold those of every smaller N as a prefix
+    want = -0.5 * special.gammaln(np.arange(1000.0) + 1.0)
+    got = make_ginibre(1000).factor_log_norms(0)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
 
 
 def test_fs_sections_match_direct_formula():

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy import special, stats as sps
 
+from bergdpp.quadrature import TAIL
 from bergdpp.sampler import Configuration, sample_dpp_many
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
 from bergdpp.stats import (
@@ -527,11 +528,14 @@ def test_fs_radial_cdf_is_uniform_in_s():
 
 
 def test_ginibre_radial_cdf_matches_gamma_sum():
-    space = make_ginibre(4)
-    cdf = radial_cdf(space)
-    r = 1.3
-    want = np.mean([special.gammainc(j + 1.0, r * r) for j in range(4)])
-    assert abs(float(cdf(np.array([r]))[0]) - want) < 1e-12
+    # Kostlan: basis state j has r^2 ~ Gamma(j+1); the library sums Poisson terms instead
+    for n in (1, 4, 100, 500):
+        edge = math.sqrt(special.gammainccinv(n, TAIL))
+        r = np.concatenate([np.linspace(0.0, 2.0 * edge, 801), [1e-8, 1.3, 1e3, 1e8]])
+        want = np.mean([special.gammainc(j + 1.0, r * r) for j in range(n)], axis=0)
+        got = radial_cdf(make_ginibre(n))(r)
+        assert got[0] == 0.0 and got[-1] == 1.0
+        assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_ks_distance_manual_and_scipy():
