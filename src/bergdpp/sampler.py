@@ -38,8 +38,18 @@ read only when a new block forms P, so its reflections H_j = I - 2 y_j y_j^H
 applied together at the next block boundary, in compact-WY form (Schreiber
 and Van Loan, SIAM J. Sci. Stat. Comput. 1989): H_1 ... H_k = I - Y T Y^H
 with T^{-1} = I / 2 + strict_upper(Y^H Y).  That is two matrix products and
-one k x k solve per block instead of a rank-1 update per point, with numpy
+one k x k inverse per block instead of a rank-1 update per point, with numpy
 alone (importing scipy.linalg costs every process about 60 ms and 6 MB).
+
+What one point costs.  With c rows left in the pool and m live columns, an
+accepted point takes one row-norm pass over P (c m), one comparison of the
+pool against it and an argmax, the reflector (m, written straight into Y as
+conj(p) / (|p| sqrt(2 + 2|h|))) and the pool's reflection (a c x m
+matrix-vector product and a rank-1 update of its m - 1 kept columns): about
+a dozen numpy calls and O(c m) flops.  At small rank the calls take the
+time: a fs k=5 draw spends about half of it on its six points, the rest on
+its one or two blocks.  At Ginibre N = 300 the points take about a fifth,
+and the block flushes, the section rows and P = V conj(W) most of the rest.
 
 Weighted sampler.  The weighted process has density proportional to
 |det M|^2 prod_j e^{-w(x_j)} against mu^N, for one Gibbs potential w.  The
@@ -164,6 +174,8 @@ def log_density(space: ModelSpace, points, weight=None) -> float:
 MIN_BLOCK = 32
 # The stall guard: proposals tested for one point before RejectionStallError.
 MAX_PROPOSALS = 1_000_000
+# The least positive double: U b floored at it makes "U b <= g" false at g = 0.
+_LEAST_SUBNORMAL = 5e-324
 
 
 def _propose_intensity(
@@ -197,13 +209,13 @@ def _apply_reflections(Wc: np.ndarray, Y: np.ndarray, m: int) -> None:
     H_1 ... H_k = I - Y T Y^H with T upper triangular and
     T^{-1} = I / 2 + strict_upper(Y^H Y), so the batch costs two N x m0 x k
     matrix products (m0 = rows of Y, the live columns when the batch began)
-    and one k x k solve.
+    and one k x k inverse (numpy's solve against the N right-hand sides
+    conj(W) Y takes several times as long as the inverse and a product).
     """
     k = Y.shape[1]
     Tinv = np.triu(Y.conj().T @ Y, 1)
     Tinv.flat[:: k + 1] = 0.5
-    X = np.linalg.solve(Tinv.T, (Wc[:, : Y.shape[0]] @ Y).T).T   # conj(W) Y T
-    Wc[:, :m] -= X @ Y[:m].conj().T
+    Wc[:, :m] -= (Wc[:, : Y.shape[0]] @ Y) @ (np.linalg.inv(Tinv) @ Y[:m].conj().T)
 
 
 def sample_dpp(
@@ -229,20 +241,21 @@ def sample_dpp(
     N = space.rank
     # conj(W) in place: live columns [:m], the last one is dropped per point.
     # Column j < k of Y holds the j-th reflection since the last block, when
-    # m + k columns were live; the next block applies them all first.  Up to
-    # min(m + k, block size) points are accepted between blocks.
+    # m + k columns were live; the next block applies them all first and
+    # zeroes the columns it used.  Up to min(m + k, block size) points are
+    # accepted between blocks.
     Wc = np.eye(N, dtype=complex, order="F")
-    Y = np.empty((N, min(N, max(MIN_BLOCK, math.isqrt(2 * N) + 1))), dtype=complex, order="F")
+    Y = np.zeros((N, min(N, max(MIN_BLOCK, math.isqrt(2 * N) + 1))), dtype=complex, order="F")
     k = 0                                        # reflections pending
     pts = np.zeros((N, space.dim), dtype=complex)
     log_det = 0.0
-    U = np.zeros(0)                              # untested pool: Z, U, b = |v|^2, P = V conj(W)
+    ub = np.zeros(0)                             # untested pool: Z, ub = U b, b = |v|^2, P = V conj(W)
 
     for i in range(N):
         m = N - i
         tested = 0
         while True:
-            if U.size == 0:
+            if ub.size == 0:
                 if tested >= MAX_PROPOSALS:
                     raise RejectionStallError(
                         f"no acceptance after {tested} proposals at point {i + 1}/{N}; "
@@ -250,34 +263,52 @@ def sample_dpp(
                     )
                 if k:
                     _apply_reflections(Wc, Y[: m + k, :k], m)
+                    Y[: m + k, :k] = 0.0
                     k = 0
                 Z, U = _propose_intensity(space, rng, max(MIN_BLOCK, -(-2 * N // m)))
                 V = space.section_matrix(Z)
-                b = np.einsum("ci,ci->c", V.view(float), V.view(float))
+                b = np.vecdot(V.view(float), V.view(float))
+                # A proposal passes when U b <= min(g, b) and g > 0.  U b <= b
+                # holds for b > 0; with U b floored at the least subnormal,
+                # ub <= g alone asks g > 0, and a row with b = 0 never passes.
+                ub = np.maximum(U * b, _LEAST_SUBNORMAL)
+                ub[b == 0.0] = np.inf
                 P = V @ Wc[:, :m]
-                del V                                # free it before the next block
-            g = np.einsum("cj,cj->c", P.view(float), P.view(float))
-            np.minimum(g, b, out=g)                  # g >= 0 already: a sum of squares
-            ok = (U * b <= g) & (g > 0.0)
-            hit = int(np.argmax(ok))
+                del V, U                             # free them before the next block
+            g = np.vecdot(P.view(float), P.view(float))
+            ok = ub <= g
+            hit = ok.argmax()
             if ok[hit]:
                 break
-            tested += U.size
-            U = U[:0]
+            tested += ub.size
+            ub = ub[:0]
         pts[i] = Z[hit]
-        log_det += math.log(g[hit])
+        norm2 = g[hit]
+        log_det += math.log(min(norm2, b[hit]))  # g_i <= B(x, x), up to rounding
         # Householder on coefficients: rotate W so its last live column
-        # carries v's component, then drop that column.
-        r = P[hit] / math.sqrt(np.vdot(P[hit], P[hit]).real)   # unit W^H v(x)
-        last = abs(r[-1])
-        r[-1] += r[-1] / last if last > 0.0 else 1.0
-        r /= math.sqrt(2.0 + 2.0 * last)         # |h + phase e_m|^2 = 2 + 2|h_m|
-        rc = np.conjugate(r, out=Y[:m, k])       # conj(W) <- conj(W) (I - 2 rc rc^H), deferred
-        Y[m : m + k, k] = 0.0
+        # carries v's component, then drop that column.  With p = W^H v(x)
+        # and h its unit last entry, the unit reflector is
+        # (p / |p| + phase(h) e_m) / sqrt(2 + 2|h|).
+        p = P[hit]
+        norm = math.sqrt(norm2)
+        h = complex(p[-1]) / norm
+        last = abs(h)
+        scale = math.sqrt(2.0 + 2.0 * last)
+        rc = np.conjugate(p, out=Y[:m, k])       # conj(W) <- conj(W) (I - 2 rc rc^H), deferred
+        rc *= 1.0 / (norm * scale)
+        rc[-1] = ((h + (h / last if last > 0.0 else 1.0)) / scale).conjugate()
         k += 1
-        # the untested tail carries over, reflected by the same Householder now
-        Z, U, b, P = Z[hit + 1 :], U[hit + 1 :], b[hit + 1 :], P[hit + 1 :]
-        P = (P - (2.0 * (P @ rc))[:, None] * r)[:, :-1]
+        # the untested tail carries over, its kept columns reflected by the
+        # same Householder now: P <- P - 2 (P rc) conj(rc), where conj(rc)
+        # on the kept columns is p[:-1] / (|p| sqrt(2 + 2|h|))
+        hit += 1
+        if hit == ub.size:
+            ub = ub[:0]
+            continue
+        Z, ub, b, P = Z[hit:], ub[hit:], b[hit:], P[hit:]
+        x = P @ rc
+        x *= 2.0 / (norm * scale)
+        P = P[:, :-1] - x[:, None] * p[:-1]
 
     return Configuration(
         points=pts,

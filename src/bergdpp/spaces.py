@@ -56,6 +56,38 @@ def _log_factorials(n: int) -> np.ndarray:
     return out
 
 
+@cache
+def _log_binomials(n: int) -> np.ndarray:
+    """log C(n, j) for j = 0, ..., n, from exact integers, computed once per n (read-only).
+
+    log n! - log j! - log (n - j)! would cancel terms of size log n! and keep
+    an absolute error of about eps log n!; the log of the exact integer is
+    within an ulp or two of log C(n, j) itself.  The integers follow
+    C(n, j + 1) = C(n, j) (n - j) / (j + 1), exactly, up to j = n / 2, and the
+    rest by symmetry (n = 10^4: about 20 ms on a 2-core VM).
+    """
+    half, c = [], 1
+    for j in range(n // 2 + 1):
+        half.append(math.log(c))
+        c = c * (n - j) // (j + 1)
+    out = np.array(half + half[: (n + 1) // 2][::-1])
+    out.flags.writeable = False
+    return out
+
+
+# Phases e^{i j theta} of degree >= 2 * _PHASE_BLOCK are formed in blocks of
+# this many columns (ModelSpace._factor_values); below that one complex
+# exponential per entry is cheaper.
+_PHASE_BLOCK = 16
+
+
+def _unit_phases(theta: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """e^{i theta j} as an (M, len(j)) complex array, one exponential per entry."""
+    out = np.zeros((theta.shape[0], j.shape[0]), dtype=complex)
+    np.multiply.outer(theta, j, out=out.imag)
+    return np.exp(out, out=out)
+
+
 def _as_points(z, dim: int) -> np.ndarray:
     """Coerce scalar / (n,) / (M,n) input to an (M, n) complex array."""
     Z = np.asarray(z, dtype=complex)
@@ -86,11 +118,10 @@ class ModelSpace:
     def _log_norms(self) -> tuple[np.ndarray, ...]:
         out = []
         for d in self.factor_degrees:
-            log_fact = _log_factorials(d)  # log j!, j = 0..d
             if self.kind == "ginibre":
-                c = -0.5 * log_fact
+                c = -0.5 * _log_factorials(d)
             else:  # a Fubini-Study factor at power K = m_i k has degree d = K
-                c = 0.5 * (math.log(d + 1.0) + log_fact[d] - log_fact - log_fact[::-1])
+                c = 0.5 * (math.log(d + 1.0) + _log_binomials(d))
             c.flags.writeable = False
             out.append(c)
         return tuple(out)
@@ -100,7 +131,19 @@ class ModelSpace:
         return self._log_norms[i]
 
     def _factor_values(self, i: int, z: np.ndarray) -> np.ndarray:
-        """Half-weighted values v_j(z) for factor i; z is (M,) complex."""
+        """Half-weighted values v_j(z) for factor i; z is (M,) complex.
+
+        v_j(z) = exp(j log r + c_j - w(r)/2) e^{i j theta}, z = r e^{i theta},
+        with w the factor's weight.  Below degree 2 L (L = _PHASE_BLOCK) the
+        phases take one complex exponential per entry of theta j.  From
+        there they are formed in blocks, e^{i theta (L q + s)} =
+        e^{i L q theta} e^{i s theta} for 0 <= s < L, which takes
+        L + ceil((d + 1) / L) exponentials per point and one complex product
+        per entry.  Either way a phase is off by O(eps |theta| d), the
+        rounding of theta j (or of theta L q) itself, and the product adds
+        an ulp or two.  The magnitude is off by
+        O(eps (d |log r| + |c_j| + w(r))) relative, the rounding of its log.
+        """
         d = self.factor_degrees[i]
         j = np.arange(d + 1, dtype=float)
         r = np.abs(z)
@@ -115,10 +158,16 @@ class ModelSpace:
         # in place: one (M, d+1) float and one complex array at a time
         logmag += self.factor_log_norms(i)[None, :]
         logmag -= 0.5 * weight[:, None]
-        V = np.zeros(logmag.shape, dtype=complex)
-        np.multiply.outer(theta, j, out=V.imag)
-        np.exp(V, out=V)
-        V *= np.exp(logmag, out=logmag)
+        mag = np.exp(logmag, out=logmag)
+        if d < 2 * _PHASE_BLOCK:
+            V = _unit_phases(theta, j)
+        else:
+            L = _PHASE_BLOCK
+            low, high = _unit_phases(theta, j[:L]), _unit_phases(theta, j[::L])
+            V = np.empty(mag.shape, dtype=complex)
+            for q in range(0, d + 1, L):   # columns q .. q + L - 1, the last block cut at d
+                np.multiply(high[:, q // L, None], low[:, : d + 1 - q], out=V[:, q : q + L])
+        V *= mag
         return V
 
     # -- sections ----------------------------------------------------------

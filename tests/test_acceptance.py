@@ -3,7 +3,9 @@
 Each test computes its advertised quantities at the pinned tolerances,
 prints a single "criterion N: PASS/FAIL (...)" line with capture
 suspended (so the lines show for passing tests too), and then asserts.
-Stochastic criteria run at fixed seeds with a single worker.
+Stochastic criteria run at fixed seeds with a single worker.  Beside
+criterion 4 a count-law check tests whole count distributions, with a stated
+false-failure rate; it prints no criterion line.
 """
 
 import json
@@ -11,6 +13,7 @@ import math
 import time
 
 import numpy as np
+from scipy import stats as sps
 
 from bergdpp.energy import GramPath, lambda_k, lambda_report, partition_function
 from bergdpp.exprs import parse_weight
@@ -31,6 +34,7 @@ from bergdpp.stats import (
     pair_count_stats,
 )
 from bergdpp.cli import run
+from count_laws import kostlan_probabilities, poisson_binomial_pmf, pooled_chi_square
 from discrete_oracle import DiscreteProjectionDpp, discrete_projection_from_space
 
 
@@ -173,6 +177,39 @@ def test_criterion_04_pair_correlations_and_discrete_oracle(capsys):
     assert fs_z < 3.0
     assert gin_z < 3.0
     assert disc_z < 3.0
+
+
+# The family-wise false-failure rate of the count-law check; each of its
+# chi-square statistics is held to COUNT_LAW_ALPHA / (number of statistics).
+COUNT_LAW_ALPHA = 1e-4
+
+
+def test_count_laws_beside_criterion_04():
+    # Kostlan (1992): the squared moduli of a draw are independent across
+    # basis indices, Gamma(j+1) in r^2 for Ginibre and Beta(j+1, k-j+1) in
+    # s = r^2/(1+r^2) for Fubini-Study, so the count in a centred disk is
+    # Poisson-binomial.  The laws come from scipy (tests/count_laws.py) and
+    # share no code with the sampler.  Bins are pooled until each expects at
+    # least 10 draws, so that the chi-square tail holds at the Bonferroni
+    # level.  Degree 5 and degrees 35-36 lie on both sides of the
+    # phase-block degree 32 of section evaluation.
+    cases = [
+        (make_fubini_study(5), 1200, (0.6, 1.0, 1.8)),
+        (make_ginibre(5), 1200, (1.0, 1.6, 2.2)),
+        (make_fubini_study(36), 200, (0.5, 1.0, 2.0)),
+        (make_ginibre(36), 200, (3.0, 4.5, 6.0)),
+    ]
+    level = COUNT_LAW_ALPHA / sum(len(radii) for _, _, radii in cases)
+    for index, (space, draws, radii) in enumerate(cases):
+        confs = sample_dpp_many(space, draws, seed=0, stream_base=(index,))
+        moduli = np.abs(np.stack([c.points[:, 0] for c in confs]))
+        for r in radii:
+            pmf = poisson_binomial_pmf(kostlan_probabilities(space, [(0.0, r)]))
+            observed = np.bincount((moduli < r).sum(axis=1), minlength=pmf.size)
+            stat, dof = pooled_chi_square(observed, draws * pmf, floor=10.0)
+            assert dof >= 2, (space.kind, space.rank, r)
+            p_value = sps.chi2.sf(stat, dof)
+            assert p_value > level, (space.kind, space.rank, r, stat, dof, p_value)
 
 
 def test_criterion_05_scaling_limit(capsys):

@@ -289,6 +289,14 @@ def test_check_trace(capsys):
     assert "4" in capsys.readouterr().out
 
 
+def test_check_trace_fs_400_is_accurate(capsys):
+    # log norms from exact binomials: the factorial form left 7.2e-11 here
+    assert run(["check", "trace", "--space", "fs", "--k", "400"]) == 0
+    out = capsys.readouterr().out
+    err = float(out.rsplit("error ", 1)[1].rstrip(")\n"))
+    assert err <= 5e-12
+
+
 def test_check_trace_rejects_weight(capsys):
     # the trace identity int B(x,x) dmu = N has no weighted variant
     assert run(["check", "trace", "--space", "fs", "--k", "3", "--weight-expr", "r2"]) == 2

@@ -100,7 +100,10 @@ def _rank1_reference(space, seed, stream, min_block):
     """The pooled HKPV loop with every reflection applied to conj(W) at once.
 
     A rank-1 update of conj(W) per accepted point, as the sampler did before
-    its reflections were deferred to block boundaries; same stream use.
+    its reflections were deferred to block boundaries; same stream use.  Its
+    arithmetic is the older one throughout: einsum row norms, the test
+    (U b <= g) & (g > 0) on g clipped to b, and a reflector built by two
+    divisions.
     """
     from bergdpp.sampler import _propose_intensity
 
@@ -130,22 +133,35 @@ def _rank1_reference(space, seed, stream, min_block):
     return pts, log_det
 
 
+_REFLECTION_SPACES = {
+    "fs5": make_fubini_study(5),
+    "fs20": make_fubini_study(20),
+    "prod2": make_product((1, 2), 2),
+    "prod3": make_product((1, 2), 3),
+    "gin100": make_ginibre(100),
+    "gin300": make_ginibre(300),
+    "fs50": make_fubini_study(50),
+}
+
+
 @pytest.mark.parametrize("min_block", [None, 3], ids=["default-block", "block3"])
 @pytest.mark.parametrize(
-    "space",
-    [make_ginibre(300), make_fubini_study(50), make_product((1, 2), 3)],
-    ids=["gin300", "fs50", "prod3"],
+    "space,stream",
+    [pytest.param(space, (), id=name) for name, space in _REFLECTION_SPACES.items()]
+    + [pytest.param(space, (3,), id=f"{name}-stream3") for name, space in _REFLECTION_SPACES.items()],
 )
-def test_deferred_reflections_match_rank1_updates(space, min_block, monkeypatch):
+def test_deferred_reflections_match_rank1_updates(space, min_block, stream, monkeypatch):
     # the block-boundary compact-WY product must reproduce the per-point
     # rank-1 reflections: the same points, log-density to rounding; at
-    # MIN_BLOCK = 3 nearly every point ends a block and flushes
+    # MIN_BLOCK = 3 nearly every point ends a block and flushes.  The spaces
+    # lie on both sides of the phase-block degree of section evaluation
+    # (fs5, fs20 and the products below it, ginibre and fs50 above)
     import bergdpp.sampler as sampler
 
     if min_block is not None:
         monkeypatch.setattr(sampler, "MIN_BLOCK", min_block)
-    conf = sample_dpp(space, seed=5)
-    pts, log_det = _rank1_reference(space, 5, (), sampler.MIN_BLOCK)
+    conf = sample_dpp(space, seed=5, stream=stream)
+    pts, log_det = _rank1_reference(space, 5, stream, sampler.MIN_BLOCK)
     assert conf.points.tobytes() == pts.tobytes()
     assert conf.log_density == pytest.approx(log_det, rel=1e-12)
 
@@ -433,10 +449,10 @@ def test_mcmc_evaluates_each_sweep_in_one_batch(monkeypatch, k):
         return real_sections(self, points)
 
     def exact_start(*args, **kwargs):
-        # the exact draw's own section evaluations are not the chain's
-        before = calls["section_matrix"]
+        # the exact draw's own section evaluations and inverses are not the chain's
+        before = dict(calls)
         conf = real_sample_dpp(*args, **kwargs)
-        calls["section_matrix"] = before
+        calls.update(section_matrix=before["section_matrix"], inv=before["inv"])
         return conf
 
     real_sample_dpp = sampler.sample_dpp

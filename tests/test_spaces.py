@@ -7,6 +7,7 @@ and an incomplete-gamma tail for the Ginibre family.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -76,6 +77,18 @@ def test_fs_log_norms_are_binomial():
         assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, special.gammaln(k + 1.0))
 
 
+def test_fs_log_norms_match_mpmath():
+    # c_j = (log(K+1) + log C(K, j))/2 against 30-digit arithmetic on the
+    # exact binomial: no cancellation, so the bound scales with |c_j| alone
+    # (the factorial form was off by up to 4.5e-14 |c_j| at K <= 400)
+    with mpmath.workdps(30):
+        for k in range(401):
+            half = [float(mpmath.log(mpmath.mpf(k + 1) * math.comb(k, j)) / 2) for j in range(k // 2 + 1)]
+            want = np.array(half + half[: (k + 1) // 2][::-1])
+            got = make_fubini_study(k).factor_log_norms(0)
+            assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want))), k
+
+
 def test_ginibre_log_norms_are_factorial():
     space = make_ginibre(4)
     want = -0.5 * np.log([1.0, 1.0, 2.0, 6.0])
@@ -110,6 +123,54 @@ def test_ginibre_sections_match_direct_formula():
         * np.exp(-0.5 * np.abs(z[:, None]) ** 2)
     )
     assert np.max(np.abs(V - direct)) < 1e-13
+
+
+def _mp_factor_values(kind, d, z):
+    """v_j(z), j = 0..d, of one factor in 30-digit arithmetic, as complex numbers."""
+    with mpmath.workdps(30):
+        w = mpmath.mpc(z.real, z.imag)
+        t = abs(w) ** 2
+        if kind == "ginibre":
+            vals = [w**j / mpmath.sqrt(mpmath.factorial(j)) * mpmath.exp(-t / 2) for j in range(d + 1)]
+        else:
+            scale = (1 + t) ** (-mpmath.mpf(d) / 2)
+            vals = [mpmath.sqrt((d + 1) * mpmath.binomial(d, j)) * w**j * scale for j in range(d + 1)]
+        return np.array([complex(v) for v in vals])
+
+
+@pytest.mark.parametrize(
+    "space,points",
+    [
+        # bulk, near the origin, and past the edge sqrt(N) = 17.3, with
+        # angles near +-pi, where theta j is largest
+        (make_ginibre(300), [[0.05 + 0.01j], [5 * np.exp(3.1j)], [12 * np.exp(-2.9j)],
+                             [17.3 * np.exp(0.7j)], [20 * np.exp(3.14j)], [24 * np.exp(-1.6j)]]),
+        (make_fubini_study(400), [[0.01 * np.exp(-3.0j)], [0.3 * np.exp(3.1j)], [np.exp(-2.5j)],
+                                  [3 * np.exp(1.3j)], [30 * np.exp(3.13j)]]),
+        (make_product((1, 2), 20), [[0.5 * np.exp(3.1j), 2 * np.exp(-3.1j)],
+                                    [4 * np.exp(1j), 0.2 * np.exp(2.9j)],
+                                    [30 * np.exp(-3.13j), 25 * np.exp(3.0j)]]),
+    ],
+    ids=["gin300", "fs400", "prod12k20"],
+)
+def test_sections_match_mpmath_at_large_degree(space, points):
+    # the error order stated in ModelSpace._factor_values: a phase is off by
+    # O(eps |theta| d), a magnitude by O(eps (d |log r| + |c_j| + w(r)));
+    # on a product the factor orders add.  Relative to each row's largest
+    # entry, the measured errors sit at a third of eps times that order or less
+    eps = np.finfo(float).eps
+    Z = np.array(points, dtype=complex)
+    V = space.section_matrix(Z)
+    kind = "ginibre" if space.kind == "ginibre" else "fs"
+    for row, z in zip(V, Z):
+        want, order = np.ones(1, dtype=complex), 0.0
+        for i, d in enumerate(space.factor_degrees):
+            want = np.outer(want, _mp_factor_values(kind, d, z[i])).ravel()
+            r = abs(z[i])
+            w = r * r if kind == "ginibre" else d * math.log1p(r * r)
+            c = np.max(np.abs(space.factor_log_norms(i)))
+            order += 1.0 + d * (abs(np.angle(z[i])) + abs(math.log(r))) + c + w
+        assert np.max(np.abs(row - want)) <= eps * order * np.max(np.abs(want)), z
 
 
 def test_product_sections_factorize():

@@ -35,6 +35,7 @@ from bergdpp.stats import (
     region_count_stats,
     region_grid,
 )
+from count_laws import kostlan_probabilities, poisson_binomial_pmf, pooled_chi_square
 
 
 def make_conf(points):
@@ -133,27 +134,6 @@ def test_empirical_requires_configurations():
 # count moments: masked-Gram traces vs Kostlan's theorem
 
 
-def kostlan_probabilities(space, bounds):
-    """P(j-th squared modulus falls in the region) per basis index.
-
-    bounds: per-factor (r_lo, r_hi); an empty interval gives 0.  On product
-    spaces the factors are independent, so the per-index probabilities are
-    the outer product over factors in the flattened (C-order) basis.
-    """
-    p = np.ones(1)
-    for d, (lo, hi) in zip(space.factor_degrees, bounds):
-        j = np.arange(d + 1.0)
-        if space.kind == "ginibre":
-            def cdf(r):
-                return special.gammainc(j + 1.0, r * r)
-        else:
-            def cdf(r):
-                s = 1.0 if math.isinf(r) else r * r / (1.0 + r * r)
-                return special.betainc(j + 1.0, d - j + 1.0, s)
-        p = np.outer(p, cdf(max(lo, hi)) - cdf(lo)).ravel()
-    return p
-
-
 # disjoint pairs, overlapping pairs and the full chart; the last product
 # region bounds only the first factor
 KOSTLAN_CASES = {
@@ -196,31 +176,6 @@ def test_count_and_pair_predictions_match_kostlan(case):
             want = pa.sum() * pb.sum() - (pa * pb).sum() + both_p.sum()  # E[#A #B]
         assert (row.region_a, row.region_b) == (regions[a].label, regions[b].label)
         assert row.predicted == pytest.approx(want, rel=1e-10, abs=1e-10)
-
-
-def poisson_binomial_pmf(p):
-    """Law of a sum of independent Bernoulli(p_j), on 0..len(p)."""
-    pmf = np.ones(1)
-    for pj in p:
-        pmf = np.convolve(pmf, [1.0 - pj, pj])
-    return pmf
-
-
-def pooled_chi_square(observed, expected, floor=5.0):
-    """Chi-square statistic and degrees of freedom over adjacent bins pooled
-    until each expects at least `floor`; a light upper tail joins the last bin."""
-    obs, exp = [], []
-    o = e = 0.0
-    for oi, ei in zip(observed, expected):
-        o, e = o + oi, e + ei
-        if e >= floor:
-            obs.append(o)
-            exp.append(e)
-            o = e = 0.0
-    obs[-1] += o
-    exp[-1] += e
-    obs, exp = np.array(obs), np.array(exp)
-    return float(((obs - exp) ** 2 / exp).sum()), len(obs) - 1
 
 
 @pytest.mark.parametrize(
