@@ -5,7 +5,8 @@ embeds a "schema" tag, the tool version, and the fully resolved configuration,
 and contains no timestamps, so a fixed seed with a single worker reproduces
 output files byte for byte.  Exit codes: 0 success, 2 validation error
 (bad flags, bad expressions, bad config), 3 numerical failure (degenerate
-Gram, under-resolved grid, sampler stall, loss of positivity).
+Gram, under-resolved grid, sampler stall, loss of positivity) or out of
+memory.
 
 The seed for stochastic subcommands comes from --seed or, failing that, the
 BERGDPP_SEED environment variable.  --workers is handed to
@@ -645,6 +646,9 @@ def run(argv) -> int:
         return 2
     except (ArithmeticError, RejectionStallError) as exc:  # GramDegenerateError, PositivityError
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 3
 
 

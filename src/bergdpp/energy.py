@@ -13,10 +13,11 @@ difference and the Bergman integral) are exposed so they can be compared.
 
 Monge-Ampere and equilibrium quantities use the per-k potential: the density
 against chart Lebesgue measure is (n!/pi^n) det H, where H is the per-k
-complex Hessian of the full potential (space weight plus any shifts).  For
-the Fubini-Study family the total chart mass is exactly 1; products carry
-mass n! * prod(multiplicities), matching the leading rank growth.  The
-equilibrium measure is the normalized density.
+complex Hessian of phi + w, the space weight plus one radial weight form w.
+For the Fubini-Study family the total chart mass is exactly 1; products
+carry mass n! * prod(multiplicities), matching the leading rank growth.  The
+equilibrium measure is the normalized density; it is torus-invariant, so it
+is summed on QuadratureGrid.radial_rule.
 
 The Mabuchi-type functional L(phi + psi', u) = int_0^1 int u dmu_eq^(s) ds
 (equilibrium measures along the segment phi + psi' + s u) is evaluated by
@@ -29,7 +30,7 @@ k int_0^1 int f B_t dmu dt along the weight path phi + psi' - t f, and
 (1/N) B_t dmu tends to the equilibrium measure of that endpoint.  A constant
 direction f = c gives Lambda_k = c exactly at every k, which pins the sign.
 
-Smooth positively-curved weights only: when a shifted Hessian loses
+Smooth positively-curved weights only: when the Hessian of phi + w loses
 positivity the computation stops with a "leaves the Kahler cone" error
 rather than projecting onto the psh envelope.
 """
@@ -190,26 +191,18 @@ class GramPath:
 # Monge-Ampere quantities
 
 
-def monge_ampere_density(space: ModelSpace, points, shifts=()) -> np.ndarray:
-    """(n!/pi^n) det of the per-k complex Hessian of the shifted potential.
+def monge_ampere_density(space: ModelSpace, points, weight=None) -> np.ndarray:
+    """(n!/pi^n) det of the per-k complex Hessian of phi + weight.
 
-    shifts: (scale, WeightExpr) pairs added to the space's own per-k weight.
-    Raises PositivityError when the Hessian is not positive definite
-    somewhere on the points.
+    weight: a radial weight form (exprs.complex_hessian) added to the
+    space's own per-k weight phi.  Raises PositivityError when the Hessian
+    is not positive definite somewhere on the points.
     """
     Z = np.asarray(points, dtype=complex)
     if Z.ndim == 1:
         Z = Z[:, None]
-    return _density_from_hessian(space.dim, _shifted_hessian(space, Z, shifts))
-
-
-def _shifted_hessian(space: ModelSpace, Z: np.ndarray, shifts) -> np.ndarray:
-    H = space.weight_hessian_per_k(Z).copy()
-    for scale, expr in shifts:
-        if expr is None or scale == 0.0:
-            continue
-        H += float(scale) * complex_hessian(expr, Z)
-    return H
+    H = space.weight_hessian_per_k(Z) + complex_hessian(weight, Z)
+    return _density_from_hessian(space.dim, H)
 
 
 def _density_from_hessian(n: int, H: np.ndarray) -> np.ndarray:
@@ -226,17 +219,17 @@ def _density_from_hessian(n: int, H: np.ndarray) -> np.ndarray:
     return (math.factorial(n) / math.pi**n) * det
 
 
-def equilibrium_mass(space: ModelSpace, region: Region | None = None, shifts=()) -> float:
-    """Normalized Monge-Ampere mass of a Region (None: the whole chart).
+def equilibrium_mass(space: ModelSpace, region: Region | None = None, weight=None) -> float:
+    """Normalized Monge-Ampere mass of phi + weight on a Region (None: the whole chart).
 
     For the Ginibre space the equilibrium measure is the uniform law on the
     disk of radius sqrt(N) (the smooth global potential story does not apply
-    without the psh envelope), so only unshifted masses are available there.
+    without the psh envelope), so only unweighted masses are available there.
     """
     if space.kind == "ginibre":
-        if shifts:
+        if weight is not None:
             raise ValueError(
-                "shifted Ginibre equilibrium measures need the psh envelope, "
+                "weighted Ginibre equilibrium measures need the psh envelope, "
                 "which is out of scope"
             )
         if region is None:
@@ -246,21 +239,15 @@ def equilibrium_mass(space: ModelSpace, region: Region | None = None, shifts=())
         return (min(hi * hi, N) - min(lo * lo, N)) / N
 
     grid = build_grid(space, breaks=region.break_radii() if region is not None else None)
-    ma = monge_ampere_density(space, grid.nodes, shifts)
-    wma = grid.weights * ma
+    points, w = grid.radial_rule
+    wma = w * monge_ampere_density(space, points, weight)
     total = float(wma.sum())
-    num = total if region is None else float(wma[region.mask(grid.nodes)].sum())
+    num = total if region is None else float(wma[region.mask(points)].sum())
     return num / total
 
 
-def mabuchi(
-    space: ModelSpace,
-    psi_prime=None,
-    direction: WeightExpr | None = None,
-    scale: float = 1.0,
-    s_nodes: int = 16,
-) -> float:
-    """L(phi + psi', scale * u) = int_0^1 int scale*u dmu_eq^(phi+psi'+s*scale*u) ds.
+def mabuchi(space: ModelSpace, psi_prime=None, direction=None, s_nodes: int = 16) -> float:
+    """L(phi + psi', u) = int_0^1 int u dmu_eq^(phi+psi'+s*u) ds, u the weight form direction.
 
     Gauss-Legendre in s with at least 16 nodes; equilibrium measures from the
     normalized Monge-Ampere density at each s.
@@ -270,28 +257,26 @@ def mabuchi(
             "Mabuchi functional on the Ginibre space needs the psh envelope, "
             "which is out of scope"
         )
-    if direction is None or scale == 0.0:
+    if direction is None:
         return 0.0
     if s_nodes < 16:
         raise ValueError("s_nodes must be at least 16")
-    grid = build_grid(space)
+    points, weights = build_grid(space).radial_rule
     x, w = gauss_legendre(s_nodes)
-    s_pts = 0.5 * (x + 1.0)
-    s_wts = 0.5 * w
-    u_vals = float(scale) * weight_values(direction, grid.nodes)
-    # The Hessians do not depend on s: the path's Hessian at s is
-    # H0 + (scale s) H_dir, the same sum monge_ampere_density forms.
-    H0 = _shifted_hessian(space, grid.nodes, ((1.0, psi_prime),))
-    H_dir = complex_hessian(direction, grid.nodes)
+    u_vals = weight_values(direction, points)
+    # The Hessians do not depend on s; at s their sum is monge_ampere_density's
+    # for weight_sum((1, psi'), (s, u)), added in the same order.
+    H_phi = space.weight_hessian_per_k(points)
+    H_psi = complex_hessian(psi_prime, points)
+    H_dir = complex_hessian(direction, points)
     total = 0.0
-    for s, ws in zip(s_pts, s_wts):
+    for s, ws in zip(0.5 * (x + 1.0), 0.5 * w):
         try:
-            ma = _density_from_hessian(space.dim, H0 + (float(scale) * float(s)) * H_dir)
+            ma = _density_from_hessian(space.dim, H_phi + (H_psi + float(s) * H_dir))
         except PositivityError as exc:
             raise PositivityError(f"{exc} (path parameter s={s:.4f})") from None
-        wma = grid.weights * ma
-        mass = float(wma.sum())
-        total += float(ws) * float(np.sum(wma * u_vals)) / mass
+        wma = weights * ma
+        total += float(ws) * float(np.sum(wma * u_vals)) / float(wma.sum())
     return total
 
 
@@ -300,7 +285,9 @@ def mabuchi(
 
 
 def lambda_k(space: ModelSpace, f, psi=None, psi_prime=None) -> float:
-    """[log det G(psi + k(psi' - f)) - log det G(psi + k psi')] / (k N)."""
+    """[log det G(psi + k(psi' - f)) - log det G(psi + k psi')] / (k N), for k >= 1."""
+    if space.power < 1:
+        raise ValueError(f"lambda_k needs a power k >= 1, got k = {space.power}")
     grid = build_grid(space)
     k = float(space.power)
     shifted = weight_sum((1.0, psi), (k, psi_prime), (-k, f))
@@ -312,7 +299,7 @@ def lambda_k(space: ModelSpace, f, psi=None, psi_prime=None) -> float:
 
 def lambda_limit(space: ModelSpace, f: WeightExpr, psi_prime=None, s_nodes: int = 24) -> float:
     """Large-k limit of lambda_k: -L(phi + psi', -f)."""
-    return -mabuchi(space, psi_prime=psi_prime, direction=f, scale=-1.0, s_nodes=s_nodes)
+    return -mabuchi(space, psi_prime=psi_prime, direction=weight_sum((-1.0, f)), s_nodes=s_nodes)
 
 
 @dataclass(frozen=True)

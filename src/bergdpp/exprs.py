@@ -28,9 +28,10 @@ H_ij = delta_ij u_i + conj(z_i) z_j u_ij used by the curvature-side
 routines, with u_i, u_ij the derivatives in t_i = |z_i|^2.  It comes from
 one forward-mode walk of the syntax tree: each node carries (u, u_i, u_ij)
 and each operator applies the chain rule (Griewank and Walther, Evaluating
-Derivatives, 2008).  Expressions containing re_/im_ are value-only: asking
-for their Hessian raises, since |z_i|^2 couples re_i and im_i and a
-term-by-term derivative would be wrong.
+Derivatives, 2008).  complex_hessian takes weight forms as weight_values
+does, so the Hessian of a weight_sum is the sum of its terms'.  Expressions
+containing re_/im_ are value-only: asking for their Hessian raises, since
+|z_i|^2 couples re_i and im_i and a term-by-term derivative would be wrong.
 """
 
 from __future__ import annotations
@@ -237,10 +238,6 @@ class WeightExpr:
     def __repr__(self) -> str:
         return f"WeightExpr({self.source!r})"
 
-    @property
-    def is_radial(self) -> bool:
-        return all(v == "r2" or v.startswith("r2_") for v in self.variables)
-
     def validate_for_dim(self, dim: int) -> None:
         if dim > 1 and "r2" in self.variables:
             raise ValueError(
@@ -379,7 +376,7 @@ def is_radial_weight(weight) -> bool:
     if weight is None:
         return True
     if isinstance(weight, WeightExpr):
-        return weight.is_radial
+        return all(v == "r2" or v.startswith("r2_") for v in weight.variables)
     if isinstance(weight, _WeightSum):
         return all(is_radial_weight(f) for _, f in weight.terms)
     return False
@@ -438,29 +435,31 @@ def _jet(node: Node, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         return u, f1 * ga, _outer(ga, f2 * ga) + f1 * ha
 
 
-def complex_hessian(expr: WeightExpr, points: np.ndarray) -> np.ndarray:
-    """Complex Hessian d^2 u / dz_i dzbar_j of a radial expression.
+def complex_hessian(weight, points: np.ndarray) -> np.ndarray:
+    """Complex Hessian d^2 u / dz_i dzbar_j of a radial weight form, (M, n, n) Hermitian.
 
-    For u given in the radial variables t_i = |z_i|^2 the chain rule gives
-    H_ij = delta_ij * du/dt_i + conj(z_i) z_j * d^2u/dt_i dt_j; both
-    derivatives come from one forward-mode walk of the expression (_jet).
-    Returns an (M, n, n) Hermitian array; a non-finite entry raises
-    ValueError naming the expression and the first bad point.
+    None is zero and a weight_sum sums its terms' Hessians.  For u given in
+    the radial variables t_i = |z_i|^2 the chain rule gives H_ij = delta_ij *
+    du/dt_i + conj(z_i) z_j * d^2u/dt_i dt_j, both derivatives from one
+    forward-mode walk (_jet).  A form that is not is_radial_weight, or a
+    non-finite entry, raises ValueError naming the weight (and the point).
     """
-    if not expr.is_radial:
-        raise ValueError(
-            f"{expr.source!r} has no analytic complex Hessian (uses re_<i>/im_<i>)"
-        )
     Z = np.asarray(points, dtype=complex)
     if Z.ndim == 1:
         Z = Z[:, None]
-    expr.validate_for_dim(Z.shape[1])
-    _, g, h = _jet(expr.ast, np.abs(Z.T) ** 2)
+    if not is_radial_weight(weight):
+        raise ValueError(f"weight {weight!r} has no analytic complex Hessian (not r2 / r2_<i> only)")
+    if weight is None:
+        return np.zeros((Z.shape[0], Z.shape[1], Z.shape[1]), dtype=complex)
+    if isinstance(weight, _WeightSum):
+        return sum(c * complex_hessian(f, Z) for c, f in weight.terms)
+    weight.validate_for_dim(Z.shape[1])
+    _, g, h = _jet(weight.ast, np.abs(Z.T) ** 2)
     H = (Z.conj()[:, :, None] * Z[:, None, :]) * h.transpose(2, 0, 1)
     i = np.arange(Z.shape[1])
     H[:, i, i] += g.T
     bad = ~np.isfinite(H).all(axis=(1, 2))
     if bad.any():
         j = int(np.argmax(bad))
-        raise ValueError(f"weight {expr!r} has a non-finite Hessian at point {j}, z = {Z[j].tolist()}")
+        raise ValueError(f"weight {weight!r} has a non-finite Hessian at point {j}, z = {Z[j].tolist()}")
     return H

@@ -73,10 +73,10 @@ r2_<i>) or a weight_sum of radial terms, and the mask is None, a Region,
 whose indicator is radial per factor, or such a radial weight form.
 _diagonal decides this from those inputs and the grid's angular counts,
 never from the size of off-diagonal entries.  On this route _assemble
-evaluates c once per point of the radial tensor grid, at theta = 0, with
-each factor's angular weights summed to 2 pi, and contracts R_a^2 into it
-one factor at a time: O(n_r N) work per factor, and the grid's node arrays
-are never built.  Any other weight or mask form (re_ / im_ terms, any other
+evaluates c on QuadratureGrid.radial_rule, the radial tensor grid at theta
+= 0 with each factor's angular weights summed to 2 pi, and contracts R_a^2
+into it one factor at a time: O(n_r N) work per factor, and the grid's node
+arrays are never built.  Any other weight or mask form (re_ / im_ terms, any other
 callable) or an aliasing grid (angular < 2 * degree + 1 folds bands onto
 each other, and angular <= degree onto band 0) takes the dense route: the
 DFT of c at the nodes, then A band by band (fixed a - b), one factor at a
@@ -220,10 +220,10 @@ class QuadratureGrid:
 
     The grid holds each factor's radial rule (radii, radial weights) and
     angular count.  The flat node arrays nodes, weights and density are
-    built on first use (a dense Gram, the Monge-Ampere quantities); a
-    diagonal Gram needs only the radial rules.  The nodes run factor 0
-    slowest, and within a factor radius-major over radii x angular uniform
-    angles, so a node array reshapes to (n_r0, n_theta0, n_r1, ...).
+    built on first use, by a dense Gram alone; a torus-invariant integrand
+    sums on radial_rule instead.  The nodes run factor 0 slowest, and within
+    a factor radius-major over radii x angular uniform angles, so a node
+    array reshapes to (n_r0, n_theta0, n_r1, ...).
     """
 
     space: ModelSpace
@@ -261,8 +261,20 @@ class QuadratureGrid:
         """base_density at the nodes."""
         return self.space.base_density(self.nodes)
 
+    @functools.cached_property
+    def radial_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """Torus-reduced rule for integrands of the moduli alone: (M_r, n) points, (M_r,) weights.
+
+        The radial tensor grid at theta = 0, factor 0 slowest, with each
+        factor's angular weights summed to 2 pi.
+        """
+        points = np.stack([m.ravel() for m in np.meshgrid(*self.radii, indexing="ij")], axis=1)
+        w = functools.reduce(np.multiply.outer, [2.0 * math.pi * rw for rw in self.radial_weights])
+        return points.astype(complex), w.ravel()
+
     def mass(self) -> float:
-        return float(np.sum(self.weights * self.density))
+        points, w = self.radial_rule
+        return float(np.sum(w * self.space.base_density(points)))
 
 
 @functools.cache
@@ -582,11 +594,11 @@ def _assemble(space: ModelSpace, grid: QuadratureGrid, psi=None, mask=None) -> n
 
     c = w * rho * e^{-psi} * m is the quadrature factor, m the values of the
     mask: a Region's indicator, or a weight form's values taken through
-    weight_values.  On the diagonal route (_diagonal) c is taken on the
-    radial tensor grid at theta = 0 and only the diagonal of A is returned,
-    as an (N,) real array; otherwise c is taken at the nodes and the (N, N)
-    sum is formed in its polar form: the DFT of c over every factor's angles, then the radial
-    sums band by band, factor by factor (module docstring).
+    weight_values.  On the diagonal route (_diagonal) c is taken on
+    grid.radial_rule and only the diagonal of A is returned, as an (N,)
+    real array; otherwise c is taken at the nodes and the (N, N) sum is
+    formed in its polar form: the DFT of c over every factor's angles, then
+    the radial sums band by band, factor by factor (module docstring).
     """
     if space.kind == "ginibre" and psi is not grid.psi:
         # the edge bounds the tail of another weight only if it reaches that weight's edge
@@ -600,16 +612,13 @@ def _assemble(space: ModelSpace, grid: QuadratureGrid, psi=None, mask=None) -> n
             )
     diagonal = _diagonal(space, grid, psi, mask)
     if diagonal:
-        # the angles' weights sum to 2 pi at every radius
-        points = np.stack(
-            [m.ravel() for m in np.meshgrid(*grid.radii, indexing="ij")], axis=1
-        ).astype(complex)
-        w = functools.reduce(np.multiply.outer, [2.0 * math.pi * rw for rw in grid.radial_weights])
-        c = w.ravel() * space.base_density(points)
+        points, w = grid.radial_rule
+        c = w * space.base_density(points)
     else:
         points = grid.nodes
         c = grid.weights * grid.density
-    c = c * np.exp(-weight_values(psi, points))
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        c = c * np.exp(-weight_values(psi, points))
     if mask is not None:
         c = c * (mask.mask(points) if isinstance(mask, Region) else weight_values(mask, points))
     if not np.all(np.isfinite(c)):

@@ -330,8 +330,10 @@ def sample_dpp_many(
     on workers.  workers > 1 spreads the draws over a process pool; its
     processes are spawned, so each first pays a fresh import of bergdpp.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     streams = [stream_base + (r,) for r in range(reps)]
-    if workers <= 1:
+    if workers == 1:
         return [sample_dpp(space, seed=seed, stream=st) for st in streams]
     # imported here alone: at start-up they would cost every process about 7 ms
     import concurrent.futures

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -435,6 +436,31 @@ def test_mcmc_rejects_a_weight_that_is_nan_where_the_chain_walks(capsys):
     assert "log(r2-1)" in err and "is nan at point 0, z = [" in err
 
 
+def test_out_of_memory_is_exit_3(monkeypatch, capsys):
+    # --bins 100000 would ask numpy for a (reps, bins, bins) array of 149 GiB;
+    # the MemoryError is raised here without allocating anything
+    import bergdpp.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB for an array with shape (2, 100000, 100000)")
+
+    monkeypatch.setattr(cli, "estimate_intensity", refuse)
+    assert run(["stats", "intensity", "--space", "fs", "--k", "3", "--reps", "2", "--seed", "1",
+                "--bins", "100000"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate 149. GiB")
+    assert err.count("\n") == 1
+
+
+def test_quadrature_overflow_is_reported_once(capsys):
+    # e^{r^2} overflows on the outer nodes: the error names it, and numpy
+    # adds no RuntimeWarning of its own beside it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["check", "partition", "--space", "fs", "--k", "3", "--weight-expr", "0-r2"]) == 2
+    assert "quadrature factor overflowed" in capsys.readouterr().err
+
+
 def test_sampler_stall_is_a_numerical_failure(monkeypatch, capsys):
     import bergdpp.sampler as sampler
 
@@ -704,6 +730,21 @@ def test_converge_report(tmp_path):
         assert row["quadrature_mass"] == pytest.approx(0.5, abs=1e-9)
 
 
+WORKER_COMMANDS = {
+    "sample": ["sample", "--space", "fs", "--k", "3", "--reps", "2", "--seed", "1"],
+    "stats": ["stats", "circular", "--space", "ginibre", "--n", "5", "--reps", "2", "--seed", "1"],
+    "converge": ["converge", "--space", "fs", "--ks", "3", "--reps", "2", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+@pytest.mark.parametrize("command", sorted(WORKER_COMMANDS))
+def test_workers_below_one_rejected(command, workers, capsys):
+    # checked once, in sample_dpp_many, for every command that draws
+    assert run(WORKER_COMMANDS[command] + ["--workers", workers]) == 2
+    assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+
+
 def test_converge_deterministic_across_workers(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     base = ["converge", "--space", "fs", "--ks", "3,6", "--reps", "8", "--seed", "23"]
@@ -753,6 +794,12 @@ def test_energy_lambda_k_scaled_weight_matches_the_library(tmp_path):
         {"k": r.k, "rank": r.rank, "lambda_value": r.lambda_value, "gap": r.gap} for r in want.rows
     ]
     assert doc["target"] == want.target
+
+
+def test_energy_lambda_k_rejects_power_zero(capsys):
+    # Lambda_k divides by k: k = 0 is a usage error naming k, not a float division failure
+    assert run(["energy", "lambda-k", "--space", "fs", "--ks", "0,5", "--f-expr", "0.2/(1+r2)"]) == 2
+    assert "needs a power k >= 1, got k = 0" in capsys.readouterr().err
 
 
 def test_energy_positivity_failure_is_exit_3(capsys):

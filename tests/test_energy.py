@@ -24,7 +24,7 @@ from bergdpp.energy import (
     monge_ampere_density,
     partition_function,
 )
-from bergdpp.exprs import parse_weight
+from bergdpp.exprs import parse_weight, weight_sum
 from bergdpp.quadrature import build_grid, gram, weighted_gram_matrix
 from bergdpp.sampler import sample_dpp_many
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
@@ -225,7 +225,7 @@ def test_shifted_density_closed_form():
     space = make_fubini_study(3)
     t = 0.7
     pts = np.array([[math.sqrt(t) + 0j]])
-    ma = monge_ampere_density(space, pts, shifts=((-0.5, F_EXPR),))
+    ma = monge_ampere_density(space, pts, weight_sum((-0.5, F_EXPR)))
     want = (1.1 + 0.9 * t) / (math.pi * (1.0 + t) ** 3)
     assert ma[0] == pytest.approx(want, rel=1e-12)
 
@@ -234,7 +234,7 @@ def test_losing_positivity_raises():
     space = make_fubini_study(3)
     pts = np.array([[2.0 + 0j]])
     with pytest.raises(PositivityError, match="Kahler cone"):
-        monge_ampere_density(space, pts, shifts=((-2.0, parse_weight("log(1+r2)")),))
+        monge_ampere_density(space, pts, weight_sum((-2.0, parse_weight("log(1+r2)"))))
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,7 @@ def test_product_equilibrium_mass_factorizes():
 
 def test_shifted_equilibrium_mass_closed_form():
     space = make_fubini_study(3)
-    got = equilibrium_mass(space, Region.disk(1.0), shifts=((-0.5, F_EXPR),))
+    got = equilibrium_mass(space, Region.disk(1.0), weight_sum((-0.5, F_EXPR)))
     assert got == pytest.approx(0.525, abs=1e-12)
 
 
@@ -268,7 +268,7 @@ def test_ginibre_equilibrium_uniform_disk():
     assert equilibrium_mass(space, Region.annulus(1.0, 3.0)) == pytest.approx(0.75)
     assert equilibrium_mass(space) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        equilibrium_mass(space, Region.disk(1.0), shifts=((0.1, F_EXPR),))
+        equilibrium_mass(space, Region.disk(1.0), weight_sum((0.1, F_EXPR)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,19 +280,20 @@ def test_mabuchi_constant_direction_is_identity():
     c = 0.37
     got = mabuchi(space, direction=parse_weight(f"{c}"))
     assert got == pytest.approx(c, abs=1e-12)
-    # scale folds into the direction linearly for constants
-    assert mabuchi(space, direction=parse_weight(f"{c}"), scale=2.0) == pytest.approx(2 * c)
+    # a coefficient folds into the direction linearly for constants
+    two_c = weight_sum((2.0, parse_weight(f"{c}")))
+    assert mabuchi(space, direction=two_c) == pytest.approx(2 * c)
 
 
 def test_mabuchi_zero_direction():
     assert mabuchi(make_fubini_study(3)) == 0.0
-    assert mabuchi(make_fubini_study(3), direction=F_EXPR, scale=0.0) == 0.0
+    assert mabuchi(make_fubini_study(3), direction=weight_sum((0.0, F_EXPR))) == 0.0
 
 
 def test_mabuchi_closed_form_value():
     # L(phi, -f) = -int_0^1 (0.1 + s/150) ds = -(0.1 + 1/300)
     space = make_fubini_study(3)
-    got = mabuchi(space, direction=F_EXPR, scale=-1.0, s_nodes=24)
+    got = mabuchi(space, direction=weight_sum((-1.0, F_EXPR)), s_nodes=24)
     assert got == pytest.approx(-(0.1 + 1.0 / 300.0), abs=1e-9)
 
 
@@ -322,7 +323,7 @@ def test_mabuchi_guards():
     with pytest.raises(ValueError):
         mabuchi(make_fubini_study(3), direction=F_EXPR, s_nodes=8)
     with pytest.raises(PositivityError, match="path parameter"):
-        mabuchi(make_fubini_study(3), direction=parse_weight("3*log(1+r2)"), scale=-1.0)
+        mabuchi(make_fubini_study(3), direction=weight_sum((-1.0, parse_weight("3*log(1+r2)"))))
 
 
 def test_mabuchi_computes_each_hessian_once(monkeypatch):
@@ -332,30 +333,49 @@ def test_mabuchi_computes_each_hessian_once(monkeypatch):
 
     space = make_product((1, 2), 2)
     psi_prime = parse_weight("0.1*log(1+r2_1*r2_2)")
-    direction = parse_weight("0.2/(1+r2_1) + 0.1*r2_2/(1+r2_2)")
+    direction = weight_sum((-1.0, parse_weight("0.2/(1+r2_1) + 0.1*r2_2/(1+r2_2)")))
     calls = []
     real = energy.complex_hessian
 
     def counting(expr, Z):
-        calls.append(expr)
+        if expr is not None:  # the zero form's Hessian is zeros, not a computation
+            calls.append(expr)
         return real(expr, Z)
 
     monkeypatch.setattr(energy, "complex_hessian", counting)
-    got = mabuchi(space, psi_prime=psi_prime, direction=direction, scale=-1.0)
+    got = mabuchi(space, psi_prime=psi_prime, direction=direction)
     assert len(calls) <= 2
     assert mabuchi(space, direction=direction) != 0.0
     assert len(calls) <= 3
 
-    grid = build_grid(space)
+    pts, wts = build_grid(space).radial_rule
     x, w = np.polynomial.legendre.leggauss(16)
-    u = -1.0 * direction(grid.nodes)
+    u = direction(pts)
     want = 0.0
     for s, ws in zip(0.5 * (x + 1.0), 0.5 * w):
-        wma = grid.weights * monge_ampere_density(
-            space, grid.nodes, shifts=((1.0, psi_prime), (-1.0 * float(s), direction))
+        wma = wts * monge_ampere_density(
+            space, pts, weight_sum((1.0, psi_prime), (float(s), direction))
         )
         want += float(ws) * float(np.sum(wma * u)) / float(wma.sum())
     assert got == want
+
+
+@pytest.mark.parametrize("space", [make_fubini_study(4), make_product((1, 2), 2)], ids=["fs", "product"])
+def test_monge_ampere_quantities_never_build_the_nodes(space, monkeypatch):
+    # equilibrium masses and the Mabuchi functional sum on the radial rule
+    from bergdpp.quadrature import QuadratureGrid
+
+    def refuse(grid):
+        raise AssertionError("the node arrays were built")
+
+    for name in ("nodes", "weights", "density"):
+        monkeypatch.setattr(QuadratureGrid, name, property(refuse))
+    dim = space.dim
+    f = parse_weight("0.2/(1+r2_1)")
+    disk = Region(((0.0, 1.0),) * dim)
+    assert 0.0 < equilibrium_mass(space, disk) < 1.0
+    assert 0.0 < equilibrium_mass(space, disk, weight_sum((-0.5, f))) < 1.0
+    assert mabuchi(space, psi_prime=parse_weight("0.1*log(1+r2_1)"), direction=f) > 0.0
 
 
 def test_mabuchi_rejects_a_non_finite_direction():

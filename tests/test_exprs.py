@@ -18,6 +18,7 @@ from bergdpp.exprs import (
     ParseError,
     WeightExpr,
     complex_hessian,
+    is_radial_weight,
     parse_weight,
     weight_sum,
     weight_values,
@@ -312,6 +313,22 @@ def test_hessian_rejects_a_weight_that_is_not_finite():
         complex_hessian(parse_weight("0.1*log(r2-1)"), pts(2.0, 0.5j))
 
 
+def test_hessian_takes_weight_forms():
+    # None is zero and a weight_sum is the sum of c times its terms' Hessians,
+    # as in weight_values; a sum with a re_ term has no Hessian
+    f = parse_weight("r2_1 * r2_2 / (1 + r2_1)")
+    g = parse_weight("log(1 + r2_2) + exp(0 - r2_1)")
+    Z = np.array([[0.5 + 0.5j, 1.0 - 0.3j], [2.0 + 0j, 0.1j], [0.3j, -1.2 + 0.4j]])
+    a, b = 0.7, -1.3
+    got = complex_hessian(weight_sum((a, f), (b, g)), Z)
+    want = a * complex_hessian(f, Z) + b * complex_hessian(g, Z)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    zero = complex_hessian(None, Z)
+    assert zero.shape == (3, 2, 2) and not zero.any()
+    with pytest.raises(ValueError, match="no analytic complex Hessian"):
+        complex_hessian(weight_sum((a, f), (b, parse_weight("re_1 * r2_2"))), Z)
+
+
 def test_hessian_is_hermitian():
     e = parse_weight("r2_1^2 * r2_2 + log(1 + r2_1 + r2_2)")
     Z = np.array([[0.5 + 0.5j, 1.0 - 0.3j], [2.0 + 0j, 0.1j]])
@@ -340,5 +357,5 @@ def test_pickle_round_trip():
 
 
 def test_is_radial_flag():
-    assert parse_weight("r2_1 + r2_2").is_radial
-    assert not parse_weight("re_1 + r2_1").is_radial
+    assert is_radial_weight(parse_weight("r2_1 + r2_2"))
+    assert not is_radial_weight(parse_weight("re_1 + r2_1"))

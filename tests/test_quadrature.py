@@ -55,6 +55,26 @@ def test_ginibre_grid_mass_is_truncation_area():
     assert special.gammaincc(4, grid.mass()) == pytest.approx(TAIL, rel=1e-6)
 
 
+def test_radial_rule_matches_the_node_sum():
+    # an integrand of the moduli alone (base density x region mask x
+    # Monge-Ampere density) sums the same on the radial rule as on the nodes
+    from bergdpp.energy import monge_ampere_density
+
+    space = make_product((1, 2), 3)
+    region = Region(((0.5, 1.2), (0.0, 0.8)))
+    grid = build_grid(space, breaks=region.break_radii())
+
+    def integral(points, weights):
+        f = space.base_density(points) * region.mask(points) * monge_ampere_density(space, points)
+        return float(np.sum(weights * f))
+
+    points, weights = grid.radial_rule
+    assert points.shape == (grid.radii[0].size * grid.radii[1].size, 2)
+    assert np.all(points.imag == 0.0)
+    want = integral(grid.nodes, grid.weights)
+    assert abs(integral(points, weights) - want) <= 1e-13 * abs(want)
+
+
 def test_tail_edge_matches_gammainccinv():
     # the library solves Q(N, t) = TAIL through the Poisson sum; scipy inverts Q itself
     n = np.arange(1, 3001)
