@@ -126,7 +126,7 @@ class GramPath:
 
     def grid_at(self, t: float) -> QuadratureGrid:
         """The grid for the weight t psi: a Ginibre edge moves with the weight."""
-        t = float(t) if self.space.kind == "ginibre" else 0.0
+        t = 0.0 if self.space.factors[0].compact else float(t)
         if t not in self._grids:
             self._grids[t] = build_grid(self.space, psi=self.weight_at(t))
         return self._grids[t]
@@ -226,7 +226,7 @@ def equilibrium_mass(space: ModelSpace, region: Region | None = None, weight=Non
     disk of radius sqrt(N) (the smooth global potential story does not apply
     without the psh envelope), so only unweighted masses are available there.
     """
-    if space.kind == "ginibre":
+    if not space.factors[0].compact:
         if weight is not None:
             raise ValueError(
                 "weighted Ginibre equilibrium measures need the psh envelope, "
@@ -252,7 +252,7 @@ def mabuchi(space: ModelSpace, psi_prime=None, direction=None, s_nodes: int = 16
     Gauss-Legendre in s with at least 16 nodes; equilibrium measures from the
     normalized Monge-Ampere density at each s.
     """
-    if space.kind == "ginibre":
+    if not space.factors[0].compact:
         raise ValueError(
             "Mabuchi functional on the Ginibre space needs the psh envelope, "
             "which is out of scope"

@@ -321,12 +321,14 @@ def weight_values(weight, points) -> np.ndarray:
 
     None is the zero weight.  A result of another shape, or with a value
     that is not finite, raises ValueError naming the weight and the first
-    bad point.
+    bad point.  numpy's floating-point warnings are off while the weight
+    runs, so a non-finite value is reported once, by that check.
     """
     Z = np.asarray(points)
     if weight is None:
         return np.zeros(Z.shape[0])
-    vals = np.asarray(weight(Z), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals = np.asarray(weight(Z), dtype=float)
     if vals.shape != (Z.shape[0],):
         raise ValueError(f"weight {weight!r} must return shape ({Z.shape[0]},), got {vals.shape}")
     if not np.isfinite(vals).all():

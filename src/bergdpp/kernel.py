@@ -162,7 +162,7 @@ def rescaled_correlation(space: ModelSpace, frame: NormalFrame, points) -> float
     """
     U = _as_points(points, space.dim)
     m = U.shape[0]
-    if space.kind == "ginibre":
+    if not space.factors[0].compact:
         chart_pts = U
         scale = 1.0
     else:

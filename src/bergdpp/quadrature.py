@@ -1,12 +1,12 @@
 """Tensor-product quadrature grids and Gram matrices on model-space charts.
 
-Radial structure.  Every factor is integrated in the squared radius t = r^2.
-Fubini-Study factors map t to s = t/(1+t) in [0, 1]; under this substitution
-the Gram integrands t^j (1+t)^{-K-2} dt become polynomials s^j (1-s)^{K-j} ds,
-so Gauss-Legendre nodes integrate them exactly once 2*n_r - 1 >= K.  Ginibre
-factors use Gauss-Legendre directly on t in [0, t_max].  Unweighted,
-t_max solves Q(N, t_max) = TAIL for the regularized upper incomplete gamma
-function, which at integer N is the Poisson sum
+Radial structure.  Every factor is integrated in the squared radius t = r^2
+by its own radial rule (spaces module docstring): Fubini-Study factors in
+s = t/(1+t) in [0, 1], where Gauss-Legendre nodes integrate the Gram
+integrands exactly once 2*n_r - 1 >= d, and the Ginibre factor on t in
+[0, t_max], whose edge is set here.  Unweighted, t_max solves
+Q(N, t_max) = TAIL for the regularized upper incomplete gamma function,
+which at integer N is the Poisson sum
 
     Q(N, t) = e^{-t} sum_{k<N} t^k / k! = P(Poisson(t) <= N - 1)
 
@@ -31,15 +31,13 @@ beyond the grid's: one with e^{-psi} > 1 on the edge circle and a weighted
 tail that needs more room.  A Ginibre grid always ends at that edge.
 
 Panels.  A factor of degree d gets n_r = max(F, d // 2 + 8) Gauss-Legendre
-nodes: F = 32 on compact factors, whose integrands in s it integrates
-exactly with 15 degrees to spare for weights, and F = 96 on Ginibre, where
-t_max / N is large at small N.  Breakpoints (region radii) split the radial
-rule into panels with their own nodes, so indicator functions of disks and
-annuli are constant per panel and region masses keep spectral accuracy
-instead of the O(n^{-2}) loss from cutting a Gauss panel in half.  A
-Fubini-Study panel gets all n_r nodes; Ginibre panels share the n_r nodes of
-[0, t_max] by their width in t, with at least MIN_PANEL nodes each, so the
-node spacing stays that of the unsplit grid.
+nodes per panel, F being its node_floor: on a compact factor they integrate
+the integrands in s exactly with 15 degrees to spare for weights.
+Breakpoints (region radii) split the radial rule into panels, so indicator
+functions of disks and annuli are constant per panel and region masses keep
+spectral accuracy instead of the O(n^{-2}) loss from cutting a Gauss panel
+in half.  Ginibre panels share the n_r nodes of [0, t_max] by width
+(GinibrePlane.radial_rule), so the node spacing stays that of one panel.
 
 Angular structure.  Uniform angles with weight 2 pi / n_theta integrate
 e^{i j theta} exactly for 0 < |j| < n_theta, so Gram entries, whose angular
@@ -107,7 +105,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprs import is_radial_weight, weight_values
-from .spaces import ModelSpace
+from .spaces import MIN_PANEL, ModelSpace, _panel_gauss, gauss_legendre, poisson_log_pmf
 
 __all__ = [
     "TAIL",
@@ -127,15 +125,11 @@ __all__ = [
 
 # Q(N, t_max) at the outer edge of a Ginibre grid: the Gram tail bound
 TAIL = 1e-16
-# fewest Legendre nodes on a Ginibre panel, however narrow
-MIN_PANEL = 16
 # weighted Ginibre edge search: doublings of the edge before a weight is
 # refused, and the Legendre panels that integrate the weighted profile
 EDGE_DOUBLINGS = 40
 EDGE_PANELS = 128
 EDGE_NODES = 16
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 class GramDegenerateError(ArithmeticError):
@@ -278,54 +272,6 @@ class QuadratureGrid:
 
 
 @functools.cache
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per n (read-only)."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
-
-
-def _stirling_error(k: np.ndarray) -> np.ndarray:
-    """log k! - (k + 1/2) log k + k - log sqrt(2 pi) for k = 1, 2, ... (a float array).
-
-    Stirling's series to its k^-9 term from k = 15 on, where the first term
-    it leaves out is below 3e-16; math.lgamma below 15.
-    """
-    inv2 = 1.0 / (k * k)
-    out = (1 / 12 - inv2 * (1 / 360 - inv2 * (1 / 1260 - inv2 * (1 / 1680 - inv2 / 1188)))) / k
-    small = k < 15
-    out[small] = [
-        math.lgamma(x + 1.0) - ((x + 0.5) * math.log(x) - x + _HALF_LOG_2PI) for x in k[small]
-    ]
-    return out
-
-
-def poisson_log_pmf(n: int, t) -> np.ndarray:
-    """log P(Poisson(t) = k) for k = 0, ..., n - 1, of shape t.shape + (n,); t >= 0.
-
-    Loader's saddle-point form (Loader, "Fast and accurate computation of
-    binomial probabilities", 2000): for k >= 1,
-
-        log P = -bd0(k, t) - log sqrt(2 pi k) - _stirling_error(k),
-
-    with the deviance bd0 = k log(k / t) + t - k taken through
-    log1p((k - t) / t) near k = t.  No terms of size k log t and log k!
-    cancel, so a term keeps its relative accuracy at large k and t.
-    log P(Poisson(t) = 0) = -t; at t = 0 every k >= 1 gives -inf.
-    """
-    t = np.asarray(t, dtype=float)[..., None]
-    k = np.arange(1.0, n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = (k - t) / t
-        bd0 = k * np.where(x > -0.5, np.log1p(x), np.log(k / t)) + (t - k)
-    out = np.empty(t.shape[:-1] + (n,))
-    out[..., 0] = -t[..., 0]
-    out[..., 1:] = -(_stirling_error(k) + _HALF_LOG_2PI + 0.5 * np.log(k)) - bd0
-    return out
-
-
-@functools.cache
 def _tail_edge(rank: int) -> float:
     """The unweighted Ginibre edge: the t with Q(rank, t) = TAIL, computed once per rank.
 
@@ -357,17 +303,6 @@ def _tail_edge(rank: int) -> float:
             new = 0.5 * (lo + hi)
         step, t = new - t, new
     return t
-
-
-def _panel_gauss(edges: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights, counts[i] of them on each [edges[i], edges[i+1]] panel."""
-    nodes, weights = [], []
-    for a, b, n in zip(edges[:-1], edges[1:], counts):
-        x, w = gauss_legendre(n)
-        half = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _ginibre_edge(rank: int, psi, n_angular: int) -> float:
@@ -423,39 +358,13 @@ def _ginibre_edge(rank: int, psi, n_angular: int) -> float:
     return max(t0, float(edges[k]))
 
 
-def _factor_rule(
-    kind: str, t_max: float | None, n_radial: int, breaks: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Radial rule for one factor: radii r (n_r,) and (1/2) dt weights (n_r,).
-
-    dm = (1/2) dt dtheta in polar squared-radius coordinates.  Ginibre panels
-    end at t = t_max; breaks beyond it are dropped.
-    """
-    radii = sorted(r for r in breaks if r > 0.0 and math.isfinite(r))
-    if kind == "ginibre":
-        edges = np.array([0.0] + [r**2 for r in radii if r**2 < t_max] + [t_max])
-        if edges.size == 2:
-            counts = [n_radial]
-        else:
-            # n_radial nodes on [0, t_max], shared by panel width
-            counts = [max(MIN_PANEL, math.ceil(n_radial * w / t_max)) for w in np.diff(edges)]
-        t, wt = _panel_gauss(edges, counts)
-    else:
-        # s = t / (1 + t); Gram integrands are polynomials in s
-        s_edges = np.array([0.0] + [r**2 / (1.0 + r**2) for r in radii] + [1.0])
-        s, ws = _panel_gauss(s_edges, [n_radial] * (s_edges.size - 1))
-        t = s / (1.0 - s)
-        wt = ws / (1.0 - s) ** 2
-    return np.sqrt(t), 0.5 * wt
-
-
 def _unresolved_bound(space: ModelSpace, radials, angulars) -> str | None:
     """The first exactness bound of the unweighted Gram that a grid breaks."""
-    for i, d in enumerate(space.factor_degrees):
-        if angulars[i] < d + 1:
-            return f"factor {i + 1} of degree {d} needs angular >= degree + 1, got {angulars[i]}"
-        if space.kind != "ginibre" and 2 * radials[i] - 1 < d:
-            return f"factor {i + 1} of degree {d} needs 2*radial - 1 >= degree, got {radials[i]}"
+    for i, (f, n_r, n_a) in enumerate(zip(space.factors, radials, angulars), 1):
+        if n_a < f.degree + 1:
+            return f"factor {i} of degree {f.degree} needs angular >= degree + 1, got {n_a}"
+        if n_r < f.min_radial:
+            return f"factor {i} of degree {f.degree} needs 2*radial - 1 >= degree, got {n_r}"
     return None
 
 
@@ -469,7 +378,7 @@ def build_grid(
     """Tensor-product grid adapted to the space: one radial rule per factor.
 
     radial:     nodes per radial panel, default max(F, degree // 2 + 8) with
-                F = 96 on Ginibre and 32 on compact factors; Ginibre panels share them.
+                F the factor's node_floor; Ginibre panels share them.
     angular:    angles per factor (default 2 * degree + 1, the exactness bound).
     breaks:     per factor, the radii at which radial panels split.  Regions
                 whose boundaries appear here are integrated to spectral accuracy.
@@ -487,32 +396,24 @@ def build_grid(
     elif len(breaks) != n:
         raise ValueError(f"need breaks for {n} factors, got {len(breaks)}")
 
-    radii, radial_weights, radials, angulars = [], [], [], []
-    for i in range(n):
-        d = space.factor_degrees[i]
-        n_ang = angular if angular is not None else max(8, 2 * d + 1)
-        if radial is not None:
-            n_rad = radial
-        else:
-            n_rad = max(96 if space.kind == "ginibre" else 32, d // 2 + 8)
+    rules, radials, angulars = [], [], []
+    for f, cuts in zip(space.factors, breaks):
+        n_ang = angular if angular is not None else max(8, 2 * f.degree + 1)
+        n_rad = radial if radial is not None else max(f.node_floor, f.degree // 2 + 8)
         if n_rad < 1 or n_ang < 1:
             raise ValueError(
                 f"a grid needs at least one radial and one angular node per factor, "
                 f"got radial={n_rad}, angular={n_ang}"
             )
-        t_max = None
-        if space.kind == "ginibre":  # one factor
-            t_max = _ginibre_edge(space.rank, psi, n_ang)
-        r, w = _factor_rule(space.kind, t_max, n_rad, breaks[i])
-        radii.append(r)
-        radial_weights.append(w)
+        t_max = None if f.compact else _ginibre_edge(space.rank, psi, n_ang)
+        rules.append(f.radial_rule(n_rad, cuts, t_max))
         radials.append(n_rad)
         angulars.append(n_ang)
 
     return QuadratureGrid(
         space=space,
-        radii=tuple(radii),
-        radial_weights=tuple(radial_weights),
+        radii=tuple(r for r, _ in rules),
+        radial_weights=tuple(w for _, w in rules),
         radial=tuple(radials),
         angular=tuple(angulars),
         under_resolved=_unresolved_bound(space, radials, angulars),
@@ -585,7 +486,7 @@ def _diagonal(space: ModelSpace, grid: QuadratureGrid, psi, mask) -> bool:
     return (
         is_radial_weight(psi)
         and (isinstance(mask, Region) or is_radial_weight(mask))
-        and all(n >= d + 1 for n, d in zip(grid.angular, space.factor_degrees))
+        and all(n >= f.degree + 1 for n, f in zip(grid.angular, space.factors))
     )
 
 
@@ -600,7 +501,7 @@ def _assemble(space: ModelSpace, grid: QuadratureGrid, psi=None, mask=None) -> n
     formed in its polar form: the DFT of c over every factor's angles, then
     the radial sums band by band, factor by factor (module docstring).
     """
-    if space.kind == "ginibre" and psi is not grid.psi:
+    if not space.factors[0].compact and psi is not grid.psi:
         # the edge bounds the tail of another weight only if it reaches that weight's edge
         need = _ginibre_edge(space.rank, psi, grid.angular[0])
         have = _ginibre_edge(space.rank, grid.psi, grid.angular[0])
@@ -626,16 +527,16 @@ def _assemble(space: ModelSpace, grid: QuadratureGrid, psi=None, mask=None) -> n
     if diagonal:
         # band 0 alone: A_aa = sum_r R_a(r)^2 c(r), contracted factor by factor
         d = c.reshape([r.size for r in grid.radii])
-        for i, r in enumerate(grid.radii):
-            d = np.tensordot(d, space._factor_values(i, r).real ** 2, axes=(0, 0))
+        for f, r in zip(space.factors, grid.radii):
+            d = np.tensordot(d, f.values(r).real ** 2, axes=(0, 0))
         return d.ravel()  # axes (a_0, a_1, ...) in C order, as section_matrix
     n = len(grid.radii)
     # axes (r_0, q_0, r_1, q_1, ...); sum_q c e^{+i delta theta_q} is the unscaled inverse DFT
     chat = c.reshape([m for r, n_ang in zip(grid.radii, grid.angular) for m in (r.size, n_ang)])
     chat = np.fft.ifftn(chat, axes=tuple(range(1, 2 * n, 2)), norm="forward")
-    for i, r in enumerate(grid.radii):
+    for f, r in zip(space.factors, grid.radii):
         # R_a(r) = v_a(r), real on the positive axis
-        chat = np.moveaxis(_bands(space._factor_values(i, r).real, chat), (0, 1), (-2, -1))
+        chat = np.moveaxis(_bands(f.values(r).real, chat), (0, 1), (-2, -1))
     # axes (a_0, b_0, a_1, b_1, ...) -> (a_0, a_1, ..., b_0, b_1, ...), C order as section_matrix
     chat = chat.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
     return chat.reshape(space.rank, space.rank)

@@ -8,12 +8,10 @@ span{v(x_1), ..., v(x_i)}.  That orthocomplement is carried as a matrix W
 with orthonormal columns, so g_i(x) = |W^H v(x)|^2 costs one matvec and each
 acceptance removes a column by a Householder reflection.  Proposals are
 drawn from the exact one-point intensity B(x, x) dmu / N, which is directly
-sampleable for every built-in space:
-
-  * Fubini-Study / products: B(x, x) is constant, so the proposal is the base
-    measure itself (radial CDF t / (1 + t) per factor);
-  * Ginibre: a uniform mixture over j < N of Gamma(j+1) squared radii with a
-    uniform angle.
+sampleable: each factor draws its radius (propose_radius, spaces module
+docstring) with a uniform angle.  On Fubini-Study factors B(x, x) is
+constant, so that is the base measure itself; on the Ginibre plane it is a
+uniform mixture over j < N of Gamma(j+1) squared radii.
 
 Since g_i <= B pointwise, acceptance g_i(x) / B(x, x) needs no estimated
 envelope, and the expected acceptance rate at step i is (N - i) / N.  So a
@@ -190,13 +188,10 @@ def _propose_intensity(
     whatever the block sizes, and so is a whole draw.
     """
     u = rng.random((size, 2 * space.dim + 1))
-    cols = []
-    for i in range(space.dim):
-        if space.kind == "ginibre":
-            t = rng.standard_gamma(np.floor(u[:, 2 * i] * space.rank) + 1.0)
-        else:
-            t = u[:, 2 * i] / (1.0 - u[:, 2 * i])
-        cols.append(np.sqrt(t) * np.exp((2j * math.pi) * u[:, 2 * i + 1]))
+    cols = [
+        f.propose_radius(u[:, 2 * i], rng) * np.exp((2j * math.pi) * u[:, 2 * i + 1])
+        for i, f in enumerate(space.factors)
+    ]
     return np.stack(cols, axis=1), u[:, -1]
 
 
@@ -398,6 +393,8 @@ def sample_weighted(
     one uniform per step, used or not.  Its proposals depend only on the
     sweep start, so their section rows and their penalty w - log(base
     density) take one call each; every proposal is checked for finiteness.
+    One whose coordinates or squared moduli are not finite gets penalty inf,
+    so log-ratio -inf, before anything is evaluated at it.
 
     The chain carries Vinv = V^{-1} next to the section matrix V.  Replacing
     row j by v' multiplies det V by r = v' . Vinv[:, j] (Sherman-Morrison), so
@@ -436,9 +433,14 @@ def sample_weighted(
         Vinv = np.linalg.inv(V)
         xi = rng.standard_normal((c, 2, n))
         log_u = np.log(np.maximum(rng.random(c), 1e-300))
-        Z = X[:c] + sigma * (xi[:, 0] + 1j * xi[:, 1])
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            Z = X[:c] + sigma * (xi[:, 0] + 1j * xi[:, 1])
+            off = ~np.isfinite(np.vecdot(Z, Z).real)  # a coordinate or |z_i|^2 is not finite
+            if off.any():  # evaluated at the current sites instead, and never accepted
+                Z[off] = X[:c][off]
+            pen = penalty(Z)  # inf where the base density underflows to 0
+        pen[off] = np.inf
         S = space.section_matrix(Z)
-        pen = penalty(Z)
         for j in range(c):
             r = S[j] @ Vinv[:, j]
             delta = (2.0 * math.log(abs(r)) if r != 0 else -np.inf) - (pen[j] - cur_pen[j])

@@ -23,14 +23,10 @@ the grid's radial rules alone.  The test suite checks these traces against
 Kostlan's theorem (count moments from per-index Beta and Gamma laws,
 computed with scipy alone), which shares no code with the Grams.
 
-Radial laws used for Kolmogorov-Smirnov checks:
-
-  * per-factor radius of the Fubini-Study family: mixture over basis states
-    of Beta(j+1, K-j+1) laws in s = r^2 / (1 + r^2), which collapses to the
-    uniform law in s;
-  * Ginibre radius: mixture over j < N of Gamma(j+1) laws in t = r^2,
-    which is E[min(Poisson(t), N)] / N;
-  * Ginibre radii rescaled by 1/sqrt(N): CDF min(r^2, 1) in the rank limit.
+The radial law of one point is a factor's radial_cdf (spaces module
+docstring), for Kolmogorov-Smirnov checks (ks_distance); the circular law
+compares Ginibre radii rescaled by 1/sqrt(N) with its rank limit, the CDF
+min(r^2, 1).
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ import numpy as np
 
 from .energy import equilibrium_mass
 from .exprs import weight_values
-from .quadrature import QuadratureGrid, Region, build_grid, poisson_log_pmf, weighted_gram_matrix
+from .quadrature import QuadratureGrid, Region, build_grid, weighted_gram_matrix
 from .sampler import sample_dpp_many
 from .spaces import ModelSpace
 
@@ -56,7 +52,6 @@ __all__ = [
     "region_count_stats",
     "pair_count_stats",
     "estimate_intensity",
-    "radial_cdf",
     "ks_distance",
     "circular_law_distance",
     "CircularLawReport",
@@ -88,9 +83,9 @@ def parse_region(text: str, dim: int = 1) -> Region:
 def region_grid(space: ModelSpace, *regions: Region) -> QuadratureGrid:
     """build_grid's default grid with panel edges on every region boundary.
 
-    Its max(32, d // 2 + 8) nodes per panel are exact for the polynomial
-    region integrands of Fubini-Study factors; Ginibre panels share
-    max(96, d // 2 + 8) nodes by width.
+    Its max(node_floor, d // 2 + 8) nodes per panel are exact for the
+    polynomial region integrands of Fubini-Study factors; Ginibre panels
+    share them by width.
     """
     per_factor: list[list[float]] = [[] for _ in range(space.dim)]
     for reg in regions:
@@ -297,7 +292,7 @@ def estimate_intensity(
         raise ValueError(f"need bins >= 1 and finite extent > 0, got bins={bins}, extent={extent}")
     z = _stacked(configurations)[:, :, 0]
     if extent is None:
-        extent = math.sqrt(space.rank) * 1.25 + 1.0 if space.kind == "ginibre" else 4.0
+        extent = 4.0 if space.factors[0].compact else math.sqrt(space.rank) * 1.25 + 1.0
     edges = np.linspace(-extent, extent, bins + 1)
     width = edges[1] - edges[0]
     area = width * width
@@ -338,38 +333,6 @@ def estimate_intensity(
 # radial laws
 
 
-def radial_cdf(space: ModelSpace):
-    """CDF of one pooled point radius |z_i| under the projection process.
-
-    A mixture over basis states.  On Ginibre the state j has a Gamma(j + 1)
-    law in t = r^2, and P(Gamma(j + 1) <= t) = P(Poisson(t) >= j + 1), so
-    the mean over j < N is
-
-        E[min(Poisson(t), N)] / N = 1 - sum_{k<N} (N - k)/N P(Poisson(t) = k),
-
-    from the Poisson terms of the Ginibre grid edge (poisson_log_pmf): 0 at
-    t = 0, and 1 once every term has underflowed at t >> N.  On a
-    Fubini-Study factor of degree K the laws are Beta(j + 1, K - j + 1) in
-    s = r^2/(1+r^2), whose mean over j is E[Bin(K + 1, s)]/(K + 1) = s:
-    uniform in s, the same law on every factor of a product.
-    """
-    if space.kind == "ginibre":
-        N = space.rank
-        share = (N - np.arange(N)) / N
-
-        def cdf(r):
-            r = np.asarray(r, dtype=float)
-            return 1.0 - np.exp(poisson_log_pmf(N, r * r)) @ share
-
-        return cdf
-
-    def cdf(r):
-        r = np.asarray(r, dtype=float)
-        return (r * r) / (1.0 + r * r)
-
-    return cdf
-
-
 def ks_distance(values: np.ndarray, cdf) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a callable CDF."""
     x = np.sort(np.asarray(values, dtype=float))
@@ -392,7 +355,7 @@ class CircularLawReport:
 
 def circular_law_distance(space: ModelSpace, configurations) -> CircularLawReport:
     """KS distance of radii / sqrt(N) to the unit-disk radial CDF min(r^2, 1)."""
-    if space.kind != "ginibre":
+    if space.factors[0].compact:
         raise ValueError("the circular-law check applies to the Ginibre space")
     P = _stacked(configurations)
     radii = np.abs(P[:, :, 0]).ravel() / math.sqrt(space.rank)

@@ -24,7 +24,7 @@ def kostlan_probabilities(space, bounds):
     the outer product over factors in the flattened (C-order) basis.
     """
     p = np.ones(1)
-    for d, (lo, hi) in zip(space.factor_degrees, bounds):
+    for d, (lo, hi) in zip((f.degree for f in space.factors), bounds):
         j = np.arange(d + 1.0)
         if space.kind == "ginibre":
             def cdf(r):

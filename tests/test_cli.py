@@ -461,6 +461,46 @@ def test_quadrature_overflow_is_reported_once(capsys):
     assert "quadrature factor overflowed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["check", "partition"], ["energy", "cgf", "--t", "0"]])
+def test_weight_overflow_is_reported_once(command, capsys):
+    # 1e308 * r2 overflows inside the weight: weight_values names it, and
+    # numpy prints no RuntimeWarning before that one line
+    argv = [*command, "--space", "ginibre", "--n", "30", "--weight-expr", "1e308*r2"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: weight WeightExpr('1e308*r2') is inf")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("space", [["fs", "--k", "5"], ["ginibre", "--n", "5"]])
+def test_chain_rejects_proposals_off_the_float_range(space, capsys):
+    # at scale 1e308 every proposal overflows to inf: each is rejected
+    # before its sections, weight or density are evaluated
+    argv = ["sample", "--space", *space, "--mcmc-steps", "1", "--proposal-scale", "1e+308",
+            "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 0
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert doc["acceptance_rate"] == 0.0
+    assert [w.split(";")[0] for w in doc["warnings"]] == ["acceptance rate 0.000 outside [0.05, 0.90]"]
+    assert err == ""
+
+
+def test_counts_on_a_region_past_the_float_range(capsys):
+    # annulus:0.5:1e300: (1e300)^2 overflows a float, so the outer radius
+    # counts as beyond every edge
+    argv = ["stats", "counts", "--space", "product", "--mults", "1,2", "--k", "1", "--reps", "5",
+            "--seed", "1", "--region", "annulus:0.5:1e300"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_sampler_stall_is_a_numerical_failure(monkeypatch, capsys):
     import bergdpp.sampler as sampler
 

@@ -272,7 +272,7 @@ def test_factorised_gram_aliases_like_dense(family):
     # angular < 2 * degree + 1: frequencies a - b alias onto each other
     space, _, _, im_weight = _SPACES[family]
     grid = build_grid(space, radial=6, angular=4)
-    assert all(n < 2 * d + 1 for n, d in zip(grid.angular, space.factor_degrees))
+    assert all(n < 2 * d + 1 for n, d in zip(grid.angular, (f.degree for f in space.factors)))
     _assert_matches_dense(space, grid)
     _assert_matches_dense(space, grid, parse_weight(im_weight))
 
@@ -340,7 +340,7 @@ def test_dense_route_is_kept_unless_the_inputs_are_torus_invariant(family):
     angular_mask = parse_weight(re_weight)
     assert not _diagonal(space, grid, None, angular_mask)
     _assert_matches_dense(space, grid, None, angular_mask)
-    aliasing = build_grid(space, angular=max(space.factor_degrees))
+    aliasing = build_grid(space, angular=max(f.degree for f in space.factors))
     assert not _diagonal(space, aliasing, None, None)
     g = gram(space, aliasing)
     assert g.route == "dense"

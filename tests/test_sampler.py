@@ -24,7 +24,7 @@ from bergdpp.sampler import (
     sample_weighted,
 )
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
-from bergdpp.stats import ks_distance, radial_cdf
+from bergdpp.stats import ks_distance
 from discrete_oracle import DiscreteProjectionDpp, discrete_projection_from_space
 
 
@@ -283,7 +283,7 @@ def test_fs_radial_law():
     space = make_fubini_study(6)
     confs = sample_dpp_many(space, reps=400, seed=17)
     radii = np.abs(np.concatenate([c.points[:, 0] for c in confs]))
-    d = ks_distance(radii, radial_cdf(space))
+    d = ks_distance(radii, space.factors[0].radial_cdf)
     assert d < 0.04  # n = 2800, far above the 1.36/sqrt(n) 5% band
 
 
@@ -291,7 +291,7 @@ def test_ginibre_radial_law():
     space = make_ginibre(5)
     confs = sample_dpp_many(space, reps=400, seed=19)
     radii = np.abs(np.concatenate([c.points[:, 0] for c in confs]))
-    d = ks_distance(radii, radial_cdf(space))
+    d = ks_distance(radii, space.factors[0].radial_cdf)
     assert d < 0.04
 
 
@@ -367,7 +367,7 @@ def test_mcmc_unweighted_matches_exact_law():
     assert 0.05 < run.acceptance_rate < 0.9
     assert run.warnings == []
     radii = np.abs(np.concatenate([c.points[:, 0] for c in run.configurations]))
-    d = ks_distance(radii, radial_cdf(space))
+    d = ks_distance(radii, space.factors[0].radial_cdf)
     assert d < 0.08  # thinned chain, n = 140 pooled radii
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from bergdpp.exprs import complex_hessian, parse_weight
 from bergdpp.spaces import (
     limit_frame,
     make_fubini_study,
@@ -32,20 +33,20 @@ def test_fs_shape():
     assert space.kind == "fs"
     assert space.rank == 8
     assert space.dim == 1
-    assert space.factor_degrees == (7,)
+    assert tuple(f.degree for f in space.factors) == (7,)
 
 
 def test_ginibre_shape():
     space = make_ginibre(5)
     assert space.rank == 5
     assert space.power == 5
-    assert space.factor_degrees == (4,)
+    assert tuple(f.degree for f in space.factors) == (4,)
 
 
 def test_product_rank_multiplies():
     space = make_product((1, 2), 3)
     assert space.dim == 2
-    assert space.factor_degrees == (3, 6)
+    assert tuple(f.degree for f in space.factors) == (3, 6)
     assert space.rank == 4 * 7
 
 
@@ -66,14 +67,14 @@ def test_factory_validation(bad):
 def test_fs_log_norms_are_binomial():
     space = make_fubini_study(3)
     want = np.log(np.sqrt(4.0 * special.comb(3, np.arange(4))))
-    assert np.allclose(space.factor_log_norms(0), want, atol=1e-14)
+    assert np.allclose(space.factors[0].log_norms, want, atol=1e-14)
     # c_j = (log(K+1) + log K! - log j! - log (K-j)!)/2 cancels terms of size
     # log K! on both sides, so the bound scales with log K!, not with |c_j|
     for k in range(401):
         j = np.arange(k + 1.0)
         want = 0.5 * (math.log(k + 1.0) + special.gammaln(k + 1.0) - special.gammaln(j + 1.0)
                       - special.gammaln(k - j + 1.0))
-        got = make_fubini_study(k).factor_log_norms(0)
+        got = make_fubini_study(k).factors[0].log_norms
         assert np.max(np.abs(got - want)) <= 1e-15 * max(1.0, special.gammaln(k + 1.0))
 
 
@@ -85,17 +86,17 @@ def test_fs_log_norms_match_mpmath():
         for k in range(401):
             half = [float(mpmath.log(mpmath.mpf(k + 1) * math.comb(k, j)) / 2) for j in range(k // 2 + 1)]
             want = np.array(half + half[: (k + 1) // 2][::-1])
-            got = make_fubini_study(k).factor_log_norms(0)
+            got = make_fubini_study(k).factors[0].log_norms
             assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want))), k
 
 
 def test_ginibre_log_norms_are_factorial():
     space = make_ginibre(4)
     want = -0.5 * np.log([1.0, 1.0, 2.0, 6.0])
-    assert np.allclose(space.factor_log_norms(0), want, atol=1e-14)
+    assert np.allclose(space.factors[0].log_norms, want, atol=1e-14)
     # the norms of N = 1000 hold those of every smaller N as a prefix
     want = -0.5 * special.gammaln(np.arange(1000.0) + 1.0)
-    got = make_ginibre(1000).factor_log_norms(0)
+    got = make_ginibre(1000).factors[0].log_norms
     assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
 
 
@@ -154,7 +155,7 @@ def _mp_factor_values(kind, d, z):
     ids=["gin300", "fs400", "prod12k20"],
 )
 def test_sections_match_mpmath_at_large_degree(space, points):
-    # the error order stated in ModelSpace._factor_values: a phase is off by
+    # the error order stated in the factors' values(): a phase is off by
     # O(eps |theta| d), a magnitude by O(eps (d |log r| + |c_j| + w(r)));
     # on a product the factor orders add.  Relative to each row's largest
     # entry, the measured errors sit at a third of eps times that order or less
@@ -164,13 +165,28 @@ def test_sections_match_mpmath_at_large_degree(space, points):
     kind = "ginibre" if space.kind == "ginibre" else "fs"
     for row, z in zip(V, Z):
         want, order = np.ones(1, dtype=complex), 0.0
-        for i, d in enumerate(space.factor_degrees):
+        for i, d in enumerate(f.degree for f in space.factors):
             want = np.outer(want, _mp_factor_values(kind, d, z[i])).ravel()
             r = abs(z[i])
             w = r * r if kind == "ginibre" else d * math.log1p(r * r)
-            c = np.max(np.abs(space.factor_log_norms(i)))
+            c = np.max(np.abs(space.factors[i].log_norms))
             order += 1.0 + d * (abs(np.angle(z[i])) + abs(math.log(r))) + c + w
         assert np.max(np.abs(row - want)) <= eps * order * np.max(np.abs(want)), z
+
+
+@pytest.mark.parametrize(
+    "space",
+    [make_ginibre(7), make_fubini_study(1), make_fubini_study(9), make_product((1, 2), 3)],
+    ids=["gin7", "fs1", "fs9", "prod12k3"],
+)
+def test_factor_hessians_match_their_weight_expressions(space):
+    # an oracle that shares no code with the factors: the forward-mode
+    # Hessian of each factor's weight written as an expression, per k
+    z = (0.05 + 0.37 * np.arange(20)) * np.exp(1j * np.linspace(-3.0, 3.0, 20))
+    for f in space.factors:
+        expr, k = (f"{f.degree}*log(1+r2)", space.power) if f.compact else ("r2", 1)
+        want = complex_hessian(parse_weight(expr), z)[:, 0, 0]
+        assert np.max(np.abs(f.hessian(np.abs(z) ** 2) - want / k)) <= 1e-13
 
 
 def test_product_sections_factorize():

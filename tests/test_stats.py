@@ -31,7 +31,6 @@ from bergdpp.stats import (
     measure_convergence,
     pair_count_stats,
     parse_region,
-    radial_cdf,
     region_count_stats,
     region_grid,
 )
@@ -335,6 +334,21 @@ def test_full_region_count_is_deterministic():
     assert var < 1e-8
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", [1e7, 1e8, 1e200])
+@pytest.mark.parametrize(
+    "space",
+    [make_fubini_study(0), make_fubini_study(3), make_product((1, 2), 1), make_ginibre(5)],
+    ids=["fs0", "fs3", "prod12k1", "gin5"],
+)
+def test_huge_disk_holds_every_point(space, radius):
+    # past r ~ 1e7 a sphere's outer panel [s, 1] has no float room below
+    # s = 1, and (1e200)^2 overflows: such breaks are dropped, as a Ginibre
+    # break beyond t_max is, and the disk's mean count is N
+    mean, _ = count_moments(space, Region.disk(radius, space.dim))
+    assert abs(mean - space.rank) <= 1e-12
+
+
 def test_region_count_stats_on_samples():
     space = make_fubini_study(5)
     confs = sample_dpp_many(space, reps=600, seed=23)
@@ -479,7 +493,7 @@ def test_fs_radial_cdf_is_uniform_in_s():
     for k in (0, 1, 5, 50):
         j = np.arange(k + 1)
         beta_mixture = special.betainc(j[None, :] + 1.0, k - j[None, :] + 1.0, s[:, None]).mean(axis=1)
-        assert np.max(np.abs(radial_cdf(make_fubini_study(k))(r) - beta_mixture)) < 1e-14
+        assert np.max(np.abs(make_fubini_study(k).factors[0].radial_cdf(r) - beta_mixture)) < 1e-14
 
 
 def test_ginibre_radial_cdf_matches_gamma_sum():
@@ -488,7 +502,7 @@ def test_ginibre_radial_cdf_matches_gamma_sum():
         edge = math.sqrt(special.gammainccinv(n, TAIL))
         r = np.concatenate([np.linspace(0.0, 2.0 * edge, 801), [1e-8, 1.3, 1e3, 1e8]])
         want = np.mean([special.gammainc(j + 1.0, r * r) for j in range(n)], axis=0)
-        got = radial_cdf(make_ginibre(n))(r)
+        got = make_ginibre(n).factors[0].radial_cdf(r)
         assert got[0] == 0.0 and got[-1] == 1.0
         assert np.max(np.abs(got - want)) < 1e-13
 
