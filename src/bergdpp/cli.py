@@ -148,6 +148,49 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _emit(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n", out)
 
 
+@functools.cache
+def _configuration_template(rows: int, width: int) -> str:
+    """A configuration as json.dumps(indent=2) writes it in a report's top-level list.
+
+    Its slots are log_density, mcmc_step and origin, already encoded, then
+    the rows x width floats of the point view in row order.
+    """
+    row = "[\n          " + ",\n          ".join(["%r"] * width) + "\n        ]"
+    points = "[\n        " + ",\n        ".join([row] * rows) + "\n      ]"
+    return (
+        '    {\n      "log_density": %s,\n      "mcmc_step": %s,\n      "origin": %s,\n'
+        '      "points": ' + points + "\n    }"
+    )
+
+
+def _samples_json(payload: dict, confs: list[Configuration]) -> str:
+    """The samples report payload + {"configurations": confs} as JSON text.
+
+    The text is byte for byte json.dumps(report, sort_keys=True, indent=2,
+    allow_nan=False), where report is payload with "configurations" set to
+    [c.to_json_dict() for c in confs].  The rest of the report goes through
+    that call; each configuration is one % on a template of its shape,
+    filled with float.__repr__ of its (N, 2 dim) float view, which is how
+    json writes a float.  A configuration with a value that is not finite
+    sends the whole report through json.dumps, which raises its ValueError.
+    """
+    parts = []
+    for c in confs:
+        view = np.ascontiguousarray(c.points, dtype=complex).view(float)
+        if not (math.isfinite(c.log_density) and np.isfinite(view).all()):
+            report = {**payload, "configurations": [c.to_json_dict() for c in confs]}
+            return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        step = "null" if c.mcmc_step is None else int.__repr__(c.mcmc_step)
+        head = (float.__repr__(c.log_density), step, json.dumps(c.origin))
+        parts.append(_configuration_template(*view.shape) % (*head, *view.ravel().tolist()))
+    text = json.dumps({**payload, "configurations": []}, sort_keys=True, indent=2, allow_nan=False)
+    if not parts:
+        return text
+    # the top-level key sits at indent 2; no string holds a raw newline
+    key = '\n  "configurations": ['
+    return text.replace(key + "]", key + "\n" + ",\n".join(parts) + "\n  ]", 1)
+
+
 def _report(schema: str, config: dict, body: dict) -> dict:
     payload = {
         "schema": f"{SCHEMA_TAG}.{schema}/1",
@@ -295,9 +338,8 @@ def _cmd_sample(args) -> int:
             "seed": seed,
             "acceptance_rate": run.acceptance_rate,
             "warnings": run.warnings,
-            "configurations": [c.to_json_dict() for c in run.configurations],
         }
-        _emit_json(_report("samples", config, body), args.out)
+        _emit(_samples_json(_report("samples", config, body), run.configurations) + "\n", args.out)
         return 0
 
     if args.weight_expr is not None or args.weight_k_expr is not None:
@@ -310,12 +352,8 @@ def _cmd_sample(args) -> int:
         raise CliError(f"chain flags {given} need --mcmc-steps (the exact sampler runs no chain)")
     config["reps"] = reps = 1 if args.reps is None else _reps(args)
     confs = sample_dpp_many(space, reps, seed, workers=args.workers)
-    body = {
-        "space": space_to_config(space),
-        "seed": seed,
-        "configurations": [c.to_json_dict() for c in confs],
-    }
-    _emit_json(_report("samples", config, body), args.out)
+    body = {"space": space_to_config(space), "seed": seed}
+    _emit(_samples_json(_report("samples", config, body), confs) + "\n", args.out)
     return 0
 
 

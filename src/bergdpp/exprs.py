@@ -17,9 +17,11 @@ Identifiers refer to chart coordinates of a point z = (z_1, ..., z_n):
 Expressions evaluate to real arrays over batches of chart points.  Every
 weight, parsed or any other callable, becomes numbers through one checked
 helper, weight_values: None is zero, and a result that is not (M,) finite
-floats raises ValueError naming the weight and the first bad point.  Weights
-add in one place, weight_sum: a Gibbs potential such as psi + k psi' or
-psi + t f is formed there once and handed on as a single weight.
+floats raises ValueError naming the weight and the first bad point.  Its
+twin potential_values, for the weighted sampler's proposals, also lets +inf
+through, where e^{-w} = 0.  Weights add in one place, weight_sum: a Gibbs
+potential such as psi + k psi' or psi + t f is formed there once and
+handed on as a single weight.
 is_radial_weight tells from a weight's form alone whether it depends on the
 moduli only; quadrature takes its diagonal Gram route on that answer.
 
@@ -47,6 +49,7 @@ __all__ = [
     "WeightExpr",
     "parse_weight",
     "weight_values",
+    "potential_values",
     "weight_sum",
     "is_radial_weight",
     "complex_hessian",
@@ -324,15 +327,36 @@ def weight_values(weight, points) -> np.ndarray:
     bad point.  numpy's floating-point warnings are off while the weight
     runs, so a non-finite value is reported once, by that check.
     """
+    return _checked_values(weight, points, np.isfinite)
+
+
+def potential_values(weight, points) -> np.ndarray:
+    """Values of a Gibbs potential w at M chart points: weight_values, with +inf allowed.
+
+    e^{-w} = 0 where w = +inf, so such a point has density 0 and is a valid
+    value of a potential; NaN and -inf still raise, naming the weight and
+    the first bad point.  A weight_sum lets +inf through its terms too.
+    """
+    return _checked_values(weight, points, _below_inf)
+
+
+def _below_inf(vals: np.ndarray) -> np.ndarray:
+    return vals > -np.inf  # false at NaN and at -inf
+
+
+def _checked_values(weight, points, ok) -> np.ndarray:
+    """(M,) float values of the weight at the points, raising where ok(values) is false."""
     Z = np.asarray(points)
     if weight is None:
         return np.zeros(Z.shape[0])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        vals = np.asarray(weight(Z), dtype=float)
+        vals = weight.sum_values(Z, ok) if isinstance(weight, _WeightSum) else weight(Z)
+        vals = np.asarray(vals, dtype=float)
     if vals.shape != (Z.shape[0],):
         raise ValueError(f"weight {weight!r} must return shape ({Z.shape[0]},), got {vals.shape}")
-    if not np.isfinite(vals).all():
-        i = int(np.argmin(np.isfinite(vals)))
+    good = ok(vals)
+    if not good.all():
+        i = int(np.argmin(good))
         raise ValueError(
             f"weight {weight!r} is {vals[i]} at point {i}, z = {np.atleast_1d(Z[i]).tolist()}"
         )
@@ -346,7 +370,10 @@ class _WeightSum:
         self.terms = terms
 
     def __call__(self, points) -> np.ndarray:
-        return sum(c * weight_values(f, points) for c, f in self.terms)
+        return self.sum_values(np.asarray(points), np.isfinite)
+
+    def sum_values(self, points: np.ndarray, ok) -> np.ndarray:
+        return sum(c * _checked_values(f, points, ok) for c, f in self.terms)
 
     def __repr__(self) -> str:
         return " + ".join(f"{c:g}*{f!r}" for c, f in self.terms)

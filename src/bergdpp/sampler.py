@@ -56,14 +56,20 @@ sampler evaluates one weight per site and knows nothing of k.  Its
 configurations are generated by Metropolis-Hastings with single-site
 Gaussian moves in chart coordinates.  The chain targets the chart-Lebesgue
 density, so acceptance ratios include the base-density factor at the moved
-site along with the determinant and weight terms.  The determinant term is
-a Sherman-Morrison ratio against a carried inverse of the section matrix,
-refactorised once per sweep.  Coincident points get log-density -inf and
-are never accepted.  A sweep moves each site once, so its proposals
-depend only on the sweep start: they are drawn, and their sections and
-weights evaluated, in one batch per sweep.  That is exact, since the
-proposals are functions of the sweep start and the uniforms are
-independent of every accept/reject decision.
+site along with the determinant and weight terms.  A sweep moves each site
+once, so its proposals depend only on the sweep start: they are drawn, and
+their sections and weights evaluated, in one batch per sweep.  That is
+exact, since the proposals are functions of the sweep start and the
+uniforms are independent of every accept/reject decision.  The determinant
+terms come from one factorisation per sweep, K = S V^{-1} for the section
+matrix V and the sweep's proposal rows S: K[j, j] is the ratio of
+determinants for moving site j alone.  An accepted move is a step of
+Gaussian elimination with pivot K[j, j] on the trailing block of K, after
+which each later diagonal entry is the Schur complement of the accepted
+block, the exact ratio against the updated matrix (the delayed updates of
+quantum Monte Carlo; McDaniel et al., J. Chem. Phys. 2017).  Coincident
+points give a zero ratio and are never accepted, nor is a proposal where
+the weight is +inf.
 
 All randomness derives from one integer seed through counter-based Philox
 streams; replicas use disjoint spawn keys, so runs are reproducible and
@@ -72,12 +78,13 @@ parallelizable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exprs import weight_values
+from .exprs import potential_values, weight_values
 from .spaces import ModelSpace, _as_points
 
 __all__ = [
@@ -195,6 +202,18 @@ def _propose_intensity(
     return np.stack(cols, axis=1), u[:, -1]
 
 
+@functools.cache
+def _strictly_lower(k: int) -> np.ndarray:
+    """The read-only k x k mask of the entries below the diagonal.
+
+    Memoised per k (at most the width of Y): building the mask on every
+    call, as np.triu does, took about a third of a block flush.
+    """
+    mask = np.tri(k, k, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _apply_reflections(Wc: np.ndarray, Y: np.ndarray, m: int) -> None:
     """Apply the pending reflections H_j = I - 2 y_j y_j^H to conj(W), in order.
 
@@ -208,7 +227,8 @@ def _apply_reflections(Wc: np.ndarray, Y: np.ndarray, m: int) -> None:
     conj(W) Y takes several times as long as the inverse and a product).
     """
     k = Y.shape[1]
-    Tinv = np.triu(Y.conj().T @ Y, 1)
+    Tinv = Y.conj().T @ Y
+    np.copyto(Tinv, 0.0, where=_strictly_lower(k))
     Tinv.flat[:: k + 1] = 0.5
     Wc[:, :m] -= (Wc[:, : Y.shape[0]] @ Y) @ (np.linalg.inv(Tinv) @ Y[:m].conj().T)
 
@@ -394,17 +414,24 @@ def sample_weighted(
     sweep start, so their section rows and their penalty w - log(base
     density) take one call each; every proposal is checked for finiteness.
     One whose coordinates or squared moduli are not finite gets penalty inf,
-    so log-ratio -inf, before anything is evaluated at it.
+    so log-ratio -inf, before anything is evaluated at it, and so does one
+    where the weight is +inf (potential_values); a weight that is NaN or
+    -inf there raises.  The start configuration's weight must be finite.
+    The thresholds w' - w and the log-uniforms become Python floats once per
+    sweep.
 
-    The chain carries Vinv = V^{-1} next to the section matrix V.  Replacing
-    row j by v' multiplies det V by r = v' . Vinv[:, j] (Sherman-Morrison), so
-    scoring a proposal costs O(N) and a rejection touches nothing.  An
-    accepted move replaces row j of V and applies the rank-1 update
-    Vinv -= Vinv[:, j] (v' Vinv - e_j) / r in O(N^2).  Vinv is refactorised
-    from V at the start of every sweep, so rounding accumulates over at most
-    N steps.  A zero ratio (coincident points) gives log-ratio -inf and is
-    rejected.  slogdet runs only at collected configurations, which carry
-    the mu^N Gibbs log-density of the current V and their step index.
+    At each sweep start one solve against the section matrix V gives
+    K = S V^{-1}, cut to the sweep's c columns, for the c proposal rows S.
+    Step j reads its ratio r = det V' / det V (V' = V with row j set to
+    S[j]) from K[j, j], so a rejection touches nothing.  An accepted move
+    sets row j of V and eliminates with pivot r on the trailing block,
+    K[j+1:, j+1:] -= K[j+1:, j] K[j, j+1:] / r, in O((c - j)^2): each later
+    diagonal entry is then the Schur complement of the accepted rows, the
+    ratio against the updated V.  K is rebuilt from V at the next sweep, so
+    rounding accumulates over at most N steps.  A zero ratio (coincident
+    points) gives log-ratio -inf and is rejected.  slogdet runs only at
+    collected configurations, which carry the mu^N Gibbs log-density of the
+    current V and their step index.
     """
     if seed is None:
         raise ValueError("sample_weighted needs a seed")
@@ -415,14 +442,11 @@ def sample_weighted(
     X = start.points.copy()
     V = space.section_matrix(X)
 
-    def penalty(Z: np.ndarray) -> np.ndarray:
-        return weight_values(weight, Z) - np.log(space.base_density(Z))
-
     def slog(Vm: np.ndarray) -> float:
         sign, la = np.linalg.slogdet(Vm)
         return float(2.0 * la) if sign != 0 and np.isfinite(la) else float("-inf")
 
-    cur_pen = penalty(X)
+    cur_pen = weight_values(weight, X) - np.log(space.base_density(X))
     accepted = 0
     out: list[Configuration] = []
     sigma = config.proposal_scale
@@ -430,24 +454,29 @@ def sample_weighted(
     for s0 in range(0, config.steps, N):
         # the sweep's c proposals depend only on the sweep-start sites
         c = min(N, config.steps - s0)
-        Vinv = np.linalg.inv(V)
         xi = rng.standard_normal((c, 2, n))
-        log_u = np.log(np.maximum(rng.random(c), 1e-300))
+        log_u = np.log(np.maximum(rng.random(c), 1e-300)).tolist()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             Z = X[:c] + sigma * (xi[:, 0] + 1j * xi[:, 1])
             off = ~np.isfinite(np.vecdot(Z, Z).real)  # a coordinate or |z_i|^2 is not finite
             if off.any():  # evaluated at the current sites instead, and never accepted
                 Z[off] = X[:c][off]
-            pen = penalty(Z)  # inf where the base density underflows to 0
+            # inf where the weight is +inf or the base density underflows to 0
+            pen = potential_values(weight, Z) - np.log(space.base_density(Z))
         pen[off] = np.inf
+        thresholds = (pen - cur_pen[:c]).tolist()
         S = space.section_matrix(Z)
+        # K = S V^{-1}, cut to the sweep's sites: K[j, j] is det V' / det V
+        # for V' = V with row j set to S[j]
+        K = np.linalg.solve(V.T, S.T)[:c].T
         for j in range(c):
-            r = S[j] @ Vinv[:, j]
-            delta = (2.0 * math.log(abs(r)) if r != 0 else -np.inf) - (pen[j] - cur_pen[j])
+            r = K[j, j]
+            delta = (2.0 * math.log(abs(r)) if r != 0 else -math.inf) - thresholds[j]
             if delta >= 0.0 or log_u[j] < delta:
-                w = S[j] @ Vinv
-                w[j] -= 1.0
-                Vinv -= np.outer(Vinv[:, j] / r, w)
+                # eliminate with pivot r: each later diagonal entry becomes the
+                # Schur complement of the accepted rows, the ratio against the
+                # updated V
+                K[j + 1 :, j + 1 :] -= K[j + 1 :, j, None] * (K[j, j + 1 :] / r)
                 V[j] = S[j]
                 X[j] = Z[j]
                 cur_pen[j] = pen[j]

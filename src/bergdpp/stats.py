@@ -293,6 +293,12 @@ def estimate_intensity(
     z = _stacked(configurations)[:, :, 0]
     if extent is None:
         extent = 4.0 if space.factors[0].compact else math.sqrt(space.rank) * 1.25 + 1.0
+    side = 2.0 * extent / bins
+    if not 0.0 < side * side < math.inf:
+        raise ValueError(
+            f"extent {extent} over {bins} bins gives bins of area {side * side}; "
+            "need a positive finite bin area"
+        )
     edges = np.linspace(-extent, extent, bins + 1)
     width = edges[1] - edges[0]
     area = width * width

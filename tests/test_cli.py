@@ -4,6 +4,7 @@ Exit convention: 0 success, 2 usage or input errors, 3 numerical failures
 (degenerate Gram, loss of positivity, sampler stalls, failed checks).
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -13,12 +14,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bergdpp
-from bergdpp.cli import run
+from bergdpp.cli import _samples_json, run
 from bergdpp.energy import lambda_report
 from bergdpp.exprs import parse_weight, weight_sum
-from bergdpp.sampler import log_density
+from bergdpp.sampler import Configuration, log_density
 from bergdpp.spaces import make_fubini_study, make_product
 
 
@@ -46,6 +49,72 @@ def test_sample_writes_report(tmp_path):
     assert len(pts) == 4
     assert all(len(row) == 2 for row in pts)
     assert "log_density" in doc["configurations"][0]
+
+
+# finite floats, with the edges of the float range among them
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+)
+
+
+@st.composite
+def _samples_reports(draw, min_confs=0):
+    """(payload, configurations) of a samples report: dim 1 or 2, N from 1 to 7."""
+    dim, n = draw(st.sampled_from([1, 2])), draw(st.integers(1, 7))
+    confs = []
+    for _ in range(draw(st.integers(min_confs, 4))):
+        flat = draw(st.lists(_FINITE, min_size=2 * n * dim, max_size=2 * n * dim))
+        confs.append(
+            Configuration(
+                points=np.array(flat).view(complex).reshape(n, dim),
+                log_density=draw(st.sampled_from([float, np.float64]))(draw(_FINITE)),
+                origin=draw(st.sampled_from(["exact", "mcmc"])),
+                mcmc_step=draw(st.none() | st.integers(0, 10**9)),
+            )
+        )
+    payload = {
+        "schema": "bergdpp.samples/1",
+        "version": bergdpp.__version__,
+        "config": {"command": "sample", "seed": 7, "weight_expr": draw(st.none() | st.text(max_size=8))},
+        "space": {"kind": "product", "k": 2, "mults": [1] * dim},
+        "seed": 7,
+    }
+    if draw(st.booleans()):  # a chain's report
+        payload.update(acceptance_rate=draw(_FINITE), warnings=draw(st.lists(st.text(max_size=8), max_size=2)))
+    return payload, confs
+
+
+def _dumps_report(payload, confs):
+    report = {**payload, "configurations": [c.to_json_dict() for c in confs]}
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_samples_reports())
+def test_bulk_samples_writer_writes_the_bytes_of_json_dumps(report):
+    assert _samples_json(*report) == _dumps_report(*report)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_samples_reports(min_confs=1), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
+def test_bulk_samples_writer_raises_the_json_error_on_a_value_that_is_not_finite(report, bad, data):
+    payload, confs = report
+    i = data.draw(st.integers(0, len(confs) - 1))
+    c = confs[i]
+    slot = data.draw(st.integers(-1, c.points.size * 2 - 1))  # -1: log_density
+    if slot < 0:
+        c = dataclasses.replace(c, log_density=bad)
+    else:
+        view = c.points.copy().view(float)
+        view.flat[slot] = bad
+        c = dataclasses.replace(c, points=view.view(complex))
+    confs = confs[:i] + [c] + confs[i + 1 :]
+    with pytest.raises(ValueError) as want:
+        _dumps_report(payload, confs)
+    with pytest.raises(ValueError) as got:
+        _samples_json(payload, confs)
+    assert str(got.value) == str(want.value)
 
 
 def test_sample_deterministic_bytes(tmp_path):
@@ -490,6 +559,35 @@ def test_chain_rejects_proposals_off_the_float_range(space, capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize("k_expr", [[], ["--weight-k-expr", "r2"]], ids=["psi", "psi-plus-k-psi1"])
+def test_chain_rejects_proposals_where_the_weight_is_inf(k_expr, capsys):
+    # r2*r2 overflows to +inf at scale 1e100: e^{-inf} = 0 there, so each
+    # such proposal is rejected like one off the float range, and the chain
+    # runs on; a weight_sum lets the +inf of its term through the same way
+    argv = ["sample", "--space", "fs", "--k", "3", "--weight-expr", "r2*r2", *k_expr,
+            "--mcmc-steps", "10", "--proposal-scale", "1e100", "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 0
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert doc["acceptance_rate"] == 0.0 and len(doc["configurations"]) == 10
+    assert [w.split(";")[0] for w in doc["warnings"]] == ["acceptance rate 0.000 outside [0.05, 0.90]"]
+    assert err == ""
+
+
+def test_chain_rejects_a_weight_that_is_minus_inf_where_it_walks(capsys):
+    # -inf is no density: the chain still stops and names the weight and point
+    argv = ["sample", "--space", "fs", "--k", "3", "--weight-expr", "0-r2*r2",
+            "--mcmc-steps", "10", "--proposal-scale", "1e100", "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: weight WeightExpr('0-r2*r2') is -inf at point 0, z = [")
+    assert err.count("\n") == 1
+
+
 def test_counts_on_a_region_past_the_float_range(capsys):
     # annulus:0.5:1e300: (1e300)^2 overflows a float, so the outer radius
     # counts as beyond every edge
@@ -705,6 +803,20 @@ def test_stats_intensity_rejects_bad_binning(flags, capsys):
     assert run(["stats", "intensity", "--space", "fs", "--k", "3", "--reps", "2",
                 "--seed", "13", *flags]) == 2
     assert flags[0].lstrip("-") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extent", ["1e200", "1e-200"], ids=["overflow", "underflow"])
+def test_stats_intensity_refuses_a_bin_area_off_the_float_range(extent, capsys):
+    # (2 * extent / bins)^2 overflows to inf or underflows to 0: one error
+    # line, and no numpy warning on the way
+    argv = ["stats", "intensity", "--space", "fs", "--k", "3", "--reps", "2", "--seed", "1",
+            "--bins", "2", "--extent", extent]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: extent {float(extent)} over 2 bins gives bins of area ")
+    assert err.count("\n") == 1
 
 
 def test_stats_circular(tmp_path):

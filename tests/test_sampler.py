@@ -406,15 +406,15 @@ def test_mcmc_stores_gibbs_log_density(space, psi_text, steps):
 
 
 def test_mcmc_factorises_once_per_sweep(monkeypatch):
-    # O(N^3) work only at sweep starts (inv) and collected configurations
+    # O(N^3) work only at sweep starts (solve) and collected configurations
     # (slogdet); every other step costs one determinant ratio
-    calls = {"inv": 0, "slogdet": 0}
+    calls = {"solve": 0, "slogdet": 0}
     for name in calls:
         real = getattr(np.linalg, name)
 
-        def counting(M, _real=real, _name=name):
+        def counting(*args, _real=real, _name=name):
             calls[_name] += 1
-            return _real(M)
+            return _real(*args)
 
         monkeypatch.setattr(np.linalg, name, counting)
     space = make_fubini_study(9)
@@ -422,24 +422,24 @@ def test_mcmc_factorises_once_per_sweep(monkeypatch):
         space, McmcConfig(steps=95, burn_in=10, thin=20), weight=parse_weight("r2/(1+r2)"), seed=3
     )
     assert len(run.configurations) == 5
-    assert calls == {"inv": 10, "slogdet": 5}
+    assert calls == {"solve": 10, "slogdet": 5}
 
 
 @pytest.mark.parametrize("k", [2, 9, 30], ids=["N3", "N10", "N31"])
 def test_mcmc_evaluates_each_sweep_in_one_batch(monkeypatch, k):
     # the start configuration, then one section_matrix and one weight call
-    # per sweep, whatever N is; inv once per sweep, slogdet once per
+    # per sweep, whatever N is; solve once per sweep, slogdet once per
     # collected configuration
     import bergdpp.sampler as sampler
     from bergdpp.spaces import ModelSpace
 
-    calls = {"section_matrix": 0, "weight": 0, "inv": 0, "slogdet": 0}
-    for name in ("inv", "slogdet"):
+    calls = {"section_matrix": 0, "weight": 0, "solve": 0, "slogdet": 0}
+    for name in ("solve", "slogdet"):
         real = getattr(np.linalg, name)
 
-        def counting(M, _real=real, _name=name):
+        def counting(*args, _real=real, _name=name):
             calls[_name] += 1
-            return _real(M)
+            return _real(*args)
 
         monkeypatch.setattr(np.linalg, name, counting)
     real_sections = ModelSpace.section_matrix
@@ -449,10 +449,10 @@ def test_mcmc_evaluates_each_sweep_in_one_batch(monkeypatch, k):
         return real_sections(self, points)
 
     def exact_start(*args, **kwargs):
-        # the exact draw's own section evaluations and inverses are not the chain's
+        # the exact draw's own section evaluations and solves are not the chain's
         before = dict(calls)
         conf = real_sample_dpp(*args, **kwargs)
-        calls.update(section_matrix=before["section_matrix"], inv=before["inv"])
+        calls.update(section_matrix=before["section_matrix"], solve=before["solve"])
         return conf
 
     real_sample_dpp = sampler.sample_dpp
@@ -470,7 +470,7 @@ def test_mcmc_evaluates_each_sweep_in_one_batch(monkeypatch, k):
     assert calls == {
         "section_matrix": 1 + sweeps,
         "weight": 1 + sweeps,
-        "inv": sweeps,
+        "solve": sweeps,
         "slogdet": len(run.configurations),
     }
 
@@ -521,16 +521,19 @@ def _reference_chain(space, config, psi, seed):
         (make_product((1, 2), 2), "r2_1*r2_2/(1+r2_1)", None, 4 * 18 + 7, 18, 7),
         (make_fubini_study(30), "re_1/(1+r2)", None, 10, 0, 1),
         (make_fubini_study(5), "r2/(1+r2)", "re_1/(1+r2)", 4 * 6 + 5, 6, 3),
+        (make_fubini_study(60), "re_1/(1+r2)", None, 2 * 61 + 29, 20, 13),
+        (make_ginibre(8), "r2/(1+r2)", None, 4 * 8 + 5, 8, 3),
     ],
-    ids=["fs30", "prod", "fs30-short", "fs5-two-term"],
+    ids=["fs30", "prod", "fs30-short", "fs5-two-term", "fs60", "gin8"],
 )
 def test_mcmc_matches_a_full_determinant_reference_chain(
     space, psi_text, psi_k_text, steps, burn_in, thin
 ):
-    # an independent oracle for the determinant-ratio updates: over four
-    # sweeps and more, each opening with a refactorisation, the chain must
-    # make the same moves; a chain shorter than one sweep reads a short block,
-    # and the Gibbs potential psi + k psi' is one weight to the sampler
+    # an independent oracle for the determinant ratios, which come from one
+    # solve per sweep and an elimination per accepted move: over several
+    # sweeps and a partial one, the chain must make the same moves; a chain
+    # shorter than one sweep reads a short block, and the Gibbs potential
+    # psi + k psi' is one weight to the sampler
     psi = weight_sum(
         (1.0, parse_weight(psi_text)),
         (float(space.power), psi_k_text and parse_weight(psi_k_text)),
