@@ -3,7 +3,9 @@
 Subcommands: sample, stats, scaling, converge, energy, check.  Every report
 embeds a "schema" tag, the tool version, and the fully resolved configuration,
 and contains no timestamps, so a fixed seed with a single worker reproduces
-output files byte for byte.  Exit codes: 0 success, 2 validation error
+output files byte for byte.  The samples file that `sample` writes and
+`stats --samples` reads as one (reps, N, dim) point array is this module's
+format alone (_samples_json).  Exit codes: 0 success, 2 validation error
 (bad flags, bad expressions, bad config), 3 numerical failure (degenerate
 Gram, under-resolved grid, sampler stall, loss of positivity) or out of
 memory.
@@ -36,7 +38,6 @@ from .sampler import (
     Configuration,
     McmcConfig,
     RejectionStallError,
-    points_from_json,
     sample_dpp_many,
     sample_weighted,
 )
@@ -118,10 +119,11 @@ def _resolve_seed(args) -> int:
     raise CliError("a seed is required: pass --seed or set BERGDPP_SEED")
 
 
-def _reps(args) -> int:
-    if args.reps < 1:
+def _reps(args, default: int = 200) -> int:
+    reps = default if args.reps is None else args.reps
+    if reps < 1:
         raise CliError("--reps must be at least 1")
-    return args.reps
+    return reps
 
 
 def _maybe_weight(text: str | None, dim: int) -> WeightExpr | None:
@@ -166,24 +168,28 @@ def _configuration_template(rows: int, width: int) -> str:
 def _samples_json(payload: dict, confs: list[Configuration]) -> str:
     """The samples report payload + {"configurations": confs} as JSON text.
 
-    The text is byte for byte json.dumps(report, sort_keys=True, indent=2,
-    allow_nan=False), where report is payload with "configurations" set to
-    [c.to_json_dict() for c in confs].  The rest of the report goes through
-    that call; each configuration is one % on a template of its shape,
-    filled with float.__repr__ of its (N, 2 dim) float view, which is how
-    json writes a float.  A configuration with a value that is not finite
-    sends the whole report through json.dumps, which raises its ValueError.
+    A configuration is an object with keys log_density, mcmc_step, origin
+    and points, the rows of the (N, 2 dim) float view of its points, [re, im]
+    per factor.  The text is byte for byte json.dumps(report, sort_keys=True,
+    indent=2, allow_nan=False).  The rest of the report goes through that
+    call; each configuration is one % on a template of its shape, filled
+    with float.__repr__ of its float view, which is how json writes a float.
+    A value that is not finite raises json's ValueError for it: the
+    payload's first, then the first in configuration order.
     """
+    text = json.dumps({**payload, "configurations": []}, sort_keys=True, indent=2, allow_nan=False)
     parts = []
     for c in confs:
         view = np.ascontiguousarray(c.points, dtype=complex).view(float)
-        if not (math.isfinite(c.log_density) and np.isfinite(view).all()):
-            report = {**payload, "configurations": [c.to_json_dict() for c in confs]}
-            return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        values = view.ravel()
+        # on a value that is not finite, json.dumps raises its own ValueError
+        if not math.isfinite(c.log_density):
+            json.dumps(c.log_density, indent=2, allow_nan=False)
+        if not np.isfinite(values).all():
+            json.dumps(float(values[~np.isfinite(values)][0]), indent=2, allow_nan=False)
         step = "null" if c.mcmc_step is None else int.__repr__(c.mcmc_step)
         head = (float.__repr__(c.log_density), step, json.dumps(c.origin))
-        parts.append(_configuration_template(*view.shape) % (*head, *view.ravel().tolist()))
-    text = json.dumps({**payload, "configurations": []}, sort_keys=True, indent=2, allow_nan=False)
+        parts.append(_configuration_template(*view.shape) % (*head, *values.tolist()))
     if not parts:
         return text
     # the top-level key sits at indent 2; no string holds a raw newline
@@ -223,7 +229,34 @@ def _read_json(path: str):
         raise CliError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _load_samples(path: str) -> tuple[ModelSpace, list[Configuration]]:
+def _points_from_json(rows, dim: int) -> np.ndarray:
+    """(M, dim) complex points from JSON rows of 2 * dim numbers, [re, im] per factor."""
+    for i, row in enumerate(rows):
+        if len(row) != 2 * dim:
+            raise ValueError(f"point row {i} has {len(row)} numbers, expected {2 * dim} (re/im per factor)")
+    pts = np.array(rows, dtype=float).reshape(len(rows), 2 * dim).view(complex)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("point coordinates must be finite numbers")
+    return pts
+
+
+def _configuration_fault(path: str, entries: list, space: ModelSpace) -> CliError:
+    """The error that names the first malformed configuration of a samples file."""
+    for i, entry in enumerate(entries):
+        try:
+            if len(entry["points"]) != space.rank:
+                raise ValueError(f"{len(entry['points'])} points, but the space has rank {space.rank}")
+            float(entry["log_density"])
+            _points_from_json(entry["points"], space.dim)
+        except KeyError as exc:
+            return CliError(f"{path}: configuration {i} lacks the key {exc}")
+        except (TypeError, ValueError) as exc:
+            return CliError(f"{path}: configuration {i}: {exc}")
+    return CliError(f"{path}: the configurations' points do not form one array")
+
+
+def _load_samples(path: str) -> tuple[ModelSpace, np.ndarray]:
+    """The space of a samples file and its draws as a (reps, N, dim) complex array."""
     data = _read_json(path)
     entries = data.get("configurations") if isinstance(data, dict) else None
     if not isinstance(entries, list) or "space" not in data:
@@ -240,41 +273,16 @@ def _load_samples(path: str) -> tuple[ModelSpace, list[Configuration]]:
     if weights:  # every prediction of stats is one of the unweighted process
         raise CliError(f"{path} holds draws of a weighted process ({', '.join(weights)}); "
                        "stats predicts only the unweighted process")
-    # keys and point counts per configuration, then all points as one array
-    log_densities = []
-    for i, entry in enumerate(entries):
-        try:
-            n_points = len(entry["points"])
-            log_densities.append(float(entry["log_density"]))
-        except KeyError as exc:
-            raise CliError(f"{path}: configuration {i} lacks the key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"{path}: configuration {i}: {exc}") from None
-        if n_points != space.rank:
-            raise CliError(
-                f"{path}: configuration {i} has {n_points} points, "
-                f"but the space has rank {space.rank}"
-            )
     try:
-        points = points_from_json([row for entry in entries for row in entry["points"]], space.dim)
-    except (TypeError, ValueError):
-        for i, entry in enumerate(entries):  # name the configuration at fault
-            try:
-                points_from_json(entry["points"], space.dim)
-            except (TypeError, ValueError) as exc:
-                raise CliError(f"{path}: configuration {i}: {exc}") from None
-        raise
-    points = points.reshape(len(entries), space.rank, space.dim)
-    confs = [
-        Configuration(
-            points=P,
-            log_density=log_density,
-            origin=entry.get("origin", "exact"),
-            mcmc_step=entry.get("mcmc_step"),
-        )
-        for P, log_density, entry in zip(points, log_densities, entries)
-    ]
-    return space, confs
+        for entry in entries:  # stats reads no log density, but every configuration has one
+            float(entry["log_density"])
+        points = np.array([entry["points"] for entry in entries], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        points = None
+    shape = (len(entries), space.rank, 2 * space.dim)
+    if points is None or points.shape != shape or not np.isfinite(points).all():
+        raise _configuration_fault(path, entries, space)
+    return space, points.view(complex)
 
 
 def _check_space_flags(args, space: ModelSpace) -> None:
@@ -293,7 +301,7 @@ def _points_from_file(path: str, dim: int) -> np.ndarray:
     if rows is None:
         raise CliError(f"{path} has no \"points\" list")
     try:
-        return points_from_json(rows, dim)
+        return _points_from_json(rows, dim)
     except (TypeError, ValueError) as exc:
         raise CliError(f"{path}: {exc}") from None
 
@@ -350,30 +358,36 @@ def _cmd_sample(args) -> int:
     if chain:
         given = ", ".join("--" + key.replace("_", "-") for key in chain)
         raise CliError(f"chain flags {given} need --mcmc-steps (the exact sampler runs no chain)")
-    config["reps"] = reps = 1 if args.reps is None else _reps(args)
+    config["reps"] = reps = _reps(args, default=1)
     confs = sample_dpp_many(space, reps, seed, workers=args.workers)
     body = {"space": space_to_config(space), "seed": seed}
     _emit(_samples_json(_report("samples", config, body), confs) + "\n", args.out)
     return 0
 
 
-def _stats_inputs(args) -> tuple[ModelSpace, list[Configuration], dict]:
+def _stats_inputs(args) -> tuple[ModelSpace, np.ndarray, dict]:
+    """The space, the (reps, N, dim) draws and the report's source block."""
     if args.samples is not None:
-        space, confs = _load_samples(args.samples)
+        fresh = [flag for flag in ("reps", "seed") if vars(args)[flag] is not None]
+        if fresh:
+            given = ", ".join("--" + flag for flag in fresh)
+            raise CliError(f"fresh-draw flags {given} do not apply beside --samples "
+                           "(the file holds the draws)")
+        space, points = _load_samples(args.samples)
         _check_space_flags(args, space)
-        src = {"samples": args.samples}
-    else:
-        space = _space_from_args(args)
-        seed = _resolve_seed(args)
-        confs = sample_dpp_many(space, _reps(args), seed, workers=args.workers)
-        src = {"space": space_to_config(space), "seed": seed, "reps": args.reps}
-    return space, confs, src
+        return space, points, {"samples": args.samples}
+    space = _space_from_args(args)
+    seed = _resolve_seed(args)
+    reps = _reps(args)
+    draws = sample_dpp_many(space, reps, seed, workers=args.workers)
+    src = {"space": space_to_config(space), "seed": seed, "reps": reps}
+    return space, np.stack([c.points for c in draws]), src
 
 
 def _cmd_stats(args) -> int:
-    space, confs, src = _stats_inputs(args)
+    space, points, src = _stats_inputs(args)
     if args.stats_command == "intensity":
-        cells = estimate_intensity(space, confs, bins=args.bins, extent=args.extent)
+        cells = estimate_intensity(space, points, bins=args.bins, extent=args.extent)
         config = {
             "command": "stats intensity",
             "bins": args.bins,
@@ -400,11 +414,11 @@ def _cmd_stats(args) -> int:
         grid = region_grid(space, *regions)
         grams = [region_gram(space, grid, reg) for reg in regions]
         counts = [
-            asdict(region_count_stats(space, confs, reg, grid, G))
+            asdict(region_count_stats(space, points, reg, grid, G))
             for reg, G in zip(regions, grams)
         ]
         pairs = (
-            [asdict(p) for p in pair_count_stats(space, confs, regions, grid, grams)]
+            [asdict(p) for p in pair_count_stats(space, points, regions, grid, grams)]
             if len(regions) > 1
             else []
         )
@@ -413,7 +427,7 @@ def _cmd_stats(args) -> int:
         return 0
 
     # circular
-    report = circular_law_distance(space, confs)
+    report = circular_law_distance(space, points)
     config = {"command": "stats circular", **src}
     _emit_json(_report("circular", config, asdict(report)), args.out)
     return 0
@@ -607,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
         q = stats_sub.add_parser(name)
         _add_space_flags(q, required=False)  # a --samples file names its space
         q.add_argument("--samples", default=None, help="samples JSON from `bergdpp sample`")
-        q.add_argument("--reps", type=int, default=200)
+        q.add_argument("--reps", type=int, default=None, help="fresh draws (default 200)")
         q.add_argument("--seed", type=int, default=None)
         q.add_argument("--workers", type=int, default=1)
         q.add_argument("--out", default=None)

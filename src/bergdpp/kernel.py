@@ -194,6 +194,8 @@ def scaling_errors(space_factory, ks, points=None) -> list[dict]:
     """
     if min(ks) < 1:
         raise ValueError(f"scaling powers must be at least 1, got {list(ks)}")
+    if points is not None and len(points) == 0:
+        raise ValueError("the scaling test set holds no points")
     rows: list[dict] = []
     prev_err = None
     for k in ks:

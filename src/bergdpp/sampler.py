@@ -94,8 +94,6 @@ __all__ = [
     "McmcRun",
     "rng_stream",
     "log_density",
-    "points_from_json",
-    "configuration_from_json",
     "sample_dpp",
     "sample_dpp_many",
     "sample_weighted",
@@ -120,39 +118,6 @@ class Configuration:
     log_density: float          # log |det M|^2 - sum_j w(x_j), wrt mu^N, w the Gibbs potential
     origin: str                 # "exact" | "mcmc"
     mcmc_step: int | None = None
-
-    def to_json_dict(self) -> dict:
-        # the (N, 2 * dim) float view holds [re, im] per factor
-        pts = np.ascontiguousarray(self.points, dtype=complex).view(float)
-        return {
-            "points": pts.tolist(),
-            "log_density": self.log_density,
-            "origin": self.origin,
-            "mcmc_step": self.mcmc_step,
-        }
-
-
-def points_from_json(rows, dim: int) -> np.ndarray:
-    """(M, dim) complex points from JSON rows of 2 * dim numbers, [re, im] per factor."""
-    for i, row in enumerate(rows):
-        if len(row) != 2 * dim:
-            raise ValueError(
-                f"point row {i} has {len(row)} numbers, expected {2 * dim} (re/im per factor)"
-            )
-    pts = np.array(rows, dtype=float).reshape(len(rows), 2 * dim).view(complex)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("point coordinates must be finite numbers")
-    return pts
-
-
-def configuration_from_json(entry: dict, dim: int) -> Configuration:
-    """Inverse of Configuration.to_json_dict."""
-    return Configuration(
-        points=points_from_json(entry["points"], dim),
-        log_density=float(entry["log_density"]),
-        origin=entry.get("origin", "exact"),
-        mcmc_step=entry.get("mcmc_step"),
-    )
 
 
 def log_density(space: ModelSpace, points, weight=None) -> float:

@@ -386,28 +386,35 @@ class ModelSpace:
 # factories
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer, but not a bool (JSON true would read as 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def make_ginibre(rank: int) -> ModelSpace:
     """Ginibre space of rank N on C: weight |z|^2, basis z^j/sqrt(j!)."""
-    if not isinstance(rank, (int, np.integer)) or rank < 1:
+    if not _is_int(rank) or rank < 1:
         raise ValueError(f"ginibre rank must be a positive integer, got {rank!r}")
     return ModelSpace(kind="ginibre", power=int(rank), factors=(GinibrePlane(int(rank) - 1),))
 
 
 def make_fubini_study(k: int) -> ModelSpace:
     """Fubini-Study space at power k on C: rank k+1, diagonal kernel k+1."""
-    if not isinstance(k, (int, np.integer)) or k < 0:
+    if not _is_int(k) or k < 0:
         raise ValueError(f"fubini-study power must be an integer >= 0, got {k!r}")
     return ModelSpace(kind="fs", power=int(k), factors=(FubiniStudySphere(int(k), 1),))
 
 
 def make_product(multiplicities, k: int) -> ModelSpace:
     """Product of Fubini-Study factors at powers m_i * k on C^n."""
+    if not isinstance(multiplicities, (list, tuple)) or not all(map(_is_int, multiplicities)):
+        raise ValueError(f"factor multiplicities must be a list of integers, got {multiplicities!r}")
     mult = tuple(int(m) for m in multiplicities)
     if len(mult) == 0:
         raise ValueError("product space needs at least one factor")
     if any(m < 1 for m in mult):
         raise ValueError(f"factor multiplicities must be >= 1, got {mult}")
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if not _is_int(k) or k < 1:
         raise ValueError(f"product power must be an integer >= 1, got {k!r}")
     factors = tuple(FubiniStudySphere(m * int(k), m) for m in mult)
     return ModelSpace(kind="product", power=int(k), factors=factors)

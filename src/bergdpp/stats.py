@@ -1,9 +1,11 @@
 """Statistics on sampled configurations, checked against kernel predictions.
 
-A draw set enters as one (reps, N, dim) complex array of points, stacked
-once, and every statistic is a reduction over it: a region count is one
-Region.mask call over all reps * N points, summed per replicate, and the
-pooled radii are the moduli of one factor, raveled.
+A draw set is one (reps, N, dim) complex array of points, the only form in
+which draws reach a statistic: the CLI reads a samples file into it with one
+np.array call, and fresh draws are stacked once, where they are drawn.  Every
+statistic reduces it without a copy: a region count is one Region.mask call
+over all reps * N points, summed per replicate, and the pooled radii are the
+moduli of one factor, raveled.
 
 Every prediction here comes from quadrature of the kernel, never from another
 Monte Carlo run.  With G_U the Gram matrix masked to a radial region U
@@ -103,12 +105,12 @@ def region_gram(space: ModelSpace, grid: QuadratureGrid, region: Region) -> np.n
 # draw sets
 
 
-def _stacked(configurations) -> np.ndarray:
-    """The draw set as one (reps, N, dim) complex array of points."""
-    points = [conf.points for conf in configurations]
-    if not points:
+def _draws(points) -> np.ndarray:
+    """The draw set, a (reps, N, dim) complex array of points with reps >= 1."""
+    P = np.asarray(points)
+    if P.ndim != 3 or P.shape[0] == 0:
         raise ValueError("need at least one configuration")
-    return np.stack(points)
+    return P
 
 
 def _counts(P: np.ndarray, region: Region) -> np.ndarray:
@@ -117,12 +119,12 @@ def _counts(P: np.ndarray, region: Region) -> np.ndarray:
     return region.mask(P.reshape(-1, dim)).reshape(reps, n).sum(axis=1).astype(float)
 
 
-def mc_partition_ratio(configurations, psi) -> tuple[float, float]:
+def mc_partition_ratio(points, psi) -> tuple[float, float]:
     """Monte Carlo estimate of det G(psi) = E[exp(-sum psi(X_i))].
 
-    Takes exact unweighted samples; returns (mean, standard error).
+    Takes exact unweighted draws as a point array; returns (mean, standard error).
     """
-    P = _stacked(configurations)
+    P = _draws(points)
     reps, n, dim = P.shape
     sums = weight_values(psi, P.reshape(-1, dim)).reshape(reps, n).sum(axis=1)
     vals = np.array([math.exp(-float(s)) for s in sums])
@@ -174,12 +176,12 @@ def _ratio_z(obs: float, pred: float, se: float) -> float | None:
 
 def region_count_stats(
     space: ModelSpace,
-    configurations,
+    points,
     region: Region,
     grid: QuadratureGrid | None = None,
     gram: np.ndarray | None = None,
 ) -> CountStats:
-    counts = _counts(_stacked(configurations), region)
+    counts = _counts(_draws(points), region)
     pred_mean, pred_var = count_moments(space, region, grid, gram)
     reps = counts.size
     obs_mean = float(counts.mean())
@@ -216,7 +218,7 @@ class PairStats:
 
 def pair_count_stats(
     space: ModelSpace,
-    configurations,
+    points,
     regions,
     grid: QuadratureGrid | None = None,
     grams: list[np.ndarray] | None = None,
@@ -230,7 +232,7 @@ def pair_count_stats(
     E[#A(#A - 1)] = (tr G_A)^2 - |G_A|_F^2.
     """
     regions = list(regions)
-    P = _stacked(configurations)
+    P = _draws(points)
     reps = P.shape[0]
     if grid is None:
         grid = region_grid(space, *regions)
@@ -281,7 +283,7 @@ class IntensityCell:
 
 def estimate_intensity(
     space: ModelSpace,
-    configurations,
+    points,
     bins: int = 40,
     extent: float | None = None,
 ) -> list[IntensityCell]:
@@ -290,7 +292,7 @@ def estimate_intensity(
         raise ValueError("binned intensity is implemented for one-factor charts")
     if bins < 1 or (extent is not None and not 0.0 < extent < math.inf):
         raise ValueError(f"need bins >= 1 and finite extent > 0, got bins={bins}, extent={extent}")
-    z = _stacked(configurations)[:, :, 0]
+    z = _draws(points)[:, :, 0]
     if extent is None:
         extent = 4.0 if space.factors[0].compact else math.sqrt(space.rank) * 1.25 + 1.0
     side = 2.0 * extent / bins
@@ -359,11 +361,11 @@ class CircularLawReport:
     distance: float
 
 
-def circular_law_distance(space: ModelSpace, configurations) -> CircularLawReport:
+def circular_law_distance(space: ModelSpace, points) -> CircularLawReport:
     """KS distance of radii / sqrt(N) to the unit-disk radial CDF min(r^2, 1)."""
     if space.factors[0].compact:
         raise ValueError("the circular-law check applies to the Ginibre space")
-    P = _stacked(configurations)
+    P = _draws(points)
     radii = np.abs(P[:, :, 0]).ravel() / math.sqrt(space.rank)
     dist = ks_distance(radii, lambda r: np.minimum(np.asarray(r) ** 2, 1.0))
     return CircularLawReport(
@@ -402,10 +404,10 @@ class ConvergenceReport:
 def convergence_row(
     space: ModelSpace,
     k: int,
-    configurations,
+    points,
     region: Region,
 ) -> ConvergenceRow:
-    P = _stacked(configurations)
+    P = _draws(points)
     reps, n, _ = P.shape
     pred_mean, _ = count_moments(space, region)
     masses = _counts(P, region) / n
@@ -440,8 +442,8 @@ def measure_convergence(
     rows = []
     warnings: list[str] = []
     for idx, (k, space) in enumerate(spaces_by_k):
-        configs = sample_dpp_many(space, reps, seed, (idx,), workers)
-        rows.append(convergence_row(space, k, configs, region))
+        draws = sample_dpp_many(space, reps, seed, (idx,), workers)
+        rows.append(convergence_row(space, k, np.stack([c.points for c in draws]), region))
     for prev, cur in zip(rows, rows[1:]):
         if cur.replicate_variance > prev.replicate_variance:
             warnings.append(

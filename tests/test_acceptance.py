@@ -139,12 +139,14 @@ def test_criterion_04_pair_correlations_and_discrete_oracle(capsys):
     # of rho_2 over A x B (stats.py states the full trace identities)
     fs = make_fubini_study(5)
     fs_regions = [Region.disk(0.7), Region.annulus(0.7, 1.4), Region.annulus(1.4, 3.0)]
-    fs_stats = pair_count_stats(fs, sample_dpp_many(fs, 10_000, seed=0), fs_regions)
+    fs_draws = np.stack([c.points for c in sample_dpp_many(fs, 10_000, seed=0)])
+    fs_stats = pair_count_stats(fs, fs_draws, fs_regions)
     fs_z = max(abs(s.z) for s in fs_stats)
 
     gin = make_ginibre(5)
     gin_regions = [Region.disk(1.0), Region.annulus(1.0, 1.8), Region.annulus(1.8, 3.0)]
-    gin_stats = pair_count_stats(gin, sample_dpp_many(gin, 10_000, seed=1), gin_regions)
+    gin_draws = np.stack([c.points for c in sample_dpp_many(gin, 10_000, seed=1)])
+    gin_stats = pair_count_stats(gin, gin_draws, gin_regions)
     gin_z = max(abs(s.z) for s in gin_stats)
 
     # discrete oracle: inclusion frequencies vs det K_S over 2e4 draws,
@@ -251,9 +253,9 @@ def test_criterion_05_scaling_limit(capsys):
 
 def test_criterion_06_circular_law(capsys):
     big = make_ginibre(500)
-    rep_big = circular_law_distance(big, sample_dpp_many(big, 20, seed=101))
+    rep_big = circular_law_distance(big, np.stack([c.points for c in sample_dpp_many(big, 20, seed=101)]))
     small = make_ginibre(50)
-    rep_small = circular_law_distance(small, sample_dpp_many(small, 20, seed=101))
+    rep_small = circular_law_distance(small, np.stack([c.points for c in sample_dpp_many(small, 20, seed=101)]))
     ok = rep_big.distance < 0.05 and rep_big.distance < rep_small.distance
     _report(
         capsys,

@@ -18,11 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bergdpp
-from bergdpp.cli import _samples_json, run
+from bergdpp.cli import _load_samples, _samples_json, run
 from bergdpp.energy import lambda_report
 from bergdpp.exprs import parse_weight, weight_sum
-from bergdpp.sampler import Configuration, log_density
-from bergdpp.spaces import make_fubini_study, make_product
+from bergdpp.sampler import Configuration, log_density, sample_dpp
+from bergdpp.spaces import make_fubini_study, make_product, space_to_config
 
 
 def read_json(path):
@@ -85,8 +85,20 @@ def _samples_reports(draw, min_confs=0):
     return payload, confs
 
 
+def _json_dict(c):
+    """A reference serialiser of one configuration, independent of the writer."""
+    # the (N, 2 * dim) float view holds [re, im] per factor
+    pts = np.ascontiguousarray(c.points, dtype=complex).view(float)
+    return {
+        "points": pts.tolist(),
+        "log_density": c.log_density,
+        "origin": c.origin,
+        "mcmc_step": c.mcmc_step,
+    }
+
+
 def _dumps_report(payload, confs):
-    report = {**payload, "configurations": [c.to_json_dict() for c in confs]}
+    report = {**payload, "configurations": [_json_dict(c) for c in confs]}
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
 
 
@@ -115,6 +127,24 @@ def test_bulk_samples_writer_raises_the_json_error_on_a_value_that_is_not_finite
     with pytest.raises(ValueError) as got:
         _samples_json(payload, confs)
     assert str(got.value) == str(want.value)
+
+
+def test_configuration_json_round_trip(tmp_path):
+    space = make_product((1, 2), 2)
+    conf = sample_dpp(space, seed=51)
+    text = _samples_json({"space": space_to_config(space)}, [conf])
+    entry = json.loads(text)["configurations"][0]
+    rows = entry["points"]
+    # [re, im] per factor, as plain floats
+    assert rows == [[float(x) for z in row for x in (z.real, z.imag)] for row in conf.points]
+    assert all(type(x) is float for row in rows for x in row)
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    back_space, back = _load_samples(str(path))
+    assert back_space == space
+    assert np.allclose(back[0], conf.points, rtol=0, atol=0)
+    assert entry["log_density"] == conf.log_density
+    assert entry["origin"] == conf.origin
 
 
 def test_sample_deterministic_bytes(tmp_path):
@@ -455,14 +485,26 @@ def test_stats_counts_takes_space_from_samples_file(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "space",
-    [{"kind": "fs"}, {"kind": "product", "k": 2, "multiplicities": 3}, "fs", {"kind": "torus"}],
-    ids=["missing-key", "bad-value", "not-an-object", "unknown-kind"],
+    [
+        {"kind": "fs"},
+        {"kind": "product", "k": 2, "multiplicities": 3},
+        "fs",
+        {"kind": "torus"},
+        # fs k=true used to read as rank 2, and the multiplicities "12" as (1, 2)
+        {"kind": "fs", "k": True},
+        {"kind": "ginibre", "N": True},
+        {"kind": "product", "k": True, "multiplicities": [1, 2]},
+        {"kind": "product", "k": 2, "multiplicities": [True, 2]},
+        {"kind": "product", "k": 2, "multiplicities": "12"},
+    ],
+    ids=["missing-key", "bad-value", "not-an-object", "unknown-kind", "fs-k-true",
+         "ginibre-n-true", "product-k-true", "mult-true", "mult-string"],
 )
 def test_stats_rejects_malformed_space_block(tmp_path, space, capsys):
     samples = tmp_path / "s.json"
     samples.write_text(json.dumps({"space": space, "configurations": []}))
     assert run(["stats", "counts", "--samples", str(samples), "--region", "disk:1"]) == 2
-    assert "space" in capsys.readouterr().err
+    assert "malformed space block" in capsys.readouterr().err
 
 
 def test_stats_rejects_samples_file_without_configurations(tmp_path, capsys):
@@ -495,6 +537,50 @@ def test_stats_loads_samples_of_an_unweighted_chain(tmp_path):
     assert run(["stats", "counts", "--samples", str(plain), "--region", "disk:1",
                 "--out", str(out)]) == 0
     assert read_json(out)["counts"][0]["region"] == "disk:1"
+
+
+@pytest.mark.parametrize(
+    "command,space,extra",
+    [
+        ("counts", ["--space", "fs", "--k", "4"], ["--region", "disk:1", "--region", "annulus:1:2"]),
+        ("intensity", ["--space", "fs", "--k", "3"], ["--bins", "6"]),
+        ("circular", ["--space", "ginibre", "--n", "20"], []),
+    ],
+)
+def test_stats_on_fresh_draws_match_the_samples_file_of_the_same_seed(tmp_path, command, space, extra):
+    samples, fresh, loaded = tmp_path / "s.json", tmp_path / "fresh", tmp_path / "loaded"
+    draws = ["--reps", "30", "--seed", "4"]
+    assert run(["sample", *space, *draws, "--out", str(samples)]) == 0
+    assert run(["stats", command, *space, *draws, *extra, "--out", str(fresh)]) == 0
+    assert run(["stats", command, "--samples", str(samples), *extra, "--out", str(loaded)]) == 0
+    if command == "intensity":  # the CSV's first line is its config
+        a, b = (path.read_text().split("\n", 1) for path in (fresh, loaded))
+        assert a[0] != b[0] and a[1] == b[1]
+    else:
+        a, b = read_json(fresh), read_json(loaded)
+        assert a.pop("config") != b.pop("config") and a == b
+
+
+@pytest.mark.parametrize("flags", [["--reps", "5"], ["--seed", "99"], ["--reps", "5", "--seed", "99"]],
+                         ids=["reps", "seed", "both"])
+def test_stats_refuses_fresh_draw_flags_beside_samples(tmp_path, flags, capsys):
+    # they used to be ignored: a 10-draw file read with --reps 5 reported reps 10
+    samples = tmp_path / "s.json"
+    assert run(["sample", "--space", "fs", "--k", "2", "--reps", "10", "--seed", "1",
+                "--out", str(samples)]) == 0
+    capsys.readouterr()
+    assert run(["stats", "counts", "--samples", str(samples), "--region", "disk:1", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert all(flag in err for flag in flags[::2])
+
+
+def test_stats_fresh_draws_default_to_200_reps(tmp_path):
+    out = tmp_path / "c.json"
+    assert run(["stats", "circular", "--space", "ginibre", "--n", "2", "--seed", "1",
+                "--out", str(out)]) == 0
+    doc = read_json(out)
+    assert doc["config"]["reps"] == 200 and doc["reps"] == 200
 
 
 def test_mcmc_rejects_a_weight_that_is_nan_where_the_chain_walks(capsys):
@@ -657,6 +743,15 @@ def test_malformed_points_file_is_exit_2(tmp_path, doc, capsys):
     pts.write_text(json.dumps(doc))
     assert run(["scaling", "--space", "fs", "--ks", "4", "--points", str(pts)]) == 2
     assert str(pts) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [[], {"points": []}], ids=["bare-list", "points-key"])
+def test_empty_points_file_is_exit_2(tmp_path, doc, capsys):
+    # an empty test set used to report sup_error 0.0 for every k and exit 0
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps(doc))
+    assert run(["scaling", "--space", "fs", "--ks", "5,10", "--points", str(pts)]) == 2
+    assert "no points" in capsys.readouterr().err
 
 
 def test_out_in_missing_directory_is_exit_2(tmp_path, capsys):

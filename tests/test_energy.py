@@ -86,7 +86,7 @@ def test_mc_partition_ratio_matches_quadrature():
     space = make_fubini_study(3)
     det = math.exp(gram(space, build_grid(space), psi=S_EXPR).logdet)
     confs = sample_dpp_many(space, reps=3000, seed=63)
-    mean, se = mc_partition_ratio(confs, S_EXPR)
+    mean, se = mc_partition_ratio(np.stack([c.points for c in confs]), S_EXPR)
     assert se > 0.0
     assert abs(mean - det) < 3.0 * se
 

@@ -13,10 +13,8 @@ import pytest
 
 from bergdpp.exprs import parse_weight, weight_sum
 from bergdpp.sampler import (
-    Configuration,
     McmcConfig,
     RejectionStallError,
-    configuration_from_json,
     log_density,
     rng_stream,
     sample_dpp,
@@ -600,20 +598,3 @@ def test_discrete_sample_matches_det_marginals():
         p = dpp.inclusion_probability([i])
         sig = math.sqrt(max(p * (1.0 - p), 1e-12) / draws)
         assert abs(hits[i] / draws - p) < 4.0 * sig
-
-
-# ---------------------------------------------------------------------------
-# configuration serialization
-
-
-def test_configuration_json_round_trip():
-    space = make_product((1, 2), 2)
-    conf = sample_dpp(space, seed=51)
-    rows = conf.to_json_dict()["points"]
-    # [re, im] per factor, as plain floats
-    assert rows == [[float(x) for z in row for x in (z.real, z.imag)] for row in conf.points]
-    assert all(type(x) is float for row in rows for x in row)
-    back = configuration_from_json(conf.to_json_dict(), dim=space.dim)
-    assert np.allclose(back.points, conf.points, rtol=0, atol=0)
-    assert back.log_density == conf.log_density
-    assert back.origin == conf.origin

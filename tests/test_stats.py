@@ -44,6 +44,11 @@ def make_conf(points):
     return Configuration(points=pts, log_density=0.0, origin="exact")
 
 
+def points_of(confs):
+    """The draw set as the statistics take it: one (reps, N, dim) point array."""
+    return np.stack([c.points for c in confs])
+
+
 # ---------------------------------------------------------------------------
 # regions
 
@@ -105,11 +110,11 @@ def test_empirical_counts_and_masses():
     confs = [make_conf([0.1 + 0j, 2.0 + 0j]), make_conf([0.2j, 0.3 + 0j])]
     space = make_fubini_study(1)
     disk = Region.disk(1.0)
-    cs = region_count_stats(space, confs, disk)
+    cs = region_count_stats(space, points_of(confs), disk)
     assert cs.reps == 2
     assert cs.observed_mean == 1.5
     assert cs.observed_variance == 0.5
-    row = convergence_row(space, 1, confs, disk)
+    row = convergence_row(space, 1, points_of(confs), disk)
     assert row.rank == 2
     assert row.mc_mass == 0.75
     assert row.replicate_variance == 0.125
@@ -159,7 +164,7 @@ def test_count_and_pair_predictions_match_kostlan(case):
         assert var == pytest.approx((p * (1.0 - p)).sum(), abs=1e-10)
 
     conf = make_conf(np.zeros((space.rank, space.dim)))
-    rows = pair_count_stats(space, [conf], regions, grid)
+    rows = pair_count_stats(space, points_of([conf]), regions, grid)
     assert len(rows) == len(regions) * (len(regions) + 1) // 2
     pairs = [(a, b) for a in range(len(regions)) for b in range(a, len(regions))]
     for (a, b), row in zip(pairs, rows):
@@ -275,7 +280,7 @@ def test_disjoint_pair_integral_matches_trace_identity():
     B = Region.annulus(0.8, 2.0)
     grid = region_grid(space, A, B)
     conf = make_conf(np.zeros((space.rank, space.dim)))
-    rows = pair_count_stats(space, [conf], [A, B], grid)
+    rows = pair_count_stats(space, points_of([conf]), [A, B], grid)
     (row,) = [r for r in rows if (r.region_a, r.region_b) == (A.label, B.label)]
     want = pair_quadrature(space, A, B, grid)
     assert abs(row.predicted - want) < 1e-9
@@ -306,7 +311,7 @@ def test_pair_predictions_match_node_mask_grams(case):
     grid = region_grid(space, *regions)
     masks = [reg.mask(grid.nodes) for reg in regions]
     grams = [node_mask_gram(space, grid, m) for m in masks]
-    rows = pair_count_stats(space, [make_conf(np.zeros((space.rank, space.dim)))], regions, grid)
+    rows = pair_count_stats(space, points_of([make_conf(np.zeros((space.rank, space.dim)))]), regions, grid)
     pairs = [(a, b) for a in range(len(regions)) for b in range(a, len(regions))]
     for (a, b), row in zip(pairs, rows):
         ta, tb = np.trace(grams[a]).real, np.trace(grams[b]).real
@@ -352,7 +357,7 @@ def test_huge_disk_holds_every_point(space, radius):
 def test_region_count_stats_on_samples():
     space = make_fubini_study(5)
     confs = sample_dpp_many(space, reps=600, seed=23)
-    cs = region_count_stats(space, confs, Region.disk(1.0))
+    cs = region_count_stats(space, points_of(confs), Region.disk(1.0))
     assert cs.reps == 600
     assert abs(cs.mean_z) < 4.0
     assert abs(cs.variance_z) < 4.0
@@ -408,7 +413,7 @@ def test_pair_count_stats_observed_means_manual(space, draws, texts):
     confs = [make_conf(d) for d in draws]
     regions = [parse_region(t, space.dim) for t in texts]
     counts = [np.array(loop_counts(confs, reg), dtype=float) for reg in regions]
-    rows = pair_count_stats(space, confs, regions)
+    rows = pair_count_stats(space, points_of(confs), regions)
     by_key = {(r.region_a, r.region_b): r for r in rows}
     assert len(rows) == 6
     for a in range(3):
@@ -425,7 +430,7 @@ def test_pair_count_stats_overlapping_regions():
     # #full = N on every draw, so E[#A * #full] = N E[#A] = 6 * 3 exactly
     space = make_fubini_study(5)
     confs = sample_dpp_many(space, reps=400, seed=29)
-    rows = pair_count_stats(space, confs, [Region.disk(1.0), Region.full()])
+    rows = pair_count_stats(space, points_of(confs), [Region.disk(1.0), Region.full()])
     cross = {(r.region_a, r.region_b): r for r in rows}[("disk:1", "full")]
     assert cross.predicted == pytest.approx(18.0, abs=1e-9)
     assert abs(cross.z) < 4.0
@@ -440,7 +445,7 @@ def test_estimate_intensity_prediction_column():
 
     space = make_fubini_study(4)
     confs = sample_dpp_many(space, reps=50, seed=3)
-    cells = estimate_intensity(space, confs, bins=12, extent=2.0)
+    cells = estimate_intensity(space, points_of(confs), bins=12, extent=2.0)
     assert len(cells) == 144  # square bins over [-2, 2]^2
     ev = evaluator(space)
     for cell in cells[::17]:
@@ -465,7 +470,7 @@ def test_estimate_intensity_rates_match_per_replicate_histograms():
     assert np.any(np.maximum(np.abs(z.real), np.abs(z.imag)) > extent)
     hist = np.array([np.histogram2d(w.real, w.imag, bins=[edges, edges])[0] for w in z])
     area = (edges[1] - edges[0]) ** 2
-    cells = estimate_intensity(space, confs, bins=bins, extent=extent)
+    cells = estimate_intensity(space, points_of(confs), bins=bins, extent=extent)
     centers = 0.5 * (edges[:-1] + edges[1:])
     assert [(c.center_re, c.center_im) for c in cells] == [(x, y) for x in centers for y in centers]
     rate = np.array([c.rate for c in cells]).reshape(bins, bins)
@@ -478,7 +483,7 @@ def test_estimate_intensity_rates_match_per_replicate_histograms():
 
 def test_estimate_intensity_rejects_product_charts():
     with pytest.raises(ValueError):
-        estimate_intensity(make_product((1, 2), 2), [make_conf([[0j, 0j]])])
+        estimate_intensity(make_product((1, 2), 2), points_of([make_conf([[0j, 0j]])]))
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +530,7 @@ def test_ks_distance_manual_and_scipy():
 def test_circular_law_distance_small_rank():
     space = make_ginibre(40)
     confs = sample_dpp_many(space, reps=5, seed=7)
-    rep = circular_law_distance(space, confs)
+    rep = circular_law_distance(space, points_of(confs))
     assert rep.rank == 40
     assert rep.pooled_points == 200
     assert 0.0 < rep.distance < 0.3
