@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import os
@@ -34,13 +35,7 @@ from .energy import GramPath, lambda_report, partition_function
 from .exprs import WeightExpr, parse_weight, weight_sum
 from .kernel import scaling_errors
 from .quadrature import build_grid, gram, gram_to_csv, weighted_gram_matrix
-from .sampler import (
-    Configuration,
-    McmcConfig,
-    RejectionStallError,
-    sample_dpp_many,
-    sample_weighted,
-)
+from .sampler import McmcConfig, RejectionStallError, sample_dpp_many, sample_weighted
 from .spaces import ModelSpace, make_fubini_study, make_ginibre, make_product
 from .spaces import space_from_config, space_to_config
 from .stats import (
@@ -165,31 +160,36 @@ def _configuration_template(rows: int, width: int) -> str:
     )
 
 
-def _samples_json(payload: dict, confs: list[Configuration]) -> str:
-    """The samples report payload + {"configurations": confs} as JSON text.
+def _samples_json(payload: dict, points, log_density, steps=None) -> str:
+    """The samples report payload + {"configurations": [...]} as JSON text.
 
-    A configuration is an object with keys log_density, mcmc_step, origin
-    and points, the rows of the (N, 2 dim) float view of its points, [re, im]
-    per factor.  The text is byte for byte json.dumps(report, sort_keys=True,
-    indent=2, allow_nan=False).  The rest of the report goes through that
-    call; each configuration is one % on a template of its shape, filled
-    with float.__repr__ of its float view, which is how json writes a float.
-    A value that is not finite raises json's ValueError for it: the
-    payload's first, then the first in configuration order.
+    Configuration r has keys log_density, mcmc_step, origin and points:
+    log_density[r]; mcmc_step null and origin "exact" for exact draws
+    (steps None), or steps[r] and "mcmc" for a chain; the rows of the
+    (N, 2 dim) float view of points[r], [re, im] per factor.  The text is
+    byte for byte json.dumps(report, sort_keys=True, indent=2,
+    allow_nan=False).  The rest of the report goes through that call; each
+    configuration is one % on a template of its shape, filled with
+    float.__repr__ of its float view, which is how json writes a float.  A
+    value that is not finite raises json's ValueError for it: the payload's
+    first, then the first in report order.
     """
     text = json.dumps({**payload, "configurations": []}, sort_keys=True, indent=2, allow_nan=False)
-    parts = []
-    for c in confs:
-        view = np.ascontiguousarray(c.points, dtype=complex).view(float)
-        values = view.ravel()
-        # on a value that is not finite, json.dumps raises its own ValueError
-        if not math.isfinite(c.log_density):
-            json.dumps(c.log_density, indent=2, allow_nan=False)
-        if not np.isfinite(values).all():
-            json.dumps(float(values[~np.isfinite(values)][0]), indent=2, allow_nan=False)
-        step = "null" if c.mcmc_step is None else int.__repr__(c.mcmc_step)
-        head = (float.__repr__(c.log_density), step, json.dumps(c.origin))
-        parts.append(_configuration_template(*view.shape) % (*head, *values.tolist()))
+    view = np.ascontiguousarray(points, dtype=complex).view(float)
+    values = view.reshape(len(view), math.prod(view.shape[1:]))
+    logd = np.asarray(log_density, dtype=float)
+    bad = ~(np.isfinite(logd) & np.isfinite(values).all(axis=1))
+    if bad.any():  # json.dumps raises its own ValueError on the first one
+        r = int(bad.argmax())
+        first = logd[r] if not math.isfinite(logd[r]) else values[r][~np.isfinite(values[r])][0]
+        json.dumps(float(first), indent=2, allow_nan=False)
+    if steps is None:
+        origin, step_texts = '"exact"', ["null"] * len(values)
+    else:
+        origin, step_texts = '"mcmc"', map(int.__repr__, np.asarray(steps).tolist())
+    template = _configuration_template(*view.shape[1:])
+    rows = zip(logd.tolist(), step_texts, values.tolist())
+    parts = [template % (float.__repr__(ld), step, origin, *row) for ld, step, row in rows]
     if not parts:
         return text
     # the top-level key sits at indent 2; no string holds a raw newline
@@ -229,15 +229,23 @@ def _read_json(path: str):
         raise CliError(f"{path} is not valid JSON: {exc}") from None
 
 
+# the types json.load gives a JSON number: a bool is an int to Python, but not a number
+_NUMBER = {int, float}
+
+
 def _points_from_json(rows, dim: int) -> np.ndarray:
-    """(M, dim) complex points from JSON rows of 2 * dim numbers, [re, im] per factor."""
+    """(M, dim) complex points from JSON rows of 2 * dim finite numbers, [re, im] per factor."""
     for i, row in enumerate(rows):
         if len(row) != 2 * dim:
             raise ValueError(f"point row {i} has {len(row)} numbers, expected {2 * dim} (re/im per factor)")
-    pts = np.array(rows, dtype=float).reshape(len(rows), 2 * dim).view(complex)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("point coordinates must be finite numbers")
-    return pts
+        if not set(map(type, row)) <= _NUMBER:
+            bad = next(x for x in row if type(x) not in _NUMBER)
+            raise ValueError(f"point row {i} holds {json.dumps(bad)}, which is not a number")
+    pts = np.array(rows, dtype=float).reshape(len(rows), 2 * dim)
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"point row {int(finite.argmin())} holds a coordinate that is not finite")
+    return pts.view(complex)
 
 
 def _configuration_fault(path: str, entries: list, space: ModelSpace) -> CliError:
@@ -246,11 +254,13 @@ def _configuration_fault(path: str, entries: list, space: ModelSpace) -> CliErro
         try:
             if len(entry["points"]) != space.rank:
                 raise ValueError(f"{len(entry['points'])} points, but the space has rank {space.rank}")
-            float(entry["log_density"])
+            value = entry["log_density"]
+            if type(value) not in _NUMBER or not math.isfinite(value):
+                raise ValueError(f"log_density {json.dumps(value)} is not a finite number")
             _points_from_json(entry["points"], space.dim)
         except KeyError as exc:
             return CliError(f"{path}: configuration {i} lacks the key {exc}")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             return CliError(f"{path}: configuration {i}: {exc}")
     return CliError(f"{path}: the configurations' points do not form one array")
 
@@ -273,14 +283,21 @@ def _load_samples(path: str) -> tuple[ModelSpace, np.ndarray]:
     if weights:  # every prediction of stats is one of the unweighted process
         raise CliError(f"{path} holds draws of a weighted process ({', '.join(weights)}); "
                        "stats predicts only the unweighted process")
-    try:
-        for entry in entries:  # stats reads no log density, but every configuration has one
-            float(entry["log_density"])
-        points = np.array([entry["points"] for entry in entries], dtype=float)
-    except (KeyError, TypeError, ValueError):
+    try:  # stats reads no log density, but every configuration has a finite one
+        log_densities = [entry["log_density"] for entry in entries]
+        rows = [entry["points"] for entry in entries]
+        leaves = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))  # lazy
+        points = np.array(rows, dtype=float)
+        finite = np.isfinite(points).all() and np.isfinite(np.array(log_densities, dtype=float)).all()
+    except (KeyError, TypeError, ValueError, OverflowError):
         points = None
     shape = (len(entries), space.rank, 2 * space.dim)
-    if points is None or points.shape != shape or not np.isfinite(points).all():
+    if (
+        points is None or points.shape != shape or not finite
+        # strings and bools convert to floats, but are not JSON numbers
+        or not set(map(type, log_densities)) <= _NUMBER
+        or not set(map(type, leaves)) <= _NUMBER
+    ):
         raise _configuration_fault(path, entries, space)
     return space, points.view(complex)
 
@@ -302,7 +319,7 @@ def _points_from_file(path: str, dim: int) -> np.ndarray:
         raise CliError(f"{path} has no \"points\" list")
     try:
         return _points_from_json(rows, dim)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"{path}: {exc}") from None
 
 
@@ -347,7 +364,8 @@ def _cmd_sample(args) -> int:
             "acceptance_rate": run.acceptance_rate,
             "warnings": run.warnings,
         }
-        _emit(_samples_json(_report("samples", config, body), run.configurations) + "\n", args.out)
+        text = _samples_json(_report("samples", config, body), run.points, run.log_density, run.steps)
+        _emit(text + "\n", args.out)
         return 0
 
     if args.weight_expr is not None or args.weight_k_expr is not None:
@@ -359,16 +377,16 @@ def _cmd_sample(args) -> int:
         given = ", ".join("--" + key.replace("_", "-") for key in chain)
         raise CliError(f"chain flags {given} need --mcmc-steps (the exact sampler runs no chain)")
     config["reps"] = reps = _reps(args, default=1)
-    confs = sample_dpp_many(space, reps, seed, workers=args.workers)
+    points, logd = sample_dpp_many(space, reps, seed, workers=args.workers)
     body = {"space": space_to_config(space), "seed": seed}
-    _emit(_samples_json(_report("samples", config, body), confs) + "\n", args.out)
+    _emit(_samples_json(_report("samples", config, body), points, logd) + "\n", args.out)
     return 0
 
 
 def _stats_inputs(args) -> tuple[ModelSpace, np.ndarray, dict]:
     """The space, the (reps, N, dim) draws and the report's source block."""
     if args.samples is not None:
-        fresh = [flag for flag in ("reps", "seed") if vars(args)[flag] is not None]
+        fresh = [flag for flag in ("reps", "seed", "workers") if vars(args)[flag] is not None]
         if fresh:
             given = ", ".join("--" + flag for flag in fresh)
             raise CliError(f"fresh-draw flags {given} do not apply beside --samples "
@@ -379,9 +397,9 @@ def _stats_inputs(args) -> tuple[ModelSpace, np.ndarray, dict]:
     space = _space_from_args(args)
     seed = _resolve_seed(args)
     reps = _reps(args)
-    draws = sample_dpp_many(space, reps, seed, workers=args.workers)
-    src = {"space": space_to_config(space), "seed": seed, "reps": reps}
-    return space, np.stack([c.points for c in draws]), src
+    workers = 1 if args.workers is None else args.workers
+    points, _ = sample_dpp_many(space, reps, seed, workers=workers)
+    return space, points, {"space": space_to_config(space), "seed": seed, "reps": reps}
 
 
 def _cmd_stats(args) -> int:
@@ -623,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--samples", default=None, help="samples JSON from `bergdpp sample`")
         q.add_argument("--reps", type=int, default=None, help="fresh draws (default 200)")
         q.add_argument("--seed", type=int, default=None)
-        q.add_argument("--workers", type=int, default=1)
+        q.add_argument("--workers", type=int, default=None, help="fresh-draw processes (default 1)")
         q.add_argument("--out", default=None)
         if name == "intensity":
             q.add_argument("--bins", type=int, default=40)

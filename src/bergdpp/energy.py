@@ -48,11 +48,10 @@ from .quadrature import (
     QuadratureGrid,
     Region,
     build_grid,
-    gauss_legendre,
     gram,
     weighted_gram_matrix,
 )
-from .spaces import ModelSpace
+from .spaces import ModelSpace, gauss_legendre
 
 __all__ = [
     "PositivityError",

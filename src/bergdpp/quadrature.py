@@ -105,17 +105,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprs import is_radial_weight, weight_values
-from .spaces import MIN_PANEL, ModelSpace, _panel_gauss, gauss_legendre, poisson_log_pmf
+from .spaces import ModelSpace, _panel_gauss, poisson_log_pmf
 
 __all__ = [
     "TAIL",
-    "MIN_PANEL",
     "GramDegenerateError",
     "Region",
     "QuadratureGrid",
     "GramMatrix",
-    "gauss_legendre",
-    "poisson_log_pmf",
     "build_grid",
     "gram",
     "weighted_gram_matrix",

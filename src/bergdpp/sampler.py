@@ -112,12 +112,10 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Configuration:
-    """One sampled N-point configuration on the chart."""
+    """One exact draw of sample_dpp: its N points on the chart and their log density."""
 
     points: np.ndarray          # (N, dim) complex
     log_density: float          # log |det M|^2 - sum_j w(x_j), wrt mu^N, w the Gibbs potential
-    origin: str                 # "exact" | "mcmc"
-    mcmc_step: int | None = None
 
 
 def log_density(space: ModelSpace, points, weight=None) -> float:
@@ -290,11 +288,7 @@ def sample_dpp(
         x *= 2.0 / (norm * scale)
         P = P[:, :-1] - x[:, None] * p[:-1]
 
-    return Configuration(
-        points=pts,
-        log_density=log_det,
-        origin="exact",
-    )
+    return Configuration(points=pts, log_density=log_det)
 
 
 def sample_dpp_many(
@@ -303,26 +297,29 @@ def sample_dpp_many(
     seed: int,
     stream_base: tuple[int, ...] = (),
     workers: int = 1,
-) -> list[Configuration]:
-    """reps independent exact draws on disjoint Philox streams.
+) -> tuple[np.ndarray, np.ndarray]:
+    """reps exact draws as one draw set: (reps, N, dim) points, (reps,) log densities.
 
-    Draw r uses the stream stream_base + (r,), so the result does not depend
-    on workers.  workers > 1 spreads the draws over a process pool; its
-    processes are spawned, so each first pays a fresh import of bergdpp.
+    Draw r is sample_dpp on the stream stream_base + (r,), so the result does
+    not depend on workers.  workers > 1 spreads the draws over a process pool;
+    its processes are spawned, so each first pays a fresh import of bergdpp.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     streams = [stream_base + (r,) for r in range(reps)]
     if workers == 1:
-        return [sample_dpp(space, seed=seed, stream=st) for st in streams]
-    # imported here alone: at start-up they would cost every process about 7 ms
-    import concurrent.futures
-    import multiprocessing
+        draws = [sample_dpp(space, seed=seed, stream=st) for st in streams]
+    else:
+        # imported here alone: at start-up they would cost every process about 7 ms
+        import concurrent.futures
+        import multiprocessing
 
-    context = multiprocessing.get_context("spawn")
-    with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
-        futures = [pool.submit(sample_dpp, space, seed=seed, stream=st) for st in streams]
-        return [f.result() for f in futures]
+        context = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
+            futures = [pool.submit(sample_dpp, space, seed=seed, stream=st) for st in streams]
+            draws = [f.result() for f in futures]
+    points = np.array([c.points for c in draws], dtype=complex)
+    return points.reshape(reps, space.rank, space.dim), np.array([c.log_density for c in draws])
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +350,11 @@ class McmcConfig:
 
 @dataclass
 class McmcRun:
-    """Output of the weighted sampler with chain diagnostics."""
+    """The chain's states after the steps range(burn_in, steps, thin), with diagnostics."""
 
-    configurations: list[Configuration]
+    points: np.ndarray          # (C, N, dim) complex
+    log_density: np.ndarray     # (C,), as Configuration.log_density
+    steps: np.ndarray           # (C,) step indices
     acceptance_rate: float
     warnings: list[str]
 
@@ -395,8 +394,8 @@ def sample_weighted(
     ratio against the updated V.  K is rebuilt from V at the next sweep, so
     rounding accumulates over at most N steps.  A zero ratio (coincident
     points) gives log-ratio -inf and is rejected.  slogdet runs only at
-    collected configurations, which carry the mu^N Gibbs log-density of the
-    current V and their step index.
+    collected configurations; the run's row for each holds the sites, the
+    mu^N Gibbs log-density of the current V and the step index.
     """
     if seed is None:
         raise ValueError("sample_weighted needs a seed")
@@ -413,7 +412,9 @@ def sample_weighted(
 
     cur_pen = weight_values(weight, X) - np.log(space.base_density(X))
     accepted = 0
-    out: list[Configuration] = []
+    steps = np.arange(config.burn_in, config.steps, config.thin)
+    points = np.empty((steps.size, N, n), dtype=complex)
+    logd = np.empty(steps.size)
     sigma = config.proposal_scale
 
     for s0 in range(0, config.steps, N):
@@ -446,17 +447,11 @@ def sample_weighted(
                 X[j] = Z[j]
                 cur_pen[j] = pen[j]
                 accepted += 1
-            step = s0 + j
-            if step >= config.burn_in and (step - config.burn_in) % config.thin == 0:
+            row, rest = divmod(s0 + j - config.burn_in, config.thin)
+            if row >= 0 and rest == 0:
                 mu_pen = cur_pen.sum() + float(np.log(space.base_density(X)).sum())
-                out.append(
-                    Configuration(
-                        points=X.copy(),
-                        log_density=slog(V) - mu_pen,
-                        origin="mcmc",
-                        mcmc_step=step,
-                    )
-                )
+                points[row] = X
+                logd[row] = slog(V) - mu_pen
 
     rate = accepted / config.steps
     warnings = []
@@ -465,4 +460,4 @@ def sample_weighted(
             f"acceptance rate {rate:.3f} outside [0.05, 0.90]; "
             "adjust proposal_scale"
         )
-    return McmcRun(configurations=out, acceptance_rate=rate, warnings=warnings)
+    return McmcRun(points, logd, steps, rate, warnings)

@@ -2,7 +2,7 @@
 
 A draw set is one (reps, N, dim) complex array of points, the only form in
 which draws reach a statistic: the CLI reads a samples file into it with one
-np.array call, and fresh draws are stacked once, where they are drawn.  Every
+np.array call, and sample_dpp_many returns fresh draws in it.  Every
 statistic reduces it without a copy: a region count is one Region.mask call
 over all reps * N points, summed per replicate, and the pooled radii are the
 moduli of one factor, raveled.
@@ -45,7 +45,6 @@ from .sampler import sample_dpp_many
 from .spaces import ModelSpace
 
 __all__ = [
-    "Region",
     "parse_region",
     "CountStats",
     "PairStats",
@@ -442,8 +441,8 @@ def measure_convergence(
     rows = []
     warnings: list[str] = []
     for idx, (k, space) in enumerate(spaces_by_k):
-        draws = sample_dpp_many(space, reps, seed, (idx,), workers)
-        rows.append(convergence_row(space, k, np.stack([c.points for c in draws]), region))
+        points, _ = sample_dpp_many(space, reps, seed, (idx,), workers)
+        rows.append(convergence_row(space, k, points, region))
     for prev, cur in zip(rows, rows[1:]):
         if cur.replicate_variance > prev.replicate_variance:
             warnings.append(

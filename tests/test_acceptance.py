@@ -24,11 +24,10 @@ from bergdpp.kernel import (
     rescaled_correlation,
     scaling_errors,
 )
-from bergdpp.quadrature import build_grid, weighted_gram_matrix
+from bergdpp.quadrature import Region, build_grid, weighted_gram_matrix
 from bergdpp.sampler import rng_stream, sample_dpp_many
 from bergdpp.spaces import limit_frame, make_fubini_study, make_ginibre, make_product
 from bergdpp.stats import (
-    Region,
     circular_law_distance,
     measure_convergence,
     pair_count_stats,
@@ -139,13 +138,13 @@ def test_criterion_04_pair_correlations_and_discrete_oracle(capsys):
     # of rho_2 over A x B (stats.py states the full trace identities)
     fs = make_fubini_study(5)
     fs_regions = [Region.disk(0.7), Region.annulus(0.7, 1.4), Region.annulus(1.4, 3.0)]
-    fs_draws = np.stack([c.points for c in sample_dpp_many(fs, 10_000, seed=0)])
+    fs_draws, _ = sample_dpp_many(fs, 10_000, seed=0)
     fs_stats = pair_count_stats(fs, fs_draws, fs_regions)
     fs_z = max(abs(s.z) for s in fs_stats)
 
     gin = make_ginibre(5)
     gin_regions = [Region.disk(1.0), Region.annulus(1.0, 1.8), Region.annulus(1.8, 3.0)]
-    gin_draws = np.stack([c.points for c in sample_dpp_many(gin, 10_000, seed=1)])
+    gin_draws, _ = sample_dpp_many(gin, 10_000, seed=1)
     gin_stats = pair_count_stats(gin, gin_draws, gin_regions)
     gin_z = max(abs(s.z) for s in gin_stats)
 
@@ -203,8 +202,8 @@ def test_count_laws_beside_criterion_04():
     ]
     level = COUNT_LAW_ALPHA / sum(len(radii) for _, _, radii in cases)
     for index, (space, draws, radii) in enumerate(cases):
-        confs = sample_dpp_many(space, draws, seed=0, stream_base=(index,))
-        moduli = np.abs(np.stack([c.points[:, 0] for c in confs]))
+        points, _ = sample_dpp_many(space, draws, seed=0, stream_base=(index,))
+        moduli = np.abs(points[:, :, 0])
         for r in radii:
             pmf = poisson_binomial_pmf(kostlan_probabilities(space, [(0.0, r)]))
             observed = np.bincount((moduli < r).sum(axis=1), minlength=pmf.size)
@@ -253,9 +252,9 @@ def test_criterion_05_scaling_limit(capsys):
 
 def test_criterion_06_circular_law(capsys):
     big = make_ginibre(500)
-    rep_big = circular_law_distance(big, np.stack([c.points for c in sample_dpp_many(big, 20, seed=101)]))
+    rep_big = circular_law_distance(big, sample_dpp_many(big, 20, seed=101)[0])
     small = make_ginibre(50)
-    rep_small = circular_law_distance(small, np.stack([c.points for c in sample_dpp_many(small, 20, seed=101)]))
+    rep_small = circular_law_distance(small, sample_dpp_many(small, 20, seed=101)[0])
     ok = rep_big.distance < 0.05 and rep_big.distance < rep_small.distance
     _report(
         capsys,

@@ -21,7 +21,7 @@ import bergdpp
 from bergdpp.cli import _load_samples, _samples_json, run
 from bergdpp.energy import lambda_report
 from bergdpp.exprs import parse_weight, weight_sum
-from bergdpp.sampler import Configuration, log_density, sample_dpp
+from bergdpp.sampler import log_density, sample_dpp
 from bergdpp.spaces import make_fubini_study, make_product, space_to_config
 
 
@@ -49,6 +49,8 @@ def test_sample_writes_report(tmp_path):
     assert len(pts) == 4
     assert all(len(row) == 2 for row in pts)
     assert "log_density" in doc["configurations"][0]
+    # independent exact draws: origin "exact" and no chain step
+    assert [(c["origin"], c["mcmc_step"]) for c in doc["configurations"]] == [("exact", None)] * 2
 
 
 # finite floats, with the edges of the float range among them
@@ -60,19 +62,13 @@ _FINITE = st.one_of(
 
 @st.composite
 def _samples_reports(draw, min_confs=0):
-    """(payload, configurations) of a samples report: dim 1 or 2, N from 1 to 7."""
-    dim, n = draw(st.sampled_from([1, 2])), draw(st.integers(1, 7))
-    confs = []
-    for _ in range(draw(st.integers(min_confs, 4))):
-        flat = draw(st.lists(_FINITE, min_size=2 * n * dim, max_size=2 * n * dim))
-        confs.append(
-            Configuration(
-                points=np.array(flat).view(complex).reshape(n, dim),
-                log_density=draw(st.sampled_from([float, np.float64]))(draw(_FINITE)),
-                origin=draw(st.sampled_from(["exact", "mcmc"])),
-                mcmc_step=draw(st.none() | st.integers(0, 10**9)),
-            )
-        )
+    """(payload, points, log_density, steps) of a samples report: dim 1 or 2, N from 1 to 7."""
+    dim, n, reps = draw(st.sampled_from([1, 2])), draw(st.integers(1, 7)), draw(st.integers(min_confs, 4))
+    flat = draw(st.lists(_FINITE, min_size=2 * reps * n * dim, max_size=2 * reps * n * dim))
+    points = np.array(flat, dtype=float).view(complex).reshape(reps, n, dim)
+    logd = np.array(draw(st.lists(_FINITE, min_size=reps, max_size=reps)), dtype=float)
+    # None: exact draws; otherwise a chain's step indices
+    steps = draw(st.none() | st.lists(st.integers(0, 10**9), min_size=reps, max_size=reps))
     payload = {
         "schema": "bergdpp.samples/1",
         "version": bergdpp.__version__,
@@ -80,25 +76,25 @@ def _samples_reports(draw, min_confs=0):
         "space": {"kind": "product", "k": 2, "mults": [1] * dim},
         "seed": 7,
     }
-    if draw(st.booleans()):  # a chain's report
+    if steps is not None:  # a chain's report
         payload.update(acceptance_rate=draw(_FINITE), warnings=draw(st.lists(st.text(max_size=8), max_size=2)))
-    return payload, confs
+        steps = np.array(steps, dtype=np.int64)
+    return payload, points, logd, steps
 
 
-def _json_dict(c):
-    """A reference serialiser of one configuration, independent of the writer."""
-    # the (N, 2 * dim) float view holds [re, im] per factor
-    pts = np.ascontiguousarray(c.points, dtype=complex).view(float)
-    return {
-        "points": pts.tolist(),
-        "log_density": c.log_density,
-        "origin": c.origin,
-        "mcmc_step": c.mcmc_step,
-    }
-
-
-def _dumps_report(payload, confs):
-    report = {**payload, "configurations": [_json_dict(c) for c in confs]}
+def _dumps_report(payload, points, logd, steps):
+    """A reference serialiser of a samples report, independent of the writer."""
+    confs = [
+        {
+            # the (N, 2 * dim) float view holds [re, im] per factor
+            "points": np.ascontiguousarray(points[r]).view(float).tolist(),
+            "log_density": float(logd[r]),
+            "origin": "exact" if steps is None else "mcmc",
+            "mcmc_step": None if steps is None else int(steps[r]),
+        }
+        for r in range(len(points))
+    ]
+    report = {**payload, "configurations": confs}
     return json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
 
 
@@ -111,28 +107,47 @@ def test_bulk_samples_writer_writes_the_bytes_of_json_dumps(report):
 @settings(max_examples=40, deadline=None)
 @given(_samples_reports(min_confs=1), st.sampled_from([math.nan, math.inf, -math.inf]), st.data())
 def test_bulk_samples_writer_raises_the_json_error_on_a_value_that_is_not_finite(report, bad, data):
-    payload, confs = report
-    i = data.draw(st.integers(0, len(confs) - 1))
-    c = confs[i]
-    slot = data.draw(st.integers(-1, c.points.size * 2 - 1))  # -1: log_density
+    payload, points, logd, steps = report
+    points, logd = points.copy(), logd.copy()
+    i = data.draw(st.integers(0, len(points) - 1))
+    slot = data.draw(st.integers(-1, points[i].size * 2 - 1))  # -1: log_density
     if slot < 0:
-        c = dataclasses.replace(c, log_density=bad)
+        logd[i] = bad
     else:
-        view = c.points.copy().view(float)
-        view.flat[slot] = bad
-        c = dataclasses.replace(c, points=view.view(complex))
-    confs = confs[:i] + [c] + confs[i + 1 :]
+        points[i].view(float).flat[slot] = bad
     with pytest.raises(ValueError) as want:
-        _dumps_report(payload, confs)
+        _dumps_report(payload, points, logd, steps)
     with pytest.raises(ValueError) as got:
-        _samples_json(payload, confs)
+        _samples_json(payload, points, logd, steps)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "log_densities,point_values,want",
+    [
+        ({1: math.nan}, {(0, 1): math.inf}, "inf"),
+        ({1: -math.inf}, {(1, 0): math.nan}, "-inf"),
+        ({2: -math.inf}, {(1, 3): math.inf, (1, 2): math.nan}, "nan"),
+    ],
+    ids=["earlier-configuration", "log-density-before-points", "points-in-row-order"],
+)
+def test_bulk_samples_writer_names_the_first_bad_value_in_report_order(log_densities, point_values, want):
+    # json writes configuration by configuration, log_density before points;
+    # the writer checks whole arrays at once and must still name that value
+    points, logd = np.zeros((3, 2, 1), dtype=complex), np.zeros(3)
+    for r, value in log_densities.items():
+        logd[r] = value
+    for (r, slot), value in point_values.items():
+        points[r].view(float).flat[slot] = value
+    with pytest.raises(ValueError) as got:
+        _samples_json({"schema": "s"}, points, logd)
+    assert str(got.value).endswith(f": {want}")
 
 
 def test_configuration_json_round_trip(tmp_path):
     space = make_product((1, 2), 2)
     conf = sample_dpp(space, seed=51)
-    text = _samples_json({"space": space_to_config(space)}, [conf])
+    text = _samples_json({"space": space_to_config(space)}, conf.points[None], [conf.log_density])
     entry = json.loads(text)["configurations"][0]
     rows = entry["points"]
     # [re, im] per factor, as plain floats
@@ -144,7 +159,6 @@ def test_configuration_json_round_trip(tmp_path):
     assert back_space == space
     assert np.allclose(back[0], conf.points, rtol=0, atol=0)
     assert entry["log_density"] == conf.log_density
-    assert entry["origin"] == conf.origin
 
 
 def test_sample_deterministic_bytes(tmp_path):
@@ -187,6 +201,8 @@ def test_sample_mcmc_branch(tmp_path):
     assert doc["config"]["mcmc_steps"] == 300
     assert 0.0 < doc["acceptance_rate"] <= 1.0
     assert all(c["origin"] == "mcmc" for c in doc["configurations"])
+    # the chain's state after steps range(burn_in, steps, thin)
+    assert [c["mcmc_step"] for c in doc["configurations"]] == [50, 100, 150, 200, 250]
 
 
 def test_k_scaled_weight_enters_with_one_factor_of_k(tmp_path):
@@ -561,10 +577,15 @@ def test_stats_on_fresh_draws_match_the_samples_file_of_the_same_seed(tmp_path, 
         assert a.pop("config") != b.pop("config") and a == b
 
 
-@pytest.mark.parametrize("flags", [["--reps", "5"], ["--seed", "99"], ["--reps", "5", "--seed", "99"]],
-                         ids=["reps", "seed", "both"])
+@pytest.mark.parametrize(
+    "flags",
+    [["--reps", "5"], ["--seed", "99"], ["--reps", "5", "--seed", "99"], ["--workers", "4"],
+     ["--workers", "1"], ["--reps", "5", "--workers", "2"]],
+    ids=["reps", "seed", "both", "workers", "workers-1", "reps-workers"],
+)
 def test_stats_refuses_fresh_draw_flags_beside_samples(tmp_path, flags, capsys):
-    # they used to be ignored: a 10-draw file read with --reps 5 reported reps 10
+    # they used to be ignored: a 10-draw file read with --reps 5 reported
+    # reps 10, and --workers 4 spread no draws over four processes
     samples = tmp_path / "s.json"
     assert run(["sample", "--space", "fs", "--k", "2", "--reps", "10", "--seed", "1",
                 "--out", str(samples)]) == 0
@@ -720,6 +741,58 @@ def test_stats_rejects_malformed_configuration(tmp_path, edit, capsys):
     samples.write_text(json.dumps(doc))
     assert run(["stats", "counts", "--samples", str(samples), "--region", "disk:1"]) == 2
     assert f"{samples}: configuration 1" in capsys.readouterr().err
+
+
+# values json.load gives that are not JSON numbers, or not finite; each used
+# to be read as a float by the samples reader, and the file exited 0
+NOT_NUMBERS = [("0.39", '"0.39"'), (True, "true"), (False, "false")]
+
+
+@pytest.mark.parametrize("value,shown", NOT_NUMBERS, ids=["string", "true", "false"])
+@pytest.mark.parametrize("slot", ["coordinate", "log_density"])
+def test_samples_reader_refuses_values_that_are_not_numbers(tmp_path, slot, value, shown, capsys):
+    samples = tmp_path / "s.json"
+    assert run(["sample", "--space", "fs", "--k", "2", "--reps", "3", "--seed", "1",
+                "--out", str(samples)]) == 0
+    doc = read_json(samples)
+    if slot == "coordinate":
+        doc["configurations"][1]["points"][2][1] = value
+        want = f"configuration 1: point row 2 holds {shown}, which is not a number"
+    else:
+        doc["configurations"][2]["log_density"] = value
+        want = f"configuration 2: log_density {shown} is not a finite number"
+    samples.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["stats", "counts", "--samples", str(samples), "--region", "disk:1"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {samples}: {want}\n"
+
+
+def test_samples_reader_refuses_a_log_density_that_is_not_finite(tmp_path, capsys):
+    samples = tmp_path / "s.json"
+    assert run(["sample", "--space", "fs", "--k", "2", "--reps", "2", "--seed", "1",
+                "--out", str(samples)]) == 0
+    doc = read_json(samples)
+    doc["configurations"][0]["log_density"] = math.nan  # json.dumps writes NaN
+    samples.write_text(json.dumps(doc))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["stats", "counts", "--samples", str(samples), "--region", "disk:1"]) == 2
+    assert capsys.readouterr().err == f"error: {samples}: configuration 0: log_density NaN is not a finite number\n"
+
+
+@pytest.mark.parametrize("value,shown", NOT_NUMBERS, ids=["string", "true", "false"])
+def test_points_file_refuses_values_that_are_not_numbers(tmp_path, value, shown, capsys):
+    # {"points": [[true, 0.0]]} used to be the test point 1+0j
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps({"points": [[0.5, 0.0], [value, 0.0]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["scaling", "--space", "fs", "--ks", "2", "--points", str(pts)]) == 2
+    assert capsys.readouterr().err == f"error: {pts}: point row 1 holds {shown}, which is not a number\n"
 
 
 @pytest.mark.parametrize(

@@ -18,19 +18,18 @@ from scipy import integrate, special
 
 from bergdpp.exprs import parse_weight, weight_sum
 from bergdpp.quadrature import (
-    MIN_PANEL,
     TAIL,
     GramDegenerateError,
+    Region,
     _diagonal,
     _tail_edge,
     build_grid,
-    gauss_legendre,
     gram,
     gram_to_csv,
     weighted_gram_matrix,
 )
-from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
-from bergdpp.stats import Region, region_grid
+from bergdpp.spaces import MIN_PANEL, gauss_legendre, make_fubini_study, make_ginibre, make_product
+from bergdpp.stats import region_grid
 
 
 # ---------------------------------------------------------------------------

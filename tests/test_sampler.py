@@ -39,7 +39,6 @@ def test_sample_size_and_finiteness(space):
     conf = sample_dpp(space, seed=11)
     assert conf.points.shape == (space.rank, space.dim)
     assert np.all(np.isfinite(conf.points))
-    assert conf.origin == "exact"
     # all points distinct
     for a in range(space.rank):
         for b in range(a + 1, space.rank):
@@ -60,8 +59,8 @@ def test_different_streams_differ():
 
 
 def test_sample_many_uses_disjoint_streams():
-    confs = sample_dpp_many(make_ginibre(3), reps=4, seed=9)
-    keys = {c.points.tobytes() for c in confs}
+    points, _ = sample_dpp_many(make_ginibre(3), reps=4, seed=9)
+    keys = {draw.tobytes() for draw in points}
     assert len(keys) == 4
 
 
@@ -72,9 +71,21 @@ def test_draws_do_not_depend_on_workers():
     serial = sample_dpp_many(space, reps=7, seed=13)
     pooled = sample_dpp_many(space, reps=7, seed=13, workers=2)
     single = [sample_dpp(space, seed=13, stream=(r,)) for r in range(7)]
-    for a, b, c in zip(serial, pooled, single):
-        assert a.points.tobytes() == b.points.tobytes() == c.points.tobytes()
-        assert a.log_density == b.log_density == c.log_density
+    for r, c in enumerate(single):
+        assert serial[0][r].tobytes() == pooled[0][r].tobytes() == c.points.tobytes()
+        assert serial[1][r] == pooled[1][r] == c.log_density
+
+
+@pytest.mark.parametrize("reps", [0, 1, 3])
+def test_sample_many_returns_one_draw_set(reps):
+    # (reps, N, dim) complex points and (reps,) log densities, draw r from stream (5, r)
+    space = make_product((1, 2), 2)
+    points, logd = sample_dpp_many(space, reps=reps, seed=4, stream_base=(5,))
+    assert points.shape == (reps, space.rank, space.dim) and points.dtype == complex
+    assert logd.shape == (reps,) and logd.dtype == float
+    for r in range(reps):
+        conf = sample_dpp(space, seed=4, stream=(5, r))
+        assert points[r].tobytes() == conf.points.tobytes() and logd[r] == conf.log_density
 
 
 @pytest.mark.parametrize(
@@ -279,16 +290,16 @@ def test_log_density_wrong_size_raises():
 def test_fs_radial_law():
     # pooled radii over independent draws vs the closed-form mixture CDF
     space = make_fubini_study(6)
-    confs = sample_dpp_many(space, reps=400, seed=17)
-    radii = np.abs(np.concatenate([c.points[:, 0] for c in confs]))
+    points, _ = sample_dpp_many(space, reps=400, seed=17)
+    radii = np.abs(points[:, :, 0]).ravel()
     d = ks_distance(radii, space.factors[0].radial_cdf)
     assert d < 0.04  # n = 2800, far above the 1.36/sqrt(n) 5% band
 
 
 def test_ginibre_radial_law():
     space = make_ginibre(5)
-    confs = sample_dpp_many(space, reps=400, seed=19)
-    radii = np.abs(np.concatenate([c.points[:, 0] for c in confs]))
+    points, _ = sample_dpp_many(space, reps=400, seed=19)
+    radii = np.abs(points[:, :, 0]).ravel()
     d = ks_distance(radii, space.factors[0].radial_cdf)
     assert d < 0.04
 
@@ -325,7 +336,7 @@ def test_exact_draws_match_random_matrix_eigenvalues(space, eigenvalues):
     from scipy.stats import ks_2samp
 
     draws = 300
-    hkpv = [c.points[:, 0] for c in sample_dpp_many(space, reps=draws, seed=61)]
+    hkpv = sample_dpp_many(space, reps=draws, seed=61)[0][:, :, 0]
     rng = np.random.default_rng(62)
     rmt = [eigenvalues(rng, space.rank) for _ in range(draws)]
     for stat in (np.abs, _nearest_neighbour):
@@ -364,7 +375,7 @@ def test_mcmc_unweighted_matches_exact_law():
     )
     assert 0.05 < run.acceptance_rate < 0.9
     assert run.warnings == []
-    radii = np.abs(np.concatenate([c.points[:, 0] for c in run.configurations]))
+    radii = np.abs(run.points[:, :, 0]).ravel()
     d = ks_distance(radii, space.factors[0].radial_cdf)
     assert d < 0.08  # thinned chain, n = 140 pooled radii
 
@@ -377,8 +388,8 @@ def test_mcmc_weight_shifts_the_law():
     cfg = McmcConfig(steps=3000, burn_in=500, thin=20, proposal_scale=0.5)
     flat = sample_weighted(space, cfg, seed=31)
     pulled = sample_weighted(space, cfg, weight=parse_weight("4*r2"), seed=31)
-    r_flat = np.mean(np.abs(np.concatenate([c.points[:, 0] for c in flat.configurations])))
-    r_pulled = np.mean(np.abs(np.concatenate([c.points[:, 0] for c in pulled.configurations])))
+    r_flat = np.mean(np.abs(flat.points[:, :, 0]))
+    r_pulled = np.mean(np.abs(pulled.points[:, :, 0]))
     assert r_pulled < r_flat
 
 
@@ -396,11 +407,10 @@ def test_mcmc_stores_gibbs_log_density(space, psi_text, steps):
     # every collected log-density must still be the exact Gibbs value
     psi = parse_weight(psi_text)
     run = sample_weighted(space, McmcConfig(steps=steps, burn_in=50, thin=50), weight=psi, seed=37)
-    assert run.configurations
-    for conf in run.configurations:
-        want = log_density(space, conf.points, weight=psi)
-        assert conf.log_density == pytest.approx(want, rel=1e-10)
-        assert conf.origin == "mcmc"
+    assert list(run.steps) == list(range(50, steps, 50))
+    for points, logd in zip(run.points, run.log_density, strict=True):
+        want = log_density(space, points, weight=psi)
+        assert logd == pytest.approx(want, rel=1e-10)
 
 
 def test_mcmc_factorises_once_per_sweep(monkeypatch):
@@ -419,7 +429,7 @@ def test_mcmc_factorises_once_per_sweep(monkeypatch):
     run = sample_weighted(
         space, McmcConfig(steps=95, burn_in=10, thin=20), weight=parse_weight("r2/(1+r2)"), seed=3
     )
-    assert len(run.configurations) == 5
+    assert len(run.points) == 5
     assert calls == {"solve": 10, "slogdet": 5}
 
 
@@ -469,7 +479,7 @@ def test_mcmc_evaluates_each_sweep_in_one_batch(monkeypatch, k):
         "section_matrix": 1 + sweeps,
         "weight": 1 + sweeps,
         "solve": sweeps,
-        "slogdet": len(run.configurations),
+        "slogdet": len(run.points),
     }
 
 
@@ -540,10 +550,10 @@ def test_mcmc_matches_a_full_determinant_reference_chain(
     run = sample_weighted(space, config, weight=psi, seed=41)
     want = _reference_chain(space, config, psi, seed=41)
     assert 0.1 < run.acceptance_rate < 0.9
-    assert len(run.configurations) == len(want) >= min(4, steps)
-    for conf, (points, logd) in zip(run.configurations, want):
-        assert np.array_equal(conf.points, points)
-        assert conf.log_density == logd
+    assert len(run.points) == len(want) >= min(4, steps)
+    for got, got_logd, (points, logd) in zip(run.points, run.log_density, want):
+        assert np.array_equal(got, points)
+        assert got_logd == logd
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 cli writes a samples report (_samples_json) and reads it back
 (_load_samples) as one (reps, N, dim) point array, so no other library
 module spells a key of that file: not as a dict-display key, not as a
-subscript, and not as the key of a .get or .pop call.
+subscript, and not as the key of a .get or .pop call.  The samplers return
+point arrays, and the writer alone decides a configuration's origin and
+mcmc_step, so no other module declares a field or passes a keyword argument
+of those names either.
 """
 
 import ast
@@ -16,6 +19,7 @@ import bergdpp
 SRC = Path(bergdpp.__file__).parent
 MODULES = sorted(path.name for path in SRC.glob("*.py"))
 KEYS = {"points", "log_density", "origin", "mcmc_step", "configurations"}
+FIELDS = {"origin", "mcmc_step"}
 
 
 def _is_key(node) -> bool:
@@ -50,3 +54,29 @@ def test_the_guard_sees_the_keys_cli_uses():
     seen = {ast.unparse(node) for node in _key_uses(tree)}
     assert "entry['points']" in seen
     assert "data.get('configurations')" in seen
+
+
+def _field_uses(tree):
+    """Class-body fields and keyword arguments named origin or mcmc_step."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+                if any(isinstance(t, ast.Name) and t.id in FIELDS for t in targets):
+                    yield stmt
+        elif isinstance(node, ast.keyword) and node.arg in FIELDS:
+            yield node
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "cli.py"])
+def test_no_samples_file_field_outside_cli(name):
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    found = [f"{name}:{node.lineno}: {ast.unparse(node)[:80]}" for node in _field_uses(tree)]
+    assert found == []
+
+
+def test_the_field_guard_sees_fields_and_keywords():
+    tree = ast.parse("class C:\n    origin: str\n    mcmc_step = None\nC(origin='exact')\n")
+    assert [ast.unparse(node) for node in _field_uses(tree)] == [
+        "origin: str", "mcmc_step = None", "origin='exact'"
+    ]

@@ -18,11 +18,10 @@ import numpy as np
 import pytest
 from scipy import special, stats as sps
 
-from bergdpp.quadrature import TAIL
-from bergdpp.sampler import Configuration, sample_dpp_many
+from bergdpp.quadrature import TAIL, Region
+from bergdpp.sampler import sample_dpp_many
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
 from bergdpp.stats import (
-    Region,
     circular_law_distance,
     convergence_row,
     count_moments,
@@ -37,16 +36,10 @@ from bergdpp.stats import (
 from count_laws import kostlan_probabilities, poisson_binomial_pmf, pooled_chi_square
 
 
-def make_conf(points):
-    pts = np.asarray(points, dtype=complex)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    return Configuration(points=pts, log_density=0.0, origin="exact")
-
-
-def points_of(confs):
-    """The draw set as the statistics take it: one (reps, N, dim) point array."""
-    return np.stack([c.points for c in confs])
+def draw_set(*draws):
+    """The (reps, N, dim) draw set of the given draws; a 1-D draw is one factor's points."""
+    pts = np.array(draws, dtype=complex)
+    return pts[:, :, None] if pts.ndim == 2 else pts
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +100,14 @@ def test_parse_region_errors():
 
 def test_empirical_counts_and_masses():
     # disk:1 counts (1, 2) per draw, so masses (1/2, 1) of the rank-2 space
-    confs = [make_conf([0.1 + 0j, 2.0 + 0j]), make_conf([0.2j, 0.3 + 0j])]
+    points = draw_set([0.1 + 0j, 2.0 + 0j], [0.2j, 0.3 + 0j])
     space = make_fubini_study(1)
     disk = Region.disk(1.0)
-    cs = region_count_stats(space, points_of(confs), disk)
+    cs = region_count_stats(space, points, disk)
     assert cs.reps == 2
     assert cs.observed_mean == 1.5
     assert cs.observed_variance == 0.5
-    row = convergence_row(space, 1, points_of(confs), disk)
+    row = convergence_row(space, 1, points, disk)
     assert row.rank == 2
     assert row.mc_mass == 0.75
     assert row.replicate_variance == 0.125
@@ -163,8 +156,7 @@ def test_count_and_pair_predictions_match_kostlan(case):
         assert mean == pytest.approx(p.sum(), abs=1e-10)
         assert var == pytest.approx((p * (1.0 - p)).sum(), abs=1e-10)
 
-    conf = make_conf(np.zeros((space.rank, space.dim)))
-    rows = pair_count_stats(space, points_of([conf]), regions, grid)
+    rows = pair_count_stats(space, draw_set(np.zeros((space.rank, space.dim))), regions, grid)
     assert len(rows) == len(regions) * (len(regions) + 1) // 2
     pairs = [(a, b) for a in range(len(regions)) for b in range(a, len(regions))]
     for (a, b), row in zip(pairs, rows):
@@ -213,7 +205,7 @@ def test_disk_count_law_is_poisson_binomial(space, regions):
     # u_i = r_i^2 / (1 + r_i^2) are independent Beta(a_i + 1, d_i - a_i + 1),
     # and p_a is a product of regularised-Beta CDF differences.
     draws = 1000
-    moduli = np.abs(np.stack([c.points for c in sample_dpp_many(space, reps=draws, seed=73)]))
+    moduli = np.abs(sample_dpp_many(space, reps=draws, seed=73)[0])
     for bounds in regions:
         inside = np.ones(moduli.shape[:2], dtype=bool)
         for f, (lo, hi) in enumerate(bounds):
@@ -279,8 +271,7 @@ def test_disjoint_pair_integral_matches_trace_identity():
     A = Region.disk(0.8)
     B = Region.annulus(0.8, 2.0)
     grid = region_grid(space, A, B)
-    conf = make_conf(np.zeros((space.rank, space.dim)))
-    rows = pair_count_stats(space, points_of([conf]), [A, B], grid)
+    rows = pair_count_stats(space, draw_set(np.zeros((space.rank, space.dim))), [A, B], grid)
     (row,) = [r for r in rows if (r.region_a, r.region_b) == (A.label, B.label)]
     want = pair_quadrature(space, A, B, grid)
     assert abs(row.predicted - want) < 1e-9
@@ -311,7 +302,7 @@ def test_pair_predictions_match_node_mask_grams(case):
     grid = region_grid(space, *regions)
     masks = [reg.mask(grid.nodes) for reg in regions]
     grams = [node_mask_gram(space, grid, m) for m in masks]
-    rows = pair_count_stats(space, points_of([make_conf(np.zeros((space.rank, space.dim)))]), regions, grid)
+    rows = pair_count_stats(space, draw_set(np.zeros((space.rank, space.dim))), regions, grid)
     pairs = [(a, b) for a in range(len(regions)) for b in range(a, len(regions))]
     for (a, b), row in zip(pairs, rows):
         ta, tb = np.trace(grams[a]).real, np.trace(grams[b]).real
@@ -356,8 +347,8 @@ def test_huge_disk_holds_every_point(space, radius):
 
 def test_region_count_stats_on_samples():
     space = make_fubini_study(5)
-    confs = sample_dpp_many(space, reps=600, seed=23)
-    cs = region_count_stats(space, points_of(confs), Region.disk(1.0))
+    points, _ = sample_dpp_many(space, reps=600, seed=23)
+    cs = region_count_stats(space, points, Region.disk(1.0))
     assert cs.reps == 600
     assert abs(cs.mean_z) < 4.0
     assert abs(cs.variance_z) < 4.0
@@ -366,12 +357,12 @@ def test_region_count_stats_on_samples():
     assert d["region"] == "disk:1"
 
 
-def loop_counts(confs, region):
+def loop_counts(points, region):
     """Per-draw region counts from a plain loop of |z_i| comparisons."""
     counts = []
-    for conf in confs:
+    for draw in points:
         n = 0
-        for row in conf.points:
+        for row in draw:
             n += all(lo <= abs(z) <= hi for z, (lo, hi) in zip(row, region.bounds))
         counts.append(n)
     return counts
@@ -410,17 +401,17 @@ PRODUCT_DRAWS = [
     ids=["fs", "prod12k2"],
 )
 def test_pair_count_stats_observed_means_manual(space, draws, texts):
-    confs = [make_conf(d) for d in draws]
+    points = draw_set(*draws)
     regions = [parse_region(t, space.dim) for t in texts]
-    counts = [np.array(loop_counts(confs, reg), dtype=float) for reg in regions]
-    rows = pair_count_stats(space, points_of(confs), regions)
+    counts = [np.array(loop_counts(points, reg), dtype=float) for reg in regions]
+    rows = pair_count_stats(space, points, regions)
     by_key = {(r.region_a, r.region_b): r for r in rows}
     assert len(rows) == 6
     for a in range(3):
         for b in range(a, 3):
             want = counts[a] * (counts[a] - 1.0) if a == b else counts[a] * counts[b]
             row = by_key[(regions[a].label, regions[b].label)]
-            assert row.reps == len(confs)
+            assert row.reps == len(points)
             assert row.observed_mean == want.mean()
     # every point of a draw is in the full region
     assert list(counts[2]) == [len(d) for d in draws]
@@ -429,8 +420,8 @@ def test_pair_count_stats_observed_means_manual(space, draws, texts):
 def test_pair_count_stats_overlapping_regions():
     # #full = N on every draw, so E[#A * #full] = N E[#A] = 6 * 3 exactly
     space = make_fubini_study(5)
-    confs = sample_dpp_many(space, reps=400, seed=29)
-    rows = pair_count_stats(space, points_of(confs), [Region.disk(1.0), Region.full()])
+    points, _ = sample_dpp_many(space, reps=400, seed=29)
+    rows = pair_count_stats(space, points, [Region.disk(1.0), Region.full()])
     cross = {(r.region_a, r.region_b): r for r in rows}[("disk:1", "full")]
     assert cross.predicted == pytest.approx(18.0, abs=1e-9)
     assert abs(cross.z) < 4.0
@@ -444,8 +435,8 @@ def test_estimate_intensity_prediction_column():
     from bergdpp.kernel import evaluator
 
     space = make_fubini_study(4)
-    confs = sample_dpp_many(space, reps=50, seed=3)
-    cells = estimate_intensity(space, points_of(confs), bins=12, extent=2.0)
+    points, _ = sample_dpp_many(space, reps=50, seed=3)
+    cells = estimate_intensity(space, points, bins=12, extent=2.0)
     assert len(cells) == 144  # square bins over [-2, 2]^2
     ev = evaluator(space)
     for cell in cells[::17]:
@@ -460,30 +451,30 @@ def test_estimate_intensity_prediction_column():
 
 def test_estimate_intensity_rates_match_per_replicate_histograms():
     space = make_fubini_study(4)
-    confs = sample_dpp_many(space, reps=30, seed=17)
+    points, _ = sample_dpp_many(space, reps=30, seed=17)
     bins, extent = 6, 1.5
     edges = np.linspace(-extent, extent, bins + 1)
-    z = np.array([c.points[:, 0] for c in confs])
+    z = points[:, :, 0]
     # no point on a bin edge, and some outside the window
     for part in (z.real, z.imag):
         assert np.min(np.abs(part[..., None] - edges)) > 1e-6
     assert np.any(np.maximum(np.abs(z.real), np.abs(z.imag)) > extent)
     hist = np.array([np.histogram2d(w.real, w.imag, bins=[edges, edges])[0] for w in z])
     area = (edges[1] - edges[0]) ** 2
-    cells = estimate_intensity(space, points_of(confs), bins=bins, extent=extent)
+    cells = estimate_intensity(space, points, bins=bins, extent=extent)
     centers = 0.5 * (edges[:-1] + edges[1:])
     assert [(c.center_re, c.center_im) for c in cells] == [(x, y) for x in centers for y in centers]
     rate = np.array([c.rate for c in cells]).reshape(bins, bins)
     stderr = np.array([c.stderr for c in cells]).reshape(bins, bins)
     np.testing.assert_allclose(rate, hist.mean(axis=0) / area, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(
-        stderr, hist.std(axis=0, ddof=1) / math.sqrt(len(confs)) / area, rtol=1e-12, atol=0.0
+        stderr, hist.std(axis=0, ddof=1) / math.sqrt(len(points)) / area, rtol=1e-12, atol=0.0
     )
 
 
 def test_estimate_intensity_rejects_product_charts():
     with pytest.raises(ValueError):
-        estimate_intensity(make_product((1, 2), 2), points_of([make_conf([[0j, 0j]])]))
+        estimate_intensity(make_product((1, 2), 2), draw_set([[0j, 0j]]))
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +520,8 @@ def test_ks_distance_manual_and_scipy():
 
 def test_circular_law_distance_small_rank():
     space = make_ginibre(40)
-    confs = sample_dpp_many(space, reps=5, seed=7)
-    rep = circular_law_distance(space, points_of(confs))
+    points, _ = sample_dpp_many(space, reps=5, seed=7)
+    rep = circular_law_distance(space, points)
     assert rep.rank == 40
     assert rep.pooled_points == 200
     assert 0.0 < rep.distance < 0.3
