@@ -286,20 +286,21 @@ def _load_samples(path: str) -> tuple[ModelSpace, np.ndarray]:
     try:  # stats reads no log density, but every configuration has a finite one
         log_densities = [entry["log_density"] for entry in entries]
         rows = [entry["points"] for entry in entries]
-        leaves = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))  # lazy
-        points = np.array(rows, dtype=float)
-        finite = np.isfinite(points).all() and np.isfinite(np.array(log_densities, dtype=float)).all()
-    except (KeyError, TypeError, ValueError, OverflowError):
-        points = None
-    shape = (len(entries), space.rank, 2 * space.dim)
-    if (
-        points is None or points.shape != shape or not finite
-        # strings and bools convert to floats, but are not JSON numbers
-        or not set(map(type, log_densities)) <= _NUMBER
-        or not set(map(type, leaves)) <= _NUMBER
-    ):
+        points = list(itertools.chain.from_iterable(rows))
+        coords = list(itertools.chain.from_iterable(points))
+        ok = (
+            set(map(len, rows)) == {space.rank} and set(map(len, points)) == {2 * space.dim}
+            # strings and bools convert to floats, but are not JSON numbers
+            and set(map(type, coords)) <= _NUMBER and set(map(type, log_densities)) <= _NUMBER
+        )
+        if ok:
+            values = np.array(coords, dtype=float)
+            ok = np.isfinite(values).all() and np.isfinite(np.array(log_densities, dtype=float)).all()
+    except (KeyError, TypeError, OverflowError):
+        ok = False
+    if not ok:
         raise _configuration_fault(path, entries, space)
-    return space, points.view(complex)
+    return space, values.reshape(len(entries), space.rank, 2 * space.dim).view(complex)
 
 
 def _check_space_flags(args, space: ModelSpace) -> None:

@@ -48,6 +48,7 @@ from .quadrature import (
     QuadratureGrid,
     Region,
     build_grid,
+    factored_weights,
     gram,
     weighted_gram_matrix,
 )
@@ -107,11 +108,21 @@ def partition_function(
 
 
 class GramPath:
-    """log det G(t psi) along a direction psi, with the Grams cached per t."""
+    """log det G(t psi) along a direction psi, with the Grams cached per t.
+
+    Under a psi = sum_f psi_f(z_f) that takes the factored Gram route on a
+    product (quadrature.factored_weights), the path keeps one path per
+    factor: G_t = kron_f G_{f,t}, so log det G_t = sum_f (N/N_f) log det
+    G_{f,t}, and the derivative is the same weighted sum of the factors'.
+    """
 
     def __init__(self, space: ModelSpace, psi):
         self.space = space
         self.psi = psi
+        weights = factored_weights(space, psi)
+        self._paths = () if weights is None else tuple(
+            GramPath(space.factor_space(i), w) for i, w in enumerate(weights)
+        )
         self._weights: dict[float, object] = {}
         self._grids: dict[float, QuadratureGrid] = {}
         self._grams: dict[float, GramMatrix] = {}
@@ -131,10 +142,17 @@ class GramPath:
         return self._grids[t]
 
     def gram_at(self, t: float) -> GramMatrix:
-        """G_t, assembled once: logdet and bergman_derivative share it."""
+        """G_t, assembled once: logdet and bergman_derivative share it.
+
+        A factored G_t hands its factor Grams, judged on the whole space, to
+        the factor paths.
+        """
         t = float(t)
         if t not in self._grams:
-            self._grams[t] = gram(self.space, self.grid_at(t), psi=self.weight_at(t))
+            g = gram(self.space, self.grid_at(t), psi=self.weight_at(t))
+            for path, part in zip(self._paths, g.factors):
+                path._grams[t] = part
+            self._grams[t] = g
         return self._grams[t]
 
     def logdet(self, t: float) -> float:
@@ -149,11 +167,17 @@ class GramPath:
         B_t(x, x) = |v(x) T|^2 e^{-psi_t(x)} with T the orthonormalising map
         of G_t (GramMatrix.transform), and T T^H = conj(G_t)^{-1}, so the
         integral is a trace against G~, the Gram masked by the form psi: a
-        radial psi keeps it, like G_t, on the diagonal route.
+        radial psi keeps it, like G_t, on the diagonal route.  On a factored
+        path B_t(x, x) = prod_f B_{f,t}(x_f, x_f) and each B_{f,t} integrates
+        to N_f, so K'(t) = sum_f (N/N_f) K_f'(t).
         """
         if self.psi is None:
             return 0.0
-        T = self.gram_at(t).transform
+        g = self.gram_at(t)
+        if self._paths:
+            N = self.space.rank
+            return sum(N // path.space.rank * path.bergman_derivative(t) for path in self._paths)
+        T = g.transform
         G_psi = weighted_gram_matrix(
             self.space, self.grid_at(t), psi=self.weight_at(t), mask=self.psi
         )

@@ -24,6 +24,10 @@ potential such as psi + k psi' or psi + t f is formed there once and
 handed on as a single weight.
 is_radial_weight tells from a weight's form alone whether it depends on the
 moduli only; quadrature takes its diagonal Gram route on that answer.
+factor_weights tells, also from the form alone, whether a weight on a
+product chart is a sum psi = sum_f psi_f(z_f) of one-factor terms, and
+hands back each psi_f as a weight on its factor's own chart; quadrature
+takes its factored Gram route on that answer.
 
 Purely radial expressions (only r2 / r2_<i>) also have the complex Hessian
 H_ij = delta_ij u_i + conj(z_i) z_j u_ij used by the curvature-side
@@ -52,6 +56,7 @@ __all__ = [
     "potential_values",
     "weight_sum",
     "is_radial_weight",
+    "factor_weights",
     "complex_hessian",
 ]
 
@@ -409,6 +414,87 @@ def is_radial_weight(weight) -> bool:
     if isinstance(weight, _WeightSum):
         return all(is_radial_weight(f) for _, f in weight.terms)
     return False
+
+
+def factor_weights(weight, dim: int) -> tuple | None:
+    """psi = sum_f psi_f(z_f) on a dim-factor chart as (psi_1, ..., psi_dim), or None.
+
+    A weight separates when it is None, a WeightExpr whose top-level + / -
+    terms each read the variables of one factor at most, or a weight_sum of
+    such weights; any other callable, a term that reads two factors, bare
+    r2 on a product chart or a factor beyond dim does not.  psi_f is the
+    weight_sum of the terms on factor f, each read on a one-factor chart
+    (r2_f as r2_1), or None if no term reads it.  A term that reads no
+    factor is a constant; it joins psi_1, so e^{-psi} = prod_f e^{-psi_f}.
+    """
+    terms = _factor_terms(weight)
+    if terms is None or any((i or 1) > dim for _, i, _ in terms):
+        return None
+    if dim > 1 and any("r2" in _variables(node) for _, _, node in terms):
+        return None
+    on_own_chart = [(c, i or 1, _on_factor_1(node)) for c, i, node in terms]
+    return tuple(
+        weight_sum(*[(c, WeightExpr(_source(node), node)) for c, i, node in on_own_chart if i == f])
+        for f in range(1, dim + 1)
+    )
+
+
+def _factor_terms(weight) -> list[tuple[float, int | None, Node]] | None:
+    """(coefficient, factor read or None, node) for the additive terms of a weight, or None."""
+    if weight is None:
+        return []
+    if isinstance(weight, _WeightSum):
+        out = []
+        for c, f in weight.terms:
+            terms = _factor_terms(f)
+            if terms is None:
+                return None
+            out += [(c * s, i, node) for s, i, node in terms]
+        return out
+    if not isinstance(weight, WeightExpr):
+        return None
+    out = []
+    for sign, node in _signed_terms(weight.ast, 1.0):
+        factors = {int(v.partition("_")[2] or 1) for v in _variables(node)}
+        if len(factors) > 1:
+            return None
+        out.append((sign, factors.pop() if factors else None, node))
+    return out
+
+
+def _signed_terms(node: Node, sign: float):
+    """(sign, term) of a node's top-level sum: a - (b + c) has terms a, -b and -c."""
+    if isinstance(node, BinOp) and node.op in "+-":
+        yield from _signed_terms(node.left, sign)
+        yield from _signed_terms(node.right, sign if node.op == "+" else -sign)
+    else:
+        yield sign, node
+
+
+def _on_factor_1(node: Node) -> Node:
+    """The node with every variable read on factor 1: r2_2 -> r2_1, re_3 -> re_1."""
+    if isinstance(node, Var):
+        return Var(node.name.partition("_")[0] + "_1")
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _on_factor_1(node.left), _on_factor_1(node.right))
+    if isinstance(node, Pow):
+        return Pow(_on_factor_1(node.base), node.exponent)
+    if isinstance(node, Call):
+        return Call(node.func, _on_factor_1(node.arg))
+    return node
+
+
+def _source(node: Node) -> str:
+    """An expression for the node, fully parenthesised: the source of a term taken apart."""
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, BinOp):
+        return f"({_source(node.left)} {node.op} {_source(node.right)})"
+    if isinstance(node, Pow):
+        return f"{_source(node.base)}^{node.exponent}"
+    return f"{node.func}({_source(node.arg)})"
 
 
 # ---------------------------------------------------------------------------

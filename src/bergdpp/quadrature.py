@@ -81,6 +81,29 @@ DFT of c at the nodes, then A band by band (fixed a - b), one factor at a
 time, in O(n_r N^2) time and memory, with no section matrix on the
 M = n_r n_theta nodes.
 
+Factored Grams.  On a product the sections are tensor products of the
+factors' sections, v_(a_1, a_2, ...) = prod_f v_(a_f)(z_f), and the grid is
+a tensor product of the factors' rules.  So when e^{-psi} is a product too,
+psi = sum_f psi_f(z_f), every quadrature sum splits and A = kron_f A_f
+exactly, A_f being factor f's Gram under psi_f on its own rule (Van Loan,
+"The ubiquitous Kronecker product", J. Comput. Appl. Math. 2000).  With
+N_f = rank A_f and N = prod_f N_f this gives
+
+    log det A = sum_f (N / N_f) log det A_f,    T = kron_f T_f,
+
+and D and S factor the same way, so the spectrum of S is the set of
+products of the factors' eigenvalues: its extremes, and the degeneracy
+verdict on them, are the dense route's, read from the factors' extremes.
+No factor is judged alone.  gram() takes this factored route for a
+product Gram that a weight which is not radial would send to the dense
+route, when exprs.factor_weights splits that weight: a weight_sum or a
+top-level sum whose terms each read one factor, a constant term joining
+psi_1.  Each A_f is assembled as above on QuadratureGrid.factor's slice
+of the grid, with psi_f evaluated at that factor's points alone; the
+product grid's node arrays are never built, and the N x N matrix is
+formed only when GramMatrix.matrix is read.  A weight that does not split
+keeps the dense route.
+
 gram() is the one place where a Gram is judged and factored.  On the dense
 route it Hermitianizes as (A + A^H)/2 with the asymmetry recorded, and works
 on the scaled Gram S = D^{-1/2} A D^{-1/2}, D = diag(A), which does not
@@ -104,7 +127,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprs import is_radial_weight, weight_values
+from .exprs import factor_weights, is_radial_weight, weight_values
 from .spaces import ModelSpace, _panel_gauss, poisson_log_pmf
 
 __all__ = [
@@ -115,6 +138,7 @@ __all__ = [
     "GramMatrix",
     "build_grid",
     "gram",
+    "factored_weights",
     "weighted_gram_matrix",
     "gram_to_csv",
 ]
@@ -266,6 +290,20 @@ class QuadratureGrid:
     def mass(self) -> float:
         points, w = self.radial_rule
         return float(np.sum(w * self.space.base_density(points)))
+
+    def factor(self, i: int, psi=None) -> "QuadratureGrid":
+        """Factor i's own rule, sliced from this grid: a grid of space.factor_space(i) built for psi."""
+        space = self.space.factor_space(i)
+        radial, angular = (self.radial[i],), (self.angular[i],)
+        return QuadratureGrid(
+            space=space,
+            radii=(self.radii[i],),
+            radial_weights=(self.radial_weights[i],),
+            radial=radial,
+            angular=angular,
+            under_resolved=_unresolved_bound(space, radial, angular),
+            psi=psi,
+        )
 
 
 @functools.cache
@@ -420,13 +458,27 @@ def build_grid(
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Hermitianized Gram matrix with its log-determinant and diagnostics."""
+    """Hermitianized Gram matrix with its log-determinant and diagnostics.
 
-    matrix: np.ndarray       # (N, N) complex Hermitian
+    On the factored route it keeps its factors' Grams instead of the matrix,
+    A = kron(A_1, A_2, ...), and forms A and its map only on first use.
+    """
+
     logdet: float
     asymmetry_abs: float     # max |A - A^H| before Hermitianization
-    asymmetry_rel: float
-    route: str               # "diagonal" or "dense": how gram() assembled and judged it
+    asymmetry_rel: float     # factored: the sum of the factors', a first-order bound
+    route: str               # "diagonal", "dense" or "factored": how gram() assembled it
+    spectrum: tuple[float, float]  # smallest and largest eigenvalue of the scaled Gram S
+    diagonal: tuple[float, float]  # smallest and largest entry of D = diag(A)
+    assembled: np.ndarray | None = None     # (N, N) complex Hermitian; None when factored
+    factors: tuple["GramMatrix", ...] = ()  # the factored route's factor Grams, in factor order
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """(N, N) complex Hermitian; on the factored route the Kronecker product, formed on first use."""
+        if self.assembled is not None:
+            return self.assembled
+        return functools.reduce(np.kron, (f.matrix for f in self.factors))
 
     @functools.cached_property
     def transform(self) -> np.ndarray:
@@ -435,8 +487,10 @@ class GramMatrix:
         S = D^{-1/2} A D^{-1/2} is the scaled Gram that gram() judged, I on
         the diagonal route.  Since A = V^T diag(c) conj(V), the rows of V @ T
         are orthonormal in the c-weighted inner product: T^H conj(A) T = I,
-        and T T^H = conj(A)^{-1}.
+        and T T^H = conj(A)^{-1}.  On the factored route T = kron(T_1, T_2, ...).
         """
+        if self.factors:
+            return functools.reduce(np.kron, (f.transform for f in self.factors))
         s = 1.0 / np.sqrt(self.matrix.diagonal().real)
         if self.route == "diagonal":
             return np.diag(s.astype(complex))
@@ -553,6 +607,18 @@ def weighted_gram_matrix(space: ModelSpace, grid: QuadratureGrid, psi=None, mask
     return 0.5 * (A + A.conj().T)
 
 
+def factored_weights(space: ModelSpace, psi) -> tuple | None:
+    """The factor weights (psi_1, ..., psi_dim) when gram() takes the factored route, else None.
+
+    A product Gram that would take the dense route because psi is not radial
+    factors when psi separates (exprs.factor_weights); radial weights keep
+    the diagonal route (module docstring).
+    """
+    if space.dim == 1 or is_radial_weight(psi):
+        return None
+    return factor_weights(psi, space.dim)
+
+
 def gram(space: ModelSpace, grid: QuadratureGrid, psi=None) -> GramMatrix:
     """Gram matrix of the section family under an optional extra weight psi.
 
@@ -564,42 +630,102 @@ def gram(space: ModelSpace, grid: QuadratureGrid, psi=None) -> GramMatrix:
     and S, unlike A, does not change when a basis section is rescaled.  On
     the dense route its eigenvalues come from the degeneracy check, so S is
     factorized once for both; the eigenvectors behind GramMatrix.transform
-    are left for first use.  On the diagonal route S = I.
+    are left for first use.  On the diagonal route S = I.  On the factored
+    route each factor's Gram is assembled on its own rule, sliced from the
+    grid, and the verdict is read from the Kronecker spectrum of S.
     """
-    A_raw = _assemble(space, grid, psi)
+    weights = factored_weights(space, psi)
+    if weights is None:
+        g = _unjudged(_assemble(space, grid, psi))
+    else:
+        g = _kron([
+            _unjudged(_assemble(space.factor_space(i), grid.factor(i, w), w))
+            for i, w in enumerate(weights)
+        ])
+    return _judged(g, f"with {grid.size} nodes for rank {space.rank}")
+
+
+def _judged(g: GramMatrix, where: str) -> GramMatrix:
+    """g, unless an eigenvalue of S is at most 1e-12 of its largest: GramDegenerateError, naming where."""
+    lo, hi = g.spectrum
+    if lo <= 0.0 or lo <= 1e-12 * hi:
+        d_lo, d_hi = g.diagonal
+        found = "diagonal Gram with" if g.route == "diagonal" else (
+            f"scaled-Gram eigenvalue range [{lo:.3e}, {hi:.3e}],"
+        )
+        raise GramDegenerateError(
+            f"gram-degenerate: {found} diagonal range [{d_lo:.3e}, {d_hi:.3e}], {where}; "
+            f"refine the grid"
+        )
+    return g
+
+
+def _unjudged(A_raw: np.ndarray) -> GramMatrix:
+    """A raw Gram, or the (N,) diagonal of a diagonal one, Hermitianized and scaled but not judged.
+
+    A diagonal d_a <= 0 zeroes row a of S, which gives S the eigenvalue 0;
+    on the diagonal route S = I otherwise.
+    """
     if A_raw.ndim == 1:
         d = A_raw
-        if not np.all(d > 0.0):
-            raise GramDegenerateError(
-                f"gram-degenerate: diagonal Gram with diagonal range [{d.min():.3e}, "
-                f"{d.max():.3e}], with {grid.size} nodes for rank {space.rank}; refine the grid"
-            )
+        with np.errstate(invalid="ignore", divide="ignore"):  # a degenerate Gram is refused
+            logdet = float(np.sum(np.log(d)))
         return GramMatrix(
-            matrix=np.diag(d.astype(complex)),
-            logdet=float(np.sum(np.log(d))),
+            logdet=logdet,
             asymmetry_abs=0.0,
             asymmetry_rel=0.0,
             route="diagonal",
+            spectrum=(1.0 if np.all(d > 0.0) else 0.0, 1.0),
+            diagonal=(float(d.min()), float(d.max())),
+            assembled=np.diag(d.astype(complex)),
         )
     asym_abs = float(np.max(np.abs(A_raw - A_raw.conj().T), initial=0.0))
     scale = float(np.max(np.abs(A_raw), initial=0.0))
     A = 0.5 * (A_raw + A_raw.conj().T)
     d = A.diagonal().real
-    s = 1.0 / np.sqrt(np.where(d > 0.0, d, np.inf))   # d_a <= 0 zeroes row a of S
+    s = 1.0 / np.sqrt(np.where(d > 0.0, d, np.inf))
     eigs = np.linalg.eigvalsh(A * s[:, None] * s[None, :])
-    if eigs[0] <= 0.0 or eigs[0] <= 1e-12 * eigs[-1]:
-        raise GramDegenerateError(
-            f"gram-degenerate: scaled-Gram eigenvalue range [{eigs[0]:.3e}, {eigs[-1]:.3e}], "
-            f"diagonal range [{d.min():.3e}, {d.max():.3e}], "
-            f"with {grid.size} nodes for rank {space.rank}; refine the grid"
-        )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        logdet = float(np.sum(np.log(eigs)) + np.sum(np.log(d)))
     return GramMatrix(
-        matrix=A,
-        logdet=float(np.sum(np.log(eigs)) + np.sum(np.log(d))),
+        logdet=logdet,
         asymmetry_abs=asym_abs,
         asymmetry_rel=asym_abs / scale if scale > 0 else 0.0,
         route="dense",
+        spectrum=(float(eigs[0]), float(eigs[-1])),
+        diagonal=(float(d.min()), float(d.max())),
+        assembled=A,
     )
+
+
+def _kron(parts: list[GramMatrix]) -> GramMatrix:
+    """The Gram kron(A_1, A_2, ...) of factor Grams, kept as its factors (module docstring)."""
+    ranks = [p.assembled.shape[0] for p in parts]
+    rank = math.prod(ranks)
+    asym_rel = sum(p.asymmetry_rel for p in parts)
+    return GramMatrix(
+        logdet=sum(rank // n * p.logdet for n, p in zip(ranks, parts)),
+        asymmetry_abs=asym_rel * math.prod(float(np.max(np.abs(p.assembled))) for p in parts),
+        asymmetry_rel=asym_rel,
+        route="factored",
+        spectrum=_product_range(p.spectrum for p in parts),
+        diagonal=_product_range(p.diagonal for p in parts),
+        factors=tuple(parts),
+    )
+
+
+def _product_range(ranges) -> tuple[float, float]:
+    """The range of the products x_1 x_2 ... with each x_f in [lo_f, hi_f].
+
+    A product is linear in each x_f, so it is smallest and largest at ends
+    of the ranges: the Kronecker spectrum of S = kron(S_1, S_2, ...) is the
+    set of products of the factors' eigenvalues, and its range is exact.
+    """
+    lo = hi = 1.0
+    for a, b in ranges:
+        ends = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi = min(ends), max(ends)
+    return lo, hi
 
 
 def gram_to_csv(gram_matrix: GramMatrix, path: str) -> None:

@@ -39,6 +39,9 @@ squared radius t = |z|^2 where it can:
   radial_cdf              the law of one point's |z|: a mixture of Gamma(j+1)
                           laws in t on the plane, uniform in s on a sphere
 
+ModelSpace.factor_space(i) is factor i alone as a one-factor space, on
+which quadrature assembles one factor of a factored product Gram.
+
 compact tells the kinds apart only where a family-level feature is chosen:
 the Ginibre grid edge (and the per-t grids of energy.GramPath), the
 closed-form equilibrium disk, the Mabuchi refusal, the circular law, the
@@ -351,6 +354,14 @@ class ModelSpace:
     @cached_property
     def rank(self) -> int:
         return math.prod(f.degree + 1 for f in self.factors)
+
+    def factor_space(self, i: int) -> "ModelSpace":
+        """Factor i (0-based) as a one-factor space of the same kind and power.
+
+        Its sections are factor i's, and a product's sections, weight and
+        measure are the products of its factor spaces'.
+        """
+        return ModelSpace(kind=self.kind, power=self.power, factors=(self.factors[i],))
 
     # -- sections ----------------------------------------------------------
 

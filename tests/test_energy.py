@@ -7,6 +7,7 @@ mass of 0.525 at s = 0.5 inside r < 1, and gives
 int f dmu_eq(s) = 0.1 + s/150, so the limit functional is 0.1 + 1/300.
 """
 
+import functools
 import math
 from dataclasses import asdict
 
@@ -189,6 +190,35 @@ def test_radial_cgf_path_is_diagonal_end_to_end(space, expr, monkeypatch):
     assert shapes and all(shape == (space.rank,) for shape in shapes)
     if space.kind == "fs":
         assert path.bergman_derivative(0.0) == pytest.approx(-5.5, abs=1e-13)
+
+
+@pytest.mark.parametrize(
+    "source", ["re_1/(1+r2_1)", "re_1/(1+r2_1)+im_2*im_2/(1+r2_2)", "2 + re_1/(1+r2_1)"]
+)
+@pytest.mark.parametrize("mults", [(1, 2), (1, 1, 1)], ids=["12", "111"])
+def test_factored_cgf_path_matches_dense(mults, source, monkeypatch):
+    # a separating psi keeps one path per factor; the same values through an
+    # opaque callable take the dense route on the product grid, here of 8
+    # radii per factor (the default three-factor grid has 1.7e7 nodes)
+    import bergdpp.energy as energy
+
+    monkeypatch.setattr(energy, "build_grid", functools.partial(build_grid, radial=8))
+    space = make_product(mults, 1)
+    psi = parse_weight(source)
+    factored, dense = GramPath(space, psi), GramPath(space, psi.evaluate)
+    for t in (0.0, 0.5, 1.0):
+        got, want = factored.derivative_check(t), dense.derivative_check(t)
+        assert (factored.gram_at(t).route, dense.gram_at(t).route) == (
+            ("diagonal", "diagonal") if t == 0.0 else ("factored", "dense")
+        )
+        assert factored.cgf(t) == pytest.approx(dense.cgf(t), rel=1e-12, abs=1e-12)
+        assert got["bergman_integral"] == pytest.approx(want["bergman_integral"], rel=1e-12)
+        # the central difference carries N eps / h of rounding, and rel_gap
+        # is that noise over |K'|: both routes agree to it, not to 1e-12
+        noise = space.rank * np.finfo(float).eps / factored.fd_step(t)
+        assert abs(got["finite_difference"] - want["finite_difference"]) <= 10 * noise
+        assert abs(got["rel_gap"] - want["rel_gap"]) <= 20 * noise / abs(want["bergman_integral"])
+        assert got["rel_gap"] < 1e-8
 
 
 def test_cgf_is_convex():

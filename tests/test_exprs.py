@@ -18,6 +18,7 @@ from bergdpp.exprs import (
     ParseError,
     WeightExpr,
     complex_hessian,
+    factor_weights,
     is_radial_weight,
     parse_weight,
     weight_sum,
@@ -359,3 +360,50 @@ def test_pickle_round_trip():
 def test_is_radial_flag():
     assert is_radial_weight(parse_weight("r2_1 + r2_2"))
     assert not is_radial_weight(parse_weight("re_1 + r2_1"))
+
+
+@pytest.mark.parametrize(
+    "source,parts",
+    [
+        ("re_1/(1+r2_1)", ["(re_1 / (1.0 + r2_1))", None]),
+        ("re_1/(1+r2_1)+im_2*im_2/(1+r2_2)", ["(re_1 / (1.0 + r2_1))", "((im_1 * im_1) / (1.0 + r2_1))"]),
+        ("2 - (re_2 - r2_1)", ["2.0 + r2_1", "0 - re_1"]),  # the constant joins factor 1
+        ("r2_2", [None, "r2_1"]),
+    ],
+)
+def test_factor_weights_split_top_level_sums(source, parts):
+    psi = parse_weight(source)
+    got = factor_weights(psi, 2)
+    Z = pts([0.3 - 0.2j, 1.5 + 0.7j], [-2.0 + 0.1j, 0.4j])
+    total = sum(weight_values(w, Z[:, [f]]) for f, w in enumerate(got))
+    assert np.allclose(total, psi(Z), rtol=1e-15, atol=0)
+    for w, want in zip(got, parts):
+        if want is None:
+            assert w is None
+        else:
+            assert np.allclose(weight_values(w, Z[:, :1]), parse_weight(want)(Z[:, :1]), rtol=1e-15, atol=0)
+
+
+def test_factor_weights_of_sums_scale_their_terms():
+    psi = weight_sum((0.5, parse_weight("re_1 + im_2")), (2.0, parse_weight("1 - r2_2")))
+    first, second = factor_weights(psi, 2)
+    z = pts(0.3 - 0.2j)
+    assert weight_values(first, z)[0] == pytest.approx(0.5 * 0.3 + 2.0)
+    assert weight_values(second, z)[0] == pytest.approx(0.5 * -0.2 - 2.0 * 0.13)
+    assert factor_weights(None, 3) == (None, None, None)
+
+
+@pytest.mark.parametrize(
+    "weight",
+    [
+        parse_weight("re_1*re_2/(1+r2_1+r2_2)"),   # a term reads two factors
+        parse_weight("im_1/(1+r2_2)"),
+        parse_weight("(re_1 + re_2)*0.5"),          # a product is one term
+        parse_weight("r2 + re_2"),                   # bare r2 is refused on a product
+        parse_weight("re_3"),                        # beyond the chart
+        parse_weight("re_1").evaluate,               # an opaque callable
+        weight_sum((1.0, parse_weight("re_1")), (1.0, lambda z: z[:, 1].real)),
+    ],
+)
+def test_factor_weights_refuse_what_does_not_separate(weight):
+    assert factor_weights(weight, 2) is None

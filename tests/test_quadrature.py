@@ -12,17 +12,26 @@ import csv
 import math
 import tracemalloc
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
-from bergdpp.exprs import parse_weight, weight_sum
+from bergdpp import cli, energy
+from bergdpp.exprs import factor_weights, parse_weight, weight_sum
 from bergdpp.quadrature import (
     TAIL,
     GramDegenerateError,
     Region,
     _diagonal,
+    _judged,
+    _kron,
     _tail_edge,
+    _unjudged,
     build_grid,
     gram,
     gram_to_csv,
@@ -363,6 +372,150 @@ def test_diagonal_gram_builds_no_node_arrays():
     assert grid.size == 32 * 9 * 32 * 17
     assert not {"nodes", "weights", "density"} & set(vars(grid))
     assert grid.nodes.shape == (grid.size, 2)  # built on first use
+
+
+def test_factored_gram_builds_no_product_node_arrays(monkeypatch):
+    # a separating weight on a product takes one Gram per factor on the
+    # factor's own rule: the product grid's 3.4e6-node arrays are never built,
+    # and the Kronecker matrix, 861 x 861 complex or 11.9 MB, is not formed
+    seen = []
+
+    def spy(space, grid, psi=None):
+        seen.append((grid, gram(space, grid, psi)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(energy, "gram", spy)
+    argv = ["check", "partition", "--space", "product", "--mults", "1,2", "--k", "20",
+            "--weight-expr", "re_1/(1+r2_1)"]
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            assert cli.run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ((grid, g),) = seen
+    assert g.route == "factored"
+    assert grid.size == 32 * 41 * 32 * 81
+    assert not {"nodes", "weights", "density"} & set(vars(grid))
+    assert "matrix" not in vars(g)
+    assert peak < 10_000_000
+    assert out.getvalue() == "log Z = 4965.278785\n"
+
+
+# ---------------------------------------------------------------------------
+# the factored route: separable weights on products
+
+
+_FACTORED_WEIGHTS = ["re_1/(1+r2_1)", "re_1/(1+r2_1)+im_2*im_2/(1+r2_2)", "2 + re_1/(1+r2_1)"]
+
+
+@pytest.mark.parametrize("source", _FACTORED_WEIGHTS)
+@pytest.mark.parametrize("mults", [(1, 2), (1, 1, 1)], ids=["12", "111"])
+def test_factored_gram_matches_dense(mults, source):
+    space = make_product(mults, 2)
+    psi = parse_weight(source)
+    grid = build_grid(space, radial=8, psi=psi)  # the dense reference on 8 radii per factor
+    g = gram(space, grid, psi)
+    dense = gram(space, grid, psi.evaluate)  # the same values, an opaque callable: dense route
+    assert (g.route, dense.route) == ("factored", "dense")
+    assert len(g.factors) == space.dim
+    # log det, and so Z = N! det G, to 1e-12 relative
+    assert abs(g.logdet - dense.logdet) <= 1e-12 * max(1.0, abs(dense.logdet))
+    A = dense.matrix
+    assert np.max(np.abs(g.matrix - A)) <= 1e-12 * np.max(np.abs(A))
+    T = g.transform
+    assert np.max(np.abs(T.conj().T @ A.conj() @ T - np.eye(space.rank))) <= 1e-12
+    lo, hi = g.spectrum  # the Kronecker spectrum of S is the dense S's
+    scale = 1.0 / np.sqrt(A.diagonal().real)
+    eigs = np.linalg.eigvalsh(A * scale[:, None] * scale[None, :])
+    assert lo == pytest.approx(eigs[0], rel=1e-10) and hi == pytest.approx(eigs[-1], rel=1e-10)
+
+
+@pytest.mark.parametrize("source", ["re_1*re_2/(1+r2_1+r2_2)", "im_1/(1+r2_2)"])
+def test_non_separable_weights_keep_the_dense_route(source):
+    space = make_product((1, 2), 2)
+    psi = parse_weight(source)
+    assert factor_weights(psi, space.dim) is None
+    grid = build_grid(space, psi=psi)
+    g, opaque = gram(space, grid, psi), gram(space, grid, psi.evaluate)
+    assert g.route == "dense" and not g.factors
+    assert g.logdet == opaque.logdet
+    assert np.array_equal(g.matrix, opaque.matrix)
+
+
+_TERMS = ["re_{i}/(1+r2_{i})", "im_{i}*re_{i}/(1+r2_{i})", "r2_{i}/(1+r2_{i})",
+          "im_{i}/(1+r2_{j})", "re_{i}*re_{j}/(1+r2_{i}+r2_{j})", "0.5"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(_TERMS), st.sampled_from([(1, 1), (2, 2), (1, 2), (2, 1)]),
+                  st.sampled_from(["0.3", "1", "2"]), st.sampled_from("+-")),
+        min_size=1, max_size=4,
+    ),
+    st.booleans(),
+)
+def test_separable_weights_have_kronecker_grams(terms, scaled):
+    # whenever the detector splits a weight, the full dense Gram is the
+    # Kronecker product of the factor Grams to rounding
+    source = "".join(f"{sign}{coef}*{kind.format(i=i, j=j)}" for kind, (i, j), coef, sign in terms)
+    source = source.lstrip("+")
+    if source.startswith("-"):
+        source = "0" + source
+    if scaled:  # a top-level product is one term: split only if it reads one factor
+        source = f"({source})*0.5"
+    psi = parse_weight(source)
+    space = make_product((1, 2), 1)
+    grid = build_grid(space, psi=psi)
+    parts = factor_weights(psi, space.dim)
+    if parts is None:
+        return
+    A = weighted_gram_matrix(space, grid, psi)
+    K = np.kron(*[weighted_gram_matrix(space.factor_space(f), grid.factor(f, w), w)
+                  for f, w in enumerate(parts)])
+    assert np.max(np.abs(A - K)) <= 1e-13 * np.max(np.abs(A))
+
+
+def _unit_diagonal(ratio: float) -> np.ndarray:
+    """A 2 x 2 Hermitian Gram with unit diagonal whose eigenvalue ratio is ratio."""
+    c = (1.0 - ratio) / (1.0 + ratio)
+    return np.array([[1.0, 1j * c], [-1j * c, 1.0]])
+
+
+@pytest.mark.parametrize("share", [0.98, 1.02])
+def test_factored_verdict_is_the_dense_verdict(share):
+    # each factor alone is far from the 1e-12 bound (ratio 1e-6 each), and
+    # their Kronecker product sits just inside or just outside it
+    A1, A2 = _unit_diagonal(1e-6), _unit_diagonal(share * 1e-6)
+    factored = _kron([_unjudged(A1), _unjudged(A2)])
+    dense = _unjudged(np.kron(A1, A2))
+    for part in factored.factors:
+        _judged(part, "alone")
+    lo, hi = factored.spectrum
+    # eigvalsh resolves the dense 1e-12 eigenvalue to about eps / 1e-12
+    assert lo / hi == pytest.approx(dense.spectrum[0] / dense.spectrum[1], rel=1e-3)
+    assert lo / hi == pytest.approx(share * 1e-12, rel=1e-6)
+    if share < 1.0:
+        for g in (factored, dense):
+            with pytest.raises(GramDegenerateError, match="scaled-Gram eigenvalue range"):
+                _judged(g, "here")
+    else:
+        assert _judged(factored, "here") is factored
+        assert _judged(dense, "here") is dense
+
+
+def test_factored_verdict_with_a_degenerate_factor():
+    # a factor Gram with a zero diagonal entry gives S the eigenvalue 0,
+    # whatever the other factors
+    bad = _unjudged(np.array([1.0, 0.0]))
+    good = _unjudged(_unit_diagonal(0.5))
+    with pytest.raises(GramDegenerateError):
+        _judged(_kron([good, bad]), "here")
+    with pytest.raises(GramDegenerateError):
+        _judged(_unjudged(np.kron(good.matrix, bad.matrix)), "here")
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,17 @@ def test_product_sections_factorize():
 # weights and measures
 
 
+def test_factor_spaces_are_the_product_factors():
+    space = make_product((1, 2), 3)
+    Z = np.array([[0.3 + 0.1j, -0.7j], [1.2 - 0.4j, 0.2 + 0.5j]])
+    parts = [space.factor_space(i) for i in range(space.dim)]
+    assert [p.factors for p in parts] == [(f,) for f in space.factors]
+    assert [p.rank for p in parts] == [4, 7]
+    kron = np.einsum("ma,mb->mab", *[p.section_matrix(Z[:, [i]]) for i, p in enumerate(parts)])
+    assert np.max(np.abs(kron.reshape(2, -1) - space.section_matrix(Z))) < 1e-13
+    assert space_to_config(parts[1]) == {"kind": "product", "multiplicities": [2], "k": 3}
+
+
 def test_weight_hessian_per_k():
     Z = np.array([[1.0 + 1.0j, 0.5 + 0j]])
     H = make_product((1, 2), 3).weight_hessian_per_k(Z)
