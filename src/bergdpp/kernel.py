@@ -14,6 +14,12 @@ matrix under psi, and e^{-psi/2} is folded into the values.  For constant
 psi this leaves every kernel determinant unchanged, which is the numerical
 shadow of invariance under globally holomorphic weight changes.
 
+Stacks of groups.  kernel_matrix, kernel_det, rescaled_correlation and
+limit_correlation take one group of m points, shape (m, dim), or a stack of
+G equal-size groups, shape (G, m, dim).  A stack costs one section
+evaluation over its G m points, one stacked V V^H and one stacked det, and
+gives (G,) values (matrices for kernel_matrix); one group gives a float.
+
 Scaling limit.  Around a chart point where the weight's per-k Hessian is
 diag(lambda) the rescaled m-point correlations converge to determinants of
 
@@ -40,10 +46,8 @@ __all__ = [
     "KernelEvaluator",
     "evaluator",
     "reweighted_evaluator",
-    "kernel_eval",
     "kernel_matrix",
     "kernel_det",
-    "limit_kernel",
     "limit_correlation",
     "rescaled_correlation",
     "default_test_points",
@@ -51,6 +55,7 @@ __all__ = [
 ]
 
 DET_FLOOR = 1e-14  # determinants below this times the diagonal product report as 0
+_CHUNK = 64  # test points per scaling_errors stack: O(_CHUNK * rank) memory for any test set
 
 
 @dataclass(frozen=True)
@@ -60,10 +65,6 @@ class KernelEvaluator:
     space: ModelSpace
     transform: np.ndarray | None = None  # orthonormalizing map of the psi-Gram
     psi: object | None = None            # callable points -> (M,), folded as e^{-psi/2}
-
-    @property
-    def rank(self) -> int:
-        return self.space.rank
 
     def section_rows(self, points) -> np.ndarray:
         """Rows of (possibly re-orthonormalized) section values at points."""
@@ -90,88 +91,100 @@ def reweighted_evaluator(space: ModelSpace, grid: QuadratureGrid, psi) -> Kernel
     return KernelEvaluator(space=space, transform=gram(space, grid, psi=psi).transform, psi=psi)
 
 
-def kernel_eval(ev: KernelEvaluator, x, y) -> complex:
-    """B(x, y) as a density against mu x mu."""
-    Vx = ev.section_rows(x)
-    Vy = ev.section_rows(y)
-    if Vx.shape[0] != 1 or Vy.shape[0] != 1:
-        raise ValueError("kernel_eval takes single chart points")
-    return complex(np.vdot(Vy[0], Vx[0]))  # vdot conjugates its first argument
+def _groups(points, dim: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Rows (G m, dim), each group's row indices (G, m), and whether it was one group.
+
+    A 3-d array with dim columns is a stack; anything else, read as _as_points does, is one group.
+    """
+    S = np.asarray(points, dtype=complex)
+    single = not (S.ndim == 3 and S.shape[2] == dim)
+    if single:
+        S = _as_points(S, dim)[None]
+    G, m, _ = S.shape
+    return S.reshape(G * m, dim), np.arange(G * m).reshape(G, m), single
 
 
-def kernel_matrix(ev: KernelEvaluator, points) -> np.ndarray:
-    """Hermitian matrix [B(x_a, x_b)] over a list of chart points."""
-    V = ev.section_rows(points)
-    return V @ V.conj().T
+def _one(values: np.ndarray, single: bool):
+    return float(values[0]) if single else values
 
 
-def kernel_det(ev: KernelEvaluator, points) -> float:
+def _grams(V: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """[B(x_a, x_b)] over the rows of V that each group takes, shape (G, m, m)."""
+    Vg = V[groups]
+    return Vg @ Vg.conj().mT
+
+
+def _dets(V: np.ndarray, groups: np.ndarray, rank: int) -> np.ndarray:
+    """det of each group's Gram: 0 for m > rank and below the DET_FLOOR snap."""
+    if groups.shape[1] > rank:
+        return np.zeros(groups.shape[0])
+    K = _grams(V, groups)
+    det = np.linalg.det(K).real
+    floor = DET_FLOOR * np.prod(np.abs(np.diagonal(K, axis1=1, axis2=2)), axis=1)
+    return np.where(np.abs(det) < floor, 0.0, det)
+
+
+def kernel_matrix(ev: KernelEvaluator, points):
+    """Hermitian matrices [B(x_a, x_b)]: (m, m) for one group, (G, m, m) for a stack."""
+    Z, groups, single = _groups(points, ev.space.dim)
+    K = _grams(ev.section_rows(Z), groups)
+    return K[0] if single else K
+
+
+def kernel_det(ev: KernelEvaluator, points):
     """det [B(x_a, x_b)]: the m-point correlation against mu^m.
 
-    Returns exactly 0.0 for m > rank, and snaps values below
-    DET_FLOOR * prod_a B(x_a, x_a) to 0 (coincident points).
+    One group of m points gives a float, a (G, m, dim) stack a (G,) array,
+    from one section evaluation and one stacked det.  Exactly 0.0 for
+    m > rank, and values below DET_FLOOR * prod_a B(x_a, x_a) snap to 0
+    (coincident points).
     """
-    Z = _as_points(points, ev.space.dim)
-    m = Z.shape[0]
-    if m == 0:
-        return 1.0
-    if m > ev.rank:
-        return 0.0
-    K = kernel_matrix(ev, Z)
-    diag = np.abs(np.diag(K))
-    det = np.linalg.det(K).real
-    floor = DET_FLOOR * float(np.prod(diag))
-    if abs(det) < floor:
-        return 0.0
-    return float(det)
+    Z, groups, single = _groups(points, ev.space.dim)
+    return _one(_dets(ev.section_rows(Z), groups, ev.space.rank), single)
 
 
 # ---------------------------------------------------------------------------
 # limit kernel
 
 
-def limit_kernel(lam, u, v) -> complex:
-    """B_inf(u, v) against Lebesgue measure in the frame coordinates."""
+def limit_correlation(lam, points):
+    """det [B_inf(u_a, u_b)] over frame points: a float per group, (G,) per stack."""
     lam = np.asarray(lam, dtype=float)
-    uu = np.atleast_1d(np.asarray(u, dtype=complex))
-    vv = np.atleast_1d(np.asarray(v, dtype=complex))
-    pref = float(np.prod(lam / np.pi))
-    expo = np.sum(lam * (uu * vv.conj() - 0.5 * np.abs(uu) ** 2 - 0.5 * np.abs(vv) ** 2))
-    return pref * complex(np.exp(expo))
-
-
-def limit_correlation(lam, points) -> float:
-    """det [B_inf(u_a, u_b)] over a list of frame points."""
-    lam = np.asarray(lam, dtype=float)
-    U = np.asarray(points, dtype=complex)
-    if U.ndim == 1:
-        U = U[:, None]
+    Z, groups, single = _groups(points, lam.size)
+    U = Z[groups]
     half = 0.5 * (np.abs(U) ** 2 @ lam)
-    K = np.prod(lam / np.pi) * np.exp((U * lam) @ U.conj().T - half[:, None] - half[None, :])
-    return float(np.linalg.det(K).real)
+    K = np.prod(lam / np.pi) * np.exp((U * lam) @ U.conj().mT - half[:, :, None] - half[:, None, :])
+    return _one(np.linalg.det(K).real, single)
 
 
-def rescaled_correlation(space: ModelSpace, frame: NormalFrame, points) -> float:
+def _rescaled(space: ModelSpace, frame: NormalFrame, U: np.ndarray, *group_sets) -> list:
+    """Rescaled correlations of U's rows taken by each (G, m) index array.
+
+    One section evaluation and one base density at U's chart points serve
+    every set of groups.
+    """
+    compact = space.factors[0].compact
+    Z = np.asarray(frame.center, dtype=complex) + U / np.sqrt(space.power) if compact else U
+    V = space.section_matrix(Z)
+    kappas = space.base_density(Z)
+    out = []
+    for groups in group_sets:
+        scale = float(space.power) ** (-space.dim * groups.shape[1]) if compact else 1.0
+        out.append(_dets(V, groups, space.rank) * scale * np.prod(kappas[groups], axis=1))
+    return out
+
+
+def rescaled_correlation(space: ModelSpace, frame: NormalFrame, points):
     """m-point correlation in frame coordinates as a Lebesgue density.
 
     For fs/product spaces the frame points u are mapped to chart points
     center + u / sqrt(k) and the mu^m-density det[B] is multiplied by
     k^{-n m} and one kappa factor per point.  For the Ginibre family the
     chart is already the scaling frame: points are used as-is and only the
-    kappa factors apply.
+    kappa factors apply.  A float per group, (G,) per stack, as kernel_det.
     """
-    U = _as_points(points, space.dim)
-    m = U.shape[0]
-    if not space.factors[0].compact:
-        chart_pts = U
-        scale = 1.0
-    else:
-        k = space.power
-        chart_pts = np.asarray(frame.center, dtype=complex)[None, :] + U / np.sqrt(k)
-        scale = float(k) ** (-space.dim * m)
-    det = kernel_det(evaluator(space), chart_pts)
-    kappas = space.base_density(chart_pts)
-    return float(det * scale * np.prod(kappas))
+    Z, groups, single = _groups(points, space.dim)
+    return _one(_rescaled(space, frame, Z, groups)[0], single)
 
 
 def default_test_points(dim: int) -> np.ndarray:
@@ -189,8 +202,9 @@ def scaling_errors(space_factory, ks, points=None) -> list[dict]:
     """Sup-error between rescaled and limit correlations across powers.
 
     The error at power k is the max over all one-point groups and all
-    consecutive two-point groups formed from the test set.  Rows carry the
-    ratio to the previous power for trend checks.
+    consecutive two-point groups formed from the test set.  Both are checked
+    as stacks, _CHUNK test points at a time, with one section evaluation per
+    chunk.  Rows carry the ratio to the previous power for trend checks.
     """
     if min(ks) < 1:
         raise ValueError(f"scaling powers must be at least 1, got {list(ks)}")
@@ -204,13 +218,14 @@ def scaling_errors(space_factory, ks, points=None) -> list[dict]:
         pts = default_test_points(space.dim) if points is None else np.asarray(points, dtype=complex)
         if pts.ndim == 1:
             pts = pts[:, None]
-        groups = [pts[i : i + 1] for i in range(len(pts))]
-        groups += [pts[i : i + 2] for i in range(len(pts) - 1)]
         err = 0.0
-        for g in groups:
-            got = rescaled_correlation(space, frame, g)
-            want = limit_correlation(frame.lam, g)
-            err = max(err, abs(got - want))
+        for lo in range(0, len(pts), _CHUNK):
+            U = pts[lo : lo + _CHUNK + 1]  # one point past the chunk closes its last pair
+            ones = np.arange(min(_CHUNK, len(U)))[:, None]
+            pairs = np.arange(len(U) - 1)[:, None] + np.arange(2)
+            for groups, got in zip((ones, pairs), _rescaled(space, frame, U, ones, pairs)):
+                diff = np.abs(got - limit_correlation(frame.lam, U[groups]))
+                err = float(np.fmax.reduce(diff, initial=err))  # fmax skips NaN, as max did
         rows.append(
             {
                 "k": int(k),

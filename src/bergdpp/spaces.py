@@ -65,7 +65,6 @@ __all__ = [
     "make_ginibre",
     "make_fubini_study",
     "make_product",
-    "normalized_section_values",
     "limit_frame",
     "space_to_config",
     "space_from_config",
@@ -433,17 +432,6 @@ def make_product(multiplicities, k: int) -> ModelSpace:
 
 # ---------------------------------------------------------------------------
 # point-level operations and limit frames
-
-
-def normalized_section_values(space: ModelSpace, z) -> np.ndarray:
-    """Half-weighted section values v_i(z) = f_i(z) exp(-Phi(z)/2) at one point."""
-    pt = np.atleast_1d(np.asarray(z, dtype=complex))
-    if not (np.all(np.isfinite(pt.real)) and np.all(np.isfinite(pt.imag))):
-        raise ValueError(f"point must be finite, got {z!r}")
-    Z = _as_points(pt, space.dim)
-    if Z.shape[0] != 1:
-        raise ValueError("normalized_section_values takes a single chart point")
-    return space.section_matrix(Z)[0]
 
 
 @dataclass(frozen=True)

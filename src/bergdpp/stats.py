@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import equilibrium_mass
-from .exprs import weight_values
 from .quadrature import QuadratureGrid, Region, build_grid, weighted_gram_matrix
 from .sampler import sample_dpp_many
 from .spaces import ModelSpace
@@ -49,7 +48,6 @@ __all__ = [
     "CountStats",
     "PairStats",
     "IntensityCell",
-    "mc_partition_ratio",
     "region_count_stats",
     "pair_count_stats",
     "estimate_intensity",
@@ -116,19 +114,6 @@ def _counts(P: np.ndarray, region: Region) -> np.ndarray:
     """Per-replicate point counts of a region, as floats."""
     reps, n, dim = P.shape
     return region.mask(P.reshape(-1, dim)).reshape(reps, n).sum(axis=1).astype(float)
-
-
-def mc_partition_ratio(points, psi) -> tuple[float, float]:
-    """Monte Carlo estimate of det G(psi) = E[exp(-sum psi(X_i))].
-
-    Takes exact unweighted draws as a point array; returns (mean, standard error).
-    """
-    P = _draws(points)
-    reps, n, dim = P.shape
-    sums = weight_values(psi, P.reshape(-1, dim)).reshape(reps, n).sum(axis=1)
-    vals = np.array([math.exp(-float(s)) for s in sums])
-    se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return float(vals.mean()), se
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +256,9 @@ def pair_count_stats(
 # binned intensity
 
 
+_INTENSITY_BLOCK = 2**18  # entries of a chunk's (reps, rows, bins) counts and its section rows
+
+
 @dataclass(frozen=True)
 class IntensityCell:
     center_re: float
@@ -286,7 +274,11 @@ def estimate_intensity(
     bins: int = 40,
     extent: float | None = None,
 ) -> list[IntensityCell]:
-    """Square-bin intensity estimate on a dim-1 chart with kernel predictions."""
+    """Square-bin intensity estimate on a dim-1 chart with kernel predictions.
+
+    Counts per (replicate, cell) and predictions are formed a chunk of bin rows
+    at a time, so beside the cells memory stays O(_INTENSITY_BLOCK) at any bins.
+    """
     if space.dim != 1:
         raise ValueError("binned intensity is implemented for one-factor charts")
     if bins < 1 or (extent is not None and not 0.0 < extent < math.inf):
@@ -309,30 +301,31 @@ def estimate_intensity(
     iy = np.searchsorted(edges, z.imag, side="right") - 1
     rep = np.broadcast_to(np.arange(reps)[:, None], z.shape)
     keep = (ix >= 0) & (ix < bins) & (iy >= 0) & (iy < bins)
-    per_rep = np.zeros((reps, bins, bins))
-    np.add.at(per_rep, (rep[keep], ix[keep], iy[keep]), 1.0)
+    order = np.argsort(ix[keep], kind="stable")  # points by bin row, so a chunk is a slice
+    ix, iy, rep = ix[keep][order], iy[keep][order], rep[keep][order]
 
-    mean_counts = per_rep.mean(axis=0)
-    se_counts = (
-        per_rep.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros_like(mean_counts)
-    )
     centers = 0.5 * (edges[:-1] + edges[1:])
+    step = max(1, _INTENSITY_BLOCK // (bins * max(reps, space.rank)))  # bin rows per chunk
     cells = []
-    for i in range(bins):
-        zrow = centers[i] + 1j * centers
-        V = space.section_matrix(zrow[:, None])
+    for lo in range(0, bins, step):
+        n = min(step, bins - lo)
+        a, b = np.searchsorted(ix, [lo, lo + n])
+        flat = (rep[a:b] * n + ix[a:b] - lo) * bins + iy[a:b]
+        per_rep = np.bincount(flat, minlength=reps * n * bins).reshape(reps, n, bins)
+        mean_counts = per_rep.mean(axis=0)
+        se_counts = per_rep.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros((n, bins))
+        zrows = (centers[lo : lo + n, None] + 1j * centers).reshape(-1, 1)
+        V = space.section_matrix(zrows)
         bdiag = np.einsum("mi,mi->m", V, V.conj()).real
-        pred = bdiag * space.base_density(zrow[:, None])
-        for j in range(bins):
-            cells.append(
-                IntensityCell(
-                    center_re=float(centers[i]),
-                    center_im=float(centers[j]),
-                    rate=float(mean_counts[i, j] / area),
-                    stderr=float(se_counts[i, j] / area),
-                    prediction=float(pred[j]),
-                )
-            )
+        pred = (bdiag * space.base_density(zrows)).reshape(n, bins)
+        cells += map(
+            IntensityCell,
+            [x for x in centers[lo : lo + n].tolist() for _ in range(bins)],
+            centers.tolist() * n,
+            (mean_counts / area).ravel().tolist(),
+            (se_counts / area).ravel().tolist(),
+            pred.ravel().tolist(),
+        )
     return cells
 
 

@@ -4,12 +4,15 @@ Exit convention: 0 success, 2 usage or input errors, 3 numerical failures
 (degenerate Gram, loss of positivity, sampler stalls, failed checks).
 """
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -1078,6 +1081,104 @@ def test_scaling_with_points_file(tmp_path):
                 "--out", str(out)]) == 0
     doc = read_json(out)
     assert doc["config"]["points"].endswith("pts.json")
+
+
+README_POINTS = [[0.1, 0.0], [-0.4, 0.25], [0.8, -0.3]]  # the points.json of the README
+
+
+def _scaling_rows(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["scaling", *argv]) == 0
+    return [(row["k"], row["sup_error"], row["ratio_to_prev"]) for row in json.loads(out.getvalue())["rows"]]
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["--space", "fs", "--ks", "25,100"],
+         [(25, 0.05212833898691921, None), (100, 0.014564569872833777, 0.2793983110892624)]),
+        (["--space", "fs", "--ks", "25,100,400"],
+         [(25, 0.05212833898691921, None), (100, 0.014564569872833777, 0.2793983110892624),
+          (400, 0.003750191660243707, 0.25748729231191814)]),
+        (["--space", "product", "--mults", "1,2", "--ks", "10,40"],
+         [(10, 0.08350086681262842, None), (40, 0.02744995536435124, 0.3287385677797514)]),
+        (["--space", "fs", "--ks", "50,200", "--points", "points.json"],
+         [(50, 0.006236366240855662, None), (200, 0.0015595616864582662, 0.25007538464326723)]),
+    ],
+    ids=["fs-25-100", "fs-25-100-400", "product12-10-40", "readme-points"],
+)
+def test_scaling_reports_keep_their_digits(argv, rows, tmp_path, monkeypatch):
+    # the digits of the one-group-at-a-time evaluation, every float exact: the
+    # stacked evaluation takes the same section rows, Gram products and LAPACK
+    # determinants, so a change that moves a report's bytes fails here
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "points.json").write_text(json.dumps({"points": README_POINTS}))
+    assert _scaling_rows(argv) == rows
+
+
+def test_scaling_with_one_point_has_no_pairs(tmp_path):
+    # the error is the one-point error alone: the closed form
+    # (k+1) / (pi k (1 + |u|^2/k)^2) against the limit 1/pi
+    pts = tmp_path / "one.json"
+    pts.write_text(json.dumps({"points": [[0.6, -0.2]]}))
+    rows = _scaling_rows(["--space", "fs", "--ks", "25,100", "--points", str(pts)])
+    for k, err, _ in rows:
+        want = (k + 1) / (math.pi * k * (1.0 + 0.4 / k) ** 2) - 1.0 / math.pi
+        assert err == pytest.approx(abs(want), rel=1e-10)
+
+
+def test_scaling_snaps_a_coincident_consecutive_pair(tmp_path):
+    from bergdpp.kernel import rescaled_correlation
+    from bergdpp.spaces import limit_frame
+
+    # the pair's kernel determinant falls below DET_FLOOR times its diagonal
+    # and reports 0, as does the limit; so the report is the one-point one
+    for name, points in (("one", [[0.3, 0.1]]), ("two", [[0.3, 0.1], [0.3, 0.1]])):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"points": points}))
+    argv = ["--space", "fs", "--ks", "25,100", "--points"]
+    assert _scaling_rows([*argv, str(tmp_path / "two.json")]) == _scaling_rows([*argv, str(tmp_path / "one.json")])
+    space = make_fubini_study(25)
+    pair = np.array([[0.3 + 0.1j], [0.3 + 0.1j]])
+    assert rescaled_correlation(space, limit_frame(space, np.zeros(1)), pair) == 0.0
+
+
+def test_scaling_on_a_product_points_file_matches_the_entrywise_oracle(tmp_path):
+    from bergdpp.kernel import evaluator
+    from bergdpp.spaces import limit_frame
+    from kernel_oracles import kernel_eval, limit_kernel
+
+    U = np.array([[0.2 - 0.1j, -0.5 + 0.3j], [0.7 + 0.4j, 0.1j], [-0.3 - 0.6j, 0.4 - 0.2j]])
+    pts = tmp_path / "prod.json"
+    pts.write_text(json.dumps({"points": [[c for z in u for c in (z.real, z.imag)] for u in U]}))
+    rows = _scaling_rows(["--space", "product", "--mults", "1,2", "--ks", "3,10", "--points", str(pts)])
+    for k, err, _ in rows:
+        space = make_product((1, 2), k)
+        ev, lam = evaluator(space), limit_frame(space, np.zeros(2)).lam
+        want = 0.0
+        for group in [U[i : i + 1] for i in range(3)] + [U[i : i + 2] for i in range(2)]:
+            chart = group / math.sqrt(k)
+            got = np.linalg.det([[kernel_eval(ev, a, b) for b in chart] for a in chart]).real
+            got *= k ** (-2.0 * len(group)) * np.prod(space.base_density(chart))
+            limit = np.linalg.det([[limit_kernel(lam, a, b) for b in group] for a in group]).real
+            want = max(want, abs(got - limit))
+        assert err == pytest.approx(want, rel=1e-10)
+
+
+def test_scaling_on_ten_thousand_points_stays_in_bounded_memory(tmp_path):
+    # the stacks are cut into chunks of test points: one stack of all 10^4
+    # points would hold their 401 section values, 64 MB, before the pairs
+    rng = np.random.default_rng(11)
+    pts = tmp_path / "many.json"
+    pts.write_text(json.dumps({"points": rng.uniform(-2.0, 2.0, (10_000, 2)).tolist()}))
+    tracemalloc.start()
+    try:
+        rows = _scaling_rows(["--space", "fs", "--ks", "400", "--points", str(pts)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64_000_000
+    assert rows[0][0] == 400 and 0.0 < rows[0][1] < 0.1
 
 
 # ---------------------------------------------------------------------------

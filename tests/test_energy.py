@@ -25,11 +25,10 @@ from bergdpp.energy import (
     monge_ampere_density,
     partition_function,
 )
-from bergdpp.exprs import parse_weight, weight_sum
+from bergdpp.exprs import parse_weight, weight_sum, weight_values
 from bergdpp.quadrature import Region, build_grid, gram, weighted_gram_matrix
 from bergdpp.sampler import sample_dpp_many
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
-from bergdpp.stats import mc_partition_ratio
 
 F_EXPR = parse_weight("0.2/(1+r2)")
 S_EXPR = parse_weight("r2/(1+r2)")
@@ -80,6 +79,21 @@ def test_ginibre_grid_refuses_a_weight_it_was_not_built_for():
     # re_1/(1+r2) although its e^{-psi} exceeds 1 on part of that edge
     for expr in ("r2/(1+r2)", "re_1/(1+r2)"):
         gram(space, plain, parse_weight(expr))
+
+
+def mc_partition_ratio(points, psi) -> tuple[float, float]:
+    """Monte Carlo estimate of det G(psi) = E[exp(-sum psi(X_i))].
+
+    Takes exact unweighted draws as a point array; returns (mean, standard error).
+    """
+    P = np.asarray(points)
+    if P.ndim != 3 or P.shape[0] == 0:
+        raise ValueError("need at least one configuration")
+    reps, n, dim = P.shape
+    sums = weight_values(psi, P.reshape(-1, dim)).reshape(reps, n).sum(axis=1)
+    vals = np.array([math.exp(-float(s)) for s in sums])
+    se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+    return float(vals.mean()), se
 
 
 def test_mc_partition_ratio_matches_quadrature():

@@ -7,6 +7,8 @@ Closed forms used as oracles:
       B(x, y) = exp(x conj(y) - |x|^2/2 - |y|^2/2) sum_{j<N} (x conj(y))^j / j!
                 with the polynomial part left as a finite sum.
 Both are densities against the base measure mu, so no chart-Lebesgue factors.
+The stacked correlations are checked against determinants assembled entry by
+entry from the scalar oracles of kernel_oracles.
 """
 
 import math
@@ -16,19 +18,19 @@ import pytest
 from scipy import special
 
 from bergdpp.kernel import (
+    DET_FLOOR,
     default_test_points,
     evaluator,
     kernel_det,
-    kernel_eval,
     kernel_matrix,
     limit_correlation,
-    limit_kernel,
     rescaled_correlation,
     reweighted_evaluator,
     scaling_errors,
 )
 from bergdpp.quadrature import build_grid
 from bergdpp.spaces import limit_frame, make_fubini_study, make_ginibre, make_product
+from kernel_oracles import kernel_eval, limit_kernel
 
 
 def fs_kernel_closed_form(k, x, y):
@@ -248,6 +250,30 @@ def test_rescaled_correlation_converges_to_limit():
     assert abs(got - want) < 2e-3
 
 
+def test_scaling_errors_check_every_group_once_across_chunks(monkeypatch):
+    # 150 test points are three chunks of 64, the last one 22: each point
+    # alone and each consecutive pair, those across a chunk's edge included,
+    # is checked once, and the sup error is the group-by-group loop's float
+    import bergdpp.kernel as kernel
+
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(-1.5, 1.5, (150, 1)) + 1j * rng.uniform(-1.5, 1.5, (150, 1))
+    seen = []
+
+    def spy(lam, stack):
+        seen.extend(tuple(int(np.flatnonzero(pts[:, 0] == z)[0]) for z in g[:, 0]) for g in stack)
+        return limit_correlation(lam, stack)
+
+    monkeypatch.setattr(kernel, "limit_correlation", spy)
+    (row,) = scaling_errors(make_fubini_study, [30], points=pts)
+    assert sorted(seen) == sorted([(i,) for i in range(150)] + [(i, i + 1) for i in range(149)])
+    space = make_fubini_study(30)
+    frame = limit_frame(space, np.zeros(1))
+    groups = [pts[i : i + 1] for i in range(150)] + [pts[i : i + 2] for i in range(149)]
+    want = max(abs(rescaled_correlation(space, frame, g) - limit_correlation(frame.lam, g)) for g in groups)
+    assert row["sup_error"] == want
+
+
 def test_scaling_errors_decrease():
     rows = scaling_errors(make_fubini_study, [16, 64])
     assert rows[1]["sup_error"] < 0.7 * rows[0]["sup_error"]
@@ -255,3 +281,67 @@ def test_scaling_errors_decrease():
     assert rows[1]["ratio_to_prev"] == pytest.approx(
         rows[1]["sup_error"] / rows[0]["sup_error"], rel=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# stacks of groups against the scalar oracles
+
+
+def _frame_stack(dim: int, m: int, groups: int = 4) -> np.ndarray:
+    """(groups, m, dim) frame points, spread so that no determinant is near the floor."""
+    rng = np.random.default_rng(100 * dim + m)
+    return rng.uniform(-1.0, 1.0, (groups, m, dim)) + 1j * rng.uniform(-1.0, 1.0, (groups, m, dim))
+
+
+def _oracle_det(entry, group) -> float:
+    return float(np.linalg.det(np.array([[entry(a, b) for b in group] for a in group])).real)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize(
+    "space",
+    [make_fubini_study(6), make_product((1, 2), 2), make_ginibre(8)],
+    ids=["fs6", "prod12k2", "gin8"],
+)
+def test_stacked_correlations_match_entrywise_oracles(space, m):
+    ev = evaluator(space)
+    frame = limit_frame(space, np.zeros(space.dim))
+    U = _frame_stack(space.dim, m)
+    compact = space.factors[0].compact
+    chart = U / np.sqrt(space.power) if compact else U
+    scale = float(space.power) ** (-space.dim * m) if compact else 1.0
+
+    dets = kernel_det(ev, chart)
+    rescaled = rescaled_correlation(space, frame, U)
+    limits = limit_correlation(frame.lam, U)
+    for got in (dets, rescaled, limits):
+        assert isinstance(got, np.ndarray) and got.shape == (len(U),)
+    for g in range(len(U)):
+        det = _oracle_det(lambda a, b: kernel_eval(ev, a, b), chart[g])
+        want = det * scale * float(np.prod(space.base_density(chart[g])))
+        limit = _oracle_det(lambda a, b: limit_kernel(frame.lam, a, b), U[g])
+        assert dets[g] == pytest.approx(det, rel=1e-12)
+        assert rescaled[g] == pytest.approx(want, rel=1e-12)
+        assert limits[g] == pytest.approx(limit, rel=1e-12)
+        # one (m, dim) group is a stack of one and gives a float
+        single = kernel_det(ev, chart[g])
+        assert isinstance(single, float) and single == pytest.approx(det, rel=1e-12)
+
+
+def test_kernel_matrix_of_a_stack_holds_each_group_matrix():
+    ev = evaluator(make_product((1, 2), 2))
+    stack = _frame_stack(2, 3)
+    K = kernel_matrix(ev, stack)
+    assert K.shape == (4, 3, 3)
+    for g in range(4):
+        assert np.max(np.abs(K[g] - kernel_matrix(ev, stack[g]))) < 1e-13
+
+
+def test_stacked_det_is_zero_above_the_rank_and_snaps_coincident_groups():
+    ev = evaluator(make_ginibre(2))
+    assert np.array_equal(kernel_det(ev, _frame_stack(1, 3)), np.zeros(4))
+    z = 0.4 + 0.9j
+    stack = np.array([[[z], [z]], [[z], [-z]]])
+    dets = kernel_det(ev, stack)
+    assert dets[0] == 0.0  # coincident points: |det| below DET_FLOOR times the diagonal
+    assert dets[1] > DET_FLOOR

@@ -18,7 +18,6 @@ from bergdpp.spaces import (
     make_fubini_study,
     make_ginibre,
     make_product,
-    normalized_section_values,
     space_from_config,
     space_to_config,
 )
@@ -239,6 +238,17 @@ def test_fs_base_density_integrates_to_one():
 
 # ---------------------------------------------------------------------------
 # density of states
+
+
+def normalized_section_values(space, z) -> np.ndarray:
+    """Half-weighted section values v_i(z) = f_i(z) exp(-Phi(z)/2) at one point."""
+    pt = np.atleast_1d(np.asarray(z, dtype=complex))
+    if not (np.all(np.isfinite(pt.real)) and np.all(np.isfinite(pt.imag))):
+        raise ValueError(f"point must be finite, got {z!r}")
+    V = space.section_matrix(pt)
+    if V.shape[0] != 1:
+        raise ValueError("normalized_section_values takes a single chart point")
+    return V[0]
 
 
 def test_fs_density_of_states_is_constant():

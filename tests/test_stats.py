@@ -12,6 +12,7 @@ share no code with the Grams.
 """
 
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -470,6 +471,39 @@ def test_estimate_intensity_rates_match_per_replicate_histograms():
     np.testing.assert_allclose(
         stderr, hist.std(axis=0, ddof=1) / math.sqrt(len(points)) / area, rtol=1e-12, atol=0.0
     )
+
+
+def test_estimate_intensity_in_chunks_gives_the_dense_histogram_floats():
+    # 200 reps at 60 bins count in chunks of 21 bin rows (the last one 18):
+    # mean and std over the replicates of each chunk are those of the dense
+    # (reps, bins, bins) histogram, float for float
+    rng = np.random.default_rng(29)
+    space = make_fubini_study(5)
+    points = rng.normal(size=(200, 6, 1)) + 1j * rng.normal(size=(200, 6, 1))
+    bins, extent = 60, 2.5
+    edges = np.linspace(-extent, extent, bins + 1)
+    hist = np.array([np.histogram2d(w.real, w.imag, bins=[edges, edges])[0] for w in points[:, :, 0]])
+    area = (edges[1] - edges[0]) ** 2
+    cells = estimate_intensity(space, points, bins=bins, extent=extent)
+    rate = np.array([c.rate for c in cells]).reshape(bins, bins)
+    stderr = np.array([c.stderr for c in cells]).reshape(bins, bins)
+    assert np.array_equal(rate, hist.mean(axis=0) / area)
+    assert np.array_equal(stderr, hist.std(axis=0, ddof=1) / math.sqrt(200) / area)
+
+
+def test_estimate_intensity_memory_does_not_grow_with_reps_times_bins_squared():
+    # a dense (reps, bins, bins) count array would take 144 MB here; the
+    # 90000 cells themselves take about 22 MB
+    rng = np.random.default_rng(31)
+    points = rng.normal(size=(200, 6, 1)) + 1j * rng.normal(size=(200, 6, 1))
+    tracemalloc.start()
+    try:
+        cells = estimate_intensity(make_fubini_study(5), points, bins=300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cells) == 300 * 300
+    assert peak < 40_000_000
 
 
 def test_estimate_intensity_rejects_product_charts():
