@@ -39,6 +39,7 @@ from .sampler import McmcConfig, RejectionStallError, sample_dpp_many, sample_we
 from .spaces import ModelSpace, make_fubini_study, make_ginibre, make_product
 from .spaces import space_from_config, space_to_config
 from .stats import (
+    INTENSITY_COLUMNS,
     circular_law_distance,
     estimate_intensity,
     measure_convergence,
@@ -319,9 +320,15 @@ def _points_from_file(path: str, dim: int) -> np.ndarray:
     if rows is None:
         raise CliError(f"{path} has no \"points\" list")
     try:
-        return _points_from_json(rows, dim)
+        pts = _points_from_json(rows, dim)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"{path}: {exc}") from None
+    with np.errstate(over="ignore"):  # the Fubini-Study density squares 1 + |u_i|^2
+        huge = ~np.isfinite((1.0 + np.abs(pts) ** 2) ** 2).all(axis=1)
+    if huge.any():
+        raise CliError(f"{path}: point row {int(huge.argmax())} has a coordinate u with "
+                       "(1 + |u|^2)^2 beyond the float range")
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -406,22 +413,14 @@ def _stats_inputs(args) -> tuple[ModelSpace, np.ndarray, dict]:
 def _cmd_stats(args) -> int:
     space, points, src = _stats_inputs(args)
     if args.stats_command == "intensity":
-        cells = estimate_intensity(space, points, bins=args.bins, extent=args.extent)
+        table = estimate_intensity(space, points, bins=args.bins, extent=args.extent)
         config = {
             "command": "stats intensity",
             "bins": args.bins,
             "extent": args.extent,
             **src,
         }
-        rows = [
-            [c.center_re, c.center_im, c.rate, c.stderr, c.prediction] for c in cells
-        ]
-        text = _csv_text(
-            "intensity",
-            config,
-            ["bin_center_re", "bin_center_im", "rate", "stderr", "prediction"],
-            rows,
-        )
+        text = _csv_text("intensity", config, list(INTENSITY_COLUMNS), table.tolist())
         _emit(text, args.out)
         return 0
 

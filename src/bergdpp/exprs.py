@@ -283,10 +283,6 @@ class WeightExpr:
 
     __call__ = evaluate
 
-    def value_at(self, z) -> float:
-        pt = np.atleast_1d(np.asarray(z, dtype=complex))
-        return float(self.evaluate(pt[None, :])[0])
-
 
 def _values(node: Node, lookup, m: int) -> np.ndarray:
     """Values of a node at m points; lookup(name) gives a variable's (m,) values.

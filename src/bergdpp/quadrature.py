@@ -105,11 +105,11 @@ formed only when GramMatrix.matrix is read.  A weight that does not split
 keeps the dense route.
 
 gram() is the one place where a Gram is judged and factored.  On the dense
-route it Hermitianizes as (A + A^H)/2 with the asymmetry recorded, and works
-on the scaled Gram S = D^{-1/2} A D^{-1/2}, D = diag(A), which does not
-change when a basis section is rescaled (and diagonal scaling nearly
-minimises the condition number of a Hermitian positive-definite matrix: van
-der Sluis, Numer. Math. 1969).  S gives the log-determinant, the degeneracy
+route it Hermitianizes as (A + A^H)/2 and works on the scaled Gram
+S = D^{-1/2} A D^{-1/2}, D = diag(A), which does not change when a basis
+section is rescaled (and diagonal scaling nearly minimises the condition
+number of a Hermitian positive-definite matrix: van der Sluis, Numer.
+Math. 1969).  S gives the log-determinant, the degeneracy
 verdict (an eigenvalue of S at most 1e-12 of its largest raises
 GramDegenerateError, the usual cause being a grid with fewer nodes than the
 rank needs) and the orthonormalising map GramMatrix.transform that the
@@ -287,10 +287,6 @@ class QuadratureGrid:
         w = functools.reduce(np.multiply.outer, [2.0 * math.pi * rw for rw in self.radial_weights])
         return points.astype(complex), w.ravel()
 
-    def mass(self) -> float:
-        points, w = self.radial_rule
-        return float(np.sum(w * self.space.base_density(points)))
-
     def factor(self, i: int, psi=None) -> "QuadratureGrid":
         """Factor i's own rule, sliced from this grid: a grid of space.factor_space(i) built for psi."""
         space = self.space.factor_space(i)
@@ -458,15 +454,13 @@ def build_grid(
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Hermitianized Gram matrix with its log-determinant and diagnostics.
+    """Hermitianized Gram matrix with its log-determinant, route and the extremes gram() judges.
 
     On the factored route it keeps its factors' Grams instead of the matrix,
     A = kron(A_1, A_2, ...), and forms A and its map only on first use.
     """
 
     logdet: float
-    asymmetry_abs: float     # max |A - A^H| before Hermitianization
-    asymmetry_rel: float     # factored: the sum of the factors', a first-order bound
     route: str               # "diagonal", "dense" or "factored": how gram() assembled it
     spectrum: tuple[float, float]  # smallest and largest eigenvalue of the scaled Gram S
     diagonal: tuple[float, float]  # smallest and largest entry of D = diag(A)
@@ -672,15 +666,11 @@ def _unjudged(A_raw: np.ndarray) -> GramMatrix:
             logdet = float(np.sum(np.log(d)))
         return GramMatrix(
             logdet=logdet,
-            asymmetry_abs=0.0,
-            asymmetry_rel=0.0,
             route="diagonal",
             spectrum=(1.0 if np.all(d > 0.0) else 0.0, 1.0),
             diagonal=(float(d.min()), float(d.max())),
             assembled=np.diag(d.astype(complex)),
         )
-    asym_abs = float(np.max(np.abs(A_raw - A_raw.conj().T), initial=0.0))
-    scale = float(np.max(np.abs(A_raw), initial=0.0))
     A = 0.5 * (A_raw + A_raw.conj().T)
     d = A.diagonal().real
     s = 1.0 / np.sqrt(np.where(d > 0.0, d, np.inf))
@@ -689,8 +679,6 @@ def _unjudged(A_raw: np.ndarray) -> GramMatrix:
         logdet = float(np.sum(np.log(eigs)) + np.sum(np.log(d)))
     return GramMatrix(
         logdet=logdet,
-        asymmetry_abs=asym_abs,
-        asymmetry_rel=asym_abs / scale if scale > 0 else 0.0,
         route="dense",
         spectrum=(float(eigs[0]), float(eigs[-1])),
         diagonal=(float(d.min()), float(d.max())),
@@ -702,11 +690,8 @@ def _kron(parts: list[GramMatrix]) -> GramMatrix:
     """The Gram kron(A_1, A_2, ...) of factor Grams, kept as its factors (module docstring)."""
     ranks = [p.assembled.shape[0] for p in parts]
     rank = math.prod(ranks)
-    asym_rel = sum(p.asymmetry_rel for p in parts)
     return GramMatrix(
         logdet=sum(rank // n * p.logdet for n, p in zip(ranks, parts)),
-        asymmetry_abs=asym_rel * math.prod(float(np.max(np.abs(p.assembled))) for p in parts),
-        asymmetry_rel=asym_rel,
         route="factored",
         spectrum=_product_range(p.spectrum for p in parts),
         diagonal=_product_range(p.diagonal for p in parts),

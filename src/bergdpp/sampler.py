@@ -85,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprs import potential_values, weight_values
-from .spaces import ModelSpace, _as_points
+from .spaces import ModelSpace
 
 __all__ = [
     "RejectionStallError",
@@ -93,7 +93,6 @@ __all__ = [
     "McmcConfig",
     "McmcRun",
     "rng_stream",
-    "log_density",
     "sample_dpp",
     "sample_dpp_many",
     "sample_weighted",
@@ -116,22 +115,6 @@ class Configuration:
 
     points: np.ndarray          # (N, dim) complex
     log_density: float          # log |det M|^2 - sum_j w(x_j), wrt mu^N, w the Gibbs potential
-
-
-def log_density(space: ModelSpace, points, weight=None) -> float:
-    """Unnormalized Gibbs log-density of a configuration against mu^N.
-
-    log |det M|^2 with M_ij = v_i(x_j), minus sum_j w(x_j) for the Gibbs
-    potential w = weight.  Returns -inf for coincident points (singular M).
-    """
-    Z = _as_points(points, space.dim)
-    if Z.shape[0] != space.rank:
-        raise ValueError(f"configuration must have {space.rank} points, got {Z.shape[0]}")
-    V = space.section_matrix(Z)  # rows v(x_j); det M = det V^T = det V
-    sign, logabs = np.linalg.slogdet(V)
-    if sign == 0 or not np.isfinite(logabs):
-        return float("-inf")
-    return float(2.0 * logabs - weight_values(weight, Z).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,6 @@ squared radius t = |z|^2 where it can:
                           32 on a sphere), and the fewest that make the rule
                           exact (2 n_r - 1 >= d on a sphere; 1 on the plane)
   propose_radius          |z| drawn from the one-point intensity B(x, x) dmu / N
-  radial_cdf              the law of one point's |z|: a mixture of Gamma(j+1)
-                          laws in t on the plane, uniform in s on a sphere
 
 ModelSpace.factor_space(i) is factor i alone as a one-factor space, on
 which quadrature assembles one factor of a factored product Gram.
@@ -277,16 +275,6 @@ class GinibrePlane(_Factor):
         """|z| of an intensity draw: r^2 ~ Gamma(j + 1), with j = floor(u (degree + 1)) uniform."""
         return np.sqrt(rng.standard_gamma(np.floor(u * (self.degree + 1)) + 1.0))
 
-    def radial_cdf(self, r) -> np.ndarray:
-        """P(|z| <= r): the mean over j < N of P(Gamma(j + 1) <= t) = P(Poisson(t) > j).
-
-        That is E[min(Poisson(t), N)] / N = 1 - sum_{k<N} (N - k)/N P(Poisson(t) = k):
-        0 at t = 0, and 1 once every Poisson term has underflowed at t >> N.
-        """
-        N = self.degree + 1
-        r = np.asarray(r, dtype=float)
-        return 1.0 - np.exp(poisson_log_pmf(N, r * r)) @ ((N - np.arange(N)) / N)
-
 
 @dataclass(frozen=True)
 class FubiniStudySphere(_Factor):
@@ -331,11 +319,6 @@ class FubiniStudySphere(_Factor):
     def propose_radius(self, u: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """|z| of an intensity draw: B(x, x) is constant, so s = u is uniform."""
         return np.sqrt(u / (1.0 - u))
-
-    def radial_cdf(self, r) -> np.ndarray:
-        """P(|z| <= r) = s: the mean over j of Beta(j + 1, d - j + 1) laws in s is uniform."""
-        r = np.asarray(r, dtype=float)
-        return (r * r) / (1.0 + r * r)
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,9 @@ the grid's radial rules alone.  The test suite checks these traces against
 Kostlan's theorem (count moments from per-index Beta and Gamma laws,
 computed with scipy alone), which shares no code with the Grams.
 
-The radial law of one point is a factor's radial_cdf (spaces module
-docstring), for Kolmogorov-Smirnov checks (ks_distance); the circular law
-compares Ginibre radii rescaled by 1/sqrt(N) with its rank limit, the CDF
-min(r^2, 1).
+ks_distance is the Kolmogorov-Smirnov statistic of pooled radii against a
+radial CDF; the circular law compares Ginibre radii rescaled by 1/sqrt(N)
+with its rank limit, the CDF min(r^2, 1).
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ __all__ = [
     "parse_region",
     "CountStats",
     "PairStats",
-    "IntensityCell",
+    "INTENSITY_COLUMNS",
     "region_count_stats",
     "pair_count_stats",
     "estimate_intensity",
@@ -259,13 +258,8 @@ def pair_count_stats(
 _INTENSITY_BLOCK = 2**18  # entries of a chunk's (reps, rows, bins) counts and its section rows
 
 
-@dataclass(frozen=True)
-class IntensityCell:
-    center_re: float
-    center_im: float
-    rate: float        # mean count per replicate per unit area
-    stderr: float
-    prediction: float  # B(x, x) * base density at the cell center
+# rate: mean count per replicate per unit area; prediction: B(x, x) * base density at the center
+INTENSITY_COLUMNS = ("bin_center_re", "bin_center_im", "rate", "stderr", "prediction")
 
 
 def estimate_intensity(
@@ -273,11 +267,12 @@ def estimate_intensity(
     points,
     bins: int = 40,
     extent: float | None = None,
-) -> list[IntensityCell]:
+) -> np.ndarray:
     """Square-bin intensity estimate on a dim-1 chart with kernel predictions.
 
+    One (bins^2, 5) row per cell, columns INTENSITY_COLUMNS, center_re-major.
     Counts per (replicate, cell) and predictions are formed a chunk of bin rows
-    at a time, so beside the cells memory stays O(_INTENSITY_BLOCK) at any bins.
+    at a time, so beside the table memory stays O(_INTENSITY_BLOCK) at any bins.
     """
     if space.dim != 1:
         raise ValueError("binned intensity is implemented for one-factor charts")
@@ -306,7 +301,9 @@ def estimate_intensity(
 
     centers = 0.5 * (edges[:-1] + edges[1:])
     step = max(1, _INTENSITY_BLOCK // (bins * max(reps, space.rank)))  # bin rows per chunk
-    cells = []
+    table = np.empty((bins, bins, len(INTENSITY_COLUMNS)))
+    table[:, :, 0] = centers[:, None]
+    table[:, :, 1] = centers
     for lo in range(0, bins, step):
         n = min(step, bins - lo)
         a, b = np.searchsorted(ix, [lo, lo + n])
@@ -317,16 +314,10 @@ def estimate_intensity(
         zrows = (centers[lo : lo + n, None] + 1j * centers).reshape(-1, 1)
         V = space.section_matrix(zrows)
         bdiag = np.einsum("mi,mi->m", V, V.conj()).real
-        pred = (bdiag * space.base_density(zrows)).reshape(n, bins)
-        cells += map(
-            IntensityCell,
-            [x for x in centers[lo : lo + n].tolist() for _ in range(bins)],
-            centers.tolist() * n,
-            (mean_counts / area).ravel().tolist(),
-            (se_counts / area).ravel().tolist(),
-            pred.ravel().tolist(),
-        )
-    return cells
+        table[lo : lo + n, :, 2] = mean_counts / area
+        table[lo : lo + n, :, 3] = se_counts / area
+        table[lo : lo + n, :, 4] = (bdiag * space.base_density(zrows)).reshape(n, bins)
+    return table.reshape(bins * bins, len(INTENSITY_COLUMNS))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ Exit convention: 0 success, 2 usage or input errors, 3 numerical failures
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -24,8 +25,9 @@ import bergdpp
 from bergdpp.cli import _load_samples, _samples_json, run
 from bergdpp.energy import lambda_report
 from bergdpp.exprs import parse_weight, weight_sum
-from bergdpp.sampler import log_density, sample_dpp
+from bergdpp.sampler import sample_dpp
 from bergdpp.spaces import make_fubini_study, make_product, space_to_config
+from law_oracles import log_density
 
 
 def read_json(path):
@@ -1013,6 +1015,32 @@ def test_stats_intensity_csv(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, lines, center, digest",
+    [
+        (["--space", "fs", "--k", "3", "--bins", "7"], 2 + 49,
+         "-2.220446049250313e-16,-2.220446049250313e-16,0.9187500000000001,0.13144174590208954,1.2732395447351628",
+         "0d4290052df5730526eb7219a5886565b6cf6560ffa251c91676fb0696c6b664"),
+        (["--space", "ginibre", "--n", "10", "--bins", "13", "--extent", "2.5"], 2 + 169,
+         "2.220446049250313e-16,2.220446049250313e-16,0.3380000000000001,0.33799999999999997,0.3183098861837907",
+         "17553ca9b262aa40073e693a78f7bb1713de55a14ed3d853f390aab596818399"),
+    ],
+    ids=["fs3-7", "ginibre10-13"],
+)
+def test_stats_intensity_csv_keeps_its_bytes(argv, lines, center, digest):
+    # every byte of the CSV at a fixed seed: the center cell's row in full,
+    # and the SHA-256 of the whole report
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["stats", "intensity", *argv, "--reps", "20", "--seed", "13"]) == 0
+    text = out.getvalue()
+    rows = text.splitlines()
+    bins = int(argv[argv.index("--bins") + 1])
+    assert len(rows) == lines
+    assert rows[2 + (bins // 2) * (bins + 1)] == center
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "flags", [["--bins", "0"], ["--extent", "0"], ["--extent", "-2"]], ids=["bins0", "extent0", "extent-2"]
 )
 def test_stats_intensity_rejects_bad_binning(flags, capsys):
@@ -1179,6 +1207,26 @@ def test_scaling_on_ten_thousand_points_stays_in_bounded_memory(tmp_path):
         tracemalloc.stop()
     assert peak < 64_000_000
     assert rows[0][0] == 400 and 0.0 < rows[0][1] < 0.1
+
+
+@pytest.mark.parametrize("space", [["fs"], ["product", "--mults", "1,2"]], ids=["fs", "product12"])
+@pytest.mark.parametrize("value, refused", [(1e200, True), (1.1e77, True), (5e76, False)])
+def test_scaling_refuses_a_point_whose_density_overflows(space, value, refused, tmp_path, capsys):
+    # at k = 1 the chart point is u itself, and the Fubini-Study density
+    # 1 / (pi (1 + |u|^2)^2) squares |u|^2 = 2 value^2: past about 1.1e77
+    # that overflows, so the row is refused before any evaluation
+    dim = 1 if space == ["fs"] else 2
+    pts = tmp_path / "huge.json"
+    pts.write_text(json.dumps({"points": [[0.1, 0.2] * dim, [value, value] * dim]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = run(["scaling", "--space", *space, "--ks", "1,2", "--points", str(pts)])
+    err = capsys.readouterr().err
+    if refused:
+        assert rc == 2
+        assert err == f"error: {pts}: point row 1 has a coordinate u with (1 + |u|^2)^2 beyond the float range\n"
+    else:
+        assert rc == 0 and err == ""
 
 
 # ---------------------------------------------------------------------------

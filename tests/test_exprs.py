@@ -75,11 +75,6 @@ def test_two_factor_variables():
     assert abs(e.evaluate(Z)[0] - 8.0) < 1e-14
 
 
-def test_value_at_scalar_point():
-    e = parse_weight("r2")
-    assert e.value_at(3.0 + 4.0j) == pytest.approx(25.0)
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     a=st.floats(0, 3, allow_nan=False),

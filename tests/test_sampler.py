@@ -15,7 +15,6 @@ from bergdpp.exprs import parse_weight, weight_sum
 from bergdpp.sampler import (
     McmcConfig,
     RejectionStallError,
-    log_density,
     rng_stream,
     sample_dpp,
     sample_dpp_many,
@@ -24,6 +23,7 @@ from bergdpp.sampler import (
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
 from bergdpp.stats import ks_distance
 from discrete_oracle import DiscreteProjectionDpp, discrete_projection_from_space
+from law_oracles import log_density, radial_cdf
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +292,7 @@ def test_fs_radial_law():
     space = make_fubini_study(6)
     points, _ = sample_dpp_many(space, reps=400, seed=17)
     radii = np.abs(points[:, :, 0]).ravel()
-    d = ks_distance(radii, space.factors[0].radial_cdf)
+    d = ks_distance(radii, lambda r: radial_cdf(space.factors[0], r))
     assert d < 0.04  # n = 2800, far above the 1.36/sqrt(n) 5% band
 
 
@@ -300,7 +300,7 @@ def test_ginibre_radial_law():
     space = make_ginibre(5)
     points, _ = sample_dpp_many(space, reps=400, seed=19)
     radii = np.abs(points[:, :, 0]).ravel()
-    d = ks_distance(radii, space.factors[0].radial_cdf)
+    d = ks_distance(radii, lambda r: radial_cdf(space.factors[0], r))
     assert d < 0.04
 
 
@@ -376,7 +376,7 @@ def test_mcmc_unweighted_matches_exact_law():
     assert 0.05 < run.acceptance_rate < 0.9
     assert run.warnings == []
     radii = np.abs(run.points[:, :, 0]).ravel()
-    d = ks_distance(radii, space.factors[0].radial_cdf)
+    d = ks_distance(radii, lambda r: radial_cdf(space.factors[0], r))
     assert d < 0.08  # thinned chain, n = 140 pooled radii
 
 

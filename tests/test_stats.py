@@ -23,6 +23,7 @@ from bergdpp.quadrature import TAIL, Region
 from bergdpp.sampler import sample_dpp_many
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
 from bergdpp.stats import (
+    INTENSITY_COLUMNS,
     circular_law_distance,
     convergence_row,
     count_moments,
@@ -35,6 +36,7 @@ from bergdpp.stats import (
     region_grid,
 )
 from count_laws import kostlan_probabilities, poisson_binomial_pmf, pooled_chi_square
+from law_oracles import radial_cdf
 
 
 def draw_set(*draws):
@@ -437,16 +439,16 @@ def test_estimate_intensity_prediction_column():
 
     space = make_fubini_study(4)
     points, _ = sample_dpp_many(space, reps=50, seed=3)
-    cells = estimate_intensity(space, points, bins=12, extent=2.0)
-    assert len(cells) == 144  # square bins over [-2, 2]^2
+    table = estimate_intensity(space, points, bins=12, extent=2.0)
+    assert table.shape == (144, len(INTENSITY_COLUMNS))  # square bins over [-2, 2]^2
     ev = evaluator(space)
-    for cell in cells[::17]:
-        z = np.array([complex(cell.center_re, cell.center_im)])
+    for center_re, center_im, _, _, prediction in table[::17]:
+        z = np.array([complex(center_re, center_im)])
         rows = ev.section_rows(z)
         want = float((np.abs(rows) ** 2).sum() * space.base_density(z)[0])
-        assert cell.prediction == pytest.approx(want, rel=1e-9)
+        assert prediction == pytest.approx(want, rel=1e-9)
     area = (4.0 / 12.0) ** 2
-    total = sum(c.rate * area for c in cells)
+    total = sum(table[:, 2] * area)
     assert 2.0 < total <= 5.0 + 1e-9  # most of the N = 5 points land inside the window
 
 
@@ -462,11 +464,11 @@ def test_estimate_intensity_rates_match_per_replicate_histograms():
     assert np.any(np.maximum(np.abs(z.real), np.abs(z.imag)) > extent)
     hist = np.array([np.histogram2d(w.real, w.imag, bins=[edges, edges])[0] for w in z])
     area = (edges[1] - edges[0]) ** 2
-    cells = estimate_intensity(space, points, bins=bins, extent=extent)
+    table = estimate_intensity(space, points, bins=bins, extent=extent)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    assert [(c.center_re, c.center_im) for c in cells] == [(x, y) for x in centers for y in centers]
-    rate = np.array([c.rate for c in cells]).reshape(bins, bins)
-    stderr = np.array([c.stderr for c in cells]).reshape(bins, bins)
+    assert table[:, :2].tolist() == [[x, y] for x in centers for y in centers]
+    rate = table[:, 2].reshape(bins, bins)
+    stderr = table[:, 3].reshape(bins, bins)
     np.testing.assert_allclose(rate, hist.mean(axis=0) / area, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(
         stderr, hist.std(axis=0, ddof=1) / math.sqrt(len(points)) / area, rtol=1e-12, atol=0.0
@@ -484,26 +486,26 @@ def test_estimate_intensity_in_chunks_gives_the_dense_histogram_floats():
     edges = np.linspace(-extent, extent, bins + 1)
     hist = np.array([np.histogram2d(w.real, w.imag, bins=[edges, edges])[0] for w in points[:, :, 0]])
     area = (edges[1] - edges[0]) ** 2
-    cells = estimate_intensity(space, points, bins=bins, extent=extent)
-    rate = np.array([c.rate for c in cells]).reshape(bins, bins)
-    stderr = np.array([c.stderr for c in cells]).reshape(bins, bins)
+    table = estimate_intensity(space, points, bins=bins, extent=extent)
+    rate = table[:, 2].reshape(bins, bins)
+    stderr = table[:, 3].reshape(bins, bins)
     assert np.array_equal(rate, hist.mean(axis=0) / area)
     assert np.array_equal(stderr, hist.std(axis=0, ddof=1) / math.sqrt(200) / area)
 
 
 def test_estimate_intensity_memory_does_not_grow_with_reps_times_bins_squared():
     # a dense (reps, bins, bins) count array would take 144 MB here; the
-    # 90000 cells themselves take about 22 MB
+    # (90000, 5) table itself takes 3.6 MB
     rng = np.random.default_rng(31)
     points = rng.normal(size=(200, 6, 1)) + 1j * rng.normal(size=(200, 6, 1))
     tracemalloc.start()
     try:
-        cells = estimate_intensity(make_fubini_study(5), points, bins=300)
+        table = estimate_intensity(make_fubini_study(5), points, bins=300)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(cells) == 300 * 300
-    assert peak < 40_000_000
+    assert table.shape == (300 * 300, len(INTENSITY_COLUMNS))
+    assert peak < 12_000_000
 
 
 def test_estimate_intensity_rejects_product_charts():
@@ -523,7 +525,7 @@ def test_fs_radial_cdf_is_uniform_in_s():
     for k in (0, 1, 5, 50):
         j = np.arange(k + 1)
         beta_mixture = special.betainc(j[None, :] + 1.0, k - j[None, :] + 1.0, s[:, None]).mean(axis=1)
-        assert np.max(np.abs(make_fubini_study(k).factors[0].radial_cdf(r) - beta_mixture)) < 1e-14
+        assert np.max(np.abs(radial_cdf(make_fubini_study(k).factors[0], r) - beta_mixture)) < 1e-14
 
 
 def test_ginibre_radial_cdf_matches_gamma_sum():
@@ -532,7 +534,7 @@ def test_ginibre_radial_cdf_matches_gamma_sum():
         edge = math.sqrt(special.gammainccinv(n, TAIL))
         r = np.concatenate([np.linspace(0.0, 2.0 * edge, 801), [1e-8, 1.3, 1e3, 1e8]])
         want = np.mean([special.gammainc(j + 1.0, r * r) for j in range(n)], axis=0)
-        got = make_ginibre(n).factors[0].radial_cdf(r)
+        got = radial_cdf(make_ginibre(n).factors[0], r)
         assert got[0] == 0.0 and got[-1] == 1.0
         assert np.max(np.abs(got - want)) < 1e-13
 
