@@ -34,7 +34,7 @@ from . import __version__
 from .energy import GramPath, lambda_report, partition_function
 from .exprs import WeightExpr, parse_weight, weight_sum
 from .kernel import scaling_errors
-from .quadrature import build_grid, gram, gram_to_csv, weighted_gram_matrix
+from .quadrature import build_grid, gram, gram_to_csv, region_grid, weighted_gram_matrix
 from .sampler import McmcConfig, RejectionStallError, sample_dpp_many, sample_weighted
 from .spaces import ModelSpace, make_fubini_study, make_ginibre, make_product
 from .spaces import space_from_config, space_to_config
@@ -46,8 +46,6 @@ from .stats import (
     pair_count_stats,
     parse_region,
     region_count_stats,
-    region_gram,
-    region_grid,
 )
 
 SCHEMA_TAG = "bergdpp"
@@ -61,21 +59,13 @@ class CliError(ValueError):
 # helpers
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, kind: type) -> list:
+    """A comma-separated list of int or float values (kind) for a flag."""
     try:
-        vals = [int(part) for part in text.split(",") if part != ""]
+        vals = [kind(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise CliError(f"{flag} expects a comma-separated integer list, got {text!r}")
-    if not vals:
-        raise CliError(f"{flag} is empty")
-    return vals
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        vals = [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise CliError(f"{flag} expects a comma-separated number list, got {text!r}")
+        noun = "integer" if kind is int else "number"
+        raise CliError(f"{flag} expects a comma-separated {noun} list, got {text!r}")
     if not vals:
         raise CliError(f"{flag} is empty")
     return vals
@@ -98,7 +88,7 @@ def _space_from_args(args, k: int | None = None) -> ModelSpace:
         kk = k if k is not None else args.k
         if kk is None:
             raise CliError("--k is required for --space product")
-        mults = _parse_int_list(args.mults, "--mults")
+        mults = _parse_list(args.mults, "--mults", int)
         return make_product(tuple(mults), int(kk))
     raise CliError("--space is required unless --samples gives the space")
 
@@ -236,16 +226,22 @@ _NUMBER = {int, float}
 
 def _points_from_json(rows, dim: int) -> np.ndarray:
     """(M, dim) complex points from JSON rows of 2 * dim finite numbers, [re, im] per factor."""
-    for i, row in enumerate(rows):
+    try:  # all rows at once; rows that fail are walked one by one for the first at fault
+        coords = list(itertools.chain.from_iterable(rows))
+        # strings and bools convert to floats, but are not JSON numbers
+        ok = set(map(len, rows)) <= {2 * dim} and set(map(type, coords)) <= _NUMBER
+    except TypeError:
+        ok = False
+    for i, row in enumerate(() if ok else rows):
         if len(row) != 2 * dim:
             raise ValueError(f"point row {i} has {len(row)} numbers, expected {2 * dim} (re/im per factor)")
         if not set(map(type, row)) <= _NUMBER:
             bad = next(x for x in row if type(x) not in _NUMBER)
             raise ValueError(f"point row {i} holds {json.dumps(bad)}, which is not a number")
-    pts = np.array(rows, dtype=float).reshape(len(rows), 2 * dim)
-    finite = np.isfinite(pts).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"point row {int(finite.argmin())} holds a coordinate that is not finite")
+    pts = np.array(coords, dtype=float).reshape(len(rows), 2 * dim)
+    if not np.isfinite(pts).all():
+        row = int(np.isfinite(pts).all(axis=1).argmin())
+        raise ValueError(f"point row {row} holds a coordinate that is not finite")
     return pts.view(complex)
 
 
@@ -287,27 +283,19 @@ def _load_samples(path: str) -> tuple[ModelSpace, np.ndarray]:
     try:  # stats reads no log density, but every configuration has a finite one
         log_densities = [entry["log_density"] for entry in entries]
         rows = [entry["points"] for entry in entries]
-        points = list(itertools.chain.from_iterable(rows))
-        coords = list(itertools.chain.from_iterable(points))
-        ok = (
-            set(map(len, rows)) == {space.rank} and set(map(len, points)) == {2 * space.dim}
-            # strings and bools convert to floats, but are not JSON numbers
-            and set(map(type, coords)) <= _NUMBER and set(map(type, log_densities)) <= _NUMBER
-        )
-        if ok:
-            values = np.array(coords, dtype=float)
-            ok = np.isfinite(values).all() and np.isfinite(np.array(log_densities, dtype=float)).all()
-    except (KeyError, TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise _configuration_fault(path, entries, space)
-    return space, values.reshape(len(entries), space.rank, 2 * space.dim).view(complex)
+        finite = set(map(type, log_densities)) <= _NUMBER and all(map(math.isfinite, log_densities))
+        if set(map(len, rows)) != {space.rank} or not finite:
+            raise ValueError
+        points = _points_from_json(list(itertools.chain.from_iterable(rows)), space.dim)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        raise _configuration_fault(path, entries, space) from None
+    return space, points.reshape(len(entries), space.rank, space.dim)
 
 
 def _check_space_flags(args, space: ModelSpace) -> None:
     """Space flags given beside --samples must agree with the file's space."""
     cfg = space_to_config(space)
-    mults = None if args.mults is None else _parse_int_list(args.mults, "--mults")
+    mults = None if args.mults is None else _parse_list(args.mults, "--mults", int)
     given = {"kind": args.space, "k": args.k, "N": args.n, "multiplicities": mults}
     wrong = [f"{key}={v}" for key, v in given.items() if v is not None and cfg.get(key) != v]
     if wrong:
@@ -430,7 +418,7 @@ def _cmd_stats(args) -> int:
             raise CliError("at least one --region is required")
         config = {"command": "stats counts", "regions": args.region, **src}
         grid = region_grid(space, *regions)
-        grams = [region_gram(space, grid, reg) for reg in regions]
+        grams = [weighted_gram_matrix(space, grid, mask=reg) for reg in regions]
         counts = [
             asdict(region_count_stats(space, points, reg, grid, G))
             for reg, G in zip(regions, grams)
@@ -457,7 +445,7 @@ def _cmd_scaling(args) -> int:
             "scaling reports cover the fs and product families; "
             "the ginibre rank limit has no k parameter"
         )
-    ks = _parse_int_list(args.ks, "--ks")
+    ks = _parse_list(args.ks, "--ks", int)
 
     def factory(k: int) -> ModelSpace:
         return _space_from_args(args, k=k)
@@ -479,7 +467,7 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    ks = _parse_int_list(args.ks, "--ks")
+    ks = _parse_list(args.ks, "--ks", int)
     seed = _resolve_seed(args)
     spaces_by_k = [(k, _space_from_args(args, k=k)) for k in ks]
     region = parse_region(args.region, spaces_by_k[0][1].dim)
@@ -501,7 +489,7 @@ def _cmd_energy(args) -> int:
     if args.energy_command == "cgf":
         space = _space_from_args(args)
         psi = _maybe_weight(args.weight_expr, space.dim)
-        ts = _parse_float_list(args.t, "--t")
+        ts = _parse_list(args.t, "--t", float)
         path = GramPath(space, psi)
         rows = []
         for t in ts:
@@ -520,7 +508,7 @@ def _cmd_energy(args) -> int:
     # lambda-k
     if args.space == "ginibre":
         raise CliError("lambda-k reports cover the fs and product families")
-    ks = _parse_int_list(args.ks, "--ks")
+    ks = _parse_list(args.ks, "--ks", int)
     spaces_by_k = [(k, _space_from_args(args, k=k)) for k in ks]
     dim = spaces_by_k[0][1].dim
     report = lambda_report(

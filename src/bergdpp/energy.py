@@ -50,6 +50,7 @@ from .quadrature import (
     build_grid,
     factored_weights,
     gram,
+    region_grid,
     weighted_gram_matrix,
 )
 from .spaces import ModelSpace, gauss_legendre
@@ -59,6 +60,7 @@ __all__ = [
     "PartitionValue",
     "partition_function",
     "GramPath",
+    "PathPoint",
     "monge_ampere_density",
     "equilibrium_mass",
     "mabuchi",
@@ -107,56 +109,44 @@ def partition_function(
 # cumulant-generating function
 
 
-class GramPath:
-    """log det G(t psi) along a direction psi, with the Grams cached per t.
+@dataclass(frozen=True)
+class PathPoint:
+    """The path at one t: the weight t psi, its grid and G_t."""
 
+    weight: object
+    grid: QuadratureGrid
+    gram: GramMatrix
+
+
+class GramPath:
+    """log det G(t psi) along a direction psi, with one PathPoint per t.
+
+    A Ginibre grid is built for each t psi, as its edge moves with the
+    weight; a compact chart's one grid, built with psi=None, serves every t.
     Under a psi = sum_f psi_f(z_f) that takes the factored Gram route on a
-    product (quadrature.factored_weights), the path keeps one path per
-    factor: G_t = kron_f G_{f,t}, so log det G_t = sum_f (N/N_f) log det
-    G_{f,t}, and the derivative is the same weighted sum of the factors'.
+    product (quadrature.factored_weights), G_t = kron_f G_{f,t}, so log det
+    G_t = sum_f (N/N_f) log det G_{f,t} (GramMatrix.logdet), and the
+    derivative is the same weighted sum of the factors' traces.
     """
 
     def __init__(self, space: ModelSpace, psi):
         self.space = space
         self.psi = psi
-        weights = factored_weights(space, psi)
-        self._paths = () if weights is None else tuple(
-            GramPath(space.factor_space(i), w) for i, w in enumerate(weights)
-        )
-        self._weights: dict[float, object] = {}
-        self._grids: dict[float, QuadratureGrid] = {}
-        self._grams: dict[float, GramMatrix] = {}
+        self._factor_weights = factored_weights(space, psi)
+        self._points: dict[float, PathPoint] = {}
+        self._grid = build_grid(space) if space.factors[0].compact else None
 
-    def weight_at(self, t: float):
-        """t psi, built once per t: the grid and the Grams at t share it (QuadratureGrid.psi)."""
+    def at(self, t: float) -> PathPoint:
+        """t psi, its grid and G_t, built once per t: logdet and bergman_derivative share them."""
         t = float(t)
-        if t not in self._weights:
-            self._weights[t] = weight_sum((t, self.psi))
-        return self._weights[t]
-
-    def grid_at(self, t: float) -> QuadratureGrid:
-        """The grid for the weight t psi: a Ginibre edge moves with the weight."""
-        t = 0.0 if self.space.factors[0].compact else float(t)
-        if t not in self._grids:
-            self._grids[t] = build_grid(self.space, psi=self.weight_at(t))
-        return self._grids[t]
-
-    def gram_at(self, t: float) -> GramMatrix:
-        """G_t, assembled once: logdet and bergman_derivative share it.
-
-        A factored G_t hands its factor Grams, judged on the whole space, to
-        the factor paths.
-        """
-        t = float(t)
-        if t not in self._grams:
-            g = gram(self.space, self.grid_at(t), psi=self.weight_at(t))
-            for path, part in zip(self._paths, g.factors):
-                path._grams[t] = part
-            self._grams[t] = g
-        return self._grams[t]
+        if t not in self._points:
+            weight = weight_sum((t, self.psi))
+            grid = self._grid or build_grid(self.space, psi=weight)
+            self._points[t] = PathPoint(weight, grid, gram(self.space, grid, psi=weight))
+        return self._points[t]
 
     def logdet(self, t: float) -> float:
-        return self.gram_at(t).logdet
+        return self.at(t).gram.logdet
 
     def cgf(self, t: float) -> float:
         return self.logdet(t) - self.logdet(0.0)
@@ -169,19 +159,23 @@ class GramPath:
         integral is a trace against G~, the Gram masked by the form psi: a
         radial psi keeps it, like G_t, on the diagonal route.  On a factored
         path B_t(x, x) = prod_f B_{f,t}(x_f, x_f) and each B_{f,t} integrates
-        to N_f, so K'(t) = sum_f (N/N_f) K_f'(t).
+        to N_f, so K'(t) = sum_f (N/N_f) K_f'(t): factor f's trace is taken
+        on grid.factor(f) against G_t's factor Gram, or at t = 0, where G_0
+        is diagonal and keeps no factors, against the factor's own G_{f,0}.
         """
         if self.psi is None:
             return 0.0
-        g = self.gram_at(t)
-        if self._paths:
-            N = self.space.rank
-            return sum(N // path.space.rank * path.bergman_derivative(t) for path in self._paths)
-        T = g.transform
-        G_psi = weighted_gram_matrix(
-            self.space, self.grid_at(t), psi=self.weight_at(t), mask=self.psi
-        )
-        return -float(np.sum((T @ T.conj().T) * G_psi).real)
+        point = self.at(t)
+        if self._factor_weights is None:
+            return -_bergman_trace(self.space, point.grid, point.gram, point.weight, self.psi)
+        N, total = self.space.rank, 0
+        for f, psi_f in enumerate(self._factor_weights):
+            if psi_f is None:  # K_f' = 0 on a factor that psi does not read
+                continue
+            space, grid, weight = self.space.factor_space(f), point.grid.factor(f), weight_sum((t, psi_f))
+            g = point.gram.factors[f] if point.gram.factors else gram(space, grid, psi=weight)
+            total += N // space.rank * -_bergman_trace(space, grid, g, weight, psi_f)
+        return total
 
     @staticmethod
     def fd_step(t: float) -> float:
@@ -208,6 +202,13 @@ class GramPath:
             "bergman_integral": bg,
             "rel_gap": abs(fd - bg) / scale,
         }
+
+
+def _bergman_trace(space: ModelSpace, grid: QuadratureGrid, g: GramMatrix, weight, psi) -> float:
+    """int psi B_t dmu = sum_ab (conj G_t)^{-1}_ab G~_ab, G_t = g under weight = t psi on grid."""
+    T = g.transform
+    G_psi = weighted_gram_matrix(space, grid, psi=weight, mask=psi)
+    return float(np.sum((T @ T.conj().T) * G_psi).real)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +262,7 @@ def equilibrium_mass(space: ModelSpace, region: Region | None = None, weight=Non
         N = float(space.rank)
         return (min(hi * hi, N) - min(lo * lo, N)) / N
 
-    grid = build_grid(space, breaks=region.break_radii() if region is not None else None)
+    grid = region_grid(space) if region is None else region_grid(space, region)
     points, w = grid.radial_rule
     wma = w * monge_ampere_density(space, points, weight)
     total = float(wma.sum())

@@ -137,6 +137,7 @@ __all__ = [
     "QuadratureGrid",
     "GramMatrix",
     "build_grid",
+    "region_grid",
     "gram",
     "factored_weights",
     "weighted_gram_matrix",
@@ -287,8 +288,8 @@ class QuadratureGrid:
         w = functools.reduce(np.multiply.outer, [2.0 * math.pi * rw for rw in self.radial_weights])
         return points.astype(complex), w.ravel()
 
-    def factor(self, i: int, psi=None) -> "QuadratureGrid":
-        """Factor i's own rule, sliced from this grid: a grid of space.factor_space(i) built for psi."""
+    def factor(self, i: int) -> "QuadratureGrid":
+        """Factor i's own rule, sliced from this grid: a sphere's grid, which no weight's edge moves."""
         space = self.space.factor_space(i)
         radial, angular = (self.radial[i],), (self.angular[i],)
         return QuadratureGrid(
@@ -298,7 +299,7 @@ class QuadratureGrid:
             radial=radial,
             angular=angular,
             under_resolved=_unresolved_bound(space, radial, angular),
-            psi=psi,
+            psi=None,
         )
 
 
@@ -450,6 +451,20 @@ def build_grid(
         under_resolved=_unresolved_bound(space, radials, angulars),
         psi=psi,
     )
+
+
+def region_grid(space: ModelSpace, *regions: Region) -> QuadratureGrid:
+    """build_grid's default grid with panel edges on every region boundary.
+
+    Its max(node_floor, d // 2 + 8) nodes per panel are exact for the
+    polynomial region integrands of Fubini-Study factors; Ginibre panels
+    share them by width.  stats and equilibrium_mass integrate over regions on it.
+    """
+    per_factor: list[list[float]] = [[] for _ in range(space.dim)]
+    for reg in regions:
+        for i, edges in enumerate(reg.break_radii()):
+            per_factor[i].extend(edges)
+    return build_grid(space, breaks=[sorted(set(e)) for e in per_factor])
 
 
 @dataclass(frozen=True)
@@ -633,7 +648,7 @@ def gram(space: ModelSpace, grid: QuadratureGrid, psi=None) -> GramMatrix:
         g = _unjudged(_assemble(space, grid, psi))
     else:
         g = _kron([
-            _unjudged(_assemble(space.factor_space(i), grid.factor(i, w), w))
+            _unjudged(_assemble(space.factor_space(i), grid.factor(i), w))
             for i, w in enumerate(weights)
         ])
     return _judged(g, f"with {grid.size} nodes for rank {space.rank}")

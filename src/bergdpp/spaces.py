@@ -462,8 +462,6 @@ def space_to_config(space: ModelSpace) -> dict:
 def space_from_config(config: dict) -> ModelSpace:
     """Inverse of space_to_config; a missing key or unknown kind raises ValueError."""
     kind = config.get("kind")
-    if kind == "ginibre":
-        config = {"N": config.get("n"), **config}  # "n" is accepted for "N"
     needs = {"ginibre": ("N",), "fs": ("k",), "product": ("multiplicities", "k")}
     if kind not in needs:
         raise ValueError(f"unknown space kind {kind!r}")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import equilibrium_mass
-from .quadrature import QuadratureGrid, Region, build_grid, weighted_gram_matrix
+from .quadrature import QuadratureGrid, Region, region_grid, weighted_gram_matrix
 from .sampler import sample_dpp_many
 from .spaces import ModelSpace
 
@@ -76,25 +76,6 @@ def parse_region(text: str, dim: int = 1) -> Region:
     except ValueError as exc:
         raise ValueError(f"bad region {text!r}: {exc}") from None
     raise ValueError(f"bad region {text!r}; expected full, disk:R or annulus:A:B")
-
-
-def region_grid(space: ModelSpace, *regions: Region) -> QuadratureGrid:
-    """build_grid's default grid with panel edges on every region boundary.
-
-    Its max(node_floor, d // 2 + 8) nodes per panel are exact for the
-    polynomial region integrands of Fubini-Study factors; Ginibre panels
-    share them by width.
-    """
-    per_factor: list[list[float]] = [[] for _ in range(space.dim)]
-    for reg in regions:
-        for i, edges in enumerate(reg.break_radii()):
-            per_factor[i].extend(edges)
-    return build_grid(space, breaks=[sorted(set(e)) for e in per_factor])
-
-
-def region_gram(space: ModelSpace, grid: QuadratureGrid, region: Region) -> np.ndarray:
-    """G_U: the Gram masked to the region, on the grid (diagonal, as U is radial)."""
-    return weighted_gram_matrix(space, grid, mask=region)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +120,12 @@ def count_moments(
 ):
     """Predicted (mean, variance) of the point count in a region.
 
-    gram: the region's masked Gram on grid (region_gram), if already assembled.
+    gram: the region's masked Gram on grid, if already assembled.
     """
     if gram is None:
         if grid is None:
             grid = region_grid(space, region)
-        gram = region_gram(space, grid, region)
+        gram = weighted_gram_matrix(space, grid, mask=region)
     mean = float(np.trace(gram).real)
     var = mean - float(np.sum(np.abs(gram) ** 2))
     return mean, max(var, 0.0)
@@ -221,7 +202,7 @@ def pair_count_stats(
         grid = region_grid(space, *regions)
     counts = [_counts(P, reg) for reg in regions]
     if grams is None:
-        grams = [region_gram(space, grid, reg) for reg in regions]
+        grams = [weighted_gram_matrix(space, grid, mask=reg) for reg in regions]
     traces = [float(np.trace(G).real) for G in grams]
     out = []
     for a in range(len(regions)):
@@ -234,7 +215,7 @@ def pair_count_stats(
                 stat = counts[a] * counts[b]
                 both = regions[a].overlap(regions[b])
                 if both is not None:
-                    pred += float(np.trace(region_gram(space, grid, both)).real)
+                    pred += float(np.trace(weighted_gram_matrix(space, grid, mask=both)).real)
             obs = float(stat.mean())
             se = float(stat.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
             out.append(
@@ -350,7 +331,7 @@ def circular_law_distance(space: ModelSpace, points) -> CircularLawReport:
         raise ValueError("the circular-law check applies to the Ginibre space")
     P = _draws(points)
     radii = np.abs(P[:, :, 0]).ravel() / math.sqrt(space.rank)
-    dist = ks_distance(radii, lambda r: np.minimum(np.asarray(r) ** 2, 1.0))
+    dist = ks_distance(radii, lambda r: np.minimum(np.asarray(r), 1.0) ** 2)
     return CircularLawReport(
         rank=space.rank,
         reps=P.shape[0],

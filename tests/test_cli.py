@@ -573,6 +573,22 @@ def test_stats_rejects_malformed_space_block(tmp_path, space, capsys):
     assert "malformed space block" in capsys.readouterr().err
 
 
+def test_samples_space_block_spells_the_ginibre_rank_as_the_writer_does(tmp_path, capsys):
+    # space_to_config writes the rank as "N"; a block that spells it "n" was
+    # not written by sample, and is refused naming the key it lacks
+    samples = tmp_path / "s.json"
+    assert run(["sample", "--space", "ginibre", "--n", "5", "--reps", "2", "--seed", "1",
+                "--out", str(samples)]) == 0
+    doc = read_json(samples)
+    assert doc["space"] == {"kind": "ginibre", "N": 5}
+    doc["space"] = {"kind": "ginibre", "n": 5}
+    samples.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["stats", "counts", "--samples", str(samples), "--region", "disk:1"]) == 2
+    err = capsys.readouterr().err
+    assert "malformed space block" in err and "lacks N" in err
+
+
 def test_stats_rejects_samples_file_without_configurations(tmp_path, capsys):
     samples = tmp_path / "s.json"
     samples.write_text(json.dumps({"space": {"kind": "fs", "k": 2}, "configurations": []}))
@@ -918,16 +934,16 @@ def test_energy_cgf_assembles_each_gram_once(tmp_path, assemble_calls):
 def test_stats_counts_builds_no_grid_nodes(tmp_path, monkeypatch):
     # region Grams, count moments and the overlap term of pair counts all
     # take the diagonal route, which needs the grid's radial rules alone
-    import bergdpp.stats as stats
+    import bergdpp.quadrature as quadrature
 
     grids = []
-    build_grid = stats.build_grid
+    build_grid = quadrature.build_grid
 
     def recorded(*args, **kwargs):
         grids.append(build_grid(*args, **kwargs))
         return grids[-1]
 
-    monkeypatch.setattr(stats, "build_grid", recorded)
+    monkeypatch.setattr(quadrature, "build_grid", recorded)
     assert run(["stats", "counts", "--space", "fs", "--k", "5", "--reps", "3", "--seed", "1",
                 "--region", "disk:1", "--region", "annulus:0.5:2",
                 "--out", str(tmp_path / "c.json")]) == 0
@@ -1073,6 +1089,24 @@ def test_stats_circular(tmp_path):
     assert doc["pooled_points"] == 150
 
 
+def test_stats_circular_takes_a_huge_coordinate_without_warnings(tmp_path):
+    # the circular-law CDF is min(r, 1)^2: a radius whose square overflows
+    # lies outside the disk like any other, with no warning on the way
+    samples, out = tmp_path / "s.json", tmp_path / "c.json"
+    assert run(["sample", "--space", "ginibre", "--n", "3", "--reps", "4", "--seed", "2",
+                "--out", str(samples)]) == 0
+    doc = read_json(samples)
+    distances = []
+    for point in ([1e200, 1e200], [10.0, 10.0]):
+        doc["configurations"][1]["points"][0] = point
+        samples.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["stats", "circular", "--samples", str(samples), "--out", str(out)]) == 0
+        distances.append(read_json(out)["distance"])
+    assert distances[0] == distances[1]
+
+
 def test_stats_circular_rejects_fs():
     assert run(["stats", "circular", "--space", "fs", "--k", "3",
                 "--reps", "2", "--seed", "1"]) == 2
@@ -1143,6 +1177,36 @@ def test_scaling_reports_keep_their_digits(argv, rows, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "points.json").write_text(json.dumps({"points": README_POINTS}))
     assert _scaling_rows(argv) == rows
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (["--space", "product", "--mults", "1,2", "--k", "3",
+          "--weight-expr", "re_1/(1+r2_1)+im_2*im_2/(1+r2_2)"],
+         [(0.0, 0.0, -7.00000000010404, -7.0000000000000036, 1.486239702714684e-11),
+          (0.5, -3.263485215691389, -6.0570423670647235, -6.057042366813441, 4.1486014971513674e-11),
+          (1.0, -6.060564438483703, -5.135195499381684, -5.135195498740065, 1.249454285217002e-10)]),
+        (["--space", "product", "--mults", "1,1,1", "--k", "1", "--weight-expr", "2 + re_1/(1+r2_1)"],
+         [(0.0, 0.0, -15.999999999996472, -16.0, 2.204902926905561e-13),
+          (0.5, -7.9444830345699655, -15.778086537020878, -15.778086536991935, 1.8343277504810142e-12),
+          (1.0, -15.778395632309845, -15.558027953082032, -15.55802795298963, 5.9392186690098705e-12)]),
+        (["--space", "ginibre", "--n", "30", "--weight-expr", "(1-r2)/2"],
+         [(0.0, 0.0, 217.5000001937037, 217.5000000000001, 8.905911933571927e-10),
+          (0.5, 126.2721636900781, 295.00000103335344, 295.00000000000006, 3.5028928185181872e-09),
+          (1.0, 307.3134389603745, 450.00000619992875, 450.0000000000002, 1.3777618745289019e-08)]),
+    ],
+    ids=["product12-separable", "product111-constant", "ginibre30-half-one-minus-r2"],
+)
+def test_energy_cgf_reports_keep_their_digits(argv, rows):
+    # (t, cgf, finite_difference, bergman_integral, rel_gap), every float
+    # exact: the factored path, its t = 0 factor Grams and the Ginibre grids
+    # that follow the weight all show here
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["energy", "cgf", *argv, "--t", "0,0.5,1"]) == 0
+    keys = ("t", "cgf", "finite_difference", "bergman_integral", "rel_gap")
+    assert [tuple(row[key] for key in keys) for row in json.loads(out.getvalue())["rows"]] == rows
 
 
 def test_scaling_with_one_point_has_no_pairs(tmp_path):

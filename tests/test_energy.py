@@ -162,12 +162,12 @@ def test_ginibre_cgf_grid_follows_the_weight():
     # sum_a (a + 1) log 2, which needs a grid twice as long as at t = 0
     path = GramPath(make_ginibre(20), parse_weight("r2"))
     assert path.cgf(-0.5) == pytest.approx(210 * math.log(2.0), rel=1e-12)
-    assert grid_mass(path.grid_at(-0.5)) > 1.9 * grid_mass(path.grid_at(0.0))
+    assert grid_mass(path.at(-0.5).grid) > 1.9 * grid_mass(path.at(0.0).grid)
 
 
 def _node_sum_derivative(path, t):
     """-tr(G_t^{-1} G~) from M x N section matrices on the path's grid at t."""
-    grid = path.grid_at(t)
+    grid = path.at(t).grid
     V = path.space.section_matrix(grid.nodes)
     psi = path.psi(grid.nodes)
     c = grid.weights * grid.density * np.exp(-t * psi)
@@ -199,7 +199,7 @@ def test_radial_cgf_path_is_diagonal_end_to_end(space, expr, monkeypatch):
     path = GramPath(space, parse_weight(expr))
     for t in (0.0, 0.5):
         path.derivative_check(t)
-        assert path.gram_at(t).route == "diagonal"
+        assert path.at(t).gram.route == "diagonal"
         got = path.bergman_derivative(t)
         assert got == pytest.approx(_node_sum_derivative(path, t), rel=1e-12)
     assert shapes and all(shape == (space.rank,) for shape in shapes)
@@ -223,7 +223,7 @@ def test_factored_cgf_path_matches_dense(mults, source, monkeypatch):
     factored, dense = GramPath(space, psi), GramPath(space, psi.evaluate)
     for t in (0.0, 0.5, 1.0):
         got, want = factored.derivative_check(t), dense.derivative_check(t)
-        assert (factored.gram_at(t).route, dense.gram_at(t).route) == (
+        assert (factored.at(t).gram.route, dense.at(t).gram.route) == (
             ("diagonal", "diagonal") if t == 0.0 else ("factored", "dense")
         )
         assert factored.cgf(t) == pytest.approx(dense.cgf(t), rel=1e-12, abs=1e-12)
@@ -234,6 +234,32 @@ def test_factored_cgf_path_matches_dense(mults, source, monkeypatch):
         assert abs(got["finite_difference"] - want["finite_difference"]) <= 10 * noise
         assert abs(got["rel_gap"] - want["rel_gap"]) <= 20 * noise / abs(want["bergman_integral"])
         assert got["rel_gap"] < 1e-8
+
+
+def test_compact_product_cgf_path_builds_one_grid(monkeypatch):
+    # the factor traces are taken on slices of the product's one grid
+    # (QuadratureGrid.factor), and no GramPath is built inside another
+    import bergdpp.energy as energy
+
+    grids, paths = [], []
+    build_grid, init = energy.build_grid, GramPath.__init__
+
+    def recorded_build(*args, **kwargs):
+        grids.append(build_grid(*args, **kwargs))
+        return grids[-1]
+
+    def recorded_init(self, *args, **kwargs):
+        paths.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(energy, "build_grid", recorded_build)
+    monkeypatch.setattr(GramPath, "__init__", recorded_init)
+    path = GramPath(make_product((1, 2), 3), parse_weight("re_1/(1+r2_1)+im_2*im_2/(1+r2_2)"))
+    for t in (0.0, 0.5, 1.0):
+        path.derivative_check(t)
+    assert (len(grids), len(paths)) == (1, 1)
+    assert grids[0].psi is None
+    assert all(path.at(t).grid is grids[0] for t in (0.0, 0.5, 1.0))
 
 
 def test_cgf_is_convex():

@@ -35,10 +35,10 @@ from bergdpp.quadrature import (
     build_grid,
     gram,
     gram_to_csv,
+    region_grid,
     weighted_gram_matrix,
 )
 from bergdpp.spaces import MIN_PANEL, gauss_legendre, make_fubini_study, make_ginibre, make_product
-from bergdpp.stats import region_grid
 from law_oracles import grid_mass
 
 
@@ -475,7 +475,7 @@ def test_separable_weights_have_kronecker_grams(terms, scaled):
     if parts is None:
         return
     A = weighted_gram_matrix(space, grid, psi)
-    K = np.kron(*[weighted_gram_matrix(space.factor_space(f), grid.factor(f, w), w)
+    K = np.kron(*[weighted_gram_matrix(space.factor_space(f), grid.factor(f), w)
                   for f, w in enumerate(parts)])
     assert np.max(np.abs(A - K)) <= 1e-13 * np.max(np.abs(A))
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy import special, stats as sps
 
-from bergdpp.quadrature import TAIL, Region
+from bergdpp.quadrature import TAIL, Region, region_grid
 from bergdpp.sampler import sample_dpp_many
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
 from bergdpp.stats import (
@@ -33,7 +33,6 @@ from bergdpp.stats import (
     pair_count_stats,
     parse_region,
     region_count_stats,
-    region_grid,
 )
 from count_laws import kostlan_probabilities, poisson_binomial_pmf, pooled_chi_square
 from law_oracles import radial_cdf
