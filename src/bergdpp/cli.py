@@ -68,6 +68,8 @@ def _parse_list(text: str, flag: str, kind: type) -> list:
         raise CliError(f"{flag} expects a comma-separated {noun} list, got {text!r}")
     if not vals:
         raise CliError(f"{flag} is empty")
+    if not all(map(math.isfinite, vals)):
+        raise CliError(f"{flag} expects finite numbers, got {text!r}")
     return vals
 
 
@@ -558,8 +560,7 @@ def _cmd_check(args) -> int:
                 else f"N! = {math.factorial(space.rank)}"
             )
             print(f"{exact} (relative error {rel:.3e})")
-            if rel > 1e-8:
-                return 3
+            _identity_holds("Z = N!", rel)
         return 0
 
     if args.check_command == "gram":
@@ -572,15 +573,22 @@ def _cmd_check(args) -> int:
             except OSError as exc:
                 raise CliError(f"cannot write {args.gram_csv}: {exc.strerror}") from None
             print(f"gram written to {args.gram_csv}")
-        if psi is None and err > 1e-8:
-            return 3
+        if psi is None:
+            _identity_holds("G = I", err)
         return 0
 
     # trace: int B(x,x) dmu = sum_i int |v_i|^2 dmu, the trace of the Gram
     tr = float(np.trace(weighted_gram_matrix(space, grid)).real)
     err = abs(tr - space.rank)
     print(f"trace = {tr:.12g} (rank {space.rank}, error {err:.3e})")
-    return 0 if err < 1e-8 else 3
+    _identity_holds("int B(x,x) dmu = N", err)
+    return 0
+
+
+def _identity_holds(identity: str, err: float) -> None:
+    """Exit 3 with a numerical-failure line when a check's error exceeds 1e-8."""
+    if not err <= 1e-8:
+        raise ArithmeticError(f"{identity} fails: error {err:.3e} exceeds 1e-08")
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +668,9 @@ def build_parser() -> argparse.ArgumentParser:
     q = energy_sub.add_parser("cgf")
     _add_space_flags(q)
     q.add_argument("--weight-expr", required=True)
-    q.add_argument("--t", default="0,0.5")
+    q.add_argument("--t", default="0,0.5",
+                   help="comma-separated t values; a list that starts with a minus sign is "
+                        "written --t=-0.5,0.5")
     q.add_argument("--out", default=None)
     q.set_defaults(fn=_cmd_energy)
     q = energy_sub.add_parser("lambda-k")

@@ -47,11 +47,10 @@ from .quadrature import (
     GramMatrix,
     QuadratureGrid,
     Region,
+    bergman_trace,
     build_grid,
-    factored_weights,
     gram,
     region_grid,
-    weighted_gram_matrix,
 )
 from .spaces import ModelSpace, gauss_legendre
 
@@ -123,16 +122,13 @@ class GramPath:
 
     A Ginibre grid is built for each t psi, as its edge moves with the
     weight; a compact chart's one grid, built with psi=None, serves every t.
-    Under a psi = sum_f psi_f(z_f) that takes the factored Gram route on a
-    product (quadrature.factored_weights), G_t = kron_f G_{f,t}, so log det
-    G_t = sum_f (N/N_f) log det G_{f,t} (GramMatrix.logdet), and the
-    derivative is the same weighted sum of the factors' traces.
+    On a product, G_t and the derivative's trace follow the factor split of
+    quadrature.gram and quadrature.bergman_trace; the path itself sees none.
     """
 
     def __init__(self, space: ModelSpace, psi):
         self.space = space
         self.psi = psi
-        self._factor_weights = factored_weights(space, psi)
         self._points: dict[float, PathPoint] = {}
         self._grid = build_grid(space) if space.factors[0].compact else None
 
@@ -152,30 +148,11 @@ class GramPath:
         return self.logdet(t) - self.logdet(0.0)
 
     def bergman_derivative(self, t: float) -> float:
-        """K'(t) = -int psi(x) B_t(x, x) dmu(x) = -sum_ab (conj G_t)^{-1}_ab G~_ab.
-
-        B_t(x, x) = |v(x) T|^2 e^{-psi_t(x)} with T the orthonormalising map
-        of G_t (GramMatrix.transform), and T T^H = conj(G_t)^{-1}, so the
-        integral is a trace against G~, the Gram masked by the form psi: a
-        radial psi keeps it, like G_t, on the diagonal route.  On a factored
-        path B_t(x, x) = prod_f B_{f,t}(x_f, x_f) and each B_{f,t} integrates
-        to N_f, so K'(t) = sum_f (N/N_f) K_f'(t): factor f's trace is taken
-        on grid.factor(f) against G_t's factor Gram, or at t = 0, where G_0
-        is diagonal and keeps no factors, against the factor's own G_{f,0}.
-        """
+        """K'(t) = -int psi(x) B_t(x, x) dmu(x), the trace quadrature.bergman_trace takes on G_t."""
         if self.psi is None:
             return 0.0
         point = self.at(t)
-        if self._factor_weights is None:
-            return -_bergman_trace(self.space, point.grid, point.gram, point.weight, self.psi)
-        N, total = self.space.rank, 0
-        for f, psi_f in enumerate(self._factor_weights):
-            if psi_f is None:  # K_f' = 0 on a factor that psi does not read
-                continue
-            space, grid, weight = self.space.factor_space(f), point.grid.factor(f), weight_sum((t, psi_f))
-            g = point.gram.factors[f] if point.gram.factors else gram(space, grid, psi=weight)
-            total += N // space.rank * -_bergman_trace(space, grid, g, weight, psi_f)
-        return total
+        return -bergman_trace(self.space, point.grid, point.gram, point.weight, self.psi)
 
     @staticmethod
     def fd_step(t: float) -> float:
@@ -204,13 +181,6 @@ class GramPath:
         }
 
 
-def _bergman_trace(space: ModelSpace, grid: QuadratureGrid, g: GramMatrix, weight, psi) -> float:
-    """int psi B_t dmu = sum_ab (conj G_t)^{-1}_ab G~_ab, G_t = g under weight = t psi on grid."""
-    T = g.transform
-    G_psi = weighted_gram_matrix(space, grid, psi=weight, mask=psi)
-    return float(np.sum((T @ T.conj().T) * G_psi).real)
-
-
 # ---------------------------------------------------------------------------
 # Monge-Ampere quantities
 
@@ -229,8 +199,8 @@ def monge_ampere_density(space: ModelSpace, points, weight=None) -> np.ndarray:
     return _density_from_hessian(space.dim, H)
 
 
-def _density_from_hessian(n: int, H: np.ndarray) -> np.ndarray:
-    """(n!/pi^n) det H per point, or PositivityError if some H is not positive."""
+def _density_from_hessian(n: int, H: np.ndarray, w=1.0) -> np.ndarray:
+    """w (n!/pi^n) det H per point; PositivityError if some H is not positive, ValueError if not finite."""
     eigs = np.linalg.eigvalsh(H)
     worst = float(eigs.min())
     if worst <= 0.0:
@@ -239,8 +209,11 @@ def _density_from_hessian(n: int, H: np.ndarray) -> np.ndarray:
             "shifted potential leaves the Kahler cone: Hessian eigenvalue "
             f"{worst:.3e} at point index {idx}"
         )
-    det = np.prod(eigs, axis=1)
-    return (math.factorial(n) / math.pi**n) * det
+    with np.errstate(over="ignore", invalid="ignore"):
+        mass = w * ((math.factorial(n) / math.pi**n) * np.prod(eigs, axis=1))
+    if not np.isfinite(mass).all():
+        raise ValueError(f"the Monge-Ampere mass is not finite at point index {np.isfinite(mass).argmin()}")
+    return mass
 
 
 def equilibrium_mass(space: ModelSpace, region: Region | None = None, weight=None) -> float:
@@ -294,13 +267,15 @@ def mabuchi(space: ModelSpace, psi_prime=None, direction=None, s_nodes: int = 16
     H_psi = complex_hessian(psi_prime, points)
     H_dir = complex_hessian(direction, points)
     total = 0.0
-    for s, ws in zip(0.5 * (x + 1.0), 0.5 * w):
-        try:
-            ma = _density_from_hessian(space.dim, H_phi + (H_psi + float(s) * H_dir))
-        except PositivityError as exc:
-            raise PositivityError(f"{exc} (path parameter s={s:.4f})") from None
-        wma = weights * ma
-        total += float(ws) * float(np.sum(wma * u_vals)) / float(wma.sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # a mass or a sum that is not finite is refused
+        for s, ws in zip(0.5 * (x + 1.0), 0.5 * w):
+            try:
+                wma = _density_from_hessian(space.dim, H_phi + (H_psi + float(s) * H_dir), weights)
+            except PositivityError as exc:
+                raise PositivityError(f"{exc} (path parameter s={s:.4f})") from None
+            total += float(ws) * float(np.sum(wma * u_vals)) / float(wma.sum())
+    if not math.isfinite(total):
+        raise ValueError(f"the Mabuchi functional is {total}: the Monge-Ampere sums leave the float range")
     return total
 
 

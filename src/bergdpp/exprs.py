@@ -565,10 +565,11 @@ def complex_hessian(weight, points: np.ndarray) -> np.ndarray:
     if isinstance(weight, _WeightSum):
         return sum(c * complex_hessian(f, Z) for c, f in weight.terms)
     weight.validate_for_dim(Z.shape[1])
-    _, g, h = _jet(weight.ast, np.abs(Z.T) ** 2)
-    H = (Z.conj()[:, :, None] * Z[:, None, :]) * h.transpose(2, 0, 1)
     i = np.arange(Z.shape[1])
-    H[:, i, i] += g.T
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite entry is refused below
+        _, g, h = _jet(weight.ast, np.abs(Z.T) ** 2)
+        H = (Z.conj()[:, :, None] * Z[:, None, :]) * h.transpose(2, 0, 1)
+        H[:, i, i] += g.T
     bad = ~np.isfinite(H).all(axis=(1, 2))
     if bad.any():
         j = int(np.argmax(bad))

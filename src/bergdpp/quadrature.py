@@ -102,7 +102,9 @@ psi_1.  Each A_f is assembled as above on QuadratureGrid.factor's slice
 of the grid, with psi_f evaluated at that factor's points alone; the
 product grid's node arrays are never built, and the N x N matrix is
 formed only when GramMatrix.matrix is read.  A weight that does not split
-keeps the dense route.
+keeps the dense route.  The kernel factors too, B = prod_f B_f, and
+int B_f dmu_f = N_f, so bergman_trace integrates a form m = sum_f m_f as
+int m B dmu = sum_f (N / N_f) int m_f B_f dmu_f, on the same split.
 
 gram() is the one place where a Gram is judged and factored.  On the dense
 route it Hermitianizes as (A + A^H)/2 and works on the scaled Gram
@@ -139,7 +141,7 @@ __all__ = [
     "build_grid",
     "region_grid",
     "gram",
-    "factored_weights",
+    "bergman_trace",
     "weighted_gram_matrix",
     "gram_to_csv",
 ]
@@ -616,8 +618,8 @@ def weighted_gram_matrix(space: ModelSpace, grid: QuadratureGrid, psi=None, mask
     return 0.5 * (A + A.conj().T)
 
 
-def factored_weights(space: ModelSpace, psi) -> tuple | None:
-    """The factor weights (psi_1, ..., psi_dim) when gram() takes the factored route, else None.
+def _factored_weights(space: ModelSpace, psi) -> tuple | None:
+    """The factor weights (psi_1, ..., psi_dim) where gram() and bergman_trace split psi, else None.
 
     A product Gram that would take the dense route because psi is not radial
     factors when psi separates (exprs.factor_weights); radial weights keep
@@ -643,7 +645,7 @@ def gram(space: ModelSpace, grid: QuadratureGrid, psi=None) -> GramMatrix:
     route each factor's Gram is assembled on its own rule, sliced from the
     grid, and the verdict is read from the Kronecker spectrum of S.
     """
-    weights = factored_weights(space, psi)
+    weights = _factored_weights(space, psi)
     if weights is None:
         g = _unjudged(_assemble(space, grid, psi))
     else:
@@ -654,11 +656,36 @@ def gram(space: ModelSpace, grid: QuadratureGrid, psi=None) -> GramMatrix:
     return _judged(g, f"with {grid.size} nodes for rank {space.rank}")
 
 
+def bergman_trace(space: ModelSpace, grid: QuadratureGrid, g: GramMatrix, psi, mask) -> float:
+    """int m B dmu = sum_ab (conj A)^{-1}_ab A~_ab, B the kernel of g = gram(space, grid, psi).
+
+    B(x, x) = |v(x) T|^2 e^{-psi(x)} with T T^H = conj(A)^{-1} (g.transform), and A~
+    is the Gram masked by the weight form mask, m.  Where mask and psi separate on a
+    product, it sums (N/N_f) times factor f's trace (module docstring) on grid.factor(f)
+    against g's factor Gram, or the factor's own where g took the diagonal route.
+    """
+    masks = _factored_weights(space, mask)
+    weights = None if masks is None else factor_weights(psi, space.dim)
+    if weights is None:
+        T = g.transform
+        return float(np.sum((T @ T.conj().T) * weighted_gram_matrix(space, grid, psi, mask)).real)
+    total = 0
+    for i, (w, m) in enumerate(zip(weights, masks)):
+        if m is not None:
+            part, grid_i = space.factor_space(i), grid.factor(i)
+            g_i = g.factors[i] if g.factors else gram(part, grid_i, psi=w)
+            total += space.rank // part.rank * bergman_trace(part, grid_i, g_i, w, m)
+    return total
+
+
 def _judged(g: GramMatrix, where: str) -> GramMatrix:
     """g, unless an eigenvalue of S is at most 1e-12 of its largest: GramDegenerateError, naming where."""
     lo, hi = g.spectrum
     if lo <= 0.0 or lo <= 1e-12 * hi:
         d_lo, d_hi = g.diagonal
+        if d_hi == 0.0:  # the quadrature factor is 0 at every node: no grid helps
+            raise GramDegenerateError(f"gram-degenerate: e^(-psi) underflows to 0 at every node, "
+                                      f"{where}; the weight is too large for any grid")
         found = "diagonal Gram with" if g.route == "diagonal" else (
             f"scaled-Gram eigenvalue range [{lo:.3e}, {hi:.3e}],"
         )

@@ -179,12 +179,7 @@ def _apply_reflections(Wc: np.ndarray, Y: np.ndarray, m: int) -> None:
     Wc[:, :m] -= (Wc[:, : Y.shape[0]] @ Y) @ (np.linalg.inv(Tinv) @ Y[:m].conj().T)
 
 
-def sample_dpp(
-    space: ModelSpace,
-    seed: int | None = None,
-    rng: np.random.Generator | None = None,
-    stream: tuple[int, ...] = (),
-) -> Configuration:
+def sample_dpp(space: ModelSpace, rng: np.random.Generator) -> Configuration:
     """One exact draw of the rank-N projection process.
 
     The orthocomplement of the accepted feature vectors is tracked as a
@@ -195,10 +190,6 @@ def sample_dpp(
     (see the module docstring); MAX_PROPOSALS bounds the proposals tested
     for one point.
     """
-    if rng is None:
-        if seed is None:
-            raise ValueError("sample_dpp needs a seed or an explicit generator")
-        rng = rng_stream(seed, *stream)
     N = space.rank
     # conj(W) in place: live columns [:m], the last one is dropped per point.
     # Column j < k of Y holds the j-th reflection since the last block, when
@@ -283,15 +274,15 @@ def sample_dpp_many(
 ) -> tuple[np.ndarray, np.ndarray]:
     """reps exact draws as one draw set: (reps, N, dim) points, (reps,) log densities.
 
-    Draw r is sample_dpp on the stream stream_base + (r,), so the result does
+    Draw r is sample_dpp on rng_stream(seed, *stream_base, r), so the result does
     not depend on workers.  workers > 1 spreads the draws over a process pool;
     its processes are spawned, so each first pays a fresh import of bergdpp.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    streams = [stream_base + (r,) for r in range(reps)]
+    rngs = [rng_stream(seed, *stream_base, r) for r in range(reps)]
     if workers == 1:
-        draws = [sample_dpp(space, seed=seed, stream=st) for st in streams]
+        draws = [sample_dpp(space, rng) for rng in rngs]
     else:
         # imported here alone: at start-up they would cost every process about 7 ms
         import concurrent.futures
@@ -299,7 +290,7 @@ def sample_dpp_many(
 
         context = multiprocessing.get_context("spawn")
         with concurrent.futures.ProcessPoolExecutor(workers, mp_context=context) as pool:
-            futures = [pool.submit(sample_dpp, space, seed=seed, stream=st) for st in streams]
+            futures = [pool.submit(sample_dpp, space, rng) for rng in rngs]
             draws = [f.result() for f in futures]
     points = np.array([c.points for c in draws], dtype=complex)
     return points.reshape(reps, space.rank, space.dim), np.array([c.log_density for c in draws])
@@ -385,7 +376,7 @@ def sample_weighted(
     rng = rng_stream(seed)
     N, n = space.rank, space.dim
 
-    start = sample_dpp(space, rng=rng)
+    start = sample_dpp(space, rng)
     X = start.points.copy()
     V = space.section_matrix(X)
 
@@ -432,7 +423,11 @@ def sample_weighted(
                 accepted += 1
             row, rest = divmod(s0 + j - config.burn_in, config.thin)
             if row >= 0 and rest == 0:
-                mu_pen = cur_pen.sum() + float(np.log(space.base_density(X)).sum())
+                with np.errstate(over="ignore"):
+                    mu_pen = cur_pen.sum() + float(np.log(space.base_density(X)).sum())
+                if not math.isfinite(mu_pen):
+                    raise ValueError(f"weight {weight!r}: the Gibbs potential of the chain's "
+                                     f"configuration at step {s0 + j} sums to {mu_pen}")
                 points[row] = X
                 logd[row] = slog(V) - mu_pen
 

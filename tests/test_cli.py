@@ -25,7 +25,7 @@ import bergdpp
 from bergdpp.cli import _load_samples, _samples_json, run
 from bergdpp.energy import lambda_report
 from bergdpp.exprs import parse_weight, weight_sum
-from bergdpp.sampler import sample_dpp
+from bergdpp.sampler import rng_stream, sample_dpp
 from bergdpp.spaces import make_fubini_study, make_product, space_to_config
 from law_oracles import log_density
 
@@ -151,7 +151,7 @@ def test_bulk_samples_writer_names_the_first_bad_value_in_report_order(log_densi
 
 def test_configuration_json_round_trip(tmp_path):
     space = make_product((1, 2), 2)
-    conf = sample_dpp(space, seed=51)
+    conf = sample_dpp(space, rng_stream(51))
     text = _samples_json({"space": space_to_config(space)}, conf.points[None], [conf.log_density])
     entry = json.loads(text)["configurations"][0]
     rows = entry["points"]
@@ -772,6 +772,46 @@ def test_counts_on_a_region_past_the_float_range(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize(
+    "argv, code, start",
+    [
+        (["energy", "lambda-k", "--space", "fs", "--ks", "2,3", "--f-expr", "r2/(1+r2)",
+          "--psi-k-expr", "exp(exp(r2))"], 2,
+         "error: weight WeightExpr('exp(exp(r2))') has a non-finite Hessian at point 25, z = ["),
+        (["energy", "lambda-k", "--space", "fs", "--ks", "2,3", "--f-expr", "r2_1/(1+r2_1)",
+          "--psi-k-expr", "1e308*r2"], 2,
+         "error: the Monge-Ampere mass is not finite at point index 24"),
+        (["energy", "lambda-k", "--space", "fs", "--ks", "2", "--f-expr", "r2/(1+r2)",
+          "--psi-k-expr", "9e304*r2"], 2,
+         "error: the Mabuchi functional is nan: the Monge-Ampere sums leave the float range"),
+        (["sample", "--space", "fs", "--k", "2", "--seed", "7", "--weight-k-expr", "1e308*r2",
+          "--mcmc-steps", "30", "--thin", "3"], 2,
+         "error: weight 2*WeightExpr('1e308*r2'): the Gibbs potential of the chain's configuration"),
+        (["energy", "lambda-k", "--space", "fs", "--ks", "2", "--f-expr", "0.2/(1+r2)",
+          "--psi-k-expr", "1e300*r2"], 3,
+         "numerical failure: gram-degenerate: e^(-psi) underflows to 0 at every node"),
+        (["energy", "cgf", "--space", "fs", "--k", "2", "--weight-expr", "0.2/(1+r2)",
+          "--t", "1e308"], 3,
+         "numerical failure: gram-degenerate: e^(-psi) underflows to 0 at every node"),
+        (["energy", "cgf", "--space", "fs", "--k", "2", "--weight-expr", "r2", "--t", "nan"], 2,
+         "error: --t expects finite numbers, got 'nan'"),
+        (["energy", "cgf", "--space", "fs", "--k", "2", "--weight-expr", "r2", "--t=0,-inf"], 2,
+         "error: --t expects finite numbers, got '0,-inf'"),
+        (["check", "trace", "--space", "ginibre", "--n", "5", "--radial", "8"], 3,
+         "numerical failure: int B(x,x) dmu = N fails: error 3.775e-02 exceeds 1e-08"),
+    ],
+    ids=["hessian-invalid", "mass-overflow", "mass-sum-overflow", "chain-potential-overflow", "weight-underflow",
+         "cgf-underflow", "t-nan", "t-minus-inf", "check-trace-fails"],
+)
+def test_failures_print_one_line_and_no_warning(argv, code, start, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(start)
+    assert err.count("\n") == 1
+
+
 def test_sampler_stall_is_a_numerical_failure(monkeypatch, capsys):
     import bergdpp.sampler as sampler
 
@@ -1195,8 +1235,16 @@ def test_scaling_reports_keep_their_digits(argv, rows, tmp_path, monkeypatch):
          [(0.0, 0.0, 217.5000001937037, 217.5000000000001, 8.905911933571927e-10),
           (0.5, 126.2721636900781, 295.00000103335344, 295.00000000000006, 3.5028928185181872e-09),
           (1.0, 307.3134389603745, 450.00000619992875, 450.0000000000002, 1.3777618745289019e-08)]),
+        # non-dyadic t, three terms on factor 1 and none on factor 2: the
+        # factor traces take the factor weights of gram()'s split
+        (["--space", "product", "--mults", "1,1,1", "--k", "2", "--weight-expr",
+          "2 + re_1/(1+r2_1) - im_1*im_1/(1+r2_1) + re_3/(1+r2_3)", "--t", "0.3,0.7,1.1"],
+         [(0.3, -14.013397970087894, -46.1720409123819, -46.172040912405905, 5.198412965870669e-13),
+          (0.7, -32.19435676747718, -44.73319900787691, -44.73319900755929, 7.100312862851455e-12),
+          (1.1, -49.80108552249236, -43.30286169861996, -43.30286169764648, 2.248070997947809e-11)]),
     ],
-    ids=["product12-separable", "product111-constant", "ginibre30-half-one-minus-r2"],
+    ids=["product12-separable", "product111-constant", "ginibre30-half-one-minus-r2",
+         "product111-three-terms-on-one-factor"],
 )
 def test_energy_cgf_reports_keep_their_digits(argv, rows):
     # (t, cgf, finite_difference, bergman_integral, rel_gap), every float
@@ -1204,7 +1252,7 @@ def test_energy_cgf_reports_keep_their_digits(argv, rows):
     # that follow the weight all show here
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert run(["energy", "cgf", *argv, "--t", "0,0.5,1"]) == 0
+        assert run(["energy", "cgf", "--t", "0,0.5,1", *argv]) == 0  # a --t in argv wins
     keys = ("t", "cgf", "finite_difference", "bergman_integral", "rel_gap")
     assert [tuple(row[key] for key in keys) for row in json.loads(out.getvalue())["rows"]] == rows
 

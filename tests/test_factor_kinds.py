@@ -3,7 +3,9 @@
 ModelSpace.factors answers every per-factor question, so no other library
 module compares a space's kind (or the CLI's --space) to a string, except
 cli.py, which parses them; and no module outside spaces reaches for a
-private attribute of a space or a factor.
+private attribute of a space or a factor.  The product structure is used
+in quadrature alone: outside it and the spaces and exprs that define them,
+no module splits a space, a grid or a weight into factors.
 """
 
 import ast
@@ -82,5 +84,24 @@ def test_no_private_space_or_factor_attribute_outside_spaces(name):
         and node.attr.startswith("_")
         and not node.attr.startswith("__")
         and (node.attr in private or re.search(r"space|factor", ast.unparse(node.value)))
+    ]
+    assert found == []
+
+
+# the names that split a product into its factors
+FACTOR_SPLITS = {"factor_space", "factor", "factor_weights", "factored_weights", "_factored_weights"}
+
+
+def _name(node) -> str | None:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m not in ("quadrature.py", "spaces.py", "exprs.py")])
+def test_no_factor_split_outside_quadrature(name):
+    found = [
+        f"{name}:{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(_tree(name))
+        if (isinstance(node, ast.Call) and _name(node.func) in FACTOR_SPLITS)
+        or (isinstance(node, ast.ImportFrom) and any(a.name in FACTOR_SPLITS for a in node.names))
     ]
     assert found == []

@@ -36,7 +36,7 @@ from law_oracles import log_density, radial_cdf
     ids=["fs3", "gin4", "prod"],
 )
 def test_sample_size_and_finiteness(space):
-    conf = sample_dpp(space, seed=11)
+    conf = sample_dpp(space, rng_stream(11))
     assert conf.points.shape == (space.rank, space.dim)
     assert np.all(np.isfinite(conf.points))
     # all points distinct
@@ -46,15 +46,15 @@ def test_sample_size_and_finiteness(space):
 
 
 def test_same_seed_same_stream_identical():
-    a = sample_dpp(make_fubini_study(5), seed=3, stream=(1,))
-    b = sample_dpp(make_fubini_study(5), seed=3, stream=(1,))
+    a = sample_dpp(make_fubini_study(5), rng_stream(3, 1))
+    b = sample_dpp(make_fubini_study(5), rng_stream(3, 1))
     assert a.points.tobytes() == b.points.tobytes()
     assert a.log_density == b.log_density
 
 
 def test_different_streams_differ():
-    a = sample_dpp(make_fubini_study(5), seed=3, stream=(1,))
-    b = sample_dpp(make_fubini_study(5), seed=3, stream=(2,))
+    a = sample_dpp(make_fubini_study(5), rng_stream(3, 1))
+    b = sample_dpp(make_fubini_study(5), rng_stream(3, 2))
     assert a.points.tobytes() != b.points.tobytes()
 
 
@@ -70,7 +70,7 @@ def test_draws_do_not_depend_on_workers():
     space = make_ginibre(40)
     serial = sample_dpp_many(space, reps=7, seed=13)
     pooled = sample_dpp_many(space, reps=7, seed=13, workers=2)
-    single = [sample_dpp(space, seed=13, stream=(r,)) for r in range(7)]
+    single = [sample_dpp(space, rng_stream(13, r)) for r in range(7)]
     for r, c in enumerate(single):
         assert serial[0][r].tobytes() == pooled[0][r].tobytes() == c.points.tobytes()
         assert serial[1][r] == pooled[1][r] == c.log_density
@@ -84,7 +84,7 @@ def test_sample_many_returns_one_draw_set(reps):
     assert points.shape == (reps, space.rank, space.dim) and points.dtype == complex
     assert logd.shape == (reps,) and logd.dtype == float
     for r in range(reps):
-        conf = sample_dpp(space, seed=4, stream=(5, r))
+        conf = sample_dpp(space, rng_stream(4, 5, r))
         assert points[r].tobytes() == conf.points.tobytes() and logd[r] == conf.log_density
 
 
@@ -97,9 +97,9 @@ def test_block_size_changes_cost_not_draws(space, monkeypatch):
     # decisions as rows evaluated afresh in other blocks
     import bergdpp.sampler as sampler
 
-    pooled = [sample_dpp(space, seed=7, stream=(r,)) for r in range(5)]
+    pooled = [sample_dpp(space, rng_stream(7, r)) for r in range(5)]
     monkeypatch.setattr(sampler, "MIN_BLOCK", 3)
-    small = [sample_dpp(space, seed=7, stream=(r,)) for r in range(5)]
+    small = [sample_dpp(space, rng_stream(7, r)) for r in range(5)]
     for a, b in zip(pooled, small):
         assert a.points.tobytes() == b.points.tobytes()
         assert a.log_density == pytest.approx(b.log_density, rel=1e-12)
@@ -169,7 +169,7 @@ def test_deferred_reflections_match_rank1_updates(space, min_block, stream, monk
 
     if min_block is not None:
         monkeypatch.setattr(sampler, "MIN_BLOCK", min_block)
-    conf = sample_dpp(space, seed=5, stream=stream)
+    conf = sample_dpp(space, rng_stream(5, *stream))
     pts, log_det = _rank1_reference(space, 5, stream, sampler.MIN_BLOCK)
     assert conf.points.tobytes() == pts.tobytes()
     assert conf.log_density == pytest.approx(log_det, rel=1e-12)
@@ -178,7 +178,7 @@ def test_deferred_reflections_match_rank1_updates(space, min_block, stream, monk
 def test_deferred_reflections_match_rank1_updates_at_ginibre_500():
     import bergdpp.sampler as sampler
 
-    conf = sample_dpp(make_ginibre(500), seed=3)
+    conf = sample_dpp(make_ginibre(500), rng_stream(3))
     pts, log_det = _rank1_reference(make_ginibre(500), 3, (), sampler.MIN_BLOCK)
     assert conf.points.tobytes() == pts.tobytes()
     assert conf.log_density == pytest.approx(log_det, rel=1e-12)
@@ -200,7 +200,7 @@ def test_section_rows_per_draw_near_n_harmonic(monkeypatch):
     monkeypatch.setattr(ModelSpace, "section_matrix", counted)
     space, draws = make_ginibre(100), 20
     for r in range(draws):
-        sample_dpp(space, seed=23, stream=(r,))
+        sample_dpp(space, rng_stream(23, r))
     n_h = space.rank * sum(1.0 / j for j in range(1, space.rank + 1))
     assert sum(rows) / draws <= 1.5 * n_h
 
@@ -210,7 +210,7 @@ def test_stall_guard_stops_a_draw_out_of_proposals(monkeypatch):
 
     monkeypatch.setattr(sampler, "MAX_PROPOSALS", 0)
     with pytest.raises(RejectionStallError, match="no acceptance after 0 proposals at point 1/4"):
-        sample_dpp(make_fubini_study(3), seed=1)
+        sample_dpp(make_fubini_study(3), rng_stream(1))
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,7 @@ def test_sampler_log_density_matches_gibbs_op(space):
     # telescoped residual-intensity product vs slogdet of the section matrix;
     # the large ranks run hundreds of in-place reflections of W and of the
     # carried proposal rows
-    conf = sample_dpp(space, seed=21)
+    conf = sample_dpp(space, rng_stream(21))
     direct = log_density(space, conf.points)
     assert abs(conf.log_density - direct) < 1e-12 * max(1.0, abs(direct))
 
@@ -243,7 +243,7 @@ def test_log_density_rank_two_manual():
 
 def test_log_density_permutation_invariant():
     space = make_ginibre(4)
-    conf = sample_dpp(space, seed=5)
+    conf = sample_dpp(space, rng_stream(5))
     base = log_density(space, conf.points)
     perm = conf.points[[2, 0, 3, 1]]
     assert log_density(space, perm) == pytest.approx(base, rel=1e-12)
@@ -270,7 +270,7 @@ def test_log_density_weight_terms():
     from bergdpp.exprs import parse_weight
 
     space = make_fubini_study(2)
-    conf = sample_dpp(space, seed=13)
+    conf = sample_dpp(space, rng_stream(13))
     psi = parse_weight("r2/(1+r2)")
     base = log_density(space, conf.points)
     weighted = log_density(space, conf.points, weight=psi)
@@ -491,7 +491,7 @@ def _reference_chain(space, config, psi, seed):
     proposal on its own.
     """
     rng = rng_stream(seed)
-    X = sample_dpp(space, rng=rng, seed=seed).points.copy()
+    X = sample_dpp(space, rng).points.copy()
     V = space.section_matrix(X)
     N, n = space.rank, space.dim
 
