@@ -36,8 +36,7 @@ from .exprs import WeightExpr, parse_weight, weight_sum
 from .kernel import scaling_errors
 from .quadrature import build_grid, gram, gram_to_csv, region_grid, weighted_gram_matrix
 from .sampler import McmcConfig, RejectionStallError, sample_dpp_many, sample_weighted
-from .spaces import ModelSpace, make_fubini_study, make_ginibre, make_product
-from .spaces import space_from_config, space_to_config
+from .spaces import SPACE_KEYS, ModelSpace, space_from_config, space_to_config
 from .stats import (
     INTENSITY_COLUMNS,
     circular_law_distance,
@@ -73,26 +72,35 @@ def _parse_list(text: str, flag: str, kind: type) -> list:
     return vals
 
 
+def _given_space(args, k: int | None = None) -> dict:
+    """The space block of the space flags given; a --ks power k takes the place of --k."""
+    mults = None if args.mults is None else _parse_list(args.mults, "--mults", int)
+    given = {"kind": args.space, "k": args.k if k is None else k, "N": args.n, "multiplicities": mults}
+    return {key: value for key, value in given.items() if value is not None}
+
+
 def _space_from_args(args, k: int | None = None) -> ModelSpace:
-    kind = args.space
-    if kind == "fs":
-        kk = k if k is not None else args.k
-        if kk is None:
-            raise CliError("--k is required for --space fs")
-        return make_fubini_study(int(kk))
-    if kind == "ginibre":
-        if args.n is None:
-            raise CliError("--n is required for --space ginibre")
-        return make_ginibre(int(args.n))
-    if kind == "product":
-        if args.mults is None:
-            raise CliError("--mults is required for --space product")
-        kk = k if k is not None else args.k
-        if kk is None:
-            raise CliError("--k is required for --space product")
-        mults = _parse_list(args.mults, "--mults", int)
-        return make_product(tuple(mults), int(kk))
-    raise CliError("--space is required unless --samples gives the space")
+    """The space of the space flags, built from their block as a samples file's space is."""
+    if args.space is None:
+        raise CliError("--space is required unless --samples gives the space")
+    block, keys = _given_space(args, k), SPACE_KEYS[args.space]
+    flag = {"k": "--k", "N": "--n", "multiplicities": "--mults"}
+    missing = [flag[key] for key in keys if key not in block]
+    if missing:
+        raise CliError(f"{', '.join(missing)} is required for --space {args.space}")
+    unread = [flag[key] for key in block if key not in ("kind", *keys)]
+    if unread:
+        raise CliError(f"--space {args.space} does not read {', '.join(unread)}")
+    return space_from_config(block)
+
+
+def _family(args, what: str) -> list[tuple[int, ModelSpace]]:
+    """The (k, space) pair of each power in --ks: the fs and product families."""
+    if args.space == "ginibre":
+        raise CliError(f"{what} covers the fs and product families: the ginibre rank has no power k")
+    if args.k is not None:
+        raise CliError("--k does not apply beside --ks (each power in --ks sets k)")
+    return [(k, _space_from_args(args, k=k)) for k in _parse_list(args.ks, "--ks", int)]
 
 
 def _resolve_seed(args) -> int:
@@ -297,9 +305,7 @@ def _load_samples(path: str) -> tuple[ModelSpace, np.ndarray]:
 def _check_space_flags(args, space: ModelSpace) -> None:
     """Space flags given beside --samples must agree with the file's space."""
     cfg = space_to_config(space)
-    mults = None if args.mults is None else _parse_list(args.mults, "--mults", int)
-    given = {"kind": args.space, "k": args.k, "N": args.n, "multiplicities": mults}
-    wrong = [f"{key}={v}" for key, v in given.items() if v is not None and cfg.get(key) != v]
+    wrong = [f"{key}={v}" for key, v in _given_space(args).items() if cfg.get(key) != v]
     if wrong:
         raise CliError(f"space flags {', '.join(wrong)} contradict --samples {args.samples}: {cfg}")
 
@@ -442,26 +448,14 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    if args.space == "ginibre":
-        raise CliError(
-            "scaling reports cover the fs and product families; "
-            "the ginibre rank limit has no k parameter"
-        )
-    ks = _parse_list(args.ks, "--ks", int)
-
-    def factory(k: int) -> ModelSpace:
-        return _space_from_args(args, k=k)
-
-    dim = factory(ks[0]).dim
-    points = None
-    if args.points is not None:
-        points = _points_from_file(args.points, dim)
-    rows = scaling_errors(factory, ks, points=points)
+    spaces_by_k = _family(args, "scaling")
+    points = None if args.points is None else _points_from_file(args.points, spaces_by_k[0][1].dim)
+    rows = scaling_errors(spaces_by_k, points=points)
     config = {
         "command": "scaling",
         "space": args.space,
         "mults": args.mults,
-        "ks": ks,
+        "ks": [k for k, _ in spaces_by_k],
         "points": args.points,
     }
     _emit_json(_report("scaling", config, {"rows": rows}), args.out)
@@ -469,16 +463,15 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    ks = _parse_list(args.ks, "--ks", int)
+    spaces_by_k = _family(args, "converge")
     seed = _resolve_seed(args)
-    spaces_by_k = [(k, _space_from_args(args, k=k)) for k in ks]
     region = parse_region(args.region, spaces_by_k[0][1].dim)
     report = measure_convergence(spaces_by_k, region, _reps(args), seed, workers=args.workers)
     config = {
         "command": "converge",
         "space": args.space,
         "mults": args.mults,
-        "ks": ks,
+        "ks": [k for k, _ in spaces_by_k],
         "region": args.region,
         "reps": args.reps,
         "seed": seed,
@@ -508,10 +501,7 @@ def _cmd_energy(args) -> int:
         return 0
 
     # lambda-k
-    if args.space == "ginibre":
-        raise CliError("lambda-k reports cover the fs and product families")
-    ks = _parse_list(args.ks, "--ks", int)
-    spaces_by_k = [(k, _space_from_args(args, k=k)) for k in ks]
+    spaces_by_k = _family(args, "lambda-k")
     dim = spaces_by_k[0][1].dim
     report = lambda_report(
         spaces_by_k,
@@ -524,7 +514,7 @@ def _cmd_energy(args) -> int:
         "command": "energy lambda-k",
         "space": args.space,
         "mults": args.mults,
-        "ks": ks,
+        "ks": [k for k, _ in spaces_by_k],
         "f_expr": args.f_expr,
         "psi_expr": args.psi_expr,
         "psi_k_expr": args.psi_k_expr,

@@ -198,22 +198,22 @@ def default_test_points(dim: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def scaling_errors(space_factory, ks, points=None) -> list[dict]:
-    """Sup-error between rescaled and limit correlations across powers.
+def scaling_errors(spaces_by_k, points=None) -> list[dict]:
+    """Sup-error between rescaled and limit correlations across a family of (k, space) pairs.
 
     The error at power k is the max over all one-point groups and all
     consecutive two-point groups formed from the test set.  Both are checked
     as stacks, _CHUNK test points at a time, with one section evaluation per
     chunk.  Rows carry the ratio to the previous power for trend checks.
     """
+    ks = [k for k, _ in spaces_by_k]
     if min(ks) < 1:
-        raise ValueError(f"scaling powers must be at least 1, got {list(ks)}")
+        raise ValueError(f"scaling powers must be at least 1, got {ks}")
     if points is not None and len(points) == 0:
         raise ValueError("the scaling test set holds no points")
     rows: list[dict] = []
     prev_err = None
-    for k in ks:
-        space = space_factory(k)
+    for k, space in spaces_by_k:
         frame = limit_frame(space, np.zeros(space.dim))
         pts = default_test_points(space.dim) if points is None else np.asarray(points, dtype=complex)
         if pts.ndim == 1:

@@ -64,6 +64,7 @@ __all__ = [
     "make_fubini_study",
     "make_product",
     "limit_frame",
+    "SPACE_KEYS",
     "space_to_config",
     "space_from_config",
 ]
@@ -449,6 +450,9 @@ def limit_frame(space: ModelSpace, center) -> NormalFrame:
 # ---------------------------------------------------------------------------
 # serialization
 
+# the keys beside "kind" that a space block of each kind reads, and the CLI's space flags give
+SPACE_KEYS = {"ginibre": ("N",), "fs": ("k",), "product": ("multiplicities", "k")}
+
 
 def space_to_config(space: ModelSpace) -> dict:
     if space.kind == "ginibre":
@@ -460,14 +464,15 @@ def space_to_config(space: ModelSpace) -> dict:
 
 
 def space_from_config(config: dict) -> ModelSpace:
-    """Inverse of space_to_config; a missing key or unknown kind raises ValueError."""
+    """Inverse of space_to_config; an unknown kind, or a key missing or not read, raises ValueError."""
     kind = config.get("kind")
-    needs = {"ginibre": ("N",), "fs": ("k",), "product": ("multiplicities", "k")}
-    if kind not in needs:
+    if kind not in SPACE_KEYS:
         raise ValueError(f"unknown space kind {kind!r}")
-    missing = [key for key in needs[kind] if config.get(key) is None]
-    if missing:
-        raise ValueError(f"space of kind {kind!r} lacks {', '.join(missing)}: {config}")
+    missing = [key for key in SPACE_KEYS[kind] if config.get(key) is None]
+    unread = [key for key in config if key not in ("kind", *SPACE_KEYS[kind])]
+    if missing or unread:
+        fault = f"lacks {', '.join(missing)}" if missing else f"does not read {', '.join(unread)}"
+        raise ValueError(f"space of kind {kind!r} {fault}: {config}")
     if kind == "ginibre":
         return make_ginibre(config["N"])
     if kind == "fs":

@@ -215,8 +215,8 @@ def test_count_laws_beside_criterion_04():
 
 def test_criterion_05_scaling_limit(capsys):
     t0 = time.perf_counter()
-    fs_rows = scaling_errors(make_fubini_study, [25, 100, 400])
-    prod_rows = scaling_errors(lambda k: make_product((1, 2), k), [10, 40])
+    fs_rows = scaling_errors([(k, make_fubini_study(k)) for k in (25, 100, 400)])
+    prod_rows = scaling_errors([(k, make_product((1, 2), k)) for k in (10, 40)])
     ratios = [r["ratio_to_prev"] for r in fs_rows[1:] + prod_rows[1:]]
 
     # FS one-point values have an exact closed form at every power

@@ -589,6 +589,45 @@ def test_samples_space_block_spells_the_ginibre_rank_as_the_writer_does(tmp_path
     assert "malformed space block" in err and "lacks N" in err
 
 
+def test_samples_space_block_with_a_key_its_kind_does_not_read_exits_2(tmp_path, capsys):
+    # an fs space reads k alone: an N beside it was not written by sample
+    samples = tmp_path / "s.json"
+    assert run(["sample", "--space", "fs", "--k", "2", "--reps", "2", "--seed", "1",
+                "--out", str(samples)]) == 0
+    doc = read_json(samples)
+    doc["space"] = {"kind": "fs", "k": 2, "N": 4}
+    samples.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["stats", "counts", "--samples", str(samples), "--region", "disk:1"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "malformed space block" in line and "does not read N" in line
+
+
+# each space flag its kind does not read, each one it needs and lacks, and
+# --k beside --ks exits 2 naming the flag (converge on ginibre names the family)
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ("sample --space fs --k 3 --n 10 --seed 1", "--n"),
+        ("sample --space fs --k 3 --mults 1,2 --seed 1", "--mults"),
+        ("sample --space ginibre --n 3 --k 7 --seed 1", "--k"),
+        ("sample --space product --mults 1,2 --k 1 --n 9 --seed 1", "--n"),
+        ("stats circular --space ginibre --n 4 --k 5 --reps 2 --seed 1", "--k"),
+        ("scaling --space fs --k 7 --ks 2", "--k"),
+        ("converge --space fs --k 9 --ks 2 --reps 3 --seed 1", "--k"),
+        ("energy lambda-k --space fs --k 9 --ks 2 --f-expr 0.2/(1+r2)", "--k"),
+        ("converge --space ginibre --n 4 --ks 2,3 --reps 3 --seed 1", "fs and product families"),
+        ("sample --space fs --seed 1", "--k"),
+        ("sample --space product --k 2 --seed 1", "--mults"),
+    ],
+)
+def test_space_flag_its_kind_does_not_read_or_lacks_exits_2(argv, named, capsys):
+    assert run(argv.split()) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    # a flag is a word of the line, so --k is not found in --ks
+    assert line.startswith("error: ") and named in (line.split() if named[:2] == "--" else line)
+
+
 def test_stats_rejects_samples_file_without_configurations(tmp_path, capsys):
     samples = tmp_path / "s.json"
     samples.write_text(json.dumps({"space": {"kind": "fs", "k": 2}, "configurations": []}))

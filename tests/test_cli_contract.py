@@ -4,12 +4,14 @@ Argument lists are drawn from build_parser() itself, so a new subcommand or
 flag is covered as soon as it is added: each leaf subcommand, each of its
 flags with small sizes and adversarial values (0, negatives, 1e308, nan,
 inf, empty strings, malformed weights, regions, lists, points and samples
-files).  --workers is never above 1.  Warnings are errors, so a printed
-Python warning fails the property.
+files).  --workers is never above 1.  The space flags come after --space:
+those its kind reads are drawn 9 times in 10, the others about 1 in 10.
+Warnings are errors, so a printed Python warning fails the property.
 
 On exit 0 the report, on stdout or in the --out file, is strict JSON, the
-intensity CSV or the check lines (test_readme._report_fault), and stderr is
-empty.  Otherwise stderr is one `error:` or `numerical failure:` line, or
+intensity CSV or the check lines (test_readme._report_fault), stderr is
+empty, and every space flag given is one its kind reads (no --k beside
+--ks).  Otherwise stderr is one `error:` or `numerical failure:` line, or
 argparse's usage message ending in its own error line.
 """
 
@@ -26,6 +28,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bergdpp.cli import build_parser, run
+from bergdpp.spaces import SPACE_KEYS
 from test_readme import _report_fault
 
 GOOD_WEIGHTS = [
@@ -69,7 +72,9 @@ BY_TYPE = {
     None: (GOOD_WEIGHTS, BAD_WEIGHTS),
 }
 # flags that most runs need: drawn more often than other optional flags
-COMMON_FLAGS = {"space", "k", "n", "mults", "seed", "region"}
+COMMON_FLAGS = {"space", "seed", "region"}
+# the space flags, by dest, and the space-block key each one gives
+SPACE_FLAGS = {"k": "k", "n": "N", "mults": "multiplicities"}
 _ARGPARSE_ERROR = re.compile(r"bergdpp( \S+)*: error: .*")
 
 
@@ -90,16 +95,27 @@ def _flags(parser):
 LEAVES = list(_leaves(build_parser()))
 
 
+def _reads(kind, dest: str, family: bool) -> bool:
+    """Whether a space of this kind reads the space flag dest; a --ks family sets k itself."""
+    return SPACE_FLAGS[dest] in SPACE_KEYS.get(kind, ()) and not (family and dest == "k")
+
+
 @st.composite
 def argv(draw):
     """A leaf subcommand with flags drawn from its parser; one value in five is a bad one."""
     words, parser = draw(st.sampled_from(LEAVES))
     out = list(words)
+    kind, family = None, any(action.dest == "ks" for action in _flags(parser))
     for action in _flags(parser):
         share = 9 if action.required else 7 if action.dest in COMMON_FLAGS else 3
         if action.dest == "samples":  # which clashes with the fresh-draw flags
             share = 2
-        if draw(st.integers(0, 9)) > share:  # required 9 in 10, common 8 in 10, others 4 in 10
+        if action.dest in SPACE_FLAGS:  # drawn after --space
+            share = 8 if _reads(kind, action.dest, family) else None
+        drawn = draw(st.integers(0, 9))
+        # required always, the kind's space flags 9 in 10, common 8 in 10, others 4 in
+        # 10; another kind's 1 in 10, on the top value, not the bottom one hypothesis favours
+        if drawn > share if share is not None else drawn < 9:
             continue
         good, bad = VALUES.get(action.dest, BY_TYPE.get(action.type, BY_TYPE[None]))
         for _ in range(draw(st.integers(1, 2)) if action.dest == "region" else 1):
@@ -107,6 +123,8 @@ def argv(draw):
             if value == "@report":
                 value = "out.csv" if words == ("stats", "intensity") else "out.json"
             out += [action.option_strings[0], value]
+        if action.dest == "space":
+            kind = out[-1]
     return out
 
 
@@ -154,6 +172,10 @@ def test_every_argument_list_keeps_the_cli_contract(inputs, words):
     assert code in (0, 2, 3), (words, code)
     if code == 0:
         assert lines == [], words
+        # every space flag is read by its kind: --space's, or good.json's fs
+        flags = {word: value for word, value in zip(words, words[1:]) if word.startswith("--")}
+        kind, family = flags.get("--space", "fs"), "--ks" in flags
+        assert all(_reads(kind, dest, family) for dest in SPACE_FLAGS if f"--{dest}" in flags), words
         report = ["bergdpp", *words]
         if words[:2] == ["stats", "intensity"] and "--out" not in words:
             # the intensity CSV on stdout, read as the CSV file it would be

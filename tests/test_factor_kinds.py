@@ -5,7 +5,9 @@ module compares a space's kind (or the CLI's --space) to a string, except
 cli.py, which parses them; and no module outside spaces reaches for a
 private attribute of a space or a factor.  The product structure is used
 in quadrature alone: outside it and the spaces and exprs that define them,
-no module splits a space, a grid or a weight into factors.
+no module splits a space, a grid or a weight into factors.  cli.py builds
+its spaces from a space block, as a samples file's space is built, and calls
+no kind's builder.
 """
 
 import ast
@@ -103,5 +105,18 @@ def test_no_factor_split_outside_quadrature(name):
         for node in ast.walk(_tree(name))
         if (isinstance(node, ast.Call) and _name(node.func) in FACTOR_SPLITS)
         or (isinstance(node, ast.ImportFrom) and any(a.name in FACTOR_SPLITS for a in node.names))
+    ]
+    assert found == []
+
+
+def test_cli_builds_spaces_only_through_space_from_config():
+    # the CLI turns its space flags into a space block and builds it as a
+    # samples file's block is built, so the kinds' builders are not called there
+    builders = {"make_fubini_study", "make_ginibre", "make_product"}
+    found = [
+        f"cli.py:{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(_tree("cli.py"))
+        if (isinstance(node, ast.Call) and _name(node.func) in builders)
+        or (isinstance(node, ast.ImportFrom) and any(a.name in builders for a in node.names))
     ]
     assert found == []

@@ -265,7 +265,7 @@ def test_scaling_errors_check_every_group_once_across_chunks(monkeypatch):
         return limit_correlation(lam, stack)
 
     monkeypatch.setattr(kernel, "limit_correlation", spy)
-    (row,) = scaling_errors(make_fubini_study, [30], points=pts)
+    (row,) = scaling_errors([(30, make_fubini_study(30))], points=pts)
     assert sorted(seen) == sorted([(i,) for i in range(150)] + [(i, i + 1) for i in range(149)])
     space = make_fubini_study(30)
     frame = limit_frame(space, np.zeros(1))
@@ -275,7 +275,7 @@ def test_scaling_errors_check_every_group_once_across_chunks(monkeypatch):
 
 
 def test_scaling_errors_decrease():
-    rows = scaling_errors(make_fubini_study, [16, 64])
+    rows = scaling_errors([(k, make_fubini_study(k)) for k in (16, 64)])
     assert rows[1]["sup_error"] < 0.7 * rows[0]["sup_error"]
     assert rows[0]["k"] == 16 and rows[1]["k"] == 64
     assert rows[1]["ratio_to_prev"] == pytest.approx(
