@@ -35,7 +35,7 @@ from .energy import GramPath, lambda_report, partition_function
 from .exprs import WeightExpr, parse_weight, weight_sum
 from .kernel import scaling_errors
 from .quadrature import build_grid, gram, gram_to_csv, region_grid, weighted_gram_matrix
-from .sampler import McmcConfig, RejectionStallError, sample_dpp_many, sample_weighted
+from .sampler import McmcConfig, RejectionStallError, rng_stream, sample_dpp_many, sample_weighted
 from .spaces import SPACE_KEYS, ModelSpace, space_from_config, space_to_config
 from .stats import (
     INTENSITY_COLUMNS,
@@ -361,7 +361,7 @@ def _cmd_sample(args) -> int:
                 "weight_k_expr": args.weight_k_expr,
             }
         )
-        run = sample_weighted(space, mcmc, weight=weight, seed=seed)
+        run = sample_weighted(space, mcmc, weight, rng_stream(seed))
         body = {
             "space": space_to_config(space),
             "seed": seed,

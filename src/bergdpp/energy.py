@@ -10,6 +10,8 @@ is the cumulant-generating function of the linear statistic sum psi(X_i),
 with derivative K'(t) = -int psi(x) B_t(x, x) dmu(x) against the kernel of
 the re-orthonormalized basis.  Both routes to the derivative (central finite
 difference and the Bergman integral) are exposed so they can be compared.
+The Bergman integral reads G(t psi), a quadrature.GramMatrix, alone: it
+carries its grid, which serves only its own space, and its weight t psi.
 
 Monge-Ampere and equilibrium quantities use the per-k potential: the density
 against chart Lebesgue measure is (n!/pi^n) det H, where H is the per-k
@@ -59,7 +61,6 @@ __all__ = [
     "PartitionValue",
     "partition_function",
     "GramPath",
-    "PathPoint",
     "monge_ampere_density",
     "equilibrium_mass",
     "mabuchi",
@@ -108,41 +109,34 @@ def partition_function(
 # cumulant-generating function
 
 
-@dataclass(frozen=True)
-class PathPoint:
-    """The path at one t: the weight t psi, its grid and G_t."""
-
-    weight: object
-    grid: QuadratureGrid
-    gram: GramMatrix
-
-
 class GramPath:
-    """log det G(t psi) along a direction psi, with one PathPoint per t.
+    """log det G(t psi) along a direction psi, with one Gram G_t per t.
 
-    A Ginibre grid is built for each t psi, as its edge moves with the
-    weight; a compact chart's one grid, built with psi=None, serves every t.
-    On a product, G_t and the derivative's trace follow the factor split of
-    quadrature.gram and quadrature.bergman_trace; the path itself sees none.
+    G_t carries its grid and its weight t psi (quadrature.GramMatrix), and
+    a grid serves only the space it was built for.  A Ginibre grid is built
+    for each t psi, as its edge moves with the weight; a compact chart's one
+    grid, built with psi=None, serves every t.  On a product, G_t and the
+    derivative's trace follow the factor split of quadrature.gram and
+    quadrature.bergman_trace; the path itself sees none.
     """
 
     def __init__(self, space: ModelSpace, psi):
         self.space = space
         self.psi = psi
-        self._points: dict[float, PathPoint] = {}
+        self._grams: dict[float, GramMatrix] = {}
         self._grid = build_grid(space) if space.factors[0].compact else None
 
-    def at(self, t: float) -> PathPoint:
-        """t psi, its grid and G_t, built once per t: logdet and bergman_derivative share them."""
+    def at(self, t: float) -> GramMatrix:
+        """G_t on its grid under t psi, built once per t: logdet and bergman_derivative share it."""
         t = float(t)
-        if t not in self._points:
+        if t not in self._grams:
             weight = weight_sum((t, self.psi))
             grid = self._grid or build_grid(self.space, psi=weight)
-            self._points[t] = PathPoint(weight, grid, gram(self.space, grid, psi=weight))
-        return self._points[t]
+            self._grams[t] = gram(self.space, grid, psi=weight)
+        return self._grams[t]
 
     def logdet(self, t: float) -> float:
-        return self.at(t).gram.logdet
+        return self.at(t).logdet
 
     def cgf(self, t: float) -> float:
         return self.logdet(t) - self.logdet(0.0)
@@ -151,8 +145,7 @@ class GramPath:
         """K'(t) = -int psi(x) B_t(x, x) dmu(x), the trace quadrature.bergman_trace takes on G_t."""
         if self.psi is None:
             return 0.0
-        point = self.at(t)
-        return -bergman_trace(self.space, point.grid, point.gram, point.weight, self.psi)
+        return -bergman_trace(self.at(t), self.psi)
 
     @staticmethod
     def fd_step(t: float) -> float:

@@ -8,11 +8,11 @@ a density with respect to mu x mu.  It reproduces itself under integration,
 has trace N, and its m-point determinants det[B(x_a, x_b)] are the joint
 intensities of the projection determinantal process.
 
-An evaluator can carry a fixed extra weight psi: the sections are then
-re-orthonormalized by the map that quadrature.gram factors from their Gram
-matrix under psi, and e^{-psi/2} is folded into the values.  For constant
-psi this leaves every kernel determinant unchanged, which is the numerical
-shadow of invariance under globally holomorphic weight changes.
+An evaluator can carry the Gram of an extra weight psi, which holds psi and
+the grid it was built on (a grid serves only its own space): the sections
+are re-orthonormalized by its map and e^{-psi/2} is folded into the values.
+For constant psi this leaves every kernel determinant unchanged, the
+numerical shadow of invariance under globally holomorphic weight changes.
 
 Stacks of groups.  kernel_matrix, kernel_det, rescaled_correlation and
 limit_correlation take one group of m points, shape (m, dim), or a stack of
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprs import weight_values
-from .quadrature import QuadratureGrid, gram
+from .quadrature import GramMatrix, QuadratureGrid, gram
 from .spaces import ModelSpace, NormalFrame, _as_points, limit_frame
 
 __all__ = [
@@ -60,20 +60,18 @@ _CHUNK = 64  # test points per scaling_errors stack: O(_CHUNK * rank) memory for
 
 @dataclass(frozen=True)
 class KernelEvaluator:
-    """Evaluates B(x, y), optionally under a fixed extra weight psi."""
+    """Evaluates B(x, y), optionally under the weight psi of a Gram: its map and e^{-psi/2}."""
 
     space: ModelSpace
-    transform: np.ndarray | None = None  # orthonormalizing map of the psi-Gram
-    psi: object | None = None            # callable points -> (M,), folded as e^{-psi/2}
+    gram: GramMatrix | None = None  # the psi-Gram: transform and weight
 
     def section_rows(self, points) -> np.ndarray:
         """Rows of (possibly re-orthonormalized) section values at points."""
         Z = _as_points(points, self.space.dim)
         V = self.space.section_matrix(Z)
-        if self.transform is not None:
-            V = V @ self.transform
-        if self.psi is not None:
-            V = V * np.exp(-0.5 * weight_values(self.psi, Z))[:, None]
+        if self.gram is not None:
+            V = V @ self.gram.transform
+            V = V * np.exp(-0.5 * weight_values(self.gram.weight, Z))[:, None]
         return V
 
 
@@ -84,11 +82,11 @@ def evaluator(space: ModelSpace) -> KernelEvaluator:
 def reweighted_evaluator(space: ModelSpace, grid: QuadratureGrid, psi) -> KernelEvaluator:
     """Evaluator for the kernel of the psi-weighted inner product.
 
-    The sections are re-orthonormalized over the grid under psi by
-    gram(...).transform; a Gram that gram() judges degenerate raises
-    GramDegenerateError.
+    It holds gram(space, grid, psi), whose map re-orthonormalizes the
+    sections over the grid under psi; a Gram that gram() judges degenerate
+    raises GramDegenerateError.
     """
-    return KernelEvaluator(space=space, transform=gram(space, grid, psi=psi).transform, psi=psi)
+    return KernelEvaluator(space, gram(space, grid, psi))
 
 
 def _groups(points, dim: int) -> tuple[np.ndarray, np.ndarray, bool]:

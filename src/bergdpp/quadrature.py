@@ -117,7 +117,10 @@ GramDegenerateError, the usual cause being a grid with fewer nodes than the
 rank needs) and the orthonormalising map GramMatrix.transform that the
 kernel and CGF paths use.  On the diagonal route S = I exactly: log det A =
 sum log D, the Gram is degenerate when some D_aa <= 0, and the map is
-D^{-1/2}.  GramMatrix.route records which route built a Gram.
+D^{-1/2}.  GramMatrix.route records which route built a Gram, and .grid and
+.weight the grid and weight it was built from, which its readers take from
+it.  A grid serves only its own space (QuadratureGrid.space): _assemble
+refuses one built for another.
 """
 
 from __future__ import annotations
@@ -130,7 +133,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprs import factor_weights, is_radial_weight, weight_values
-from .spaces import ModelSpace, _panel_gauss, poisson_log_pmf
+from .spaces import ModelSpace, _panel_gauss, poisson_log_pmf, space_to_config
 
 __all__ = [
     "TAIL",
@@ -473,14 +476,18 @@ def region_grid(space: ModelSpace, *regions: Region) -> QuadratureGrid:
 class GramMatrix:
     """Hermitianized Gram matrix with its log-determinant, route and the extremes gram() judges.
 
-    On the factored route it keeps its factors' Grams instead of the matrix,
-    A = kron(A_1, A_2, ...), and forms A and its map only on first use.
+    It keeps the grid it was assembled on and the weight psi it carries, and
+    its readers take both from it.  On the factored route it keeps its factors'
+    Grams, each on its factor grid under its factor weight, instead of the
+    matrix A = kron(A_1, A_2, ...), and forms A and its map only on first use.
     """
 
     logdet: float
     route: str               # "diagonal", "dense" or "factored": how gram() assembled it
     spectrum: tuple[float, float]  # smallest and largest eigenvalue of the scaled Gram S
     diagonal: tuple[float, float]  # smallest and largest entry of D = diag(A)
+    grid: QuadratureGrid     # the grid it was assembled on; grid.space is its space
+    weight: object           # the extra weight psi it carries (None: unweighted)
     assembled: np.ndarray | None = None     # (N, N) complex Hermitian; None when factored
     factors: tuple["GramMatrix", ...] = ()  # the factored route's factor Grams, in factor order
 
@@ -563,6 +570,8 @@ def _assemble(space: ModelSpace, grid: QuadratureGrid, psi=None, mask=None) -> n
     formed in its polar form: the DFT of c over every factor's angles, then
     the radial sums band by band, factor by factor (module docstring).
     """
+    if grid.space != space:
+        raise ValueError(f"grid built for {space_to_config(grid.space)}, not {space_to_config(space)}")
     if not space.factors[0].compact and psi is not grid.psi:
         # the edge bounds the tail of another weight only if it reaches that weight's edge
         need = _ginibre_edge(space.rank, psi, grid.angular[0])
@@ -647,34 +656,34 @@ def gram(space: ModelSpace, grid: QuadratureGrid, psi=None) -> GramMatrix:
     """
     weights = _factored_weights(space, psi)
     if weights is None:
-        g = _unjudged(_assemble(space, grid, psi))
+        g = _unjudged(_assemble(space, grid, psi), grid, psi)
     else:
         g = _kron([
-            _unjudged(_assemble(space.factor_space(i), grid.factor(i), w))
+            _unjudged(_assemble(space.factor_space(i), grid.factor(i), w), grid.factor(i), w)
             for i, w in enumerate(weights)
-        ])
+        ], grid, psi)
     return _judged(g, f"with {grid.size} nodes for rank {space.rank}")
 
 
-def bergman_trace(space: ModelSpace, grid: QuadratureGrid, g: GramMatrix, psi, mask) -> float:
-    """int m B dmu = sum_ab (conj A)^{-1}_ab A~_ab, B the kernel of g = gram(space, grid, psi).
+def bergman_trace(g: GramMatrix, mask) -> float:
+    """int m B dmu = sum_ab (conj A)^{-1}_ab A~_ab, B the kernel of the Gram g on g.grid under g.weight.
 
     B(x, x) = |v(x) T|^2 e^{-psi(x)} with T T^H = conj(A)^{-1} (g.transform), and A~
     is the Gram masked by the weight form mask, m.  Where mask and psi separate on a
-    product, it sums (N/N_f) times factor f's trace (module docstring) on grid.factor(f)
-    against g's factor Gram, or the factor's own where g took the diagonal route.
+    product, it sums (N/N_f) times factor f's trace (module docstring) against g's
+    factor Gram, or the factor's own on grid.factor(f) where g took the diagonal route.
     """
+    space, psi = g.grid.space, g.weight
     masks = _factored_weights(space, mask)
     weights = None if masks is None else factor_weights(psi, space.dim)
     if weights is None:
         T = g.transform
-        return float(np.sum((T @ T.conj().T) * weighted_gram_matrix(space, grid, psi, mask)).real)
+        return float(np.sum((T @ T.conj().T) * weighted_gram_matrix(space, g.grid, psi, mask)).real)
     total = 0
     for i, (w, m) in enumerate(zip(weights, masks)):
         if m is not None:
-            part, grid_i = space.factor_space(i), grid.factor(i)
-            g_i = g.factors[i] if g.factors else gram(part, grid_i, psi=w)
-            total += space.rank // part.rank * bergman_trace(part, grid_i, g_i, w, m)
+            g_i = g.factors[i] if g.factors else gram(space.factor_space(i), g.grid.factor(i), psi=w)
+            total += space.rank // g_i.grid.space.rank * bergman_trace(g_i, m)
     return total
 
 
@@ -696,8 +705,8 @@ def _judged(g: GramMatrix, where: str) -> GramMatrix:
     return g
 
 
-def _unjudged(A_raw: np.ndarray) -> GramMatrix:
-    """A raw Gram, or the (N,) diagonal of a diagonal one, Hermitianized and scaled but not judged.
+def _unjudged(A_raw: np.ndarray, grid: QuadratureGrid, weight) -> GramMatrix:
+    """A raw Gram on grid under weight, or its (N,) diagonal, Hermitianized and scaled but not judged.
 
     A diagonal d_a <= 0 zeroes row a of S, which gives S the eigenvalue 0;
     on the diagonal route S = I otherwise.
@@ -711,6 +720,7 @@ def _unjudged(A_raw: np.ndarray) -> GramMatrix:
             route="diagonal",
             spectrum=(1.0 if np.all(d > 0.0) else 0.0, 1.0),
             diagonal=(float(d.min()), float(d.max())),
+            grid=grid, weight=weight,
             assembled=np.diag(d.astype(complex)),
         )
     A = 0.5 * (A_raw + A_raw.conj().T)
@@ -724,12 +734,13 @@ def _unjudged(A_raw: np.ndarray) -> GramMatrix:
         route="dense",
         spectrum=(float(eigs[0]), float(eigs[-1])),
         diagonal=(float(d.min()), float(d.max())),
+        grid=grid, weight=weight,
         assembled=A,
     )
 
 
-def _kron(parts: list[GramMatrix]) -> GramMatrix:
-    """The Gram kron(A_1, A_2, ...) of factor Grams, kept as its factors (module docstring)."""
+def _kron(parts: list[GramMatrix], grid: QuadratureGrid, weight) -> GramMatrix:
+    """The Gram kron(A_1, A_2, ...) on grid under weight, kept as its factor Grams (module docstring)."""
     ranks = [p.assembled.shape[0] for p in parts]
     rank = math.prod(ranks)
     return GramMatrix(
@@ -737,6 +748,7 @@ def _kron(parts: list[GramMatrix]) -> GramMatrix:
         route="factored",
         spectrum=_product_range(p.spectrum for p in parts),
         diagonal=_product_range(p.diagonal for p in parts),
+        grid=grid, weight=weight,
         factors=tuple(parts),
     )
 

@@ -333,18 +333,13 @@ class McmcRun:
     warnings: list[str]
 
 
-def sample_weighted(
-    space: ModelSpace,
-    config: McmcConfig,
-    weight=None,
-    seed: int | None = None,
-) -> McmcRun:
-    """Metropolis-Hastings chain for the process with Gibbs potential weight.
+def sample_weighted(space: ModelSpace, config: McmcConfig, weight, rng: np.random.Generator) -> McmcRun:
+    """Metropolis-Hastings chain for the process with Gibbs potential weight (None: unweighted).
 
     Single-site Gaussian proposals in chart coordinates (standard deviation
     proposal_scale per real component), initialized from one exact draw of
-    the unweighted process.  Step `step` moves site j = step % N, so a sweep
-    visits every site once.
+    the unweighted process on rng.  Step `step` moves site j = step % N, so
+    a sweep visits every site once.
 
     A sweep of c = min(N, steps - s0) steps reads the stream twice: its
     moves as standard_normal((c, 2, n)), [re, im] per site, then random(c),
@@ -371,9 +366,6 @@ def sample_weighted(
     collected configurations; the run's row for each holds the sites, the
     mu^N Gibbs log-density of the current V and the step index.
     """
-    if seed is None:
-        raise ValueError("sample_weighted needs a seed")
-    rng = rng_stream(seed)
     N, n = space.rank, space.dim
 
     start = sample_dpp(space, rng)

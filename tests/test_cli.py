@@ -1296,6 +1296,85 @@ def test_energy_cgf_reports_keep_their_digits(argv, rows):
     assert [tuple(row[key] for key in keys) for row in json.loads(out.getvalue())["rows"]] == rows
 
 
+def _report(argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    return json.loads(out.getvalue())
+
+
+def _rows(report: dict, name: str, keys) -> list[tuple]:
+    """Each row of the report's list name as the tuple of its keys."""
+    return [tuple(row[key] for key in keys) for row in report[name]]
+
+
+@pytest.mark.parametrize(
+    "argv, target, rows",
+    [
+        (["--space", "fs", "--ks", "10,20", "--f-expr", "0.2/(1+r2)"], 0.10333333333333333,
+         [(10, 11, 0.10277718109527265, 0.0005561522380606865),
+          (20, 21, 0.10302986414466425, 0.000303469188669081)]),
+        (["--space", "product", "--mults", "1,2", "--ks", "2,3", "--f-expr", "0.2/(1+r2_1)+0.1/(1+r2_2)"],
+         0.15375,
+         [(2, 15, 0.15194410651127108, 0.0018058934887289213),
+          (3, 28, 0.15231201448977894, 0.0014379855102210626)]),
+    ],
+    ids=["fs-10-20", "product12-2-3"],
+)
+def test_lambda_k_reports_keep_their_digits(argv, target, rows):
+    # (k, rank, lambda_value, gap), every float exact: lambda_k reads gram()
+    # twice per power
+    report = _report(["energy", "lambda-k", *argv])
+    assert report["target"] == target
+    assert _rows(report, "rows", ("k", "rank", "lambda_value", "gap")) == rows
+
+
+@pytest.mark.parametrize(
+    "argv, counts, pairs",
+    [
+        # overlapping regions: the pair prediction takes its overlap term
+        (["--space", "fs", "--k", "5", "--reps", "60", "--seed", "4", "--region", "disk:1",
+          "--region", "annulus:0.5:2"],
+         [(3.0, 0.6767578125000009, 2.933333333333333, 0.5717514124293785, -0.6277225454256012,
+           -0.9282267363944281),
+          (3.6, 1.0443460608000001, 3.8833333333333333, 1.1217514124293786, 2.1475885494152323,
+           0.4416802541671215)],
+         [(6.676757812500001, 6.233333333333333, 0.4436409875117228, -0.9995119739808765),
+          (10.8, 11.216666666666667, 0.5186312203768003, 0.803396807396103),
+          (10.404346060800002, 12.3, 0.9505573744040379, 1.9942551499203292)]),
+        (["--space", "ginibre", "--n", "20", "--reps", "10", "--seed", "4", "--region", "disk:2",
+          "--region", "annulus:1:3"],
+         [(3.9999999976590805, 1.1102970982572749, 3.6, 2.7111111111111117, -1.2004398015871558,
+           1.9726189592554675),
+          (7.999281453995358, 2.2005498561840344, 8.3, 1.788888888888889, 0.6410539885056379,
+           -0.6540401036441228)],
+         [(13.110297081870838, 11.8, 3.379020239326449, -0.3877742626756279),
+          (32.051454462984815, 30.3, 5.283201891109426, -0.33151382420803605),
+          (58.18977218242276, 62.2, 6.14961606751005, 0.6521102738046162)]),
+    ],
+    ids=["fs5-overlapping", "ginibre20"],
+)
+def test_stats_counts_reports_keep_their_digits(argv, counts, pairs):
+    # every float exact: the count predictions read masked Grams, the
+    # observed counts the seeded exact draws
+    report = _report(["stats", "counts", *argv])
+    keys = ("predicted_mean", "predicted_variance", "observed_mean", "observed_variance", "mean_z", "variance_z")
+    assert _rows(report, "counts", keys) == counts
+    assert _rows(report, "pairs", ("predicted", "observed_mean", "observed_se", "z")) == pairs
+
+
+def test_converge_and_circular_reports_keep_their_digits():
+    # every float exact, from seeded exact draws
+    report = _report(["converge", "--space", "fs", "--ks", "5,10", "--reps", "40", "--seed", "3"])
+    keys = ("k", "rank", "quadrature_mass", "equilibrium_mass", "mc_mass", "mc_se", "replicate_variance", "gap")
+    assert _rows(report, "rows", keys) == [
+        (5, 6, 0.5, 0.5, 0.4875, 0.021003577907115847, 0.017646011396011393, 0.012500000000000011),
+        (10, 11, 0.5, 0.5, 0.5204545454545455, 0.013805286278172313, 0.007623437168891712, 0.020454545454545503),
+    ]
+    report = _report(["stats", "circular", "--space", "ginibre", "--n", "20", "--reps", "5", "--seed", "2"])
+    assert (report["distance"], report["pooled_points"], report["rank"]) == (0.10999999999999999, 100, 20)
+
+
 def test_scaling_with_one_point_has_no_pairs(tmp_path):
     # the error is the one-point error alone: the closed form
     # (k+1) / (pi k (1 + |u|^2/k)^2) against the limit 1/pi

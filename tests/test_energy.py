@@ -199,7 +199,7 @@ def test_radial_cgf_path_is_diagonal_end_to_end(space, expr, monkeypatch):
     path = GramPath(space, parse_weight(expr))
     for t in (0.0, 0.5):
         path.derivative_check(t)
-        assert path.at(t).gram.route == "diagonal"
+        assert path.at(t).route == "diagonal"
         got = path.bergman_derivative(t)
         assert got == pytest.approx(_node_sum_derivative(path, t), rel=1e-12)
     assert shapes and all(shape == (space.rank,) for shape in shapes)
@@ -223,7 +223,7 @@ def test_factored_cgf_path_matches_dense(mults, source, monkeypatch):
     factored, dense = GramPath(space, psi), GramPath(space, psi.evaluate)
     for t in (0.0, 0.5, 1.0):
         got, want = factored.derivative_check(t), dense.derivative_check(t)
-        assert (factored.at(t).gram.route, dense.at(t).gram.route) == (
+        assert (factored.at(t).route, dense.at(t).route) == (
             ("diagonal", "diagonal") if t == 0.0 else ("factored", "dense")
         )
         assert factored.cgf(t) == pytest.approx(dense.cgf(t), rel=1e-12, abs=1e-12)

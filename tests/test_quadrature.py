@@ -38,7 +38,14 @@ from bergdpp.quadrature import (
     region_grid,
     weighted_gram_matrix,
 )
-from bergdpp.spaces import MIN_PANEL, gauss_legendre, make_fubini_study, make_ginibre, make_product
+from bergdpp.spaces import (
+    MIN_PANEL,
+    gauss_legendre,
+    make_fubini_study,
+    make_ginibre,
+    make_product,
+    space_to_config,
+)
 from law_oracles import grid_mass
 
 
@@ -491,8 +498,8 @@ def test_factored_verdict_is_the_dense_verdict(share):
     # each factor alone is far from the 1e-12 bound (ratio 1e-6 each), and
     # their Kronecker product sits just inside or just outside it
     A1, A2 = _unit_diagonal(1e-6), _unit_diagonal(share * 1e-6)
-    factored = _kron([_unjudged(A1), _unjudged(A2)])
-    dense = _unjudged(np.kron(A1, A2))
+    factored = _kron([_unjudged(A1, None, None), _unjudged(A2, None, None)], None, None)
+    dense = _unjudged(np.kron(A1, A2), None, None)
     for part in factored.factors:
         _judged(part, "alone")
     lo, hi = factored.spectrum
@@ -511,12 +518,12 @@ def test_factored_verdict_is_the_dense_verdict(share):
 def test_factored_verdict_with_a_degenerate_factor():
     # a factor Gram with a zero diagonal entry gives S the eigenvalue 0,
     # whatever the other factors
-    bad = _unjudged(np.array([1.0, 0.0]))
-    good = _unjudged(_unit_diagonal(0.5))
+    bad = _unjudged(np.array([1.0, 0.0]), None, None)
+    good = _unjudged(_unit_diagonal(0.5), None, None)
     with pytest.raises(GramDegenerateError):
-        _judged(_kron([good, bad]), "here")
+        _judged(_kron([good, bad], None, None), "here")
     with pytest.raises(GramDegenerateError):
-        _judged(_unjudged(np.kron(good.matrix, bad.matrix)), "here")
+        _judged(_unjudged(np.kron(good.matrix, bad.matrix), None, None), "here")
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +599,54 @@ def test_degenerate_gram_raises():
     grid = build_grid(space, radial=1, angular=1)
     with pytest.raises(GramDegenerateError):
         gram(space, grid)
+
+
+# ---------------------------------------------------------------------------
+# the record: a Gram keeps its grid and weight, and a grid serves its own space
+
+
+@pytest.mark.parametrize(
+    "space, source, route",
+    [
+        (make_fubini_study(5), "r2/(1+r2)", "diagonal"),
+        (make_fubini_study(5), "re_1/(1+r2)", "dense"),
+        (make_product((1, 2), 2), "re_1/(1+r2_1)+im_2*im_2/(1+r2_2)", "factored"),
+    ],
+    ids=["diagonal", "dense", "factored"],
+)
+def test_gram_records_its_grid_and_weight(space, source, route):
+    psi = parse_weight(source)
+    grid = build_grid(space, psi=psi)
+    g = gram(space, grid, psi)
+    assert g.route == route and g.grid is grid and g.weight is psi
+    if route != "factored":
+        return
+    # each factor Gram records factor i's slice of the grid and factor i's
+    # term, read on its own chart
+    Z = np.array([[0.3 + 0.4j, -1.1 + 0.2j], [2.0 - 0.5j, 0.1 - 0.7j], [-0.6j, 1.5]])
+    terms = [parse_weight("re_1/(1+r2_1)"), parse_weight("im_2*im_2/(1+r2_2)")]
+    assert len(g.factors) == space.dim == len(terms)
+    for i, (part, term) in enumerate(zip(g.factors, terms)):
+        assert part.grid.space == space.factor_space(i)
+        assert part.grid.radii[0] is grid.radii[i] and part.grid.angular == (grid.angular[i],)
+        assert np.allclose(part.weight(Z[:, [i]]), term(Z), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "assemble, space, other",
+    [
+        (gram, make_fubini_study(40), make_fubini_study(3)),
+        (weighted_gram_matrix, make_ginibre(60), make_ginibre(10)),
+    ],
+    ids=["gram-fs", "weighted-ginibre"],
+)
+def test_a_grid_built_for_another_space_is_refused(assemble, space, other):
+    # the parent returned log det -5.41 (fs k = 40 on a k = 3 grid, where
+    # the identity Gram gives 0) and -6.06 (Ginibre N = 60 on an N = 10 grid)
+    with pytest.raises(ValueError) as info:
+        assemble(space, build_grid(other))
+    assert str(space_to_config(space)) in str(info.value)
+    assert str(space_to_config(other)) in str(info.value)
 
 
 # ---------------------------------------------------------------------------

@@ -361,17 +361,12 @@ def test_mcmc_config_validation():
             McmcConfig(steps=100, proposal_scale=scale)
 
 
-def test_mcmc_requires_seed():
-    with pytest.raises(ValueError, match="seed"):
-        sample_weighted(make_fubini_study(2), McmcConfig(steps=10))
-
-
 def test_mcmc_unweighted_matches_exact_law():
     # psi = 0 leaves the projection process invariant, so the chain's
     # radius law must agree with the closed-form CDF
     space = make_fubini_study(4)
     run = sample_weighted(
-        space, McmcConfig(steps=4000, burn_in=500, thin=25, proposal_scale=0.6), seed=29
+        space, McmcConfig(steps=4000, burn_in=500, thin=25, proposal_scale=0.6), None, rng_stream(29)
     )
     assert 0.05 < run.acceptance_rate < 0.9
     assert run.warnings == []
@@ -386,8 +381,8 @@ def test_mcmc_weight_shifts_the_law():
 
     space = make_fubini_study(4)
     cfg = McmcConfig(steps=3000, burn_in=500, thin=20, proposal_scale=0.5)
-    flat = sample_weighted(space, cfg, seed=31)
-    pulled = sample_weighted(space, cfg, weight=parse_weight("4*r2"), seed=31)
+    flat = sample_weighted(space, cfg, None, rng_stream(31))
+    pulled = sample_weighted(space, cfg, parse_weight("4*r2"), rng_stream(31))
     r_flat = np.mean(np.abs(flat.points[:, :, 0]))
     r_pulled = np.mean(np.abs(pulled.points[:, :, 0]))
     assert r_pulled < r_flat
@@ -406,7 +401,7 @@ def test_mcmc_stores_gibbs_log_density(space, psi_text, steps):
     # long chains apply many rank-1 inverse updates between refactorisations;
     # every collected log-density must still be the exact Gibbs value
     psi = parse_weight(psi_text)
-    run = sample_weighted(space, McmcConfig(steps=steps, burn_in=50, thin=50), weight=psi, seed=37)
+    run = sample_weighted(space, McmcConfig(steps=steps, burn_in=50, thin=50), psi, rng_stream(37))
     assert list(run.steps) == list(range(50, steps, 50))
     for points, logd in zip(run.points, run.log_density, strict=True):
         want = log_density(space, points, weight=psi)
@@ -427,7 +422,7 @@ def test_mcmc_factorises_once_per_sweep(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting)
     space = make_fubini_study(9)
     run = sample_weighted(
-        space, McmcConfig(steps=95, burn_in=10, thin=20), weight=parse_weight("r2/(1+r2)"), seed=3
+        space, McmcConfig(steps=95, burn_in=10, thin=20), parse_weight("r2/(1+r2)"), rng_stream(3)
     )
     assert len(run.points) == 5
     assert calls == {"solve": 10, "slogdet": 5}
@@ -473,7 +468,7 @@ def test_mcmc_evaluates_each_sweep_in_one_batch(monkeypatch, k):
         return psi(points)
 
     space = make_fubini_study(k)
-    run = sample_weighted(space, McmcConfig(steps=95, burn_in=10, thin=20), weight=weight, seed=3)
+    run = sample_weighted(space, McmcConfig(steps=95, burn_in=10, thin=20), weight, rng_stream(3))
     sweeps = -(-95 // space.rank)
     assert calls == {
         "section_matrix": 1 + sweeps,
@@ -547,7 +542,7 @@ def test_mcmc_matches_a_full_determinant_reference_chain(
         (float(space.power), psi_k_text and parse_weight(psi_k_text)),
     )
     config = McmcConfig(steps=steps, burn_in=burn_in, thin=thin)
-    run = sample_weighted(space, config, weight=psi, seed=41)
+    run = sample_weighted(space, config, psi, rng_stream(41))
     want = _reference_chain(space, config, psi, seed=41)
     assert 0.1 < run.acceptance_rate < 0.9
     assert len(run.points) == len(want) >= min(4, steps)

@@ -25,12 +25,21 @@ holds the worst error seen at these parameters with at least 2x headroom.
 A fault in a route is far outside them: a quadrature._bands that drops the
 transposed band fails every test here, and a product bergman_trace that
 drops the N/N_f factor fails the product one.
+
+Chain oracles.  The same two symmetries give the weighted chain exact means:
+each chain test compares the means over the configurations of one
+sample_weighted chain with closed forms that share no code with it.  A chain
+that forgets the base density reads mean Z = +0.311 on the sphere, 29
+standard deviations off, and one that ignores the weight reads mean Re z
+and mean X near 0.
 """
 
+import numpy as np
 import pytest
 
 from bergdpp.energy import GramPath, lambda_k, partition_function
 from bergdpp.exprs import parse_weight
+from bergdpp.sampler import McmcConfig, rng_stream, sample_weighted
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
 
 
@@ -67,7 +76,7 @@ def test_sphere_rotation_takes_x_and_y_to_z(k, direction):
     space = make_fubini_study(k)
     along_z = GramPath(space, parse_weight("r2/(1+r2)-0.5"))
     rotated = GramPath(space, parse_weight(direction))
-    assert along_z.at(1.0).gram.route == "diagonal" and rotated.at(1.0).gram.route == "dense"
+    assert along_z.at(1.0).route == "diagonal" and rotated.at(1.0).route == "dense"
     for t in (0.5, 1.0, 3.0):
         assert _rel(rotated.cgf(t), along_z.cgf(t)) < 1e-12, t
         assert _rel(rotated.bergman_derivative(t), along_z.bergman_derivative(t)) < 1e-12, t
@@ -81,7 +90,7 @@ def test_product_rotation_of_one_factor_takes_x_to_z():
     space = make_product((1, 2), 3)
     along_z = GramPath(space, parse_weight("r2_2/(1+r2_2)-0.5"))
     rotated = GramPath(space, parse_weight("re_2/(1+r2_2)"))
-    assert along_z.at(1.0).gram.route == "diagonal" and rotated.at(1.0).gram.route == "factored"
+    assert along_z.at(1.0).route == "diagonal" and rotated.at(1.0).route == "factored"
     for t in (0.5, 1.0, 3.0):
         assert _rel(rotated.cgf(t), along_z.cgf(t)) < 1e-12, t
         assert _rel(rotated.bergman_derivative(t), along_z.bergman_derivative(t)) < 1e-11, t
@@ -97,3 +106,55 @@ def test_lambda_k_along_x_and_y_is_lambda_k_along_z(k, bound, direction):
     space = make_fubini_study(k)
     along_z = lambda_k(space, parse_weight("r2/(1+r2)-0.5"))
     assert _rel(lambda_k(space, parse_weight(direction)), along_z) < bound
+
+
+# ---------------------------------------------------------------------------
+# chain oracles: exact means over one fixed-seed chain of 900 configurations.
+# Each bound is at least 5 standard deviations of its mean, measured over 20
+# seeds, so a correct chain on a new stream fails one of the six with
+# probability about 3e-6 (normal approximation); a 3-sigma gate would fail a
+# correct chain on about one stream in 60.
+
+_CHAIN = McmcConfig(20000, 2000, 20)
+
+
+def test_ginibre_translation_shifts_the_chain_by_minus_one():
+    # e^{-|z|^2 - 2 Re z} = e e^{-|z + 1|^2}: the Ginibre process shifted by
+    # -1, so mean Re z = -1, mean Im z = 0 and mean |z + 1|^2 = (N + 1)/2.
+    # Standard deviations over 20 seeds: 0.022, 0.019 and 0.036
+    n = 10
+    z = sample_weighted(make_ginibre(n), _CHAIN, parse_weight("2*re_1"), rng_stream(1)).points[:, :, 0]
+    assert abs(z.real.mean() + 1.0) < 0.11
+    assert abs(z.imag.mean()) < 0.10
+    assert abs((np.abs(z + 1.0) ** 2).mean() - (n + 1) / 2) < 0.18
+
+
+def _kostlan_mean_z(k: int, c: float) -> float:
+    """Mean Z = 2s - 1 per point of fs k under the weight c Z, Z the sphere's height.
+
+    By Kostlan's theorem the moduli s_j = |z_j|^2/(1 + |z_j|^2) of the radial
+    process are independent, s_j with density prop. to s^j (1 - s)^(k - j)
+    e^{-c (2s - 1)} on [0, 1]; 40 Gauss-Legendre nodes integrate each mean.
+    """
+    x, w = np.polynomial.legendre.leggauss(40)
+    s = 0.5 * (x + 1.0)
+    means = []
+    for j in range(k + 1):
+        density = w * s**j * (1.0 - s) ** (k - j) * np.exp(-c * (2.0 * s - 1.0))
+        means.append(np.sum(density * (2.0 * s - 1.0)) / np.sum(density))
+    return float(np.mean(means))
+
+
+def test_sphere_rotation_takes_the_chain_along_x_to_the_radial_law():
+    # 4 re_1/(1+r2) = 2X on the unit sphere: the rotation of the radial
+    # process under 2Z, so mean X is the radial mean Z, -0.188816, and mean
+    # Y and mean Z are 0.  Standard deviations over 20 seeds: 0.0046,
+    # 0.0043 and 0.0107
+    want = _kostlan_mean_z(5, 2.0)
+    assert want == pytest.approx(-0.188816, abs=1e-6)
+    space = make_fubini_study(5)
+    z = sample_weighted(space, _CHAIN, parse_weight("4*re_1/(1+r2)"), rng_stream(1)).points[:, :, 0]
+    q = 1.0 + np.abs(z) ** 2
+    assert abs((2.0 * z.real / q).mean() - want) < 0.023
+    assert abs((2.0 * z.imag / q).mean()) < 0.022
+    assert abs(((np.abs(z) ** 2 - 1.0) / q).mean()) < 0.054
