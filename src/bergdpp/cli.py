@@ -115,11 +115,25 @@ def _resolve_seed(args) -> int:
     raise CliError("a seed is required: pass --seed or set BERGDPP_SEED")
 
 
-def _reps(args, default: int = 200) -> int:
-    reps = default if args.reps is None else args.reps
-    if reps < 1:
-        raise CliError("--reps must be at least 1")
-    return reps
+def _at_least(args, dest: str, least: int, default: int | None = None) -> int:
+    """An integer flag's value, default if it was not given; below `least` it is refused, named."""
+    value = default if vars(args)[dest] is None else vars(args)[dest]
+    if value < least:
+        raise CliError(f"--{dest.replace('_', '-')} must be at least {least}, got {value}")
+    return value
+
+
+def _chain_config(args, chain: dict) -> McmcConfig:
+    """The chain of --mcmc-steps and the chain flags given (chain), each refusal naming its flag."""
+    steps = _at_least(args, "mcmc_steps", 1)
+    burn_in = chain.get("burn_in", 0)
+    if not 0 <= burn_in < steps:
+        raise CliError(f"--burn-in must lie in [0, {steps}), below --mcmc-steps, got {burn_in}")
+    _at_least(args, "thin", 1, default=1)
+    scale = chain.get("proposal_scale", 1.0)
+    if not 0 < scale < math.inf:
+        raise CliError(f"--proposal-scale must be positive and finite, got {scale}")
+    return McmcConfig(steps=steps, **chain)
 
 
 def _maybe_weight(text: str | None, dim: int) -> WeightExpr | None:
@@ -345,7 +359,7 @@ def _cmd_sample(args) -> int:
     if args.mcmc_steps is not None:
         if args.reps is not None:
             raise CliError("--reps needs the exact sampler (--mcmc-steps runs one chain)")
-        mcmc = McmcConfig(steps=args.mcmc_steps, **chain)
+        mcmc = _chain_config(args, chain)
         # the Gibbs potential psi + k psi' of the weighted process
         weight = weight_sum(
             (1.0, _maybe_weight(args.weight_expr, space.dim)),
@@ -380,8 +394,8 @@ def _cmd_sample(args) -> int:
     if chain:
         given = ", ".join("--" + key.replace("_", "-") for key in chain)
         raise CliError(f"chain flags {given} need --mcmc-steps (the exact sampler runs no chain)")
-    config["reps"] = reps = _reps(args, default=1)
-    points, logd = sample_dpp_many(space, reps, seed, workers=args.workers)
+    config["reps"] = reps = _at_least(args, "reps", 1, default=1)
+    points, logd = sample_dpp_many(space, reps, seed, workers=_at_least(args, "workers", 1))
     body = {"space": space_to_config(space), "seed": seed}
     _emit(_samples_json(_report("samples", config, body), points, logd) + "\n", args.out)
     return 0
@@ -400,9 +414,8 @@ def _stats_inputs(args) -> tuple[ModelSpace, np.ndarray, dict]:
         return space, points, {"samples": args.samples}
     space = _space_from_args(args)
     seed = _resolve_seed(args)
-    reps = _reps(args)
-    workers = 1 if args.workers is None else args.workers
-    points, _ = sample_dpp_many(space, reps, seed, workers=workers)
+    reps = _at_least(args, "reps", 1, default=200)
+    points, _ = sample_dpp_many(space, reps, seed, workers=_at_least(args, "workers", 1, default=1))
     return space, points, {"space": space_to_config(space), "seed": seed, "reps": reps}
 
 
@@ -466,7 +479,8 @@ def _cmd_converge(args) -> int:
     spaces_by_k = _family(args, "converge")
     seed = _resolve_seed(args)
     region = parse_region(args.region, spaces_by_k[0][1].dim)
-    report = measure_convergence(spaces_by_k, region, _reps(args), seed, workers=args.workers)
+    reps, workers = _at_least(args, "reps", 1), _at_least(args, "workers", 1)
+    report = measure_convergence(spaces_by_k, region, reps, seed, workers=workers)
     config = {
         "command": "converge",
         "space": args.space,
@@ -502,6 +516,7 @@ def _cmd_energy(args) -> int:
 
     # lambda-k
     spaces_by_k = _family(args, "lambda-k")
+    _at_least(args, "s_nodes", 16)
     dim = spaces_by_k[0][1].dim
     report = lambda_report(
         spaces_by_k,

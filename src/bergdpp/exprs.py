@@ -320,15 +320,17 @@ def parse_weight(source: str) -> WeightExpr:
     return WeightExpr(source, _Parser(source).parse())
 
 
-def weight_values(weight, points) -> np.ndarray:
+def weight_values(weight, points, first: int = 0) -> np.ndarray:
     """Values of a weight callable at M chart points, checked: (M,) finite floats.
 
     None is the zero weight.  A result of another shape, or with a value
     that is not finite, raises ValueError naming the weight and the first
-    bad point.  numpy's floating-point warnings are off while the weight
-    runs, so a non-finite value is reported once, by that check.
+    bad point, numbered from `first` (a caller that evaluates its points in
+    slabs passes the index of the slab's first point).  numpy's
+    floating-point warnings are off while the weight runs, so a non-finite
+    value is reported once, by that check.
     """
-    return _checked_values(weight, points, np.isfinite)
+    return _checked_values(weight, points, np.isfinite, first)
 
 
 def potential_values(weight, points) -> np.ndarray:
@@ -345,7 +347,7 @@ def _below_inf(vals: np.ndarray) -> np.ndarray:
     return vals > -np.inf  # false at NaN and at -inf
 
 
-def _checked_values(weight, points, ok) -> np.ndarray:
+def _checked_values(weight, points, ok, first: int = 0) -> np.ndarray:
     """(M,) float values of the weight at the points, raising where ok(values) is false."""
     Z = np.asarray(points)
     if weight is None:
@@ -359,7 +361,7 @@ def _checked_values(weight, points, ok) -> np.ndarray:
     if not good.all():
         i = int(np.argmin(good))
         raise ValueError(
-            f"weight {weight!r} is {vals[i]} at point {i}, z = {np.atleast_1d(Z[i]).tolist()}"
+            f"weight {weight!r} is {vals[i]} at point {first + i}, z = {np.atleast_1d(Z[i]).tolist()}"
         )
     return vals
 

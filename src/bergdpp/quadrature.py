@@ -20,7 +20,7 @@ e^{-psi} beyond t, which a weight unbounded below makes large: psi =
 e^{-psi} exceeds 1 on the edge circle, a grid built for psi moves its edge
 out until at most a share TAIL of the weighted top-index profile
 t^(N-1) e^{-t} g(t) lies beyond it, g(t) being the largest e^{-psi} on the
-circle |z|^2 = t.
+circle |z|^2 = t, taken one slab of circles at a time (spaces.row_slabs).
 The profile is integrated numerically; for a radial psi it is the top
 diagonal entry's integrand, whose relative tail bounds every entry's as
 above.  A weight growing like e^{r^2} or faster makes the Gram diverge and
@@ -133,7 +133,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprs import factor_weights, is_radial_weight, weight_values
-from .spaces import ModelSpace, _panel_gauss, poisson_log_pmf, space_to_config
+from .spaces import ModelSpace, _panel_gauss, poisson_log_pmf, row_slabs, space_to_config
 
 __all__ = [
     "TAIL",
@@ -351,7 +351,11 @@ def _ginibre_edge(rank: int, psi, n_angular: int) -> float:
     beyond which at most a share TAIL of the top-index profile
     f(t) = t^(rank-1) e^{-t} g(t) lies, where g(t) is the largest e^{-psi}
     over n_angular points of the circle |z|^2 = t and f has fallen off by S;
-    never below the unweighted edge, which stands where g <= 1 on it.
+    never below the unweighted edge, which stands where g <= 1 on it.  The
+    weight is evaluated one slab of circles at a time (spaces.row_slabs),
+    about SLAB_ENTRIES points, not on all EDGE_PANELS * EDGE_NODES circles at
+    once (2 * 10^6 points at rank 500); a failing point is named by its index
+    among all of them.
     """
     t0 = _tail_edge(rank)
     if psi is None:
@@ -360,8 +364,12 @@ def _ginibre_edge(rank: int, psi, n_angular: int) -> float:
 
     def log_g(t) -> np.ndarray:  # in logs, so e^{-psi} cannot overflow
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        z = (np.sqrt(t)[:, None] * circle[None, :]).reshape(-1, 1)
-        return np.max(-weight_values(psi, z).reshape(t.size, n_angular), axis=1)
+        out = np.empty(t.size)
+        for s in row_slabs(t.size, n_angular):  # one slab of circles at a time
+            z = (np.sqrt(t[s])[:, None] * circle[None, :]).reshape(-1, 1)
+            values = weight_values(psi, z, first=(s.start or 0) * n_angular)
+            out[s] = np.max(-values.reshape(-1, n_angular), axis=1)
+        return out
 
     def log_f(t) -> np.ndarray:  # up to the constant log (rank - 1)!
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -604,6 +612,7 @@ def _assemble(space: ModelSpace, grid: QuadratureGrid, psi=None, mask=None) -> n
     n = len(grid.radii)
     # axes (r_0, q_0, r_1, q_1, ...); sum_q c e^{+i delta theta_q} is the unscaled inverse DFT
     chat = c.reshape([m for r, n_ang in zip(grid.radii, grid.angular) for m in (r.size, n_ang)])
+    del c  # the DFT below replaces it, so the band products never hold it too
     chat = np.fft.ifftn(chat, axes=tuple(range(1, 2 * n, 2)), norm="forward")
     for f, r in zip(space.factors, grid.radii):
         # R_a(r) = v_a(r), real on the positive axis

@@ -50,6 +50,7 @@ Ginibre scaling frame and the default intensity extent.  ModelSpace.kind
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -160,6 +161,35 @@ def _panel_gauss(edges, counts) -> tuple[np.ndarray, np.ndarray]:
         nodes.append(0.5 * (a + b) + half * x)
         weights.append(half * w)
     return np.concatenate(nodes), np.concatenate(weights)
+
+
+# Entries in one slab of working rows: the exact sampler forms a block's
+# section rows and a flush's reflected rows of conj(W), and the Ginibre edge
+# search its circle values, about this many entries at a time.
+SLAB_ENTRIES = 2**14
+
+
+_ALL_ROWS = (slice(None),)
+
+
+def row_slabs(rows: int, width: int) -> Sequence[slice]:
+    """Slices that cut `rows` rows of `width` entries into slabs of about SLAB_ENTRIES entries.
+
+    Every slab starts at a multiple of four rows, and a last slab shorter
+    than four rows joins the one before, so a product taken slab by slab
+    rounds every entry as the whole product does (on one BLAS thread).  gemm
+    rounds a row alike however many rows it is given.  But numpy hands a
+    one-row or one-column product to gemv, and OpenBLAS's complex gemv takes
+    rows four at a time and the last rows % 4 by other arithmetic, so a lone
+    row or a slab edge off the groups of four would round differently.
+    When all rows fit one slab, the one slab is the shared (slice(None),),
+    so the common case costs a comparison and builds no list.
+    """
+    step = max(4, SLAB_ENTRIES // max(1, width) // 4 * 4)
+    if rows < step + 4:
+        return _ALL_ROWS
+    cuts = [*range(0, rows - 3, step), rows]
+    return [*map(slice, cuts, cuts[1:])]
 
 
 def _break_squares(breaks) -> list[float]:

@@ -288,7 +288,7 @@ def test_chain_defaults_come_from_mcmc_config(tmp_path):
 )
 def test_reps_below_one_names_the_flag(argv, reps, capsys):
     assert run([*argv, "--reps", reps, "--seed", "1"]) == 2
-    assert "error: --reps must be at least 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: --reps must be at least 1, got {reps}\n"
 
 
 def test_product_space_flags(tmp_path):
@@ -859,17 +859,31 @@ def test_sampler_stall_is_a_numerical_failure(monkeypatch, capsys):
     assert "numerical failure: no acceptance after 0 proposals" in capsys.readouterr().err
 
 
+CHAIN = ["sample", "--space", "fs", "--k", "2", "--seed", "1"]
+
+
 @pytest.mark.parametrize(
-    "argv,flag",
+    "argv,named",
     [
-        *[(["sample", "--space", "fs", "--k", "2", "--seed", "1", "--mcmc-steps", "50",
-            "--proposal-scale", value], "proposal_scale") for value in ("inf", "nan")],
+        *[(CHAIN + ["--mcmc-steps", "50", "--proposal-scale", value],
+           f"--proposal-scale must be positive and finite, got {shown}")
+          for value, shown in (("inf", "inf"), ("nan", "nan"), ("0", "0.0"), ("-1", "-1.0"))],
+        (CHAIN + ["--mcmc-steps", "0"], "--mcmc-steps must be at least 1, got 0"),
+        (CHAIN + ["--mcmc-steps", "10", "--burn-in", "10"],
+         "--burn-in must lie in [0, 10), below --mcmc-steps, got 10"),
+        (CHAIN + ["--mcmc-steps", "10", "--burn-in", "-1"],
+         "--burn-in must lie in [0, 10), below --mcmc-steps, got -1"),
+        (CHAIN + ["--mcmc-steps", "10", "--thin", "0"], "--thin must be at least 1, got 0"),
+        (["energy", "lambda-k", "--space", "fs", "--ks", "2,3", "--f-expr", "r2/(1+r2)",
+          "--s-nodes", "8"], "--s-nodes must be at least 16, got 8"),
     ],
-    ids=["proposal-scale-inf", "proposal-scale-nan"],
+    ids=["proposal-scale-inf", "proposal-scale-nan", "proposal-scale-0", "proposal-scale-negative",
+         "mcmc-steps-0", "burn-in-at-steps", "burn-in-negative", "thin-0", "s-nodes-8"],
 )
-def test_out_of_range_numeric_flag_is_exit_2(argv, flag, capsys):
+def test_out_of_range_numeric_flag_is_exit_2(argv, named, capsys):
+    # each refusal names the flag that was typed, not the library parameter
     assert run(argv) == 2
-    assert flag in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {named}\n"
 
 
 @pytest.mark.parametrize(
@@ -1484,9 +1498,9 @@ WORKER_COMMANDS = {
 @pytest.mark.parametrize("workers", ["0", "-3"])
 @pytest.mark.parametrize("command", sorted(WORKER_COMMANDS))
 def test_workers_below_one_rejected(command, workers, capsys):
-    # checked once, in sample_dpp_many, for every command that draws
+    # refused naming the flag, on every command that draws
     assert run(WORKER_COMMANDS[command] + ["--workers", workers]) == 2
-    assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: --workers must be at least 1, got {workers}\n"
 
 
 def test_converge_deterministic_across_workers(tmp_path):

@@ -21,13 +21,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
-from bergdpp import cli, energy
+from bergdpp import cli, energy, spaces
 from bergdpp.exprs import factor_weights, parse_weight, weight_sum
 from bergdpp.quadrature import (
     TAIL,
     GramDegenerateError,
     Region,
     _diagonal,
+    _ginibre_edge,
     _judged,
     _kron,
     _tail_edge,
@@ -152,6 +153,34 @@ def test_weight_at_most_one_on_the_edge_keeps_the_unweighted_grid():
         weighted = build_grid(space, psi=parse_weight(expr))
         assert np.array_equal(weighted.nodes, plain.nodes)
         assert np.array_equal(weighted.weights, plain.weights)
+
+
+@pytest.mark.parametrize(
+    "n, expr",
+    [(500, "re_1/(1+r2)"), (150, "(1 - r2)/2"), (50, "3*re_1"), (100, "re_1*im_1/(1+r2)")],
+)
+def test_edge_search_does_not_depend_on_its_slabs(n, expr, monkeypatch):
+    # the weight is evaluated one slab of circles at a time; slabs of four
+    # circles (the least budget) move no edge by a bit.  All four weights
+    # exceed 1 somewhere on the unweighted edge circle, so the search runs,
+    # and the last three move the edge past it
+    psi, n_angular = parse_weight(expr), 2 * n - 1
+    whole = _ginibre_edge(n, psi, n_angular)
+    monkeypatch.setattr(spaces, "SLAB_ENTRIES", 1)
+    assert _ginibre_edge(n, psi, n_angular) == whole >= _tail_edge(n)
+
+
+def test_edge_search_names_a_failing_point_among_all_circles(monkeypatch):
+    # nan for 100 < t < 200 only, so the failure falls in a later slab: its
+    # index counts the points of every circle before it, whatever the slabs
+    psi = parse_weight("log((r2-100)*(r2-200)) - r2/2")
+    with pytest.raises(ValueError) as whole:
+        _ginibre_edge(300, psi, 599)
+    assert "is nan at point 64692, z = [(10.00089324641736+0j)]" in str(whole.value)
+    monkeypatch.setattr(spaces, "SLAB_ENTRIES", 1)
+    with pytest.raises(ValueError) as small:
+        _ginibre_edge(300, psi, 599)
+    assert str(small.value) == str(whole.value)
 
 
 def test_weight_growing_like_the_gaussian_is_refused():

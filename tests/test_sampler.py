@@ -7,6 +7,7 @@ statistical assertions are deterministic.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,6 +167,7 @@ def test_deferred_reflections_match_rank1_updates(space, min_block, stream, monk
     # lie on both sides of the phase-block degree of section evaluation
     # (fs5, fs20 and the products below it, ginibre and fs50 above)
     import bergdpp.sampler as sampler
+    import bergdpp.spaces as spaces
 
     if min_block is not None:
         monkeypatch.setattr(sampler, "MIN_BLOCK", min_block)
@@ -173,6 +175,14 @@ def test_deferred_reflections_match_rank1_updates(space, min_block, stream, monk
     pts, log_det = _rank1_reference(space, 5, stream, sampler.MIN_BLOCK)
     assert conf.points.tobytes() == pts.tobytes()
     assert conf.log_density == pytest.approx(log_det, rel=1e-12)
+    # with a slab budget of N entries, every block of eight rows or more
+    # evaluates and projects its section rows four at a time, and every flush
+    # reflects conj(W) in slabs of about max(4, N / m) rows: the same draw, bit
+    # for bit
+    monkeypatch.setattr(spaces, "SLAB_ENTRIES", space.rank)
+    slabbed = sample_dpp(space, rng_stream(5, *stream))
+    assert slabbed.points.tobytes() == conf.points.tobytes()
+    assert slabbed.log_density == conf.log_density
 
 
 def test_deferred_reflections_match_rank1_updates_at_ginibre_500():
@@ -182,6 +192,32 @@ def test_deferred_reflections_match_rank1_updates_at_ginibre_500():
     pts, log_det = _rank1_reference(make_ginibre(500), 3, (), sampler.MIN_BLOCK)
     assert conf.points.tobytes() == pts.tobytes()
     assert conf.log_density == pytest.approx(log_det, rel=1e-12)
+
+
+def test_exact_draw_holds_one_basis():
+    # A draw holds one N x N array, conj(W), and beside it Y, N x 32 here
+    # (max(MIN_BLOCK, isqrt(2N) + 1) columns).  At any time it holds at most
+    # three more arrays of MIN_BLOCK N entries or fewer: while a point
+    # reflects the block rows P (c m <= MIN_BLOCK N for
+    # c = max(MIN_BLOCK, ceil(2N / m))), the old rows, their rank-1 product
+    # and the new rows; in a flush, conj(W) Y, conj(Y)^T and T Y^H (N x k or
+    # k x m, k <= 32).  And at most two slabs of SLAB_ENTRIES: a block's
+    # section rows with their float logs, or a flush's slab product.
+    # Unslabbed, a draw held the block's whole c x N section matrix, up to
+    # 2 N^2 entries: 11 to 17 MB here.
+    import bergdpp.sampler as sampler
+    from bergdpp.spaces import SLAB_ENTRIES
+
+    n = 500
+    space = make_ginibre(n)
+    assert max(sampler.MIN_BLOCK, math.isqrt(2 * n) + 1) == sampler.MIN_BLOCK
+    tracemalloc.start()
+    try:
+        sample_dpp(space, rng_stream(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * (n * n + n * sampler.MIN_BLOCK + 3 * sampler.MIN_BLOCK * n + 2 * SLAB_ENTRIES)
 
 
 def test_section_rows_per_draw_near_n_harmonic(monkeypatch):
