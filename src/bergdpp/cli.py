@@ -31,11 +31,18 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .energy import GramPath, lambda_report, partition_function
+from .energy import MIN_S_NODES, GramPath, lambda_report, partition_function
 from .exprs import WeightExpr, parse_weight, weight_sum
 from .kernel import scaling_errors
 from .quadrature import build_grid, gram, gram_to_csv, region_grid, weighted_gram_matrix
-from .sampler import McmcConfig, RejectionStallError, rng_stream, sample_dpp_many, sample_weighted
+from .sampler import (
+    McmcConfig,
+    McmcConfigError,
+    RejectionStallError,
+    rng_stream,
+    sample_dpp_many,
+    sample_weighted,
+)
 from .spaces import SPACE_KEYS, ModelSpace, space_from_config, space_to_config
 from .stats import (
     INTENSITY_COLUMNS,
@@ -123,17 +130,21 @@ def _at_least(args, dest: str, least: int, default: int | None = None) -> int:
     return value
 
 
+# the flag of each McmcConfig field
+_CHAIN_FLAGS = {
+    "steps": "--mcmc-steps",
+    "burn_in": "--burn-in",
+    "thin": "--thin",
+    "proposal_scale": "--proposal-scale",
+}
+
+
 def _chain_config(args, chain: dict) -> McmcConfig:
-    """The chain of --mcmc-steps and the chain flags given (chain), each refusal naming its flag."""
-    steps = _at_least(args, "mcmc_steps", 1)
-    burn_in = chain.get("burn_in", 0)
-    if not 0 <= burn_in < steps:
-        raise CliError(f"--burn-in must lie in [0, {steps}), below --mcmc-steps, got {burn_in}")
-    _at_least(args, "thin", 1, default=1)
-    scale = chain.get("proposal_scale", 1.0)
-    if not 0 < scale < math.inf:
-        raise CliError(f"--proposal-scale must be positive and finite, got {scale}")
-    return McmcConfig(steps=steps, **chain)
+    """The chain of --mcmc-steps and the chain flags given; a refusal of McmcConfig names its flag."""
+    try:
+        return McmcConfig(steps=args.mcmc_steps, **chain)
+    except McmcConfigError as e:
+        raise CliError(f"{_CHAIN_FLAGS[e.field]} {e.rule}") from None
 
 
 def _maybe_weight(text: str | None, dim: int) -> WeightExpr | None:
@@ -392,7 +403,7 @@ def _cmd_sample(args) -> int:
             "(the exact sampler covers only the unweighted projection process)"
         )
     if chain:
-        given = ", ".join("--" + key.replace("_", "-") for key in chain)
+        given = ", ".join(_CHAIN_FLAGS[key] for key in chain)
         raise CliError(f"chain flags {given} need --mcmc-steps (the exact sampler runs no chain)")
     config["reps"] = reps = _at_least(args, "reps", 1, default=1)
     points, logd = sample_dpp_many(space, reps, seed, workers=_at_least(args, "workers", 1))
@@ -516,7 +527,7 @@ def _cmd_energy(args) -> int:
 
     # lambda-k
     spaces_by_k = _family(args, "lambda-k")
-    _at_least(args, "s_nodes", 16)
+    _at_least(args, "s_nodes", MIN_S_NODES)
     dim = spaces_by_k[0][1].dim
     report = lambda_report(
         spaces_by_k,

@@ -236,11 +236,15 @@ def equilibrium_mass(space: ModelSpace, region: Region | None = None, weight=Non
     return num / total
 
 
-def mabuchi(space: ModelSpace, psi_prime=None, direction=None, s_nodes: int = 16) -> float:
+# The fewest Gauss-Legendre nodes in s that mabuchi accepts.
+MIN_S_NODES = 16
+
+
+def mabuchi(space: ModelSpace, psi_prime=None, direction=None, s_nodes: int = MIN_S_NODES) -> float:
     """L(phi + psi', u) = int_0^1 int u dmu_eq^(phi+psi'+s*u) ds, u the weight form direction.
 
-    Gauss-Legendre in s with at least 16 nodes; equilibrium measures from the
-    normalized Monge-Ampere density at each s.
+    Gauss-Legendre in s with at least MIN_S_NODES nodes; equilibrium measures
+    from the normalized Monge-Ampere density at each s.
     """
     if not space.factors[0].compact:
         raise ValueError(
@@ -249,8 +253,8 @@ def mabuchi(space: ModelSpace, psi_prime=None, direction=None, s_nodes: int = 16
         )
     if direction is None:
         return 0.0
-    if s_nodes < 16:
-        raise ValueError("s_nodes must be at least 16")
+    if s_nodes < MIN_S_NODES:
+        raise ValueError(f"s_nodes must be at least {MIN_S_NODES}, got {s_nodes}")
     points, weights = build_grid(space).radial_rule
     x, w = gauss_legendre(s_nodes)
     u_vals = weight_values(direction, points)

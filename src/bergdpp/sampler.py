@@ -51,13 +51,15 @@ and the block flushes, the section rows and P = V conj(W) most of the rest.
 
 What a draw holds.  One N x N array, conj(W), and beside it Y (N rows, one
 column per reflection a flush can hold), the block's c x m rows P with
-c m <= MIN_BLOCK N, a flush's N x k and k x m factors, and slabs of about
-spaces.SLAB_ENTRIES entries (spaces.row_slabs).  A block whose c x N
-section rows exceed a slab evaluates them, and writes b and P, one slab of
-rows at a time; a flush subtracts its N x m product from conj(W) one slab
-of rows at a time.  The slabs start at multiples of four rows and none is a
-lone row, so every row is rounded as in the whole product and the draws are
-those of unslabbed products, bit for bit, on one BLAS thread.  A Ginibre
+c m <= MIN_BLOCK N (and, while a point reflects them or a flush and the
+next block replace them, the rows before), a flush's N x k and k x m
+factors, and slabs of about spaces.SLAB_ENTRIES entries (spaces.row_slabs).  A block evaluates its
+c x N section rows, and writes b and P into its arrays, one slab of rows at
+a time (a block of a small draw is one slab); a flush subtracts its N x m
+product from conj(W) one slab of rows at a time.  The slabs start at
+multiples of four rows and none is a lone row, so every row is rounded as
+in the whole product and the draws are those of unslabbed products, bit for
+bit, on one BLAS thread.  A Ginibre
 N = 1000 draw thereby holds about 18 MB (16 MB of it conj(W)).
 
 Weighted sampler.  The weighted process has density proportional to
@@ -102,6 +104,7 @@ __all__ = [
     "RejectionStallError",
     "Configuration",
     "McmcConfig",
+    "McmcConfigError",
     "McmcRun",
     "rng_stream",
     "sample_dpp",
@@ -228,24 +231,17 @@ def sample_dpp(space: ModelSpace, rng: np.random.Generator) -> Configuration:
                         f"no acceptance after {tested} proposals at point {i + 1}/{N}; "
                         "the residual intensity envelope looks wrong for this space"
                     )
-                P = None                             # the spent block's rows, freed before the flush
                 if k:
                     _apply_reflections(Wc, Y[: m + k, :k], m)
                     Y[: m + k, :k] = 0.0
                     k = 0
                 Z, U = _propose_intensity(space, rng, max(MIN_BLOCK, -(-2 * N // m)))
-                slabs = row_slabs(U.size, N)
-                # the section rows V: whole when they fit one slab, as in every
-                # block of a small draw, so that b and P come straight from V
-                if len(slabs) == 1:
-                    V = space.section_matrix(Z)
-                    b, P = np.vecdot(V.view(float), V.view(float)), V @ Wc[:, :m]
-                else:                                # ... else one slab at a time
-                    b, P = np.empty(U.size), np.empty((U.size, m), dtype=complex)
-                    for s in slabs:
-                        V = space.section_matrix(Z[s])
-                        np.vecdot(V.view(float), V.view(float), out=b[s])
-                        np.matmul(V, Wc[:, :m], out=P[s])
+                # the section rows V, b = |v|^2 and P = V conj(W), one slab of rows at a time
+                b, P = np.empty(U.size), np.empty((U.size, m), dtype=complex)
+                for s in row_slabs(U.size, N):
+                    V = space.section_matrix(Z[s])
+                    np.vecdot(V.view(float), V.view(float), out=b[s])
+                    np.matmul(V, Wc[:, :m], out=P[s])
                 del V
                 # A proposal passes when U b <= min(g, b) and g > 0.  U b <= b
                 # holds for b > 0; with U b floored at the least subnormal,
@@ -325,6 +321,14 @@ def sample_dpp_many(
 # weighted sampler (Metropolis-Hastings)
 
 
+class McmcConfigError(ValueError):
+    """A chain parameter out of range: McmcConfig's field `field` must satisfy `rule`."""
+
+    def __init__(self, field: str, rule: str):
+        super().__init__(f"{field} {rule}")
+        self.field, self.rule = field, rule
+
+
 @dataclass(frozen=True)
 class McmcConfig:
     """Chain length and proposal parameters for single-site moves."""
@@ -335,15 +339,15 @@ class McmcConfig:
     proposal_scale: float = 0.5
 
     def __post_init__(self):
-        if self.steps <= 0:
-            raise ValueError("steps must be positive")
+        if self.steps < 1:
+            raise McmcConfigError("steps", f"must be at least 1, got {self.steps}")
         if not (0 <= self.burn_in < self.steps):
-            raise ValueError("burn_in must lie in [0, steps)")
+            raise McmcConfigError("burn_in", f"must lie in [0, {self.steps}), got {self.burn_in}")
         if self.thin < 1:
-            raise ValueError("thin must be >= 1")
+            raise McmcConfigError("thin", f"must be at least 1, got {self.thin}")
         if not (0 < self.proposal_scale < math.inf):
-            raise ValueError(
-                f"proposal_scale must be positive and finite, got {self.proposal_scale}"
+            raise McmcConfigError(
+                "proposal_scale", f"must be positive and finite, got {self.proposal_scale}"
             )
 
 

@@ -175,14 +175,17 @@ def test_deferred_reflections_match_rank1_updates(space, min_block, stream, monk
     pts, log_det = _rank1_reference(space, 5, stream, sampler.MIN_BLOCK)
     assert conf.points.tobytes() == pts.tobytes()
     assert conf.log_density == pytest.approx(log_det, rel=1e-12)
-    # with a slab budget of N entries, every block of eight rows or more
-    # evaluates and projects its section rows four at a time, and every flush
-    # reflects conj(W) in slabs of about max(4, N / m) rows: the same draw, bit
-    # for bit
-    monkeypatch.setattr(spaces, "SLAB_ENTRIES", space.rank)
-    slabbed = sample_dpp(space, rng_stream(5, *stream))
-    assert slabbed.points.tobytes() == conf.points.tobytes()
-    assert slabbed.log_density == conf.log_density
+    # The default slab budget already cuts the late blocks of gin100 and
+    # gin300.  With a budget larger than any block nothing is cut; with a
+    # budget of N entries every block of eight rows or more evaluates and
+    # projects its section rows four at a time, and every flush reflects
+    # conj(W) in slabs of about max(4, N / m) rows.  All three are the same
+    # draw, bit for bit.
+    for budget in (2**62, space.rank):
+        monkeypatch.setattr(spaces, "SLAB_ENTRIES", budget)
+        other = sample_dpp(space, rng_stream(5, *stream))
+        assert other.points.tobytes() == conf.points.tobytes(), budget
+        assert other.log_density == conf.log_density, budget
 
 
 def test_deferred_reflections_match_rank1_updates_at_ginibre_500():
@@ -197,12 +200,13 @@ def test_deferred_reflections_match_rank1_updates_at_ginibre_500():
 def test_exact_draw_holds_one_basis():
     # A draw holds one N x N array, conj(W), and beside it Y, N x 32 here
     # (max(MIN_BLOCK, isqrt(2N) + 1) columns).  At any time it holds at most
-    # three more arrays of MIN_BLOCK N entries or fewer: while a point
+    # four more arrays of MIN_BLOCK N entries or fewer: while a point
     # reflects the block rows P (c m <= MIN_BLOCK N for
     # c = max(MIN_BLOCK, ceil(2N / m))), the old rows, their rank-1 product
-    # and the new rows; in a flush, conj(W) Y, conj(Y)^T and T Y^H (N x k or
-    # k x m, k <= 32).  And at most two slabs of SLAB_ENTRIES: a block's
-    # section rows with their float logs, or a flush's slab product.
+    # and the new rows; in a flush, the spent rows P, conj(W) Y, conj(Y)^T
+    # and T Y^H (N x k or k x m, k <= 32).  And at most two slabs of
+    # SLAB_ENTRIES: a block's section rows with their float logs, or a
+    # flush's slab product.
     # Unslabbed, a draw held the block's whole c x N section matrix, up to
     # 2 N^2 entries: 11 to 17 MB here.
     import bergdpp.sampler as sampler
@@ -217,7 +221,7 @@ def test_exact_draw_holds_one_basis():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * (n * n + n * sampler.MIN_BLOCK + 3 * sampler.MIN_BLOCK * n + 2 * SLAB_ENTRIES)
+    assert peak < 16 * (n * n + n * sampler.MIN_BLOCK + 4 * sampler.MIN_BLOCK * n + 2 * SLAB_ENTRIES)
 
 
 def test_section_rows_per_draw_near_n_harmonic(monkeypatch):
