@@ -13,7 +13,7 @@ memory.
 The seed for stochastic subcommands comes from --seed or, failing that, the
 BERGDPP_SEED environment variable.  --workers is handed to
 sample_dpp_many, which keys every replicate's RNG stream by its index, so
-worker count does not change the output.
+worker count does not change the output; a chain takes --workers 1 alone.
 """
 
 from __future__ import annotations
@@ -370,6 +370,8 @@ def _cmd_sample(args) -> int:
     if args.mcmc_steps is not None:
         if args.reps is not None:
             raise CliError("--reps needs the exact sampler (--mcmc-steps runs one chain)")
+        if _at_least(args, "workers", 1, default=1) != 1:
+            raise CliError(f"--workers {args.workers} needs the exact sampler (a chain runs in one process)")
         mcmc = _chain_config(args, chain)
         # the Gibbs potential psi + k psi' of the weighted process
         weight = weight_sum(
@@ -406,7 +408,7 @@ def _cmd_sample(args) -> int:
         given = ", ".join(_CHAIN_FLAGS[key] for key in chain)
         raise CliError(f"chain flags {given} need --mcmc-steps (the exact sampler runs no chain)")
     config["reps"] = reps = _at_least(args, "reps", 1, default=1)
-    points, logd = sample_dpp_many(space, reps, seed, workers=_at_least(args, "workers", 1))
+    points, logd = sample_dpp_many(space, reps, seed, workers=_at_least(args, "workers", 1, default=1))
     body = {"space": space_to_config(space), "seed": seed}
     _emit(_samples_json(_report("samples", config, body), points, logd) + "\n", args.out)
     return 0
@@ -635,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_flags(p)
     p.add_argument("--reps", type=int, default=None, help="exact draws (default 1)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=None, help="exact-draw processes (default 1)")
     p.add_argument("--out", default=None)
     p.add_argument("--weight-expr", default=None, help="extra weight psi")
     p.add_argument("--weight-k-expr", default=None, help="k-scaled weight psi'")

@@ -27,6 +27,8 @@ Gauss-Legendre in s.  The rescaled cumulant functional
 
     Lambda_k(f) = [log det G(psi + k (psi' - f)) - log det G(psi + k psi')] / (k N)
 
+is one step of a cumulant path: Lambda_k = K_base(-k) / (k N), where K_base
+is the CGF of sum f(X_i) along f from the base weight psi + k psi'.  It
 converges to -L(phi + psi', -f): substituting K'(t) turns the numerator into
 k int_0^1 int f B_t dmu dt along the weight path phi + psi' - t f, and
 (1/N) B_t dmu tends to the equilibrium measure of that endpoint.  A constant
@@ -110,27 +112,29 @@ def partition_function(
 
 
 class GramPath:
-    """log det G(t psi) along a direction psi, with one Gram G_t per t.
+    """log det G(base + t psi) along a direction psi, with one Gram G_t per t.
 
-    G_t carries its grid and its weight t psi (quadrature.GramMatrix), and
-    a grid serves only the space it was built for.  A Ginibre grid is built
-    for each t psi, as its edge moves with the weight; a compact chart's one
-    grid, built with psi=None, serves every t.  On a product, G_t and the
-    derivative's trace follow the factor split of quadrature.gram and
-    quadrature.bergman_trace; the path itself sees none.
+    cgf is the CGF of sum psi(X_i) under the base-weighted process (base
+    None: unweighted); lambda_k is K_base(-k) / (k N) from base psi + k psi'.
+    G_t carries its grid and weight (quadrature.GramMatrix), and a grid
+    serves only its own space.  A Ginibre grid is built for each weight, as
+    its edge moves with it; a compact chart's one grid, built with psi=None,
+    serves every t.  On a product, G_t and the derivative's trace follow the
+    factor split of quadrature.gram and quadrature.bergman_trace.
     """
 
-    def __init__(self, space: ModelSpace, psi):
+    def __init__(self, space: ModelSpace, psi, base=None):
         self.space = space
         self.psi = psi
+        self.base = base
         self._grams: dict[float, GramMatrix] = {}
         self._grid = build_grid(space) if space.factors[0].compact else None
 
     def at(self, t: float) -> GramMatrix:
-        """G_t on its grid under t psi, built once per t: logdet and bergman_derivative share it."""
+        """G_t on its grid under base + t psi, built once per t: logdet and bergman_derivative share it."""
         t = float(t)
         if t not in self._grams:
-            weight = weight_sum((t, self.psi))
+            weight = weight_sum((1.0, self.base), (t, self.psi))
             grid = self._grid or build_grid(self.space, psi=weight)
             self._grams[t] = gram(self.space, grid, psi=weight)
         return self._grams[t]
@@ -281,16 +285,11 @@ def mabuchi(space: ModelSpace, psi_prime=None, direction=None, s_nodes: int = MI
 
 
 def lambda_k(space: ModelSpace, f, psi=None, psi_prime=None) -> float:
-    """[log det G(psi + k(psi' - f)) - log det G(psi + k psi')] / (k N), for k >= 1."""
+    """[log det G(psi + k(psi' - f)) - log det G(psi + k psi')] / (k N), for k >= 1: K_base(-k) / (k N)."""
     if space.power < 1:
         raise ValueError(f"lambda_k needs a power k >= 1, got k = {space.power}")
-    grid = build_grid(space)
     k = float(space.power)
-    shifted = weight_sum((1.0, psi), (k, psi_prime), (-k, f))
-    base = weight_sum((1.0, psi), (k, psi_prime))
-    g1 = gram(space, grid, psi=shifted).logdet
-    g2 = gram(space, grid, psi=base).logdet
-    return (g1 - g2) / (k * space.rank)
+    return GramPath(space, f, base=weight_sum((1.0, psi), (k, psi_prime))).cgf(-k) / (k * space.rank)
 
 
 def lambda_limit(space: ModelSpace, f: WeightExpr, psi_prime=None, s_nodes: int = 24) -> float:
@@ -332,7 +331,5 @@ def lambda_report(
     rows = []
     for k, space in spaces_by_k:
         lam = lambda_k(space, f, psi=psi, psi_prime=psi_prime)
-        rows.append(
-            LambdaRow(k=int(k), rank=space.rank, lambda_value=lam, gap=abs(lam - target))
-        )
+        rows.append(LambdaRow(k=int(k), rank=space.rank, lambda_value=lam, gap=abs(lam - target)))
     return EnergyReport(rows=tuple(rows), target=target, s_nodes=s_nodes)

@@ -385,13 +385,14 @@ class _WeightSum:
 def weight_sum(*terms):
     """The weight sum_i c_i f_i of (coefficient, weight) pairs, or None.
 
-    A term whose weight is None or whose coefficient is 0 is not live.  No
-    live term gives None, the zero weight; a single live term with
-    coefficient 1 gives that weight itself.  Otherwise the sum evaluates
-    each term through weight_values, so a term that is not finite raises
-    naming that term, and a sum that is not finite names every term.
+    A term (c, sum_j c_j f_j) joins as the terms (c c_j, f_j), and one with
+    weight None or coefficient 0 is not live.  No live term gives None; one
+    live term with coefficient 1 gives that weight itself.  Otherwise each
+    term is taken through weight_values: a term that is not finite raises
+    naming it, and a sum that is not finite names every term.
     """
-    live = [(c, f) for c, f in terms if f is not None and c != 0.0]
+    flat = [(c * cj, fj) for c, f in terms for cj, fj in (f.terms if isinstance(f, _WeightSum) else [(1.0, f)])]
+    live = [(c, f) for c, f in flat if f is not None and c != 0.0]
     if not live:
         return None
     if len(live) == 1 and live[0][0] == 1.0:

@@ -276,6 +276,11 @@ def test_chain_defaults_come_from_mcmc_config(tmp_path):
     assert (config["burn_in"], config["thin"], config["proposal_scale"]) == (0, 1, 0.5)
 
 
+def test_counts_without_region_rejected(capsys):
+    assert run(["stats", "counts", "--space", "fs", "--k", "2", "--reps", "2", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "error: at least one --region is required\n"
+
+
 @pytest.mark.parametrize("reps", ["0", "-3"])
 @pytest.mark.parametrize(
     "argv",
@@ -1334,8 +1339,8 @@ def _rows(report: dict, name: str, keys) -> list[tuple]:
     ids=["fs-10-20", "product12-2-3"],
 )
 def test_lambda_k_reports_keep_their_digits(argv, target, rows):
-    # (k, rank, lambda_value, gap), every float exact: lambda_k reads gram()
-    # twice per power
+    # (k, rank, lambda_value, gap), every float exact: lambda_k takes one
+    # step of a GramPath, which builds two Grams per power
     report = _report(["energy", "lambda-k", *argv])
     assert report["target"] == target
     assert _rows(report, "rows", ("k", "rank", "lambda_value", "gap")) == rows
@@ -1486,10 +1491,18 @@ def test_converge_report(tmp_path):
         assert row["quadrature_mass"] == pytest.approx(0.5, abs=1e-9)
 
 
+def test_converge_warns_when_replicate_variance_grows():
+    # k = 20 before k = 5: the disk mass of fewer points varies more
+    doc = _report(["converge", "--space", "fs", "--ks", "20,5", "--reps", "100", "--seed", "1"])
+    assert doc["warnings"] == ["replicate variance increased from k=20 to k=5"]
+    assert doc["rows"][1]["replicate_variance"] > doc["rows"][0]["replicate_variance"]
+
+
 WORKER_COMMANDS = {
     "sample": ["sample", "--space", "fs", "--k", "3", "--reps", "2", "--seed", "1"],
     "stats": ["stats", "circular", "--space", "ginibre", "--n", "5", "--reps", "2", "--seed", "1"],
     "converge": ["converge", "--space", "fs", "--ks", "3", "--reps", "2", "--seed", "1"],
+    "sample-chain": ["sample", "--space", "fs", "--k", "3", "--seed", "1", "--mcmc-steps", "20"],
 }
 
 
@@ -1499,6 +1512,19 @@ def test_workers_below_one_rejected(command, workers, capsys):
     # refused naming the flag, on every command that draws
     assert run(WORKER_COMMANDS[command] + ["--workers", workers]) == 2
     assert capsys.readouterr().err == f"error: --workers must be at least 1, got {workers}\n"
+
+
+def test_chain_runs_in_one_worker(tmp_path, capsys):
+    # a chain runs in one process: --workers 1 keeps the bytes, and more is refused
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    chain = WORKER_COMMANDS["sample-chain"]
+    assert run(chain + ["--out", str(a)]) == 0
+    assert run(chain + ["--workers", "1", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert run(chain + ["--workers", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --workers 3 needs the exact sampler (a chain runs in one process)\n"
+    )
 
 
 def test_converge_deterministic_across_workers(tmp_path):

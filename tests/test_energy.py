@@ -236,6 +236,18 @@ def test_factored_cgf_path_matches_dense(mults, source, monkeypatch):
         assert got["rel_gap"] < 1e-8
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_factored_logdet_with_power_exp_and_log_terms(k):
+    # each term reads one factor through ^, exp or log: moved onto factor 1's
+    # chart and re-parsed, it keeps its value, so the factored log det is
+    # the dense one of the same values through an opaque callable
+    space = make_product((1, 2), k)
+    psi = parse_weight("0.3*exp(re_1/(1+r2_1)) + (im_2/(1+r2_2))^2 - 0.2*log(1+r2_2)")
+    factored, dense = GramPath(space, psi), GramPath(space, psi.evaluate)
+    assert (factored.at(1.0).route, dense.at(1.0).route) == ("factored", "dense")
+    assert factored.logdet(1.0) == pytest.approx(dense.logdet(1.0), rel=1e-12)
+
+
 def test_compact_product_cgf_path_builds_one_grid(monkeypatch):
     # the factor traces are taken on slices of the product's one grid
     # (QuadratureGrid.factor), and no GramPath is built inside another
@@ -457,6 +469,15 @@ def test_mabuchi_rejects_a_non_finite_direction():
 
 # ---------------------------------------------------------------------------
 # rescaled cumulant functional
+
+
+def test_lambda_k_on_ginibre_follows_the_weight_edge():
+    # at k = N = 20, -k f = -0.2 r2 widens the Ginibre profile past the
+    # unweighted edge, and the path's grid for that weight reaches it.  The
+    # Gram is diagonal with entries (1 - 0.2)^-(j+1), j < N, so Lambda_k is
+    # -(N+1)/(2N) log 0.8
+    got = lambda_k(make_ginibre(20), parse_weight("0.01*r2"))
+    assert got == pytest.approx(-(21 / 40) * math.log(0.8), rel=1e-13)
 
 
 def test_lambda_k_constant_direction_exact():
