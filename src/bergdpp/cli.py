@@ -130,7 +130,7 @@ def _at_least(args, dest: str, least: int, default: int | None = None) -> int:
     return value
 
 
-# the flag of each McmcConfig field
+# the flag of each McmcConfig field; a sample report keys a field's value by its flag's name
 _CHAIN_FLAGS = {
     "steps": "--mcmc-steps",
     "burn_in": "--burn-in",
@@ -139,10 +139,10 @@ _CHAIN_FLAGS = {
 }
 
 
-def _chain_config(args, chain: dict) -> McmcConfig:
-    """The chain of --mcmc-steps and the chain flags given; a refusal of McmcConfig names its flag."""
+def _chain_config(chain: dict) -> McmcConfig:
+    """The chain of the chain flags given, by field; a refusal of McmcConfig names its flag."""
     try:
-        return McmcConfig(steps=args.mcmc_steps, **chain)
+        return McmcConfig(**chain)
     except McmcConfigError as e:
         raise CliError(f"{_CHAIN_FLAGS[e.field]} {e.rule}") from None
 
@@ -364,30 +364,22 @@ def _cmd_sample(args) -> int:
         "space": space_to_config(space),
         "seed": seed,
     }
-    # the chain flags that were given; McmcConfig holds the defaults of the rest
-    flags = {key: vars(args)[key] for key in ("burn_in", "thin", "proposal_scale")}
-    chain = {key: value for key, value in flags.items() if value is not None}
+    # each field's flag name (its argparse dest), and the flags given; McmcConfig has the defaults
+    names = {field: flag[2:].replace("-", "_") for field, flag in _CHAIN_FLAGS.items()}
+    chain = {field: vars(args)[name] for field, name in names.items() if vars(args)[name] is not None}
     if args.mcmc_steps is not None:
         if args.reps is not None:
             raise CliError("--reps needs the exact sampler (--mcmc-steps runs one chain)")
         if _at_least(args, "workers", 1, default=1) != 1:
             raise CliError(f"--workers {args.workers} needs the exact sampler (a chain runs in one process)")
-        mcmc = _chain_config(args, chain)
+        mcmc = _chain_config(chain)
         # the Gibbs potential psi + k psi' of the weighted process
         weight = weight_sum(
             (1.0, _maybe_weight(args.weight_expr, space.dim)),
             (float(space.power), _maybe_weight(args.weight_k_expr, space.dim)),
         )
-        config.update(
-            {
-                "mcmc_steps": mcmc.steps,
-                "burn_in": mcmc.burn_in,
-                "thin": mcmc.thin,
-                "proposal_scale": mcmc.proposal_scale,
-                "weight_expr": args.weight_expr,
-                "weight_k_expr": args.weight_k_expr,
-            }
-        )
+        config.update({name: getattr(mcmc, field) for field, name in names.items()})
+        config.update(weight_expr=args.weight_expr, weight_k_expr=args.weight_k_expr)
         run = sample_weighted(space, mcmc, weight, rng_stream(seed))
         body = {
             "space": space_to_config(space),

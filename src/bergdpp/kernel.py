@@ -20,8 +20,9 @@ G equal-size groups, shape (G, m, dim).  A stack costs one section
 evaluation over its G m points, one stacked V V^H and one stacked det, and
 gives (G,) values (matrices for kernel_matrix); one group gives a float.
 
-Scaling limit.  Around a chart point where the weight's per-k Hessian is
-diag(lambda) the rescaled m-point correlations converge to determinants of
+Scaling limit.  At the chart origin, where the weight's per-k Hessian is
+diag(lambda) (spaces.limit_curvatures), the rescaled m-point correlations
+converge to determinants of
 
     B_inf(u, v) = (prod_i lambda_i / pi^n) exp(sum_i lambda_i (u_i conj(v_i)
                   - |u_i|^2 / 2 - |v_i|^2 / 2)),
@@ -30,6 +31,8 @@ after converting the mu-density to a Lebesgue density with one kappa factor
 per point.  Fubini-Study and product spaces rescale points by 1/sqrt(k) and
 correlations by k^{-n m}; the Ginibre family is already written in its own
 scaling coordinates, so its check is the plain rank limit at fixed points.
+The origin loses nothing: SU(2) maps any point of a sphere factor to it and
+keeps the kernel and the measure (Hough, Krishnapur, Peres and Virag 2009).
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 
 from .exprs import weight_values
 from .quadrature import GramMatrix, QuadratureGrid, gram
-from .spaces import ModelSpace, NormalFrame, _as_points, limit_frame
+from .spaces import ModelSpace, _as_points, limit_curvatures
 
 __all__ = [
     "KernelEvaluator",
@@ -146,7 +149,7 @@ def kernel_det(ev: KernelEvaluator, points):
 
 
 def limit_correlation(lam, points):
-    """det [B_inf(u_a, u_b)] over frame points: a float per group, (G,) per stack."""
+    """det [B_inf(u_a, u_b)] over scaling points u: a float per group, (G,) per stack."""
     lam = np.asarray(lam, dtype=float)
     Z, groups, single = _groups(points, lam.size)
     U = Z[groups]
@@ -155,14 +158,14 @@ def limit_correlation(lam, points):
     return _one(np.linalg.det(K).real, single)
 
 
-def _rescaled(space: ModelSpace, frame: NormalFrame, U: np.ndarray, *group_sets) -> list:
+def _rescaled(space: ModelSpace, U: np.ndarray, *group_sets) -> list:
     """Rescaled correlations of U's rows taken by each (G, m) index array.
 
     One section evaluation and one base density at U's chart points serve
     every set of groups.
     """
     compact = space.factors[0].compact
-    Z = np.asarray(frame.center, dtype=complex) + U / np.sqrt(space.power) if compact else U
+    Z = U / np.sqrt(space.power) if compact else U
     V = space.section_matrix(Z)
     kappas = space.base_density(Z)
     out = []
@@ -172,21 +175,21 @@ def _rescaled(space: ModelSpace, frame: NormalFrame, U: np.ndarray, *group_sets)
     return out
 
 
-def rescaled_correlation(space: ModelSpace, frame: NormalFrame, points):
-    """m-point correlation in frame coordinates as a Lebesgue density.
+def rescaled_correlation(space: ModelSpace, points):
+    """m-point correlation about the chart origin, in scaling coordinates, as a Lebesgue density.
 
-    For fs/product spaces the frame points u are mapped to chart points
-    center + u / sqrt(k) and the mu^m-density det[B] is multiplied by
-    k^{-n m} and one kappa factor per point.  For the Ginibre family the
-    chart is already the scaling frame: points are used as-is and only the
-    kappa factors apply.  A float per group, (G,) per stack, as kernel_det.
+    For fs/product spaces the points u are mapped to chart points u / sqrt(k)
+    and the mu^m-density det[B] is multiplied by k^{-n m} and one kappa
+    factor per point.  For the Ginibre family the chart is already in
+    scaling coordinates: points are used as-is and only the kappa factors
+    apply.  A float per group, (G,) per stack, as kernel_det.
     """
     Z, groups, single = _groups(points, space.dim)
-    return _one(_rescaled(space, frame, Z, groups)[0], single)
+    return _one(_rescaled(space, Z, groups)[0], single)
 
 
 def default_test_points(dim: int) -> np.ndarray:
-    """Deterministic frame-coordinate test points, shape (25, dim)."""
+    """Deterministic scaling-coordinate test points, shape (25, dim)."""
     grid = np.linspace(-1.2, 1.2, 5)
     base = np.array([a + 1j * b for a in grid for b in grid])  # 25 points
     cols = [base]
@@ -212,7 +215,7 @@ def scaling_errors(spaces_by_k, points=None) -> list[dict]:
     rows: list[dict] = []
     prev_err = None
     for k, space in spaces_by_k:
-        frame = limit_frame(space, np.zeros(space.dim))
+        lam = limit_curvatures(space)
         pts = default_test_points(space.dim) if points is None else np.asarray(points, dtype=complex)
         if pts.ndim == 1:
             pts = pts[:, None]
@@ -221,8 +224,8 @@ def scaling_errors(spaces_by_k, points=None) -> list[dict]:
             U = pts[lo : lo + _CHUNK + 1]  # one point past the chunk closes its last pair
             ones = np.arange(min(_CHUNK, len(U)))[:, None]
             pairs = np.arange(len(U) - 1)[:, None] + np.arange(2)
-            for groups, got in zip((ones, pairs), _rescaled(space, frame, U, ones, pairs)):
-                diff = np.abs(got - limit_correlation(frame.lam, U[groups]))
+            for groups, got in zip((ones, pairs), _rescaled(space, U, ones, pairs)):
+                diff = np.abs(got - limit_correlation(lam, U[groups]))
                 err = float(np.fmax.reduce(diff, initial=err))  # fmax skips NaN, as max did
         rows.append(
             {

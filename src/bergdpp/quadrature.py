@@ -116,10 +116,11 @@ verdict (an eigenvalue of S at most 1e-12 of its largest raises
 GramDegenerateError, the usual cause being a grid with fewer nodes than the
 rank needs) and the orthonormalising map GramMatrix.transform that the
 kernel and CGF paths use.  On the diagonal route S = I exactly: log det A =
-sum log D, the Gram is degenerate when some D_aa <= 0, and the map is
-D^{-1/2}.  GramMatrix.route records which route built a Gram, and .grid and
-.weight the grid and weight it was built from, which its readers take from
-it.  A grid serves only its own space (QuadratureGrid.space): _assemble
+sum log D, the Gram is degenerate when some D_aa <= 0, the map is D^{-1/2},
+and the Bergman inverse conj(A)^{-1} = T T^H is D^{-1}, which bergman_trace
+forms from D without the N x N product.  GramMatrix.route records which
+route built a Gram, and .grid and .weight the grid and weight it was built
+from, which its readers take from it.  A grid serves only its own space (QuadratureGrid.space): _assemble
 refuses one built for another.
 """
 
@@ -630,10 +631,14 @@ def weighted_gram_matrix(space: ModelSpace, grid: QuadratureGrid, psi=None, mask
     form keeps the diagonal route (module docstring).  No positivity check:
     with a mask the result is only positive semi-definite (or indefinite).
     """
-    A = _assemble(space, grid, psi, mask)
-    if A.ndim == 1:
-        return np.diag(A.astype(complex))
-    return 0.5 * (A + A.conj().T)
+    return _hermitian(_assemble(space, grid, psi, mask))
+
+
+def _hermitian(A_raw: np.ndarray) -> np.ndarray:
+    """The (N, N) Hermitian Gram of a raw one, (A + A^H)/2, or of its (N,) diagonal."""
+    if A_raw.ndim == 1:
+        return np.diag(A_raw.astype(complex))
+    return 0.5 * (A_raw + A_raw.conj().T)
 
 
 def _factored_weights(space: ModelSpace, psi) -> tuple | None:
@@ -677,17 +682,23 @@ def gram(space: ModelSpace, grid: QuadratureGrid, psi=None) -> GramMatrix:
 def bergman_trace(g: GramMatrix, mask) -> float:
     """int m B dmu = sum_ab (conj A)^{-1}_ab A~_ab, B the kernel of the Gram g on g.grid under g.weight.
 
-    B(x, x) = |v(x) T|^2 e^{-psi(x)} with T T^H = conj(A)^{-1} (g.transform), and A~
-    is the Gram masked by the weight form mask, m.  Where mask and psi separate on a
-    product, it sums (N/N_f) times factor f's trace (module docstring) against g's
-    factor Gram, or the factor's own on grid.factor(f) where g took the diagonal route.
+    B(x, x) = |v(x) T|^2 e^{-psi(x)} with T T^H = conj(A)^{-1} (g.transform), D^{-1} on
+    the diagonal route, and A~ is the Gram masked by the weight form mask, m.  Where
+    mask and psi separate on a product, it sums (N/N_f) times factor f's trace (module
+    docstring) against g's factor Gram, or the factor's own on grid.factor(f) where g
+    took the diagonal route.
     """
     space, psi = g.grid.space, g.weight
     masks = _factored_weights(space, mask)
     weights = None if masks is None else factor_weights(psi, space.dim)
     if weights is None:
-        T = g.transform
-        return float(np.sum((T @ T.conj().T) * weighted_gram_matrix(space, g.grid, psi, mask)).real)
+        if g.route == "diagonal":  # conj(A)^{-1} = D^{-1}, with no N x N product
+            s = 1.0 / np.sqrt(g.matrix.diagonal().real)
+            inv = np.diag((s * s).astype(complex))
+        else:
+            T = g.transform
+            inv = T @ T.conj().T
+        return float(np.sum(inv * weighted_gram_matrix(space, g.grid, psi, mask)).real)
     total = 0
     for i, (w, m) in enumerate(zip(weights, masks)):
         if m is not None:
@@ -720,28 +731,21 @@ def _unjudged(A_raw: np.ndarray, grid: QuadratureGrid, weight) -> GramMatrix:
     A diagonal d_a <= 0 zeroes row a of S, which gives S the eigenvalue 0;
     on the diagonal route S = I otherwise.
     """
-    if A_raw.ndim == 1:
-        d = A_raw
-        with np.errstate(invalid="ignore", divide="ignore"):  # a degenerate Gram is refused
-            logdet = float(np.sum(np.log(d)))
-        return GramMatrix(
-            logdet=logdet,
-            route="diagonal",
-            spectrum=(1.0 if np.all(d > 0.0) else 0.0, 1.0),
-            diagonal=(float(d.min()), float(d.max())),
-            grid=grid, weight=weight,
-            assembled=np.diag(d.astype(complex)),
-        )
-    A = 0.5 * (A_raw + A_raw.conj().T)
+    A = _hermitian(A_raw)
     d = A.diagonal().real
-    s = 1.0 / np.sqrt(np.where(d > 0.0, d, np.inf))
-    eigs = np.linalg.eigvalsh(A * s[:, None] * s[None, :])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        logdet = float(np.sum(np.log(eigs)) + np.sum(np.log(d)))
+    with np.errstate(invalid="ignore", divide="ignore"):  # a degenerate Gram is refused
+        logdet = float(np.sum(np.log(d)))
+        if A_raw.ndim == 1:
+            spectrum = (1.0 if np.all(d > 0.0) else 0.0, 1.0)
+        else:  # log det A = log det S + sum log D
+            s = 1.0 / np.sqrt(np.where(d > 0.0, d, np.inf))
+            eigs = np.linalg.eigvalsh(A * s[:, None] * s[None, :])
+            logdet += float(np.sum(np.log(eigs)))
+            spectrum = (float(eigs[0]), float(eigs[-1]))
     return GramMatrix(
         logdet=logdet,
-        route="dense",
-        spectrum=(float(eigs[0]), float(eigs[-1])),
+        route="diagonal" if A_raw.ndim == 1 else "dense",
+        spectrum=spectrum,
         diagonal=(float(d.min()), float(d.max())),
         grid=grid, weight=weight,
         assembled=A,

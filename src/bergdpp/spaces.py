@@ -60,11 +60,10 @@ __all__ = [
     "GinibrePlane",
     "FubiniStudySphere",
     "ModelSpace",
-    "NormalFrame",
     "make_ginibre",
     "make_fubini_study",
     "make_product",
-    "limit_frame",
+    "limit_curvatures",
     "SPACE_KEYS",
     "space_to_config",
     "space_from_config",
@@ -445,36 +444,17 @@ def make_product(multiplicities, k: int) -> ModelSpace:
 
 
 # ---------------------------------------------------------------------------
-# point-level operations and limit frames
+# scaling limit
 
 
-@dataclass(frozen=True)
-class NormalFrame:
-    """Limit data at a chart point: the per-k Hessian eigenvalues."""
+def limit_curvatures(space: ModelSpace) -> tuple[float, ...]:
+    """The per-k Hessian eigenvalues at the chart origin, each factor's on its coordinate.
 
-    center: tuple[complex, ...]
-    lam: tuple[float, ...]
-
-
-def limit_frame(space: ModelSpace, center) -> NormalFrame:
-    """Normal frame at a chart point: the per-k Hessian eigenvalues.
-
-    For the built-in spaces the Hessian is diagonal in the chart coordinates
-    (weight_hessian_per_k fills only the diagonal), so its diagonal holds the
-    eigenvalues, each aligned with its coordinate as the limit kernel needs.
+    The Hessian is diagonal in the chart coordinates (weight_hessian_per_k).
+    The origin suffices: SU(2) maps any point of a sphere factor to it and
+    keeps the kernel and the measure, and the plane's Hessian is 1 everywhere.
     """
-    c = np.atleast_1d(np.asarray(center, dtype=complex))
-    if c.shape != (space.dim,):
-        raise ValueError(f"center must have {space.dim} complex coordinates")
-    if not (np.all(np.isfinite(c.real)) and np.all(np.isfinite(c.imag))):
-        raise ValueError(f"center must be finite, got {center!r}")
-    lam = np.diag(space.weight_hessian_per_k(c[None, :])[0]).real
-    if np.min(lam) <= 0.0:
-        raise ValueError(f"weight is not smooth_positive at {center!r}: eigenvalues {lam}")
-    kappa0 = float(space.base_density(c[None, :])[0])
-    if not kappa0 > 0.0:
-        raise ValueError(f"base density vanishes at {center!r}")
-    return NormalFrame(center=tuple(c.tolist()), lam=tuple(float(x) for x in lam))
+    return tuple(float(f.hessian(np.zeros(1))[0]) for f in space.factors)
 
 
 # ---------------------------------------------------------------------------

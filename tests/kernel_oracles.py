@@ -22,7 +22,7 @@ def kernel_eval(ev: KernelEvaluator, x, y) -> complex:
 
 
 def limit_kernel(lam, u, v) -> complex:
-    """B_inf(u, v) against Lebesgue measure in the frame coordinates."""
+    """B_inf(u, v) against Lebesgue measure in the scaling coordinates."""
     lam = np.asarray(lam, dtype=float)
     uu = np.atleast_1d(np.asarray(u, dtype=complex))
     vv = np.atleast_1d(np.asarray(v, dtype=complex))

@@ -26,7 +26,7 @@ from bergdpp.kernel import (
 )
 from bergdpp.quadrature import Region, build_grid, weighted_gram_matrix
 from bergdpp.sampler import rng_stream, sample_dpp_many
-from bergdpp.spaces import limit_frame, make_fubini_study, make_ginibre, make_product
+from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
 from bergdpp.stats import (
     circular_law_distance,
     measure_convergence,
@@ -224,9 +224,8 @@ def test_criterion_05_scaling_limit(capsys):
     worst_cf = 0.0
     for k in (25, 100, 400):
         space = make_fubini_study(k)
-        frame = limit_frame(space, np.zeros(1))
         for i in range(len(pts)):
-            got = rescaled_correlation(space, frame, pts[i : i + 1])
+            got = rescaled_correlation(space, pts[i : i + 1])
             u2 = abs(complex(pts[i, 0])) ** 2
             want = (k + 1) / (np.pi * k * (1.0 + u2 / k) ** 2)
             worst_cf = max(worst_cf, abs(got - want))

@@ -1405,7 +1405,6 @@ def test_scaling_with_one_point_has_no_pairs(tmp_path):
 
 def test_scaling_snaps_a_coincident_consecutive_pair(tmp_path):
     from bergdpp.kernel import rescaled_correlation
-    from bergdpp.spaces import limit_frame
 
     # the pair's kernel determinant falls below DET_FLOOR times its diagonal
     # and reports 0, as does the limit; so the report is the one-point one
@@ -1415,12 +1414,12 @@ def test_scaling_snaps_a_coincident_consecutive_pair(tmp_path):
     assert _scaling_rows([*argv, str(tmp_path / "two.json")]) == _scaling_rows([*argv, str(tmp_path / "one.json")])
     space = make_fubini_study(25)
     pair = np.array([[0.3 + 0.1j], [0.3 + 0.1j]])
-    assert rescaled_correlation(space, limit_frame(space, np.zeros(1)), pair) == 0.0
+    assert rescaled_correlation(space, pair) == 0.0
 
 
 def test_scaling_on_a_product_points_file_matches_the_entrywise_oracle(tmp_path):
     from bergdpp.kernel import evaluator
-    from bergdpp.spaces import limit_frame
+    from bergdpp.spaces import limit_curvatures
     from kernel_oracles import kernel_eval, limit_kernel
 
     U = np.array([[0.2 - 0.1j, -0.5 + 0.3j], [0.7 + 0.4j, 0.1j], [-0.3 - 0.6j, 0.4 - 0.2j]])
@@ -1429,7 +1428,7 @@ def test_scaling_on_a_product_points_file_matches_the_entrywise_oracle(tmp_path)
     rows = _scaling_rows(["--space", "product", "--mults", "1,2", "--ks", "3,10", "--points", str(pts)])
     for k, err, _ in rows:
         space = make_product((1, 2), k)
-        ev, lam = evaluator(space), limit_frame(space, np.zeros(2)).lam
+        ev, lam = evaluator(space), limit_curvatures(space)
         want = 0.0
         for group in [U[i : i + 1] for i in range(3)] + [U[i : i + 2] for i in range(2)]:
             chart = group / math.sqrt(k)

@@ -208,6 +208,37 @@ def test_radial_cgf_path_is_diagonal_end_to_end(space, expr, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "space,expr",
+    [(make_fubini_study(40), "r2/(1+r2)"), (make_ginibre(30), "r2/(1+r2)"),
+     (make_product((1, 2), 4), "r2_1/(1+r2_1)")],
+    ids=["fs40", "gin30", "prod12k4"],
+)
+def test_diagonal_bergman_trace_reads_no_transform(space, expr, monkeypatch):
+    # on the diagonal route conj(A)^{-1} = T T^H is D^{-1}, read from D with no
+    # N x N product: the derivative never forms T, and it equals the sum
+    # against T T^H bit for bit (T = D^{-1/2}, so each entry of T T^H is s*s)
+    from bergdpp.quadrature import GramMatrix
+
+    psi = parse_weight(expr)
+    want = {}
+    for t in (0.0, 0.5, 1.0):
+        g = GramPath(space, psi).at(t)
+        T = g.transform
+        masked = weighted_gram_matrix(space, g.grid, g.weight, psi)
+        want[t] = -float(np.sum((T @ T.conj().T) * masked).real)
+
+    def refuse(g):
+        assert g.route != "diagonal", "a diagonal-route Bergman trace read GramMatrix.transform"
+        return GramMatrix.__dict__["transform"].func(g)
+
+    monkeypatch.setattr(GramMatrix, "transform", property(refuse))
+    path = GramPath(space, psi)
+    for t, value in want.items():
+        assert path.at(t).route == "diagonal"
+        assert path.bergman_derivative(t) == value
+
+
+@pytest.mark.parametrize(
     "source", ["re_1/(1+r2_1)", "re_1/(1+r2_1)+im_2*im_2/(1+r2_2)", "2 + re_1/(1+r2_1)"]
 )
 @pytest.mark.parametrize("mults", [(1, 2), (1, 1, 1)], ids=["12", "111"])

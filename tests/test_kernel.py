@@ -29,7 +29,7 @@ from bergdpp.kernel import (
     scaling_errors,
 )
 from bergdpp.quadrature import build_grid
-from bergdpp.spaces import limit_frame, make_fubini_study, make_ginibre, make_product
+from bergdpp.spaces import limit_curvatures, make_fubini_study, make_ginibre, make_product
 from kernel_oracles import kernel_eval, limit_kernel
 
 
@@ -244,9 +244,8 @@ def test_default_test_points_deterministic():
 def test_rescaled_correlation_converges_to_limit():
     # one-point value at the origin: k^{-1} B_k(0,0) kappa -> lam/pi
     space = make_fubini_study(200)
-    frame = limit_frame(space, np.zeros(1))
-    got = rescaled_correlation(space, frame, np.array([[0.3 + 0.1j]]))
-    want = limit_correlation(frame.lam, np.array([[0.3 + 0.1j]]))
+    got = rescaled_correlation(space, np.array([[0.3 + 0.1j]]))
+    want = limit_correlation(limit_curvatures(space), np.array([[0.3 + 0.1j]]))
     assert abs(got - want) < 2e-3
 
 
@@ -268,9 +267,9 @@ def test_scaling_errors_check_every_group_once_across_chunks(monkeypatch):
     (row,) = scaling_errors([(30, make_fubini_study(30))], points=pts)
     assert sorted(seen) == sorted([(i,) for i in range(150)] + [(i, i + 1) for i in range(149)])
     space = make_fubini_study(30)
-    frame = limit_frame(space, np.zeros(1))
+    lam = limit_curvatures(space)
     groups = [pts[i : i + 1] for i in range(150)] + [pts[i : i + 2] for i in range(149)]
-    want = max(abs(rescaled_correlation(space, frame, g) - limit_correlation(frame.lam, g)) for g in groups)
+    want = max(abs(rescaled_correlation(space, g) - limit_correlation(lam, g)) for g in groups)
     assert row["sup_error"] == want
 
 
@@ -288,7 +287,7 @@ def test_scaling_errors_decrease():
 
 
 def _frame_stack(dim: int, m: int, groups: int = 4) -> np.ndarray:
-    """(groups, m, dim) frame points, spread so that no determinant is near the floor."""
+    """(groups, m, dim) scaling points, spread so that no determinant is near the floor."""
     rng = np.random.default_rng(100 * dim + m)
     return rng.uniform(-1.0, 1.0, (groups, m, dim)) + 1j * rng.uniform(-1.0, 1.0, (groups, m, dim))
 
@@ -305,21 +304,21 @@ def _oracle_det(entry, group) -> float:
 )
 def test_stacked_correlations_match_entrywise_oracles(space, m):
     ev = evaluator(space)
-    frame = limit_frame(space, np.zeros(space.dim))
+    lam = limit_curvatures(space)
     U = _frame_stack(space.dim, m)
     compact = space.factors[0].compact
     chart = U / np.sqrt(space.power) if compact else U
     scale = float(space.power) ** (-space.dim * m) if compact else 1.0
 
     dets = kernel_det(ev, chart)
-    rescaled = rescaled_correlation(space, frame, U)
-    limits = limit_correlation(frame.lam, U)
+    rescaled = rescaled_correlation(space, U)
+    limits = limit_correlation(lam, U)
     for got in (dets, rescaled, limits):
         assert isinstance(got, np.ndarray) and got.shape == (len(U),)
     for g in range(len(U)):
         det = _oracle_det(lambda a, b: kernel_eval(ev, a, b), chart[g])
         want = det * scale * float(np.prod(space.base_density(chart[g])))
-        limit = _oracle_det(lambda a, b: limit_kernel(frame.lam, a, b), U[g])
+        limit = _oracle_det(lambda a, b: limit_kernel(lam, a, b), U[g])
         assert dets[g] == pytest.approx(det, rel=1e-12)
         assert rescaled[g] == pytest.approx(want, rel=1e-12)
         assert limits[g] == pytest.approx(limit, rel=1e-12)

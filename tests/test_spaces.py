@@ -1,4 +1,4 @@
-"""Model spaces: section bases, weights, measures, normal frames.
+"""Model spaces: section bases, weights, measures, limit curvatures.
 
 Closed-form references: Fubini-Study basis norms are binomial numbers,
 the weighted density of states is constant k+1 on the Fubini-Study chart
@@ -14,7 +14,7 @@ from scipy import integrate, special
 
 from bergdpp.exprs import complex_hessian, parse_weight
 from bergdpp.spaces import (
-    limit_frame,
+    limit_curvatures,
     make_fubini_study,
     make_ginibre,
     make_product,
@@ -277,15 +277,11 @@ def test_product_density_of_states_multiplies():
 
 
 # ---------------------------------------------------------------------------
-# normal frames and config round trip
+# limit curvatures and config round trip
 
 
-def test_limit_frame_curvatures():
-    frame = limit_frame(make_product((1, 2), 5), np.zeros(2))
-    assert np.allclose(frame.lam, [1.0, 2.0], atol=1e-12)
-    # off-center curvature is m/(1+|c|^2)^2; here |c|^2 = 0.5
-    framec = limit_frame(make_fubini_study(5), np.array([0.7 + 0.1j]))
-    assert np.allclose(framec.lam, [1.0 / 2.25], atol=1e-12)
+def test_limit_curvatures():
+    assert np.allclose(limit_curvatures(make_product((1, 2), 5)), [1.0, 2.0], atol=1e-12)
 
 
 def test_space_config_round_trip():

@@ -20,11 +20,14 @@ diagonal route).
 
 Every identity is exact, so a bound covers only the rounding of log det G
 (a few N eps per unit of log det) and the angular rule's aliasing of the
-non-radial factor e^{-t psi}, which ROADMAP item 13 sizes.  Each bound
-holds the worst error seen at these parameters with at least 2x headroom.
-A fault in a route is far outside them: a quadrature._bands that drops the
-transposed band fails every test here, and a product bergman_trace that
-drops the N/N_f factor fails the product one.
+non-radial factor e^{-t psi}, which ROADMAP item 13 sizes.  Each bound on
+a named weight holds the worst error seen at these parameters with at least
+2x headroom.  The weights drawn by hypothesis, moved by
+tests/symmetry_oracles.py, take their bounds from the grid's exactness and
+the rounding of log det instead (the comment above their tests).  A fault in
+a route is far outside them: a quadrature._bands that drops the transposed
+band fails every test here, and a product bergman_trace that drops the
+N/N_f factor fails the product one.
 
 Chain oracles.  The same two symmetries give the weighted chain exact means:
 each chain test compares the means over the configurations of one
@@ -36,11 +39,15 @@ and mean X near 0.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergdpp.energy import GramPath, lambda_k, partition_function
-from bergdpp.exprs import parse_weight
+from bergdpp.exprs import parse_weight, weight_sum
+from bergdpp.quadrature import build_grid, gram
 from bergdpp.sampler import McmcConfig, rng_stream, sample_weighted
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
+from symmetry_oracles import rotate, shifted, translate
 
 
 def _rel(got: float, want: float) -> float:
@@ -106,6 +113,79 @@ def test_lambda_k_along_x_and_y_is_lambda_k_along_z(k, bound, direction):
     space = make_fubini_study(k)
     along_z = lambda_k(space, parse_weight("r2/(1+r2)-0.5"))
     assert _rel(lambda_k(space, parse_weight(direction)), along_z) < bound
+
+
+# ---------------------------------------------------------------------------
+# drawn weights, moved by a symmetry applied as an opaque callable
+# (tests/symmetry_oracles.py), which sends the moved weight to the dense route.
+#
+# Bounds from the grid's exactness.  The default grid integrates every
+# unweighted Gram integrand exactly (quadrature module docstring); a weight
+# adds its angular spectrum, which the rule aliases onto a Gram entry only
+# from frequencies |delta| >= n_theta - d = d + 1, and onto log det, to first
+# order in the entries near the diagonal, only from |delta| >= n_theta.  Each
+# drawn example checks that this aliasing is below rounding: twice the
+# angles moves the moved weight's log det by at most its rounding floor.
+# What is left is the rounding of log det A = log det S + sum log D.  The
+# rounded entries of S and a backward-stable eigensolver each move an
+# eigenvalue of S by about eps |S|, so log det S moves by at most about
+# 2 N eps cond(S), and each term of sum log D by about eps.  So one log det's
+# floor is 2 N eps (cond(S) + |log det A|), and an identity between two sides
+# holds to the sum of their floors.
+
+EPS = np.finfo(float).eps
+_COEF = st.floats(-1.0, 1.0)
+_SHIFT = st.floats(-0.5, 0.5)
+_GINIBRE_TERMS = tuple(parse_weight(t) for t in ("r2/(1+r2)", "re_1/(1+r2)", "im_1/(2+r2)"))
+_SPHERE_TERMS = (parse_weight("r2/(1+r2)"), parse_weight("(r2/(1+r2))^2"))
+
+
+def _floor(g) -> float:
+    """The rounding floor of g.logdet: 2 N eps (cond(S) + |log det A|)."""
+    lo, hi = g.spectrum
+    return 2.0 * g.grid.space.rank * EPS * (hi / lo + abs(g.logdet))
+
+
+def _gram(space, psi, angular=None):
+    return gram(space, build_grid(space, angular=angular, psi=psi), psi)
+
+
+def _check_identity(space, psi, moved, route) -> None:
+    """log det G(psi) = log det G(moved) to the sum of their floors, on a grid that resolves moved."""
+    want, got = _gram(space, psi), _gram(space, moved)
+    assert (want.route, got.route) == (route, "dense")
+    finer = _gram(space, moved, angular=2 * got.grid.angular[0])
+    assert abs(finer.logdet - got.logdet) <= _floor(got)
+    assert abs(got.logdet - want.logdet) <= _floor(got) + _floor(want)
+
+
+def _check_cgf(path, moved_path, t: float) -> None:
+    """K(t) = K~(t), each a difference of two log dets, to the sum of the four floors."""
+    floor = sum(_floor(p.at(s)) for p in (path, moved_path) for s in (0.0, t))
+    assert abs(moved_path.cgf(t) - path.cgf(t)) <= floor
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(n=st.sampled_from([20, 50]), c=st.tuples(_COEF, _COEF, _COEF), a=st.tuples(_SHIFT, _SHIFT))
+def test_ginibre_translation_keeps_log_z_of_a_drawn_weight(n, c, a):
+    # psi = c_1 r2/(1+r2) + c_2 re_1/(1+r2) + c_3 im_1/(2+r2) and its translate
+    # psi~(w) = psi(w - a) - 2 Re(conj(a) w) + |a|^2: Z(psi) = Z(psi~); along
+    # the path t psi the translate is translate(None, a) + t shifted(psi, a)
+    space, a = make_ginibre(n), complex(*a)
+    psi = weight_sum(*zip(c, _GINIBRE_TERMS))
+    _check_identity(space, psi, translate(psi, a), "diagonal" if c[1] == c[2] == 0.0 else "dense")
+    _check_cgf(GramPath(space, psi), GramPath(space, shifted(psi, a), base=translate(None, a)), 1.0)
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(k=st.sampled_from([10, 60]), c=st.tuples(_COEF, _COEF), theta=st.floats(0.0, 2.0 * np.pi))
+def test_sphere_rotation_keeps_log_z_of_a_drawn_radial_weight(k, c, theta):
+    # psi = c_1 r2/(1+r2) + c_2 (r2/(1+r2))^2 is radial (the diagonal route),
+    # and psi o g, g the rotation by theta about the Y axis, is not: Z(psi) = Z(psi o g)
+    space = make_fubini_study(k)
+    psi = weight_sum(*zip(c, _SPHERE_TERMS))
+    _check_identity(space, psi, rotate(psi, theta), "diagonal")
+    _check_cgf(GramPath(space, psi), GramPath(space, rotate(psi, theta)), 1.0)
 
 
 # ---------------------------------------------------------------------------
