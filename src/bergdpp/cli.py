@@ -34,7 +34,7 @@ from . import __version__
 from .energy import MIN_S_NODES, GramPath, lambda_report, partition_function
 from .exprs import WeightExpr, parse_weight, weight_sum
 from .kernel import scaling_errors
-from .quadrature import build_grid, gram, gram_to_csv, region_grid, weighted_gram_matrix
+from .quadrature import build_grid, gram, gram_to_csv, gram_trace, region_grid, weighted_gram_matrix
 from .sampler import (
     McmcConfig,
     McmcConfigError,
@@ -588,7 +588,7 @@ def _cmd_check(args) -> int:
         return 0
 
     # trace: int B(x,x) dmu = sum_i int |v_i|^2 dmu, the trace of the Gram
-    tr = float(np.trace(weighted_gram_matrix(space, grid)).real)
+    tr = gram_trace(weighted_gram_matrix(space, grid))
     err = abs(tr - space.rank)
     print(f"trace = {tr:.12g} (rank {space.rank}, error {err:.3e})")
     _identity_holds("int B(x,x) dmu = N", err)

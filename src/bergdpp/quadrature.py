@@ -58,7 +58,7 @@ products), so the sum regroups exactly as
 
 where c^_r[delta] = sum_q c(r, theta_q) e^{i delta theta_q} is the DFT of c
 over the angles (a multi-axis DFT on products, one axis per factor).  The
-radial tables R_a come from the n_r radii alone.
+radial tables R_a come from the n_r radii alone (QuadratureGrid.radial_tables).
 
 Diagonal Grams.  If c does not depend on the angles, c^_r[delta] is c(r)
 times the sum of e^{i delta theta_q} over the n_theta uniform angles, which
@@ -70,16 +70,17 @@ free of the angles when the weight is None, a radial WeightExpr (only r2 /
 r2_<i>) or a weight_sum of radial terms, and the mask is None, a Region,
 whose indicator is radial per factor, or such a radial weight form.
 _diagonal decides this from those inputs and the grid's angular counts,
-never from the size of off-diagonal entries.  On this route _assemble
-evaluates c on QuadratureGrid.radial_rule, the radial tensor grid at theta
-= 0 with each factor's angular weights summed to 2 pi, and contracts R_a^2
-into it one factor at a time: O(n_r N) work per factor, and the grid's node
-arrays are never built.  Any other weight or mask form (re_ / im_ terms, any other
-callable) or an aliasing grid (angular < 2 * degree + 1 folds bands onto
-each other, and angular <= degree onto band 0) takes the dense route: the
-DFT of c at the nodes, then A band by band (fixed a - b), one factor at a
-time, in O(n_r N^2) time and memory, with no section matrix on the
-M = n_r n_theta nodes.
+never from the size of off-diagonal entries.  On this route _assemble takes
+c on QuadratureGrid.radial_rule (theta = 0, angular weights summed to 2 pi)
+and contracts R_a^2 into it factor by factor, O(n_r N) work each with no
+node array.  The Gram is its (N,) complex diagonal D from there on:
+weighted_gram_matrix returns D, gram_trace sums over it, and GramMatrix
+forms diag(D) only when its matrix or map is read.  Any other weight or mask
+form (re_ / im_ terms, any other callable) or an aliasing grid (angular <
+2 * degree + 1 folds bands onto each other, angular <= degree onto band 0)
+takes the dense route: the DFT of c at the nodes, then A band by band (fixed
+a - b) one factor at a time, in O(n_r N^2) time and memory, with no section
+matrix on the M = n_r n_theta nodes.
 
 Factored Grams.  On a product the sections are tensor products of the
 factors' sections, v_(a_1, a_2, ...) = prod_f v_(a_f)(z_f), and the grid is
@@ -106,22 +107,23 @@ keeps the dense route.  The kernel factors too, B = prod_f B_f, and
 int B_f dmu_f = N_f, so bergman_trace integrates a form m = sum_f m_f as
 int m B dmu = sum_f (N / N_f) int m_f B_f dmu_f, on the same split.
 
-gram() is the one place where a Gram is judged and factored.  On the dense
-route it Hermitianizes as (A + A^H)/2 and works on the scaled Gram
-S = D^{-1/2} A D^{-1/2}, D = diag(A), which does not change when a basis
+gram() is the one place where a Gram is judged and factored.  _assemble
+Hermitianizes as (A + A^H)/2, and on the dense route gram() works on the scaled
+Gram S = D^{-1/2} A D^{-1/2}, D = diag(A), which does not change when a basis
 section is rescaled (and diagonal scaling nearly minimises the condition
-number of a Hermitian positive-definite matrix: van der Sluis, Numer.
-Math. 1969).  S gives the log-determinant, the degeneracy
-verdict (an eigenvalue of S at most 1e-12 of its largest raises
-GramDegenerateError, the usual cause being a grid with fewer nodes than the
-rank needs) and the orthonormalising map GramMatrix.transform that the
-kernel and CGF paths use.  On the diagonal route S = I exactly: log det A =
-sum log D, the Gram is degenerate when some D_aa <= 0, the map is D^{-1/2},
-and the Bergman inverse conj(A)^{-1} = T T^H is D^{-1}, which bergman_trace
-forms from D without the N x N product.  GramMatrix.route records which
-route built a Gram, and .grid and .weight the grid and weight it was built
-from, which its readers take from it.  A grid serves only its own space (QuadratureGrid.space): _assemble
-refuses one built for another.
+number of a Hermitian positive-definite matrix: van der Sluis, Numer. Math.
+1969).  S gives the log-determinant, the degeneracy verdict (an eigenvalue of
+S at most 1e-12 of its largest raises GramDegenerateError, the usual cause
+being a grid with fewer nodes than the rank needs) and the orthonormalising
+map GramMatrix.transform that the kernel and CGF paths use.  On the diagonal
+route S = I exactly: log det A = sum log D, the Gram is degenerate when some
+D_aa <= 0, the map is D^{-1/2}, and the Bergman inverse conj(A)^{-1} = T T^H
+is D^{-1}, so bergman_trace is sum_a m~_a / D_aa over the diagonal m~ of the
+masked Gram, even where a mask that is not radial makes that Gram dense.
+GramMatrix.route records which route built a Gram, and .grid and .weight the
+grid and weight it was built from, which its readers take from it.  A grid
+serves only its own space (QuadratureGrid.space): _assemble refuses one built
+for another.
 """
 
 from __future__ import annotations
@@ -147,6 +149,7 @@ __all__ = [
     "gram",
     "bergman_trace",
     "weighted_gram_matrix",
+    "gram_trace",
     "gram_to_csv",
 ]
 
@@ -282,6 +285,11 @@ class QuadratureGrid:
     def density(self) -> np.ndarray:
         """base_density at the nodes."""
         return self.space.base_density(self.nodes)
+
+    @functools.cached_property
+    def radial_tables(self) -> tuple[np.ndarray, ...]:
+        """Per factor, the real (n_r, degree + 1) table R_a(r) = |v_a(r)|, built once per grid."""
+        return tuple(f.magnitudes(r) for f, r in zip(self.space.factors, self.radii))
 
     @functools.cached_property
     def radial_rule(self) -> tuple[np.ndarray, np.ndarray]:
@@ -486,9 +494,9 @@ class GramMatrix:
     """Hermitianized Gram matrix with its log-determinant, route and the extremes gram() judges.
 
     It keeps the grid it was assembled on and the weight psi it carries, and
-    its readers take both from it.  On the factored route it keeps its factors'
-    Grams, each on its factor grid under its factor weight, instead of the
-    matrix A = kron(A_1, A_2, ...), and forms A and its map only on first use.
+    its readers take both from it.  In place of A it keeps D = diag(A), (N,)
+    complex, on the diagonal route, and its factors' Grams, each on its factor
+    grid under its factor weight, on the factored route; A and its map are formed on first use.
     """
 
     logdet: float
@@ -497,15 +505,15 @@ class GramMatrix:
     diagonal: tuple[float, float]  # smallest and largest entry of D = diag(A)
     grid: QuadratureGrid     # the grid it was assembled on; grid.space is its space
     weight: object           # the extra weight psi it carries (None: unweighted)
-    assembled: np.ndarray | None = None     # (N, N) complex Hermitian; None when factored
+    assembled: np.ndarray | None = None     # (N, N) complex Hermitian, its (N,) diagonal; None when factored
     factors: tuple["GramMatrix", ...] = ()  # the factored route's factor Grams, in factor order
 
     @functools.cached_property
     def matrix(self) -> np.ndarray:
-        """(N, N) complex Hermitian; on the factored route the Kronecker product, formed on first use."""
-        if self.assembled is not None:
-            return self.assembled
-        return functools.reduce(np.kron, (f.matrix for f in self.factors))
+        """(N, N) complex Hermitian; on the diagonal and factored routes formed on first use."""
+        if self.assembled is None:
+            return functools.reduce(np.kron, (f.matrix for f in self.factors))
+        return np.diag(self.assembled) if self.route == "diagonal" else self.assembled
 
     @functools.cached_property
     def transform(self) -> np.ndarray:
@@ -518,9 +526,9 @@ class GramMatrix:
         """
         if self.factors:
             return functools.reduce(np.kron, (f.transform for f in self.factors))
-        s = 1.0 / np.sqrt(self.matrix.diagonal().real)
         if self.route == "diagonal":
-            return np.diag(s.astype(complex))
+            return np.diag((1.0 / np.sqrt(self.assembled.real)).astype(complex))
+        s = 1.0 / np.sqrt(self.matrix.diagonal().real)
         eigs, U = np.linalg.eigh(self.matrix.conj() * s[:, None] * s[None, :])
         return (U * s[:, None] / np.sqrt(eigs)[None, :]) @ U.conj().T
 
@@ -569,13 +577,13 @@ def _diagonal(space: ModelSpace, grid: QuadratureGrid, psi, mask) -> bool:
 
 
 def _assemble(space: ModelSpace, grid: QuadratureGrid, psi=None, mask=None) -> np.ndarray:
-    """Raw (not Hermitianized) A_ab = sum_m c_m v_a(z_m) conj(v_b(z_m)).
+    """The Hermitianized Gram (A + A^H)/2 of A_ab = sum_m c_m v_a(z_m) conj(v_b(z_m)).
 
     c = w * rho * e^{-psi} * m is the quadrature factor, m the values of the
     mask: a Region's indicator, or a weight form's values taken through
     weight_values.  On the diagonal route (_diagonal) c is taken on
     grid.radial_rule and only the diagonal of A is returned, as an (N,)
-    real array; otherwise c is taken at the nodes and the (N, N) sum is
+    complex array; otherwise c is taken at the nodes and the (N, N) sum is
     formed in its polar form: the DFT of c over every factor's angles, then
     the radial sums band by band, factor by factor (module docstring).
     """
@@ -586,11 +594,9 @@ def _assemble(space: ModelSpace, grid: QuadratureGrid, psi=None, mask=None) -> n
         need = _ginibre_edge(space.rank, psi, grid.angular[0])
         have = _ginibre_edge(space.rank, grid.psi, grid.angular[0])
         if need > have:
-            raise ValueError(
-                f"weight {psi!r} needs a Ginibre grid edge at t = {need:.6g}, beyond the edge "
-                f"t = {have:.6g} of a grid built for psi={grid.psi!r}; build the grid with "
-                f"build_grid(space, psi=psi)"
-            )
+            raise ValueError(f"weight {psi!r} needs a Ginibre grid edge at t = {need:.6g}, beyond the edge "
+                             f"t = {have:.6g} of a grid built for psi={grid.psi!r}; build the grid with "
+                             f"build_grid(space, psi=psi)")
     diagonal = _diagonal(space, grid, psi, mask)
     if diagonal:
         points, w = grid.radial_rule
@@ -607,38 +613,35 @@ def _assemble(space: ModelSpace, grid: QuadratureGrid, psi=None, mask=None) -> n
     if diagonal:
         # band 0 alone: A_aa = sum_r R_a(r)^2 c(r), contracted factor by factor
         d = c.reshape([r.size for r in grid.radii])
-        for f, r in zip(space.factors, grid.radii):
-            d = np.tensordot(d, f.values(r).real ** 2, axes=(0, 0))
-        return d.ravel()  # axes (a_0, a_1, ...) in C order, as section_matrix
+        for R in grid.radial_tables:
+            d = np.tensordot(d, R**2, axes=(0, 0))
+        return d.ravel().astype(complex)  # axes (a_0, a_1, ...) in C order, as section_matrix
     n = len(grid.radii)
     # axes (r_0, q_0, r_1, q_1, ...); sum_q c e^{+i delta theta_q} is the unscaled inverse DFT
     chat = c.reshape([m for r, n_ang in zip(grid.radii, grid.angular) for m in (r.size, n_ang)])
     del c  # the DFT below replaces it, so the band products never hold it too
     chat = np.fft.ifftn(chat, axes=tuple(range(1, 2 * n, 2)), norm="forward")
-    for f, r in zip(space.factors, grid.radii):
-        # R_a(r) = v_a(r), real on the positive axis
-        chat = np.moveaxis(_bands(f.values(r).real, chat), (0, 1), (-2, -1))
+    for R in grid.radial_tables:
+        chat = np.moveaxis(_bands(R, chat), (0, 1), (-2, -1))
     # axes (a_0, b_0, a_1, b_1, ...) -> (a_0, a_1, ..., b_0, b_1, ...), C order as section_matrix
-    chat = chat.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)])
-    return chat.reshape(space.rank, space.rank)
+    chat = chat.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(space.rank, space.rank)
+    return 0.5 * (chat + chat.conj().T)
 
 
 def weighted_gram_matrix(space: ModelSpace, grid: QuadratureGrid, psi=None, mask=None) -> np.ndarray:
-    """Raw Hermitianized Gram A_ij = int_U v_i conj(v_j) e^{-psi} dmu.
+    """Hermitianized Gram A_ij = int_U v_i conj(v_j) e^{-psi} dmu; on the diagonal route its (N,) diagonal.
 
     mask is a Region (U), or a weight form m whose values at the route's
     points fold into the integrand, int v_i conj(v_j) m e^{-psi} dmu: a radial
     form keeps the diagonal route (module docstring).  No positivity check:
     with a mask the result is only positive semi-definite (or indefinite).
     """
-    return _hermitian(_assemble(space, grid, psi, mask))
+    return _assemble(space, grid, psi, mask)
 
 
-def _hermitian(A_raw: np.ndarray) -> np.ndarray:
-    """The (N, N) Hermitian Gram of a raw one, (A + A^H)/2, or of its (N,) diagonal."""
-    if A_raw.ndim == 1:
-        return np.diag(A_raw.astype(complex))
-    return 0.5 * (A_raw + A_raw.conj().T)
+def gram_trace(G: np.ndarray, H: np.ndarray | None = None) -> float:
+    """Re tr G, or Re tr(G H) = Re sum_ij G_ij conj(H_ij) for Hermitian H, on either Gram shape."""
+    return float((np.vdot(H, G) if H is not None else np.sum(G if G.ndim == 1 else G.diagonal())).real)
 
 
 def _factored_weights(space: ModelSpace, psi) -> tuple | None:
@@ -692,13 +695,11 @@ def bergman_trace(g: GramMatrix, mask) -> float:
     masks = _factored_weights(space, mask)
     weights = None if masks is None else factor_weights(psi, space.dim)
     if weights is None:
-        if g.route == "diagonal":  # conj(A)^{-1} = D^{-1}, with no N x N product
-            s = 1.0 / np.sqrt(g.matrix.diagonal().real)
-            inv = np.diag((s * s).astype(complex))
-        else:
-            T = g.transform
-            inv = T @ T.conj().T
-        return float(np.sum(inv * weighted_gram_matrix(space, g.grid, psi, mask)).real)
+        masked = weighted_gram_matrix(space, g.grid, psi, mask)
+        if g.route == "diagonal":  # conj(A)^{-1} = D^{-1}: only the diagonal of A~ enters
+            return float(np.sum((masked if masked.ndim == 1 else masked.diagonal()).real / g.assembled.real))
+        T = g.transform
+        return float(np.sum((T @ T.conj().T) * masked).real)
     total = 0
     for i, (w, m) in enumerate(zip(weights, masks)):
         if m is not None:
@@ -725,17 +726,16 @@ def _judged(g: GramMatrix, where: str) -> GramMatrix:
     return g
 
 
-def _unjudged(A_raw: np.ndarray, grid: QuadratureGrid, weight) -> GramMatrix:
-    """A raw Gram on grid under weight, or its (N,) diagonal, Hermitianized and scaled but not judged.
+def _unjudged(A: np.ndarray, grid: QuadratureGrid, weight) -> GramMatrix:
+    """A Hermitianized Gram on grid under weight, or its (N,) diagonal, scaled but not judged.
 
     A diagonal d_a <= 0 zeroes row a of S, which gives S the eigenvalue 0;
     on the diagonal route S = I otherwise.
     """
-    A = _hermitian(A_raw)
-    d = A.diagonal().real
+    d = (A if A.ndim == 1 else A.diagonal()).real
     with np.errstate(invalid="ignore", divide="ignore"):  # a degenerate Gram is refused
         logdet = float(np.sum(np.log(d)))
-        if A_raw.ndim == 1:
+        if A.ndim == 1:
             spectrum = (1.0 if np.all(d > 0.0) else 0.0, 1.0)
         else:  # log det A = log det S + sum log D
             s = 1.0 / np.sqrt(np.where(d > 0.0, d, np.inf))
@@ -744,7 +744,7 @@ def _unjudged(A_raw: np.ndarray, grid: QuadratureGrid, weight) -> GramMatrix:
             spectrum = (float(eigs[0]), float(eigs[-1]))
     return GramMatrix(
         logdet=logdet,
-        route="diagonal" if A_raw.ndim == 1 else "dense",
+        route="diagonal" if A.ndim == 1 else "dense",
         spectrum=spectrum,
         diagonal=(float(d.min()), float(d.max())),
         grid=grid, weight=weight,

@@ -244,25 +244,26 @@ class _Factor:
         """
         d = self.degree
         j = np.arange(d + 1, dtype=float)
-        r = np.abs(z)
         theta = np.angle(z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logmag = np.multiply.outer(np.log(r), j)
-        logmag[:, 0] = 0.0  # j = 0 term, avoids 0 * (-inf)
-        # in place: one (M, d+1) float and one complex array at a time
-        logmag += self.log_norms[None, :]
-        logmag -= 0.5 * self.weight(r**2)[:, None]
-        mag = np.exp(logmag, out=logmag)
         if d < 2 * _PHASE_BLOCK:
             V = _unit_phases(theta, j)
         else:
             L = _PHASE_BLOCK
             low, high = _unit_phases(theta, j[:L]), _unit_phases(theta, j[::L])
-            V = np.empty(mag.shape, dtype=complex)
+            V = np.empty((theta.shape[0], d + 1), dtype=complex)
             for q in range(0, d + 1, L):   # columns q .. q + L - 1, the last block cut at d
                 np.multiply(high[:, q // L, None], low[:, : d + 1 - q], out=V[:, q : q + L])
-        V *= mag
+        V *= self.magnitudes(np.abs(z))
         return V
+
+    def magnitudes(self, r: np.ndarray) -> np.ndarray:
+        """|v_j| = exp(j log r + c_j - w(r^2)/2) at (M,) radii r >= 0: values(r).real, bit for bit."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logmag = np.multiply.outer(np.log(r), np.arange(self.degree + 1, dtype=float))
+        logmag[:, 0] = 0.0  # j = 0 term, avoids 0 * (-inf); the rest in place
+        logmag += self.log_norms[None, :]
+        logmag -= 0.5 * self.weight(r**2)[:, None]
+        return np.exp(logmag, out=logmag)
 
 
 @dataclass(frozen=True)

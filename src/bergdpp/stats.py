@@ -19,11 +19,11 @@ moments of the projection process are traces:
 
 since tr G_U = int_U B(x, x) dmu and Re tr(G_A G_B) = int_A int_B |B(x, y)|^2.
 All Grams of one report share one grid with panel edges on every region
-boundary.  A Region (quadrature.Region) is radial per factor, and so is
-the overlap A cap B of two, so every G_U is diagonal and is assembled from
-the grid's radial rules alone.  The test suite checks these traces against
-Kostlan's theorem (count moments from per-index Beta and Gamma laws,
-computed with scipy alone), which shares no code with the Grams.
+boundary.  A Region (quadrature.Region) is radial per factor, and so is the
+overlap A cap B of two, so every G_U is diagonal: it is assembled from the
+grid's radial rules alone and kept as its (N,) diagonal, whose N-sums are the
+traces above (quadrature.gram_trace).  The test suite checks them against
+Kostlan's theorem (per-index Beta and Gamma laws from scipy, sharing no code).
 
 ks_distance is the Kolmogorov-Smirnov statistic of pooled radii against a
 radial CDF; the circular law compares Ginibre radii rescaled by 1/sqrt(N)
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import equilibrium_mass
-from .quadrature import QuadratureGrid, Region, region_grid, weighted_gram_matrix
+from .quadrature import QuadratureGrid, Region, gram_trace, region_grid, weighted_gram_matrix
 from .sampler import sample_dpp_many
 from .spaces import ModelSpace
 
@@ -120,14 +120,14 @@ def count_moments(
 ):
     """Predicted (mean, variance) of the point count in a region.
 
-    gram: the region's masked Gram on grid, if already assembled.
+    gram: the region's masked Gram on grid if already assembled, an (N,) diagonal on the diagonal route.
     """
     if gram is None:
         if grid is None:
             grid = region_grid(space, region)
         gram = weighted_gram_matrix(space, grid, mask=region)
-    mean = float(np.trace(gram).real)
-    var = mean - float(np.sum(np.abs(gram) ** 2))
+    mean = gram_trace(gram)
+    var = mean - gram_trace(gram, gram)
     return mean, max(var, 0.0)
 
 
@@ -189,11 +189,11 @@ def pair_count_stats(
 ) -> list[PairStats]:
     """Pair-count checks over all unordered region pairs, diagonal included.
 
-    Each region gets one masked Gram G_A on a shared grid (grams, if given,
-    holds them already assembled on grid, in region order).  The prediction
-    for A != B is tr G_A tr G_B - Re tr(G_A G_B) + tr G_{A cap B}, the last
-    term counting each point of the overlap once; on the diagonal it is
-    E[#A(#A - 1)] = (tr G_A)^2 - |G_A|_F^2.
+    Each region gets one masked Gram G_A on a shared grid, its (N,) diagonal on
+    the diagonal route (grams, if given, holds them already assembled on grid,
+    in region order).  The prediction for A != B is tr G_A tr G_B - Re tr(G_A G_B)
+    + tr G_{A cap B}, the last term counting each point of the overlap once; on
+    the pair A = A it is E[#A(#A - 1)] = (tr G_A)^2 - |G_A|_F^2; gram_trace reads each.
     """
     regions = list(regions)
     P = _draws(points)
@@ -203,19 +203,18 @@ def pair_count_stats(
     counts = [_counts(P, reg) for reg in regions]
     if grams is None:
         grams = [weighted_gram_matrix(space, grid, mask=reg) for reg in regions]
-    traces = [float(np.trace(G).real) for G in grams]
+    traces = [gram_trace(G) for G in grams]
     out = []
     for a in range(len(regions)):
         for b in range(a, len(regions)):
-            # Re tr(G_a G_b) = sum_ij G_a[i, j] conj(G_b[i, j]) for Hermitian G_b
-            pred = traces[a] * traces[b] - float(np.vdot(grams[b], grams[a]).real)
+            pred = traces[a] * traces[b] - gram_trace(grams[a], grams[b])
             if a == b:
                 stat = counts[a] * (counts[a] - 1.0)
             else:
                 stat = counts[a] * counts[b]
                 both = regions[a].overlap(regions[b])
                 if both is not None:
-                    pred += float(np.trace(weighted_gram_matrix(space, grid, mask=both)).real)
+                    pred += gram_trace(weighted_gram_matrix(space, grid, mask=both))
             obs = float(stat.mean())
             se = float(stat.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
             out.append(

@@ -45,7 +45,10 @@ def translate(psi, a: complex):
 
 
 def rotate(psi, theta: float):
-    """psi o g for the rotation g of the sphere by theta about its Y axis, an opaque callable."""
+    """psi o g for the rotation g of the sphere by theta about its Y axis, an opaque callable.
+
+    On a product g moves every factor, which a weight of one factor reads as that factor's rotation.
+    """
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
 
     def rotated(Z: np.ndarray) -> np.ndarray:

@@ -51,7 +51,7 @@ def test_criterion_01_orthonormality_and_partition(capsys):
     for k in (3, 10, 20):
         space = make_fubini_study(k)
         grid = build_grid(space)
-        G = weighted_gram_matrix(space, grid)
+        G = np.diag(weighted_gram_matrix(space, grid))  # the diagonal route's (N,) diagonal
         worst_gram = max(worst_gram, float(np.max(np.abs(G - np.eye(space.rank)))))
         z = partition_function(space)
         want = float(math.factorial(space.rank))

@@ -889,6 +889,29 @@ def test_out_of_range_numeric_flag_is_exit_2(argv, named, capsys):
     assert capsys.readouterr().err == f"error: {named}\n"
 
 
+PARTITION_UNDER = ["check", "partition", "--space", "fs", "--k", "3", "--weight-expr"]
+
+
+@pytest.mark.parametrize(
+    "argv, seed, named",
+    [
+        (["sample", "--space", "fs", "--k", "2"], "4.5", "BERGDPP_SEED must be an integer, got '4.5'"),
+        (PARTITION_UNDER + ["exp 2"], None, "expected '(' at column 5 in 'exp 2'"),
+        (PARTITION_UNDER + ["r2)"], None, "unexpected ')' at column 3 in 'r2)'"),
+        (PARTITION_UNDER + [" "], None, "empty expression at column 1 in ' '"),
+    ],
+    ids=["seed-not-integer", "expected", "unexpected", "empty-expression"],
+)
+def test_malformed_seed_or_expression_is_exit_2(argv, seed, named, monkeypatch, capsys):
+    # the environment's seed and a weight expression are refused with their text
+    if seed is None:
+        monkeypatch.delenv("BERGDPP_SEED", raising=False)
+    else:
+        monkeypatch.setenv("BERGDPP_SEED", seed)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
+
+
 @pytest.mark.parametrize(
     "edit",
     [lambda c: c["points"][0].pop(), lambda c: c["points"].pop(), lambda c: c.pop("log_density")],
@@ -967,6 +990,18 @@ def test_missing_input_file_is_exit_2(tmp_path, argv, capsys):
     missing = tmp_path / "absent.json"
     assert run(argv + [str(missing)]) == 2
     assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [("{", "is not valid JSON: "), ('{"points": []}', "is not a samples file (missing configurations/space)\n")],
+    ids=["not-json", "not-samples"],
+)
+def test_samples_file_that_is_not_one_is_exit_2(tmp_path, text, named, capsys):
+    samples = tmp_path / "s.json"
+    samples.write_text(text + "\n")
+    assert run(["stats", "counts", "--samples", str(samples), "--region", "disk:1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {samples} {named}")  # json's own reason follows
 
 
 @pytest.mark.parametrize(
@@ -1280,16 +1315,16 @@ def test_scaling_reports_keep_their_digits(argv, rows, tmp_path, monkeypatch):
     [
         (["--space", "product", "--mults", "1,2", "--k", "3",
           "--weight-expr", "re_1/(1+r2_1)+im_2*im_2/(1+r2_2)"],
-         [(0.0, 0.0, -7.00000000010404, -7.0000000000000036, 1.486239702714684e-11),
+         [(0.0, 0.0, -7.00000000010404, -7.000000000000002, 1.486265079240961e-11),
           (0.5, -3.263485215691389, -6.0570423670647235, -6.057042366813441, 4.1486014971513674e-11),
           (1.0, -6.060564438483703, -5.135195499381684, -5.135195498740065, 1.249454285217002e-10)]),
         (["--space", "product", "--mults", "1,1,1", "--k", "1", "--weight-expr", "2 + re_1/(1+r2_1)"],
-         [(0.0, 0.0, -15.999999999996472, -16.0, 2.204902926905561e-13),
+         [(0.0, 0.0, -15.999999999996472, -15.999999999999998, 2.203792703880936e-13),
           (0.5, -7.9444830345699655, -15.778086537020878, -15.778086536991935, 1.8343277504810142e-12),
           (1.0, -15.778395632309845, -15.558027953082032, -15.55802795298963, 5.9392186690098705e-12)]),
         (["--space", "ginibre", "--n", "30", "--weight-expr", "(1-r2)/2"],
-         [(0.0, 0.0, 217.5000001937037, 217.5000000000001, 8.905911933571927e-10),
-          (0.5, 126.2721636900781, 295.00000103335344, 295.00000000000006, 3.5028928185181872e-09),
+         [(0.0, 0.0, 217.5000001937037, 217.50000000000009, 8.905913240317186e-10),
+          (0.5, 126.2721636900781, 295.00000103335344, 295.00000000000017, 3.5028924331390776e-09),
           (1.0, 307.3134389603745, 450.00000619992875, 450.0000000000002, 1.3777618745289019e-08)]),
         # non-dyadic t, three terms on factor 1 and none on factor 2: the
         # factor traces take the factor weights of gram()'s split
@@ -1361,10 +1396,10 @@ def test_lambda_k_reports_keep_their_digits(argv, target, rows):
           (10.404346060800002, 12.3, 0.9505573744040379, 1.9942551499203292)]),
         (["--space", "ginibre", "--n", "20", "--reps", "10", "--seed", "4", "--region", "disk:2",
           "--region", "annulus:1:3"],
-         [(3.9999999976590805, 1.1102970982572749, 3.6, 2.7111111111111117, -1.2004398015871558,
-           1.9726189592554675),
-          (7.999281453995358, 2.2005498561840344, 8.3, 1.788888888888889, 0.6410539885056379,
-           -0.6540401036441228)],
+         [(3.9999999976590805, 1.1102970982572744, 3.6, 2.7111111111111117, -1.200439801587156,
+           1.972618959255468),
+          (7.999281453995358, 2.2005498561840353, 8.3, 1.788888888888889, 0.6410539885056377,
+           -0.6540401036441242)],
          [(13.110297081870838, 11.8, 3.379020239326449, -0.3877742626756279),
           (32.051454462984815, 30.3, 5.283201891109426, -0.33151382420803605),
           (58.18977218242276, 62.2, 6.14961606751005, 0.6521102738046162)]),

@@ -142,7 +142,7 @@ def test_weighted_ginibre_gram_matches_closed_form():
         assert special.gammaincc(n, t_max / 2.0) <= TAIL
         assert t_max < 2.1 * special.gammainccinv(n, TAIL)
         want = math.exp(-0.5) * 2.0 ** (np.arange(n) + 1.0)
-        scaled = weighted_gram_matrix(space, grid, psi) / np.sqrt(np.outer(want, want))
+        scaled = np.diag(weighted_gram_matrix(space, grid, psi)) / np.sqrt(np.outer(want, want))
         assert np.max(np.abs(scaled - np.eye(n))) < 1e-11
 
 
@@ -282,9 +282,14 @@ def _node_values(grid, mask):
     return mask.mask(grid.nodes) if isinstance(mask, Region) else mask(grid.nodes)
 
 
+def _as_matrix(G):
+    """weighted_gram_matrix's result as (N, N): np.diag of the diagonal route's (N,) diagonal."""
+    return np.diag(G) if G.ndim == 1 else G
+
+
 def _assert_matches_dense(space, grid, psi=None, mask=None):
     want = dense_gram(space, grid, psi, _node_values(grid, mask))
-    got = weighted_gram_matrix(space, grid, psi, mask)
+    got = _as_matrix(weighted_gram_matrix(space, grid, psi, mask))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -347,8 +352,7 @@ def _panel_grid(space, *regions):
 def test_diagonal_route_matches_dense(family):
     # radial weights, sums of them, disk, annulus and overlap masks and a
     # radial weight form as mask keep c free of the angles: the assembly
-    # returns band 0 alone, with every off-diagonal entry exactly 0, and
-    # the dense node sum agrees
+    # returns band 0 alone, as an (N,) diagonal, and the dense node sum agrees
     space, radial, *_ = _SPACES[family]
     disk, annulus = Region.disk(0.8, space.dim), Region.annulus(0.5, 1.7, space.dim)
     overlap = disk.overlap(annulus)
@@ -359,11 +363,11 @@ def test_diagonal_route_matches_dense(family):
             assert _diagonal(space, grid, psi, mask)
             want = dense_gram(space, grid, psi, _node_values(grid, mask))
             got = weighted_gram_matrix(space, grid, psi, mask)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-            assert np.array_equal(got, np.diag(got.diagonal()))
+            assert got.shape == (space.rank,)
+            assert np.max(np.abs(np.diag(got) - want)) <= 1e-12 * np.max(np.abs(want))
         g = gram(space, grid, psi)
         assert g.route == "diagonal"
-        assert np.array_equal(g.matrix, weighted_gram_matrix(space, grid, psi))
+        assert np.array_equal(g.matrix, np.diag(weighted_gram_matrix(space, grid, psi)))
         assert g.logdet == pytest.approx(np.linalg.slogdet(dense_gram(space, grid, psi))[1], abs=1e-12)
         assert np.array_equal(g.transform, np.diag(1.0 / np.sqrt(g.matrix.diagonal())))
 
@@ -441,6 +445,34 @@ def test_factored_gram_builds_no_product_node_arrays(monkeypatch):
     assert out.getvalue() == "log Z = 4965.278785\n"
 
 
+@pytest.mark.parametrize(
+    "space, argv",
+    [(make_product((1, 1), 50), ["--space", "product", "--mults", "1,1", "--k", "50"]),
+     (make_ginibre(2000), ["--space", "ginibre", "--n", "2000"])],
+    ids=["product11k50", "ginibre2000"],
+)
+def test_diagonal_partition_holds_no_n_by_n_matrix(space, argv):
+    # a diagonal-route Gram is its (N,) diagonal from assembly on: N x N
+    # complex matrices holding only a diagonal took 109 MB at rank 2601 and
+    # 64 MB at Ginibre N = 2000.  What is left is each factor's real radial
+    # table R (n_r, N_f), cached on the grid, and R**2 beside it while D is
+    # contracted: 2 n_r N_f floats per factor, with 1 MB for the (n_r,) and
+    # (N,) vectors.  A product's tables are 2 x 33 x 51 floats, so 2 MB there
+    tables = sum(2 * r.size * (f.degree + 1) * 8 for f, r in zip(space.factors, build_grid(space).radii))
+    bound = 2_000_000 if space.dim > 1 else tables + 1_000_000
+    for _ in range(2):  # the first run fills the per-rank caches (the Ginibre edge, the norms)
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                assert cli.run(["check", "partition", *argv]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert "relative error" in out.getvalue()
+    assert peak < bound
+
+
 # ---------------------------------------------------------------------------
 # the factored route: separable weights on products
 
@@ -510,8 +542,8 @@ def test_separable_weights_have_kronecker_grams(terms, scaled):
     parts = factor_weights(psi, space.dim)
     if parts is None:
         return
-    A = weighted_gram_matrix(space, grid, psi)
-    K = np.kron(*[weighted_gram_matrix(space.factor_space(f), grid.factor(f), w)
+    A = _as_matrix(weighted_gram_matrix(space, grid, psi))
+    K = np.kron(*[_as_matrix(weighted_gram_matrix(space.factor_space(f), grid.factor(f), w))
                   for f, w in enumerate(parts)])
     assert np.max(np.abs(A - K)) <= 1e-13 * np.max(np.abs(A))
 
@@ -564,7 +596,7 @@ def test_weighted_fs_gram_diagonal_matches_quad():
     space = make_fubini_study(k)
     psi = parse_weight("r2/(1+r2)")
     grid = build_grid(space)
-    G = weighted_gram_matrix(space, grid, psi)
+    G = np.diag(weighted_gram_matrix(space, grid, psi))
     # angular symmetry kills off-diagonal entries
     off = G - np.diag(np.diag(G))
     assert np.max(np.abs(off)) < 1e-12
@@ -583,7 +615,7 @@ def test_weighted_ginibre_gram_diagonal_matches_quad():
     space = make_ginibre(n)
     grid = build_grid(space)
     psi = parse_weight("r2/(1+r2)")
-    G = weighted_gram_matrix(space, grid, psi)
+    G = np.diag(weighted_gram_matrix(space, grid, psi))
     for j in range(n):
         want, err = integrate.quad(
             lambda t, j=j: t**j / special.factorial(j) * math.exp(-t - t / (1.0 + t)),
@@ -597,8 +629,8 @@ def test_weighted_gram_accepts_callable():
     space = make_fubini_study(2)
     grid = build_grid(space)
     expr = parse_weight("0.3*r2/(1+r2)")
-    G1 = weighted_gram_matrix(space, grid, expr)
-    G2 = weighted_gram_matrix(space, grid, lambda Z: 0.3 * np.abs(Z[:, 0]) ** 2 / (1 + np.abs(Z[:, 0]) ** 2))
+    G1 = _as_matrix(weighted_gram_matrix(space, grid, expr))
+    G2 = _as_matrix(weighted_gram_matrix(space, grid, lambda Z: 0.3 * np.abs(Z[:, 0]) ** 2 / (1 + np.abs(Z[:, 0]) ** 2)))
     assert np.max(np.abs(G1 - G2)) < 1e-14
 
 
@@ -676,6 +708,17 @@ def test_a_grid_built_for_another_space_is_refused(assemble, space, other):
         assemble(space, build_grid(other))
     assert str(space_to_config(space)) in str(info.value)
     assert str(space_to_config(other)) in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "refused, named",
+    [(lambda: Region.disk(1.0, 2).mask([0.1, 0.2, 0.3]), "points have 1 factors, region has 2"),
+     (lambda: build_grid(make_product((1, 2), 2), breaks=[(1.0,)]), "need breaks for 2 factors, got 1")],
+    ids=["region-mask", "grid-breaks"],
+)
+def test_a_wrong_factor_count_is_refused(refused, named):
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        refused()
 
 
 # ---------------------------------------------------------------------------

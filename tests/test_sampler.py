@@ -77,6 +77,11 @@ def test_draws_do_not_depend_on_workers():
         assert serial[1][r] == pooled[1][r] == c.log_density
 
 
+def test_sample_many_refuses_no_workers():
+    with pytest.raises(ValueError, match="^workers must be at least 1, got 0$"):
+        sample_dpp_many(make_ginibre(3), reps=2, seed=1, workers=0)
+
+
 @pytest.mark.parametrize("reps", [0, 1, 3])
 def test_sample_many_returns_one_draw_set(reps):
     # (reps, N, dim) complex points and (reps,) log densities, draw r from stream (5, r)

@@ -314,6 +314,23 @@ def test_pair_predictions_match_node_mask_grams(case):
         assert row.predicted == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def test_pair_predictions_hold_no_n_by_n_matrix():
+    # each region Gram, and the overlap's, is its (N,) diagonal: at rank 1681
+    # three N x N complex matrices took 137 MB, and the diagonals take 27 KB
+    # each beside the grid's radial tables, 96 x 41 floats per factor (5 MB bounds all)
+    space = make_product((1, 1), 40)
+    points = draw_set(np.zeros((space.rank, space.dim)))
+    regions = [Region.disk(1.0, 2), Region.disk(2.0, 2)]
+    tracemalloc.start()
+    try:
+        rows = pair_count_stats(space, points, regions)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.rank == 1681 and len(rows) == 3
+    assert peak < 5_000_000
+
+
 def test_fs_disk_mean_closed_form():
     # E[#disk(r)] = (k+1) r^2/(1+r^2) on the Fubini-Study chart
     k = 7

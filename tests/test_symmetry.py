@@ -37,6 +37,8 @@ standard deviations off, and one that ignores the weight reads mean Re z
 and mean X near 0.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,7 +46,7 @@ from hypothesis import strategies as st
 
 from bergdpp.energy import GramPath, lambda_k, partition_function
 from bergdpp.exprs import parse_weight, weight_sum
-from bergdpp.quadrature import build_grid, gram
+from bergdpp.quadrature import bergman_trace, build_grid, gram
 from bergdpp.sampler import McmcConfig, rng_stream, sample_weighted
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
 from symmetry_oracles import rotate, shifted, translate
@@ -186,6 +188,58 @@ def test_sphere_rotation_keeps_log_z_of_a_drawn_radial_weight(k, c, theta):
     psi = weight_sum(*zip(c, _SPHERE_TERMS))
     _check_identity(space, psi, rotate(psi, theta), "diagonal")
     _check_cgf(GramPath(space, psi), GramPath(space, rotate(psi, theta)), 1.0)
+
+
+# Product (1, 2), a weight of factor 1 alone.  rotate moves both factors, which
+# such a weight reads as the rotation of factor 1.  The moved side is assembled on
+# one grid for every t: 10 radii per factor, 9 angles on factor 2 (degree 2k <= 4,
+# which the weight does not read) and 23 on factor 1 (degree k <= 2), which keep 20
+# frequencies of e^{-t psi o g} clear of aliasing, one fewer in the trace integrand.
+# Each example checks that twice the angles and twice the radii move its log det
+# by at most the two grids' floors.  The radial side is a GramPath on the diagonal
+# route, whose K' is the N-sum of bergman_trace.  K'(t) = -tr(S^{-1} M), M the
+# scaled psi-masked Gram, and -max|psi| S <= M <= max|psi| S, so |K'| <= N max|psi|.
+# The solve moves S^{-1} by about eps cond(S) relative, and the scaling and the
+# sum round each term by about eps, so K''s floor is 2 N eps (cond(S) + 1) max|psi|,
+# here max|psi| <= |c_1| + |c_2|.  Below the smallest normal number rounding is
+# absolute (gradual underflow), so a drawn c near 1e-313 adds that number,
+# np.finfo(float).tiny, to the floor.  500 random examples passed in a trial run.
+_FACTOR_1_TERMS = (parse_weight("r2_1/(1+r2_1)"), parse_weight("(r2_1/(1+r2_1))^2"))
+
+
+def _factor_1_grid(space, radial: int, angular: int):
+    """A grid with `radial` radii per factor and `angular` angles on factor 1, 9 on factor 2."""
+    grid = build_grid(space, radial=radial, angular=9)
+    return dataclasses.replace(grid, angular=(angular, *grid.angular[1:]))
+
+
+def _trace_floor(g, top: float) -> float:
+    """The rounding floor of bergman_trace(g, psi) with max|psi| <= top: 2 N eps (cond(S) + 1) top + tiny."""
+    lo, hi = g.spectrum
+    return 2.0 * g.grid.space.rank * EPS * (hi / lo + 1.0) * top + np.finfo(float).tiny
+
+
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(k=st.sampled_from([1, 2]), c=st.tuples(_COEF, _COEF), theta=st.floats(0.0, 2.0 * np.pi))
+def test_product_rotation_of_factor_1_keeps_a_drawn_radial_weight(k, c, theta):
+    # psi = c_1 s_1 + c_2 s_1^2, s_1 = r2_1/(1+r2_1), is radial (the diagonal
+    # route), and psi o g is not: log det, K(1) and K'(1) agree
+    space = make_product((1, 2), k)
+    psi = weight_sum(*zip(c, _FACTOR_1_TERMS))
+    moved = rotate(psi, theta)
+    path = GramPath(space, psi)
+    assert path.at(1.0).route == "diagonal"
+    grids = [_factor_1_grid(space, r, a) for r, a in ((10, 23), (10, 47), (20, 23))]
+    got, *finer = (gram(space, grid, weight_sum((1.0, moved))) for grid in grids)
+    assert got.route == "dense"
+    assert all(abs(f.logdet - got.logdet) <= _floor(got) + _floor(f) for f in finer)
+    assert abs(got.logdet - path.logdet(1.0)) <= _floor(got) + _floor(path.at(1.0))
+    at_0 = gram(space, grids[0])
+    floor = sum(_floor(g) for g in (got, at_0, path.at(0.0), path.at(1.0)))
+    assert abs(got.logdet - at_0.logdet - path.cgf(1.0)) <= floor
+    top = abs(c[0]) + abs(c[1])
+    floor = _trace_floor(got, top) + _trace_floor(path.at(1.0), top)
+    assert abs(-bergman_trace(got, moved) - path.bergman_derivative(1.0)) <= floor
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,16 @@ each run in a fresh temporary directory, so a file one job writes is there
 for the jobs after it; the samples path replaces SAMPLES_FILE ("@samples")
 in the argv, and "@samples" replaces the path in every output.  The record
 holds, per job, the exit code and the sha256 of stdout, stderr and each
-file the job wrote or changed.
+file the job wrote or changed, and the number tokens of stdout and of each
+written report (a samples text keeps its digest alone), each at its path:
+the stream, the line, and the words before the number on that line.
 
 bergdpp is imported from PYTHONPATH when that holds one, else from this
 checkout's src/.  So a record of another commit runs from a checkout of it
 (a git worktree) with PYTHONPATH=<checkout>/src; the job lists and README
 commands are always this checkout's.  --compare lists the jobs whose
-streams differ, and the jobs that only one record has, and exits 1 if there
-are any.
+streams differ, each followed by its moved numbers as "path: old -> new",
+and the jobs that only one record has, and exits 1 if there are any.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 import time
@@ -47,10 +50,32 @@ def _sha(data: str | bytes) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
 
 
-def _files(workdir: Path, samples: str) -> dict[str, str]:
-    """Digest of each file under workdir, its text with the samples path normalised."""
+# a JSON, CSV or printed number, inf and nan included
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan)(?![\w.])")
+
+
+def _numbers(stream: str, text: str) -> list[list[str]]:
+    """[path, token] for each number of a report text; none for a samples text (its digest is enough).
+
+    The path is the stream, the line and the words before the number on its
+    line, back to the number before it.
+    """
+    if '.samples/1"' in text:
+        return []
+    out = []
+    for i, line in enumerate(text.splitlines(), 1):
+        start = 0
+        for m in _NUMBER.finditer(line):
+            label = line[start : m.start()].strip(' "\'=:,([{')
+            out.append([f"{stream}:{i}" + (f" {label}" if label else ""), m.group()])
+            start = m.end()
+    return out
+
+
+def _files(workdir: Path, samples: str) -> dict[str, bytes]:
+    """Bytes of each file under workdir, with the samples path normalised."""
     return {
-        str(path.relative_to(workdir)): _sha(path.read_bytes().replace(samples.encode(), b"@samples"))
+        str(path.relative_to(workdir)): path.read_bytes().replace(samples.encode(), b"@samples")
         for path in sorted(workdir.rglob("*")) if path.is_file()
     }
 
@@ -66,11 +91,17 @@ def _run(cli, argv, workdir: Path, samples: str) -> dict:
             code = f"raised {type(exc).__name__}"
             print(repr(exc), file=sys.stderr)
     after = _files(workdir, samples)
+    stdout = out.getvalue().replace(samples, "@samples")
+    written = {name: data for name, data in after.items() if before.get(name) != data}
+    numbers = _numbers("stdout", stdout)
+    for name, data in written.items():
+        numbers += _numbers(f"file {name}", data.decode(errors="replace"))
     return {
         "exit": code,
-        "stdout": _sha(out.getvalue().replace(samples, "@samples")),
+        "stdout": _sha(stdout),
         "stderr": _sha(err.getvalue().replace(samples, "@samples")),
-        "files": {name: digest for name, digest in after.items() if before.get(name) != digest},
+        "files": {name: _sha(data) for name, data in written.items()},
+        "numbers": numbers,
     }
 
 
@@ -124,8 +155,16 @@ def record(seeds: list[int]) -> dict:
     return {"bergdpp": str(Path(cli.__file__).resolve().parent), "seeds": seeds, "jobs": records}
 
 
+def _moved(x: list, y: list) -> list[str]:
+    """"path: old -> new" for each number that differs between two jobs' number lists."""
+    lines = [f"  {p}: {old} \u2192 {new}" for (p, old), (_, new) in zip(x, y) if old != new]
+    if len(x) != len(y):
+        lines.append(f"  {len(x)} numbers \u2192 {len(y)} numbers")
+    return lines
+
+
 def compare(a: dict, b: dict) -> list[str]:
-    """One line per job that differs: the streams that differ, or the record that lacks it."""
+    """Per differing job: the streams that differ, then its moved numbers; or the record that lacks it."""
     lines = []
     for key in [*a["jobs"], *(k for k in b["jobs"] if k not in a["jobs"])]:
         if key not in b["jobs"] or key not in a["jobs"]:
@@ -137,6 +176,7 @@ def compare(a: dict, b: dict) -> list[str]:
         streams += [f"file {n}" for n in names if x["files"].get(n) != y["files"].get(n)]
         if streams:
             lines.append(f"{key}: {', '.join(streams)}")
+            lines += _moved(x.get("numbers", []), y.get("numbers", []))
     return lines
 
 
@@ -151,7 +191,8 @@ def main(argv=None) -> int:
     if args.compare:
         a, b = (json.loads(Path(p).read_text()) for p in args.compare)
         lines = compare(a, b)
-        print("\n".join(lines + [f"{len(lines)} of {len(set(a['jobs']) | set(b['jobs']))} jobs differ"]))
+        jobs = sum(not line.startswith(" ") for line in lines)
+        print("\n".join(lines + [f"{jobs} of {len(set(a['jobs']) | set(b['jobs']))} jobs differ"]))
         return 1 if lines else 0
     start = time.perf_counter()
     result = record([int(s) for s in args.seeds.split(",")])
