@@ -9,8 +9,9 @@ has trace N, and its m-point determinants det[B(x_a, x_b)] are the joint
 intensities of the projection determinantal process.
 
 An evaluator can carry the Gram of an extra weight psi, which holds psi and
-the grid it was built on (a grid serves only its own space): the sections
-are re-orthonormalized by its map and e^{-psi/2} is folded into the values.
+the grid it was built on (a grid serves only its own space): the section
+rows are re-orthonormalized by GramMatrix.whiten, the one reader of how the
+Gram is factored, and e^{-psi/2} is folded into the values.
 For constant psi this leaves every kernel determinant unchanged, the
 numerical shadow of invariance under globally holomorphic weight changes.
 
@@ -66,14 +67,14 @@ class KernelEvaluator:
     """Evaluates B(x, y), optionally under the weight psi of a Gram: its map and e^{-psi/2}."""
 
     space: ModelSpace
-    gram: GramMatrix | None = None  # the psi-Gram: transform and weight
+    gram: GramMatrix | None = None  # the psi-Gram: its whiten and weight
 
     def section_rows(self, points) -> np.ndarray:
         """Rows of (possibly re-orthonormalized) section values at points."""
         Z = _as_points(points, self.space.dim)
         V = self.space.section_matrix(Z)
         if self.gram is not None:
-            V = V @ self.gram.transform
+            V = self.gram.whiten(V)
             V = V * np.exp(-0.5 * weight_values(self.gram.weight, Z))[:, None]
         return V
 

@@ -75,7 +75,7 @@ c on QuadratureGrid.radial_rule (theta = 0, angular weights summed to 2 pi)
 and contracts R_a^2 into it factor by factor, O(n_r N) work each with no
 node array.  The Gram is its (N,) complex diagonal D from there on:
 weighted_gram_matrix returns D, gram_trace sums over it, and GramMatrix
-forms diag(D) only when its matrix or map is read.  Any other weight or mask
+forms diag(D) only when its matrix is read.  Any other weight or mask
 form (re_ / im_ terms, any other callable) or an aliasing grid (angular <
 2 * degree + 1 folds bands onto each other, angular <= degree onto band 0)
 takes the dense route: the DFT of c at the nodes, then A band by band (fixed
@@ -112,14 +112,19 @@ Hermitianizes as (A + A^H)/2, and on the dense route gram() works on the scaled
 Gram S = D^{-1/2} A D^{-1/2}, D = diag(A), which does not change when a basis
 section is rescaled (and diagonal scaling nearly minimises the condition
 number of a Hermitian positive-definite matrix: van der Sluis, Numer. Math.
-1969).  S gives the log-determinant, the degeneracy verdict (an eigenvalue of
-S at most 1e-12 of its largest raises GramDegenerateError, the usual cause
-being a grid with fewer nodes than the rank needs) and the orthonormalising
-map GramMatrix.transform that the kernel and CGF paths use.  On the diagonal
-route S = I exactly: log det A = sum log D, the Gram is degenerate when some
-D_aa <= 0, the map is D^{-1/2}, and the Bergman inverse conj(A)^{-1} = T T^H
-is D^{-1}, so bergman_trace is sum_a m~_a / D_aa over the diagonal m~ of the
-masked Gram, even where a mask that is not radial makes that Gram dense.
+1969).  S gives the log-determinant and the degeneracy verdict (an
+eigenvalue of S at most 1e-12 of its largest raises GramDegenerateError, the
+usual cause being a grid with fewer nodes than the rank needs), both from its
+eigenvalues.  The kernel and CGF paths read the orthonormalising map T, with
+T T^H = conj(A)^{-1}, only through GramMatrix.whiten, which alone knows how a
+Gram is factored: on the dense route T = D^{-1/2} L^{-H} for the Cholesky
+factor L L^H = conj(S), taken once on first use and read through solves, and
+on the factored route each factor's map along its own axis, so neither T nor
+T T^H is formed.  On the diagonal route S = I exactly: log det A = sum log D,
+the Gram is degenerate when some D_aa <= 0, whiten divides by D^{1/2}, and
+the Bergman inverse conj(A)^{-1} is D^{-1}, so bergman_trace is
+sum_a m~_a / D_aa over the diagonal m~ of the masked Gram, even where a mask
+that is not radial makes that Gram dense.
 GramMatrix.route records which route built a Gram, and .grid and .weight the
 grid and weight it was built from, which its readers take from it.  A grid
 serves only its own space (QuadratureGrid.space): _assemble refuses one built
@@ -302,19 +307,27 @@ class QuadratureGrid:
         w = functools.reduce(np.multiply.outer, [2.0 * math.pi * rw for rw in self.radial_weights])
         return points.astype(complex), w.ravel()
 
+    @functools.cached_property
+    def factor_grids(self) -> tuple["QuadratureGrid", ...]:
+        """Each factor's own rule, sliced once: a sphere's grid, which no weight's edge moves."""
+        grids = []
+        for i in range(len(self.radii)):
+            space = self.space.factor_space(i)
+            radial, angular = (self.radial[i],), (self.angular[i],)
+            grids.append(QuadratureGrid(
+                space=space,
+                radii=(self.radii[i],),
+                radial_weights=(self.radial_weights[i],),
+                radial=radial,
+                angular=angular,
+                under_resolved=_unresolved_bound(space, radial, angular),
+                psi=None,
+            ))
+        return tuple(grids)
+
     def factor(self, i: int) -> "QuadratureGrid":
-        """Factor i's own rule, sliced from this grid: a sphere's grid, which no weight's edge moves."""
-        space = self.space.factor_space(i)
-        radial, angular = (self.radial[i],), (self.angular[i],)
-        return QuadratureGrid(
-            space=space,
-            radii=(self.radii[i],),
-            radial_weights=(self.radial_weights[i],),
-            radial=radial,
-            angular=angular,
-            under_resolved=_unresolved_bound(space, radial, angular),
-            psi=None,
-        )
+        """Factor i's own rule (factor_grids): one object, with one radial_tables, per grid and factor."""
+        return self.factor_grids[i]
 
 
 @functools.cache
@@ -496,7 +509,8 @@ class GramMatrix:
     It keeps the grid it was assembled on and the weight psi it carries, and
     its readers take both from it.  In place of A it keeps D = diag(A), (N,)
     complex, on the diagonal route, and its factors' Grams, each on its factor
-    grid under its factor weight, on the factored route; A and its map are formed on first use.
+    grid under its factor weight, on the factored route; A is formed on first
+    use.  Its readers apply the map T T^H = conj(A)^{-1} through whiten alone.
     """
 
     logdet: float
@@ -516,21 +530,26 @@ class GramMatrix:
         return np.diag(self.assembled) if self.route == "diagonal" else self.assembled
 
     @functools.cached_property
-    def transform(self) -> np.ndarray:
-        """The orthonormalising map T = D^{-1/2} conj(S)^{-1/2}, computed on first use.
+    def cholesky(self) -> np.ndarray:
+        """The lower factor L of conj(S) = L L^H, S the scaled Gram gram() judged: dense route, first use."""
+        s = 1.0 / np.sqrt(self.assembled.diagonal().real)
+        return np.linalg.cholesky(self.assembled.conj() * s[:, None] * s[None, :])
 
-        S = D^{-1/2} A D^{-1/2} is the scaled Gram that gram() judged, I on
-        the diagonal route.  Since A = V^T diag(c) conj(V), the rows of V @ T
-        are orthonormal in the c-weighted inner product: T^H conj(A) T = I,
-        and T T^H = conj(A)^{-1}.  On the factored route T = kron(T_1, T_2, ...).
+    def whiten(self, V: np.ndarray) -> np.ndarray:
+        """V T along V's last axis, T = D^{-1/2} L^{-H}, the map of each route (module docstring).
+
+        An accepted S has lambda_min > 1e-12 lambda_max >= 1e-12, far above the n u lambda_max
+        where Cholesky breaks down (Higham 2002, Thm 10.7), so L needs no fallback.
         """
-        if self.factors:
-            return functools.reduce(np.kron, (f.transform for f in self.factors))
+        if self.factors:  # each factor's map on the last axis, which then moves to the front
+            W = V.reshape(-1, *(f.assembled.shape[0] for f in self.factors))
+            for f in reversed(self.factors):
+                W = np.moveaxis(f.whiten(W), -1, 1)
+            return W.reshape(V.shape)
         if self.route == "diagonal":
-            return np.diag((1.0 / np.sqrt(self.assembled.real)).astype(complex))
-        s = 1.0 / np.sqrt(self.matrix.diagonal().real)
-        eigs, U = np.linalg.eigh(self.matrix.conj() * s[:, None] * s[None, :])
-        return (U * s[:, None] / np.sqrt(eigs)[None, :]) @ U.conj().T
+            return V / np.sqrt(self.assembled.real)
+        W = (V / np.sqrt(self.assembled.diagonal().real)).reshape(-1, V.shape[-1])
+        return np.linalg.solve(self.cholesky, W.conj().T).conj().T.reshape(V.shape)
 
 
 def _bands(R: np.ndarray, chat: np.ndarray) -> np.ndarray:
@@ -665,11 +684,11 @@ def gram(space: ModelSpace, grid: QuadratureGrid, psi=None) -> GramMatrix:
     The degeneracy test and the log-determinant use the scaled Gram
     S = D^{-1/2} A D^{-1/2} with D = diag(A): log det A = log det S + sum log D,
     and S, unlike A, does not change when a basis section is rescaled.  On
-    the dense route its eigenvalues come from the degeneracy check, so S is
-    factorized once for both; the eigenvectors behind GramMatrix.transform
-    are left for first use.  On the diagonal route S = I.  On the factored
-    route each factor's Gram is assembled on its own rule, sliced from the
-    grid, and the verdict is read from the Kronecker spectrum of S.
+    the dense route its eigenvalues serve both, and the Cholesky factor of
+    the S judged here is left for GramMatrix.whiten's first use.  On the
+    diagonal route S = I.  On the factored route each factor's Gram is
+    assembled on its own rule, sliced from the grid once, and the verdict is
+    read from the Kronecker spectrum of S.
     """
     weights = _factored_weights(space, psi)
     if weights is None:
@@ -685,11 +704,11 @@ def gram(space: ModelSpace, grid: QuadratureGrid, psi=None) -> GramMatrix:
 def bergman_trace(g: GramMatrix, mask) -> float:
     """int m B dmu = sum_ab (conj A)^{-1}_ab A~_ab, B the kernel of the Gram g on g.grid under g.weight.
 
-    B(x, x) = |v(x) T|^2 e^{-psi(x)} with T T^H = conj(A)^{-1} (g.transform), D^{-1} on
-    the diagonal route, and A~ is the Gram masked by the weight form mask, m.  Where
-    mask and psi separate on a product, it sums (N/N_f) times factor f's trace (module
-    docstring) against g's factor Gram, or the factor's own on grid.factor(f) where g
-    took the diagonal route.
+    B(x, x) = |g.whiten(v(x))|^2 e^{-psi(x)}, and A~ is the Gram masked by the weight form
+    mask, m.  On the dense route the sum is Re tr(T^H conj(A~) T), whitened on both sides;
+    on the diagonal route conj(A)^{-1} = D^{-1}.  Where mask and psi separate on a product,
+    it sums (N/N_f) times factor f's trace (module docstring) against g's factor Gram, or
+    the factor's own on grid.factor(f) where g took the diagonal route.
     """
     space, psi = g.grid.space, g.weight
     masks = _factored_weights(space, mask)
@@ -698,8 +717,7 @@ def bergman_trace(g: GramMatrix, mask) -> float:
         masked = weighted_gram_matrix(space, g.grid, psi, mask)
         if g.route == "diagonal":  # conj(A)^{-1} = D^{-1}: only the diagonal of A~ enters
             return float(np.sum((masked if masked.ndim == 1 else masked.diagonal()).real / g.assembled.real))
-        T = g.transform
-        return float(np.sum((T @ T.conj().T) * masked).real)
+        return float(np.trace(g.whiten(g.whiten(masked.conj()).conj().T)).real)  # tr T^H conj(A~) T
     total = 0
     for i, (w, m) in enumerate(zip(weights, masks)):
         if m is not None:

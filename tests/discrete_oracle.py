@@ -7,7 +7,7 @@ point at a time.  Only the tests use it.
 
 import numpy as np
 
-from bergdpp.quadrature import build_grid, gram
+from bergdpp.quadrature import build_grid
 from bergdpp.spaces import ModelSpace
 
 # Tolerance on the Hermitian asymmetry and on the 0/1 spectrum of a kernel.
@@ -74,11 +74,11 @@ def discrete_projection_from_space(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ground set and projection kernel built from a coarse quadrature grid.
 
-    Returns (nodes, K) where K = Q Q^H and Q holds the weighted section
-    values orthonormalized over the grid; the ground set has
-    radial * angular points per factor.
+    Returns (nodes, K) where K = Q Q^H and Q is the orthonormal factor of
+    the QR decomposition of sqrt(w rho) V, the weighted section values at the
+    grid nodes: it spans what the Gram's whitened rows span, with no Gram
+    code shared.  The ground set has radial * angular points per factor.
     """
     grid = build_grid(space, radial=radial, angular=angular)
-    T = gram(space, grid).transform
-    Q = np.sqrt(grid.weights * grid.density)[:, None] * (space.section_matrix(grid.nodes) @ T)
+    Q, _ = np.linalg.qr(np.sqrt(grid.weights * grid.density)[:, None] * space.section_matrix(grid.nodes))
     return grid.nodes, Q @ Q.conj().T

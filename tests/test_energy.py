@@ -26,7 +26,7 @@ from bergdpp.energy import (
     partition_function,
 )
 from bergdpp.exprs import parse_weight, weight_sum, weight_values
-from bergdpp.quadrature import Region, build_grid, gram, weighted_gram_matrix
+from bergdpp.quadrature import Region, bergman_trace, build_grid, gram, weighted_gram_matrix
 from bergdpp.sampler import sample_dpp_many
 from bergdpp.spaces import make_fubini_study, make_ginibre, make_product
 from law_oracles import grid_mass
@@ -207,6 +207,12 @@ def test_radial_cgf_path_is_diagonal_end_to_end(space, expr, monkeypatch):
         assert path.bergman_derivative(0.0) == pytest.approx(-5.5, abs=1e-13)
 
 
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff."""
+    u = np.finfo(float).eps / 2
+    return n * u / (1.0 - n * u)
+
+
 @pytest.mark.parametrize(
     "space,expr",
     [(make_fubini_study(40), "r2/(1+r2)"), (make_ginibre(30), "r2/(1+r2)"),
@@ -216,38 +222,62 @@ def test_radial_cgf_path_is_diagonal_end_to_end(space, expr, monkeypatch):
 def test_diagonal_bergman_trace_reads_no_transform(space, expr, monkeypatch):
     # on the diagonal route conj(A)^{-1} = T T^H is D^{-1}, so the trace is
     # sum_a m~_a / d_a over the diagonals, with no N x N array: the derivative
-    # never forms T, and it matches the N x N sum against T T^H to rounding.
+    # never reads the dense route's Cholesky factor, and it matches the N x N
+    # sum against T T^H, T = whiten(I), to rounding.
     # Per term, the oracle's s = 1/sqrt(d), s*s and the product with m~ and
     # the quotient m~/d round at most 7 times in all; numpy sums n terms
     # pairwise in blocks whose depth is at most 18 + log2(n) additions
     # (Higham 2002, sec. 4.2), here n = N for the N-sum and N^2 for the oracle
     from bergdpp.quadrature import GramMatrix
 
-    eps = np.finfo(float).eps / 2  # the unit roundoff u
-
-    def gamma(n: int) -> float:  # Higham's gamma_n = n u / (1 - n u)
-        return n * eps / (1.0 - n * eps)
-
     depth = 18 + math.ceil(math.log2(space.rank))
     psi = parse_weight(expr)
     want, bound = {}, {}
     for t in (0.0, 0.5, 1.0):
         g = GramPath(space, psi).at(t)
-        T = g.transform
+        T = g.whiten(np.eye(space.rank))
         masked = weighted_gram_matrix(space, g.grid, g.weight, psi)
         want[t] = -float(np.sum((T @ T.conj().T) * np.diag(masked)).real)
         terms = float(np.sum(np.abs(masked.real / np.diag(g.matrix).real)))
-        bound[t] = (gamma(7) + gamma(depth) + gamma(2 * depth)) * terms
+        bound[t] = (_gamma(7) + _gamma(depth) + _gamma(2 * depth)) * terms
 
     def refuse(g):
-        assert g.route != "diagonal", "a diagonal-route Bergman trace read GramMatrix.transform"
-        return GramMatrix.__dict__["transform"].func(g)
+        assert g.route != "diagonal", "a diagonal-route Bergman trace read GramMatrix.cholesky"
+        return GramMatrix.__dict__["cholesky"].func(g)
 
-    monkeypatch.setattr(GramMatrix, "transform", property(refuse))
+    monkeypatch.setattr(GramMatrix, "cholesky", property(refuse))
     path = GramPath(space, psi)
     for t, value in want.items():
         assert path.at(t).route == "diagonal"
         assert abs(path.bergman_derivative(t) - value) <= bound[t]
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_dense_bergman_trace_matches_a_40_digit_trace(t):
+    # the dense trace sum_ab (conj A)^{-1}_ab A~_ab against mpmath at 40
+    # digits on the same double-precision Grams.  whiten solves against the
+    # Cholesky factor L of conj(S), S = D^{-1/2} A D^{-1/2}; to first order
+    # the factorisation and the two solves return tr((S + dS)^{-1} C), C =
+    # D^{-1/2} conj(A~) D^{-1/2}, with |dS| <= gamma_{3N+1} |L| |L^H| (Higham
+    # 2002, Thms 10.3 and 10.4), which moves the trace by at most
+    # gamma_{3N+1} tr(|S^-1| |L| |L^H| |S^-1| |C|); forming C and summing
+    # the trace add gamma_{N+3} tr(|S^-1| |C|)
+    import mpmath
+
+    space, psi = make_fubini_study(30), parse_weight("re_1/(1+r2)")
+    g = GramPath(space, psi).at(t)
+    assert g.route == "dense"
+    A, masked = g.matrix, weighted_gram_matrix(space, g.grid, g.weight, psi)
+    with mpmath.workdps(40):
+        inverse = mpmath.matrix(A.conj().tolist()) ** -1
+        n = space.rank
+        exact = float(mpmath.fsum(inverse[a, b] * masked[a, b] for a in range(n) for b in range(n)).real)
+    s = 1.0 / np.sqrt(A.diagonal().real)
+    S = A.conj() * s[:, None] * s[None, :]
+    L, Si = np.abs(np.linalg.cholesky(S)), np.abs(np.linalg.inv(S))
+    C = np.abs(masked.conj() * s[:, None] * s[None, :])
+    bound = _gamma(3 * n + 1) * np.sum((Si @ L @ L.T @ Si) * C.T) + _gamma(n + 3) * np.sum(Si * C.T)
+    assert abs(bergman_trace(g, psi) - exact) <= bound
 
 
 @pytest.mark.parametrize(

@@ -203,6 +203,34 @@ def test_reweighted_rows_orthonormal_under_complex_gram(space, source):
     assert np.max(np.abs(G - np.eye(space.rank))) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "mults, k, source, bound",
+    [((1, 1), 50, "r2_1/(1+r2_1)", 2e6), ((1, 2), 15, "re_1/(1+r2_1)", 0.5e6)],
+    ids=["diagonal-11k50", "factored-12k15"],
+)
+def test_reweighted_kernel_det_forms_no_n_by_n_map(mults, k, source, bound):
+    # GramMatrix.whiten divides by sqrt(D) on the diagonal route and applies
+    # each factor's map along its own axis on the factored route, so a first
+    # kernel_det holds section rows alone, not an N x N complex map: 108 MB
+    # at rank 2601 (diagonal), 3.9 MB at rank 496 (factored)
+    import tracemalloc
+
+    from bergdpp.exprs import parse_weight
+
+    space, psi = make_product(mults, k), parse_weight(source)
+    ev = reweighted_evaluator(space, build_grid(space, psi=psi), psi)
+    assert ev.gram.route == ("diagonal" if mults == (1, 1) else "factored")
+    pts = np.array([[0.3 + 0.2j, -0.5 + 0.1j], [0.7 - 0.4j, 0.2 + 0.9j]])
+    tracemalloc.start()
+    try:
+        value = kernel_det(ev, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value > 0.0
+    assert peak < bound
+
+
 def test_reweighted_rows_reject_a_non_finite_weight():
     # log(r2) is finite on the grid, whose radii are all positive, and -inf at 0
     from bergdpp.exprs import parse_weight

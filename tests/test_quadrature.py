@@ -369,7 +369,7 @@ def test_diagonal_route_matches_dense(family):
         assert g.route == "diagonal"
         assert np.array_equal(g.matrix, np.diag(weighted_gram_matrix(space, grid, psi)))
         assert g.logdet == pytest.approx(np.linalg.slogdet(dense_gram(space, grid, psi))[1], abs=1e-12)
-        assert np.array_equal(g.transform, np.diag(1.0 / np.sqrt(g.matrix.diagonal())))
+        assert np.array_equal(g.whiten(np.eye(space.rank)), np.diag(1.0 / np.sqrt(g.matrix.diagonal().real)))
 
 
 @pytest.mark.parametrize("family", sorted(_SPACES))
@@ -494,12 +494,55 @@ def test_factored_gram_matches_dense(mults, source):
     assert abs(g.logdet - dense.logdet) <= 1e-12 * max(1.0, abs(dense.logdet))
     A = dense.matrix
     assert np.max(np.abs(g.matrix - A)) <= 1e-12 * np.max(np.abs(A))
-    T = g.transform
-    assert np.max(np.abs(T.conj().T @ A.conj() @ T - np.eye(space.rank))) <= 1e-12
+    # the kernels V conj(A)^{-1} V^H of both routes' whitened section rows
+    rng = np.random.default_rng(3)
+    V = space.section_matrix(rng.normal(size=(20, space.dim)) + 1j * rng.normal(size=(20, space.dim)))
+    K, want = [W @ W.conj().T for W in (g.whiten(V), dense.whiten(V))]
+    assert np.max(np.abs(K - want)) <= 1e-12 * np.max(np.abs(want))
     lo, hi = g.spectrum  # the Kronecker spectrum of S is the dense S's
     scale = 1.0 / np.sqrt(A.diagonal().real)
     eigs = np.linalg.eigvalsh(A * scale[:, None] * scale[None, :])
     assert lo == pytest.approx(eigs[0], rel=1e-10) and hi == pytest.approx(eigs[-1], rel=1e-10)
+
+
+def test_each_factor_grid_is_sliced_once(monkeypatch):
+    # QuadratureGrid.factor(i) is one object per grid and factor, so gram()'s
+    # factor Grams, the grids they keep and bergman_trace's factor traces share
+    # its radial_tables: the factored CGF path on one product grid evaluates
+    # each factor's magnitudes once, and the product grid's own (t = 0, the
+    # diagonal route) once more
+    grid = build_grid(make_product((1, 2), 3))
+    assert grid.factor(0) is grid.factor(0) and grid.factor(1) is not grid.factor(0)
+    calls = []
+    magnitudes = spaces._Factor.magnitudes
+    monkeypatch.setattr(spaces._Factor, "magnitudes", lambda f, r: calls.append(f) or magnitudes(f, r))
+    argv = ["energy", "cgf", "--space", "product", "--mults", "1,2", "--k", "20",
+            "--weight-expr", "re_1/(1+r2_1)", "--t", "0,0.5,1"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv) == 0
+    assert len(calls) == 4
+
+
+def test_whiten_at_the_verdict_bound():
+    # a Gram that gram() accepts with lambda_min / lambda_max just above 1e-12
+    # has a Cholesky factor, and its whitened rows are orthonormal, T^H
+    # conj(S) T = I, to u kappa(S): storing S alone moves lambda_min by u
+    # |S|, which the map scales by 1 / lambda_min.  S0 = Q diag(lambda) Q^H
+    # has an eigenvalue 0 and unit diagonal once scaled; (S0 + tau I) / (1 +
+    # tau) keeps the diagonal and puts the ratio at tau / lambda_max
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.normal(size=(500, 500)) + 1j * rng.normal(size=(500, 500)))
+    S0 = (Q * np.append(np.geomspace(1.0, 1e-3, 499), 0.0)) @ Q.conj().T
+    S0 = S0 / np.sqrt(np.outer(S0.diagonal().real, S0.diagonal().real))
+    tau = 1.01e-12 * np.linalg.eigvalsh(S0)[-1]
+    S = (S0 + tau * np.eye(500)) / (1.0 + tau)
+    S = 0.5 * (S + S.conj().T)
+    g = _judged(_unjudged(S, None, None), "here")
+    lo, hi = g.spectrum
+    assert 1e-12 < lo / hi < 1.02e-12
+    T = g.whiten(np.eye(500))
+    u = np.finfo(float).eps / 2
+    assert np.linalg.norm(T.conj().T @ S.conj() @ T - np.eye(500), 2) <= u * hi / lo
 
 
 @pytest.mark.parametrize("source", ["re_1*re_2/(1+r2_1+r2_2)", "im_1/(1+r2_2)"])
